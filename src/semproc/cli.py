@@ -200,7 +200,7 @@ def _run_ulln(cfg: dict) -> dict:
                 "lower <= exact <= upper",
                 sw.lower <= exact + 1e-12 and exact <= sw.upper + 1e-12,
             ))
-    return {"rows": report.rows, "ledger": ledger,
+    return {"results": report.rows, "ledger": ledger,
             "pass": all(e["ok"] for e in ledger)}
 
 
@@ -509,7 +509,8 @@ def _run_selftest(cfg: dict) -> dict:
     sec = _run_ulln(parse_config("ulln", {
         "n_schedule": [50, 400], "replicates": 30, "seed": seed,
     }))
-    sections["ulln"] = sec
+    # the ulln section names its rows "rows", as selftest reports always have
+    sections["ulln"] = {"rows": sec["results"], "ledger": sec["ledger"], "pass": sec["pass"]}
     ok = ok and sec["pass"]
 
     sec = _run_kiefer(parse_config("kiefer", {
@@ -560,23 +561,19 @@ def run_experiment(experiment: str, raw_config: dict) -> dict:
     start = time.monotonic()
     body = _RUNNERS[experiment](cfg)
     elapsed = time.monotonic() - start
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "experiment": experiment,
         "config": cfg,
-        "results": _jsonable(body.get("results", body.get("rows"))),
-        "ledger": _jsonable(body.get("ledger", [])),
+        "results": _jsonable(body["results"]),
+        "ledger": _jsonable(body["ledger"]),
         "pass": bool(body["pass"]),
         "meta": {
             "wall_clock_seconds": elapsed,
             "library_version": __version__,
             "rng": {"root_seed": cfg.get("seed"), "algorithm": "PCG64+splitmix64-paths"},
-            "threads": os.environ.get("SEMPROC_THREADS", "1"),
         },
     }
-    if experiment == "ulln":
-        report["results"] = _jsonable(body["rows"])
-    return report
 
 
 def numeric_bytes(report: dict) -> bytes:
@@ -650,6 +647,20 @@ def _parse_override(text: str):
         return key, value
 
 
+def _flag_type(default) -> Callable[[str], Any]:
+    """How a --key-name flag parses its text: lists are comma separated and
+    typed by the default's elements, dicts and bools are JSON."""
+    if isinstance(default, list):
+        elem = type(default[0])
+
+        def comma_list(text: str) -> list:
+            return [elem(v) for v in text.split(",")]
+        return comma_list
+    if isinstance(default, (dict, bool)):
+        return json.loads
+    return type(default)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="semproc",
@@ -664,24 +675,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--out", default=None, help="report path (JSON)")
         p.add_argument("--plot-prefix", default=None,
                        help="emit plot-data CSVs with this path prefix")
-        p.add_argument("--seed", type=int, default=None)
-        if name == "ulln":
-            p.add_argument("--class", dest="class_id", default=None)
-            p.add_argument("--j", type=int, default=None)
-            p.add_argument("--n-schedule", default=None,
-                           help="comma separated, e.g. 100,1000,10000")
-            p.add_argument("--replicates", type=int, default=None)
-            p.add_argument("--centering", choices=["lambda_n", "lambda"], default=None)
-            p.add_argument("--net-u", type=float, default=None)
-        if name == "fclt":
-            p.add_argument("--q-set", default=None,
-                           choices=["kiefer-3", "kiefer-grid", "holder-product",
-                                    "custom-file"])
-            p.add_argument("--q-file", default=None)
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--replicates", type=int, default=None)
-            p.add_argument("--alpha-list", default=None, help="comma separated")
-            p.add_argument("--net-u", type=float, default=None)
+        for key, (_, default) in _SCHEMAS[name].items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                           type=_flag_type(default), help=f"sets {key} (default {default!r})")
 
     args = parser.parse_args(argv)
     try:
@@ -689,17 +685,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for item in args.set:
             key, value = _parse_override(item)
             raw[key] = value
-        for flag, key in (
-            ("seed", "seed"), ("j", "j"), ("replicates", "replicates"),
-            ("centering", "centering"), ("n", "n"), ("net_u", "net_u"),
-            ("q_set", "q_set"), ("q_file", "q_file"), ("class_id", "class"),
-        ):
-            if getattr(args, flag, None) is not None:
-                raw[key] = getattr(args, flag)
-        if getattr(args, "n_schedule", None):
-            raw["n_schedule"] = [int(v) for v in args.n_schedule.split(",")]
-        if getattr(args, "alpha_list", None):
-            raw["alpha_list"] = [float(v) for v in args.alpha_list.split(",")]
+        for key in _SCHEMAS[args.experiment]:
+            if getattr(args, key) is not None:
+                raw[key] = getattr(args, key)
         report = run_experiment(args.experiment, raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

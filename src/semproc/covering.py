@@ -24,13 +24,11 @@ import numpy as np
 from .function_classes import (
     BVectorClass,
     GClass,
-    HolderMember,
     IndicatorFamily,
     IndicatorMember,
     ProductClass,
-    holder_l2_lambda_sq,
+    lambda_sq_distance,
 )
-from .intervals import IntervalUnion
 from .measures import NuModel, Sample, draw_sample, grid_points
 
 __all__ = [
@@ -77,20 +75,7 @@ def _as_pair(f):
 
 def _lambda2_h(h1, h2) -> float:
     """Exact L2(lambda) distance between two h members."""
-    if isinstance(h1, IndicatorMember) and isinstance(h2, IndicatorMember):
-        return math.sqrt(abs(h1.t - h2.t))
-    if isinstance(h1, HolderMember) and isinstance(h2, HolderMember):
-        return math.sqrt(max(holder_l2_lambda_sq(h1, h2), 0.0))
-    if isinstance(h1, IntervalUnion) and isinstance(h2, IntervalUnion):
-        return math.sqrt(float(h1.symdiff_measure(h2)))
-    from .quadrature import integrate
-
-    val = integrate(
-        lambda x: (float(np.asarray(h1(np.asarray([x]))).ravel()[0])
-                   - float(np.asarray(h2(np.asarray([x]))).ravel()[0])) ** 2,
-        0.0, 1.0, tol=1e-10,
-    )
-    return math.sqrt(max(val, 0.0))
+    return math.sqrt(max(lambda_sq_distance(h1, h2), 0.0))
 
 
 def _nu2_g(g1, g2, model: NuModel) -> float:
@@ -448,6 +433,12 @@ def _is_prefix_mask(mask: int, k: int) -> bool:
 # Stochastic boundedness of random covering numbers
 # ---------------------------------------------------------------------------
 
+def _l1_distances(vals: np.ndarray) -> np.ndarray:
+    """Mean absolute difference between every pair of rows, built one row at a
+    time so the memory stays O(rows * n) instead of O(rows^2 * n)."""
+    return np.stack([np.mean(np.abs(v - vals), axis=1) for v in vals])
+
+
 @dataclass
 class RandomCoveringReport:
     tau: float
@@ -488,14 +479,9 @@ def random_covering_boundedness(
             xs = sample.xs()
             g_vals = np.stack([g(xs) for g in g_net])      # (G, n)
             f_vals = (h_vals[:, None, :] * g_vals[None, :, :]).reshape(-1, n)
-            dist_f = np.mean(
-                np.abs(f_vals[:, None, :] - f_vals[None, :, :]), axis=2
-            )
-            observed = len(greedy_net_indices(dist_f, tau))
-            dist_h = np.mean(np.abs(h_vals[:, None, :] - h_vals[None, :, :]), axis=2)
-            dist_g = np.mean(np.abs(g_vals[:, None, :] - g_vals[None, :, :]), axis=2)
-            nh = len(greedy_net_indices(dist_h, tau / 2.0))
-            ng = len(greedy_net_indices(dist_g, tau / 2.0))
+            observed = len(greedy_net_indices(_l1_distances(f_vals), tau))
+            nh = len(greedy_net_indices(_l1_distances(h_vals), tau / 2.0))
+            ng = len(greedy_net_indices(_l1_distances(g_vals), tau / 2.0))
             ok = observed <= nh * ng
             report.trials.append(
                 {"n": n, "seed": seed, "observed": observed,

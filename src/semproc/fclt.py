@@ -34,9 +34,10 @@ from .function_classes import (
     IndicatorMember,
     InitialInterval,
     ProductClass,
+    lambda_sq_distance,
 )
 from .measures import NuModel, QFunction, Sample, grid_points, parse_model
-from .piecewise import diff_sq_integral, prod_integral
+from .piecewise import prod_integral
 from .quadrature import integrate
 from .seeds import derive_seed
 
@@ -476,13 +477,7 @@ def replicate_Z_values(q_list: Sequence[QFunction], n: int, R: int, seed: int,
     Bulk path: one (R, n) draw matrix from a single derived-seed generator;
     product-form q columns are evaluated by matrix products.
     """
-    rng = np.random.default_rng(derive_seed(seed, ["replicate-Z", n, R]))
-    if model.kind == "uniform01":
-        draws = rng.random((R, n))
-    elif model.kind == "standard-normal":
-        draws = rng.standard_normal((R, n))
-    else:
-        draws = rng.exponential(1.0 / model.params[0], (R, n))
+    draws = model.draw(np.random.default_rng(derive_seed(seed, ["replicate-Z", n, R])), (R, n))
     svals = grid_points(n)
     cols = []
     for q in q_list:
@@ -556,28 +551,24 @@ def fidi_convergence_test(
 def _h_pool(h_class, net_u: float, cap: int, seed: int):
     """Member pool for modulus experiments: the u-net when it fits, otherwise
     a deterministic subsample that keeps both spread (farthest-first sweep)
-    and near pairs (each kept member's nearest net neighbor)."""
+    and near pairs (each kept member's nearest net neighbor).  Returns the
+    pool and its matrix of lambda((h1-h2)^2)."""
     if isinstance(h_class, IndicatorFamily):
         net = h_class.build_net(net_u, "d2_lambda", max_members=10**6)
-        dist = np.abs(
-            np.sqrt(np.abs(np.subtract.outer([m.t for m in net], [m.t for m in net])))
-        )
+        ts = np.array([m.t for m in net])
+        sq = np.abs(np.subtract.outer(ts, ts))
     elif isinstance(h_class, HolderClass):
         net = h_class.build_net(net_u, max_members=500_000)
-        dist = None
+        if len(net) > cap:
+            rng = np.random.default_rng(derive_seed(seed, ["h-pool"]))
+            pre_idx = sorted(rng.choice(len(net), size=min(len(net), 4 * cap), replace=False))
+            net = [net[i] for i in pre_idx]
+        sq = pairwise_distances(net, lambda_sq_distance)
     else:
         raise TypeError(type(h_class))
     if len(net) <= cap:
-        return net
-    if dist is None:
-        from .covering import PseudoMetricId, eval_pseudometric
-
-        rng = np.random.default_rng(derive_seed(seed, ["h-pool"]))
-        pre_idx = sorted(rng.choice(len(net), size=min(len(net), 4 * cap), replace=False))
-        pre = [net[i] for i in pre_idx]
-        metric = PseudoMetricId("d2_lambda")
-        dist = pairwise_distances(pre, metric)
-        net = pre
+        return net, sq
+    dist = np.sqrt(sq)
     chosen = [0]
     mind = dist[0].copy()
     while len(chosen) < cap // 2:
@@ -596,13 +587,46 @@ def _h_pool(h_class, net_u: float, cap: int, seed: int):
         pool_idx.add(int(np.argmin(d)))
         if len(pool_idx) >= cap:
             break
-    return [net[i] for i in sorted(pool_idx)]
+    idx = sorted(pool_idx)
+    return [net[i] for i in idx], sq[np.ix_(idx, idx)]
 
 
-def _h_distance_matrix(pool) -> np.ndarray:
-    from .covering import PseudoMetricId
+@dataclass(frozen=True)
+class _MemberPools:
+    """The h pool and g net of a product class with what pairing them needs:
+    h_sq[a, b] = lambda((h_a-h_b)^2), the d2_lambda and d2_nu distance
+    matrices, and the g moments nu(g_b^2) and nu(g_b g_c)."""
 
-    return pairwise_distances(pool, PseudoMetricId("d2_lambda"))
+    h: list
+    g: list
+    h_sq: np.ndarray
+    d_h: np.ndarray
+    d_g: np.ndarray
+    g_second: np.ndarray
+    g_cross: np.ndarray
+
+
+def _member_pools(product_class: ProductClass, net_u: float, h_cap: int, g_cap: int,
+                  seed: int, model: NuModel) -> _MemberPools:
+    h_pool, h_sq = _h_pool(product_class.h_class, net_u, h_cap, seed)
+    g_net = product_class.g_class.build_net(net_u, model, "d2_nu", max_members=10**6)
+    if len(g_net) > g_cap:
+        idx = np.linspace(0, len(g_net) - 1, g_cap).round().astype(int)
+        g_net = [g_net[i] for i in sorted(set(idx.tolist()))]
+    seconds = np.array([g.second_moment(model) for g in g_net])
+    cross = np.array([[g1.pair_mean(g2, model) for g2 in g_net] for g1 in g_net])
+    d_g = np.sqrt(np.maximum(seconds[:, None] - 2 * cross + seconds[None, :], 0.0))
+    return _MemberPools(h_pool, g_net, h_sq, np.sqrt(h_sq), d_g, seconds, cross)
+
+
+def _pairs_within(d_h: np.ndarray, d_g: np.ndarray, alpha: float):
+    """Member pairs within alpha in the composite metric d_h + d_g.  Member
+    (a, b) has flat index a * len(d_g) + b; returns the flat indices p < q of
+    each pair in row-major order and the pair distances."""
+    k = d_h.shape[0] * d_g.shape[0]
+    d = (d_h[:, None, :, None] + d_g[None, :, None, :]).reshape(k, k)
+    p, q = np.nonzero(np.triu(d <= alpha, k=1))
+    return p, q, d[p, q]
 
 
 @dataclass
@@ -631,50 +655,17 @@ def equicontinuity_modulus(
     pair pool is the u-net (deterministically thinned to the caps); a subset
     of the class, so the observed modulus is a lower proxy of the class
     modulus, which is the verifiable direction of the tightness statement."""
-    h_pool = _h_pool(product_class.h_class, net_u, h_cap, seed)
-    g_net = product_class.g_class.build_net(net_u, model, "d2_nu", max_members=10**6)
-    if len(g_net) > g_cap:
-        idx = np.linspace(0, len(g_net) - 1, g_cap).round().astype(int)
-        g_net = [g_net[i] for i in sorted(set(idx.tolist()))]
-
-    d_h = _h_distance_matrix(h_pool)
-    means = np.array([g.mean(model) for g in g_net])
-    seconds = np.array([g.second_moment(model) for g in g_net])
-    cross = np.array([[g1.pair_mean(g2, model) for g2 in g_net] for g1 in g_net])
-    d_g = np.sqrt(np.maximum(seconds[:, None] - 2 * cross + seconds[None, :], 0.0))
-
-    kh, kg = len(h_pool), len(g_net)
+    pools = _member_pools(product_class, net_u, h_cap, g_cap, seed, model)
+    kh, kg = len(pools.h), len(pools.g)
+    means = np.array([g.mean(model) for g in pools.g])
     svals = grid_points(n)
-    h_vals = np.stack([np.asarray(h(svals), dtype=float) for h in h_pool])
+    h_vals = np.stack([np.asarray(h(svals), dtype=float) for h in pools.h])
     h_center = h_vals.mean(axis=1)
+    pairs_p, pairs_q, pair_d = _pairs_within(pools.d_h, pools.d_g, max(alpha_list))
 
-    alpha_max = max(alpha_list)
-    pairs_p, pairs_q, pair_d = [], [], []
-    for a1 in range(kh):
-        for b1 in range(kg):
-            p = a1 * kg + b1
-            for a2 in range(a1, kh):
-                b2_start = b1 + 1 if a2 == a1 else 0
-                for b2 in range(b2_start, kg):
-                    d = d_h[a1, a2] + d_g[b1, b2]
-                    if d <= alpha_max:
-                        pairs_p.append(p)
-                        pairs_q.append(a2 * kg + b2)
-                        pair_d.append(d)
-    pairs_p = np.asarray(pairs_p, dtype=np.int64)
-    pairs_q = np.asarray(pairs_q, dtype=np.int64)
-    pair_d = np.asarray(pair_d)
-
-    rng = np.random.default_rng(derive_seed(seed, ["modulus", n, R]))
-    if model.kind == "uniform01":
-        draws = rng.random((R, n))
-    elif model.kind == "standard-normal":
-        draws = rng.standard_normal((R, n))
-    else:
-        draws = rng.exponential(1.0 / model.params[0], (R, n))
-
+    draws = model.draw(np.random.default_rng(derive_seed(seed, ["modulus", n, R])), (R, n))
     Z = np.empty((R, kh * kg))
-    for b, g in enumerate(g_net):
+    for b, g in enumerate(pools.g):
         gv = np.asarray(g(draws), dtype=float)      # (R, n)
         pn = gv @ h_vals.T / n                      # (R, kh)
         Z[:, b::kg] = math.sqrt(n) * (pn - h_center[None, :] * means[b])
@@ -717,77 +708,31 @@ def fluctuation_bound_check(
                        + sqrt(|lambda_n((h1-h2)^2) - lambda((h1-h2)^2)|)),
 
     and the sup over alpha-pairs shrinks with alpha."""
-    h_pool = _h_pool(product_class.h_class, net_u, h_cap, seed)
-    g_net = product_class.g_class.build_net(net_u, model, "d2_nu", max_members=10**6)
-    if len(g_net) > g_cap:
-        idx = np.linspace(0, len(g_net) - 1, g_cap).round().astype(int)
-        g_net = [g_net[i] for i in sorted(set(idx.tolist()))]
+    pools = _member_pools(product_class, net_u, h_cap, g_cap, seed, model)
     h_env = product_class.h_envelope
     nu_g2 = product_class.g_class.envelope_sq_mean(model)
+    p, q, pair_d = _pairs_within(pools.d_h, pools.d_g, max(alpha_list))
+    a1, b1 = np.divmod(p, len(pools.g))
+    a2, b2 = np.divmod(q, len(pools.g))   # a1 <= a2, so gram_n[a1, a2] is the upper triangle
 
-    d_h = _h_distance_matrix(h_pool)
-    seconds = np.array([g.second_moment(model) for g in g_net])
-    cross = np.array([[g1.pair_mean(g2, model) for g2 in g_net] for g1 in g_net])
-    d_g = np.sqrt(np.maximum(seconds[:, None] - 2 * cross + seconds[None, :], 0.0))
-
-    kh, kg = len(h_pool), len(g_net)
     rows = []
     for n in n_list:
         svals = grid_points(n)
-        hv = np.stack([np.asarray(h(svals), dtype=float) for h in h_pool])
+        hv = np.stack([np.asarray(h(svals), dtype=float) for h in pools.h])
         gram_n = hv @ hv.T / n                       # lambda_n(h_a h_b)
-        lam_pair = np.zeros((kh, kh))
-        for a in range(kh):
-            for b in range(a, kh):
-                lam_pair[a, b] = lam_pair[b, a] = _lambda_sq_gap(h_pool[a], h_pool[b], n,
-                                                                 gram_n[a, a], gram_n[a, b],
-                                                                 gram_n[b, b])
-        for alpha in alpha_list:
-            observed = 0.0
-            bound_max = 0.0
-            violations = 0
-            pairs = 0
-            for a1 in range(kh):
-                for b1 in range(kg):
-                    for a2 in range(a1, kh):
-                        for b2 in range(kg):
-                            if a2 == a1 and b2 <= b1:
-                                continue
-                            if d_h[a1, a2] + d_g[b1, b2] > alpha:
-                                continue
-                            pairs += 1
-                            sq = (
-                                gram_n[a1, a1] * seconds[b1]
-                                - 2.0 * gram_n[a1, a2] * cross[b1, b2]
-                                + gram_n[a2, a2] * seconds[b2]
-                            )
-                            obs = math.sqrt(max(sq, 0.0))
-                            bound = h_env * d_g[b1, b2] + math.sqrt(nu_g2) * (
-                                d_h[a1, a2] + math.sqrt(lam_pair[a1, a2])
-                            )
-                            observed = max(observed, obs)
-                            bound_max = max(bound_max, bound)
-                            if obs > bound + 1e-9:
-                                violations += 1
-            rows.append({"n": n, "alpha": alpha, "observed": observed,
-                         "bound": bound_max, "pairs": pairs,
-                         "violations": violations})
-    return rows
-
-
-def _lambda_sq_gap(h1, h2, n: int, gnn_11: float, gnn_12: float, gnn_22: float) -> float:
-    """|lambda_n((h1-h2)^2) - lambda((h1-h2)^2)| with the lambda_n part from
-    precomputed grid grams; exact lambda part per representation."""
-    ln = gnn_11 - 2.0 * gnn_12 + gnn_22
-    if isinstance(h1, IndicatorMember) and isinstance(h2, IndicatorMember):
-        lam = abs(h1.t - h2.t)
-    elif isinstance(h1, HolderMember) and isinstance(h2, HolderMember) \
-            and h1.pl is not None and h2.pl is not None:
-        lam = diff_sq_integral(h1.pl, h2.pl)
-    else:
-        lam = integrate(
-            lambda s: (float(np.asarray(h1(np.asarray([s]))).ravel()[0])
-                       - float(np.asarray(h2(np.asarray([s]))).ravel()[0])) ** 2,
-            0.0, 1.0, tol=1e-10,
+        g11, g12, g22 = gram_n[a1, a1], gram_n[a1, a2], gram_n[a2, a2]
+        sq = (g11 * pools.g_second[b1] - 2.0 * g12 * pools.g_cross[b1, b2]
+              + g22 * pools.g_second[b2])
+        obs = np.sqrt(np.maximum(sq, 0.0))
+        lam_gap = np.abs(g11 - 2.0 * g12 + g22 - pools.h_sq[a1, a2])
+        bound = h_env * pools.d_g[b1, b2] + math.sqrt(nu_g2) * (
+            pools.d_h[a1, a2] + np.sqrt(lam_gap)
         )
-    return abs(ln - lam)
+        for alpha in alpha_list:
+            within = pair_d <= alpha
+            rows.append({"n": n, "alpha": alpha,
+                         "observed": float(np.max(obs[within], initial=0.0)),
+                         "bound": float(np.max(bound[within], initial=0.0)),
+                         "pairs": int(within.sum()),
+                         "violations": int(np.sum(obs[within] > bound[within] + 1e-9))})
+    return rows

@@ -55,6 +55,7 @@ __all__ = [
     "observed_riemann_gap",
     "oscillation_sup_bound",
     "eval_member",
+    "lambda_sq_distance",
 ]
 
 
@@ -229,14 +230,24 @@ def holder_sup_distance(h1, h2, grid_size: int = 4001) -> float:
     return est + slack
 
 
-def holder_l2_lambda_sq(h1: HolderMember, h2: HolderMember) -> float:
-    """lambda((h1-h2)^2), exact for pl pairs."""
-    if h1.pl is not None and h2.pl is not None:
+def lambda_sq_distance(h1, h2) -> float:
+    """lambda((h1-h2)^2) for two h members: closed forms for indicator,
+    piecewise-linear Holder and interval-union pairs, adaptive quadrature for
+    anything else."""
+    if isinstance(h1, IndicatorMember) and isinstance(h2, IndicatorMember):
+        return abs(h1.t - h2.t)
+    if isinstance(h1, HolderMember) and isinstance(h2, HolderMember) \
+            and h1.pl is not None and h2.pl is not None:
         return diff_sq_integral(h1.pl, h2.pl)
+    if isinstance(h1, IntervalUnion) and isinstance(h2, IntervalUnion):
+        return float(h1.symdiff_measure(h2))
     from .quadrature import integrate
 
-    return integrate(lambda x: float((h1(np.asarray([x]))[0] - h2(np.asarray([x]))[0]) ** 2),
-                     0.0, 1.0, tol=1e-10)
+    return integrate(
+        lambda x: (float(np.asarray(h1(np.asarray([x]))).ravel()[0])
+                   - float(np.asarray(h2(np.asarray([x]))).ravel()[0])) ** 2,
+        0.0, 1.0, tol=1e-10,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +333,6 @@ class BVectorClass:
     @property
     def n_breakpoints(self) -> int:
         return 2 * self.j + 1 if self.parity == "odd" else 2 * self.j
-
-    @property
-    def vc_dimension(self) -> int:
-        return self.n_breakpoints
 
     def member(self, breakpoints: Sequence[Union[float, Fraction]]) -> BVectorMember:
         t = list(breakpoints)

@@ -126,8 +126,3 @@ class IntervalUnion:
     @property
     def n_intervals(self) -> int:
         return len(self.bounds)
-
-
-def floor_grid_measure(n: int, t: Number) -> Fraction:
-    """Exact floor(n*t)/n, the lambda_n mass of (0, t]."""
-    return Fraction(_floor_times(n, _to_fraction(t)), n)

@@ -6,11 +6,17 @@ deliberately the only ones registered: each has closed-form cdf, raw moments
 and truncated moments, so product expectations of every registered function
 family are exactly computable and bound checks never need nested Monte Carlo.
 
-Determinism contract: draw_sample(model, n, seed) creates a fresh PCG64
-generator from the 64-bit seed and draws the n values in a single vectorized
-call.  Same (model, n, seed) reproduces the values bit-exactly.  Independent
-replicate streams are obtained by deriving child seeds (see cli.derive_seed),
-never by reusing a generator.
+Determinism contract: every draw from a model goes through NuModel.draw(rng,
+shape), one vectorized generator call per model kind.  draw_sample(model, n,
+seed) gives it a fresh PCG64 generator built from the 64-bit seed, so the same
+(model, n, seed) reproduces the values bit-exactly; the bulk replicate paths
+in fclt give it one generator per derived seed.  Independent replicate
+streams are obtained by deriving child seeds (see seeds.derive_seed), never by
+reusing a generator.
+
+The scalar evaluators eval_lambda_n, eval_lambda, eval_semp and
+eval_b_empirical sum term by term from the definitions.  They are the
+reference oracles that the tests compare the vectorized paths against.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -31,7 +36,6 @@ from .quadrature import DEFAULT_TOL, integrate
 __all__ = [
     "NuModel",
     "Sample",
-    "DiscreteUniform",
     "QFunction",
     "BEmpiricalValue",
     "parse_model",
@@ -171,13 +175,13 @@ class NuModel:
                               lo, hi, epsabs=tol, epsrel=tol, limit=200)
         return val
 
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
+    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """i.i.d. draws of the given shape, one generator call."""
         if self.kind == "uniform01":
-            return rng.random(n)
+            return rng.random(shape)
         if self.kind == "standard-normal":
-            return rng.standard_normal(n)
-        return rng.exponential(1.0 / self.params[0], n)
+            return rng.standard_normal(shape)
+        return rng.exponential(1.0 / self.params[0], shape)
 
 
 _MODEL_REGISTRY: dict[str, Callable[[], NuModel]] = {
@@ -200,57 +204,37 @@ def parse_model(name: str) -> NuModel:
 
 
 # ---------------------------------------------------------------------------
-# Samples and the uniform discrete measure
+# Samples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """An ordered i.i.d. draw (X_1..X_n) paired with the time grid i/n."""
+    """An ordered i.i.d. draw (X_1..X_n) paired with the time grid i/n.
+
+    values is stored as a read-only float64 copy of what was passed in.
+    eq=False: an ndarray field can be neither compared nor hashed as a
+    dataclass field, so samples compare by identity.
+    """
 
     n: int
-    values: tuple[float, ...]
+    values: np.ndarray
     seed: int
     model: str
 
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError("n must be a positive integer")
-        if len(self.values) != self.n:
-            raise ValueError("len(values) != n")
+        values = np.array(self.values, dtype=float)
+        if values.shape != (self.n,):
+            raise ValueError("values must be a flat sequence of length n")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def xs(self) -> np.ndarray:
-        cached = self.__dict__.get("_xs")
-        if cached is None:
-            cached = np.asarray(self.values, dtype=float)
-            object.__setattr__(self, "_xs", cached)
-        return cached
+        return self.values
 
     def grid(self) -> np.ndarray:
-        cached = self.__dict__.get("_grid")
-        if cached is None:
-            cached = np.arange(1, self.n + 1, dtype=float) / self.n
-            object.__setattr__(self, "_grid", cached)
-        return cached
-
-
-@dataclass(frozen=True)
-class DiscreteUniform:
-    """The uniform discrete measure on the grid {1/n, ..., n/n}."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n <= 0:
-            raise ValueError("n must be a positive integer")
-
-    def atoms(self) -> np.ndarray:
-        return np.arange(1, self.n + 1, dtype=float) / self.n
-
-    def mass(self) -> Fraction:
-        return Fraction(1)
-
-    def atom_mass(self) -> Fraction:
-        return Fraction(1, self.n)
+        return grid_points(self.n)
 
 
 def draw_sample(model: Union[NuModel, str], n: int, seed: int) -> Sample:
@@ -259,8 +243,8 @@ def draw_sample(model: Union[NuModel, str], n: int, seed: int) -> Sample:
         model = parse_model(model)
     if n <= 0:
         raise ValueError("n must be a positive integer")
-    values = model.sample(n, seed)
-    return Sample(n=n, values=tuple(float(v) for v in values), seed=seed, model=model.name)
+    values = model.draw(np.random.default_rng(seed), n)
+    return Sample(n=n, values=values, seed=seed, model=model.name)
 
 
 def grid_points(n: int) -> np.ndarray:
@@ -272,7 +256,7 @@ def sample_to_csv(sample: Sample, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["index", "grid_s", "x"])
         for i, x in enumerate(sample.values, start=1):
-            writer.writerow([i, repr(i / sample.n), repr(x)])
+            writer.writerow([i, repr(i / sample.n), repr(float(x))])
 
 
 def sample_from_csv(path, seed: int = -1, model: str = "unknown") -> Sample:
@@ -282,7 +266,7 @@ def sample_from_csv(path, seed: int = -1, model: str = "unknown") -> Sample:
         if header != ["index", "grid_s", "x"]:
             raise ValueError(f"bad sample CSV header: {header}")
         values = [float(row[2]) for row in reader]
-    return Sample(n=len(values), values=tuple(values), seed=seed, model=model)
+    return Sample(n=len(values), values=values, seed=seed, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +383,6 @@ def eval_semp(q: Union[QFunction, Callable[[float, float], float]], sample: Samp
     else:
         terms = (float(q(i / n, x)) for i, x in zip(range(1, n + 1), sample.values))
     return _ordered_sum(terms, compensated) / n
-
-
-def semp_value_vec(q: QFunction, sample: Sample) -> float:
-    """Vectorized P_n(q); same value as eval_semp up to summation rounding."""
-    s = sample.grid()
-    xs = sample.xs()
-    vals = np.array([q.fn(float(si), xs[i:i + 1])[0] for i, si in enumerate(s)])
-    return float(vals.mean())
 
 
 def k_n_B(B: IntervalUnion, n: int) -> int:

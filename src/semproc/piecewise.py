@@ -31,9 +31,6 @@ class PiecewiseLinear:
         v = np.asarray(self.values)
         return float(np.sum(0.5 * (v[1:] + v[:-1]) * (k[1:] - k[:-1])))
 
-    def sup_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 def merged_knots(p: PiecewiseLinear, q: PiecewiseLinear) -> np.ndarray:
     return np.union1d(np.asarray(p.knots), np.asarray(q.knots))

@@ -40,9 +40,9 @@ from .function_classes import (
     IndicatorFamily,
     IndicatorMember,
     ProductClass,
+    lambda_sq_distance,
 )
 from .measures import NuModel, Sample, draw_sample, grid_points, parse_model
-from .piecewise import diff_sq_integral
 from .seeds import derive_seed
 
 __all__ = [
@@ -391,7 +391,7 @@ def oscillation_sup(h_class, n: int, net_u: float, pool_cap: int = 120,
     for i in range(len(net)):
         for k in range(i + 1, len(net)):
             ln = float(np.mean((vals[i] - vals[k]) ** 2))
-            lam = diff_sq_integral(net[i].pl, net[k].pl)
+            lam = lambda_sq_distance(net[i], net[k])
             best = max(best, abs(ln - lam))
     return OscillationReport(best, net_u, n, len(net))
 
@@ -496,10 +496,6 @@ class SeriesSReport:
     bound_sequence: tuple[float, ...]
     classification: str
 
-    @property
-    def converged_numerically(self) -> bool:
-        return self.tail_increment < 1e-12
-
 
 def series_S_diagnostic(D: int, c: float, N: int = 400) -> SeriesSReport:
     """Partial sums of S(D, c) = sum_n sum_{k<=n} k^D C(n,k) e^{-cn} with the
@@ -555,6 +551,10 @@ class GCExperiment:
     replicates: int = 200
     seed: int = 0
     centering: str = "lambda_n"
+
+    def __post_init__(self):
+        if self.centering not in ("lambda_n", "lambda"):
+            raise ValueError(f"centering must be lambda_n or lambda, got {self.centering!r}")
 
 
 @dataclass

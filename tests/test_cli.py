@@ -166,6 +166,21 @@ class TestMainEntry:
         assert rep["config"]["n_schedule"] == [20, 40]
         assert rep["config"]["seed"] == 4
 
+    def test_generated_flags_typed_from_schema(self, tmp_path):
+        out = tmp_path / "f.json"
+        code = main(["fclt", "--n", "100", "--replicates", "200", "--alpha-list", "0.1,0.4",
+                     "--run-modulus", "false", "--run-lindeberg", "false",
+                     "--cov-tolerance", "1", "--ks-tolerance", "1", "--out", str(out)])
+        assert code == 0
+        cfg = json.loads(out.read_text())["config"]
+        assert cfg["alpha_list"] == [0.1, 0.4]
+        assert cfg["run_modulus"] is False and cfg["ks_tolerance"] == 1.0
+
+    def test_unknown_centering_exit_2(self):
+        code = main(["ulln", "--set", 'centering="lambda-typo"', "--set", "n_schedule=[20,40]",
+                     "--set", "replicates=3"])
+        assert code == 2
+
 
 class TestDocsQuickstart:
     def test_quickstart_config_zero_bound_violations(self, tmp_path):

@@ -1,0 +1,105 @@
+"""Pinned report digests and fluctuation-bound rows.
+
+The values were recorded before the sampling, member-pool and pair paths
+were merged; refactors of those paths must leave every byte unchanged.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from semproc.cli import numeric_bytes, run_experiment
+from semproc.fclt import fluctuation_bound_check
+from semproc.function_classes import GClass, HolderClass, IndicatorFamily, ProductClass
+from semproc.measures import draw_sample, parse_model
+
+_SMALL_FCLT = {"modulus_replicates": 5, "run_lindeberg": False,
+               "cov_tolerance": 0.3, "ks_tolerance": 0.3}
+
+CASES = {
+    "ulln-j0-odd-uniform": (
+        "ulln", {"j": 0, "parity": "odd", "model": "uniform01", "n_schedule": [20, 50],
+                 "replicates": 5, "seed": 3, "net_u": 0.3},
+        "0a7eedee412908fbc9e870100710e7220fb3ad01a9018fc0130eac477e92e00f"),
+    "ulln-j1-even-exponential": (
+        "ulln", {"j": 1, "parity": "even", "model": "exponential(2)", "n_schedule": [20, 40],
+                 "replicates": 4, "seed": 5},
+        "09ab2755a43a65bb71415676db06b828083af3f2487e8566e140b668723576a8"),
+    "ulln-j1-odd-normal-lambda": (
+        "ulln", {"j": 1, "parity": "odd", "model": "standard-normal", "n_schedule": [20, 40],
+                 "replicates": 4, "seed": 7, "centering": "lambda"},
+        "8f090a7693eabdf1d691c34c36005431cc122a2e38e171ead779766739f273f3"),
+    "fclt-holder-modulus": (
+        "fclt", {"n": 150, "replicates": 300, "seed": 8, "alpha_list": [0.2, 0.5],
+                 "net_u": 0.6, "model": "standard-normal",
+                 "h_class": {"class": "holder", "T": 1.0, "C": 0.5, "beta": 1.0},
+                 **_SMALL_FCLT},
+        "7d8f9101d137b358e0bb60a9337d43a6a4e71a8f56397f87f6bae5f87d04b595"),
+    "fclt-indicator-modulus": (
+        "fclt", {"n": 120, "replicates": 200, "seed": 9, "alpha_list": [0.2, 0.6],
+                 "net_u": 0.3, "model": "exponential(2)", "h_class": {"class": "indicators"},
+                 **_SMALL_FCLT},
+        "8cda8d058bbdb2d5f4ae5427a6dc0630539d33c6db1025a97eec5ecf5c9d0291"),
+    "covering": (
+        "covering", {"trials": 30, "seed": 2, "n_list": [20, 100], "n_seeds": 3},
+        "b39d058769225e521a84555c75fd510fb433306202f7afaccee1d2d29cecc2cc"),
+    "bounds": (
+        "bounds", {"members": 20, "seed": 4, "n_list": [10, 40], "witness_max_n": 5},
+        "53154c4e34db8c151760d8740c0f27e4ec1fbb8b3aed5e2dc198f2caee679de5"),
+    "kiefer": (
+        "kiefer", {"draws": 5000, "seed": 6, "tolerance": 0.1},
+        "d50ee6cfc43cfc260346929c099ce94f8dc25180504bbab6f024dd54301824f3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_numeric_sha256_pinned(name):
+    experiment, cfg, want = CASES[name]
+    report = run_experiment(experiment, cfg)
+    assert hashlib.sha256(numeric_bytes(report)).hexdigest() == want
+
+
+HOLDER_ROWS = [
+    {"n": 50, "alpha": 0.3, "observed": 0.2924903844571893, "bound": 0.3019394283564081,
+     "pairs": 45, "violations": 0},
+    {"n": 50, "alpha": 0.6, "observed": 0.6682159082212875, "bound": 1.0512233264629716,
+     "pairs": 322, "violations": 0},
+    {"n": 200, "alpha": 0.3, "observed": 0.29234845165900014, "bound": 0.29537951493791953,
+     "pairs": 45, "violations": 0},
+    {"n": 200, "alpha": 0.6, "observed": 0.666431237075514, "bound": 1.0473503431169107,
+     "pairs": 322, "violations": 0},
+]
+
+INDICATOR_ROWS = [
+    {"n": 50, "alpha": 0.2, "observed": 0.14142135623723892, "bound": 0.2000000000000001,
+     "pairs": 8, "violations": 0},
+    {"n": 50, "alpha": 0.4, "observed": 0.3464101615136022, "bound": 0.5,
+     "pairs": 150, "violations": 0},
+    {"n": 400, "alpha": 0.2, "observed": 0.09999999999995009, "bound": 0.10000000000000005,
+     "pairs": 8, "violations": 0},
+    {"n": 400, "alpha": 0.4, "observed": 0.32015621187148247, "bound": 0.39999999999999997,
+     "pairs": 150, "violations": 0},
+]
+
+
+def test_fluctuation_rows_pinned_holder():
+    pc = ProductClass(HolderClass(1.0, 1.0, 1.0), GClass("half-lines"), "pi(UB,M-VC)")
+    rows = fluctuation_bound_check(pc, [50, 200], [0.3, 0.6], 0.45, parse_model("uniform01"),
+                                   h_cap=16, g_cap=6, seed=2)
+    assert json.dumps(rows) == json.dumps(HOLDER_ROWS)
+
+
+def test_fluctuation_rows_pinned_indicator():
+    pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
+    rows = fluctuation_bound_check(pc, [50, 400], [0.2, 0.4], 0.3,
+                                   parse_model("exponential(2)"), h_cap=12, g_cap=8)
+    assert json.dumps(rows) == json.dumps(INDICATOR_ROWS)
+
+
+def test_sample_values_read_only():
+    s = draw_sample("uniform01", 5, 1)
+    with pytest.raises(ValueError):
+        s.values[0] = 0.5
+    assert s.values.dtype == np.float64
