@@ -39,6 +39,7 @@ from .function_classes import (
     GClass,
     HolderClass,
     IndicatorFamily,
+    NetTooLargeError,
     ProductClass,
     b_infinity_witness,
     observed_riemann_gap,
@@ -691,6 +692,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = run_experiment(args.experiment, raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except NetTooLargeError as exc:
+        net_u = parse_config(args.experiment, raw).get("net_u")
+        print(f"config error: net_u={net_u} is too small: the {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

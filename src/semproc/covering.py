@@ -28,6 +28,7 @@ from .function_classes import (
     IndicatorMember,
     ProductClass,
     lambda_sq_distance,
+    lambda_sq_matrix,
 )
 from .measures import NuModel, Sample, draw_sample, grid_points
 
@@ -135,6 +136,8 @@ def eval_pseudometric(metric: PseudoMetricId, a, b) -> float:
 def pairwise_distances(family: Sequence, metric) -> np.ndarray:
     """Distance matrix for a finite family; metric is a PseudoMetricId or a
     callable (a, b) -> float."""
+    if isinstance(metric, PseudoMetricId) and metric.kind == "d2_lambda":
+        return np.sqrt(np.maximum(lambda_sq_matrix(family), 0.0))
     fn = metric if callable(metric) else (lambda a, b: eval_pseudometric(metric, a, b))
     k = len(family)
     d = np.zeros((k, k))
@@ -474,13 +477,13 @@ def random_covering_boundedness(
     for n in n_list:
         s_grid = grid_points(n)
         h_vals = np.stack([h(s_grid) for h in h_net])      # (H, n)
+        nh = len(greedy_net_indices(_l1_distances(h_vals), tau / 2.0))
         for seed in seeds:
             sample = draw_sample(model, n, seed)
             xs = sample.xs()
             g_vals = np.stack([g(xs) for g in g_net])      # (G, n)
             f_vals = (h_vals[:, None, :] * g_vals[None, :, :]).reshape(-1, n)
             observed = len(greedy_net_indices(_l1_distances(f_vals), tau))
-            nh = len(greedy_net_indices(_l1_distances(h_vals), tau / 2.0))
             ng = len(greedy_net_indices(_l1_distances(g_vals), tau / 2.0))
             ok = observed <= nh * ng
             report.trials.append(

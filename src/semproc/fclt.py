@@ -24,7 +24,6 @@ import numpy as np
 from scipy import special as _scisp
 from scipy import stats as _scistats
 
-from .covering import pairwise_distances
 from .function_classes import (
     BoundedPolynomial,
     HalfLine,
@@ -34,7 +33,7 @@ from .function_classes import (
     IndicatorMember,
     InitialInterval,
     ProductClass,
-    lambda_sq_distance,
+    lambda_sq_matrix,
 )
 from .measures import NuModel, QFunction, Sample, grid_points, parse_model
 from .piecewise import prod_integral
@@ -555,17 +554,12 @@ def _h_pool(h_class, net_u: float, cap: int, seed: int):
     pool and its matrix of lambda((h1-h2)^2)."""
     if isinstance(h_class, IndicatorFamily):
         net = h_class.build_net(net_u, "d2_lambda", max_members=10**6)
-        ts = np.array([m.t for m in net])
-        sq = np.abs(np.subtract.outer(ts, ts))
     elif isinstance(h_class, HolderClass):
-        net = h_class.build_net(net_u, max_members=500_000)
-        if len(net) > cap:
-            rng = np.random.default_rng(derive_seed(seed, ["h-pool"]))
-            pre_idx = sorted(rng.choice(len(net), size=min(len(net), 4 * cap), replace=False))
-            net = [net[i] for i in pre_idx]
-        sq = pairwise_distances(net, lambda_sq_distance)
+        rng = np.random.default_rng(derive_seed(seed, ["h-pool"]))
+        net = h_class.net_sample(net_u, 4 * cap, rng, max_members=500_000)
     else:
         raise TypeError(type(h_class))
+    sq = lambda_sq_matrix(net)
     if len(net) <= cap:
         return net, sq
     dist = np.sqrt(sq)
@@ -580,10 +574,7 @@ def _h_pool(h_class, net_u: float, cap: int, seed: int):
     pool_idx = set(chosen)
     for i in list(chosen):
         d = dist[i].copy()
-        d[i] = np.inf
-        for k in pool_idx:
-            if k != i:
-                d[k] = np.inf
+        d[list(pool_idx)] = np.inf
         pool_idx.add(int(np.argmin(d)))
         if len(pool_idx) >= cap:
             break

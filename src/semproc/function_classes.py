@@ -56,6 +56,7 @@ __all__ = [
     "oscillation_sup_bound",
     "eval_member",
     "lambda_sq_distance",
+    "lambda_sq_matrix",
 ]
 
 
@@ -162,15 +163,16 @@ class HolderClass:
         """Cells m such that 2 C (1/(2m))^beta <= u/2; equals ceil(2C/u) at beta=1."""
         return max(1, math.ceil(0.5 * (4.0 * self.C / u) ** (1.0 / self.beta)))
 
-    def build_net(self, u: float, max_members: int = 200_000) -> list[HolderMember]:
-        """Sup-norm u-net of exact class members (see module docstring)."""
+    def net_values(self, u: float, max_members: int = 200_000) -> tuple[np.ndarray, np.ndarray]:
+        """Knot grid and member values, one row per member, of the sup-norm
+        u-net (see module docstring).  Level k extends every feasible partial
+        sequence by every step option, parent order then step order, so rows
+        come in the lexicographic order of (anchor, step_1, ..., step_m); rows
+        equal after rounding to 9 decimals keep the first."""
         if u <= 0:
             raise ValueError("u must be > 0")
         m = self.net_grid_count(u)
         step = u / 2.0
-        grid = np.arange(0, m + 1, dtype=float) / m
-        hol = self.C * np.abs(grid[:, None] - grid[None, :]) ** self.beta
-
         anchor_lo = -(self.T + u / 4.0)
         anchor_hi = self.T + u / 4.0
         anchors = [k * step for k in range(math.ceil(anchor_lo / step),
@@ -180,39 +182,39 @@ class HolderClass:
         estimate = len(anchors) * n_steps**m
         if estimate > max_members:
             raise NetTooLargeError(estimate, max_members)
-        step_options = [k * step for k in range(-(n_steps // 2), n_steps // 2 + 1)]
+        steps = np.array([k * step for k in range(-(n_steps // 2), n_steps // 2 + 1)])
         env = self.C + self.T + u / 4.0
+        grid = np.arange(0, m + 1, dtype=float) / m
+        hol = self.C * np.abs(grid[:, None] - grid[None, :]) ** self.beta
 
-        members: dict[tuple, HolderMember] = {}
-        seq = np.empty(m + 1)
+        seqs = np.array(anchors)[:, None]
+        for k in range(1, m + 1):
+            cand = (seqs[:, -1:] + steps).ravel()
+            prev = np.repeat(seqs, n_steps, axis=0)
+            window = hol[k, :k] + u / 2.0 + 1e-12
+            ok = (np.abs(cand) <= env + 1e-12) \
+                & np.all(np.abs(cand[:, None] - prev) <= window, axis=1)
+            seqs = np.column_stack([prev[ok], cand[ok]])
+        vals = np.min(seqs[:, None, :] + hol, axis=2)  # Holder minorant on the grid
+        vals += np.clip(vals[:, :1], -self.T, self.T) - vals[:, :1]
+        _, first = np.unique(np.round(vals, 9), axis=0, return_index=True)
+        return grid, vals[np.sort(first)]
 
-        def extend(k: int):
-            if k == m + 1:
-                vals = np.min(seq[None, :] + hol, axis=1)  # Holder minorant on the grid
-                shift = min(self.T, max(-self.T, vals[0])) - vals[0]
-                vals = vals + shift
-                key = tuple(np.round(vals, 9))
-                if key not in members:
-                    members[key] = HolderMember(
-                        self.T, self.C, self.beta,
-                        pl=PiecewiseLinear(tuple(grid), tuple(float(v) for v in vals)),
-                    )
-                return
-            prev = seq[:k]
-            for s in step_options:
-                cand = seq[k - 1] + s
-                if abs(cand) > env + 1e-12:
-                    continue
-                window = hol[k, :k] + u / 2.0 + 1e-12
-                if np.any(np.abs(cand - prev) > window):
-                    continue
-                seq[k] = cand
-                extend(k + 1)
+    def net_sample(self, u: float, size: Optional[int] = None,
+                   rng: Optional[np.random.Generator] = None,
+                   max_members: int = 200_000) -> list[HolderMember]:
+        """Members of the u-net at size rows drawn by rng without replacement,
+        in net order; the whole net when size is None or not below its size."""
+        grid, vals = self.net_values(u, max_members)
+        if size is not None and len(vals) > size:
+            vals = vals[np.sort(rng.choice(len(vals), size=size, replace=False))]
+        knots = tuple(grid)
+        return [HolderMember(self.T, self.C, self.beta, pl=PiecewiseLinear(knots, tuple(v)))
+                for v in vals.tolist()]
 
-        for a0 in anchors:
-            seq[0] = a0
-            extend(1)
-        return list(members.values())
+    def build_net(self, u: float, max_members: int = 200_000) -> list[HolderMember]:
+        """Sup-norm u-net of exact class members (see module docstring)."""
+        return self.net_sample(u, max_members=max_members)
 
 
 def holder_sup_distance(h1, h2, grid_size: int = 4001) -> float:
@@ -248,6 +250,36 @@ def lambda_sq_distance(h1, h2) -> float:
                    - float(np.asarray(h2(np.asarray([x]))).ravel()[0])) ** 2,
         0.0, 1.0, tol=1e-10,
     )
+
+
+def lambda_sq_matrix(members: Sequence) -> np.ndarray:
+    """The matrix of lambda_sq_distance over a family, entry for entry the
+    same floats: |t_i - t_j| for indicators; for piecewise-linear Holder
+    members on one shared knot vector, the per-cell Simpson sum of
+    diff_sq_integral with each member evaluated once instead of once per pair;
+    the scalar function pair by pair for anything else."""
+    if all(isinstance(h, IndicatorMember) for h in members):
+        ts = np.array([h.t for h in members], dtype=float)
+        return np.abs(np.subtract.outer(ts, ts))
+    pls = [h.pl for h in members if isinstance(h, HolderMember) and h.pl is not None]
+    if len(pls) < len(members) or any(p.knots != pls[0].knots for p in pls):
+        from .covering import pairwise_distances
+
+        return pairwise_distances(members, lambda_sq_distance)
+    knots = np.asarray(pls[0].knots, dtype=float)
+    mid = 0.5 * (knots[1:] + knots[:-1])
+    w = knots[1:] - knots[:-1]
+    at_knots = np.stack([p(knots) for p in pls])
+    at_mid = np.stack([p(mid) for p in pls])
+    k = len(pls)
+    sq = np.empty((k, k))
+    rows = max(1, 2**20 // (k * len(knots)))  # about 8 MB per temporary
+    for lo in range(0, k, rows):
+        d = at_knots[lo:lo + rows, None, :] - at_knots[None, :, :]
+        dm = at_mid[lo:lo + rows, None, :] - at_mid[None, :, :]
+        sq[lo:lo + rows] = np.sum(w / 6.0 * (d[..., :-1] ** 2 + 4.0 * dm**2 + d[..., 1:] ** 2),
+                                  axis=2)
+    return sq
 
 
 # ---------------------------------------------------------------------------

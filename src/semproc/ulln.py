@@ -40,7 +40,7 @@ from .function_classes import (
     IndicatorFamily,
     IndicatorMember,
     ProductClass,
-    lambda_sq_distance,
+    lambda_sq_matrix,
 )
 from .measures import NuModel, Sample, draw_sample, grid_points, parse_model
 from .seeds import derive_seed
@@ -380,19 +380,14 @@ def oscillation_sup(h_class, n: int, net_u: float, pool_cap: int = 120,
         return OscillationReport(best, net_u, n, len(ts))
     if not isinstance(h_class, HolderClass):
         raise TypeError(type(h_class))
-    net = h_class.build_net(net_u)
-    if len(net) > pool_cap:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(net), size=pool_cap, replace=False)
-        net = [net[i] for i in sorted(idx)]
+    net = h_class.net_sample(net_u, pool_cap, np.random.default_rng(seed))
+    lam = lambda_sq_matrix(net)
     pts = grid_points(n)
     vals = np.stack([m(pts) for m in net])
     best = 0.0
-    for i in range(len(net)):
-        for k in range(i + 1, len(net)):
-            ln = float(np.mean((vals[i] - vals[k]) ** 2))
-            lam = lambda_sq_distance(net[i], net[k])
-            best = max(best, abs(ln - lam))
+    for i in range(len(net) - 1):
+        ln = np.mean((vals[i] - vals[i + 1:]) ** 2, axis=1)
+        best = max(best, float(np.max(np.abs(ln - lam[i, i + 1:]))))
     return OscillationReport(best, net_u, n, len(net))
 
 

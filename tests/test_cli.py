@@ -176,6 +176,13 @@ class TestMainEntry:
         assert cfg["alpha_list"] == [0.1, 0.4]
         assert cfg["run_modulus"] is False and cfg["ks_tolerance"] == 1.0
 
+    def test_net_too_large_exit_2(self, capsys):
+        code = main(["fclt", "--net-u", "0.1", "--n", "100", "--replicates", "200",
+                     "--run-lindeberg", "false"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "net_u=0.1" in err and "3910064697265625" in err
+
     def test_unknown_centering_exit_2(self):
         code = main(["ulln", "--set", 'centering="lambda-typo"', "--set", "n_schedule=[20,40]",
                      "--set", "replicates=3"])

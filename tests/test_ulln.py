@@ -125,6 +125,18 @@ class TestOscillation:
         rep = oscillation_sup(IndicatorFamily(), 50, 0.9)
         assert rep.value >= 0.0
 
+    @pytest.mark.parametrize("h_class,n,net_u,pool_cap,seed,value,pool", [
+        (HolderClass(1.0, 1.0, 1.0), 50, 0.5, 60, 0, 0.07564166666666594, 60),
+        (HolderClass(1.0, 1.0, 0.5), 200, 1.2, 120, 3, 0.020823295691065447, 120),
+        (HolderClass(0.5, 2.0, 1.0), 37, 0.9, 40, 5, 0.24278027296836502, 40),
+        (IndicatorFamily(), 50, 0.25, 120, 0, 0.017500000000000016, 16),
+        (IndicatorFamily(), 333, 0.2, 120, 0, 0.0028828828828828534, 25),
+    ])
+    def test_pinned_values(self, h_class, n, net_u, pool_cap, seed, value, pool):
+        # recorded from the pair-by-pair loop over lambda_sq_distance
+        rep = oscillation_sup(h_class, n, net_u, pool_cap=pool_cap, seed=seed)
+        assert rep.value == value and rep.pool_size == pool
+
 
 class TestTailBound:
     def test_vacuous_example(self):
