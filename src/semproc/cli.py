@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -275,6 +274,17 @@ def _run_fclt(cfg: dict) -> dict:
         q_list = _load_q_file(cfg["q_file"])
     else:
         raise ConfigError(f"unknown q_set {cfg['q_set']!r}")
+    mod = None
+    if cfg["run_modulus"]:
+        # before the fidi test, so a net too large for net_u fails fast
+        h_class = parse_class_descriptor(cfg["h_class"])
+        if not isinstance(h_class, (HolderClass, IndicatorFamily)):
+            raise ConfigError("h_class must describe a holder or indicator family")
+        pclass = ProductClass(h_class, GClass("half-lines"), "pi(UB,M-VC)")
+        mod = equicontinuity_modulus(
+            pclass, cfg["n"], tuple(cfg["alpha_list"]), cfg["net_u"],
+            cfg["modulus_replicates"], cfg["seed"], model,
+        )
     fidi = fidi_convergence_test(
         q_list, cfg["n"], cfg["replicates"], cfg["seed"], model,
         cov_tolerance=cfg["cov_tolerance"], ks_tolerance=cfg["ks_tolerance"],
@@ -302,15 +312,7 @@ def _run_fclt(cfg: dict) -> dict:
                 f"KS distance {row['label']}", row["ks"], fidi.ks_tolerance,
                 f"<= {fidi.ks_tolerance}", row["ks"] <= fidi.ks_tolerance,
             ))
-    if cfg["run_modulus"]:
-        h_class = parse_class_descriptor(cfg["h_class"])
-        if not isinstance(h_class, (HolderClass, IndicatorFamily)):
-            raise ConfigError("h_class must describe a holder or indicator family")
-        pclass = ProductClass(h_class, GClass("half-lines"), "pi(UB,M-VC)")
-        mod = equicontinuity_modulus(
-            pclass, cfg["n"], tuple(cfg["alpha_list"]), cfg["net_u"],
-            cfg["modulus_replicates"], cfg["seed"], model,
-        )
+    if mod is not None:
         results["modulus"] = {"net_u": mod.net_u, "h_pool": mod.h_pool,
                               "g_pool": mod.g_pool, "rows": mod.rows,
                               "modulus_by_alpha": {

@@ -17,7 +17,7 @@ thresholds are reported raw so the calibration can be revisited.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,14 +69,6 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # Q builders
 # ---------------------------------------------------------------------------
 
-def _h_envelope(h) -> float:
-    if isinstance(h, IndicatorMember):
-        return 1.0
-    if isinstance(h, HolderMember):
-        return h.envelope_bound()
-    raise TypeError(type(h))
-
-
 def _h_breakpoints(h) -> tuple[float, ...]:
     if isinstance(h, IndicatorMember):
         return (h.t,)
@@ -85,14 +77,11 @@ def _h_breakpoints(h) -> tuple[float, ...]:
 
 def make_product_q(h, g) -> QFunction:
     """q(s, x) = h(s) g(x) with exact conditional-moment hooks."""
-    h_env = _h_envelope(h)
+    h_env = h.envelope_bound()
     g_env = 1.0 if isinstance(g, (HalfLine, InitialInterval)) else None
 
     def fn(s, xs):
-        return float(np.asarray(h(np.asarray([s]))).ravel()[0]) * np.asarray(g(xs), dtype=float)
-
-    def pair_values(svals, xvals):
-        return np.asarray(h(svals), dtype=float) * np.asarray(g(xvals), dtype=float)
+        return np.asarray(h(s), dtype=float) * np.asarray(g(xs), dtype=float)
 
     def nu_mean(model, svals):
         return np.asarray(h(svals), dtype=float) * g.mean(model)
@@ -125,13 +114,11 @@ def make_product_q(h, g) -> QFunction:
     return QFunction(
         fn=fn,
         dominating_g=dominating,
-        continuous_in_s=not isinstance(h, IndicatorMember),
         label=f"product[{type(h).__name__}*{type(g).__name__}]",
         nu_mean=nu_mean,
         nu_sq=nu_sq,
         sup_bound=sup_bound,
         s_breakpoints=_h_breakpoints(h),
-        pair_values=pair_values,
         h_member=h,
         g_member=g,
         tilde_tail=tilde_tail,
@@ -148,10 +135,7 @@ def make_sx_q() -> QFunction:
     """q(s, x) = s * x."""
 
     def fn(s, xs):
-        return s * np.asarray(xs, dtype=float)
-
-    def pair_values(svals, xvals):
-        return np.asarray(svals, dtype=float) * np.asarray(xvals, dtype=float)
+        return np.asarray(s, dtype=float) * np.asarray(xs, dtype=float)
 
     def nu_mean(model, svals):
         return np.asarray(svals, dtype=float) * model.moment(1)
@@ -181,11 +165,9 @@ def make_sx_q() -> QFunction:
     return QFunction(
         fn=fn,
         dominating_g=lambda xs: np.abs(np.asarray(xs, dtype=float)),
-        continuous_in_s=True,
         label="s*x",
         nu_mean=nu_mean,
         nu_sq=nu_sq,
-        pair_values=pair_values,
         tilde_tail=tilde_tail,
     )
 
@@ -193,21 +175,8 @@ def make_sx_q() -> QFunction:
 def make_constant_q(c: float) -> QFunction:
     """q identically c, realized as the product 1_(0,1] * c so every product
     hook (kernel factorization included) is available."""
-    q = make_product_q(IndicatorMember(1.0), BoundedPolynomial((c,)))
-    return QFunction(
-        fn=q.fn,
-        dominating_g=lambda xs: np.full_like(np.asarray(xs, dtype=float), abs(c)),
-        label=f"const[{c}]",
-        nu_mean=q.nu_mean,
-        nu_sq=q.nu_sq,
-        sup_bound=abs(c),
-        pair_values=q.pair_values,
-        h_member=q.h_member,
-        g_member=q.g_member,
-        tilde_tail=lambda model, s, T: np.zeros_like(
-            np.atleast_1d(np.asarray(s, dtype=float))
-        ),
-    )
+    return replace(make_product_q(IndicatorMember(1.0), BoundedPolynomial((c,))),
+                   label=f"const[{c}]", sup_bound=abs(c))
 
 
 def _generic_tilde_tail(q: QFunction, model: NuModel, s, T: float):
@@ -240,7 +209,7 @@ def center_q(q: QFunction, model: NuModel) -> QFunction:
     mean_bound = float(np.max(np.abs(q.conditional_mean(model, sgrid)))) + 1e-9
 
     def fn(s, xs):
-        return q.fn(s, xs) - float(q.conditional_mean(model, np.asarray([s]))[0])
+        return q.fn(s, xs) - q.conditional_mean(model, s)
 
     def nu_mean(_model, svals):
         return np.zeros_like(np.asarray(svals, dtype=float))
@@ -250,23 +219,14 @@ def center_q(q: QFunction, model: NuModel) -> QFunction:
         means = q.conditional_mean(_model, svals)
         return base - means**2
 
-    pair_values = None
-    if q.pair_values is not None:
-        def pair_values(svals, xvals):
-            return q.pair_values(svals, xvals) - q.conditional_mean(
-                model, np.asarray(svals, dtype=float)
-            )
-
     return QFunction(
         fn=fn,
         dominating_g=lambda xs: np.asarray(q.dominating_g(xs), dtype=float) + mean_bound,
-        continuous_in_s=q.continuous_in_s,
         label=f"centered[{q.label}]",
         nu_mean=nu_mean,
         nu_sq=nu_sq,
         sup_bound=None if q.sup_bound is None else q.sup_bound + mean_bound,
         s_breakpoints=q.s_breakpoints,
-        pair_values=pair_values,
         tilde_tail=q.tilde_tail,
     )
 
@@ -292,10 +252,7 @@ def eval_Zn(q_list: Sequence[QFunction], sample: Sample,
     xs = sample.xs()
     out = []
     for q in q_list:
-        if q.pair_values is not None:
-            pn = float(np.mean(q.pair_values(svals, xs)))
-        else:
-            pn = float(np.mean([q.fn(float(s), xs[i:i + 1])[0] for i, s in enumerate(svals)]))
+        pn = float(np.mean(q.fn(svals, xs)))
         center = q.product_mean_lambda_n(model, n)
         out.append(math.sqrt(n) * (pn - center))
     return ZProcessEval(n=n, values=tuple(out), labels=tuple(q.label for q in q_list))
@@ -324,8 +281,7 @@ def _lambda_h_product(h1, h2, tol: float) -> float:
         return prod_integral(h1.pl, h2.pl)
     breakpoints = tuple(set(_h_breakpoints(h1) + _h_breakpoints(h2)))
     return integrate(
-        lambda s: float(np.asarray(h1(np.asarray([s]))).ravel()[0])
-        * float(np.asarray(h2(np.asarray([s]))).ravel()[0]),
+        lambda s: float(h1(s)) * float(h2(s)),
         0.0, 1.0, tol=tol, breakpoints=breakpoints,
     )
 
@@ -346,9 +302,8 @@ def cov_kernel(q1: QFunction, q2: QFunction, model: NuModel,
 
     def integrand(s):
         if q1.h_member is not None and q2.h_member is not None:
-            h1v = float(np.asarray(q1.h_member(np.asarray([s]))).ravel()[0])
-            h2v = float(np.asarray(q2.h_member(np.asarray([s]))).ravel()[0])
-            cross = h1v * h2v * q1.g_member.pair_mean(q2.g_member, model)
+            cross = (float(q1.h_member(s)) * float(q2.h_member(s))
+                     * q1.g_member.pair_mean(q2.g_member, model))
         else:
             cross = model.expect(lambda xs: q1.fn(s, xs) * q2.fn(s, xs))
         m1 = float(q1.conditional_mean(model, np.asarray([s]))[0])
@@ -485,10 +440,8 @@ def replicate_Z_values(q_list: Sequence[QFunction], n: int, R: int, seed: int,
             hv = np.asarray(q.h_member(svals), dtype=float)
             gv = np.asarray(q.g_member(draws), dtype=float)
             pn = gv @ hv / n
-        elif q.pair_values is not None:
-            pn = np.array([np.mean(q.pair_values(svals, draws[r])) for r in range(R)])
         else:
-            raise ValueError("replicate runner needs product or pair-value structure")
+            pn = np.mean(q.fn(svals, draws), axis=1)
         cols.append(math.sqrt(n) * (pn - center))
     return np.stack(cols, axis=1)
 

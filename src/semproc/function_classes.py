@@ -245,11 +245,7 @@ def lambda_sq_distance(h1, h2) -> float:
         return float(h1.symdiff_measure(h2))
     from .quadrature import integrate
 
-    return integrate(
-        lambda x: (float(np.asarray(h1(np.asarray([x]))).ravel()[0])
-                   - float(np.asarray(h2(np.asarray([x]))).ravel()[0])) ** 2,
-        0.0, 1.0, tol=1e-10,
-    )
+    return integrate(lambda x: (float(h1(x)) - float(h2(x))) ** 2, 0.0, 1.0, tol=1e-10)
 
 
 def lambda_sq_matrix(members: Sequence) -> np.ndarray:
@@ -296,6 +292,13 @@ class IndicatorMember:
         x = np.asarray(x, dtype=float)
         out = ((x > 0.0) & (x <= self.t)).astype(float)
         return out if out.shape else float(out)
+
+    def lambda_exact(self) -> float:
+        """Exact integral over [0, 1]."""
+        return self.t
+
+    def envelope_bound(self) -> float:
+        return 1.0
 
     def as_interval(self) -> IntervalUnion:
         return IntervalUnion.from_pairs([(0, self.t)])
@@ -476,24 +479,20 @@ class InitialInterval:
     def mean(self, model: NuModel) -> float:
         if self.w < 0:
             return 0.0
-        return float(model.cdf(self.w)) - float(model.cdf(0.0)) + _mass_at_zero(model)
+        return float(model.cdf(self.w)) - float(model.cdf(0.0))
 
     def pair_mean(self, other, model: NuModel) -> float:
         if isinstance(other, (HalfLine, InitialInterval)):
             lo = min(self.w, other.w)
             if lo < 0:
                 return 0.0
-            return float(model.cdf(lo)) - float(model.cdf(0.0)) + _mass_at_zero(model)
+            return float(model.cdf(lo)) - float(model.cdf(0.0))
         if isinstance(other, BoundedPolynomial):
             return other.truncated_mean(model, self.w) - other.truncated_mean(model, 0.0)
         raise TypeError(type(other))
 
     def second_moment(self, model: NuModel) -> float:
         return self.mean(model)
-
-
-def _mass_at_zero(model: NuModel) -> float:
-    return 0.0  # all registered models are atomless
 
 
 @dataclass(frozen=True)
@@ -683,8 +682,7 @@ def eval_member(member, point: float) -> float:
         return 1.0 if member.contains(point) else 0.0
     if isinstance(member, BVectorMember):
         return 1.0 if member.set.contains(point) else 0.0
-    val = member(np.asarray([point], dtype=float))
-    return float(np.asarray(val).ravel()[0])
+    return float(member(point))
 
 
 def parse_class_descriptor(desc: dict):

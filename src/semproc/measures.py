@@ -277,24 +277,25 @@ def sample_from_csv(path, seed: int = -1, model: str = "unknown") -> Sample:
 class QFunction:
     """A function q(s, x) on [0,1] x U with a dominating envelope in L2(nu).
 
-    fn(s, xs) must accept a scalar s and a float array xs.  nu_mean, when
-    provided, returns the exact conditional mean s -> nu(q)(s) vectorized over
-    an array of s values; nu_sq likewise for nu(q^2)(s).  Without them the
-    model quadrature fallback is used.  sup_bound is the uniform bound when q
-    is bounded (None otherwise); s_breakpoints list discontinuity locations of
+    fn(s, xs) broadcasts s against the float array xs: a scalar s with any
+    xs, or an array s whose shape matches the trailing axes of xs, so
+    fn(grid, xs) gives q(i/n, X_i) for every point at once and equals the
+    per-point fn(i/n, xs[i:i+1]) bit for bit.  nu_mean, when provided,
+    returns the exact conditional mean s -> nu(q)(s) vectorized over an array
+    of s values; nu_sq likewise for nu(q^2)(s).  Without them the model
+    quadrature fallback is used.  sup_bound is the uniform bound when q is
+    bounded (None otherwise); s_breakpoints list discontinuity locations of
     s -> q(s, x) shared by the conditional means.
     """
 
-    fn: Callable[[float, np.ndarray], np.ndarray]
+    fn: Callable[[Union[float, np.ndarray], np.ndarray], np.ndarray]
     dominating_g: Callable[[np.ndarray], np.ndarray]
-    continuous_in_s: bool = True
     label: str = "q"
     nu_mean: Optional[Callable[[NuModel, np.ndarray], np.ndarray]] = None
     nu_sq: Optional[Callable[[NuModel, np.ndarray], np.ndarray]] = None
     sup_bound: Optional[float] = None
     s_breakpoints: tuple[float, ...] = ()
     # optional structure hooks (set by the builders in fclt):
-    pair_values: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     h_member: Optional[object] = None
     g_member: Optional[object] = None
     tilde_tail: Optional[Callable[[NuModel, float, float], float]] = None

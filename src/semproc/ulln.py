@@ -36,9 +36,7 @@ from .function_classes import (
     BVectorClass,
     GClass,
     HolderClass,
-    HolderMember,
     IndicatorFamily,
-    IndicatorMember,
     ProductClass,
     lambda_sq_matrix,
 )
@@ -255,9 +253,7 @@ def _h_net_for_semp(h_class, u_h: float, n: int):
     if isinstance(h_class, IndicatorFamily):
         if u_h <= 1.5 / n:
             raise ValueError("net_u too small for this n (indicator h side)")
-        mesh = u_h - 1.0 / n
-        count = math.ceil(1.0 / mesh)
-        return [IndicatorMember(min(1.0, (i + 1) * mesh)) for i in range(count)]
+        return h_class.build_net(u_h - 1.0 / n, "d1_lambdan", max_members=10**6)
     raise TypeError(type(h_class))
 
 
@@ -326,7 +322,7 @@ def sup_deviation_net(
     if centering == "lambda_n":
         h_center = h_vals.mean(axis=1)
     else:
-        h_center = np.array([_lambda_exact_h(h) for h in h_net])
+        h_center = np.array([h.lambda_exact() for h in h_net])
     g_mean = np.array([g.mean(model) for g in g_net])
 
     if pairs_mode == "zip":
@@ -340,14 +336,6 @@ def sup_deviation_net(
         lower=lower, upper=lower + 2.0 * net_u, net_u=net_u, n=sample.n,
         centering=centering, h_net_size=len(h_net), g_net_size=len(g_net),
     )
-
-
-def _lambda_exact_h(h) -> float:
-    if isinstance(h, IndicatorMember):
-        return h.t
-    if isinstance(h, HolderMember):
-        return h.lambda_exact()
-    raise TypeError(type(h))
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,13 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "net_u=0.1" in err and "3910064697265625" in err
 
+    def test_net_checked_before_fidi(self, monkeypatch):
+        def fidi_must_not_run(*args, **kwargs):
+            raise AssertionError("the fidi test ran before the net-size check")
+
+        monkeypatch.setattr("semproc.cli.fidi_convergence_test", fidi_must_not_run)
+        assert main(["fclt", "--net-u", "0.1"]) == 2
+
     def test_unknown_centering_exit_2(self):
         code = main(["ulln", "--set", 'centering="lambda-typo"', "--set", "n_schedule=[20,40]",
                      "--set", "replicates=3"])

@@ -1,7 +1,10 @@
 """Pinned report digests and fluctuation-bound rows.
 
 The values were recorded before the sampling, member-pool and pair paths
-were merged; refactors of those paths must leave every byte unchanged.
+were merged, and the two fclt q_set cases (Holder products with the
+Lindeberg check, the Kiefer grid under a normal model) before the Q
+functions lost their separate array evaluator; refactors of those paths must
+leave every byte unchanged.
 """
 
 import hashlib
@@ -37,6 +40,14 @@ CASES = {
                  "h_class": {"class": "holder", "T": 1.0, "C": 0.5, "beta": 1.0},
                  **_SMALL_FCLT},
         "7d8f9101d137b358e0bb60a9337d43a6a4e71a8f56397f87f6bae5f87d04b595"),
+    "fclt-holder-product-q": (
+        "fclt", {"q_set": "holder-product", "n": 120, "replicates": 200, "seed": 4,
+                 "modulus_replicates": 4, "alpha_list": [0.3, 0.8], "net_u": 0.6},
+        "d5fe767ca31ce205d29c77ddeb77141d294abcd7326f0fce7816087eab50687c"),
+    "fclt-kiefer-grid-normal": (
+        "fclt", {"q_set": "kiefer-grid", "n": 100, "replicates": 150, "seed": 5,
+                 "model": "standard-normal", "run_modulus": False},
+        "96354505799d3b94dbad21a1e9feef87afad4bf39af4d94e6907640adb13167d"),
     "fclt-indicator-modulus": (
         "fclt", {"n": 120, "replicates": 200, "seed": 9, "alpha_list": [0.2, 0.6],
                  "net_u": 0.3, "model": "exponential(2)", "h_class": {"class": "indicators"},

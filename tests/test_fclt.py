@@ -32,6 +32,7 @@ from semproc.function_classes import (
     HolderMember,
     IndicatorFamily,
     IndicatorMember,
+    InitialInterval,
     ProductClass,
 )
 from semproc.measures import QFunction, Sample, draw_sample, parse_model
@@ -73,6 +74,34 @@ class TestCenterQ:
             assert np.allclose(qc.fn(s, xs), 0.0, atol=1e-12)
 
 
+def _all_builder_qs(model):
+    """Every Q builder: products over {indicator, pl Holder, cusp Holder} x
+    {HalfLine, InitialInterval, BoundedPolynomial}, s*x, a constant, and the
+    centering of each."""
+    hs = [IndicatorMember(0.45), HolderClass(1.0, 1.0, 1.0).build_net(0.8)[7],
+          HolderClass(1.0, 1.0, 0.5).random_member(np.random.default_rng(3))]
+    gs = [HalfLine(0.3), InitialInterval(0.6), BoundedPolynomial((0.2, -0.5, 0.25))]
+    qs = [make_product_q(h, g) for h in hs for g in gs] + [make_sx_q(), make_constant_q(-1.3)]
+    return qs + [center_q(q, model) for q in qs]
+
+
+class TestQBroadcast:
+    @pytest.mark.parametrize("model_name", ["uniform01", "standard-normal", "exponential(2)"])
+    def test_grid_matches_per_point_bitwise(self, model_name):
+        model = parse_model(model_name)
+        n = 23
+        svals = np.arange(1, n + 1) / n
+        draws = model.draw(np.random.default_rng(7), (3, n))
+        for q in _all_builder_qs(model):
+            per_point = np.concatenate([np.atleast_1d(q.fn(s, draws[0, i:i + 1]))
+                                        for i, s in enumerate(svals)])
+            assert q.fn(svals, draws[0]).tobytes() == per_point.tobytes(), q.label
+            rows = q.fn(svals, draws)
+            assert rows.shape == (3, n), q.label
+            for r in range(3):
+                assert rows[r].tobytes() == q.fn(svals, draws[r]).tobytes(), q.label
+
+
 class TestEvalZn:
     def test_constant_exactly_zero(self):
         s = draw_sample("uniform01", 50, 1)
@@ -106,12 +135,21 @@ class TestEvalZn:
             fn=combo_fn,
             dominating_g=lambda xs: (abs(a1) + abs(a2)) * np.ones_like(np.asarray(xs)),
             nu_mean=lambda m, sv: a1 * q1.nu_mean(m, sv) + a2 * q2.nu_mean(m, sv),
-            pair_values=lambda sv, xv: a1 * q1.pair_values(sv, xv) + a2 * q2.pair_values(sv, xv),
             label="combo",
         )
         z = eval_Zn([q1, q2, combo], s)
         want = a1 * z.values[0] + a2 * z.values[1]
         assert z.values[2] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_replicate_non_product_pinned(self):
+        # recorded when these columns still went through a per-replicate loop
+        model = parse_model("exponential(2)")
+        Z = replicate_Z_values([make_sx_q(), center_q(make_sx_q(), model)], 30, 4, 12, model)
+        want = [[0.0672857781558536, 0.0672857781558539],
+                [-0.13381559682770572, -0.13381559682770572],
+                [0.08928726248286553, 0.0892872624828659],
+                [-0.07726745995155235, -0.07726745995155208]]
+        assert Z.tolist() == want
 
     def test_variance_identity(self):
         # E(Z_n(q)^2) = (lambda_n x nu)(q_tilde^2)
