@@ -7,7 +7,7 @@ seeds.derive_seed, and rerunning a config yields byte-identical numeric
 results (the volatile wall clock lives in the separate "meta" section).
 
 Exit codes: 0 all assertions passed, 1 assertion failure, 2 usage/config
-error.
+error, 3 internal error (NotPSDError, QuadratureError).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .covering import check_covering_lemmas, random_covering_boundedness
 from .fclt import (
+    NotPSDError,
     cov_kernel,
     equicontinuity_modulus,
     fidi_convergence_test,
@@ -46,6 +47,7 @@ from .function_classes import (
     riemann_gap_bound,
 )
 from .measures import draw_sample, parse_model
+from .quadrature import QuadratureError
 from .seeds import derive_seed
 from .ulln import (
     GCExperiment,
@@ -238,27 +240,30 @@ def _load_q_file(path: str) -> list:
     if not isinstance(entries, list) or not entries:
         raise ConfigError("q file must hold a nonempty JSON list")
     out = []
-    for e in entries:
-        h_spec, g_spec = e["h"], e["g"]
-        if h_spec["type"] == "indicator":
-            h = IndicatorMember(float(h_spec["t"]))
-        elif h_spec["type"] == "holder-pl":
-            h = HolderMember(
-                float(h_spec.get("T", 1.0)), float(h_spec.get("C", 1.0)),
-                float(h_spec.get("beta", 1.0)),
-                pl=PiecewiseLinear(tuple(h_spec["knots"]), tuple(h_spec["values"])),
-            )
-        else:
-            raise ConfigError(f"unknown h type {h_spec['type']!r}")
-        if g_spec["type"] == "half-line":
-            g = HalfLine(float(g_spec["w"]))
-        elif g_spec["type"] == "initial-interval":
-            g = InitialInterval(float(g_spec["w"]))
-        elif g_spec["type"] == "poly":
-            g = BoundedPolynomial(tuple(float(c) for c in g_spec["coeffs"]))
-        else:
-            raise ConfigError(f"unknown g type {g_spec['type']!r}")
-        out.append(make_product_q(h, g))
+    try:
+        for i, e in enumerate(entries):
+            h_spec, g_spec = e["h"], e["g"]
+            if h_spec["type"] == "indicator":
+                h = IndicatorMember(float(h_spec["t"]))
+            elif h_spec["type"] == "holder-pl":
+                h = HolderMember(
+                    float(h_spec.get("T", 1.0)), float(h_spec.get("C", 1.0)),
+                    float(h_spec.get("beta", 1.0)),
+                    pl=PiecewiseLinear(tuple(h_spec["knots"]), tuple(h_spec["values"])),
+                )
+            else:
+                raise ConfigError(f"unknown h type {h_spec['type']!r}")
+            if g_spec["type"] == "half-line":
+                g = HalfLine(float(g_spec["w"]))
+            elif g_spec["type"] == "initial-interval":
+                g = InitialInterval(float(g_spec["w"]))
+            elif g_spec["type"] == "poly":
+                g = BoundedPolynomial(tuple(float(c) for c in g_spec["coeffs"]))
+            else:
+                raise ConfigError(f"unknown g type {g_spec['type']!r}")
+            out.append(make_product_q(h, g))
+    except KeyError as exc:
+        raise ConfigError(f"q file entry {i} has no key {exc.args[0]!r}") from None
     return out
 
 
@@ -702,6 +707,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (NotPSDError, QuadratureError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
     digest = __import__("hashlib").sha256(numeric_bytes(report)).hexdigest()
     print(f"experiment={args.experiment} pass={report['pass']} numeric_sha256={digest}")

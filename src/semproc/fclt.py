@@ -28,15 +28,13 @@ from .function_classes import (
     BoundedPolynomial,
     HalfLine,
     HolderClass,
-    HolderMember,
     IndicatorFamily,
     IndicatorMember,
-    InitialInterval,
     ProductClass,
+    lambda_prod,
     lambda_sq_matrix,
 )
 from .measures import NuModel, QFunction, Sample, grid_points, parse_model
-from .piecewise import prod_integral
 from .quadrature import integrate
 from .seeds import derive_seed
 
@@ -69,16 +67,10 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # Q builders
 # ---------------------------------------------------------------------------
 
-def _h_breakpoints(h) -> tuple[float, ...]:
-    if isinstance(h, IndicatorMember):
-        return (h.t,)
-    return ()
-
-
 def make_product_q(h, g) -> QFunction:
     """q(s, x) = h(s) g(x) with exact conditional-moment hooks."""
     h_env = h.envelope_bound()
-    g_env = 1.0 if isinstance(g, (HalfLine, InitialInterval)) else None
+    g_env = g.envelope_bound()
 
     def fn(s, xs):
         return np.asarray(h(s), dtype=float) * np.asarray(g(xs), dtype=float)
@@ -118,7 +110,7 @@ def make_product_q(h, g) -> QFunction:
         nu_mean=nu_mean,
         nu_sq=nu_sq,
         sup_bound=sup_bound,
-        s_breakpoints=_h_breakpoints(h),
+        s_breakpoints=h.breakpoints(),
         h_member=h,
         g_member=g,
         tilde_tail=tilde_tail,
@@ -272,20 +264,6 @@ class NotPSDError(RuntimeError):
     pass
 
 
-def _lambda_h_product(h1, h2, tol: float) -> float:
-    """lambda(h1 h2), exact where the representations allow."""
-    if isinstance(h1, IndicatorMember) and isinstance(h2, IndicatorMember):
-        return min(h1.t, h2.t)
-    if isinstance(h1, HolderMember) and isinstance(h2, HolderMember) \
-            and h1.pl is not None and h2.pl is not None:
-        return prod_integral(h1.pl, h2.pl)
-    breakpoints = tuple(set(_h_breakpoints(h1) + _h_breakpoints(h2)))
-    return integrate(
-        lambda s: float(h1(s)) * float(h2(s)),
-        0.0, 1.0, tol=tol, breakpoints=breakpoints,
-    )
-
-
 def cov_kernel(q1: QFunction, q2: QFunction, model: NuModel,
                kernel: CovKernel = CovKernel()) -> float:
     """Cov(Z(q1), Z(q2)): the integral over s of
@@ -295,7 +273,7 @@ def cov_kernel(q1: QFunction, q2: QFunction, model: NuModel,
         if q1.h_member is None or q2.h_member is None:
             raise ValueError("product mode requires product-form q functions")
         g1, g2 = q1.g_member, q2.g_member
-        lam = _lambda_h_product(q1.h_member, q2.h_member, kernel.tol)
+        lam = lambda_prod(q1.h_member, q2.h_member, kernel.tol)
         return lam * (g1.pair_mean(g2, model) - g1.mean(model) * g2.mean(model))
     if kernel.mode != "generic":
         raise ValueError(f"unknown kernel mode {kernel.mode!r}")
@@ -653,7 +631,7 @@ def fluctuation_bound_check(
 
     and the sup over alpha-pairs shrinks with alpha."""
     pools = _member_pools(product_class, net_u, h_cap, g_cap, seed, model)
-    h_env = product_class.h_envelope
+    h_env = product_class.h_class.envelope_constant
     nu_g2 = product_class.g_class.envelope_sq_mean(model)
     p, q, pair_d = _pairs_within(pools.d_h, pools.d_g, max(alpha_list))
     a1, b1 = np.divmod(p, len(pools.g))

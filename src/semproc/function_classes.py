@@ -19,6 +19,16 @@ convexity argument shows linear interpolation of pairwise-feasible grid data
 is itself (C, beta)-Holder, so net members are exact class members; rounding
 (u/4), regularization (u/4), anchor translation (u/4 slack absorbed) and
 interpolation (u/2) add up to sup-distance at most u from any class member.
+
+Only this module knows how an h member is stored.  An h member (HolderMember,
+IndicatorMember, or a set member: BVectorMember or any IntervalUnion) is used
+through h(x), lambda_exact() = lambda(h), lambda_n(n) and breakpoints(), the
+points where h may jump; the lambdas are exact Fractions for set members, and
+lambda_n is one for indicators.  Holder, indicator and G members also give
+envelope_bound() = sup |h|, None when that is not constant.  The pair
+integrals lambda((h1-h2)^2) and lambda(h1 h2) are closed forms when both
+members have one exact form (the t of two indicators, two piecewise-linear
+Holder members, two unions) and quadrature split at both breakpoints if not.
 """
 
 from __future__ import annotations
@@ -27,13 +37,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .intervals import IntervalUnion
 from .measures import NuModel
-from .piecewise import PiecewiseLinear, diff_sq_integral, sup_dist
+from .piecewise import PiecewiseLinear, diff_sq_integral, prod_integral, sup_dist
+from .quadrature import integrate
 
 __all__ = [
     "NetTooLargeError",
@@ -56,6 +67,7 @@ __all__ = [
     "oscillation_sup_bound",
     "eval_member",
     "lambda_sq_distance",
+    "lambda_prod",
     "lambda_sq_matrix",
 ]
 
@@ -114,6 +126,9 @@ class HolderMember:
     def lambda_n(self, n: int) -> float:
         grid = np.arange(1, n + 1, dtype=float) / n
         return float(np.mean(self(grid)))
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return ()  # continuous
 
     def envelope_bound(self) -> float:
         return self.C + self.T
@@ -219,9 +234,8 @@ class HolderClass:
 
 def holder_sup_distance(h1, h2, grid_size: int = 4001) -> float:
     """Certified upper bound on sup |h1 - h2|; exact when both are pl."""
-    p1 = getattr(h1, "pl", None)
-    p2 = getattr(h2, "pl", None)
-    if p1 is not None and p2 is not None:
+    (k1, p1), (k2, p2) = _exact_form(h1), _exact_form(h2)
+    if k1 == k2 == "pl":
         return sup_dist(p1, p2)
     xs = np.linspace(0.0, 1.0, grid_size)
     est = float(np.max(np.abs(h1(xs) - h2(xs))))
@@ -232,20 +246,46 @@ def holder_sup_distance(h1, h2, grid_size: int = 4001) -> float:
     return est + slack
 
 
-def lambda_sq_distance(h1, h2) -> float:
-    """lambda((h1-h2)^2) for two h members: closed forms for indicator,
-    piecewise-linear Holder and interval-union pairs, adaptive quadrature for
-    anything else."""
-    if isinstance(h1, IndicatorMember) and isinstance(h2, IndicatorMember):
-        return abs(h1.t - h2.t)
-    if isinstance(h1, HolderMember) and isinstance(h2, HolderMember) \
-            and h1.pl is not None and h2.pl is not None:
-        return diff_sq_integral(h1.pl, h2.pl)
-    if isinstance(h1, IntervalUnion) and isinstance(h2, IntervalUnion):
-        return float(h1.symdiff_measure(h2))
-    from .quadrature import integrate
+def _exact_form(h):
+    """The form the pair closed forms read: ("t", t), ("pl", interpolant) or
+    ("set", union); (None, None) for a member with no exact form."""
+    if isinstance(h, IndicatorMember):
+        return "t", h.t
+    if isinstance(h, HolderMember) and h.pl is not None:
+        return "pl", h.pl
+    if isinstance(h, IntervalUnion):
+        return "set", h
+    return None, None
 
-    return integrate(lambda x: (float(h1(x)) - float(h2(x))) ** 2, 0.0, 1.0, tol=1e-10)
+
+def lambda_sq_distance(h1, h2) -> float:
+    """lambda((h1-h2)^2): |t1 - t2| for two indicators, the per-cell Simpson
+    sum for two piecewise-linear members, the symmetric-difference measure for
+    two set members; quadrature split at both members' breakpoints otherwise."""
+    (k1, a), (k2, b) = _exact_form(h1), _exact_form(h2)
+    if k1 == k2 == "t":
+        return abs(a - b)
+    if k1 == k2 == "pl":
+        return diff_sq_integral(a, b)
+    if k1 == k2 == "set":
+        return float(a.symdiff_measure(b))
+    return integrate(lambda x: (float(h1(x)) - float(h2(x))) ** 2, 0.0, 1.0, tol=1e-10,
+                     breakpoints=h1.breakpoints() + h2.breakpoints())
+
+
+def lambda_prod(h1, h2, tol: float) -> float:
+    """lambda(h1 h2): min(t1, t2) for two indicators, the per-cell Simpson
+    sum for two piecewise-linear members, the intersection measure for two set
+    members; quadrature to tol split at both members' breakpoints otherwise."""
+    (k1, a), (k2, b) = _exact_form(h1), _exact_form(h2)
+    if k1 == k2 == "t":
+        return min(a, b)
+    if k1 == k2 == "pl":
+        return prod_integral(a, b)
+    if k1 == k2 == "set":
+        return float(a.intersect(b).lebesgue())
+    return integrate(lambda s: float(h1(s)) * float(h2(s)), 0.0, 1.0, tol=tol,
+                     breakpoints=h1.breakpoints() + h2.breakpoints())
 
 
 def lambda_sq_matrix(members: Sequence) -> np.ndarray:
@@ -254,11 +294,13 @@ def lambda_sq_matrix(members: Sequence) -> np.ndarray:
     members on one shared knot vector, the per-cell Simpson sum of
     diff_sq_integral with each member evaluated once instead of once per pair;
     the scalar function pair by pair for anything else."""
-    if all(isinstance(h, IndicatorMember) for h in members):
-        ts = np.array([h.t for h in members], dtype=float)
+    forms = [_exact_form(h) for h in members]
+    kinds = {k for k, _ in forms}
+    if kinds <= {"t"}:
+        ts = np.array([t for _, t in forms], dtype=float)
         return np.abs(np.subtract.outer(ts, ts))
-    pls = [h.pl for h in members if isinstance(h, HolderMember) and h.pl is not None]
-    if len(pls) < len(members) or any(p.knots != pls[0].knots for p in pls):
+    pls = [p for _, p in forms]
+    if kinds != {"pl"} or any(p.knots != pls[0].knots for p in pls):
         from .covering import pairwise_distances
 
         return pairwise_distances(members, lambda_sq_distance)
@@ -297,18 +339,21 @@ class IndicatorMember:
         """Exact integral over [0, 1]."""
         return self.t
 
+    def lambda_n(self, n: int) -> Fraction:  # exact card((0, t] n grid) / n
+        return Fraction(math.floor(n * Fraction(self.t)), n)
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return (self.t,)
+
     def envelope_bound(self) -> float:
         return 1.0
-
-    def as_interval(self) -> IntervalUnion:
-        return IntervalUnion.from_pairs([(0, self.t)])
 
 
 @dataclass(frozen=True)
 class IndicatorFamily:
     """The uniformly Riemann-integrable class {1_(0,t] : 0 < t <= 1}."""
 
-    envelope_constant: float = 1.0
+    envelope_constant = 1.0
 
     def random_member(self, rng: np.random.Generator) -> IndicatorMember:
         return IndicatorMember(float(1.0 - rng.random()))  # in (0, 1]
@@ -329,14 +374,12 @@ class IndicatorFamily:
 # Interval-union set classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BVectorMember:
-    breakpoints: tuple[float, ...]
-    parity: str
-    set: IntervalUnion
+class BVectorMember(IntervalUnion):
+    """A member of B(2j+1) or B(2j): an interval union, so a set member."""
 
-    def __call__(self, x):
-        return self.set.indicator(np.asarray(x, dtype=float))
+    @property
+    def set(self) -> IntervalUnion:
+        return self
 
 
 def _interval_pairs(breakpoints: Sequence, parity: str):
@@ -375,8 +418,7 @@ class BVectorClass:
             raise ValueError(f"expected {self.n_breakpoints} breakpoints")
         if any(b < a for a, b in zip(t, t[1:])):
             raise ValueError("breakpoints must be nondecreasing")
-        iu = IntervalUnion.from_pairs(_interval_pairs(t, self.parity))
-        return BVectorMember(tuple(float(v) for v in t), self.parity, iu)
+        return BVectorMember.from_pairs(_interval_pairs(t, self.parity))
 
     def random_member(self, rng: np.random.Generator) -> BVectorMember:
         t = np.sort(rng.random(self.n_breakpoints))
@@ -420,8 +462,8 @@ class BVectorClass:
 class BInfinityClass:
     """Union over n of B(n); not a VC class, no uniform Riemann gap bound."""
 
-    def witness(self, n: int) -> IntervalUnion:
-        return b_infinity_witness(n)
+    def riemann_gap_bound(self, n: int) -> float:
+        raise NoBoundError("no closed-form Riemann gap bound for BInfinityClass")
 
 
 def b_infinity_witness(n: int) -> IntervalUnion:
@@ -464,6 +506,9 @@ class HalfLine:
     def second_moment(self, model: NuModel) -> float:
         return self.mean(model)
 
+    def envelope_bound(self) -> float:
+        return 1.0
+
 
 @dataclass(frozen=True)
 class InitialInterval:
@@ -494,6 +539,9 @@ class InitialInterval:
     def second_moment(self, model: NuModel) -> float:
         return self.mean(model)
 
+    def envelope_bound(self) -> float:
+        return 1.0
+
 
 @dataclass(frozen=True)
 class BoundedPolynomial:
@@ -520,6 +568,9 @@ class BoundedPolynomial:
     def second_moment(self, model: NuModel) -> float:
         return self.pair_mean(self, model)
 
+    def envelope_bound(self) -> None:
+        return None  # not constant
+
 
 GMember = Union[HalfLine, InitialInterval, BoundedPolynomial]
 
@@ -543,17 +594,6 @@ class GClass:
         if self.kind in ("half-lines", "initial-intervals"):
             return 1.0
         return None
-
-    def envelope(self, model: NuModel) -> Callable[[np.ndarray], np.ndarray]:
-        if self.kind in ("half-lines", "initial-intervals"):
-            return lambda x: np.ones_like(np.asarray(x, dtype=float))
-        bound = self.coeff_bound
-
-        def env(x):
-            ax = np.abs(np.asarray(x, dtype=float))
-            return bound * sum(ax**k for k in range(self.degree + 1))
-
-        return env
 
     def envelope_sq_mean(self, model: NuModel) -> float:
         """nu(G^2) for the class envelope (exact via model moments)."""
@@ -626,13 +666,6 @@ class ProductClass:
                 f"{self.g_class.kind} has a non-constant envelope"
             )
 
-    @property
-    def h_envelope(self) -> float:
-        return self.h_class.envelope_constant
-
-    def random_member(self, rng: np.random.Generator, model: NuModel):
-        return (self.h_class.random_member(rng), self.g_class.random_member(rng, model))
-
 
 # ---------------------------------------------------------------------------
 # Rate bounds and observed gaps
@@ -645,23 +678,14 @@ def riemann_gap_bound(cls: AnyClass, n: int) -> float:
     """The closed-form uniform bound on |lambda_n - lambda| over the class."""
     if n <= 0:
         raise ValueError("n must be positive")
-    if isinstance(cls, (HolderClass, BVectorClass, IndicatorFamily)):
-        return cls.riemann_gap_bound(n)
-    raise NoBoundError(f"no closed-form Riemann gap bound for {type(cls).__name__}")
+    return cls.riemann_gap_bound(n)
 
 
 def observed_riemann_gap(member, n: int) -> float:
-    """|lambda_n(member) - lambda(member)|, exact per representation."""
-    if isinstance(member, HolderMember):
-        return abs(member.lambda_n(n) - member.lambda_exact())
-    if isinstance(member, IndicatorMember):
-        member = member.as_interval()
-    if isinstance(member, BVectorMember):
-        member = member.set
-    if isinstance(member, IntervalUnion):
-        gap = member.lambda_n(n) - member.lebesgue()
-        return float(abs(gap))
-    raise TypeError(f"unsupported member type {type(member).__name__}")
+    """|lambda_n(member) - lambda(member)| rounded once: lambda is taken as an
+    exact Fraction, so a Fraction lambda_n (sets, indicators) subtracts exactly
+    and a float one (Holder members) gives the float difference."""
+    return float(abs(member.lambda_n(n) - Fraction(member.lambda_exact())))
 
 
 def observed_riemann_gap_exact(member: IntervalUnion, n: int) -> Fraction:
@@ -677,11 +701,10 @@ def oscillation_sup_bound(cls: HolderClass, n: int) -> float:
 
 def eval_member(member, point: float) -> float:
     """Pointwise evaluation with the conventions fixed by the class
-    representations (right-closed intervals, pl interpolation)."""
-    if isinstance(member, IntervalUnion):
-        return 1.0 if member.contains(point) else 0.0
-    if isinstance(member, BVectorMember):
-        return 1.0 if member.set.contains(point) else 0.0
+    representations (exact right-closed intervals, pl interpolation)."""
+    kind, form = _exact_form(member)
+    if kind == "set":
+        return 1.0 if form.contains(point) else 0.0
     return float(member(point))
 
 
@@ -705,25 +728,3 @@ def parse_class_descriptor(desc: dict):
     if kind == "indicators":
         return IndicatorFamily()
     raise ValueError(f"unknown class kind {kind!r}")
-
-
-def net_to_csv(net: Sequence, path) -> None:
-    """Export net members: Holder pl members as knot/value pairs, interval
-    members as breakpoint lists, half-lines as their cut points."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["member", "kind", "parameters"])
-        for i, m in enumerate(net):
-            if isinstance(m, HolderMember) and m.pl is not None:
-                params = ";".join(f"{k!r}:{v!r}" for k, v in zip(m.pl.knots, m.pl.values))
-                writer.writerow([i, "holder-pl", params])
-            elif isinstance(m, IndicatorMember):
-                writer.writerow([i, "indicator", repr(m.t)])
-            elif isinstance(m, BVectorMember):
-                writer.writerow([i, "bvector", ";".join(repr(t) for t in m.breakpoints)])
-            elif isinstance(m, (HalfLine, InitialInterval)):
-                writer.writerow([i, "half-line", repr(m.w)])
-            else:
-                raise TypeError(f"cannot export member of type {type(m).__name__}")

@@ -10,7 +10,8 @@ the left.  The right-closed choice matches the grid-counting identity
 
     card((a, b] n {1/n, ..., n/n}) = floor(n*b) - floor(n*a),
 
-which is used throughout for exact lambda_n evaluation.
+which is used throughout for exact lambda_n evaluation.  A union is also a set
+member of function_classes' h-member protocol.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ class IntervalUnion:
     """A finite union of disjoint half-open intervals (a, b] inside [0, 1]."""
 
     bounds: tuple[tuple[Fraction, Fraction], ...]
+
+    def __post_init__(self):  # the Lebesgue measure, computed once
+        object.__setattr__(self, "_lebesgue",
+                           sum((b - a for a, b in self.bounds), Fraction(0)))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Number, Number]]) -> "IntervalUnion":
@@ -78,7 +83,12 @@ class IntervalUnion:
 
     def lebesgue(self) -> Fraction:
         """Exact Lebesgue measure."""
-        return sum((b - a for a, b in self.bounds), Fraction(0))
+        return self._lebesgue
+
+    lambda_exact = lebesgue
+
+    def breakpoints(self) -> tuple[float, ...]:  # where the indicator jumps
+        return tuple(float(x) for pair in self.bounds for x in pair)
 
     def grid_count(self, n: int) -> int:
         """Exact card(self n {1/n, ..., n/n})."""
@@ -122,6 +132,8 @@ class IntervalUnion:
         for a, b in self.bounds:
             out += ((xs > float(a)) & (xs <= float(b))).astype(float)
         return np.minimum(out, 1.0)
+
+    __call__ = indicator
 
     @property
     def n_intervals(self) -> int:

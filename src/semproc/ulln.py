@@ -308,7 +308,7 @@ def sup_deviation_net(
         g_env = product_class.g_class.envelope_constant
         if g_env is None:
             raise ValueError("net sandwich requires a constant G envelope")
-        h_env = product_class.h_envelope
+        h_env = product_class.h_class.envelope_constant
         u_h = net_u / (2.0 * g_env)
         u_g = net_u / (2.0 * h_env)
         h_net = _h_net_for_semp(product_class.h_class, u_h, sample.n)

@@ -15,6 +15,8 @@ from semproc.cli import (
     run_experiment,
     write_report,
 )
+from semproc.fclt import NotPSDError
+from semproc.quadrature import QuadratureError
 from semproc.seeds import derive_seed
 
 
@@ -189,6 +191,32 @@ class TestMainEntry:
 
         monkeypatch.setattr("semproc.cli.fidi_convergence_test", fidi_must_not_run)
         assert main(["fclt", "--net-u", "0.1"]) == 2
+
+    @pytest.mark.parametrize("entry,key", [
+        ({"h": {"type": "indicator"}, "g": {"type": "half-line", "w": 0.5}}, "'t'"),
+        ({"g": {"type": "half-line", "w": 0.5}}, "'h'"),
+        ({"h": {"type": "indicator", "t": 0.5}, "g": {"type": "poly"}}, "'coeffs'"),
+    ])
+    def test_malformed_q_file_exit_2(self, tmp_path, capsys, entry, key):
+        good = {"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 0.5}}
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps([good, entry]))
+        code = main(["fclt", "--q-set", "custom-file", "--q-file", str(path),
+                     "--run-modulus", "false", "--run-lindeberg", "false"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "entry 1" in err and key in err
+
+    @pytest.mark.parametrize("exc", [NotPSDError("covariance matrix is not PSD"),
+                                     QuadratureError("no convergence", 0.5)],
+                             ids=["not-psd", "quadrature"])
+    def test_internal_error_exit_3(self, monkeypatch, capsys, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("semproc.cli.run_experiment", fail)
+        assert main(["kiefer"]) == 3
+        assert capsys.readouterr().err == f"internal error: {exc}\n"
 
     def test_unknown_centering_exit_2(self):
         code = main(["ulln", "--set", 'centering="lambda-typo"', "--set", "n_schedule=[20,40]",

@@ -182,7 +182,7 @@ class TestBVectorClasses:
 
     def test_b1_net_quantile_structure(self):
         net = BVectorClass(0, "odd").build_net(0.1, "d2_lambda")
-        ts = sorted(float(m.breakpoints[0]) for m in net)
+        ts = sorted(float(m.lambda_exact()) for m in net)  # t of 1_(0, t]
         # d2 distance sqrt(|t - t'|): mesh 0.01 covers within 0.1
         for t in np.linspace(0.001, 1.0, 97):
             assert min(math.sqrt(abs(t - s)) for s in ts) <= 0.1
@@ -255,17 +255,3 @@ class TestDescriptorAndExport:
             parse_class_descriptor({"class": "holder", "gamma": 1})
         with pytest.raises(ValueError):
             parse_class_descriptor({"class": "mystery"})
-
-    def test_net_csv_export(self, tmp_path):
-        from semproc.function_classes import net_to_csv
-
-        net = HolderClass(1.0, 1.0, 1.0).build_net(1.5)
-        path = tmp_path / "net.csv"
-        net_to_csv(net, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "member,kind,parameters"
-        assert len(lines) == len(net) + 1
-
-        net2 = BVectorClass(0, "odd").build_net(0.4, "d2_lambda")
-        net_to_csv(net2, tmp_path / "net2.csv")
-        assert (tmp_path / "net2.csv").read_text().count("bvector") == len(net2)
