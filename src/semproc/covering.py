@@ -2,9 +2,12 @@
 
 Nets follow the strict-inequality convention: {m_1..m_k} is a u-net when every
 point of the space is within distance strictly less than u of some m_i.  Exact
-covering numbers (minimum net size) are computed by a set-cover DP over
-bitmasks and are therefore limited to small instances; the greedy
-farthest-point-first net provides the general upper bound.
+covering numbers (minimum net size) are a minimum set cover over target
+bitmasks, found by iterative-deepening depth-first search: masks contained in
+another mask are dropped, and each step branches only on the masks that cover
+the lowest uncovered target (the column choice of Knuth's Algorithm X).  The
+search is exponential in the worst case, so it is limited to small instances;
+the greedy farthest-point-first net provides the general upper bound.
 
 The subset monotonicity check uses ambient nets (net points may be taken from
 the superset): with nets forced inside the subset the inequality
@@ -169,53 +172,57 @@ def greedy_net_indices(dist: np.ndarray, u: float) -> list[int]:
     return chosen
 
 
+MAX_EXACT_TARGETS = 22
+
+
 def exact_covering_number(
     dist: np.ndarray,
     u: float,
     targets: Optional[Sequence[int]] = None,
     centers: Optional[Sequence[int]] = None,
-    hard_cap: int = 22,
 ) -> int:
-    """Minimum u-net size by set-cover DP.  targets are the rows to cover
-    (default all); centers the allowed net points (default all -> ambient =
-    internal when both default)."""
+    """Minimum u-net size: the fewest centers whose strict u-balls cover every
+    target.  targets are the rows to cover (default all); centers the allowed
+    net points (default all -> ambient = internal when both default).
+
+    Each center becomes the bitmask of the targets it covers.  A mask that is
+    a subset of another mask is never needed in a minimum cover and is
+    dropped.  Depths 1, 2, ... are then tried in turn by depth-first search;
+    a step takes the lowest uncovered target and branches only on the masks
+    that cover it, and a branch is cut when its remaining depth times the
+    largest mask size cannot reach the uncovered count.  Raises ValueError
+    for more than MAX_EXACT_TARGETS targets or a target no center covers."""
     k = dist.shape[0]
-    tg = list(range(k)) if targets is None else list(targets)
-    ct = list(range(k)) if centers is None else list(centers)
+    tg = np.arange(k) if targets is None else np.asarray(targets, dtype=np.intp)
+    ct = np.arange(k) if centers is None else np.asarray(centers, dtype=np.intp)
     t = len(tg)
     if t == 0:
         return 0
-    if t > hard_cap:
-        raise ValueError(f"exact covering limited to {hard_cap} targets, got {t}")
-    pos = {p: i for i, p in enumerate(tg)}
-    masks = []
-    for c in ct:
-        m = 0
-        for p in tg:
-            if dist[c, p] < u:
-                m |= 1 << pos[p]
-        if m:
-            masks.append(m)
+    if t > MAX_EXACT_TARGETS:
+        raise ValueError(f"exact covering limited to {MAX_EXACT_TARGETS} targets, got {t}")
     full = (1 << t) - 1
-    if not masks:
+    masks = (dist[np.ix_(ct, tg)] < u) @ (1 << np.arange(t, dtype=np.int64))
+    if np.bitwise_or.reduce(masks, initial=0) != full:
         raise ValueError("some target cannot be covered at this radius")
-    best = {0: 0}
-    frontier = {0}
-    count = 0
-    while True:
-        if full in best:
-            return best[full]
-        count += 1
-        new_frontier = set()
-        for state in frontier:
-            for m in masks:
-                nxt = state | m
-                if nxt not in best:
-                    best[nxt] = count
-                    new_frontier.add(nxt)
-        if not new_frontier:
-            raise ValueError("some target cannot be covered at this radius")
-        frontier = new_frontier
+    kept: list[int] = []  # widest first: a mask meets its supersets before itself
+    for m in sorted(set(masks.tolist()), key=int.bit_count, reverse=True):
+        if all(m & w != m for w in kept):
+            kept.append(m)
+    widest = kept[0].bit_count()
+    by_target = [[m for m in kept if m >> i & 1] for i in range(t)]
+
+    def covers(uncovered: int, depth: int) -> bool:
+        if uncovered == 0:
+            return True
+        if uncovered.bit_count() > depth * widest:
+            return False
+        low = (uncovered & -uncovered).bit_length() - 1
+        return any(covers(uncovered & ~m, depth - 1) for m in by_target[low])
+
+    depth = -(-t // widest)
+    while not covers(full, depth):
+        depth += 1
+    return depth
 
 
 def covering_number(family: Sequence, u: float, metric) -> int:
@@ -437,9 +444,19 @@ def _is_prefix_mask(mask: int, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _l1_distances(vals: np.ndarray) -> np.ndarray:
-    """Mean absolute difference between every pair of rows, built one row at a
-    time so the memory stays O(rows * n) instead of O(rows^2 * n)."""
-    return np.stack([np.mean(np.abs(v - vals), axis=1) for v in vals])
+    """Mean absolute difference between every pair of 0/1 rows.
+
+    For 0/1 rows a and b, sum|a - b| = sum a + sum b - 2 a.b counts the
+    positions where they differ.  Every term is an integer below 2^53, so the
+    row sums and the Gram matrix V V^T are exact in float64 whatever the
+    summation order (and the BLAS thread count), and the one rounding is the
+    division by n, as in np.mean(np.abs(a - b)).  Raises ValueError on any
+    entry that is not 0 or 1."""
+    v = np.asarray(vals, dtype=float)
+    if not ((v == 0.0) | (v == 1.0)).all():
+        raise ValueError("_l1_distances takes rows of 0/1 values")
+    s = v.sum(axis=1)
+    return (s[:, None] + s[None, :] - 2.0 * (v @ v.T)) / v.shape[1]
 
 
 @dataclass

@@ -24,8 +24,9 @@ Only this module knows how an h member is stored.  An h member (HolderMember,
 IndicatorMember, or a set member: BVectorMember or any IntervalUnion) is used
 through h(x), lambda_exact() = lambda(h), lambda_n(n) and breakpoints(), the
 points where h may jump; the lambdas are exact Fractions for set members, and
-lambda_n is one for indicators.  Holder, indicator and G members also give
-envelope_bound() = sup |h|, None when that is not constant.  The pair
+lambda_n is one for indicators.  A set member's Riemann gap is read in
+integers, through IntervalUnion.riemann_gap.  Holder, indicator and G members
+also give envelope_bound() = sup |h|, None when that is not constant.  The pair
 integrals lambda((h1-h2)^2) and lambda(h1 h2) are closed forms when both
 members have one exact form (the t of two indicators, two piecewise-linear
 Holder members, two unions) and quadrature split at both breakpoints if not.
@@ -382,18 +383,6 @@ class BVectorMember(IntervalUnion):
         return self
 
 
-def _interval_pairs(breakpoints: Sequence, parity: str):
-    t = list(breakpoints)
-    if parity == "odd":
-        pairs = [(0, t[0])]
-        rest = t[1:]
-    else:
-        pairs = []
-        rest = t
-    pairs.extend((rest[i], rest[i + 1]) for i in range(0, len(rest), 2))
-    return pairs
-
-
 @dataclass(frozen=True)
 class BVectorClass:
     """B(2j+1) (parity 'odd': anchored initial interval plus j intervals) or
@@ -416,13 +405,14 @@ class BVectorClass:
         t = list(breakpoints)
         if len(t) != self.n_breakpoints:
             raise ValueError(f"expected {self.n_breakpoints} breakpoints")
-        if any(b < a for a, b in zip(t, t[1:])):
+        if t != sorted(t):
             raise ValueError("breakpoints must be nondecreasing")
-        return BVectorMember.from_pairs(_interval_pairs(t, self.parity))
+        ends = [0] + t if self.parity == "odd" else t  # odd: (0, t0] is the anchored interval
+        return BVectorMember.from_pairs(zip(ends[::2], ends[1::2]))
 
     def random_member(self, rng: np.random.Generator) -> BVectorMember:
         t = np.sort(rng.random(self.n_breakpoints))
-        return self.member(t)
+        return self.member(t.tolist())
 
     def riemann_gap_bound(self, n: int) -> float:
         if self.parity == "odd":
@@ -682,9 +672,13 @@ def riemann_gap_bound(cls: AnyClass, n: int) -> float:
 
 
 def observed_riemann_gap(member, n: int) -> float:
-    """|lambda_n(member) - lambda(member)| rounded once: lambda is taken as an
-    exact Fraction, so a Fraction lambda_n (sets, indicators) subtracts exactly
-    and a float one (Holder members) gives the float difference."""
+    """|lambda_n(member) - lambda(member)| rounded once: set members in
+    integers (IntervalUnion.riemann_gap); otherwise lambda is taken as an
+    exact Fraction, so a Fraction lambda_n (indicators) subtracts exactly and
+    a float one (Holder members) gives the float difference."""
+    kind, form = _exact_form(member)
+    if kind == "set":
+        return form.riemann_gap(n)
     return float(abs(member.lambda_n(n) - Fraction(member.lambda_exact())))
 
 

@@ -21,7 +21,6 @@ reference oracles that the tests compare the vectorized paths against.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -46,8 +45,6 @@ __all__ = [
     "eval_b_empirical",
     "k_n_B",
     "grid_points",
-    "sample_to_csv",
-    "sample_from_csv",
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -249,24 +246,6 @@ def draw_sample(model: Union[NuModel, str], n: int, seed: int) -> Sample:
 
 def grid_points(n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=float) / n
-
-
-def sample_to_csv(sample: Sample, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "grid_s", "x"])
-        for i, x in enumerate(sample.values, start=1):
-            writer.writerow([i, repr(i / sample.n), repr(float(x))])
-
-
-def sample_from_csv(path, seed: int = -1, model: str = "unknown") -> Sample:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["index", "grid_s", "x"]:
-            raise ValueError(f"bad sample CSV header: {header}")
-        values = [float(row[2]) for row in reader]
-    return Sample(n=len(values), values=values, seed=seed, model=model)
 
 
 # ---------------------------------------------------------------------------

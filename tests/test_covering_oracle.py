@@ -1,0 +1,187 @@
+"""The exact covering search and the 0/1 L1 distance matrix against their
+slow reference forms.
+
+bfs_covering_number is the breadth-first search over unions of target masks
+that exact_covering_number replaced; row_loop_l1 is the row-at-a-time mean
+absolute difference that _l1_distances replaced.  Both are kept here as
+oracles: the fast paths must give the same counts and the same float bits.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from semproc import covering
+from semproc.covering import (
+    MAX_EXACT_TARGETS,
+    _l1_distances,
+    check_covering_lemmas,
+    exact_covering_number,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def bfs_covering_number(dist, u, targets=None, centers=None, hard_cap=22):
+    """Minimum u-net size by breadth-first search over every union of masks."""
+    k = dist.shape[0]
+    tg = list(range(k)) if targets is None else list(targets)
+    ct = list(range(k)) if centers is None else list(centers)
+    t = len(tg)
+    if t == 0:
+        return 0
+    if t > hard_cap:
+        raise ValueError(f"exact covering limited to {hard_cap} targets, got {t}")
+    pos = {p: i for i, p in enumerate(tg)}
+    masks = []
+    for c in ct:
+        m = 0
+        for p in tg:
+            if dist[c, p] < u:
+                m |= 1 << pos[p]
+        if m:
+            masks.append(m)
+    full = (1 << t) - 1
+    if not masks:
+        raise ValueError("some target cannot be covered at this radius")
+    best = {0: 0}
+    frontier = {0}
+    count = 0
+    while True:
+        if full in best:
+            return best[full]
+        count += 1
+        new_frontier = set()
+        for state in frontier:
+            for m in masks:
+                nxt = state | m
+                if nxt not in best:
+                    best[nxt] = count
+                    new_frontier.add(nxt)
+        if not new_frontier:
+            raise ValueError("some target cannot be covered at this radius")
+        frontier = new_frontier
+
+
+def row_loop_l1(vals):
+    """Mean absolute difference between every pair of rows, one row at a time."""
+    return np.stack([np.mean(np.abs(v - vals), axis=1) for v in vals])
+
+
+def _euclid(points):
+    return np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+
+
+def _recorded_lemma_calls(monkeypatch, trials, seed):
+    calls = []
+
+    def record(dist, u, targets=None, centers=None):
+        calls.append((dist.copy(), u, targets, centers))
+        return exact_covering_number(dist, u, targets=targets, centers=centers)
+
+    with monkeypatch.context() as m:
+        m.setattr(covering, "exact_covering_number", record)
+        check_covering_lemmas(trials, seed)
+    return calls
+
+
+class TestExactCoveringAgainstBFS:
+    @pytest.mark.parametrize("seed", [1, 505])
+    def test_every_lemma_call(self, monkeypatch, seed):
+        calls = _recorded_lemma_calls(monkeypatch, 250, seed)
+        assert len(calls) == 8 * 250
+        for dist, u, targets, centers in calls:
+            want = bfs_covering_number(dist, u, targets=targets, centers=centers)
+            assert exact_covering_number(dist, u, targets=targets, centers=centers) == want
+
+    def test_restricted_targets_and_centers(self):
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(300):
+            k = int(rng.integers(4, 15))
+            dist = _euclid(rng.random((k, 2)))
+            u = float(rng.random() * dist.max() + 1e-6)
+            tg = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist())
+            ct = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist())
+            try:
+                want = bfs_covering_number(dist, u, targets=tg, centers=ct)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    exact_covering_number(dist, u, targets=tg, centers=ct)
+                continue
+            assert exact_covering_number(dist, u, targets=tg, centers=ct) == want
+            checked += 1
+        assert checked >= 100
+
+    def test_uncoverable_target_raises_in_both(self):
+        pts = np.array([[0.0], [0.1], [5.0]])
+        dist = _euclid(pts)
+        for fn in (bfs_covering_number, exact_covering_number):
+            with pytest.raises(ValueError, match="cannot be covered"):
+                fn(dist, 1.0, centers=[0, 1])
+            with pytest.raises(ValueError, match="cannot be covered"):
+                fn(dist, 1.0, centers=[])
+
+    def test_target_limit(self):
+        assert MAX_EXACT_TARGETS == 22
+        rng = np.random.default_rng(3)
+        dist = _euclid(rng.random((23, 2)))
+        u = 0.45
+        tg = list(range(22))
+        assert exact_covering_number(dist, u, targets=tg) == bfs_covering_number(
+            dist, u, targets=tg)
+        for fn in (bfs_covering_number, exact_covering_number):
+            with pytest.raises(ValueError, match="limited to 22 targets, got 23"):
+                fn(dist, u)
+
+
+_CHILD = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from semproc import covering
+    from semproc.function_classes import GClass, IndicatorFamily, ProductClass
+    from semproc.measures import parse_model
+
+    ins, outs = [], []
+    fast = covering._l1_distances
+
+    def record(vals):
+        ins.append(np.array(vals))
+        outs.append(fast(vals))
+        return outs[-1]
+
+    covering._l1_distances = record
+    pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
+    covering.random_covering_boundedness(pc, 0.5, [10, 100, 1000], [1, 2, 3],
+                                         parse_model("uniform01"))
+    np.savez(sys.argv[1], *ins, *outs)
+""")
+
+
+class TestL1DistancesAgainstRowLoop:
+    @pytest.mark.parametrize("threads", ["1", None])
+    def test_bit_equal_by_blas_threads(self, tmp_path, threads):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = tmp_path / "l1.npz"
+        subprocess.run([sys.executable, "-c", _CHILD, str(out)], env=env, check=True,
+                       timeout=120)
+        with np.load(out) as z:
+            arrays = [z[f"arr_{i}"] for i in range(len(z.files))]
+        half = len(arrays) // 2
+        assert half == 3 * (1 + 2 * 3)  # per n: the h matrix, then f and g per seed
+        for v, got in zip(arrays[:half], arrays[half:]):
+            assert got.tobytes() == row_loop_l1(v).tobytes()
+
+    def test_non_binary_entry_raises(self):
+        v = np.array([[0.0, 1.0, 1.0], [1.0, 0.5, 0.0]])
+        with pytest.raises(ValueError, match="0/1"):
+            _l1_distances(v)

@@ -20,8 +20,6 @@ from semproc.measures import (
     eval_semp,
     k_n_B,
     parse_model,
-    sample_from_csv,
-    sample_to_csv,
 )
 from semproc.quadrature import QuadratureError, integrate
 
@@ -173,13 +171,6 @@ class TestDrawSample:
             draw_sample("cauchy", 10, 1)
         with pytest.raises(ValueError):
             parse_model("exponential(0)")
-
-    def test_csv_roundtrip(self, tmp_path):
-        s = draw_sample("standard-normal", 12, 11)
-        path = tmp_path / "sample.csv"
-        sample_to_csv(s, path)
-        back = sample_from_csv(path)
-        assert np.array_equal(back.values, s.values)
 
 
 class TestModelMoments:
