@@ -192,9 +192,10 @@ def _run_ulln(cfg: dict) -> dict:
         for n in exp.n_schedule:
             if cfg["net_u"] <= 3.0 / n:
                 continue
+            # replicate 0 of gc_experiment: the same sample and its statistic
             sample = draw_sample(cfg["model"], int(n),
                                  derive_seed(cfg["seed"], ["gc", int(n), 0]))
-            exact = sup_deviation_exact_BW(0, "odd", sample)
+            exact = float(report.replicate_values[n][0])
             sw = sup_deviation_net(pclass, sample, cfg["net_u"])
             ledger.append(_ledger_entry(
                 f"net sandwich contains exact statistic (n={n})",

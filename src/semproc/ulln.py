@@ -18,9 +18,12 @@ The exact supremum statistic over B(2j+1) x half-lines works in two layers:
     leftmost placement by the max() scan order, which keeps results
     deterministic.
 
-For j = 0 (the anchored-prefix-only family B(1)) a vectorized cumulative-sum
-path computes all columns in O(n^2) array work, chunked to bounded memory;
-this is what the desk-scale convergence experiments run on.
+For j = 0 (the anchored-prefix-only family B(1)) a branch-and-bound sweep
+over blocks of sorted columns bounds each block in O(n), then evaluates
+exactly only the (column, step) cells of blocks whose bound can beat the best
+value found, with the same float expressions as a full O(n^2) pass and so the
+same bits, in O(n) memory; this is what the desk-scale convergence
+experiments run on.
 """
 
 from __future__ import annotations
@@ -137,6 +140,101 @@ def _exact_stat_generic(sample: Sample, model: NuModel, j: int, parity: str,
     return best / n
 
 
+# Sorted columns per block in the j = 0 branch and bound (16-28 measured
+# alike at n = 1e3 and 1e4; wider blocks loosen the bounds, narrower ones
+# lengthen pass 1).
+_PREFIX_BLOCK = 20
+# Candidate steps evaluated at once in a visited block, so that its
+# (block, steps) arrays stay small.
+_PREFIX_STEP_CHUNK = 512
+# Pruning slack, in units of (n + 1) eps.  A bound takes two float64 roundings
+# (p * F, an integer subtraction) and a candidate three (one more for + 1.0),
+# each of a value of magnitude <= n + 1, so together they stray at most
+# 5 (n + 1) 2^-53 from the exact candidate <= bound; 4 (n + 1) eps =
+# 8 (n + 1) 2^-53 covers that and the rounding of bound + slack itself.
+_PREFIX_SLACK_ULPS = 4.0
+
+
+def _prefix_may_beat(bound, best: float, n: int):
+    """Whether a j = 0 bound, computed in float64, may hide a candidate above
+    best: a bound equal to best may, by rounding, so it is not pruned."""
+    return bound + _PREFIX_SLACK_ULPS * (n + 1) * np.finfo(float).eps > best
+
+
+def _prefix_branch_and_bound(f_arrival: np.ndarray,
+                             block: int = _PREFIX_BLOCK) -> tuple[float, int, int]:
+    """n times the j = 0 statistic before the floor at 0, with the number of
+    column blocks visited and the number of blocks.
+
+    Columns k are the values sorted by F; a_k is the arrival step of column k
+    and C_k(p) counts the points arrived by step p at sorted positions <= k.
+    The value is the max over arrived (k, p) of d + 1.0 and -d with
+    d = p F_k - C_k(p), the float expressions of a sorted-prefix insertion
+    pass (the j-th smallest of the first p values sits at C_k(p) = j), so the
+    result is that pass's bit for bit.  For a block of sorted columns, with
+    C_base(p) the arrivals in earlier blocks and C_end(p) those through the
+    block's end, every candidate at step p is at most
+
+        max(p F_hi - C_base(p), C_end(p) - p F_lo),
+
+    which pass 1 maximises over the steps after the block's first arrival.
+    Pass 2 starts from the exact p = n row, visits blocks by decreasing bound
+    until a bound cannot beat the best value, and evaluates exactly only the
+    steps whose own bound can.  Memory is O(n + block _PREFIX_STEP_CHUNK)."""
+    n = len(f_arrival)
+    order = np.argsort(f_arrival, kind="stable")   # arrival index of sorted column k
+    f_sorted = f_arrival[order]
+    n_blocks = -(-n // block)
+    block_of = np.empty(n, dtype=np.int64)          # block of the point arriving at step p
+    block_of[order] = np.arange(n) // block
+    # each block's arrival indices in increasing order, padded with n, and
+    # for how many steps from each arrival its count of arrived columns holds
+    padded = np.full(n_blocks * block, n)
+    padded[:n] = order
+    arrivals = np.sort(padded.reshape(n_blocks, block), axis=1)
+    holds = np.diff(arrivals, axis=1, append=n)
+    counts = np.arange(1.0, block + 1.0)
+    f_lo = f_sorted[::block]
+    f_hi = f_sorted[np.minimum(np.arange(1, n_blocks + 1) * block, n) - 1]
+    steps = np.arange(1.0, n + 1.0)
+
+    def step_bounds(b, c_base):
+        # from the block's first arrival on: C_end and the two per-step bounds
+        first = arrivals[b, 0]
+        c_end = c_base[first:] + np.repeat(counts, holds[b])
+        up = steps[first:] * f_hi[b] - c_base[first:]
+        down = c_end - steps[first:] * f_lo[b]
+        return first, c_end, up, down
+
+    bounds = np.empty(n_blocks)
+    c_base = np.zeros(n)
+    for b in range(n_blocks):
+        first, c_end, up, down = step_bounds(b, c_base)
+        bounds[b] = max(up.max(), down.max())
+        c_base[first:] = c_end
+
+    d = n * f_sorted - steps                        # the p = n row: C_k(n) = k
+    best = max(float(d.max()) + 1.0, -float(d.min()))
+    visited = 0
+    for b in np.argsort(-bounds, kind="stable"):
+        if not _prefix_may_beat(bounds[b], best, n):
+            break
+        visited += 1
+        c_base = np.cumsum(block_of < b, dtype=float)
+        first, _, up, down = step_bounds(b, c_base)
+        cand = np.flatnonzero(_prefix_may_beat(np.maximum(up, down), best, n)) + first
+        cols = slice(b * block, (b + 1) * block)
+        for i in range(0, len(cand), _PREFIX_STEP_CHUNK):
+            at = cand[i:i + _PREFIX_STEP_CHUNK]
+            arrived = order[cols, None] <= at[None, :]
+            c = np.cumsum(arrived, axis=0, dtype=float)
+            c += c_base[at]                         # C_k(p), exact in float64
+            d = np.subtract(steps[at] * f_sorted[cols, None], c, out=c)
+            best = max(best, float(d.max(where=arrived, initial=-np.inf)) + 1.0,
+                       -float(d.min(where=arrived, initial=np.inf)))
+    return best, visited, n_blocks
+
+
 def _exact_stat_prefix_fast(sample: Sample, model: NuModel) -> float:
     """j = 0 anchored family: the selectable index sets are the grid
     prefixes, so the statistic is
@@ -144,29 +242,10 @@ def _exact_stat_prefix_fast(sample: Sample, model: NuModel) -> float:
         (1/n) max_p  p * max(KS+_p, KS-_p),
 
     the running maximum of the prefix-scaled one-sided KS statistics of the
-    first p values.  With Y the sorted first-p values,
-
-        p KS+_p = max_j ( j - p F(Y_j) )        (inclusive constants F(X_(k)))
-        p KS-_p = max_j ( p F(Y_j) - (j - 1) )  (right-limit constants),
-
-    both sides of the nu(W)-endpoint reduction.  The sorted prefix is
-    maintained by one insertion per step, so each step costs one O(p)
-    vector pass; total O(n^2 / 2) element work with float64 exactness."""
-    n = sample.n
-    f_arrival = np.asarray(model.cdf(sample.xs()), dtype=float)
-    if f_arrival.ndim == 0:
-        f_arrival = f_arrival[None]
-    fs = np.empty(n)
-    ranks1 = np.arange(1.0, n + 1.0)
-    best = 0.0
-    for p in range(1, n + 1):
-        f = f_arrival[p - 1]
-        t = int(np.searchsorted(fs[:p - 1], f))
-        fs[t + 1:p] = fs[t:p - 1]
-        fs[t] = f
-        d = p * fs[:p] - ranks1[:p]        # p F(Y_j) - j
-        best = max(best, float(d.max()) + 1.0, -float(d.min()))
-    return max(best, 0.0) / n
+    first p values, computed by a branch-and-bound column sweep."""
+    f_arrival = np.atleast_1d(np.asarray(model.cdf(sample.xs()), dtype=float))
+    best, _, _ = _prefix_branch_and_bound(f_arrival)
+    return max(best, 0.0) / sample.n
 
 
 def sup_deviation_exact_BW(
@@ -544,6 +623,9 @@ class GCExperiment:
 class GCReport:
     config: GCExperiment
     rows: list = field(default_factory=list)
+    # n -> the replicate statistics before any lambda-centering correction;
+    # kept for callers that reuse a replicate, not part of the rows
+    replicate_values: dict = field(default_factory=dict, repr=False)
 
 
 def gc_experiment(config: GCExperiment) -> GCReport:
@@ -568,6 +650,7 @@ def gc_experiment(config: GCExperiment) -> GCReport:
         vals = np.empty(config.replicates)
         for r in range(config.replicates):
             vals[r] = one(n, r)
+        report.replicate_values[n] = vals.copy()
         if config.centering == "lambda":
             vals += cls.sup_lambda_gap(n)  # sup_W nu(W) <= 1 for half-lines
         report.rows.append(
