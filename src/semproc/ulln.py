@@ -13,10 +13,11 @@ The exact supremum statistic over B(2j+1) x half-lines works in two layers:
   * Interval reduction.  For a fixed half-line column with per-atom terms
     a_i, the supremum over B(2j+1) of |sum_{i/n in B} a_i| is a best-choice
     problem over unions of at most j grid runs plus an optional anchored
-    prefix (the initial interval <0, t_0]), solved by an O(n j) dynamic
-    program per column and per sign.  Ties are broken toward fewer runs and
-    leftmost placement by the max() scan order, which keeps results
-    deterministic.
+    prefix (the initial interval <0, t_0]), solved by a dynamic program
+    that sweeps the n rows once and updates all 2n+1 columns of both signs
+    at each row: O(n^2 j) time and O(n j) memory.  Ties are broken toward
+    fewer runs and leftmost placement by the max() scan order, which keeps
+    results deterministic.
 
 For j = 0 (the anchored-prefix-only family B(1)) a branch-and-bound sweep
 over blocks of sorted columns bounds each block in O(n), then evaluates
@@ -70,74 +71,69 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _canonical_columns(sample: Sample, model: NuModel):
-    """Sorted ranks plus the canonical (cut index, nu value) column pairs."""
+    """Sorted ranks plus the canonical (cut index, nu value) column pairs.
+
+    ranks[i] is the rank of the i-th point among the sorted values.  Cut k
+    (the k smallest points) gives the inclusive column (k, F(X_(k))) for
+    k >= 1 and the right-limit column (k, F(X_(k+1))), with 1 at k = n, in
+    the order (0, F(X_(1))), (1, F(X_(1))), (1, F(X_(2))), ..., (n, 1)."""
+    n = sample.n
     xs = sample.xs()
     order = np.argsort(xs, kind="stable")
-    ranks = np.empty(sample.n, dtype=np.int64)
-    ranks[order] = np.arange(1, sample.n + 1)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(1, n + 1)
     f_sorted = np.asarray(model.cdf(xs[order]), dtype=float)  # F(X_(k)), k=1..n
-    return ranks, f_sorted
+    ks = np.repeat(np.arange(n + 1), 2)[1:]
+    nus = np.empty(2 * n + 1)
+    nus[0::2] = np.append(f_sorted, 1.0)
+    nus[1::2] = f_sorted
+    return ranks, ks, nus
 
 
-def _max_runs_dp(A: np.ndarray, j: int, anchored: bool) -> np.ndarray:
-    """Column-wise max over selectable index sets of the selected-entry sum.
+def _max_runs_dp(ranks: np.ndarray, ks: np.ndarray, nus: np.ndarray, j: int,
+                 anchored: bool) -> float:
+    """n times the statistic: the max over the columns (ks, nus), each with
+    both signs, and over the selectable index sets of the selected-entry sum
+    of a_i = [ranks[i] <= k] - nu.
 
-    A has shape (n, K); the family is <= j free runs, plus, when anchored, an
-    optional prefix {1..p} alongside the j runs.  Empty selection (value 0)
-    is always allowed.
+    The family is <= j free runs, plus, when anchored, an optional prefix
+    {1..p} alongside the j runs.  Empty selection (value 0) is always
+    allowed, so the value is >= 0.  One sweep over the rows updates every
+    column of both signs at once: the state is (family, runs, 2K) with the K
+    columns, then their negatives, so the time is O(n K j) and the memory
+    O(K j).
     """
-    n, K = A.shape
-    neg = -np.inf
-    open_r = np.full((j + 1, K), neg)     # open_r[r]: r-th run ends at current i
-    closed_r = np.zeros((j + 1, K))       # closed_r[r]: best with <= r runs so far
-    closed_r[1:, :] = 0.0
-    if anchored:
-        pref = np.zeros(K)
-        aclosed = np.full((j + 1, K), neg)
-        aopen = np.full((j + 1, K), neg)
-    for i in range(n):
-        a = A[i]
+    K = len(ks)
+    families = 2 if anchored else 1
+    # family 0 takes free runs only, family 1 the prefix as well;
+    # closed[f, r]: best with <= r runs so far (family 1: after its prefix),
+    # opened[f, r - 1]: best with the r-th run ending at the current row
+    closed = np.zeros((families, j + 1, 2 * K))
+    closed[1:] = -np.inf
+    opened = np.full((families, j, 2 * K), -np.inf)
+    before, after = closed[:, :-1], closed[:, 1:]
+    pref = np.zeros(2 * K)
+    inside = np.empty(K, dtype=bool)
+    a = np.empty(2 * K)
+    plus, minus = a[:K], a[K:]
+    for rank in ranks:
+        np.less_equal(rank, ks, out=inside)
+        np.subtract(inside, nus, out=plus)
+        np.negative(plus, out=minus)
+        # a run opened at this row follows what closed[r - 1] held one row
+        # earlier, so the prefix enters closed[1, 0] only afterwards
+        np.maximum(opened, before, out=opened)
+        np.add(a, opened, out=opened)
+        np.maximum(after, opened, out=after)
         if anchored:
-            pref = pref + a
-            # aclosed[r-1] still holds the i-1 value here (descending update),
-            # so a run opened at i correctly follows a prefix closed by i-1
-            for r in range(j, 0, -1):
-                aopen[r] = a + np.maximum(aopen[r], aclosed[r - 1])
-                aclosed[r] = np.maximum(aclosed[r], aopen[r])
-            aclosed[0] = np.maximum(aclosed[0], pref)
-        for r in range(j, 0, -1):
-            open_r[r] = a + np.maximum(open_r[r], closed_r[r - 1])
-            closed_r[r] = np.maximum(closed_r[r], open_r[r])
-    best = closed_r[j].copy() if j >= 1 else np.zeros(K)
-    if anchored:
-        best = np.maximum(best, aclosed[j])
-    return np.maximum(best, 0.0)
+            np.add(pref, a, out=pref)
+            np.maximum(closed[1, 0], pref, out=closed[1, 0])
+    return float(closed[:, j].max())
 
 
-def _exact_stat_generic(sample: Sample, model: NuModel, j: int, parity: str,
-                        col_chunk: int = 512) -> float:
-    n = sample.n
-    ranks, f_sorted = _canonical_columns(sample, model)
-    # columns: (k, nu) with nu the inclusive constant (k >= 1) or right limit
-    ks, nus = [], []
-    for k in range(n + 1):
-        if k >= 1:
-            ks.append(k)
-            nus.append(f_sorted[k - 1])
-        right = f_sorted[k] if k < n else 1.0
-        ks.append(k)
-        nus.append(right)
-    ks_arr = np.asarray(ks)
-    nus_arr = np.asarray(nus)
-    anchored = parity == "odd"
-    best = 0.0
-    for lo in range(0, len(ks_arr), col_chunk):
-        kc = ks_arr[lo:lo + col_chunk]
-        nc = nus_arr[lo:lo + col_chunk]
-        A = (ranks[:, None] <= kc[None, :]).astype(float) - nc[None, :]
-        best = max(best, float(np.max(_max_runs_dp(A, j, anchored))))
-        best = max(best, float(np.max(_max_runs_dp(-A, j, anchored))))
-    return best / n
+def _exact_stat_generic(sample: Sample, model: NuModel, j: int, parity: str) -> float:
+    ranks, ks, nus = _canonical_columns(sample, model)
+    return _max_runs_dp(ranks, ks, nus, j, parity == "odd") / sample.n
 
 
 # Sorted columns per block in the j = 0 branch and bound (16-28 measured
@@ -280,17 +276,8 @@ def sup_deviation_bruteforce(
         raise ValueError("brute force limited to n <= 16")
     if model is None:
         model = parse_model(sample.model)
-    ranks, f_sorted = _canonical_columns(sample, model)
-    cols_nu, cols_k = [], []
-    for k in range(n + 1):
-        if k >= 1:
-            cols_k.append(k)
-            cols_nu.append(f_sorted[k - 1])
-        cols_k.append(k)
-        cols_nu.append(f_sorted[k] if k < n else 1.0)
-    kc = np.asarray(cols_k)
-    nc = np.asarray(cols_nu)
-    A = (ranks[:, None] <= kc[None, :]).astype(float) - nc[None, :]
+    ranks, ks, nus = _canonical_columns(sample, model)
+    A = (ranks[:, None] <= ks[None, :]).astype(float) - nus[None, :]
 
     all_masks = np.arange(1 << n, dtype=np.int64)
     bits = (all_masks[:, None] >> np.arange(n)[None, :]) & 1

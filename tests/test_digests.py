@@ -3,8 +3,9 @@
 The values were recorded before the sampling, member-pool and pair paths
 were merged, and the two fclt q_set cases (Holder products with the
 Lindeberg check, the Kiefer grid under a normal model) before the Q
-functions lost their separate array evaluator; refactors of those paths must
-leave every byte unchanged.
+functions lost their separate array evaluator, and the two ulln-runs cases
+(j >= 1 at n = 1000, 2001 columns) before the run DP became one row sweep;
+refactors of those paths must leave every byte unchanged.
 """
 
 import hashlib
@@ -62,6 +63,14 @@ CASES = {
     "kiefer": (
         "kiefer", {"draws": 5000, "seed": 6, "tolerance": 0.1},
         "d50ee6cfc43cfc260346929c099ce94f8dc25180504bbab6f024dd54301824f3"),
+    "ulln-runs-j1-odd-normal": (
+        "ulln", {"j": 1, "parity": "odd", "model": "standard-normal", "n_schedule": [100, 1000],
+                 "replicates": 2, "seed": 11},
+        "0f0391c4450cc48000a33ec82f8458f525ecfa034deeb736d14d7f5d55ebd6af"),
+    "ulln-runs-j2-even-exponential": (
+        "ulln", {"j": 2, "parity": "even", "model": "exponential(1)", "n_schedule": [100, 1000],
+                 "replicates": 2, "seed": 12},
+        "f063b27db1f16b6ba79b9fd286ed9e9c027c5754d4b524d52f7ddce2b91c3622"),
 }
 
 

@@ -1,0 +1,152 @@
+"""The generic run DP against the chunked kernel it replaced.
+
+chunked_runs_stat is the j >= 1 exact statistic as computed before the
+one-sweep run DP: the columns built by a Python loop over the cuts, then, per
+chunk of 512 columns and per sign, a row loop over a materialised (n, 512)
+matrix.  It is kept here as the oracle.  The sweep applies the same float
+operations to every column in the same order, and a max is exact, so it must
+return the same bits: across the old chunk edge (n = 256 gives 513 columns),
+on ties, and on samples whose F saturates at 0 or 1.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semproc.measures import NuModel, Sample, draw_sample, parse_model
+from semproc.seeds import derive_seed
+from semproc.ulln import sup_deviation_bruteforce, sup_deviation_exact_BW
+
+MODELS = ("uniform01", "standard-normal", "exponential(1)")
+SIZES = (1, 2, 17, 255, 256, 1000)
+CLASSES = [(j, parity) for j in (1, 2, 3) for parity in ("odd", "even")]
+
+
+def _canonical_columns(sample: Sample, model: NuModel):
+    """Sorted ranks plus the canonical (cut index, nu value) column pairs."""
+    xs = sample.xs()
+    order = np.argsort(xs, kind="stable")
+    ranks = np.empty(sample.n, dtype=np.int64)
+    ranks[order] = np.arange(1, sample.n + 1)
+    f_sorted = np.asarray(model.cdf(xs[order]), dtype=float)  # F(X_(k)), k=1..n
+    return ranks, f_sorted
+
+
+def _max_runs_dp(A: np.ndarray, j: int, anchored: bool) -> np.ndarray:
+    """Column-wise max over selectable index sets of the selected-entry sum.
+
+    A has shape (n, K); the family is <= j free runs, plus, when anchored, an
+    optional prefix {1..p} alongside the j runs.  Empty selection (value 0)
+    is always allowed.
+    """
+    n, K = A.shape
+    neg = -np.inf
+    open_r = np.full((j + 1, K), neg)     # open_r[r]: r-th run ends at current i
+    closed_r = np.zeros((j + 1, K))       # closed_r[r]: best with <= r runs so far
+    closed_r[1:, :] = 0.0
+    if anchored:
+        pref = np.zeros(K)
+        aclosed = np.full((j + 1, K), neg)
+        aopen = np.full((j + 1, K), neg)
+    for i in range(n):
+        a = A[i]
+        if anchored:
+            pref = pref + a
+            # aclosed[r-1] still holds the i-1 value here (descending update),
+            # so a run opened at i correctly follows a prefix closed by i-1
+            for r in range(j, 0, -1):
+                aopen[r] = a + np.maximum(aopen[r], aclosed[r - 1])
+                aclosed[r] = np.maximum(aclosed[r], aopen[r])
+            aclosed[0] = np.maximum(aclosed[0], pref)
+        for r in range(j, 0, -1):
+            open_r[r] = a + np.maximum(open_r[r], closed_r[r - 1])
+            closed_r[r] = np.maximum(closed_r[r], open_r[r])
+    best = closed_r[j].copy() if j >= 1 else np.zeros(K)
+    if anchored:
+        best = np.maximum(best, aclosed[j])
+    return np.maximum(best, 0.0)
+
+
+def chunked_runs_stat(sample: Sample, model: NuModel, j: int, parity: str,
+                      col_chunk: int = 512) -> float:
+    n = sample.n
+    ranks, f_sorted = _canonical_columns(sample, model)
+    # columns: (k, nu) with nu the inclusive constant (k >= 1) or right limit
+    ks, nus = [], []
+    for k in range(n + 1):
+        if k >= 1:
+            ks.append(k)
+            nus.append(f_sorted[k - 1])
+        right = f_sorted[k] if k < n else 1.0
+        ks.append(k)
+        nus.append(right)
+    ks_arr = np.asarray(ks)
+    nus_arr = np.asarray(nus)
+    anchored = parity == "odd"
+    best = 0.0
+    for lo in range(0, len(ks_arr), col_chunk):
+        kc = ks_arr[lo:lo + col_chunk]
+        nc = nus_arr[lo:lo + col_chunk]
+        A = (ranks[:, None] <= kc[None, :]).astype(float) - nc[None, :]
+        best = max(best, float(np.max(_max_runs_dp(A, j, anchored))))
+        best = max(best, float(np.max(_max_runs_dp(-A, j, anchored))))
+    return best / n
+
+
+def _draw(name: str, n: int, label: str, r: int) -> Sample:
+    return draw_sample(name, n, derive_seed(9, ["runs-oracle", label, name, n, r]))
+
+
+def _tied(name: str, n: int) -> Sample:
+    """A draw rounded to a coarse grid, so most values repeat."""
+    xs = np.round(_draw(name, n, "tied", 0).xs(), 1 if name != "uniform01" else 2)
+    return Sample(n=n, values=xs, seed=0, model=name)
+
+
+def _saturated(name: str, n: int) -> Sample:
+    """A draw with every third value moved to where F is exactly 1.0 (x > 37
+    for exponential(1), x > 38 for the normal, x > 1 for the uniform), four
+    distinct such values in turn, and every seventh to where F is 0.0."""
+    xs = np.array(_draw(name, n, "saturated", 0).xs())
+    far = {"uniform01": (-0.5, 1.5), "standard-normal": (-40.0, 40.0),
+           "exponential(1)": (-1.0, 40.0)}[name]
+    xs[::3] = far[1] + np.arange(len(xs[::3])) % 4
+    xs[1::7] = far[0]
+    return Sample(n=n, values=xs, seed=0, model=name)
+
+
+@pytest.mark.parametrize("j,parity", CLASSES)
+@pytest.mark.parametrize("n", SIZES)
+def test_bit_equal_to_chunked_kernel(j, parity, n):
+    for name in MODELS:
+        model = parse_model(name)
+        sample = _draw(name, n, "plain", 0)
+        assert sup_deviation_exact_BW(j, parity, sample) == chunked_runs_stat(sample, model,
+                                                                              j, parity)
+
+
+@pytest.mark.parametrize("j,parity", CLASSES)
+@pytest.mark.parametrize("n", SIZES[:-1])
+def test_bit_equal_on_ties_and_saturated_tails(j, parity, n):
+    for name in MODELS:
+        model = parse_model(name)
+        for sample in (_tied(name, n), _saturated(name, n)):
+            assert sup_deviation_exact_BW(j, parity, sample) == chunked_runs_stat(sample, model,
+                                                                                  j, parity)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=12),
+    st.sampled_from(CLASSES),
+)
+def test_matches_bruteforce_with_forced_ties(grid, cls):
+    # values on the grid {-1/4, 0, ..., 5/4}: ties everywhere, and F = 0 or 1
+    # at both ends
+    j, parity = cls
+    sample = Sample(n=len(grid), values=np.asarray(grid) / 4.0 - 0.25, seed=0,
+                    model="uniform01")
+    got = sup_deviation_exact_BW(j, parity, sample)
+    assert got == chunked_runs_stat(sample, parse_model("uniform01"), j, parity)
+    assert abs(got - sup_deviation_bruteforce(j, parity, sample)) <= 1e-12

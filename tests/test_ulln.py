@@ -61,14 +61,20 @@ class TestExactStatistic:
             assert stat >= ks_full - 1e-12
 
     def test_larger_class_dominates(self):
+        # B(1) <= B(2) <= ... <= B(5): B(2j) adds an empty anchored interval
+        # to get into B(2j+1), and B(2j+1) frees its anchored one to get
+        # into B(2j+2)
+        chain = [(0, "odd"), (1, "even"), (1, "odd"), (2, "even"), (2, "odd")]
         rng = np.random.default_rng(8)
-        for _ in range(25):
-            n = int(rng.integers(2, 12))
-            s = draw_sample("uniform01", n, int(rng.integers(0, 2**60)))
-            v0 = sup_deviation_exact_BW(0, "odd", s)
-            v1 = sup_deviation_exact_BW(1, "odd", s)
-            v2 = sup_deviation_exact_BW(2, "odd", s)
-            assert v0 <= v1 + 1e-12 <= v2 + 2e-12
+        draws = [("uniform01", int(rng.integers(2, 12)), int(rng.integers(0, 2**60)))
+                 for _ in range(25)]
+        draws += [(model, n, 8) for model in ("uniform01", "standard-normal", "exponential(1)")
+                  for n in (100, 1000)]
+        for model, n, seed in draws:
+            s = draw_sample(model, n, seed)
+            v = [sup_deviation_exact_BW(j, parity, s) for j, parity in chain]
+            for smaller, larger in zip(v, v[1:]):
+                assert smaller <= larger + 1e-12
 
     def test_lambda_centering_rejected(self):
         s = draw_sample("uniform01", 5, 1)
