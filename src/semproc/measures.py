@@ -254,45 +254,41 @@ def grid_points(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QFunction:
-    """A function q(s, x) on [0,1] x U with a dominating envelope in L2(nu).
+    """A function q(s, x) on [0,1] x U, square-integrable under lambda x nu.
 
     fn(s, xs) broadcasts s against the float array xs: a scalar s with any
     xs, or an array s whose shape matches the trailing axes of xs, so
     fn(grid, xs) gives q(i/n, X_i) for every point at once and equals the
-    per-point fn(i/n, xs[i:i+1]) bit for bit.  nu_mean, when provided,
-    returns the exact conditional mean s -> nu(q)(s) vectorized over an array
-    of s values; nu_sq likewise for nu(q^2)(s).  Without them the model
-    quadrature fallback is used.  sup_bound is the uniform bound when q is
+    per-point fn(i/n, xs[i:i+1]) bit for bit.  nu_mean returns the exact
+    conditional mean s -> nu(q)(s) vectorized over an array of s values;
+    nu_sq likewise for nu(q^2)(s).  sup_bound is the uniform bound when q is
     bounded (None otherwise); s_breakpoints list discontinuity locations of
-    s -> q(s, x) shared by the conditional means.
+    s -> q(s, x) shared by the conditional means.  tilde_tail(model, svals, T)
+    is the truncated second moment of the centered q in closed form, or None
+    where the model has none.
     """
 
     fn: Callable[[Union[float, np.ndarray], np.ndarray], np.ndarray]
-    dominating_g: Callable[[np.ndarray], np.ndarray]
+    nu_mean: Callable[[NuModel, np.ndarray], np.ndarray]
+    nu_sq: Callable[[NuModel, np.ndarray], np.ndarray]
     label: str = "q"
-    nu_mean: Optional[Callable[[NuModel, np.ndarray], np.ndarray]] = None
-    nu_sq: Optional[Callable[[NuModel, np.ndarray], np.ndarray]] = None
     sup_bound: Optional[float] = None
     s_breakpoints: tuple[float, ...] = ()
     # optional structure hooks (set by the builders in fclt):
     h_member: Optional[object] = None
     g_member: Optional[object] = None
-    tilde_tail: Optional[Callable[[NuModel, float, float], float]] = None
+    tilde_tail: Optional[Callable[[NuModel, np.ndarray, float], Optional[np.ndarray]]] = None
 
     def __call__(self, s: float, xs) -> np.ndarray:
         return self.fn(s, np.asarray(xs, dtype=float))
 
     def conditional_mean(self, model: NuModel, svals) -> np.ndarray:
         svals = np.atleast_1d(np.asarray(svals, dtype=float))
-        if self.nu_mean is not None:
-            return np.asarray(self.nu_mean(model, svals), dtype=float)
-        return np.array([model.expect(lambda x, s=s: self.fn(s, x)) for s in svals])
+        return np.asarray(self.nu_mean(model, svals), dtype=float)
 
     def conditional_sq_mean(self, model: NuModel, svals) -> np.ndarray:
         svals = np.atleast_1d(np.asarray(svals, dtype=float))
-        if self.nu_sq is not None:
-            return np.asarray(self.nu_sq(model, svals), dtype=float)
-        return np.array([model.expect(lambda x, s=s: self.fn(s, x) ** 2) for s in svals])
+        return np.asarray(self.nu_sq(model, svals), dtype=float)
 
     def product_mean_lambda_n(self, model: NuModel, n: int) -> float:
         """(lambda_n (x) nu)(q), the exact centering of the s.e.m.p."""

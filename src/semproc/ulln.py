@@ -249,12 +249,9 @@ def sup_deviation_exact_BW(
     parity: str,
     sample: Sample,
     model: Optional[NuModel] = None,
-    centering: str = "lambda_n",
 ) -> float:
     """Exact sup over B(2j+1) (parity 'odd') or B(2j) ('even') and all
     half-lines W of |P_n(B x W) - lambda_n(B) nu(W)|."""
-    if centering != "lambda_n":
-        raise ValueError("the exact statistic is defined for lambda_n centering")
     if model is None:
         model = parse_model(sample.model)
     cls = BVectorClass(j, parity)  # validates (j, parity)

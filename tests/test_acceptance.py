@@ -14,8 +14,8 @@ import pytest
 
 from semproc.covering import check_covering_lemmas, shatter_coefficient
 from semproc.fclt import (
-    CovKernel,
     cov_kernel,
+    cov_kernel_quadrature,
     equicontinuity_modulus,
     fidi_convergence_test,
     kiefer_cell,
@@ -164,7 +164,6 @@ def test_criterion_06_shatter_coefficients():
 def test_criterion_07_kernel_correctness():
     start = time.monotonic()
     rng = np.random.default_rng(707)
-    generic = CovKernel("generic", 1e-10)
     worst = 0.0
     for trial in range(100):
         h1 = IndicatorMember(float(rng.random()))
@@ -173,7 +172,7 @@ def test_criterion_07_kernel_correctness():
         g2 = HalfLine(float(rng.random()))
         q1, q2 = make_product_q(h1, g1), make_product_q(h2, g2)
         worst = max(worst, abs(cov_kernel(q1, q2, UNIFORM)
-                               - cov_kernel(q1, q2, UNIFORM, generic)))
+                               - cov_kernel_quadrature(q1, q2, UNIFORM)))
     kiefer_worst = 0.0
     for _ in range(50):
         s1, s2, x1, x2 = rng.random(4)
@@ -190,8 +189,7 @@ def test_criterion_07_kernel_correctness():
 def test_criterion_08_fidi_convergence():
     start = time.monotonic()
     cells = [kiefer_cell(0.5, 0.5), kiefer_cell(1.0, 0.5), kiefer_cell(0.5, 0.25)]
-    rep = fidi_convergence_test(cells, 2000, 5000, 8, UNIFORM,
-                                cov_tolerance=0.05, ks_tolerance=0.03)
+    rep = fidi_convergence_test(cells, 2000, 5000, 8, UNIFORM)
     ks_all = [r["ks"] for r in rep.marginal_ks + rep.combo_ks]
     ok = rep.max_cov_error <= 0.05 and max(ks_all) <= 0.03
     elapsed = time.monotonic() - start

@@ -1,15 +1,19 @@
 """Z_n, covariance kernels, Gaussian sampling, fidi and modulus machinery."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semproc.fclt import (
-    CovKernel,
     NotPSDError,
     center_q,
     cov_kernel,
+    cov_kernel_quadrature,
     cov_matrix,
     equicontinuity_modulus,
     eval_Zn,
@@ -17,6 +21,7 @@ from semproc.fclt import (
     fluctuation_bound_check,
     gaussian_fidi_sample,
     kiefer_cell,
+    ks_normal_distance,
     lindeberg_check,
     make_constant_q,
     make_product_q,
@@ -40,6 +45,7 @@ from semproc.piecewise import PiecewiseLinear
 
 UNIFORM = parse_model("uniform01")
 NORMAL = parse_model("standard-normal")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _linear_h():
@@ -133,8 +139,10 @@ class TestEvalZn:
 
         combo = QFunction(
             fn=combo_fn,
-            dominating_g=lambda xs: (abs(a1) + abs(a2)) * np.ones_like(np.asarray(xs)),
             nu_mean=lambda m, sv: a1 * q1.nu_mean(m, sv) + a2 * q2.nu_mean(m, sv),
+            nu_sq=lambda m, sv: (a1**2 * q1.nu_sq(m, sv) + a2**2 * q2.nu_sq(m, sv)
+                                 + 2 * a1 * a2 * q1.h_member(sv) * q2.h_member(sv)
+                                 * q1.g_member.pair_mean(q2.g_member, m)),
             label="combo",
         )
         z = eval_Zn([q1, q2, combo], s)
@@ -177,15 +185,27 @@ class TestCovKernel:
 
     def test_product_vs_generic_random_pairs(self):
         rng = np.random.default_rng(10)
-        gen = CovKernel("generic", 1e-10)
         for _ in range(30):
             q1 = make_product_q(IndicatorMember(float(rng.random())),
                                 HalfLine(float(rng.random())))
             q2 = make_product_q(IndicatorMember(float(rng.random())),
                                 BoundedPolynomial(tuple(rng.random(3) - 0.5)))
             a = cov_kernel(q1, q2, UNIFORM)
-            b = cov_kernel(q1, q2, UNIFORM, gen)
+            b = cov_kernel_quadrature(q1, q2, UNIFORM)
             assert abs(a - b) <= 1e-8
+
+    def test_quadrature_non_product_uniform(self):
+        # q = s x: integral of s^2 Var(X) ds = (1/3)(1/12)
+        got = cov_kernel_quadrature(make_sx_q(), make_sx_q(), UNIFORM)
+        assert got == pytest.approx(1 / 36, abs=1e-12)
+
+    def test_quadrature_non_product_normal(self):
+        got = cov_kernel_quadrature(make_sx_q(), make_sx_q(), NORMAL)
+        assert got == pytest.approx(1 / 3, abs=1e-11)
+
+    def test_factorized_rejects_non_product(self):
+        with pytest.raises(ValueError):
+            cov_kernel(make_sx_q(), make_sx_q(), UNIFORM)
 
     def test_matrix_symmetry_and_diagonal(self):
         cells = [kiefer_cell(0.3, 0.7), kiefer_cell(0.6, 0.2), kiefer_cell(0.9, 0.9)]
@@ -263,16 +283,38 @@ class TestLindeberg:
 class TestFidi:
     def test_small_scale_passes_loose(self):
         cells = [kiefer_cell(0.5, 0.5), kiefer_cell(1.0, 0.5)]
-        rep = fidi_convergence_test(cells, 500, 1500, 8, UNIFORM,
-                                    cov_tolerance=0.1, ks_tolerance=0.08)
-        assert rep.passed
+        rep = fidi_convergence_test(cells, 500, 1500, 8, UNIFORM)
+        assert rep.max_cov_error <= 0.1
+        assert all(r["ks"] <= 0.08 for r in rep.marginal_ks + rep.combo_ks)
         assert rep.empirical_cov.shape == (2, 2)
 
     def test_constant_q_degenerate_marginal(self):
-        rep = fidi_convergence_test([make_constant_q(1.0)], 100, 400, 1, UNIFORM,
-                                    cov_tolerance=0.05, ks_tolerance=0.05)
+        rep = fidi_convergence_test([make_constant_q(1.0)], 100, 400, 1, UNIFORM)
         assert rep.marginal_ks[0]["degenerate"]
         assert rep.marginal_ks[0]["ks"] == 0.0
+
+
+class TestKSDistance:
+    def test_equals_scipy_kstest(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(31)
+        for case in range(40):
+            m = int(rng.choice([1, 2, 7, 1200, 5000]))
+            sd = float(rng.uniform(0.1, 3.0))
+            values = sd * rng.standard_normal(m)
+            if case % 4 == 0:
+                values = np.round(values, 1)  # ties
+            want = stats.kstest(values, stats.norm(0.0, sd).cdf).statistic
+            assert ks_normal_distance(values, sd) == want
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        code = "import sys, semproc.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestModulus:

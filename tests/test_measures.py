@@ -225,7 +225,7 @@ class TestQFunction:
         for _ in range(200):
             s = float(rng.random())
             xs = rng.random(50)
-            assert np.all(np.abs(q.fn(s, xs)) <= q.dominating_g(xs) + 1e-12)
+            assert np.all(np.abs(q.fn(s, xs)) <= q.sup_bound)
 
     def test_product_means(self):
         from semproc.fclt import kiefer_cell

@@ -76,11 +76,6 @@ class TestExactStatistic:
             for smaller, larger in zip(v, v[1:]):
                 assert smaller <= larger + 1e-12
 
-    def test_lambda_centering_rejected(self):
-        s = draw_sample("uniform01", 5, 1)
-        with pytest.raises(ValueError):
-            sup_deviation_exact_BW(0, "odd", s, centering="lambda")
-
 
 class TestNetSandwich:
     def test_singleton_degenerates(self):
