@@ -1,8 +1,9 @@
 """The standardized process Z_n, its Gaussian limit, and the verification
 machinery for the functional-CLT side: the covariance kernel (factorized over
-product q's, with a quadrature form kept as its independent reference), a
-finite-dimensional Gaussian sampler, Lindeberg and quadrature-limit checks, a
-fidi convergence test, and the equicontinuity-modulus proxy.
+product q's), a finite-dimensional Gaussian sampler, Lindeberg and
+quadrature-limit checks, a fidi convergence test, and the
+equicontinuity-modulus proxy.  The Lindeberg tails are closed forms only
+(each q builder's tilde_tail); there is no quadrature fallback over x.
 
 Weak convergence in the sup-norm sense is not desk-verifiable; what this
 module verifies are its two operational pillars.  Fidi convergence is
@@ -34,7 +35,6 @@ from .function_classes import (
     lambda_sq_matrix,
 )
 from .measures import NuModel, QFunction, Sample, grid_points, parse_model
-from .quadrature import integrate
 from .seeds import derive_seed
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "ZProcessEval",
     "eval_Zn",
     "cov_kernel",
-    "cov_kernel_quadrature",
     "cov_matrix",
     "quadrature_limit_check",
     "lindeberg_check",
@@ -130,16 +129,27 @@ def make_sx_q() -> QFunction:
         return np.asarray(svals, dtype=float) ** 2 * model.moment(2)
 
     def tilde_tail(model, s, T):
-        if model.kind != "standard-normal":
-            return None
-        # integral of (s x)^2 over {|s x| >= T}: closed normal tail form
+        # s^2 E[(X - mu)^2; |X - mu| >= a], a = T / s, in closed form per model
         svals = np.atleast_1d(np.asarray(s, dtype=float))
         with np.errstate(divide="ignore"):
             t = np.where(svals > 0, T / np.maximum(np.abs(svals), 1e-300), np.inf)
-        phi = np.exp(-0.5 * np.minimum(t, 38.0) ** 2) / _SQRT2PI
-        phi = np.where(t > 38.0, 0.0, phi)
-        upper = t * phi + _scisp.ndtr(-t)
-        return svals**2 * 2.0 * np.where(np.isfinite(upper), upper, 0.0)
+        if model.kind == "standard-normal":
+            phi = np.exp(-0.5 * np.minimum(t, 38.0) ** 2) / _SQRT2PI
+            phi = np.where(t > 38.0, 0.0, phi)
+            upper = t * phi + _scisp.ndtr(-t)
+            return svals**2 * 2.0 * np.where(np.isfinite(upper), upper, 0.0)
+        if model.kind == "uniform01":
+            # 2 * int_a^(1/2) y^2 dy, exactly 0 once a >= 1/2
+            return svals**2 * ((2.0 / 3.0) * (0.125 - np.minimum(t, 0.5) ** 3))
+        # exponential(rate), mu = 1/rate: the upper piece X >= mu + a always,
+        # the lower piece 0 <= X <= mu - a only while a < mu
+        rate = model.params[0]
+        mu = 1.0 / rate
+        a = np.minimum(t, 745.0 * mu)   # exp(-1 - rate * a) underflows to 0 there
+        upper = np.exp(-1.0 - rate * a) * (a * a + 2.0 * mu * a + 2.0 * mu * mu)
+        b = np.minimum(a, mu)           # keeps exp finite where the piece is empty
+        lower = mu * mu - np.exp(rate * b - 1.0) * (b * b - 2.0 * mu * b + 2.0 * mu * mu)
+        return svals**2 * (upper + np.where(a < mu, lower, 0.0))
 
     return QFunction(
         fn=fn,
@@ -155,23 +165,6 @@ def make_constant_q(c: float) -> QFunction:
     hook (kernel factorization included) is available."""
     return replace(make_product_q(IndicatorMember(1.0), BoundedPolynomial((c,))),
                    label=f"const[{c}]", sup_bound=abs(c))
-
-
-def _generic_tilde_tail(q: QFunction, model: NuModel, s, T: float):
-    """Quadrature for the truncated second moment of the centered q, used when
-    q has no tilde_tail closed form for the model, vectorized over the time
-    grid by an outer loop."""
-    svals = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty(svals.shape)
-    for i, sv in enumerate(svals):
-        mean_s = float(q.conditional_mean(model, np.asarray([sv]))[0])
-
-        def integrand(xs, sv=sv, mean_s=mean_s):
-            v = q.fn(sv, xs) - mean_s
-            return np.where(np.abs(v) >= T, v * v, 0.0)
-
-        out[i] = model.expect(integrand, tol=1e-11)
-    return out
 
 
 def center_q(q: QFunction, model: NuModel) -> QFunction:
@@ -254,25 +247,6 @@ def cov_kernel(q1: QFunction, q2: QFunction, model: NuModel) -> float:
     return lam * (g1.pair_mean(g2, model) - g1.mean(model) * g2.mean(model))
 
 
-def cov_kernel_quadrature(q1: QFunction, q2: QFunction, model: NuModel) -> float:
-    """Cov(Z(q1), Z(q2)) for any q's: the integral over s of
-    nu(q1 q2)(s) - nu(q1)(s) nu(q2)(s) by adaptive quadrature, the
-    independent reference for cov_kernel."""
-
-    def integrand(s):
-        if q1.h_member is not None and q2.h_member is not None:
-            cross = (float(q1.h_member(s)) * float(q2.h_member(s))
-                     * q1.g_member.pair_mean(q2.g_member, model))
-        else:
-            cross = model.expect(lambda xs: q1.fn(s, xs) * q2.fn(s, xs))
-        m1 = float(q1.conditional_mean(model, np.asarray([s]))[0])
-        m2 = float(q2.conditional_mean(model, np.asarray([s]))[0])
-        return cross - m1 * m2
-
-    breakpoints = tuple(set(q1.s_breakpoints + q2.s_breakpoints))
-    return integrate(integrand, 0.0, 1.0, tol=_KERNEL_TOL, breakpoints=breakpoints)
-
-
 def cov_matrix(q_list: Sequence[QFunction], model: NuModel) -> np.ndarray:
     k = len(q_list)
     out = np.zeros((k, k))
@@ -309,18 +283,16 @@ def lindeberg_check(
         tail_i = integral of q_tilde^2(i/n, x) over {|q_tilde(i/n, x)| >= T},
         T = eps sqrt(n V_n),   V_n = (lambda_n x nu)(q_tilde^2),
 
-    evaluated by q's tilde_tail closed form where it has one for the model and
-    by quadrature otherwise (no sampling).  When the limiting
+    evaluated by q's tilde_tail closed form (no sampling, no quadrature over
+    x); a non-degenerate q without one raises ValueError.  When the limiting
     variance (lambda x nu)(q_tilde^2) vanishes the degenerate branch is
     reported instead (the limit is the point mass at zero)."""
     qc = center_q(q, model)
     limit_var = qc.product_sq_mean_lambda(model, tol=1e-11)
     if limit_var < _DEGENERATE_TOL:
         return {"degenerate": True, "limit_variance": limit_var, "rows": []}
-
-    def tails(svals, T):
-        closed = None if q.tilde_tail is None else q.tilde_tail(model, svals, T)
-        return _generic_tilde_tail(q, model, svals, T) if closed is None else closed
+    if q.tilde_tail is None:
+        raise ValueError(f"lindeberg_check needs a closed-form tilde_tail; {q.label} has none")
 
     rows = []
     for n in n_list:
@@ -332,7 +304,7 @@ def lindeberg_check(
             if qc.sup_bound is not None and T > qc.sup_bound:
                 ratio = 0.0  # truncation set empty beyond the bound
             else:
-                ratio = float(np.sum(tails(svals, T))) / (n * vn)
+                ratio = float(np.sum(q.tilde_tail(model, svals, T))) / (n * vn)
             rows.append({"n": n, "epsilon": eps, "threshold": T, "ratio": ratio,
                          "variance_n": vn})
     return {"degenerate": False, "limit_variance": limit_var, "rows": rows}

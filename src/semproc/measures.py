@@ -4,7 +4,9 @@ empirical measure P_n and the B-empirical measure nu_{n,B}.
 The three sampling models (uniform01, standard-normal, exponential(rate)) are
 deliberately the only ones registered: each has closed-form cdf, raw moments
 and truncated moments, so product expectations of every registered function
-family are exactly computable and bound checks never need nested Monte Carlo.
+family are exactly computable, nothing integrates over x by quadrature, and
+bound checks never need nested Monte Carlo.  The package's one quadrature
+routine is semproc.quadrature.integrate.
 
 Determinism contract: every draw from a model goes through NuModel.draw(rng,
 shape), one vectorized generator call per model kind.  draw_sample(model, n,
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate as _sciint
 from scipy import special as _scisp
 
 from .intervals import IntervalUnion
@@ -165,13 +166,6 @@ class NuModel:
             return 0.0
         return (math.factorial(k) / rate**k) * float(_scisp.gammainc(k + 1, rate * w))
 
-    def expect(self, f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-10) -> float:
-        """Quadrature fallback E[f(X)]; flagged by being this method at all."""
-        lo, hi = self.support
-        val, _ = _sciint.quad(lambda x: float(f(np.asarray([x]))[0]) * float(self.pdf(x)),
-                              lo, hi, epsabs=tol, epsrel=tol, limit=200)
-        return val
-
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         """i.i.d. draws of the given shape, one generator call."""
         if self.kind == "uniform01":
@@ -264,8 +258,9 @@ class QFunction:
     nu_sq likewise for nu(q^2)(s).  sup_bound is the uniform bound when q is
     bounded (None otherwise); s_breakpoints list discontinuity locations of
     s -> q(s, x) shared by the conditional means.  tilde_tail(model, svals, T)
-    is the truncated second moment of the centered q in closed form, or None
-    where the model has none.
+    is the truncated second moment of the centered q in closed form for every
+    registered model, or None for a q without one, which lindeberg_check
+    then rejects (it has no quadrature fallback).
     """
 
     fn: Callable[[Union[float, np.ndarray], np.ndarray], np.ndarray]
@@ -277,7 +272,7 @@ class QFunction:
     # optional structure hooks (set by the builders in fclt):
     h_member: Optional[object] = None
     g_member: Optional[object] = None
-    tilde_tail: Optional[Callable[[NuModel, np.ndarray, float], Optional[np.ndarray]]] = None
+    tilde_tail: Optional[Callable[[NuModel, np.ndarray, float], np.ndarray]] = None
 
     def __call__(self, s: float, xs) -> np.ndarray:
         return self.fn(s, np.asarray(xs, dtype=float))
@@ -364,24 +359,6 @@ def eval_semp(q: Union[QFunction, Callable[[float, float], float]], sample: Samp
 def k_n_B(B: IntervalUnion, n: int) -> int:
     """card(B n {1/n, ..., 1}), exactly."""
     return B.grid_count(n)
-
-
-def mean_with_method(model: NuModel, g) -> tuple[float, str]:
-    """nu(g) together with how it was obtained: registered members carry
-    closed forms, anything else falls back to (flagged) quadrature."""
-    if hasattr(g, "mean"):
-        return float(g.mean(model)), "closed-form"
-    return float(model.expect(lambda xs: np.asarray(g(xs), dtype=float))), "quadrature"
-
-
-def second_moment_with_method(model: NuModel, g) -> tuple[float, str]:
-    """nu(g^2) with the same exactness flag."""
-    if hasattr(g, "second_moment"):
-        return float(g.second_moment(model)), "closed-form"
-    return (
-        float(model.expect(lambda xs: np.asarray(g(xs), dtype=float) ** 2)),
-        "quadrature",
-    )
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .function_classes import (
     lambda_sq_matrix,
 )
 from .measures import NuModel, Sample, draw_sample, grid_points, parse_model
+from .quadrature import integrate
 from .seeds import derive_seed
 
 __all__ = [
@@ -518,18 +519,24 @@ def series_I_closed_form(c: float, D1: int, D2: int) -> float:
     return math.exp(out) if out < 700 else math.inf
 
 
-def series_I_quadrature(c: float, D1: int, D2: int, tol: float = 1e-10) -> float:
-    """Independent quadrature oracle for the same double integral, via the
-    upper incomplete gamma closed form of the inner integral."""
-    from scipy import integrate as _sciint
+# series_I_quadrature's tolerance relative to a coarse first pass: 1e-7 gave
+# errors up to 1.5e-6 against the closed form, over the 1e-6 ledger gate
+_SERIES_REL_TOL = 1e-9
 
-    def inner(y):
-        # int_y^inf x^D2 e^{-cx} dx = Gamma(D2+1, c y) / c^(D2+1)
-        return float(_scisp.gammaincc(D2 + 1, c * y)) * math.gamma(D2 + 1) / c ** (D2 + 1)
 
-    val, _ = _sciint.quad(lambda y: y**D1 * inner(y), 1.0, np.inf,
-                          epsabs=tol, epsrel=tol, limit=400)
-    return val
+def series_I_quadrature(c: float, D1: int, D2: int) -> float:
+    """Independent quadrature oracle for the same double integral.  The inner
+    integral is the upper incomplete gamma closed form
+    int_y^inf x^D2 e^{-cx} dx = Gamma(D2+1, c y) / c^(D2+1); the outer one runs
+    over u = 1/y in (0, 1] by adaptive Simpson, with the absolute tolerance
+    _SERIES_REL_TOL times a coarse first pass (the values on the bounds grid
+    span about 0.1 to 3e5)."""
+    scale = math.gamma(D2 + 1) / c ** (D2 + 1)
+
+    def f(u):
+        return u ** -(D1 + 2) * float(_scisp.gammaincc(D2 + 1, c / u)) * scale
+
+    return integrate(f, 0.0, 1.0, tol=_SERIES_REL_TOL * abs(integrate(f, 0.0, 1.0, tol=1e-3)))
 
 
 @dataclass(frozen=True)

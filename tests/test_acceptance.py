@@ -15,7 +15,6 @@ import pytest
 from semproc.covering import check_covering_lemmas, shatter_coefficient
 from semproc.fclt import (
     cov_kernel,
-    cov_kernel_quadrature,
     equicontinuity_modulus,
     fidi_convergence_test,
     kiefer_cell,
@@ -46,6 +45,8 @@ from semproc.ulln import (
     sup_deviation_bruteforce,
     sup_deviation_exact_BW,
 )
+
+from quad_oracle import cov_kernel_quadrature
 
 UNIFORM = parse_model("uniform01")
 

@@ -6,6 +6,11 @@ Lindeberg check, the Kiefer grid under a normal model) before the Q
 functions lost their separate array evaluator, and the two ulln-runs cases
 (j >= 1 at n = 1000, 2001 columns) before the run DP became one row sweep;
 refactors of those paths must leave every byte unchanged.
+
+The bounds pin was re-recorded when series_I_quadrature moved from
+scipy.integrate.quad onto semproc.quadrature.integrate: diffing the two
+reports shows only the 27 series_I quadrature and rel_err values changed
+(every rel_err stays below 1e-9 against the closed form).
 """
 
 import hashlib
@@ -59,7 +64,7 @@ CASES = {
         "b39d058769225e521a84555c75fd510fb433306202f7afaccee1d2d29cecc2cc"),
     "bounds": (
         "bounds", {"members": 20, "seed": 4, "n_list": [10, 40], "witness_max_n": 5},
-        "53154c4e34db8c151760d8740c0f27e4ec1fbb8b3aed5e2dc198f2caee679de5"),
+        "98e0845f9143dc4c7618323911ca3e1400ce49523aa4f218d6463681a1764423"),
     "kiefer": (
         "kiefer", {"draws": 5000, "seed": 6, "tolerance": 0.1},
         "d50ee6cfc43cfc260346929c099ce94f8dc25180504bbab6f024dd54301824f3"),

@@ -13,7 +13,6 @@ from semproc.fclt import (
     NotPSDError,
     center_q,
     cov_kernel,
-    cov_kernel_quadrature,
     cov_matrix,
     equicontinuity_modulus,
     eval_Zn,
@@ -43,6 +42,8 @@ from semproc.function_classes import (
 from semproc.measures import QFunction, Sample, draw_sample, parse_model
 from semproc.piecewise import PiecewiseLinear
 
+from quad_oracle import cov_kernel_quadrature, expect
+
 UNIFORM = parse_model("uniform01")
 NORMAL = parse_model("standard-normal")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,7 +69,7 @@ class TestCenterQ:
         q = kiefer_cell(0.6, 0.3)
         qc = center_q(q, UNIFORM)
         for s in (0.1, 0.5, 0.9):
-            got = UNIFORM.expect(lambda xs, s=s: qc.fn(s, xs))
+            got = expect(UNIFORM, lambda xs, s=s: qc.fn(s, xs))
             assert abs(got) < 1e-8
 
     def test_x_free_q_centers_to_zero(self):
@@ -275,9 +276,47 @@ class TestLindeberg:
         rep = lindeberg_check(make_constant_q(5.0), UNIFORM, [10], [0.1])
         assert rep["degenerate"]
 
-    def test_sx_exponential_fallback_path(self):
+    def test_sx_exponential_closed_form_ratio(self):
+        # the closed-form tails, each checked against quad in
+        # test_sx_tails_match_quad_oracle
         rep = lindeberg_check(make_sx_q(), parse_model("exponential(1)"), [20], [0.5])
-        assert rep["rows"][0]["ratio"] >= 0.0
+        assert rep["rows"][0]["ratio"] == pytest.approx(0.5193425123455222, abs=1e-12)
+
+    def test_sx_uniform_tail_keeps_truncation_hole(self):
+        # (2/3) s^2 (1/8 - a^3), a = T/s: the set |s(x - 1/2)| < T is cut out,
+        # so the tail sits below the untruncated s^2/12 = 0.001875
+        got = float(make_sx_q().tilde_tail(UNIFORM, np.array([0.15]), 0.01)[0])
+        assert got == pytest.approx((2 / 3) * 0.15**2 * (1 / 8 - (0.01 / 0.15) ** 3), rel=1e-13)
+        assert abs(got - 0.0018706) < 1e-7
+
+    def test_sx_uniform_small_threshold_ratio(self):
+        rep = lindeberg_check(make_sx_q(), UNIFORM, [20], [0.05])
+        assert rep["rows"][0]["ratio"] == pytest.approx(0.996303727869894, abs=1e-12)
+
+    @pytest.mark.parametrize("model_name", ["uniform01", "standard-normal", "exponential(1)",
+                                            "exponential(2.5)"])
+    def test_sx_tails_match_quad_oracle(self, model_name):
+        # s^2 E[(X - mu)^2; |X - mu| >= T/s] by scipy quad, split at mu -+ T/s;
+        # the grid reaches a >= 1/2 (uniform, empty tail) and mu - a <= 0
+        # (exponential, no lower piece)
+        model = parse_model(model_name)
+        q = make_sx_q()
+        mu = model.moment(1)
+        for s in (0.15, 0.5, 1.0):
+            for T in (0.01, 0.1, 0.3, 0.6, 1.0):
+                def integrand(xs, s=s, T=T):
+                    v = s * (xs - mu)
+                    return np.where(np.abs(v) >= T, v * v, 0.0)
+
+                want = expect(model, integrand, tol=1e-13, points=(mu - T / s, mu + T / s))
+                got = float(q.tilde_tail(model, np.array([s]), T)[0])
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-13), (s, T)
+
+    def test_no_closed_form_raises(self):
+        q = make_product_q(IndicatorMember(0.5), BoundedPolynomial((0.0, 1.0)))
+        assert q.tilde_tail is None
+        with pytest.raises(ValueError):
+            lindeberg_check(q, UNIFORM, [20], [0.1])
 
 
 class TestFidi:
@@ -309,12 +348,14 @@ class TestKSDistance:
             assert ks_normal_distance(values, sd) == want
 
     def test_cli_import_leaves_scipy_stats_out(self):
+        # and scipy.integrate: no quadrature of the package reaches it
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        code = "import sys, semproc.cli; print('scipy.stats' in sys.modules)"
+        code = ("import sys, semproc.cli; "
+                "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 
 class TestModulus:

@@ -237,20 +237,16 @@ class TestQFunction:
         assert q.product_mean_lambda(model) == pytest.approx(0.25, abs=1e-8)
 
 
-class TestMomentMethodFlag:
-    def test_registered_members_closed_form(self):
+class TestHalfLineMoments:
+    @pytest.mark.parametrize("model_name", ["uniform01", "standard-normal", "exponential(2)"])
+    def test_closed_forms_against_quad(self, model_name):
         from semproc.function_classes import HalfLine
-        from semproc.measures import mean_with_method, second_moment_with_method
 
-        model = parse_model("uniform01")
-        val, how = mean_with_method(model, HalfLine(0.3))
-        assert how == "closed-form" and val == pytest.approx(0.3)
-        val, how = second_moment_with_method(model, HalfLine(0.3))
-        assert how == "closed-form" and val == pytest.approx(0.3)
+        from quad_oracle import expect
 
-    def test_black_box_flags_quadrature(self):
-        from semproc.measures import mean_with_method
-
-        model = parse_model("uniform01")
-        val, how = mean_with_method(model, lambda xs: np.asarray(xs) ** 2)
-        assert how == "quadrature" and val == pytest.approx(1 / 3, abs=1e-8)
+        model = parse_model(model_name)
+        for w in (-0.5, 0.3, 1.7):
+            g = HalfLine(w)
+            want = expect(model, g, points=(w,))
+            assert g.mean(model) == pytest.approx(want, abs=1e-9)
+            assert g.second_moment(model) == pytest.approx(want, abs=1e-9)
