@@ -1,6 +1,12 @@
 """Experiment orchestration: config parsing, the experiment registry, report
 serialization, plot-data emission and the `semproc` executable.
 
+Each experiment is declared once, in EXPERIMENTS: its config defaults (a
+key's type is its default's type), its runner, which returns the results and
+the ledger of named checks, and its plot-data series.  run_experiment derives
+a report's "pass" from the ledger.  selftest runs the five other experiments
+at small configs through the same registry.
+
 Reproducibility is the product: a report embeds the exact config and the root
 seed, every random stream is derived from the root seed through
 seeds.derive_seed, and rerunning a config yields byte-identical numeric
@@ -18,6 +24,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -67,77 +74,19 @@ class ConfigError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# Config schemas
-# ---------------------------------------------------------------------------
-
-_SCHEMAS: dict[str, dict[str, tuple]] = {
-    "ulln": {
-        "class": (str, "bvector"),
-        "j": (int, 0),
-        "parity": (str, "odd"),
-        "model": (str, "uniform01"),
-        "n_schedule": (list, [100, 1000, 10000]),
-        "replicates": (int, 200),
-        "seed": (int, 1),
-        "centering": (str, "lambda_n"),
-        "net_u": (float, 0.0),
-    },
-    "fclt": {
-        "q_set": (str, "kiefer-3"),
-        "q_file": (str, ""),
-        "n": (int, 2000),
-        "replicates": (int, 5000),
-        "seed": (int, 1),
-        "model": (str, "uniform01"),
-        "alpha_list": (list, [0.05, 0.1, 0.2, 0.4]),
-        "net_u": (float, 0.3),
-        "h_class": (dict, {"class": "holder", "T": 1.0, "C": 1.0, "beta": 1.0}),
-        "modulus_replicates": (int, 100),
-        "run_modulus": (bool, True),
-        "run_lindeberg": (bool, True),
-        "cov_tolerance": (float, 0.05),
-        "ks_tolerance": (float, 0.03),
-    },
-    "covering": {
-        "trials": (int, 1000),
-        "seed": (int, 1),
-        "tau": (float, 0.5),
-        "n_list": (list, [10, 100, 1000]),
-        "n_seeds": (int, 20),
-        "model": (str, "uniform01"),
-    },
-    "bounds": {
-        "members": (int, 1000),
-        "seed": (int, 1),
-        "n_list": (list, [10, 100, 1000]),
-        "witness_max_n": (int, 20),
-    },
-    "kiefer": {
-        "grid": (int, 3),
-        "draws": (int, 100000),
-        "seed": (int, 1),
-        "tolerance": (float, 0.02),
-    },
-    "selftest": {
-        "seed": (int, 1),
-    },
-}
-
-
 def parse_config(experiment: str, raw: dict) -> dict:
     """Strict schema application: unknown keys rejected, types coerced only
     int -> float, values echoed back into the report."""
-    if experiment not in _SCHEMAS:
+    if experiment not in EXPERIMENTS:
         raise ConfigError(
-            f"unknown experiment {experiment!r}; registered: {sorted(_SCHEMAS)}"
+            f"unknown experiment {experiment!r}; registered: {sorted(EXPERIMENTS)}"
         )
-    schema = _SCHEMAS[experiment]
+    defaults = EXPERIMENTS[experiment].defaults
     out = {}
     for key, value in raw.items():
-        if key not in schema:
+        if key not in defaults:
             raise ConfigError(f"unknown config key {experiment}.{key}")
-        want = schema[key][0]
+        want = type(defaults[key])
         if want is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
         if not isinstance(value, want) or (want is not bool and isinstance(value, bool)):
@@ -145,7 +94,7 @@ def parse_config(experiment: str, raw: dict) -> dict:
                 f"config key {experiment}.{key} must be {want.__name__}, got {value!r}"
             )
         out[key] = value
-    for key, (_, default) in schema.items():
+    for key, default in defaults.items():
         if key not in out:
             out[key] = json.loads(json.dumps(default)) if isinstance(default, (list, dict)) else default
     return out
@@ -160,7 +109,7 @@ def _ledger_entry(name: str, observed, bound, tolerance: str, ok: bool) -> dict:
             "tolerance": tolerance, "ok": bool(ok)}
 
 
-def _run_ulln(cfg: dict) -> dict:
+def _run_ulln(cfg: dict) -> tuple:
     if cfg["class"] != "bvector":
         raise ConfigError(
             f"unknown sequential set class {cfg['class']!r}; registered: bvector"
@@ -203,8 +152,7 @@ def _run_ulln(cfg: dict) -> dict:
                 "lower <= exact <= upper",
                 sw.lower <= exact + 1e-12 and exact <= sw.upper + 1e-12,
             ))
-    return {"results": report.rows, "ledger": ledger,
-            "pass": all(e["ok"] for e in ledger)}
+    return report.rows, ledger
 
 
 def _kiefer_cells(grid: int) -> list:
@@ -268,7 +216,7 @@ def _load_q_file(path: str) -> list:
     return out
 
 
-def _run_fclt(cfg: dict) -> dict:
+def _run_fclt(cfg: dict) -> tuple:
     model = parse_model(cfg["model"])
     if cfg["q_set"] == "kiefer-3":
         q_list = [kiefer_cell(0.5, 0.5), kiefer_cell(1.0, 0.5), kiefer_cell(0.5, 0.25)]
@@ -336,11 +284,10 @@ def _run_fclt(cfg: dict) -> dict:
         ledger.append(_ledger_entry("Lindeberg ratio at n=1e6, eps=0.1",
                                     final, 1e-3, "<= 1e-3",
                                     final is not None and final <= 1e-3))
-    return {"results": results, "ledger": ledger,
-            "pass": all(e["ok"] for e in ledger)}
+    return results, ledger
 
 
-def _run_covering(cfg: dict) -> dict:
+def _run_covering(cfg: dict) -> tuple:
     lemmas = check_covering_lemmas(cfg["trials"], cfg["seed"])
     model = parse_model(cfg["model"])
     pclass = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
@@ -355,19 +302,15 @@ def _run_covering(cfg: dict) -> dict:
                       bdd.violations, 0, "== 0", bdd.violations == 0),
     ]
     return {
-        "results": {
-            "lemma_checks": lemmas.checks,
-            "lemma_reports": lemmas.to_json(),
-            "lemma_violations": lemmas.violations,
-            "covering_max_observed": bdd.max_observed,
-            "covering_trials": bdd.trials,
-        },
-        "ledger": ledger,
-        "pass": all(e["ok"] for e in ledger),
-    }
+        "lemma_checks": lemmas.checks,
+        "lemma_reports": lemmas.to_json(),
+        "lemma_violations": lemmas.violations,
+        "covering_max_observed": bdd.max_observed,
+        "covering_trials": bdd.trials,
+    }, ledger
 
 
-def _run_bounds(cfg: dict) -> dict:
+def _run_bounds(cfg: dict) -> tuple:
     rng_root = cfg["seed"]
     n_list = [int(n) for n in cfg["n_list"]]
     members = cfg["members"]
@@ -395,29 +338,26 @@ def _run_bounds(cfg: dict) -> dict:
                                        "bound": bound})
             worst[f"{label}/n={n}"] = margin
     witness_rows = []
-    witness_ok = True
     for n in range(1, cfg["witness_max_n"] + 1):
         w = b_infinity_witness(n)
         ln = w.lambda_n(n)
         gap = w.lambda_n(n) - w.lebesgue()
         expected = 1 - 2 ** (-n)
-        ok = (ln == 0) and (abs(gap) == expected)
-        witness_ok = witness_ok and ok
         witness_rows.append({"n": n, "lambda_n": float(ln), "gap": float(abs(gap)),
-                             "expected_gap": float(expected), "ok": ok})
+                             "expected_gap": float(expected),
+                             "ok": (ln == 0) and (abs(gap) == expected)})
+    witness_ok = all(r["ok"] for r in witness_rows)
 
     series_rows = []
-    series_ok = True
     for c in (0.5, 1.0, 2.0):
         for d1 in (1, 2, 3):
             for d2 in (1, 2, 3):
                 closed = series_I_closed_form(c, d1, d2)
                 quad = series_I_quadrature(c, d1, d2)
                 rel = abs(closed - quad) / max(abs(quad), 1e-300)
-                ok = rel <= 1e-6
-                series_ok = series_ok and ok
                 series_rows.append({"c": c, "D1": d1, "D2": d2, "closed": closed,
-                                    "quadrature": quad, "rel_err": rel, "ok": ok})
+                                    "quadrature": quad, "rel_err": rel, "ok": rel <= 1e-6})
+    series_ok = all(r["ok"] for r in series_rows)
     s_class = {}
     for c in (0.5, math.log(2.0), 2.0):
         s_class[f"c={c:.6f}"] = series_S_diagnostic(1, c, 300).classification
@@ -436,18 +376,14 @@ def _run_bounds(cfg: dict) -> dict:
         _ledger_entry("series S dichotomy classifications", s_class, None,
                       "divergent/divergent/convergent", s_ok),
     ]
-    return {
-        "results": {"bound_checks": checks, "worst_margins": worst,
-                    "witness": witness_rows, "series_I": series_rows,
-                    "series_S": s_class,
-                    "tail_bound_example": {"value": tb.value, "vacuous": tb.vacuous,
-                                           "applicable": tb.applicable}},
-        "ledger": ledger,
-        "pass": all(e["ok"] for e in ledger),
-    }
+    return {"bound_checks": checks, "worst_margins": worst,
+            "witness": witness_rows, "series_I": series_rows,
+            "series_S": s_class,
+            "tail_bound_example": {"value": tb.value, "vacuous": tb.vacuous,
+                                   "applicable": tb.applicable}}, ledger
 
 
-def _run_kiefer(cfg: dict) -> dict:
+def _run_kiefer(cfg: dict) -> tuple:
     model = parse_model("uniform01")
     grid = cfg["grid"]
     cells = _kiefer_cells(grid)
@@ -465,31 +401,31 @@ def _run_kiefer(cfg: dict) -> dict:
         _ledger_entry("sampler covariance error", emp_err, cfg["tolerance"],
                       f"<= {cfg['tolerance']}", emp_err <= cfg["tolerance"]),
     ]
-    return {
-        "results": {"analytic_cov": analytic.tolist(),
-                    "empirical_cov": emp.tolist(),
-                    "kernel_error": kernel_err, "sampler_error": emp_err},
-        "ledger": ledger,
-        "pass": all(e["ok"] for e in ledger),
-    }
+    return {"analytic_cov": analytic.tolist(),
+            "empirical_cov": emp.tolist(),
+            "kernel_error": kernel_err, "sampler_error": emp_err}, ledger
 
 
-def _run_selftest(cfg: dict) -> dict:
+# (experiment, overrides) per selftest section; each section is named after
+# its experiment and runs at the selftest's seed
+_SELFTEST_SECTIONS = (
+    ("bounds", {"members": 60, "n_list": [10, 100], "witness_max_n": 12}),
+    ("covering", {"trials": 60, "tau": 0.5, "n_list": [20, 100], "n_seeds": 4}),
+    ("ulln", {"n_schedule": [50, 400], "replicates": 30}),
+    ("kiefer", {"draws": 40000, "tolerance": 0.05}),
+    ("fclt", {"n": 400, "replicates": 1200, "cov_tolerance": 0.08, "ks_tolerance": 0.06,
+              "alpha_list": [0.1, 0.4], "net_u": 0.4, "modulus_replicates": 20}),
+)
+
+
+def _run_selftest(cfg: dict) -> tuple:
     seed = cfg["seed"]
     sections = {}
-    ok = True
-
-    sec = _run_bounds(parse_config("bounds", {
-        "members": 60, "seed": seed, "n_list": [10, 100], "witness_max_n": 12,
-    }))
-    sections["bounds"] = sec
-    ok = ok and sec["pass"]
-
-    sec = _run_covering(parse_config("covering", {
-        "trials": 60, "seed": seed, "tau": 0.5, "n_list": [20, 100], "n_seeds": 4,
-    }))
-    sections["covering"] = sec
-    ok = ok and sec["pass"]
+    for name, overrides in _SELFTEST_SECTIONS:
+        rep = run_experiment(name, {**overrides, "seed": seed})
+        # the ulln section names its rows "rows", as selftest reports always have
+        sections[name] = {"rows" if name == "ulln" else "results": rep["results"],
+                          "ledger": rep["ledger"], "pass": rep["pass"]}
 
     # DP versus brute force on tiny instances
     mismatches = 0
@@ -504,39 +440,55 @@ def _run_selftest(cfg: dict) -> dict:
         if abs(a - b) > 1e-12:
             mismatches += 1
     sections["dp_oracle"] = {"trials": 40, "mismatches": mismatches}
-    ok = ok and mismatches == 0
-
-    sec = _run_ulln(parse_config("ulln", {
-        "n_schedule": [50, 400], "replicates": 30, "seed": seed,
-    }))
-    # the ulln section names its rows "rows", as selftest reports always have
-    sections["ulln"] = {"rows": sec["results"], "ledger": sec["ledger"], "pass": sec["pass"]}
-    ok = ok and sec["pass"]
-
-    sec = _run_kiefer(parse_config("kiefer", {
-        "draws": 40000, "seed": seed, "tolerance": 0.05,
-    }))
-    sections["kiefer"] = sec
-    ok = ok and sec["pass"]
-
-    sec = _run_fclt(parse_config("fclt", {
-        "n": 400, "replicates": 1200, "seed": seed,
-        "cov_tolerance": 0.08, "ks_tolerance": 0.06,
-        "alpha_list": [0.1, 0.4], "net_u": 0.4, "modulus_replicates": 20,
-    }))
-    sections["fclt"] = sec
-    ok = ok and sec["pass"]
-
-    return {"results": {"sections": sections}, "ledger": [], "pass": ok}
+    return {"sections": sections}, []
 
 
-_RUNNERS: dict[str, Callable[[dict], dict]] = {
-    "ulln": _run_ulln,
-    "fclt": _run_fclt,
-    "covering": _run_covering,
-    "bounds": _run_bounds,
-    "kiefer": _run_kiefer,
-    "selftest": _run_selftest,
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment's config defaults (a key's type is its default's type),
+    its runner, cfg -> (results, ledger), and its plot-data series, each
+    (file suffix, {CSV column: row key}, results -> rows)."""
+
+    defaults: dict
+    run: Callable[[dict], tuple]
+    plots: tuple = ()
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "ulln": Experiment(
+        {"class": "bvector", "j": 0, "parity": "odd", "model": "uniform01",
+         "n_schedule": [100, 1000, 10000], "replicates": 200, "seed": 1,
+         "centering": "lambda_n", "net_u": 0.0},
+        _run_ulln,
+        (("convergence", {"n": "n", "mean": "mean", "median": "median", "q95": "q95",
+                          "max": "max", "bound": "lambda_gap_bound"}, lambda res: res),),
+    ),
+    "fclt": Experiment(
+        {"q_set": "kiefer-3", "q_file": "", "n": 2000, "replicates": 5000, "seed": 1,
+         "model": "uniform01", "alpha_list": [0.05, 0.1, 0.2, 0.4], "net_u": 0.3,
+         "h_class": {"class": "holder", "T": 1.0, "C": 1.0, "beta": 1.0},
+         "modulus_replicates": 100, "run_modulus": True, "run_lindeberg": True,
+         "cov_tolerance": 0.05, "ks_tolerance": 0.03},
+        _run_fclt,
+        (("modulus", {"alpha": "alpha", "mean_modulus": "mean_modulus"},
+          lambda res: res.get("modulus", {}).get("rows", [])),
+         ("lindeberg", {"n": "n", "lindeberg_ratio": "ratio"},
+          lambda res: res.get("lindeberg", {}).get("rows", []))),
+    ),
+    "covering": Experiment(
+        {"trials": 1000, "seed": 1, "tau": 0.5, "n_list": [10, 100, 1000], "n_seeds": 20,
+         "model": "uniform01"},
+        _run_covering,
+    ),
+    "bounds": Experiment(
+        {"members": 1000, "seed": 1, "n_list": [10, 100, 1000], "witness_max_n": 20},
+        _run_bounds,
+    ),
+    "kiefer": Experiment(
+        {"grid": 3, "draws": 100000, "seed": 1, "tolerance": 0.02},
+        _run_kiefer,
+    ),
+    "selftest": Experiment({"seed": 1}, _run_selftest),
 }
 
 
@@ -559,15 +511,18 @@ def _jsonable(obj):
 def run_experiment(experiment: str, raw_config: dict) -> dict:
     cfg = parse_config(experiment, raw_config)
     start = time.monotonic()
-    body = _RUNNERS[experiment](cfg)
+    results, ledger = EXPERIMENTS[experiment].run(cfg)
     elapsed = time.monotonic() - start
+    passed = all(e["ok"] for e in ledger)
+    if experiment == "selftest":  # an empty ledger: its sections and DP oracle decide
+        passed = all(s.get("pass", s.get("mismatches") == 0) for s in results["sections"].values())
     return {
         "schema_version": SCHEMA_VERSION,
         "experiment": experiment,
         "config": cfg,
-        "results": _jsonable(body["results"]),
-        "ledger": _jsonable(body["ledger"]),
-        "pass": bool(body["pass"]),
+        "results": _jsonable(results),
+        "ledger": _jsonable(ledger),
+        "pass": passed,
         "meta": {
             "wall_clock_seconds": elapsed,
             "library_version": __version__,
@@ -582,43 +537,28 @@ def numeric_bytes(report: dict) -> bytes:
     return json.dumps(stripped, sort_keys=True, indent=1).encode()
 
 
-def write_report(report: dict, path: str) -> None:
+def _write_replacing(path: str, text: str) -> None:
+    """Write to path.tmp, then rename over path, so path is never half written."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)
 
 
+def write_report(report: dict, path: str) -> None:
+    _write_replacing(path, json.dumps(report, sort_keys=True, indent=1) + "\n")
+
+
 def emit_plotdata(report: dict, prefix: str) -> list[str]:
-    """CSV series per figure; header contract documented per experiment."""
+    """One CSV per plot series declared for the report's experiment: a header
+    of the series' columns, then one line of repr'd values per row."""
     paths = []
-    exp = report["experiment"]
-    if exp == "ulln":
-        path = f"{prefix}_convergence.csv"
-        rows = report["results"]
-        with open(f"{path}.tmp", "w") as fh:
-            fh.write("n,mean,median,q95,max,bound\n")
-            for r in rows:
-                fh.write(f"{r['n']},{r['mean']!r},{r['median']!r},{r['q95']!r},"
-                         f"{r['max']!r},{r['lambda_gap_bound']!r}\n")
-        os.replace(f"{path}.tmp", path)
-        paths.append(path)
-    elif exp == "fclt":
-        res = report["results"]
-        path = f"{prefix}_modulus.csv"
-        with open(f"{path}.tmp", "w") as fh:
-            fh.write("alpha,mean_modulus\n")
-            for r in res.get("modulus", {}).get("rows", []):
-                fh.write(f"{r['alpha']!r},{r['mean_modulus']!r}\n")
-        os.replace(f"{path}.tmp", path)
-        paths.append(path)
-        path = f"{prefix}_lindeberg.csv"
-        with open(f"{path}.tmp", "w") as fh:
-            fh.write("n,lindeberg_ratio\n")
-            for r in res.get("lindeberg", {}).get("rows", []):
-                fh.write(f"{r['n']},{r['ratio']!r}\n")
-        os.replace(f"{path}.tmp", path)
+    for suffix, columns, rows in EXPERIMENTS[report["experiment"]].plots:
+        path = f"{prefix}_{suffix}.csv"
+        lines = [",".join(columns)]
+        lines += [",".join(repr(r[key]) for key in columns.values())
+                  for r in rows(report["results"])]
+        _write_replacing(path, "\n".join(lines) + "\n")
         paths.append(path)
     return paths
 
@@ -667,7 +607,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Sequential empirical measure process experiments",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in _SCHEMAS:
+    for name, exp in EXPERIMENTS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -675,7 +615,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--out", default=None, help="report path (JSON)")
         p.add_argument("--plot-prefix", default=None,
                        help="emit plot-data CSVs with this path prefix")
-        for key, (_, default) in _SCHEMAS[name].items():
+        for key, default in exp.defaults.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
                            type=_flag_type(default), help=f"sets {key} (default {default!r})")
 
@@ -685,7 +625,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for item in args.set:
             key, value = _parse_override(item)
             raw[key] = value
-        for key in _SCHEMAS[args.experiment]:
+        for key in EXPERIMENTS[args.experiment].defaults:
             if getattr(args, key) is not None:
                 raw[key] = getattr(args, key)
         report = run_experiment(args.experiment, raw)

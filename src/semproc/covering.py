@@ -40,7 +40,6 @@ __all__ = [
     "eval_pseudometric",
     "greedy_net_indices",
     "exact_covering_number",
-    "covering_number",
     "check_covering_lemmas",
     "ShatterReport",
     "shatter_coefficient",
@@ -223,19 +222,6 @@ def exact_covering_number(
     while not covers(full, depth):
         depth += 1
     return depth
-
-
-def covering_number(family: Sequence, u: float, metric) -> int:
-    """Size of a greedy u-net; exact (verified minimal) for families of at
-    most 12 members."""
-    if len(family) == 0:
-        raise ValueError("family must be nonempty")
-    if u <= 0:
-        raise ValueError("u must be > 0")
-    dist = metric if isinstance(metric, np.ndarray) else pairwise_distances(family, metric)
-    if len(family) <= 12:
-        return exact_covering_number(dist, u)
-    return len(greedy_net_indices(dist, u))
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +453,17 @@ class RandomCoveringReport:
     violations: int = 0
 
 
+# members per factor of the fixed fine net: _FINE_NET indicators times
+# _FINE_NET half-lines or initial intervals at the model's quantiles
+_FINE_NET = 12
+
+
 def random_covering_boundedness(
     product_class: ProductClass,
     tau: float,
     n_list: Sequence[int],
     seeds: Sequence[int],
     model: NuModel,
-    fine: int = 12,
 ) -> RandomCoveringReport:
     """Greedy covering numbers of a fixed fine net of F under the random
     empirical L1 metric, trial by trial, against the factorized bound
@@ -485,8 +475,8 @@ def random_covering_boundedness(
 
     from .function_classes import HalfLine, InitialInterval
 
-    h_net = [IndicatorMember((i + 1) / fine) for i in range(fine)]
-    probs = [(i + 1) / (fine + 1) for i in range(fine)]
+    h_net = [IndicatorMember((i + 1) / _FINE_NET) for i in range(_FINE_NET)]
+    probs = [(i + 1) / (_FINE_NET + 1) for i in range(_FINE_NET)]
     g_ctor = HalfLine if product_class.g_class.kind == "half-lines" else InitialInterval
     g_net = [g_ctor(float(model.ppf(p))) for p in probs]
 

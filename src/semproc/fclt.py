@@ -134,10 +134,12 @@ def make_sx_q() -> QFunction:
         with np.errstate(divide="ignore"):
             t = np.where(svals > 0, T / np.maximum(np.abs(svals), 1e-300), np.inf)
         if model.kind == "standard-normal":
-            phi = np.exp(-0.5 * np.minimum(t, 38.0) ** 2) / _SQRT2PI
-            phi = np.where(t > 38.0, 0.0, phi)
-            upper = t * phi + _scisp.ndtr(-t)
-            return svals**2 * 2.0 * np.where(np.isfinite(upper), upper, 0.0)
+            # t phi(t) underflows to 0 past t = 38; masking t there keeps exp
+            # off subnormals and t = inf (s = 0) out of inf * 0
+            far = t > 38.0
+            tn = np.where(far, 0.0, t)
+            phi = np.exp(-0.5 * tn**2) / _SQRT2PI
+            return svals**2 * 2.0 * (np.where(far, 0.0, tn * phi) + _scisp.ndtr(-t))
         if model.kind == "uniform01":
             # 2 * int_a^(1/2) y^2 dy, exactly 0 once a >= 1/2
             return svals**2 * ((2.0 / 3.0) * (0.125 - np.minimum(t, 0.5) ** 3))

@@ -65,7 +65,6 @@ __all__ = [
     "ProductClass",
     "riemann_gap_bound",
     "observed_riemann_gap",
-    "oscillation_sup_bound",
     "eval_member",
     "lambda_sq_distance",
     "lambda_prod",
@@ -135,6 +134,10 @@ class HolderMember:
         return self.C + self.T
 
 
+# random Holder members are sums of 1 to _MAX_CUSPS cusps |x - c|^beta
+_MAX_CUSPS = 3
+
+
 @dataclass(frozen=True)
 class HolderClass:
     """H(T, C, beta): |h(x1) - h(x2)| <= C |x1 - x2|^beta and |h(0)| <= T."""
@@ -151,8 +154,8 @@ class HolderClass:
     def envelope_constant(self) -> float:
         return self.C + self.T
 
-    def random_member(self, rng: np.random.Generator, max_cusps: int = 3) -> HolderMember:
-        k = int(rng.integers(1, max_cusps + 1))
+    def random_member(self, rng: np.random.Generator) -> HolderMember:
+        k = int(rng.integers(1, _MAX_CUSPS + 1))
         centers = rng.random(k)
         raw = rng.standard_normal(k)
         denom = np.sum(np.abs(raw))
@@ -302,9 +305,12 @@ def lambda_sq_matrix(members: Sequence) -> np.ndarray:
         return np.abs(np.subtract.outer(ts, ts))
     pls = [p for _, p in forms]
     if kinds != {"pl"} or any(p.knots != pls[0].knots for p in pls):
-        from .covering import pairwise_distances
-
-        return pairwise_distances(members, lambda_sq_distance)
+        k = len(members)
+        out = np.zeros((k, k))
+        for i in range(k):
+            for j in range(i + 1, k):
+                out[i, j] = out[j, i] = lambda_sq_distance(members[i], members[j])
+        return out
     knots = np.asarray(pls[0].knots, dtype=float)
     mid = 0.5 * (knots[1:] + knots[:-1])
     w = knots[1:] - knots[:-1]
@@ -685,12 +691,6 @@ def observed_riemann_gap(member, n: int) -> float:
 def observed_riemann_gap_exact(member: IntervalUnion, n: int) -> Fraction:
     """Exact rational gap for interval unions (used by the counterexample)."""
     return abs(member.lambda_n(n) - member.lebesgue())
-
-
-def oscillation_sup_bound(cls: HolderClass, n: int) -> float:
-    if not isinstance(cls, HolderClass):
-        raise TypeError("oscillation_sup_bound is stated for Holder classes")
-    return cls.oscillation_sup_bound(n)
 
 
 def eval_member(member, point: float) -> float:

@@ -44,7 +44,6 @@ __all__ = [
     "eval_lambda",
     "eval_semp",
     "eval_b_empirical",
-    "k_n_B",
     "grid_points",
 ]
 
@@ -354,11 +353,6 @@ def eval_semp(q: Union[QFunction, Callable[[float, float], float]], sample: Samp
     else:
         terms = (float(q(i / n, x)) for i, x in zip(range(1, n + 1), sample.values))
     return _ordered_sum(terms, compensated) / n
-
-
-def k_n_B(B: IntervalUnion, n: int) -> int:
-    """card(B n {1/n, ..., 1}), exactly."""
-    return B.grid_count(n)
 
 
 @dataclass(frozen=True)

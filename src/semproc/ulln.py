@@ -484,35 +484,21 @@ def series_I_closed_form(c: float, D1: int, D2: int) -> float:
         raise ValueError("c must be > 0")
     if D1 < 0 or D2 < 0:
         raise ValueError("D1, D2 must be >= 0")
+    terms = [
+        (math.factorial(D2) * math.factorial(D1 + D2 - p)
+         // (math.factorial(D2 - p) * math.factorial(D1 + D2 - p - l)), p + l + 2)
+        for p in range(D2 + 1) for l in range(D1 + D2 - p + 1)
+    ]
     total = 0.0
-    overflow = False
-    for p in range(D2 + 1):
-        for l in range(D1 + D2 - p + 1):
-            ratio = (
-                math.factorial(D2)
-                * math.factorial(D1 + D2 - p)
-                // (math.factorial(D2 - p) * math.factorial(D1 + D2 - p - l))
-            )
-            term = ratio * c ** (-(p + l + 2))
-            total += term
-            if not math.isfinite(total):
-                overflow = True
-                break
-        if overflow:
+    for ratio, e in terms:
+        total += ratio * c ** (-e)
+        if not math.isfinite(total):
             break
-    if not overflow:
+    else:
         return math.exp(-c) * total
     # big-number fallback: accumulate in log space (math.log handles big ints)
-    logs = []
     log_c = math.log(c)
-    for p in range(D2 + 1):
-        for l in range(D1 + D2 - p + 1):
-            ratio = (
-                math.factorial(D2)
-                * math.factorial(D1 + D2 - p)
-                // (math.factorial(D2 - p) * math.factorial(D1 + D2 - p - l))
-            )
-            logs.append(math.log(ratio) - (p + l + 2) * log_c)
+    logs = [math.log(ratio) - e * log_c for ratio, e in terms]
     m = max(logs)
     log_sum = m + math.log(math.fsum(math.exp(v - m) for v in logs))
     out = -c + log_sum

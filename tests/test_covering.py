@@ -8,7 +8,6 @@ import pytest
 from semproc.covering import (
     PseudoMetricId,
     check_covering_lemmas,
-    covering_number,
     eval_pseudometric,
     exact_covering_number,
     greedy_net_indices,
@@ -109,13 +108,6 @@ class TestPseudoMetrics:
 
 
 class TestCoveringNumbers:
-    def test_diameter_gives_one(self):
-        fam = [0.0, 0.1, 0.2]
-        assert covering_number(fam, 10.0, lambda a, b: abs(a - b)) == 1
-
-    def test_integer_line_example(self):
-        assert covering_number([0.0, 1.0, 2.0, 3.0], 0.6, lambda a, b: abs(a - b)) == 4
-
     def test_greedy_equals_exact_on_line(self):
         rng = np.random.default_rng(1)
         for _ in range(100):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,14 @@ class TestLindeberg:
         got = float(make_sx_q().tilde_tail(UNIFORM, np.array([0.15]), 0.01)[0])
         assert got == pytest.approx((2 / 3) * 0.15**2 * (1 / 8 - (0.01 / 0.15) ** 3), rel=1e-13)
         assert abs(got - 0.0018706) < 1e-7
+
+    @pytest.mark.parametrize("model_name", ["uniform01", "standard-normal", "exponential(1)"])
+    def test_sx_tail_at_s_zero_is_zero_without_warnings(self, model_name):
+        # at s = 0 the threshold T/s is infinite and the tail is empty
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = make_sx_q().tilde_tail(parse_model(model_name), np.array([0.0, 0.0]), 0.1)
+        assert got.tolist() == [0.0, 0.0]
 
     def test_sx_uniform_small_threshold_ratio(self):
         rep = lindeberg_check(make_sx_q(), UNIFORM, [20], [0.05])

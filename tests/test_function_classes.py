@@ -20,7 +20,6 @@ from semproc.function_classes import (
     holder_sup_distance,
     observed_riemann_gap,
     observed_riemann_gap_exact,
-    oscillation_sup_bound,
     riemann_gap_bound,
 )
 from semproc.intervals import IntervalUnion
@@ -190,11 +189,11 @@ class TestBVectorClasses:
 
 class TestOscillationBound:
     def test_paper_chain_value(self):
-        assert oscillation_sup_bound(HolderClass(1, 1, 1), 100) == pytest.approx(0.16)
+        assert HolderClass(1, 1, 1).oscillation_sup_bound(100) == pytest.approx(0.16)
 
     def test_monotone_decay(self):
         cls = HolderClass(2.0, 1.5, 0.7)
-        vals = [oscillation_sup_bound(cls, n) for n in (10, 100, 1000, 10000)]
+        vals = [cls.oscillation_sup_bound(n) for n in (10, 100, 1000, 10000)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 

@@ -18,7 +18,6 @@ from semproc.measures import (
     eval_lambda,
     eval_lambda_n,
     eval_semp,
-    k_n_B,
     parse_model,
 )
 from semproc.quadrature import QuadratureError, integrate
@@ -145,13 +144,13 @@ class TestBEmpirical:
 
 class TestKnB:
     def test_full(self):
-        assert k_n_B(IntervalUnion.full(), 7) == 7
+        assert IntervalUnion.full().grid_count(7) == 7
 
     def test_half(self):
-        assert k_n_B(IntervalUnion.from_pairs([(0, 0.5)]), 10) == 5
+        assert IntervalUnion.from_pairs([(0, 0.5)]).grid_count(10) == 5
 
     def test_quarter_boundary_exact(self):
-        assert k_n_B(IntervalUnion.from_pairs([(0, 0.25)]), 10) == 2
+        assert IntervalUnion.from_pairs([(0, 0.25)]).grid_count(10) == 2
 
 
 class TestDrawSample:

@@ -1,0 +1,77 @@
+"""Pinned bytes of the plot-data CSVs, the written report and the selftest
+section layout.
+
+The values were recorded before the experiments were declared in a single
+registry in semproc.cli; a change to how runners, plot series or the report
+writer are declared must leave every byte unchanged.  The report pins blank
+the volatile "meta" section before writing.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from semproc.cli import emit_plotdata, run_experiment, write_report
+
+CASES = {
+    "ulln": (
+        "ulln", {"n_schedule": [20, 50], "replicates": 5, "seed": 1},
+        {"convergence": "0abd13b06f763e50dc6f6abe127ea76d19083cd45853d86a33d0f1d38f9acddd"},
+        "18a86726f62585d9ec5b0e4d427bfe9c0b739fa15e2c6552963eec028a446daf"),
+    "fclt-modulus-lindeberg": (
+        "fclt", {"n": 150, "replicates": 300, "seed": 8, "alpha_list": [0.2, 0.5],
+                 "net_u": 0.45, "modulus_replicates": 5,
+                 "cov_tolerance": 0.3, "ks_tolerance": 0.3},
+        {"modulus": "3dee1d88117a6e57c50e2a6f44868583ce00d4f57d906893b58083f2aae8475a",
+         "lindeberg": "83a2e54ec99e2b4c25d2cf7feacdcf8fbce47ea319a0213953038f50779cee70"},
+        "e59342a5254c51c94725a075a3f9445189994aa725997b96d0193889ff46e106"),
+    "fclt-bare": (
+        "fclt", {"q_set": "kiefer-grid", "n": 100, "replicates": 150, "seed": 5,
+                 "run_modulus": False, "run_lindeberg": False},
+        {"modulus": "152ca124343328bd3599a48b0c7e2a14837b95c6fae4b2b8ec7bb213831d262d",
+         "lindeberg": "238949238c08092e88f757e85d9026db5495c2336be4126b90f1b01d5a796484"},
+        "2cfce3c32e540280fb098615176b234e94be8bcf3efd4ad9b6a137181e593951"),
+    "kiefer": (
+        "kiefer", {"draws": 5000, "seed": 6, "tolerance": 0.1},
+        {},
+        "e2e06bf3b347f06f74471981e35a12bf15d515881209d1cb2193d101a0572525"),
+}
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_plotdata_and_report_bytes_pinned(name, tmp_path):
+    experiment, cfg, csvs, report_sha = CASES[name]
+    report = run_experiment(experiment, cfg)
+    prefix = str(tmp_path / name)
+    paths = emit_plotdata(report, prefix)
+    assert paths == [f"{prefix}_{series}.csv" for series in csvs]
+    assert {series: _sha256(p) for series, p in zip(csvs, paths)} == csvs
+    report["meta"] = {}
+    path = tmp_path / "report.json"
+    write_report(report, str(path))
+    assert _sha256(path) == report_sha
+    assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+
+def test_selftest_section_layout():
+    report = run_experiment("selftest", {})
+    assert sorted(report["results"]) == ["sections"]
+    assert report["ledger"] == []
+    sections = report["results"]["sections"]
+    assert {name: sorted(sec) for name, sec in sections.items()} == {
+        "bounds": ["ledger", "pass", "results"],
+        "covering": ["ledger", "pass", "results"],
+        "dp_oracle": ["mismatches", "trials"],
+        "ulln": ["ledger", "pass", "rows"],
+        "kiefer": ["ledger", "pass", "results"],
+        "fclt": ["ledger", "pass", "results"],
+    }
+    assert report["pass"] == (all(sec["pass"] for name, sec in sections.items()
+                                  if name != "dp_oracle")
+                              and sections["dp_oracle"]["mismatches"] == 0)
