@@ -18,14 +18,12 @@ composite metric, tracked as alpha shrinks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special as _scisp
 
 from .function_classes import (
-    BoundedPolynomial,
     HalfLine,
     HolderClass,
     IndicatorFamily,
@@ -36,11 +34,11 @@ from .function_classes import (
 )
 from .measures import NuModel, QFunction, Sample, grid_points, parse_model
 from .seeds import derive_seed
+from .special import ndtr
 
 __all__ = [
     "make_product_q",
     "make_sx_q",
-    "make_constant_q",
     "kiefer_cell",
     "center_q",
     "ZProcessEval",
@@ -134,12 +132,14 @@ def make_sx_q() -> QFunction:
         with np.errstate(divide="ignore"):
             t = np.where(svals > 0, T / np.maximum(np.abs(svals), 1e-300), np.inf)
         if model.kind == "standard-normal":
-            # t phi(t) underflows to 0 past t = 38; masking t there keeps exp
-            # off subnormals and t = inf (s = 0) out of inf * 0
-            far = t > 38.0
-            tn = np.where(far, 0.0, t)
-            phi = np.exp(-0.5 * tn**2) / _SQRT2PI
-            return svals**2 * 2.0 * (np.where(far, 0.0, tn * phi) + _scisp.ndtr(-t))
+            # t phi(t) + Phi(-t) is exactly 0 past t = 38; evaluating only the
+            # nearer points keeps exp off subnormals, Phi off the bulk of a
+            # fine grid and t = inf (s = 0) out of inf * 0
+            near = t <= 38.0
+            tn = t[near]
+            tail = np.zeros(t.shape)
+            tail[near] = tn * (np.exp(-0.5 * tn**2) / _SQRT2PI) + ndtr(-tn)
+            return svals**2 * 2.0 * tail
         if model.kind == "uniform01":
             # 2 * int_a^(1/2) y^2 dy, exactly 0 once a >= 1/2
             return svals**2 * ((2.0 / 3.0) * (0.125 - np.minimum(t, 0.5) ** 3))
@@ -160,13 +160,6 @@ def make_sx_q() -> QFunction:
         nu_sq=nu_sq,
         tilde_tail=tilde_tail,
     )
-
-
-def make_constant_q(c: float) -> QFunction:
-    """q identically c, realized as the product 1_(0,1] * c so every product
-    hook (kernel factorization included) is available."""
-    return replace(make_product_q(IndicatorMember(1.0), BoundedPolynomial((c,))),
-                   label=f"const[{c}]", sup_bound=abs(c))
 
 
 def center_q(q: QFunction, model: NuModel) -> QFunction:
@@ -373,8 +366,10 @@ def replicate_Z_values(q_list: Sequence[QFunction], n: int, R: int, seed: int,
 def ks_normal_distance(values: np.ndarray, sd: float) -> float:
     """Two-sided Kolmogorov-Smirnov distance of the empirical law of values
     from N(0, sd^2): the larger of sup(F_m - Phi) and sup(Phi - F_m) over the
-    sorted sample, the same float operations as scipy.stats.kstest."""
-    c = _scisp.ndtr(np.sort(values) / sd)
+    sorted sample.  With Phi from semproc.special.ndtr, which is bit for bit
+    scipy.special.ndtr, these are the float operations of scipy.stats.kstest
+    against scipy.stats.norm(0, sd).cdf, so the two distances are equal."""
+    c = ndtr(np.sort(values) / sd)
     m = len(c)
     plus = float(np.max(np.arange(1.0, m + 1) / m - c))
     minus = float(np.max(c - np.arange(0.0, m) / m))

@@ -44,7 +44,7 @@ import numpy as np
 
 from .intervals import IntervalUnion
 from .measures import NuModel
-from .piecewise import PiecewiseLinear, diff_sq_integral, prod_integral, sup_dist
+from .piecewise import PiecewiseLinear, diff_sq_integral, prod_integral
 from .quadrature import integrate
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "ProductClass",
     "riemann_gap_bound",
     "observed_riemann_gap",
-    "eval_member",
     "lambda_sq_distance",
     "lambda_prod",
     "lambda_sq_matrix",
@@ -234,20 +233,6 @@ class HolderClass:
     def build_net(self, u: float, max_members: int = 200_000) -> list[HolderMember]:
         """Sup-norm u-net of exact class members (see module docstring)."""
         return self.net_sample(u, max_members=max_members)
-
-
-def holder_sup_distance(h1, h2, grid_size: int = 4001) -> float:
-    """Certified upper bound on sup |h1 - h2|; exact when both are pl."""
-    (k1, p1), (k2, p2) = _exact_form(h1), _exact_form(h2)
-    if k1 == k2 == "pl":
-        return sup_dist(p1, p2)
-    xs = np.linspace(0.0, 1.0, grid_size)
-    est = float(np.max(np.abs(h1(xs) - h2(xs))))
-    half = 0.5 / (grid_size - 1)
-    slack = 0.0
-    for h in (h1, h2):
-        slack += h.C * half ** h.beta
-    return est + slack
 
 
 def _exact_form(h):
@@ -686,20 +671,6 @@ def observed_riemann_gap(member, n: int) -> float:
     if kind == "set":
         return form.riemann_gap(n)
     return float(abs(member.lambda_n(n) - Fraction(member.lambda_exact())))
-
-
-def observed_riemann_gap_exact(member: IntervalUnion, n: int) -> Fraction:
-    """Exact rational gap for interval unions (used by the counterexample)."""
-    return abs(member.lambda_n(n) - member.lebesgue())
-
-
-def eval_member(member, point: float) -> float:
-    """Pointwise evaluation with the conventions fixed by the class
-    representations (exact right-closed intervals, pl interpolation)."""
-    kind, form = _exact_form(member)
-    if kind == "set":
-        return 1.0 if form.contains(point) else 0.0
-    return float(member(point))
 
 
 def parse_class_descriptor(desc: dict):

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import special as _scisp
 
 from .intervals import IntervalUnion
 from .quadrature import DEFAULT_TOL, integrate
+from .special import gammainc, ndtr, ndtri
 
 __all__ = [
     "NuModel",
@@ -95,7 +95,7 @@ class NuModel:
         if self.kind == "uniform01":
             out = np.clip(w, 0.0, 1.0)
         elif self.kind == "standard-normal":
-            out = _scisp.ndtr(w)
+            out = ndtr(w)
         else:
             rate = self.params[0]
             out = np.where(w > 0, -np.expm1(-rate * np.maximum(w, 0.0)), 0.0)
@@ -108,7 +108,7 @@ class NuModel:
         if self.kind == "uniform01":
             out = p.astype(float)
         elif self.kind == "standard-normal":
-            out = _scisp.ndtri(np.clip(p, 1e-300, 1 - 1e-16))
+            out = ndtri(np.clip(p, 1e-300, 1 - 1e-16))
         else:
             rate = self.params[0]
             out = -np.log1p(-np.clip(p, 0.0, 1.0 - 1e-16)) / rate
@@ -149,7 +149,7 @@ class NuModel:
             return c ** (k + 1) / (k + 1)
         if self.kind == "standard-normal":
             phi = math.exp(-0.5 * w * w) / _SQRT2PI
-            m0 = float(_scisp.ndtr(w))
+            m0 = float(ndtr(w))
             if k == 0:
                 return m0
             m1 = -phi
@@ -163,7 +163,7 @@ class NuModel:
         rate = self.params[0]
         if w <= 0:
             return 0.0
-        return (math.factorial(k) / rate**k) * float(_scisp.gammainc(k + 1, rate * w))
+        return (math.factorial(k) / rate**k) * gammainc(k + 1, rate * w)
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         """i.i.d. draws of the given shape, one generator call."""

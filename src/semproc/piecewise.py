@@ -36,12 +36,6 @@ def merged_knots(p: PiecewiseLinear, q: PiecewiseLinear) -> np.ndarray:
     return np.union1d(np.asarray(p.knots), np.asarray(q.knots))
 
 
-def sup_dist(p: PiecewiseLinear, q: PiecewiseLinear) -> float:
-    """Exact sup norm of p - q (difference is pl, extremes at merged knots)."""
-    k = merged_knots(p, q)
-    return float(np.max(np.abs(p(k) - q(k))))
-
-
 def diff_sq_integral(p: PiecewiseLinear, q: PiecewiseLinear) -> float:
     """Exact integral of (p - q)^2; the integrand is quadratic per merged cell,
     so Simpson's rule on each cell is exact."""

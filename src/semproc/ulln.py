@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special as _scisp
 
 from .function_classes import (
     BVectorClass,
@@ -47,6 +46,7 @@ from .function_classes import (
 from .measures import NuModel, Sample, draw_sample, grid_points, parse_model
 from .quadrature import integrate
 from .seeds import derive_seed
+from .special import gammaincc, log_factorials
 
 __all__ = [
     "DeviationSandwich",
@@ -489,15 +489,17 @@ def series_I_closed_form(c: float, D1: int, D2: int) -> float:
          // (math.factorial(D2 - p) * math.factorial(D1 + D2 - p - l)), p + l + 2)
         for p in range(D2 + 1) for l in range(D1 + D2 - p + 1)
     ]
+    log_c = math.log(c)
     total = 0.0
     for ratio, e in terms:
+        if ratio.bit_length() > 1023 or -e * log_c > 709.0:
+            break   # float(ratio) or c ** -e would raise OverflowError
         total += ratio * c ** (-e)
         if not math.isfinite(total):
             break
     else:
         return math.exp(-c) * total
     # big-number fallback: accumulate in log space (math.log handles big ints)
-    log_c = math.log(c)
     logs = [math.log(ratio) - e * log_c for ratio, e in terms]
     m = max(logs)
     log_sum = m + math.log(math.fsum(math.exp(v - m) for v in logs))
@@ -520,7 +522,7 @@ def series_I_quadrature(c: float, D1: int, D2: int) -> float:
     scale = math.gamma(D2 + 1) / c ** (D2 + 1)
 
     def f(u):
-        return u ** -(D1 + 2) * float(_scisp.gammaincc(D2 + 1, c / u)) * scale
+        return u ** -(D1 + 2) * gammaincc(D2 + 1, c / u) * scale
 
     return integrate(f, 0.0, 1.0, tol=_SERIES_REL_TOL * abs(integrate(f, 0.0, 1.0, tol=1e-3)))
 
@@ -544,14 +546,10 @@ def series_S_diagnostic(D: int, c: float, N: int = 400) -> SeriesSReport:
         raise ValueError("need D >= 1, c > 0, 1 <= N <= 1e4")
     partial = []
     total = 0.0
+    lf = log_factorials(N)
     for n in range(1, N + 1):
         k = np.arange(1, n + 1, dtype=float)
-        logs = (
-            D * np.log(k)
-            + _scisp.gammaln(n + 1)
-            - _scisp.gammaln(k + 1)
-            - _scisp.gammaln(n - k + 1)
-        )
+        logs = D * np.log(k) + lf[n] - lf[1:n + 1] - lf[n - 1::-1]
         m = float(np.max(logs))
         inner = m + math.log(float(np.sum(np.exp(logs - m))))
         total += math.exp(inner - c * n) if inner - c * n > -745 else 0.0

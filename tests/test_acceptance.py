@@ -32,7 +32,6 @@ from semproc.function_classes import (
     ProductClass,
     b_infinity_witness,
     observed_riemann_gap,
-    observed_riemann_gap_exact,
     riemann_gap_bound,
 )
 from semproc.measures import draw_sample, parse_model
@@ -46,6 +45,7 @@ from semproc.ulln import (
     sup_deviation_exact_BW,
 )
 
+from member_oracles import observed_riemann_gap_exact
 from quad_oracle import cov_kernel_quadrature
 
 UNIFORM = parse_model("uniform01")

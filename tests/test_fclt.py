@@ -23,7 +23,6 @@ from semproc.fclt import (
     kiefer_cell,
     ks_normal_distance,
     lindeberg_check,
-    make_constant_q,
     make_product_q,
     make_sx_q,
     quadrature_limit_check,
@@ -43,6 +42,7 @@ from semproc.function_classes import (
 from semproc.measures import QFunction, Sample, draw_sample, parse_model
 from semproc.piecewise import PiecewiseLinear
 
+from member_oracles import make_constant_q
 from quad_oracle import cov_kernel_quadrature, expect
 
 UNIFORM = parse_model("uniform01")
@@ -357,11 +357,12 @@ class TestKSDistance:
             assert ks_normal_distance(values, sd) == want
 
     def test_cli_import_leaves_scipy_stats_out(self):
-        # and scipy.integrate: no quadrature of the package reaches it
+        # and every other scipy module, with numpy.f2py that scipy.special
+        # pulls in: the runtime needs NumPy alone
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        code = ("import sys, semproc.cli; "
-                "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+        code = ("import sys, semproc.cli; print(sorted(m for m in sys.modules "
+                "if m.startswith(('scipy', 'numpy.f2py'))))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.strip() == "[]"

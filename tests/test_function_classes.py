@@ -16,14 +16,13 @@ from semproc.function_classes import (
     NoBoundError,
     ProductClass,
     b_infinity_witness,
-    eval_member,
-    holder_sup_distance,
     observed_riemann_gap,
-    observed_riemann_gap_exact,
     riemann_gap_bound,
 )
 from semproc.intervals import IntervalUnion
 from semproc.measures import eval_lambda, parse_model
+
+from member_oracles import eval_member, holder_sup_distance, observed_riemann_gap_exact
 
 
 class TestRiemannGapBounds:

@@ -1,6 +1,7 @@
 """Exact supremum statistics, sandwich bounds, tail bound, series identities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -197,6 +198,26 @@ class TestSeriesI:
     def test_big_orders_no_overflow_crash(self):
         val = series_I_closed_form(0.1, 40, 40)
         assert val > 0 and (math.isfinite(val) or val == math.inf)
+
+    @pytest.mark.parametrize("c, d1, d2", [(1.0, 100, 100), (30.0, 90, 90), (50.0, 120, 60),
+                                           (1e-160, 0, 0), (1.0, 60, 60), (2.0, 3, 3)])
+    def test_big_terms_against_exact_sum(self, c, d1, d2):
+        # the double sum in exact rationals; terms past the float range
+        # (integer ratio or c^-e) must reach the log-space pass, not raise
+        cq = Fraction(c)
+        s = sum(Fraction(math.factorial(d2) * math.factorial(d1 + d2 - p),
+                         math.factorial(d2 - p) * math.factorial(d1 + d2 - p - l))
+                / cq ** (p + l + 2)
+                for p in range(d2 + 1) for l in range(d1 + d2 - p + 1))
+        log_exact = math.log(s.numerator) - math.log(s.denominator) - c
+        val = series_I_closed_form(c, d1, d2)
+        if log_exact > 709.0:
+            assert val == math.inf
+        else:
+            assert val == pytest.approx(math.exp(-c) * float(s), rel=1e-12)
+
+    def test_float_pass_bits_kept(self):
+        assert series_I_closed_form(1.0, 60, 60) == 1.326934184471055e+199
 
 
 class TestSeriesS:
