@@ -164,17 +164,15 @@ def _kiefer_cells(grid: int) -> list:
 
 
 def _holder_product_qs(model) -> list:
-    from .fclt import make_product_q
     from .function_classes import HalfLine, HolderClass
 
     net = HolderClass(1.0, 1.0, 1.0).build_net(0.8)
     picks = [net[0], net[len(net) // 3], net[2 * len(net) // 3], net[-1]]
     gs = [HalfLine(float(model.ppf(1.0 / 3.0))), HalfLine(float(model.ppf(2.0 / 3.0)))]
-    return [make_product_q(h, g) for h in picks for g in gs]
+    return [(h, g) for h in picks for g in gs]
 
 
 def _load_q_file(path: str) -> list:
-    from .fclt import make_product_q
     from .function_classes import (
         BoundedPolynomial,
         HalfLine,
@@ -191,6 +189,9 @@ def _load_q_file(path: str) -> list:
     out = []
     try:
         for i, e in enumerate(entries):
+            if not (isinstance(e, dict)
+                    and all(isinstance(e.get(k, {}), dict) for k in ("h", "g"))):
+                raise ConfigError(f"q file entry {i} and its 'h' and 'g' must be JSON objects")
             h_spec, g_spec = e["h"], e["g"]
             if h_spec["type"] == "indicator":
                 h = IndicatorMember(float(h_spec["t"]))
@@ -210,9 +211,11 @@ def _load_q_file(path: str) -> list:
                 g = BoundedPolynomial(tuple(float(c) for c in g_spec["coeffs"]))
             else:
                 raise ConfigError(f"unknown g type {g_spec['type']!r}")
-            out.append(make_product_q(h, g))
+            out.append((h, g))
     except KeyError as exc:
         raise ConfigError(f"q file entry {i} has no key {exc.args[0]!r}") from None
+    except TypeError as exc:  # a value of the wrong JSON type
+        raise ConfigError(f"q file entry {i} is malformed: {exc}") from None
     return out
 
 
@@ -388,8 +391,8 @@ def _run_kiefer(cfg: dict) -> tuple:
     grid = cfg["grid"]
     cells = _kiefer_cells(grid)
     analytic = cov_matrix(cells, model)
-    s = np.array([c.h_member.t for c in cells])
-    x = np.array([c.g_member.w for c in cells])
+    s = np.array([h.t for h, _ in cells])
+    x = np.array([g.w for _, g in cells])
     closed = np.minimum.outer(s, s) * (np.minimum.outer(x, x) - np.outer(x, x))
     kernel_err = float(np.max(np.abs(analytic - closed)))
     draws = gaussian_fidi_sample(analytic, cfg["draws"], cfg["seed"])

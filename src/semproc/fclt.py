@@ -1,9 +1,12 @@
 """The standardized process Z_n, its Gaussian limit, and the verification
-machinery for the functional-CLT side: the covariance kernel (factorized over
-product q's), a finite-dimensional Gaussian sampler, Lindeberg and
-quadrature-limit checks, a fidi convergence test, and the
-equicontinuity-modulus proxy.  The Lindeberg tails are closed forms only
-(each q builder's tilde_tail); there is no quadrature fallback over x.
+machinery for the functional-CLT side: the covariance kernel, a
+finite-dimensional Gaussian sampler, Lindeberg and quadrature-limit checks, a
+fidi convergence test, and the equicontinuity-modulus proxy.
+
+A q is the pair (h, g) of the product q(s, x) = h(s) g(x): h an h member and
+g a G member of semproc.function_classes.  The covariance kernel factorizes
+over the pair, and the Lindeberg tail is g's closed-form centered_sq_tail at
+the values h(i/n); there is no quadrature fallback over x.
 
 Weak convergence in the sup-norm sense is not desk-verifiable; what this
 module verifies are its two operational pillars.  Fidi convergence is
@@ -19,30 +22,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .function_classes import (
+    BoundedPolynomial,
     HalfLine,
     HolderClass,
+    HolderMember,
     IndicatorFamily,
     IndicatorMember,
     ProductClass,
     lambda_prod,
     lambda_sq_matrix,
 )
-from .measures import NuModel, QFunction, Sample, grid_points, parse_model
+from .measures import NuModel, grid_points
+from .piecewise import PiecewiseLinear
+from .quadrature import DEFAULT_TOL, integrate
 from .seeds import derive_seed
 from .special import ndtr
 
 __all__ = [
-    "make_product_q",
     "make_sx_q",
     "kiefer_cell",
-    "center_q",
-    "ZProcessEval",
-    "eval_Zn",
     "cov_kernel",
     "cov_matrix",
     "quadrature_limit_check",
@@ -57,7 +60,6 @@ __all__ = [
     "fluctuation_bound_check",
 ]
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 _KERNEL_TOL = 1e-10      # quadrature tolerance of the covariance kernel
 _DEGENERATE_TOL = 1e-12  # limiting variance below which Lindeberg is degenerate
 _CLAMP_REL = 1e-10       # eigenvalues in [-_CLAMP_REL * trace, 0) clamp to zero
@@ -65,163 +67,25 @@ _N_COMBOS = 5            # random Cramer-Wold combinations in the fidi test
 
 
 # ---------------------------------------------------------------------------
-# Q builders
+# Q functions
 # ---------------------------------------------------------------------------
 
-def make_product_q(h, g) -> QFunction:
-    """q(s, x) = h(s) g(x) with exact conditional-moment hooks."""
-    h_env = h.envelope_bound()
-    g_env = g.envelope_bound()
-
-    def fn(s, xs):
-        return np.asarray(h(s), dtype=float) * np.asarray(g(xs), dtype=float)
-
-    def nu_mean(model, svals):
-        return np.asarray(h(svals), dtype=float) * g.mean(model)
-
-    def nu_sq(model, svals):
-        return np.asarray(h(svals), dtype=float) ** 2 * g.second_moment(model)
-
-    tilde_tail = None
-    if g_env is not None:
-        def tilde_tail(model, s, T):
-            # centered product with a two-valued g: exact truncated 2nd
-            # moment, vectorized over the time grid
-            m = g.mean(model)
-            hs = np.asarray(h(np.atleast_1d(np.asarray(s, dtype=float))), dtype=float)
-            v_in = hs * (1.0 - m)    # value on {g = 1}, probability m
-            v_out = -hs * m          # value on {g = 0}, probability 1 - m
-            out = np.where(np.abs(v_in) >= T, v_in**2 * m, 0.0)
-            out += np.where(np.abs(v_out) >= T, v_out**2 * (1.0 - m), 0.0)
-            return out
-
-    return QFunction(
-        fn=fn,
-        label=f"product[{type(h).__name__}*{type(g).__name__}]",
-        nu_mean=nu_mean,
-        nu_sq=nu_sq,
-        sup_bound=None if g_env is None else h_env * g_env,
-        s_breakpoints=h.breakpoints(),
-        h_member=h,
-        g_member=g,
-        tilde_tail=tilde_tail,
-    )
-
-
-def kiefer_cell(s0: float, x0: float) -> QFunction:
+def kiefer_cell(s0: float, x0: float) -> tuple:
     """q = 1_(0, s0](s) * 1_(-inf, x0](x); under uniform nu the limit process
     restricted to these cells is the classical Kiefer process."""
-    return make_product_q(IndicatorMember(s0), HalfLine(x0))
+    return IndicatorMember(s0), HalfLine(x0)
 
 
-def make_sx_q() -> QFunction:
-    """q(s, x) = s * x."""
-
-    def fn(s, xs):
-        return np.asarray(s, dtype=float) * np.asarray(xs, dtype=float)
-
-    def nu_mean(model, svals):
-        return np.asarray(svals, dtype=float) * model.moment(1)
-
-    def nu_sq(model, svals):
-        return np.asarray(svals, dtype=float) ** 2 * model.moment(2)
-
-    def tilde_tail(model, s, T):
-        # s^2 E[(X - mu)^2; |X - mu| >= a], a = T / s, in closed form per model
-        svals = np.atleast_1d(np.asarray(s, dtype=float))
-        with np.errstate(divide="ignore"):
-            t = np.where(svals > 0, T / np.maximum(np.abs(svals), 1e-300), np.inf)
-        if model.kind == "standard-normal":
-            # t phi(t) + Phi(-t) is exactly 0 past t = 38; evaluating only the
-            # nearer points keeps exp off subnormals, Phi off the bulk of a
-            # fine grid and t = inf (s = 0) out of inf * 0
-            near = t <= 38.0
-            tn = t[near]
-            tail = np.zeros(t.shape)
-            tail[near] = tn * (np.exp(-0.5 * tn**2) / _SQRT2PI) + ndtr(-tn)
-            return svals**2 * 2.0 * tail
-        if model.kind == "uniform01":
-            # 2 * int_a^(1/2) y^2 dy, exactly 0 once a >= 1/2
-            return svals**2 * ((2.0 / 3.0) * (0.125 - np.minimum(t, 0.5) ** 3))
-        # exponential(rate), mu = 1/rate: the upper piece X >= mu + a always,
-        # the lower piece 0 <= X <= mu - a only while a < mu
-        rate = model.params[0]
-        mu = 1.0 / rate
-        a = np.minimum(t, 745.0 * mu)   # exp(-1 - rate * a) underflows to 0 there
-        upper = np.exp(-1.0 - rate * a) * (a * a + 2.0 * mu * a + 2.0 * mu * mu)
-        b = np.minimum(a, mu)           # keeps exp finite where the piece is empty
-        lower = mu * mu - np.exp(rate * b - 1.0) * (b * b - 2.0 * mu * b + 2.0 * mu * mu)
-        return svals**2 * (upper + np.where(a < mu, lower, 0.0))
-
-    return QFunction(
-        fn=fn,
-        label="s*x",
-        nu_mean=nu_mean,
-        nu_sq=nu_sq,
-        tilde_tail=tilde_tail,
-    )
+def make_sx_q() -> tuple:
+    """q(s, x) = s * x: the identity h times the linear g."""
+    return (HolderMember(1.0, 1.0, 1.0, pl=PiecewiseLinear((0.0, 1.0), (0.0, 1.0))),
+            BoundedPolynomial((0.0, 1.0)))
 
 
-def center_q(q: QFunction, model: NuModel) -> QFunction:
-    """q_tilde(s, x) = q(s, x) - nu(q)(s); stays in the admissible class with
-    the sup bound enlarged by the conditional-mean bound."""
-    try:
-        probe = q.conditional_mean(model, np.asarray([0.5]))
-    except Exception as exc:  # pragma: no cover - defensive
-        raise ValueError(f"q is not integrable under {model.name}: {exc}") from exc
-    if not np.all(np.isfinite(probe)):
-        raise ValueError(f"q is not integrable under {model.name}")
-
-    sgrid = np.linspace(0.0, 1.0, 2001)
-    mean_bound = float(np.max(np.abs(q.conditional_mean(model, sgrid)))) + 1e-9
-
-    def fn(s, xs):
-        return q.fn(s, xs) - q.conditional_mean(model, s)
-
-    def nu_mean(_model, svals):
-        return np.zeros_like(np.asarray(svals, dtype=float))
-
-    def nu_sq(_model, svals):
-        base = q.conditional_sq_mean(_model, svals)
-        means = q.conditional_mean(_model, svals)
-        return base - means**2
-
-    return QFunction(
-        fn=fn,
-        label=f"centered[{q.label}]",
-        nu_mean=nu_mean,
-        nu_sq=nu_sq,
-        sup_bound=None if q.sup_bound is None else q.sup_bound + mean_bound,
-        s_breakpoints=q.s_breakpoints,
-        tilde_tail=q.tilde_tail,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Z_n evaluation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ZProcessEval:
-    n: int
-    values: tuple[float, ...]
-    labels: tuple[str, ...]
-
-
-def eval_Zn(q_list: Sequence[QFunction], sample: Sample,
-            model: Optional[NuModel] = None) -> ZProcessEval:
-    """Z_n(q) = sqrt(n) (P_n(q) - (lambda_n x nu)(q)) for each q."""
-    if model is None:
-        model = parse_model(sample.model)
-    n = sample.n
-    svals = sample.grid()
-    xs = sample.xs()
-    out = []
-    for q in q_list:
-        pn = float(np.mean(q.fn(svals, xs)))
-        center = q.product_mean_lambda_n(model, n)
-        out.append(math.sqrt(n) * (pn - center))
-    return ZProcessEval(n=n, values=tuple(out), labels=tuple(q.label for q in q_list))
+def _lambda_integral(fn, h, tol: float) -> float:
+    """The integral over s in [0, 1] of fn(h(s)), split at h's breakpoints."""
+    return integrate(lambda s: float(fn(np.asarray(h(np.atleast_1d(s)), dtype=float))[0]),
+                     0.0, 1.0, tol=tol, breakpoints=h.breakpoints())
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +96,14 @@ class NotPSDError(RuntimeError):
     pass
 
 
-def cov_kernel(q1: QFunction, q2: QFunction, model: NuModel) -> float:
-    """Cov(Z(q1), Z(q2)) for product q's, factorized as
-    lambda(h1 h2) [nu(g1 g2) - nu(g1) nu(g2)]."""
-    if q1.h_member is None or q2.h_member is None:
-        raise ValueError("the covariance kernel requires product-form q functions")
-    g1, g2 = q1.g_member, q2.g_member
-    lam = lambda_prod(q1.h_member, q2.h_member, _KERNEL_TOL)
+def cov_kernel(q1: tuple, q2: tuple, model: NuModel) -> float:
+    """Cov(Z(q1), Z(q2)) factorized as lambda(h1 h2) [nu(g1 g2) - nu(g1) nu(g2)]."""
+    (h1, g1), (h2, g2) = q1, q2
+    lam = lambda_prod(h1, h2, _KERNEL_TOL)
     return lam * (g1.pair_mean(g2, model) - g1.mean(model) * g2.mean(model))
 
 
-def cov_matrix(q_list: Sequence[QFunction], model: NuModel) -> np.ndarray:
+def cov_matrix(q_list: Sequence[tuple], model: NuModel) -> np.ndarray:
     k = len(q_list)
     out = np.zeros((k, k))
     for i in range(k):
@@ -255,19 +116,25 @@ def cov_matrix(q_list: Sequence[QFunction], model: NuModel) -> np.ndarray:
 # Quadrature limit and Lindeberg checks
 # ---------------------------------------------------------------------------
 
-def quadrature_limit_check(q: QFunction, model: NuModel,
+def quadrature_limit_check(q: tuple, model: NuModel,
                            n_list: Sequence[int]) -> list[dict]:
     """Gap |(lambda_n x nu)(q^2) - (lambda x nu)(q^2)| along n_list."""
-    limit = q.product_sq_mean_lambda(model)
+    h, g = q
+    nu_g2 = g.second_moment(model)
+
+    def sq(hs):  # nu(q^2)(s) = h(s)^2 nu(g^2)
+        return hs**2 * nu_g2
+
+    limit = _lambda_integral(sq, h, DEFAULT_TOL)
     rows = []
     for n in n_list:
-        val = q.product_sq_mean_lambda_n(model, n)
+        val = float(np.mean(sq(np.asarray(h(grid_points(n)), dtype=float))))
         rows.append({"n": n, "value": val, "limit": limit, "gap": abs(val - limit)})
     return rows
 
 
 def lindeberg_check(
-    q: QFunction,
+    q: tuple,
     model: NuModel,
     n_list: Sequence[int],
     epsilon_list: Sequence[float],
@@ -278,28 +145,31 @@ def lindeberg_check(
         tail_i = integral of q_tilde^2(i/n, x) over {|q_tilde(i/n, x)| >= T},
         T = eps sqrt(n V_n),   V_n = (lambda_n x nu)(q_tilde^2),
 
-    evaluated by q's tilde_tail closed form (no sampling, no quadrature over
-    x); a non-degenerate q without one raises ValueError.  When the limiting
-    variance (lambda x nu)(q_tilde^2) vanishes the degenerate branch is
-    reported instead (the limit is the point mass at zero)."""
-    qc = center_q(q, model)
-    limit_var = qc.product_sq_mean_lambda(model, tol=1e-11)
+    with q_tilde(s, x) = h(s) (g(x) - nu(g)), evaluated by g's closed-form
+    centered_sq_tail (no sampling, no quadrature over x); a g without one
+    raises ValueError.  A row whose grid misses the support of h has V_n = 0
+    and reports ratio None.  When the limiting variance (lambda x
+    nu)(q_tilde^2) vanishes the degenerate branch is reported instead (the
+    limit is the point mass at zero)."""
+    h, g = q
+    nu_g, nu_g2 = g.mean(model), g.second_moment(model)
+
+    def centered_sq(hs):  # nu(q_tilde^2)(s) = h(s)^2 nu(g^2) - (h(s) nu(g))^2
+        return hs**2 * nu_g2 - (hs * nu_g) ** 2
+
+    limit_var = _lambda_integral(centered_sq, h, 1e-11)
     if limit_var < _DEGENERATE_TOL:
         return {"degenerate": True, "limit_variance": limit_var, "rows": []}
-    if q.tilde_tail is None:
-        raise ValueError(f"lindeberg_check needs a closed-form tilde_tail; {q.label} has none")
 
     rows = []
     for n in n_list:
-        svals = grid_points(n)
-        vn = float(np.mean(qc.conditional_sq_mean(model, svals)))
-        T = None
+        hs = np.asarray(h(grid_points(n)), dtype=float)
+        vn = float(np.mean(centered_sq(hs)))
         for eps in epsilon_list:
             T = eps * math.sqrt(n * vn)
-            if qc.sup_bound is not None and T > qc.sup_bound:
-                ratio = 0.0  # truncation set empty beyond the bound
-            else:
-                ratio = float(np.sum(q.tilde_tail(model, svals, T))) / (n * vn)
+            ratio = None
+            if vn > 0:
+                ratio = float(np.sum(g.centered_sq_tail(model, hs, T))) / (n * vn)
             rows.append({"n": n, "epsilon": eps, "threshold": T, "ratio": ratio,
                          "variance_n": vn})
     return {"degenerate": False, "limit_variance": limit_var, "rows": rows}
@@ -341,24 +211,22 @@ class FidiTestReport:
     combo_ks: list
 
 
-def replicate_Z_values(q_list: Sequence[QFunction], n: int, R: int, seed: int,
+def replicate_Z_values(q_list: Sequence[tuple], n: int, R: int, seed: int,
                        model: NuModel) -> np.ndarray:
     """(R, K) matrix of Z_n(q) over R independent replicate samples.
 
-    Bulk path: one (R, n) draw matrix from a single derived-seed generator;
-    product-form q columns are evaluated by matrix products.
+    One (R, n) draw matrix from a single derived-seed generator; the column of
+    q = (h, g) is the matrix product g(draws) @ h(i/n).
     """
     draws = model.draw(np.random.default_rng(derive_seed(seed, ["replicate-Z", n, R])), (R, n))
     svals = grid_points(n)
     cols = []
-    for q in q_list:
-        center = q.product_mean_lambda_n(model, n)
-        if q.h_member is not None:
-            hv = np.asarray(q.h_member(svals), dtype=float)
-            gv = np.asarray(q.g_member(draws), dtype=float)
-            pn = gv @ hv / n
-        else:
-            pn = np.mean(q.fn(svals, draws), axis=1)
+    for h, g in q_list:
+        hv = np.asarray(h(svals), dtype=float)
+        center = float(np.mean(hv * g.mean(model)))
+        # g(draws) is an (R, n) temporary: bound to no name, it is freed
+        # before the next column builds its own
+        pn = np.asarray(g(draws), dtype=float) @ hv / n
         cols.append(math.sqrt(n) * (pn - center))
     return np.stack(cols, axis=1)
 
@@ -377,7 +245,7 @@ def ks_normal_distance(values: np.ndarray, sd: float) -> float:
 
 
 def fidi_convergence_test(
-    q_list: Sequence[QFunction],
+    q_list: Sequence[tuple],
     n: int,
     R: int,
     seed: int,

@@ -25,11 +25,10 @@ IndicatorMember, or a set member: BVectorMember or any IntervalUnion) is used
 through h(x), lambda_exact() = lambda(h), lambda_n(n) and breakpoints(), the
 points where h may jump; the lambdas are exact Fractions for set members, and
 lambda_n is one for indicators.  A set member's Riemann gap is read in
-integers, through IntervalUnion.riemann_gap.  Holder, indicator and G members
-also give envelope_bound() = sup |h|, None when that is not constant.  The pair
-integrals lambda((h1-h2)^2) and lambda(h1 h2) are closed forms when both
-members have one exact form (the t of two indicators, two piecewise-linear
-Holder members, two unions) and quadrature split at both breakpoints if not.
+integers, through IntervalUnion.riemann_gap.  The pair integrals
+lambda((h1-h2)^2) and lambda(h1 h2) are closed forms when both members have
+one exact form (the t of two indicators, two piecewise-linear Holder members,
+two unions) and quadrature split at both breakpoints if not.
 """
 
 from __future__ import annotations
@@ -128,9 +127,6 @@ class HolderMember:
 
     def breakpoints(self) -> tuple[float, ...]:
         return ()  # continuous
-
-    def envelope_bound(self) -> float:
-        return self.C + self.T
 
 
 # random Holder members are sums of 1 to _MAX_CUSPS cusps |x - c|^beta
@@ -322,6 +318,10 @@ class IndicatorMember:
 
     t: float
 
+    def __post_init__(self):
+        if not 0.0 < self.t <= 1.0:
+            raise ValueError(f"indicator end point t={self.t!r} is outside (0, 1]")
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = ((x > 0.0) & (x <= self.t)).astype(float)
@@ -336,9 +336,6 @@ class IndicatorMember:
 
     def breakpoints(self) -> tuple[float, ...]:
         return (self.t,)
-
-    def envelope_bound(self) -> float:
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -460,9 +457,28 @@ def b_infinity_witness(n: int) -> IntervalUnion:
 # ---------------------------------------------------------------------------
 # G classes on the sample space
 # ---------------------------------------------------------------------------
+#
+# A G member g answers g(x), mean(model) = nu(g), second_moment(model) =
+# nu(g^2), pair_mean(other, model) = nu(g g') and centered_sq_tail(model, hs,
+# T): the Lindeberg tail of the centred product q_tilde(s, x) = h(s) (g(x) -
+# nu(g)), that is E[q_tilde(s, X)^2; |q_tilde(s, X)| >= T] at each s, given
+# hs = h(s).
+
+class _TwoValued:
+    """The tail shared by the indicator members, where g(X) is 1 with
+    probability m = nu(g) and 0 otherwise."""
+
+    def centered_sq_tail(self, model: NuModel, hs: np.ndarray, T: float) -> np.ndarray:
+        m = self.mean(model)
+        v_in = hs * (1.0 - m)    # value on {g = 1}, probability m
+        v_out = -hs * m          # value on {g = 0}, probability 1 - m
+        out = np.where(np.abs(v_in) >= T, v_in**2 * m, 0.0)
+        out += np.where(np.abs(v_out) >= T, v_out**2 * (1.0 - m), 0.0)
+        return out
+
 
 @dataclass(frozen=True)
-class HalfLine:
+class HalfLine(_TwoValued):
     """g = 1 on (-inf, w]."""
 
     w: float
@@ -487,12 +503,9 @@ class HalfLine:
     def second_moment(self, model: NuModel) -> float:
         return self.mean(model)
 
-    def envelope_bound(self) -> float:
-        return 1.0
-
 
 @dataclass(frozen=True)
-class InitialInterval:
+class InitialInterval(_TwoValued):
     """g = 1 on [0, w]."""
 
     w: float
@@ -520,9 +533,6 @@ class InitialInterval:
     def second_moment(self, model: NuModel) -> float:
         return self.mean(model)
 
-    def envelope_bound(self) -> float:
-        return 1.0
-
 
 @dataclass(frozen=True)
 class BoundedPolynomial:
@@ -549,8 +559,16 @@ class BoundedPolynomial:
     def second_moment(self, model: NuModel) -> float:
         return self.pair_mean(self, model)
 
-    def envelope_bound(self) -> None:
-        return None  # not constant
+    def centered_sq_tail(self, model: NuModel, hs: np.ndarray, T: float) -> np.ndarray:
+        """The Lindeberg tail of h * g for degree <= 1: h(s) c_1 (X - mu) is
+        v (X - mu) with v = h(s) c_1, so the tail is v^2 times the model's
+        centred tail at a = T / |v| (inf where v = 0, an empty tail)."""
+        if len(self.coeffs) > 2:
+            raise ValueError(f"no closed-form Lindeberg tail for the degree-"
+                             f"{len(self.coeffs) - 1} polynomial g {self.coeffs}")
+        v = hs * (self.coeffs[1] if len(self.coeffs) == 2 else 0.0)
+        a = np.where(v != 0, T / np.maximum(np.abs(v), 1e-300), np.inf)
+        return v**2 * model.centered_sq_tail(a)
 
 
 GMember = Union[HalfLine, InitialInterval, BoundedPolynomial]

@@ -1,11 +1,11 @@
-"""Core measures: lambda_n, lambda, the sampling models nu, the sequential
-empirical measure P_n and the B-empirical measure nu_{n,B}.
+"""The sampling models nu, samples (X_1..X_n) and the time grid i/n.
 
 The three sampling models (uniform01, standard-normal, exponential(rate)) are
-deliberately the only ones registered: each has closed-form cdf, raw moments
-and truncated moments, so product expectations of every registered function
-family are exactly computable, nothing integrates over x by quadrature, and
-bound checks never need nested Monte Carlo.  The package's one quadrature
+deliberately the only ones registered: each has closed-form cdf, raw moments,
+truncated moments and centred tail second moments, so product expectations
+and Lindeberg tails of every registered function family are exactly
+computable, nothing integrates over x by quadrature, and bound checks never
+need nested Monte Carlo.  The package's one quadrature
 routine is semproc.quadrature.integrate.
 
 Determinism contract: every draw from a model goes through NuModel.draw(rng,
@@ -15,35 +15,23 @@ seed) gives it a fresh PCG64 generator built from the 64-bit seed, so the same
 in fclt give it one generator per derived seed.  Independent replicate
 streams are obtained by deriving child seeds (see seeds.derive_seed), never by
 reusing a generator.
-
-The scalar evaluators eval_lambda_n, eval_lambda, eval_semp and
-eval_b_empirical sum term by term from the definitions.  They are the
-reference oracles that the tests compare the vectorized paths against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .intervals import IntervalUnion
-from .quadrature import DEFAULT_TOL, integrate
 from .special import gammainc, ndtr, ndtri
 
 __all__ = [
     "NuModel",
     "Sample",
-    "QFunction",
-    "BEmpiricalValue",
     "parse_model",
     "draw_sample",
-    "eval_lambda_n",
-    "eval_lambda",
-    "eval_semp",
-    "eval_b_empirical",
     "grid_points",
 ]
 
@@ -165,6 +153,31 @@ class NuModel:
             return 0.0
         return (math.factorial(k) / rate**k) * gammainc(k + 1, rate * w)
 
+    def centered_sq_tail(self, a: np.ndarray) -> np.ndarray:
+        """Exact E[(X - mu)^2; |X - mu| >= a] at each threshold of the array a
+        (entries may be inf, where the tail is 0)."""
+        if self.kind == "standard-normal":
+            # 2 (a phi(a) + Phi(-a)) is exactly 0 past a = 38; evaluating only
+            # the nearer points keeps exp off subnormals, Phi off the bulk of a
+            # fine grid and a = inf out of inf * 0
+            near = a <= 38.0
+            an = a[near]
+            tail = np.zeros(a.shape)
+            tail[near] = an * (np.exp(-0.5 * an**2) / _SQRT2PI) + ndtr(-an)
+            return 2.0 * tail
+        if self.kind == "uniform01":
+            # 2 * int_a^(1/2) y^2 dy, exactly 0 once a >= 1/2
+            return (2.0 / 3.0) * (0.125 - np.minimum(a, 0.5) ** 3)
+        # exponential(rate), mu = 1/rate: the upper piece X >= mu + a always,
+        # the lower piece 0 <= X <= mu - a only while a < mu
+        rate = self.params[0]
+        mu = 1.0 / rate
+        a = np.minimum(a, 745.0 * mu)   # exp(-1 - rate * a) underflows to 0 there
+        upper = np.exp(-1.0 - rate * a) * (a * a + 2.0 * mu * a + 2.0 * mu * mu)
+        b = np.minimum(a, mu)           # keeps exp finite where the piece is empty
+        lower = mu * mu - np.exp(rate * b - 1.0) * (b * b - 2.0 * mu * b + 2.0 * mu * mu)
+        return upper + np.where(a < mu, lower, 0.0)
+
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         """i.i.d. draws of the given shape, one generator call."""
         if self.kind == "uniform01":
@@ -239,145 +252,3 @@ def draw_sample(model: Union[NuModel, str], n: int, seed: int) -> Sample:
 
 def grid_points(n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=float) / n
-
-
-# ---------------------------------------------------------------------------
-# Q functions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QFunction:
-    """A function q(s, x) on [0,1] x U, square-integrable under lambda x nu.
-
-    fn(s, xs) broadcasts s against the float array xs: a scalar s with any
-    xs, or an array s whose shape matches the trailing axes of xs, so
-    fn(grid, xs) gives q(i/n, X_i) for every point at once and equals the
-    per-point fn(i/n, xs[i:i+1]) bit for bit.  nu_mean returns the exact
-    conditional mean s -> nu(q)(s) vectorized over an array of s values;
-    nu_sq likewise for nu(q^2)(s).  sup_bound is the uniform bound when q is
-    bounded (None otherwise); s_breakpoints list discontinuity locations of
-    s -> q(s, x) shared by the conditional means.  tilde_tail(model, svals, T)
-    is the truncated second moment of the centered q in closed form for every
-    registered model, or None for a q without one, which lindeberg_check
-    then rejects (it has no quadrature fallback).
-    """
-
-    fn: Callable[[Union[float, np.ndarray], np.ndarray], np.ndarray]
-    nu_mean: Callable[[NuModel, np.ndarray], np.ndarray]
-    nu_sq: Callable[[NuModel, np.ndarray], np.ndarray]
-    label: str = "q"
-    sup_bound: Optional[float] = None
-    s_breakpoints: tuple[float, ...] = ()
-    # optional structure hooks (set by the builders in fclt):
-    h_member: Optional[object] = None
-    g_member: Optional[object] = None
-    tilde_tail: Optional[Callable[[NuModel, np.ndarray, float], np.ndarray]] = None
-
-    def __call__(self, s: float, xs) -> np.ndarray:
-        return self.fn(s, np.asarray(xs, dtype=float))
-
-    def conditional_mean(self, model: NuModel, svals) -> np.ndarray:
-        svals = np.atleast_1d(np.asarray(svals, dtype=float))
-        return np.asarray(self.nu_mean(model, svals), dtype=float)
-
-    def conditional_sq_mean(self, model: NuModel, svals) -> np.ndarray:
-        svals = np.atleast_1d(np.asarray(svals, dtype=float))
-        return np.asarray(self.nu_sq(model, svals), dtype=float)
-
-    def product_mean_lambda_n(self, model: NuModel, n: int) -> float:
-        """(lambda_n (x) nu)(q), the exact centering of the s.e.m.p."""
-        means = self.conditional_mean(model, grid_points(n))
-        return float(np.mean(means))
-
-    def product_mean_lambda(self, model: NuModel, tol: float = DEFAULT_TOL) -> float:
-        """(lambda (x) nu)(q) by quadrature over s of the conditional mean."""
-        return integrate(
-            lambda s: float(self.conditional_mean(model, s)[0]),
-            0.0, 1.0, tol=tol, breakpoints=self.s_breakpoints,
-        )
-
-    def product_sq_mean_lambda_n(self, model: NuModel, n: int) -> float:
-        return float(np.mean(self.conditional_sq_mean(model, grid_points(n))))
-
-    def product_sq_mean_lambda(self, model: NuModel, tol: float = DEFAULT_TOL) -> float:
-        return integrate(
-            lambda s: float(self.conditional_sq_mean(model, s)[0]),
-            0.0, 1.0, tol=tol, breakpoints=self.s_breakpoints,
-        )
-
-
-# ---------------------------------------------------------------------------
-# The measures as operations
-# ---------------------------------------------------------------------------
-
-def _ordered_sum(terms: Iterable[float], compensated: bool = False) -> float:
-    """Left-to-right accumulation; optional Kahan compensation."""
-    if not compensated:
-        acc = 0.0
-        for t in terms:
-            acc += t
-        return acc
-    acc = 0.0
-    carry = 0.0
-    for t in terms:
-        y = t - carry
-        s = acc + y
-        carry = (s - acc) - y
-        acc = s
-    return acc
-
-
-def eval_lambda_n(h: Callable[[float], float], n: int, compensated: bool = False) -> float:
-    """Exact (1/n) sum h(i/n), summed left to right."""
-    if n <= 0:
-        raise ValueError("n must be a positive integer")
-    return _ordered_sum((float(h(i / n)) for i in range(1, n + 1)), compensated) / n
-
-
-def eval_lambda(
-    h: Callable[[float], float],
-    tol: float = DEFAULT_TOL,
-    breakpoints: Optional[Sequence[float]] = None,
-) -> float:
-    """lambda(h) on [0,1] by adaptive quadrature (see quadrature module)."""
-    return integrate(lambda x: float(h(x)), 0.0, 1.0, tol=tol, breakpoints=breakpoints)
-
-
-def eval_semp(q: Union[QFunction, Callable[[float, float], float]], sample: Sample,
-              compensated: bool = False) -> float:
-    """P_n(q) = (1/n) sum q(i/n, X_i), the sequential empirical measure."""
-    n = sample.n
-    if isinstance(q, QFunction):
-        terms = (float(q.fn(i / n, np.asarray([x]))[0]) for i, x in
-                 zip(range(1, n + 1), sample.values))
-    else:
-        terms = (float(q(i / n, x)) for i, x in zip(range(1, n + 1), sample.values))
-    return _ordered_sum(terms, compensated) / n
-
-
-@dataclass(frozen=True)
-class BEmpiricalValue:
-    value: float
-    k: int
-    empty_intersection: bool
-
-
-def eval_b_empirical(
-    B: IntervalUnion,
-    W_or_g: Union[IntervalUnion, Callable[[np.ndarray], np.ndarray]],
-    sample: Sample,
-) -> BEmpiricalValue:
-    """nu_{n,B}(g): average of g(X_i) over grid indices with i/n in B.
-
-    Returns 0 with the empty-intersection flag set when B misses the grid,
-    matching the defining convention of the B-empirical measure.
-    """
-    idx = B.grid_indices(sample.n)
-    if not idx:
-        return BEmpiricalValue(0.0, 0, True)
-    xs = sample.xs()[np.asarray(idx) - 1]
-    if isinstance(W_or_g, IntervalUnion):
-        vals = W_or_g.indicator(xs)
-    else:
-        vals = np.asarray(W_or_g(xs), dtype=float)
-    return BEmpiricalValue(float(vals.mean()), len(idx), False)

@@ -1,21 +1,24 @@
-"""Reference evaluations of class members for the tests.
+"""Reference evaluations of class members and measures for the tests.
 
 semproc reads members through their protocol (h(x), lambda_exact, lambda_n);
 these are the independent forms the tests compare against: pointwise
 evaluation from the exact representation, a certified sup distance between
-Holder members, the exact rational Riemann gap of an interval union, and the
-constant q built from the product hooks.
+Holder members, the exact rational Riemann gap of an interval union, the
+constant q as a product pair, and scalar evaluators of lambda_n, lambda, the
+sequential empirical measure P_n and the B-empirical measure nu_{n,B} that sum
+term by term from the definitions.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from semproc.fclt import make_product_q
 from semproc.function_classes import BoundedPolynomial, IndicatorMember, _exact_form
 from semproc.intervals import IntervalUnion
-from semproc.measures import QFunction
+from semproc.measures import Sample
+from semproc.quadrature import DEFAULT_TOL, integrate
 
 
 def holder_sup_distance(h1, h2, grid_size: int = 4001) -> float:
@@ -48,8 +51,75 @@ def eval_member(member, point: float) -> float:
     return float(member(point))
 
 
-def make_constant_q(c: float) -> QFunction:
-    """q identically c, realized as the product 1_(0,1] * c so every product
-    hook (kernel factorization included) is available."""
-    return replace(make_product_q(IndicatorMember(1.0), BoundedPolynomial((c,))),
-                   label=f"const[{c}]", sup_bound=abs(c))
+def make_constant_q(c: float) -> tuple:
+    """q identically c, realized as the product 1_(0,1] * c."""
+    return IndicatorMember(1.0), BoundedPolynomial((c,))
+
+
+def _ordered_sum(terms: Iterable[float], compensated: bool = False) -> float:
+    """Left-to-right accumulation; optional Kahan compensation."""
+    if not compensated:
+        acc = 0.0
+        for t in terms:
+            acc += t
+        return acc
+    acc = 0.0
+    carry = 0.0
+    for t in terms:
+        y = t - carry
+        s = acc + y
+        carry = (s - acc) - y
+        acc = s
+    return acc
+
+
+def eval_lambda_n(h: Callable[[float], float], n: int, compensated: bool = False) -> float:
+    """Exact (1/n) sum h(i/n), summed left to right."""
+    if n <= 0:
+        raise ValueError("n must be a positive integer")
+    return _ordered_sum((float(h(i / n)) for i in range(1, n + 1)), compensated) / n
+
+
+def eval_lambda(
+    h: Callable[[float], float],
+    tol: float = DEFAULT_TOL,
+    breakpoints: Optional[Sequence[float]] = None,
+) -> float:
+    """lambda(h) on [0,1] by adaptive quadrature (see quadrature module)."""
+    return integrate(lambda x: float(h(x)), 0.0, 1.0, tol=tol, breakpoints=breakpoints)
+
+
+def eval_semp(q: Callable[[float, float], float], sample: Sample,
+              compensated: bool = False) -> float:
+    """P_n(q) = (1/n) sum q(i/n, X_i), the sequential empirical measure."""
+    n = sample.n
+    terms = (float(q(i / n, x)) for i, x in zip(range(1, n + 1), sample.values))
+    return _ordered_sum(terms, compensated) / n
+
+
+@dataclass(frozen=True)
+class BEmpiricalValue:
+    value: float
+    k: int
+    empty_intersection: bool
+
+
+def eval_b_empirical(
+    B: IntervalUnion,
+    W_or_g: Union[IntervalUnion, Callable[[np.ndarray], np.ndarray]],
+    sample: Sample,
+) -> BEmpiricalValue:
+    """nu_{n,B}(g): average of g(X_i) over grid indices with i/n in B.
+
+    Returns 0 with the empty-intersection flag set when B misses the grid,
+    matching the defining convention of the B-empirical measure.
+    """
+    idx = B.grid_indices(sample.n)
+    if not idx:
+        return BEmpiricalValue(0.0, 0, True)
+    xs = sample.xs()[np.asarray(idx) - 1]
+    if isinstance(W_or_g, IntervalUnion):
+        vals = W_or_g.indicator(xs)
+    else:
+        vals = np.asarray(W_or_g(xs), dtype=float)
+    return BEmpiricalValue(float(vals.mean()), len(idx), False)

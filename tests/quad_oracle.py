@@ -3,12 +3,13 @@
 semproc computes every expectation over x in closed form; these are the
 independent quadrature forms the tests compare against: E[f(X)] under a
 sampling model by scipy.integrate.quad against its density, and the
-covariance kernel as an integral over s.
+covariance kernel of two product pairs as an integral over s.
 """
 
 import numpy as np
 from scipy import integrate as sciint
 
+from semproc.function_classes import HalfLine, InitialInterval
 from semproc.quadrature import integrate
 
 _KERNEL_TOL = 1e-10
@@ -27,20 +28,24 @@ def expect(model, f, tol=1e-10, points=None):
     return total
 
 
+def _jumps(g):
+    """The points where a G member jumps: w for a half-line, 0 and w for an
+    initial interval, none for a polynomial."""
+    if isinstance(g, HalfLine):
+        return (g.w,)
+    if isinstance(g, InitialInterval):
+        return (0.0, g.w)
+    return ()
+
+
 def cov_kernel_quadrature(q1, q2, model):
-    """Cov(Z(q1), Z(q2)) for any q's: the integral over s of
-    nu(q1 q2)(s) - nu(q1)(s) nu(q2)(s) by adaptive quadrature, the
-    independent reference for semproc.fclt.cov_kernel."""
-
-    def integrand(s):
-        if q1.h_member is not None and q2.h_member is not None:
-            cross = (float(q1.h_member(s)) * float(q2.h_member(s))
-                     * q1.g_member.pair_mean(q2.g_member, model))
-        else:
-            cross = expect(model, lambda xs: q1.fn(s, xs) * q2.fn(s, xs))
-        m1 = float(q1.conditional_mean(model, np.asarray([s]))[0])
-        m2 = float(q2.conditional_mean(model, np.asarray([s]))[0])
-        return cross - m1 * m2
-
-    breakpoints = tuple(set(q1.s_breakpoints + q2.s_breakpoints))
-    return integrate(integrand, 0.0, 1.0, tol=_KERNEL_TOL, breakpoints=breakpoints)
+    """Cov(Z(q1), Z(q2)) for product pairs q = (h, g): the integral over s of
+    h1(s) h2(s) [nu(g1 g2) - nu(g1) nu(g2)] by adaptive quadrature, with the
+    g moments by scipy quad split at the jumps of g; the independent reference
+    for semproc.fclt.cov_kernel."""
+    (h1, g1), (h2, g2) = q1, q2
+    points = _jumps(g1) + _jumps(g2)
+    cross = expect(model, lambda xs: g1(xs) * g2(xs), points=points)
+    cov_g = cross - expect(model, g1, points=_jumps(g1)) * expect(model, g2, points=_jumps(g2))
+    return integrate(lambda s: float(h1(s)) * float(h2(s)) * cov_g, 0.0, 1.0, tol=_KERNEL_TOL,
+                     breakpoints=tuple(set(h1.breakpoints() + h2.breakpoints())))

@@ -19,7 +19,6 @@ from semproc.fclt import (
     fidi_convergence_test,
     kiefer_cell,
     lindeberg_check,
-    make_product_q,
     make_sx_q,
 )
 from semproc.function_classes import (
@@ -171,7 +170,7 @@ def test_criterion_07_kernel_correctness():
         h2 = IndicatorMember(float(rng.random()))
         g1 = HalfLine(float(rng.random()))
         g2 = HalfLine(float(rng.random()))
-        q1, q2 = make_product_q(h1, g1), make_product_q(h2, g2)
+        q1, q2 = (h1, g1), (h2, g2)
         worst = max(worst, abs(cov_kernel(q1, q2, UNIFORM)
                                - cov_kernel_quadrature(q1, q2, UNIFORM)))
     kiefer_worst = 0.0

@@ -207,6 +207,25 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "entry 1" in err and key in err
 
+    @pytest.mark.parametrize("entry,message", [
+        (5, "config error: q file entry 1 and its 'h' and 'g' must be JSON objects"),
+        ({"h": 5, "g": {"type": "half-line", "w": 0.5}},
+         "config error: q file entry 1 and its 'h' and 'g' must be JSON objects"),
+        ({"h": {"type": "indicator", "t": [0.5]}, "g": {"type": "half-line", "w": 0.5}},
+         "config error: q file entry 1 is malformed"),
+        # lambda(h1 h2) = min(t1, t2) would read 2.5 and the kernel be wrong
+        ({"h": {"type": "indicator", "t": 2.5}, "g": {"type": "half-line", "w": 0.5}},
+         "error: indicator end point t=2.5 is outside (0, 1]"),
+    ])
+    def test_ill_typed_q_file_exit_2(self, tmp_path, capsys, entry, message):
+        good = {"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 0.5}}
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps([good, entry]))
+        code = main(["fclt", "--q-set", "custom-file", "--q-file", str(path),
+                     "--run-modulus", "false", "--run-lindeberg", "false"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message)
+
     @pytest.mark.parametrize("exc", [NotPSDError("covariance matrix is not PSD"),
                                      QuadratureError("no convergence", 0.5)],
                              ids=["not-psd", "quadrature"])

@@ -1,4 +1,4 @@
-"""Pinned report digests and fluctuation-bound rows.
+"""Pinned report digests, fluctuation-bound rows and Lindeberg rows.
 
 The values were recorded before the sampling, member-pool and pair paths
 were merged, and the two fclt q_set cases (Holder products with the
@@ -25,9 +25,19 @@ import numpy as np
 import pytest
 
 from semproc.cli import numeric_bytes, run_experiment
-from semproc.fclt import fluctuation_bound_check
-from semproc.function_classes import GClass, HolderClass, IndicatorFamily, ProductClass
+from semproc.fclt import fluctuation_bound_check, lindeberg_check
+from semproc.function_classes import (
+    GClass,
+    HalfLine,
+    HolderClass,
+    HolderMember,
+    IndicatorFamily,
+    IndicatorMember,
+    InitialInterval,
+    ProductClass,
+)
 from semproc.measures import draw_sample, parse_model
+from semproc.piecewise import PiecewiseLinear
 
 _SMALL_FCLT = {"modulus_replicates": 5, "run_lindeberg": False,
                "cov_tolerance": 0.3, "ks_tolerance": 0.3}
@@ -126,6 +136,51 @@ def test_fluctuation_rows_pinned_indicator():
     rows = fluctuation_bound_check(pc, [50, 400], [0.2, 0.4], 0.3,
                                    parse_model("exponential(2)"), h_cap=12, g_cap=8)
     assert json.dumps(rows) == json.dumps(INDICATOR_ROWS)
+
+
+# lindeberg_check on two-valued products that no report runs, recorded while
+# a q was still a callback bundle with its own sup-bound shortcut and tail
+_LINDEBERG_H = {
+    "indicator": IndicatorMember(0.45),
+    "holder-pl": HolderMember(1.0, 1.0, 1.0,
+                              pl=PiecewiseLinear((0.0, 0.5, 1.0), (0.2, -0.2, 0.3))),
+}
+_LINDEBERG_G = {"half-line": HalfLine(0.3), "initial-interval": InitialInterval(0.6)}
+LINDEBERG_PINS = {
+    ("indicator", "half-line", "uniform01"):
+        "759f1df2f901aa2f91a807f5c2daff44075335c73f06b323b8d56fa6d0cb3fc5",
+    ("indicator", "initial-interval", "uniform01"):
+        "6758854082e26b66b93603b311e2138de838b9ee3951ae9b9bae74b6bb95b34c",
+    ("holder-pl", "half-line", "uniform01"):
+        "56f19733132b12232aa0af3824114676e01a1484653e2bed457f506d46ad68b7",
+    ("holder-pl", "initial-interval", "uniform01"):
+        "536171a07a81c24540d9d05983bd664943d8a6eea205170a8af51eaa564cb847",
+    ("indicator", "half-line", "standard-normal"):
+        "e4153cd13402ab3ae13f53cff85717e2aa593de1b10e90e1b42d154538eaa8ca",
+    ("indicator", "initial-interval", "standard-normal"):
+        "84091416f82450b60aab14eac97ac75a7a900d7e9fbc0631f54a6d1a710b77a8",
+    ("holder-pl", "half-line", "standard-normal"):
+        "3e9cf2288c8b7c7d718471f34ab012cdf753d20fe38698c46870d46c2eb1b1ae",
+    ("holder-pl", "initial-interval", "standard-normal"):
+        "a2622f8d9695f7c54ef1571aed439c7872d362890edea432b6b53e75723a210a",
+    ("indicator", "half-line", "exponential(2)"):
+        "189f37ff1e424df3121ffc4d570a441bb46fd9d1dff102e3149f7b5c7ac89dd7",
+    ("indicator", "initial-interval", "exponential(2)"):
+        "cb2265dc98a0ef38aa267a6bbcd347635c34876a41805353f9f1ca555371d9ed",
+    ("holder-pl", "half-line", "exponential(2)"):
+        "a0ecf2bd924f12980f729dd8ae165989b726bfcb4c9c2c70f31bcd9392db208b",
+    ("holder-pl", "initial-interval", "exponential(2)"):
+        "8a372526264e47162eb06bad22579f7b6804af34e964d87de82c0396f737a5f0",
+}
+
+
+@pytest.mark.parametrize("h_name,g_name,model", sorted(LINDEBERG_PINS))
+def test_lindeberg_product_rows_pinned(h_name, g_name, model):
+    q = (_LINDEBERG_H[h_name], _LINDEBERG_G[g_name])
+    rep = lindeberg_check(q, parse_model(model), [10, 100, 2000], [0.05, 0.2])
+    assert any(r["ratio"] == 0.0 for r in rep["rows"])   # the truncation set empties
+    digest = hashlib.sha256(json.dumps(rep).encode()).hexdigest()
+    assert digest == LINDEBERG_PINS[(h_name, g_name, model)]
 
 
 def test_sample_values_read_only():

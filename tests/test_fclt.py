@@ -12,18 +12,15 @@ import pytest
 
 from semproc.fclt import (
     NotPSDError,
-    center_q,
     cov_kernel,
     cov_matrix,
     equicontinuity_modulus,
-    eval_Zn,
     fidi_convergence_test,
     fluctuation_bound_check,
     gaussian_fidi_sample,
     kiefer_cell,
     ks_normal_distance,
     lindeberg_check,
-    make_product_q,
     make_sx_q,
     quadrature_limit_check,
     replicate_Z_values,
@@ -39,7 +36,7 @@ from semproc.function_classes import (
     InitialInterval,
     ProductClass,
 )
-from semproc.measures import QFunction, Sample, draw_sample, parse_model
+from semproc.measures import grid_points, parse_model
 from semproc.piecewise import PiecewiseLinear
 
 from member_oracles import make_constant_q
@@ -56,72 +53,71 @@ def _linear_h():
 
 
 class TestCenterQ:
+    """The centred q_tilde(s, x) = h(s) (g(x) - nu(g)) whose second moment is
+    the Lindeberg check's V_n."""
+
     def test_sx_uniform_centering(self):
-        q = make_sx_q()
-        qc = center_q(q, UNIFORM)
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            s = float(rng.random())
-            xs = rng.random(5)
-            want = s * (xs - 0.5)
-            assert np.allclose(qc.fn(s, xs), want, atol=1e-12)
+        # q_tilde = s (x - 1/2): V_n = lambda_n(s^2) / 12
+        for n in (1, 7, 40):
+            vn = lindeberg_check(make_sx_q(), UNIFORM, [n], [0.1])["rows"][0]["variance_n"]
+            assert vn == pytest.approx((n + 1) * (2 * n + 1) / (6 * n * n) / 12, rel=1e-14)
 
     def test_centering_kills_mean(self):
-        q = kiefer_cell(0.6, 0.3)
-        qc = center_q(q, UNIFORM)
-        for s in (0.1, 0.5, 0.9):
-            got = expect(UNIFORM, lambda xs, s=s: qc.fn(s, xs))
-            assert abs(got) < 1e-8
+        # V_n against E[(q - E q)^2] at each grid point by quad
+        h, g = kiefer_cell(0.6, 0.3)
+        n = 10
+        vn = lindeberg_check((h, g), UNIFORM, [n], [0.1])["rows"][0]["variance_n"]
+        want = 0.0
+        for s in grid_points(n):
+            mean = expect(UNIFORM, lambda xs, s=s: h(s) * g(xs), points=(g.w,))
+            want += expect(UNIFORM, lambda xs, s=s: (h(s) * g(xs) - mean) ** 2,
+                           points=(g.w,)) / n
+        assert vn == pytest.approx(want, abs=1e-10)
 
     def test_x_free_q_centers_to_zero(self):
-        h = _linear_h()
-        q = make_product_q(h, BoundedPolynomial((1.0,)))  # q(s, x) = s
-        qc = center_q(q, UNIFORM)
-        xs = np.linspace(-1, 2, 7)
-        for s in (0.2, 0.8):
-            assert np.allclose(qc.fn(s, xs), 0.0, atol=1e-12)
+        q = (_linear_h(), BoundedPolynomial((1.0,)))  # q(s, x) = s
+        rep = lindeberg_check(q, UNIFORM, [10], [0.1])
+        assert rep["degenerate"] and rep["limit_variance"] == 0.0
 
 
-def _all_builder_qs(model):
-    """Every Q builder: products over {indicator, pl Holder, cusp Holder} x
-    {HalfLine, InitialInterval, BoundedPolynomial}, s*x, a constant, and the
-    centering of each."""
+def _all_builder_qs():
+    """Products over {indicator, pl Holder, cusp Holder} x {HalfLine,
+    InitialInterval, BoundedPolynomial}, s*x and a constant."""
     hs = [IndicatorMember(0.45), HolderClass(1.0, 1.0, 1.0).build_net(0.8)[7],
           HolderClass(1.0, 1.0, 0.5).random_member(np.random.default_rng(3))]
     gs = [HalfLine(0.3), InitialInterval(0.6), BoundedPolynomial((0.2, -0.5, 0.25))]
-    qs = [make_product_q(h, g) for h in hs for g in gs] + [make_sx_q(), make_constant_q(-1.3)]
-    return qs + [center_q(q, model) for q in qs]
+    return [(h, g) for h in hs for g in gs] + [make_sx_q(), make_constant_q(-1.3)]
 
 
 class TestQBroadcast:
     @pytest.mark.parametrize("model_name", ["uniform01", "standard-normal", "exponential(2)"])
     def test_grid_matches_per_point_bitwise(self, model_name):
+        # replicate_Z_values evaluates h on the grid and g on the whole
+        # (R, n) draw matrix; each must equal the per-point values
         model = parse_model(model_name)
         n = 23
         svals = np.arange(1, n + 1) / n
         draws = model.draw(np.random.default_rng(7), (3, n))
-        for q in _all_builder_qs(model):
-            per_point = np.concatenate([np.atleast_1d(q.fn(s, draws[0, i:i + 1]))
-                                        for i, s in enumerate(svals)])
-            assert q.fn(svals, draws[0]).tobytes() == per_point.tobytes(), q.label
-            rows = q.fn(svals, draws)
-            assert rows.shape == (3, n), q.label
+        for h, g in _all_builder_qs():
+            per_s = np.concatenate([np.atleast_1d(h(svals[i:i + 1])) for i in range(n)])
+            assert h(svals).tobytes() == per_s.tobytes(), h
+            rows = g(draws)
+            assert rows.shape == (3, n), g
             for r in range(3):
-                assert rows[r].tobytes() == q.fn(svals, draws[r]).tobytes(), q.label
+                per_x = np.concatenate([np.atleast_1d(g(draws[r, i:i + 1])) for i in range(n)])
+                assert rows[r].tobytes() == g(draws[r]).tobytes() == per_x.tobytes(), g
 
 
 class TestEvalZn:
-    def test_constant_exactly_zero(self):
-        s = draw_sample("uniform01", 50, 1)
-        out = eval_Zn([make_constant_q(3.7)], s)
-        assert out.values[0] == 0.0
+    def test_constant_zero_to_rounding(self):
+        Z = replicate_Z_values([make_constant_q(3.7)], 50, 40, 1, UNIFORM)
+        assert float(np.max(np.abs(Z))) <= 1e-13
 
     def test_single_point_hand_value(self):
-        # q = 1_[0, 0.5](x), X_1 = 0.3: Z_1 = 1 - 0.5
-        s = Sample(1, (0.3,), 0, "uniform01")
-        q = make_product_q(IndicatorMember(1.0), HalfLine(0.5))
-        out = eval_Zn([q], s)
-        assert out.values[0] == pytest.approx(0.5, abs=1e-14)
+        # q = 1_(-inf, 0.5](x) at n = 1: Z_1 = 1{X_1 <= 0.5} - 0.5
+        q = (IndicatorMember(1.0), HalfLine(0.5))
+        Z = replicate_Z_values([q], 1, 60, 4, UNIFORM)
+        assert set(Z[:, 0].tolist()) == {-0.5, 0.5}
 
     def test_replicate_zero_mean(self):
         q = kiefer_cell(0.5, 0.5)
@@ -131,43 +127,30 @@ class TestEvalZn:
         assert abs(mean) <= 3 * sd / math.sqrt(800)
 
     def test_linearity(self):
-        s = draw_sample("uniform01", 64, 9)
-        q1 = kiefer_cell(0.5, 0.5)
-        q2 = kiefer_cell(0.9, 0.2)
-        a1, a2 = 1.7, -0.6
-
-        def combo_fn(t, xs):
-            return a1 * q1.fn(t, xs) + a2 * q2.fn(t, xs)
-
-        combo = QFunction(
-            fn=combo_fn,
-            nu_mean=lambda m, sv: a1 * q1.nu_mean(m, sv) + a2 * q2.nu_mean(m, sv),
-            nu_sq=lambda m, sv: (a1**2 * q1.nu_sq(m, sv) + a2**2 * q2.nu_sq(m, sv)
-                                 + 2 * a1 * a2 * q1.h_member(sv) * q2.h_member(sv)
-                                 * q1.g_member.pair_mean(q2.g_member, m)),
-            label="combo",
-        )
-        z = eval_Zn([q1, q2, combo], s)
-        want = a1 * z.values[0] + a2 * z.values[1]
-        assert z.values[2] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        # Z_n(h, c0 + c1 x) = c1 Z_n(h, x): Z_n is linear in g and zero on
+        # constants; the columns share one draw matrix
+        h = IndicatorMember(0.7)
+        a0, a1 = 1.7, -0.6
+        Z = replicate_Z_values([(h, BoundedPolynomial((0.0, 1.0))),
+                                (h, BoundedPolynomial((a0, a1)))], 64, 30, 9, NORMAL)
+        assert np.allclose(Z[:, 1], a1 * Z[:, 0], rtol=1e-12, atol=1e-12)
 
     def test_replicate_non_product_pinned(self):
-        # recorded when these columns still went through a per-replicate loop
+        # recorded when s*x was a non-product q evaluated by a per-replicate
+        # loop; as the pair (identity h, linear g) it sums in another order
         model = parse_model("exponential(2)")
-        Z = replicate_Z_values([make_sx_q(), center_q(make_sx_q(), model)], 30, 4, 12, model)
-        want = [[0.0672857781558536, 0.0672857781558539],
-                [-0.13381559682770572, -0.13381559682770572],
-                [0.08928726248286553, 0.0892872624828659],
-                [-0.07726745995155235, -0.07726745995155208]]
-        assert Z.tolist() == want
+        Z = replicate_Z_values([make_sx_q()], 30, 4, 12, model)
+        want = [0.0672857781558536, -0.13381559682770572, 0.08928726248286553,
+                -0.07726745995155235]
+        assert np.allclose(Z[:, 0], want, rtol=0.0, atol=1e-15)
 
     def test_variance_identity(self):
         # E(Z_n(q)^2) = (lambda_n x nu)(q_tilde^2)
-        q = kiefer_cell(0.5, 0.5)
+        h, g = kiefer_cell(0.5, 0.5)
         n, R = 100, 4000
-        Z = replicate_Z_values([q], n, R, 11, UNIFORM)
-        qc = center_q(q, UNIFORM)
-        target = qc.product_sq_mean_lambda_n(UNIFORM, n)
+        Z = replicate_Z_values([(h, g)], n, R, 11, UNIFORM)
+        hs = h(grid_points(n))
+        target = float(np.mean(hs**2 * g.second_moment(UNIFORM) - (hs * g.mean(UNIFORM)) ** 2))
         var = float(np.var(Z[:, 0], ddof=1))
         mc_err = 3 * target * math.sqrt(2.0 / (R - 1))  # chi-square scale
         assert abs(var - target) <= mc_err
@@ -182,16 +165,15 @@ class TestCovKernel:
 
     def test_constant_g_gives_zero(self):
         q1 = kiefer_cell(0.5, 0.5)
-        q2 = make_product_q(_linear_h(), BoundedPolynomial((1.0,)))
+        q2 = (_linear_h(), BoundedPolynomial((1.0,)))
         assert cov_kernel(q1, q2, UNIFORM) == pytest.approx(0.0, abs=1e-12)
 
     def test_product_vs_generic_random_pairs(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
-            q1 = make_product_q(IndicatorMember(float(rng.random())),
-                                HalfLine(float(rng.random())))
-            q2 = make_product_q(IndicatorMember(float(rng.random())),
-                                BoundedPolynomial(tuple(rng.random(3) - 0.5)))
+            q1 = (IndicatorMember(float(rng.random())), HalfLine(float(rng.random())))
+            q2 = (IndicatorMember(float(rng.random())),
+                  BoundedPolynomial(tuple(rng.random(3) - 0.5)))
             a = cov_kernel(q1, q2, UNIFORM)
             b = cov_kernel_quadrature(q1, q2, UNIFORM)
             assert abs(a - b) <= 1e-8
@@ -205,9 +187,10 @@ class TestCovKernel:
         got = cov_kernel_quadrature(make_sx_q(), make_sx_q(), NORMAL)
         assert got == pytest.approx(1 / 3, abs=1e-11)
 
-    def test_factorized_rejects_non_product(self):
-        with pytest.raises(ValueError):
-            cov_kernel(make_sx_q(), make_sx_q(), UNIFORM)
+    def test_sx_kernel_closed_form(self):
+        # lambda(s^2) Var(X): 1/3 * 1/12 uniform, 1/3 * 1 normal
+        assert cov_kernel(make_sx_q(), make_sx_q(), UNIFORM) == pytest.approx(1 / 36, rel=1e-15)
+        assert cov_kernel(make_sx_q(), make_sx_q(), NORMAL) == pytest.approx(1 / 3, rel=1e-15)
 
     def test_matrix_symmetry_and_diagonal(self):
         cells = [kiefer_cell(0.3, 0.7), kiefer_cell(0.6, 0.2), kiefer_cell(0.9, 0.9)]
@@ -242,7 +225,7 @@ class TestGaussianSampler:
 
 class TestQuadratureLimit:
     def test_s_only_hand_value(self):
-        q = make_product_q(_linear_h(), BoundedPolynomial((1.0,)))  # q = s
+        q = (_linear_h(), BoundedPolynomial((1.0,)))  # q = s
         rows = quadrature_limit_check(q, UNIFORM, [10])
         # (1/10) sum (i/10)^2 = 0.385 against 1/3
         assert rows[0]["value"] == pytest.approx(0.385, abs=1e-12)
@@ -286,7 +269,8 @@ class TestLindeberg:
     def test_sx_uniform_tail_keeps_truncation_hole(self):
         # (2/3) s^2 (1/8 - a^3), a = T/s: the set |s(x - 1/2)| < T is cut out,
         # so the tail sits below the untruncated s^2/12 = 0.001875
-        got = float(make_sx_q().tilde_tail(UNIFORM, np.array([0.15]), 0.01)[0])
+        h, g = make_sx_q()
+        got = float(g.centered_sq_tail(UNIFORM, h(np.array([0.15])), 0.01)[0])
         assert got == pytest.approx((2 / 3) * 0.15**2 * (1 / 8 - (0.01 / 0.15) ** 3), rel=1e-13)
         assert abs(got - 0.0018706) < 1e-7
 
@@ -295,7 +279,8 @@ class TestLindeberg:
         # at s = 0 the threshold T/s is infinite and the tail is empty
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = make_sx_q().tilde_tail(parse_model(model_name), np.array([0.0, 0.0]), 0.1)
+            h, g = make_sx_q()
+            got = g.centered_sq_tail(parse_model(model_name), h(np.array([0.0, 0.0])), 0.1)
         assert got.tolist() == [0.0, 0.0]
 
     def test_sx_uniform_small_threshold_ratio(self):
@@ -309,7 +294,7 @@ class TestLindeberg:
         # the grid reaches a >= 1/2 (uniform, empty tail) and mu - a <= 0
         # (exponential, no lower piece)
         model = parse_model(model_name)
-        q = make_sx_q()
+        h, g = make_sx_q()
         mu = model.moment(1)
         for s in (0.15, 0.5, 1.0):
             for T in (0.01, 0.1, 0.3, 0.6, 1.0):
@@ -318,14 +303,50 @@ class TestLindeberg:
                     return np.where(np.abs(v) >= T, v * v, 0.0)
 
                 want = expect(model, integrand, tol=1e-13, points=(mu - T / s, mu + T / s))
-                got = float(q.tilde_tail(model, np.array([s]), T)[0])
+                got = float(g.centered_sq_tail(model, h(np.array([s])), T)[0])
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-13), (s, T)
 
     def test_no_closed_form_raises(self):
-        q = make_product_q(IndicatorMember(0.5), BoundedPolynomial((0.0, 1.0)))
-        assert q.tilde_tail is None
+        # a degree-2 g has no closed-form tail
+        q = (IndicatorMember(0.5), BoundedPolynomial((0.0, 1.0, 1.0)))
         with pytest.raises(ValueError):
             lindeberg_check(q, UNIFORM, [20], [0.1])
+
+    @pytest.mark.parametrize("model_name", ["uniform01", "standard-normal", "exponential(2)"])
+    def test_linear_g_tails_match_quad_oracle(self, model_name):
+        # h(s) (c0 + c1 x) centred is h(s) c1 (x - mu): E[. ^2; |.| >= T] by
+        # scipy quad, split at mu -+ T / |h(s) c1|, with a non-identity h
+        # that vanishes on part of [0, 1] and c1 < 0
+        model = parse_model(model_name)
+        mu = model.moment(1)
+        h = HolderMember(1.0, 1.0, 1.0, pl=PiecewiseLinear((0.0, 0.4, 1.0), (0.0, 0.0, -0.9)))
+        c1 = -1.3
+        g = BoundedPolynomial((0.7, c1))
+        svals = np.array([0.2, 0.55, 0.8, 1.0])
+        for T in (0.01, 0.1, 0.4, 1.0):
+            got = g.centered_sq_tail(model, h(svals), T)
+            for s, tail in zip(svals, got):
+                v = float(h(s)) * c1
+                if v == 0.0:
+                    assert tail == 0.0
+                    continue
+
+                def integrand(xs, v=v, T=T):
+                    q = v * (xs - mu)
+                    return np.where(np.abs(q) >= T, q * q, 0.0)
+
+                cut = T / abs(v)
+                want = expect(model, integrand, tol=1e-13, points=(mu - cut, mu + cut))
+                assert tail == pytest.approx(want, rel=1e-10, abs=1e-13), (s, T)
+
+    def test_empty_grid_row_reports_no_ratio(self):
+        # the grid i/10 misses (0, 0.05], so V_10 = 0 while the limit
+        # variance 0.05 * 1/4 is positive
+        rep = lindeberg_check(kiefer_cell(0.05, 0.5), UNIFORM, [10, 100], [0.1])
+        assert not rep["degenerate"]
+        first, second = rep["rows"]
+        assert first["variance_n"] == 0.0 and first["ratio"] is None
+        assert second["variance_n"] > 0.0 and second["ratio"] is not None
 
 
 class TestFidi:
@@ -426,7 +447,7 @@ class TestQuadratureLimitSlope:
     def test_holder_times_bounded_g_rate(self):
         # gap for a Lipschitz h times a bounded g decays like 1/n: the
         # fitted log-log slope must be at most -0.8
-        q = make_product_q(_linear_h(), HalfLine(0.5))
+        q = (_linear_h(), HalfLine(0.5))
         rows = quadrature_limit_check(q, UNIFORM, [10, 100, 1000, 10000])
         ns = np.array([r["n"] for r in rows], dtype=float)
         gaps = np.array([max(r["gap"], 1e-300) for r in rows])

@@ -20,9 +20,14 @@ from semproc.function_classes import (
     riemann_gap_bound,
 )
 from semproc.intervals import IntervalUnion
-from semproc.measures import eval_lambda, parse_model
+from semproc.measures import parse_model
 
-from member_oracles import eval_member, holder_sup_distance, observed_riemann_gap_exact
+from member_oracles import (
+    eval_lambda,
+    eval_member,
+    holder_sup_distance,
+    observed_riemann_gap_exact,
+)
 
 
 class TestRiemannGapBounds:

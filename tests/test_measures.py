@@ -9,18 +9,10 @@ import pytest
 from scipy import integrate as sciint
 
 from semproc.intervals import IntervalUnion
-from semproc.measures import (
-    NuModel,
-    QFunction,
-    Sample,
-    draw_sample,
-    eval_b_empirical,
-    eval_lambda,
-    eval_lambda_n,
-    eval_semp,
-    parse_model,
-)
+from semproc.measures import NuModel, Sample, draw_sample, parse_model
 from semproc.quadrature import QuadratureError, integrate
+
+from member_oracles import eval_b_empirical, eval_lambda, eval_lambda_n, eval_semp
 
 
 class TestLambdaN:
@@ -213,27 +205,6 @@ class TestEIdentity:
             vals[r] = eval_semp(lambda t, x, h=h: h(t) * (1.0 if x <= w else 0.0), s)
         mc_err = 3 * float(np.std(vals)) / math.sqrt(R)
         assert abs(float(np.mean(vals)) - target) <= mc_err
-
-
-class TestQFunction:
-    def test_domination_spot_check(self):
-        from semproc.fclt import kiefer_cell
-
-        q = kiefer_cell(0.7, 0.4)
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            s = float(rng.random())
-            xs = rng.random(50)
-            assert np.all(np.abs(q.fn(s, xs)) <= q.sup_bound)
-
-    def test_product_means(self):
-        from semproc.fclt import kiefer_cell
-
-        model = parse_model("uniform01")
-        q = kiefer_cell(0.5, 0.5)
-        # (lambda_n x nu)(q) = lambda_n(1_(0,.5]) * 0.5
-        assert q.product_mean_lambda_n(model, 10) == pytest.approx(0.5 * 0.5, abs=1e-14)
-        assert q.product_mean_lambda(model) == pytest.approx(0.25, abs=1e-8)
 
 
 class TestHalfLineMoments:

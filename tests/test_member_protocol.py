@@ -17,15 +17,12 @@ import pytest
 
 from semproc.covering import PseudoMetricId, eval_pseudometric
 from semproc.function_classes import (
-    BoundedPolynomial,
     BVectorClass,
     BVectorMember,
-    HalfLine,
     HolderClass,
     HolderMember,
     IndicatorFamily,
     IndicatorMember,
-    InitialInterval,
     b_infinity_witness,
     lambda_prod,
     lambda_sq_distance,
@@ -212,12 +209,12 @@ class TestProtocol:
         assert IntervalUnion.empty().lebesgue() == 0
         assert IntervalUnion.full().lebesgue() == 1
 
-    def test_envelope_bounds(self):
-        assert IndicatorMember(0.5).envelope_bound() == 1.0
-        assert HolderMember(2.0, 0.5, 1.0).envelope_bound() == 2.5
-        assert HalfLine(0.3).envelope_bound() == 1.0
-        assert InitialInterval(0.3).envelope_bound() == 1.0
-        assert BoundedPolynomial((1.0, 2.0)).envelope_bound() is None
+    @pytest.mark.parametrize("t", [0.0, -0.25, 1.0 + 1e-12, 2.5, math.nan])
+    def test_indicator_end_point_outside_unit_interval_rejected(self, t):
+        # lambda(h1 h2) reads min(t1, t2), which only holds for t in (0, 1]
+        with pytest.raises(ValueError):
+            IndicatorMember(t)
+        assert IndicatorMember(1.0).lambda_exact() == 1.0
 
     def test_indicator_family_envelope_is_a_constant(self):
         assert IndicatorFamily().envelope_constant == 1.0
