@@ -49,7 +49,7 @@ from .function_classes import (
     NetTooLargeError,
     ProductClass,
     b_infinity_witness,
-    observed_riemann_gap,
+    observed_riemann_gaps,
     parse_class_descriptor,
     riemann_gap_bound,
 )
@@ -183,9 +183,22 @@ def _load_q_file(path: str) -> list:
     from .piecewise import PiecewiseLinear
 
     with open(path) as fh:
-        entries = json.load(fh)
+        # NaN and Infinity stay strings, which number() rejects with the entry and key
+        entries = json.load(fh, parse_constant=str)
     if not isinstance(entries, list) or not entries:
         raise ConfigError("q file must hold a nonempty JSON list")
+
+    def number(raw, key: str) -> float:
+        x = float(raw)
+        if not math.isfinite(x):
+            raise ConfigError(f"q file entry {i} key {key!r} is {raw}, not a finite number")
+        return x
+
+    def numbers(raws, key: str) -> tuple:
+        for raw in raws:
+            number(raw, key)
+        return tuple(raws)
+
     out = []
     try:
         for i, e in enumerate(entries):
@@ -194,21 +207,22 @@ def _load_q_file(path: str) -> list:
                 raise ConfigError(f"q file entry {i} and its 'h' and 'g' must be JSON objects")
             h_spec, g_spec = e["h"], e["g"]
             if h_spec["type"] == "indicator":
-                h = IndicatorMember(float(h_spec["t"]))
+                h = IndicatorMember(number(h_spec["t"], "t"))
             elif h_spec["type"] == "holder-pl":
                 h = HolderMember(
-                    float(h_spec.get("T", 1.0)), float(h_spec.get("C", 1.0)),
-                    float(h_spec.get("beta", 1.0)),
-                    pl=PiecewiseLinear(tuple(h_spec["knots"]), tuple(h_spec["values"])),
+                    number(h_spec.get("T", 1.0), "T"), number(h_spec.get("C", 1.0), "C"),
+                    number(h_spec.get("beta", 1.0), "beta"),
+                    pl=PiecewiseLinear(numbers(h_spec["knots"], "knots"),
+                                       numbers(h_spec["values"], "values")),
                 )
             else:
                 raise ConfigError(f"unknown h type {h_spec['type']!r}")
             if g_spec["type"] == "half-line":
-                g = HalfLine(float(g_spec["w"]))
+                g = HalfLine(number(g_spec["w"], "w"))
             elif g_spec["type"] == "initial-interval":
-                g = InitialInterval(float(g_spec["w"]))
+                g = InitialInterval(number(g_spec["w"], "w"))
             elif g_spec["type"] == "poly":
-                g = BoundedPolynomial(tuple(float(c) for c in g_spec["coeffs"]))
+                g = BoundedPolynomial(tuple(number(c, "coeffs") for c in g_spec["coeffs"]))
             else:
                 raise ConfigError(f"unknown g type {g_spec['type']!r}")
             out.append((h, g))
@@ -332,8 +346,7 @@ def _run_bounds(cfg: dict) -> tuple:
         for n in n_list:
             bound = riemann_gap_bound(cls, n)
             margin = -math.inf
-            for m in mems:
-                gap = observed_riemann_gap(m, n)
+            for gap in observed_riemann_gaps(mems, n):
                 checks += 1
                 margin = max(margin, gap - bound)
                 if gap > bound + 1e-12:
@@ -344,7 +357,7 @@ def _run_bounds(cfg: dict) -> tuple:
     for n in range(1, cfg["witness_max_n"] + 1):
         w = b_infinity_witness(n)
         ln = w.lambda_n(n)
-        gap = w.lambda_n(n) - w.lebesgue()
+        gap = ln - w.lebesgue()
         expected = 1 - 2 ** (-n)
         witness_rows.append({"n": n, "lambda_n": float(ln), "gap": float(abs(gap)),
                              "expected_gap": float(expected),

@@ -25,7 +25,10 @@ IndicatorMember, or a set member: BVectorMember or any IntervalUnion) is used
 through h(x), lambda_exact() = lambda(h), lambda_n(n) and breakpoints(), the
 points where h may jump; the lambdas are exact Fractions for set members, and
 lambda_n is one for indicators.  A set member's Riemann gap is read in
-integers, through IntervalUnion.riemann_gap.  The pair integrals
+integers, through IntervalUnion.riemann_gap; the gaps of cusp Holder members
+are computed per class, all members of one beta together in row blocks of
+grid values (observed_riemann_gaps), with the bits of the one-member float
+expression.  The pair integrals
 lambda((h1-h2)^2) and lambda(h1 h2) are closed forms when both members have
 one exact form (the t of two indicators, two piecewise-linear Holder members,
 two unions) and quadrature split at both breakpoints if not.
@@ -64,6 +67,7 @@ __all__ = [
     "ProductClass",
     "riemann_gap_bound",
     "observed_riemann_gap",
+    "observed_riemann_gaps",
     "lambda_sq_distance",
     "lambda_prod",
     "lambda_sq_matrix",
@@ -680,15 +684,70 @@ def riemann_gap_bound(cls: AnyClass, n: int) -> float:
     return cls.riemann_gap_bound(n)
 
 
+# A block of cusp Holder rows holds at most _GAP_BLOCK_ROWS rows and
+# _GAP_BLOCK_CELLS values: 128,000 bytes per float temporary, below glibc's
+# default 128 KiB mmap threshold, so freeing a block never raises that
+# threshold (which would lift the peak RSS of whatever runs later).
+_GAP_BLOCK_ROWS = 16
+_GAP_BLOCK_CELLS = 16_000
+
+
+def observed_riemann_gaps(members: Sequence, n: int) -> list[float]:
+    """|lambda_n(m) - lambda(m)| for each member, in order, each rounded once.
+
+    Set members are read in integers (IntervalUnion.riemann_gap).  Cusp-form
+    HolderMembers that share a beta are evaluated together, in row blocks:
+    a block starts at each row's a and adds c_k |x - x_k|^beta for k = 0, 1,
+    ... to the rows that have a k-th cusp, so every value takes the float
+    operations of HolderMember.__call__, and the row means minus lambda_exact()
+    give the bits of the scalar float(abs(lambda_n(n) - Fraction(lambda))).
+    Any other member takes that scalar expression, where a Fraction lambda_n
+    (indicators) subtracts exactly."""
+    gaps: list = [None] * len(members)
+    cusp_rows: dict = {}  # beta -> indices of its cusp members
+    for i, m in enumerate(members):
+        kind, form = _exact_form(m)
+        if kind == "set":
+            gaps[i] = form.riemann_gap(n)
+        elif isinstance(m, HolderMember) and m.pl is None:
+            cusp_rows.setdefault(m.beta, []).append(i)
+        else:
+            gaps[i] = float(abs(m.lambda_n(n) - Fraction(m.lambda_exact())))
+    if not cusp_rows:
+        return gaps
+    grid = np.arange(1, n + 1, dtype=float) / n
+    step = max(1, min(_GAP_BLOCK_ROWS, _GAP_BLOCK_CELLS // n))
+    for beta, rows in cusp_rows.items():
+        # most cusps first, so the rows with a k-th cusp are a prefix
+        rows.sort(key=lambda i: -len(members[i].coeffs))
+        mems = [members[i] for i in rows]
+        counts = [len(m.coeffs) for m in mems]
+        cusps = counts[0]
+        with_cusp = [sum(c > k for c in counts) for k in range(cusps)]  # rows with a k-th cusp
+        coeffs = np.array([m.coeffs + (0.0,) * (cusps - c) for m, c in zip(mems, counts)])
+        centers = np.array([m.centers + (0.0,) * (cusps - c) for m, c in zip(mems, counts)])
+        a = np.array([[m.a] for m in mems])
+        means = np.empty(len(mems))
+        for lo in range(0, len(mems), step):
+            hi = min(lo + step, len(mems))
+            block = np.empty((hi - lo, n))
+            block[:] = a[lo:hi]
+            for k in range(cusps):
+                top = min(hi, with_cusp[k])
+                if top <= lo:
+                    break
+                block[:top - lo] += coeffs[lo:top, k:k + 1] \
+                    * np.abs(grid - centers[lo:top, k:k + 1]) ** beta
+            means[lo:hi] = np.mean(block, axis=1)
+        lam = np.array([m.lambda_exact() for m in mems])
+        for i, g in zip(rows, np.abs(means - lam).tolist()):
+            gaps[i] = g
+    return gaps
+
+
 def observed_riemann_gap(member, n: int) -> float:
-    """|lambda_n(member) - lambda(member)| rounded once: set members in
-    integers (IntervalUnion.riemann_gap); otherwise lambda is taken as an
-    exact Fraction, so a Fraction lambda_n (indicators) subtracts exactly and
-    a float one (Holder members) gives the float difference."""
-    kind, form = _exact_form(member)
-    if kind == "set":
-        return form.riemann_gap(n)
-    return float(abs(member.lambda_n(n) - Fraction(member.lambda_exact())))
+    """One member's gap; see observed_riemann_gaps."""
+    return observed_riemann_gaps([member], n)[0]
 
 
 def parse_class_descriptor(desc: dict):

@@ -4,9 +4,10 @@ semproc reads members through their protocol (h(x), lambda_exact, lambda_n);
 these are the independent forms the tests compare against: pointwise
 evaluation from the exact representation, a certified sup distance between
 Holder members, the exact rational Riemann gap of an interval union, the
-constant q as a product pair, and scalar evaluators of lambda_n, lambda, the
-sequential empirical measure P_n and the B-empirical measure nu_{n,B} that sum
-term by term from the definitions.
+one-member float gap of any other member, the constant q as a product pair,
+and scalar evaluators of lambda_n, lambda, the sequential empirical measure
+P_n and the B-empirical measure nu_{n,B} that sum term by term from the
+definitions.
 """
 
 from dataclasses import dataclass
@@ -40,6 +41,13 @@ def holder_sup_distance(h1, h2, grid_size: int = 4001) -> float:
 def observed_riemann_gap_exact(member: IntervalUnion, n: int) -> Fraction:
     """Exact rational gap for interval unions (used by the counterexample)."""
     return abs(member.lambda_n(n) - member.lebesgue())
+
+
+def scalar_riemann_gap(member, n: int) -> float:
+    """|lambda_n - lambda| of a member that is not a set, one member at a time:
+    the float lambda_n of a Holder member (or the Fraction one of an
+    indicator) minus lambda_exact as an exact Fraction, rounded once."""
+    return float(abs(member.lambda_n(n) - Fraction(member.lambda_exact())))
 
 
 def eval_member(member, point: float) -> float:

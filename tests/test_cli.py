@@ -226,6 +226,27 @@ class TestMainEntry:
         assert code == 2
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": NaN}}',
+         "config error: q file entry 1 key 'w' is NaN, not a finite number"),
+        ('{"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 1e999}}',
+         "config error: q file entry 1 key 'w' is inf, not a finite number"),
+        ('{"h": {"type": "indicator", "t": -Infinity}, "g": {"type": "half-line", "w": 0.5}}',
+         "config error: q file entry 1 key 't' is -Infinity, not a finite number"),
+        ('{"h": {"type": "holder-pl", "knots": [0, 0.5, 1], "values": [0, Infinity, 0]},'
+         ' "g": {"type": "half-line", "w": 0.5}}',
+         "config error: q file entry 1 key 'values' is Infinity, not a finite number"),
+    ], ids=["nan", "overflow", "minus-infinity", "pl-value"])
+    def test_non_finite_q_file_exit_2(self, tmp_path, capsys, text, message):
+        good = {"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 0.5}}
+        path = tmp_path / "q.json"
+        path.write_text(f"[{json.dumps(good)}, {text}]")
+        code = main(["fclt", "--q-set", "custom-file", "--q-file", str(path),
+                     "--run-modulus", "false", "--run-lindeberg", "false",
+                     "--n", "50", "--replicates", "100"])
+        assert code == 2
+        assert capsys.readouterr().err == message + "\n"
+
     @pytest.mark.parametrize("exc", [NotPSDError("covariance matrix is not PSD"),
                                      QuadratureError("no convergence", 0.5)],
                              ids=["not-psd", "quadrature"])

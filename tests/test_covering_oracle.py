@@ -94,7 +94,7 @@ class TestExactCoveringAgainstBFS:
     @pytest.mark.parametrize("seed", [1, 505])
     def test_every_lemma_call(self, monkeypatch, seed):
         calls = _recorded_lemma_calls(monkeypatch, 250, seed)
-        assert len(calls) == 8 * 250
+        assert len(calls) == 7 * 250  # N(u, d) is computed once per trial
         for dist, u, targets, centers in calls:
             want = bfs_covering_number(dist, u, targets=targets, centers=centers)
             assert exact_covering_number(dist, u, targets=targets, centers=centers) == want
