@@ -49,7 +49,7 @@ from .function_classes import (
     NetTooLargeError,
     ProductClass,
     b_infinity_witness,
-    observed_riemann_gaps,
+    observed_riemann_gap_rows,
     parse_class_descriptor,
     riemann_gap_bound,
 )
@@ -343,10 +343,10 @@ def _run_bounds(cfg: dict) -> tuple:
     for label, cls in specs:
         rng = np.random.default_rng(derive_seed(rng_root, ["bounds", label]))
         mems = [cls.random_member(rng) for _ in range(members)]
-        for n in n_list:
+        for n, gaps in zip(n_list, observed_riemann_gap_rows(mems, n_list)):
             bound = riemann_gap_bound(cls, n)
             margin = -math.inf
-            for gap in observed_riemann_gaps(mems, n):
+            for gap in gaps:
                 checks += 1
                 margin = max(margin, gap - bound)
                 if gap > bound + 1e-12:

@@ -64,6 +64,7 @@ _KERNEL_TOL = 1e-10      # quadrature tolerance of the covariance kernel
 _DEGENERATE_TOL = 1e-12  # limiting variance below which Lindeberg is degenerate
 _CLAMP_REL = 1e-10       # eigenvalues in [-_CLAMP_REL * trace, 0) clamp to zero
 _N_COMBOS = 5            # random Cramer-Wold combinations in the fidi test
+_BLOCK_ROWS = 256        # replicate rows drawn and contracted at a time
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +212,43 @@ class FidiTestReport:
     combo_ks: list
 
 
+def _draw_blocks(model: NuModel, R: int, n: int, rng: np.random.Generator):
+    """The (R, n) draw matrix of rng as consecutive row blocks (lo, hi,
+    draws[lo:hi]) of _BLOCK_ROWS rows, drawn one block at a time.
+
+    The generator fills every model's draws in sequence, so the blocks
+    concatenate to the one-shot model.draw(rng, (R, n)).  A one-row tail
+    joins the block before it: NumPy contracts a one-row matrix through
+    another BLAS kernel than the GEMV/GEMM of a taller block, whose sums can
+    differ in their last bits."""
+    lo = 0
+    while lo < R:
+        hi = min(lo + _BLOCK_ROWS, R)
+        if R - hi == 1:
+            hi = R
+        yield lo, hi, model.draw(rng, (hi - lo, n))
+        lo = hi
+
+
 def replicate_Z_values(q_list: Sequence[tuple], n: int, R: int, seed: int,
                        model: NuModel) -> np.ndarray:
     """(R, K) matrix of Z_n(q) over R independent replicate samples.
 
-    One (R, n) draw matrix from a single derived-seed generator; the column of
-    q = (h, g) is the matrix product g(draws) @ h(i/n).
+    The replicates are the rows of one (R, n) draw matrix from a single
+    derived-seed generator, drawn in row blocks (_draw_blocks); the column of
+    q = (h, g) sums g(block) @ h(i/n) block by block, then centres and scales.
+    Peak memory is O(_BLOCK_ROWS * n), not O(R * n).
     """
-    draws = model.draw(np.random.default_rng(derive_seed(seed, ["replicate-Z", n, R])), (R, n))
+    rng = np.random.default_rng(derive_seed(seed, ["replicate-Z", n, R]))
     svals = grid_points(n)
-    cols = []
-    for h, g in q_list:
-        hv = np.asarray(h(svals), dtype=float)
-        center = float(np.mean(hv * g.mean(model)))
-        # g(draws) is an (R, n) temporary: bound to no name, it is freed
-        # before the next column builds its own
-        pn = np.asarray(g(draws), dtype=float) @ hv / n
-        cols.append(math.sqrt(n) * (pn - center))
-    return np.stack(cols, axis=1)
+    hvs = [np.asarray(h(svals), dtype=float) for h, _ in q_list]
+    sums = np.empty((R, len(q_list)))
+    for lo, hi, draws in _draw_blocks(model, R, n, rng):
+        for k, (hv, (_, g)) in enumerate(zip(hvs, q_list)):
+            sums[lo:hi, k] = np.asarray(g(draws), dtype=float) @ hv
+    centers = np.array([float(np.mean(hv * g.mean(model)))
+                        for hv, (_, g) in zip(hvs, q_list)])
+    return math.sqrt(n) * (sums / n - centers)
 
 
 def ks_normal_distance(values: np.ndarray, sd: float) -> float:
@@ -365,6 +385,22 @@ def _pairs_within(d_h: np.ndarray, d_g: np.ndarray, alpha: float):
     return p, q, d[p, q]
 
 
+def _modulus_Z(h_vals: np.ndarray, g_list: Sequence, n: int, R: int,
+               rng: np.random.Generator, model: NuModel) -> np.ndarray:
+    """(R, kh * kg) matrix of Z_n(h_a g_b) in column a * kg + b for the rows
+    h_a(i/n) of h_vals: each row block of the draws (_draw_blocks) is
+    contracted by the GEMM g_b(block) @ h_vals.T as soon as it is drawn."""
+    kg = len(g_list)
+    means = np.array([g.mean(model) for g in g_list])
+    h_center = h_vals.mean(axis=1)
+    Z = np.empty((R, h_vals.shape[0] * kg))
+    for lo, hi, draws in _draw_blocks(model, R, n, rng):
+        for b, g in enumerate(g_list):
+            pn = np.asarray(g(draws), dtype=float) @ h_vals.T / n    # (hi - lo, kh)
+            Z[lo:hi, b::kg] = math.sqrt(n) * (pn - h_center[None, :] * means[b])
+    return Z
+
+
 @dataclass
 class ModulusReport:
     n: int
@@ -390,21 +426,17 @@ def equicontinuity_modulus(
     metric d = d2_lambda + d2_nu) of |Z_n(f1) - Z_n(f2)|, per alpha.  The
     pair pool is the u-net (deterministically thinned to the caps); a subset
     of the class, so the observed modulus is a lower proxy of the class
-    modulus, which is the verifiable direction of the tightness statement."""
+    modulus, which is the verifiable direction of the tightness statement.
+    The R replicate samples are drawn in row blocks, each contracted into Z
+    as soon as it is drawn (_modulus_Z), so no (R, n) array is held."""
     pools = _member_pools(product_class, net_u, h_cap, g_cap, seed, model)
     kh, kg = len(pools.h), len(pools.g)
-    means = np.array([g.mean(model) for g in pools.g])
     svals = grid_points(n)
     h_vals = np.stack([np.asarray(h(svals), dtype=float) for h in pools.h])
-    h_center = h_vals.mean(axis=1)
     pairs_p, pairs_q, pair_d = _pairs_within(pools.d_h, pools.d_g, max(alpha_list))
 
-    draws = model.draw(np.random.default_rng(derive_seed(seed, ["modulus", n, R])), (R, n))
-    Z = np.empty((R, kh * kg))
-    for b, g in enumerate(pools.g):
-        gv = np.asarray(g(draws), dtype=float)      # (R, n)
-        pn = gv @ h_vals.T / n                      # (R, kh)
-        Z[:, b::kg] = math.sqrt(n) * (pn - h_center[None, :] * means[b])
+    Z = _modulus_Z(h_vals, pools.g, n, R,
+                   np.random.default_rng(derive_seed(seed, ["modulus", n, R])), model)
 
     report = ModulusReport(n=n, replicates=R, net_u=net_u, h_pool=kh, g_pool=kg)
     for alpha in alpha_list:

@@ -68,6 +68,7 @@ __all__ = [
     "riemann_gap_bound",
     "observed_riemann_gap",
     "observed_riemann_gaps",
+    "observed_riemann_gap_rows",
     "lambda_sq_distance",
     "lambda_prod",
     "lambda_sq_matrix",
@@ -692,6 +693,64 @@ _GAP_BLOCK_ROWS = 16
 _GAP_BLOCK_CELLS = 16_000
 
 
+def observed_riemann_gap_rows(members: Sequence, n_list: Sequence[int]) -> list[list[float]]:
+    """observed_riemann_gaps(members, n) for each n of n_list, in order.
+
+    Each member is classified, and each cusp member's lambda_exact() and
+    padded coeff/center row are built, once for every n."""
+    set_rows, other_rows = [], []  # (index, IntervalUnion) and (index, Fraction lambda)
+    cusp_rows: dict = {}  # beta -> indices of its cusp members
+    for i, m in enumerate(members):
+        kind, form = _exact_form(m)
+        if kind == "set":
+            set_rows.append((i, form))
+        elif isinstance(m, HolderMember) and m.pl is None:
+            cusp_rows.setdefault(m.beta, []).append(i)
+        else:
+            other_rows.append((i, Fraction(m.lambda_exact())))
+    groups = []
+    for beta, rows in cusp_rows.items():
+        # most cusps first, so the rows with a k-th cusp are a prefix
+        rows.sort(key=lambda i: -len(members[i].coeffs))
+        mems = [members[i] for i in rows]
+        counts = [len(m.coeffs) for m in mems]
+        cusps = counts[0]
+        groups.append((
+            beta, rows,
+            [sum(c > k for c in counts) for k in range(cusps)],  # rows with a k-th cusp
+            np.array([m.coeffs + (0.0,) * (cusps - c) for m, c in zip(mems, counts)]),
+            np.array([m.centers + (0.0,) * (cusps - c) for m, c in zip(mems, counts)]),
+            np.array([[m.a] for m in mems]),
+            np.array([m.lambda_exact() for m in mems]),
+        ))
+    table = []
+    for n in n_list:
+        gaps: list = [None] * len(members)
+        for i, form in set_rows:
+            gaps[i] = form.riemann_gap(n)
+        for i, lam in other_rows:
+            gaps[i] = float(abs(members[i].lambda_n(n) - lam))
+        grid = np.arange(1, n + 1, dtype=float) / n
+        step = max(1, min(_GAP_BLOCK_ROWS, _GAP_BLOCK_CELLS // n))
+        for beta, rows, with_cusp, coeffs, centers, a, lam in groups:
+            means = np.empty(len(rows))
+            for lo in range(0, len(rows), step):
+                hi = min(lo + step, len(rows))
+                block = np.empty((hi - lo, n))
+                block[:] = a[lo:hi]
+                for k, top in enumerate(with_cusp):
+                    top = min(hi, top)
+                    if top <= lo:
+                        break
+                    block[:top - lo] += coeffs[lo:top, k:k + 1] \
+                        * np.abs(grid - centers[lo:top, k:k + 1]) ** beta
+                means[lo:hi] = np.mean(block, axis=1)
+            for i, g in zip(rows, np.abs(means - lam).tolist()):
+                gaps[i] = g
+        table.append(gaps)
+    return table
+
+
 def observed_riemann_gaps(members: Sequence, n: int) -> list[float]:
     """|lambda_n(m) - lambda(m)| for each member, in order, each rounded once.
 
@@ -703,46 +762,7 @@ def observed_riemann_gaps(members: Sequence, n: int) -> list[float]:
     give the bits of the scalar float(abs(lambda_n(n) - Fraction(lambda))).
     Any other member takes that scalar expression, where a Fraction lambda_n
     (indicators) subtracts exactly."""
-    gaps: list = [None] * len(members)
-    cusp_rows: dict = {}  # beta -> indices of its cusp members
-    for i, m in enumerate(members):
-        kind, form = _exact_form(m)
-        if kind == "set":
-            gaps[i] = form.riemann_gap(n)
-        elif isinstance(m, HolderMember) and m.pl is None:
-            cusp_rows.setdefault(m.beta, []).append(i)
-        else:
-            gaps[i] = float(abs(m.lambda_n(n) - Fraction(m.lambda_exact())))
-    if not cusp_rows:
-        return gaps
-    grid = np.arange(1, n + 1, dtype=float) / n
-    step = max(1, min(_GAP_BLOCK_ROWS, _GAP_BLOCK_CELLS // n))
-    for beta, rows in cusp_rows.items():
-        # most cusps first, so the rows with a k-th cusp are a prefix
-        rows.sort(key=lambda i: -len(members[i].coeffs))
-        mems = [members[i] for i in rows]
-        counts = [len(m.coeffs) for m in mems]
-        cusps = counts[0]
-        with_cusp = [sum(c > k for c in counts) for k in range(cusps)]  # rows with a k-th cusp
-        coeffs = np.array([m.coeffs + (0.0,) * (cusps - c) for m, c in zip(mems, counts)])
-        centers = np.array([m.centers + (0.0,) * (cusps - c) for m, c in zip(mems, counts)])
-        a = np.array([[m.a] for m in mems])
-        means = np.empty(len(mems))
-        for lo in range(0, len(mems), step):
-            hi = min(lo + step, len(mems))
-            block = np.empty((hi - lo, n))
-            block[:] = a[lo:hi]
-            for k in range(cusps):
-                top = min(hi, with_cusp[k])
-                if top <= lo:
-                    break
-                block[:top - lo] += coeffs[lo:top, k:k + 1] \
-                    * np.abs(grid - centers[lo:top, k:k + 1]) ** beta
-            means[lo:hi] = np.mean(block, axis=1)
-        lam = np.array([m.lambda_exact() for m in mems])
-        for i, g in zip(rows, np.abs(means - lam).tolist()):
-            gaps[i] = g
-    return gaps
+    return observed_riemann_gap_rows(members, [n])[0]
 
 
 def observed_riemann_gap(member, n: int) -> float:

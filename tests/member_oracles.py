@@ -5,11 +5,13 @@ these are the independent forms the tests compare against: pointwise
 evaluation from the exact representation, a certified sup distance between
 Holder members, the exact rational Riemann gap of an interval union, the
 one-member float gap of any other member, the constant q as a product pair,
-and scalar evaluators of lambda_n, lambda, the sequential empirical measure
+scalar evaluators of lambda_n, lambda, the sequential empirical measure
 P_n and the B-empirical measure nu_{n,B} that sum term by term from the
-definitions.
+definitions, and the one-shot replicate Z matrices that semproc.fclt now
+builds from row blocks of the draws.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -18,8 +20,9 @@ import numpy as np
 
 from semproc.function_classes import BoundedPolynomial, IndicatorMember, _exact_form
 from semproc.intervals import IntervalUnion
-from semproc.measures import Sample
+from semproc.measures import NuModel, Sample, grid_points
 from semproc.quadrature import DEFAULT_TOL, integrate
+from semproc.seeds import derive_seed
 
 
 def holder_sup_distance(h1, h2, grid_size: int = 4001) -> float:
@@ -131,3 +134,33 @@ def eval_b_empirical(
     else:
         vals = np.asarray(W_or_g(xs), dtype=float)
     return BEmpiricalValue(float(vals.mean()), len(idx), False)
+
+
+def one_shot_replicate_Z_values(q_list: Sequence[tuple], n: int, R: int, seed: int,
+                                model: NuModel) -> np.ndarray:
+    """fclt.replicate_Z_values from one (R, n) draw matrix: the column of
+    q = (h, g) is the matrix product g(draws) @ h(i/n), centred and scaled."""
+    draws = model.draw(np.random.default_rng(derive_seed(seed, ["replicate-Z", n, R])), (R, n))
+    svals = grid_points(n)
+    cols = []
+    for h, g in q_list:
+        hv = np.asarray(h(svals), dtype=float)
+        center = float(np.mean(hv * g.mean(model)))
+        pn = np.asarray(g(draws), dtype=float) @ hv / n
+        cols.append(math.sqrt(n) * (pn - center))
+    return np.stack(cols, axis=1)
+
+
+def one_shot_modulus_Z(h_vals: np.ndarray, g_list: Sequence, n: int, R: int,
+                       rng: np.random.Generator, model: NuModel) -> np.ndarray:
+    """fclt._modulus_Z from one (R, n) draw matrix: column a * kg + b holds
+    Z_n(h_a g_b), from the product g_b(draws) @ h_vals.T."""
+    kg = len(g_list)
+    means = np.array([g.mean(model) for g in g_list])
+    h_center = h_vals.mean(axis=1)
+    draws = model.draw(rng, (R, n))
+    Z = np.empty((R, h_vals.shape[0] * kg))
+    for b, g in enumerate(g_list):
+        pn = np.asarray(g(draws), dtype=float) @ h_vals.T / n
+        Z[:, b::kg] = math.sqrt(n) * (pn - h_center[None, :] * means[b])
+    return Z

@@ -11,12 +11,16 @@ from semproc.function_classes import (
     BVectorClass,
     GClass,
     HolderClass,
+    HolderMember,
     IndicatorFamily,
+    IndicatorMember,
     NetTooLargeError,
     NoBoundError,
     ProductClass,
     b_infinity_witness,
     observed_riemann_gap,
+    observed_riemann_gap_rows,
+    observed_riemann_gaps,
     riemann_gap_bound,
 )
 from semproc.intervals import IntervalUnion
@@ -55,6 +59,17 @@ class TestRiemannGapBounds:
             m = cls.random_member(rng)
             for n in (10, 100):
                 assert observed_riemann_gap(m, n) <= riemann_gap_bound(cls, n) + 1e-12
+
+    def test_gap_rows_are_the_one_n_gaps(self):
+        # the bounds experiment reads every n from one observed_riemann_gap_rows call
+        rng = np.random.default_rng(8)
+        members = [HolderClass(1, 1, beta).random_member(rng) for beta in (0.5, 1.0) * 20]
+        members += [BVectorClass(1, "odd").random_member(rng), IndicatorMember(0.3),
+                    HolderClass(1, 1, 1.0).build_net(0.8)[3], HolderMember(1, 1, 0.5, a=0.2)]
+        n_list = [1, 10, 17, 1000]
+        rows = observed_riemann_gap_rows(members, n_list)
+        assert rows == [observed_riemann_gaps(members, n) for n in n_list]
+        assert observed_riemann_gap_rows(members, []) == []
 
     def test_sup_lambda_gap_below_display_bound(self):
         for cls in (BVectorClass(0, "odd"), BVectorClass(2, "odd"), BVectorClass(1, "even")):

@@ -157,6 +157,17 @@ class TestDrawSample:
         s = draw_sample("exponential(1)", 10**5, 8)
         assert abs(float(np.mean(s.xs())) - 1.0) < 0.02
 
+    @pytest.mark.parametrize("name", ["uniform01", "standard-normal", "exponential(2)"])
+    @pytest.mark.parametrize("a, b, n", [(1, 1, 1), (256, 1, 37), (255, 258, 5), (3, 2, 2000)])
+    def test_consecutive_draws_concatenate(self, name, a, b, n):
+        # fclt draws its replicate matrices in row blocks: (a, n) then (b, n)
+        # from one generator must be the (a + b, n) draw, byte for byte
+        model = parse_model(name)
+        rng = np.random.default_rng(2024)
+        parts = np.concatenate([model.draw(rng, (a, n)), model.draw(rng, (b, n))])
+        whole = model.draw(np.random.default_rng(2024), (a + b, n))
+        assert parts.tobytes() == whole.tobytes()
+
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             draw_sample("cauchy", 10, 1)
