@@ -42,10 +42,15 @@ from .fclt import (
     make_sx_q,
 )
 from .function_classes import (
+    BoundedPolynomial,
     BVectorClass,
     GClass,
+    HalfLine,
     HolderClass,
+    HolderMember,
     IndicatorFamily,
+    IndicatorMember,
+    InitialInterval,
     NetTooLargeError,
     ProductClass,
     b_infinity_witness,
@@ -54,6 +59,7 @@ from .function_classes import (
     riemann_gap_bound,
 )
 from .measures import draw_sample, parse_model
+from .piecewise import PiecewiseLinear
 from .quadrature import QuadratureError
 from .seeds import derive_seed
 from .ulln import (
@@ -65,6 +71,7 @@ from .ulln import (
     series_S_diagnostic,
     sup_deviation_bruteforce,
     sup_deviation_exact_BW,
+    sup_deviation_net,
 )
 
 SCHEMA_VERSION = 1
@@ -109,6 +116,17 @@ def _ledger_entry(name: str, observed, bound, tolerance: str, ok: bool) -> dict:
             "tolerance": tolerance, "ok": bool(ok)}
 
 
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"config key {key} must be {rule}, got {value!r}")
+
+
+def _require_increasing(key: str, values: list) -> None:
+    """The ledgers read these lists in order, smallest first."""
+    _require(bool(values) and all(a < b for a, b in zip(values, values[1:])),
+             key, "a nonempty strictly increasing list", values)
+
+
 def _run_ulln(cfg: dict) -> tuple:
     if cfg["class"] != "bvector":
         raise ConfigError(
@@ -119,6 +137,8 @@ def _run_ulln(cfg: dict) -> tuple:
         n_schedule=tuple(int(n) for n in cfg["n_schedule"]),
         replicates=cfg["replicates"], seed=cfg["seed"], centering=cfg["centering"],
     )
+    _require_increasing("ulln.n_schedule", list(exp.n_schedule))
+    _require(exp.replicates >= 1, "ulln.replicates", ">= 1", exp.replicates)
     report = gc_experiment(exp)
     ledger = []
     for row in report.rows:
@@ -135,8 +155,6 @@ def _run_ulln(cfg: dict) -> tuple:
     ))
     if cfg["net_u"] > 0 and cfg["j"] == 0 and cfg["parity"] == "odd":
         # net sandwich cross-check against the exact statistic, one sample per n
-        from .ulln import sup_deviation_net
-
         pclass = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
         for n in exp.n_schedule:
             if cfg["net_u"] <= 3.0 / n:
@@ -164,8 +182,6 @@ def _kiefer_cells(grid: int) -> list:
 
 
 def _holder_product_qs(model) -> list:
-    from .function_classes import HalfLine, HolderClass
-
     net = HolderClass(1.0, 1.0, 1.0).build_net(0.8)
     picks = [net[0], net[len(net) // 3], net[2 * len(net) // 3], net[-1]]
     gs = [HalfLine(float(model.ppf(1.0 / 3.0))), HalfLine(float(model.ppf(2.0 / 3.0)))]
@@ -173,15 +189,6 @@ def _holder_product_qs(model) -> list:
 
 
 def _load_q_file(path: str) -> list:
-    from .function_classes import (
-        BoundedPolynomial,
-        HalfLine,
-        HolderMember,
-        IndicatorMember,
-        InitialInterval,
-    )
-    from .piecewise import PiecewiseLinear
-
     with open(path) as fh:
         # NaN and Infinity stay strings, which number() rejects with the entry and key
         entries = json.load(fh, parse_constant=str)
@@ -234,6 +241,7 @@ def _load_q_file(path: str) -> list:
 
 
 def _run_fclt(cfg: dict) -> tuple:
+    _require(cfg["replicates"] >= 2, "fclt.replicates", ">= 2", cfg["replicates"])
     model = parse_model(cfg["model"])
     if cfg["q_set"] == "kiefer-3":
         q_list = [kiefer_cell(0.5, 0.5), kiefer_cell(1.0, 0.5), kiefer_cell(0.5, 0.25)]
@@ -247,6 +255,9 @@ def _run_fclt(cfg: dict) -> tuple:
         raise ConfigError(f"unknown q_set {cfg['q_set']!r}")
     mod = None
     if cfg["run_modulus"]:
+        _require_increasing("fclt.alpha_list", cfg["alpha_list"])
+        _require(cfg["modulus_replicates"] >= 1, "fclt.modulus_replicates", ">= 1",
+                 cfg["modulus_replicates"])
         # before the fidi test, so a net too large for net_u fails fast
         h_class = parse_class_descriptor(cfg["h_class"])
         if not isinstance(h_class, (HolderClass, IndicatorFamily)):
@@ -400,6 +411,7 @@ def _run_bounds(cfg: dict) -> tuple:
 
 
 def _run_kiefer(cfg: dict) -> tuple:
+    _require(cfg["draws"] >= 2, "kiefer.draws", ">= 2", cfg["draws"])
     model = parse_model("uniform01")
     grid = cfg["grid"]
     cells = _kiefer_cells(grid)

@@ -1,4 +1,4 @@
-"""Covering numbers, pseudo-metrics, shatter coefficients.
+"""Covering numbers, shatter coefficients, random covering numbers.
 
 Nets follow the strict-inequality convention: {m_1..m_k} is a u-net when every
 point of the space is within distance strictly less than u of some m_i.  Exact
@@ -18,7 +18,6 @@ the one actually used when passing from a product class to its factor classes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -30,14 +29,10 @@ from .function_classes import (
     IndicatorFamily,
     IndicatorMember,
     ProductClass,
-    lambda_sq_distance,
-    lambda_sq_matrix,
 )
-from .measures import NuModel, Sample, draw_sample, grid_points
+from .measures import NuModel, draw_sample, grid_points
 
 __all__ = [
-    "PseudoMetricId",
-    "eval_pseudometric",
     "greedy_net_indices",
     "exact_covering_number",
     "check_covering_lemmas",
@@ -47,105 +42,14 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# Pseudo-metrics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PseudoMetricId:
-    """Identifier plus evaluation context for the pseudo-metrics in use.
-
-    kind: one of d1_Pn, d1_nun, d1_lambdan, d2_lambdan, d2_nun, d2_lambda,
-    d2_nu, d2_product, composite_d.  The empirical kinds need a sample; the
-    lambda_n kinds need n; the population kinds need the model.
-    """
-
-    kind: str
-    n: Optional[int] = None
-    sample: Optional[Sample] = None
-    model: Optional[NuModel] = None
-
-
-def _h_values(h, pts: np.ndarray) -> np.ndarray:
-    return np.asarray(h(pts), dtype=float)
-
-
-def _as_pair(f):
-    if isinstance(f, tuple) and len(f) == 2:
-        return f
-    raise TypeError("product-metric operands must be (h, g) pairs")
-
-
-def _lambda2_h(h1, h2) -> float:
-    """Exact L2(lambda) distance between two h members."""
-    return math.sqrt(max(lambda_sq_distance(h1, h2), 0.0))
-
-
-def _nu2_g(g1, g2, model: NuModel) -> float:
-    """Exact L2(nu) distance via closed-form pair means."""
-    sq = g1.second_moment(model) - 2.0 * g1.pair_mean(g2, model) + g2.second_moment(model)
-    return math.sqrt(max(sq, 0.0))
-
-
-def eval_pseudometric(metric: PseudoMetricId, a, b) -> float:
-    kind = metric.kind
-    if kind in ("d1_Pn", "d2_Pn"):
-        h1, g1 = _as_pair(a)
-        h2, g2 = _as_pair(b)
-        s = metric.sample.grid()
-        xs = metric.sample.xs()
-        diff = _h_values(h1, s) * np.asarray(g1(xs), dtype=float) - _h_values(
-            h2, s
-        ) * np.asarray(g2(xs), dtype=float)
-        if kind == "d1_Pn":
-            return float(np.mean(np.abs(diff)))
-        return float(math.sqrt(np.mean(diff**2)))
-    if kind in ("d1_lambdan", "d2_lambdan"):
-        pts = grid_points(metric.n)
-        diff = _h_values(a, pts) - _h_values(b, pts)
-        if kind == "d1_lambdan":
-            return float(np.mean(np.abs(diff)))
-        return float(math.sqrt(np.mean(diff**2)))
-    if kind in ("d1_nun", "d2_nun"):
-        xs = metric.sample.xs()
-        diff = np.asarray(a(xs), dtype=float) - np.asarray(b(xs), dtype=float)
-        if kind == "d1_nun":
-            return float(np.mean(np.abs(diff)))
-        return float(math.sqrt(np.mean(diff**2)))
-    if kind == "d2_lambda":
-        return _lambda2_h(a, b)
-    if kind == "d2_nu":
-        return _nu2_g(a, b, metric.model)
-    if kind == "d2_product":
-        h1, g1 = _as_pair(a)
-        h2, g2 = _as_pair(b)
-        pts = grid_points(metric.n)
-        v1, v2 = _h_values(h1, pts), _h_values(h2, pts)
-        m = metric.model
-        sq = (
-            float(np.mean(v1 * v1)) * g1.second_moment(m)
-            - 2.0 * float(np.mean(v1 * v2)) * g1.pair_mean(g2, m)
-            + float(np.mean(v2 * v2)) * g2.second_moment(m)
-        )
-        return math.sqrt(max(sq, 0.0))
-    if kind == "composite_d":
-        h1, g1 = _as_pair(a)
-        h2, g2 = _as_pair(b)
-        return _lambda2_h(h1, h2) + _nu2_g(g1, g2, metric.model)
-    raise ValueError(f"unknown pseudo-metric kind {kind!r}")
-
-
+# Kept only because perfbench/tracing.py wraps this name; no report calls it.
 def pairwise_distances(family: Sequence, metric) -> np.ndarray:
-    """Distance matrix for a finite family; metric is a PseudoMetricId or a
-    callable (a, b) -> float."""
-    if isinstance(metric, PseudoMetricId) and metric.kind == "d2_lambda":
-        return np.sqrt(np.maximum(lambda_sq_matrix(family), 0.0))
-    fn = metric if callable(metric) else (lambda a, b: eval_pseudometric(metric, a, b))
+    """Distance matrix of a finite family under a callable (a, b) -> float."""
     k = len(family)
     d = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            d[i, j] = d[j, i] = fn(family[i], family[j])
+            d[i, j] = d[j, i] = metric(family[i], family[j])
     return d
 
 

@@ -365,7 +365,7 @@ class _MemberPools:
 def _member_pools(product_class: ProductClass, net_u: float, h_cap: int, g_cap: int,
                   seed: int, model: NuModel) -> _MemberPools:
     h_pool, h_sq = _h_pool(product_class.h_class, net_u, h_cap, seed)
-    g_net = product_class.g_class.build_net(net_u, model, "d2_nu", max_members=10**6)
+    g_net = product_class.g_class.build_net(net_u, model, max_members=10**6)
     if len(g_net) > g_cap:
         idx = np.linspace(0, len(g_net) - 1, g_cap).round().astype(int)
         g_net = [g_net[i] for i in sorted(set(idx.tolist()))]

@@ -27,7 +27,7 @@ points where h may jump; the lambdas are exact Fractions for set members, and
 lambda_n is one for indicators.  A set member's Riemann gap is read in
 integers, through IntervalUnion.riemann_gap; the gaps of cusp Holder members
 are computed per class, all members of one beta together in row blocks of
-grid values (observed_riemann_gaps), with the bits of the one-member float
+grid values (observed_riemann_gap_rows), with the bits of the one-member float
 expression.  The pair integrals
 lambda((h1-h2)^2) and lambda(h1 h2) are closed forms when both members have
 one exact form (the t of two indicators, two piecewise-linear Holder members,
@@ -51,7 +51,6 @@ from .quadrature import integrate
 
 __all__ = [
     "NetTooLargeError",
-    "NoBoundError",
     "HolderClass",
     "HolderMember",
     "IndicatorFamily",
@@ -59,7 +58,6 @@ __all__ = [
     "BVectorClass",
     "BVectorMember",
     "b_infinity_witness",
-    "BInfinityClass",
     "GClass",
     "HalfLine",
     "InitialInterval",
@@ -67,7 +65,6 @@ __all__ = [
     "ProductClass",
     "riemann_gap_bound",
     "observed_riemann_gap",
-    "observed_riemann_gaps",
     "observed_riemann_gap_rows",
     "lambda_sq_distance",
     "lambda_prod",
@@ -80,10 +77,6 @@ class NetTooLargeError(RuntimeError):
         super().__init__(f"net would need about {estimate} members (cap {cap})")
         self.estimate = estimate
         self.cap = cap
-
-
-class NoBoundError(ValueError):
-    """The class has no stated closed-form Riemann gap bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +412,12 @@ class BVectorClass:
             return (self.j + 1) / n
         return self.j / n
 
-    def build_net(self, u: float, metric: str = "d2_lambda",
-                  max_members: int = 200_000) -> list[BVectorMember]:
+    def build_net(self, u: float, max_members: int = 200_000) -> list[BVectorMember]:
         """Net by breakpoint quantization; mesh chosen so the guarantee holds
-        in the requested metric (L2 distance between indicators is the square
-        root of the symmetric difference measure)."""
+        in d2_lambda (L2 distance between indicators is the square root of
+        the symmetric difference measure)."""
         p = self.n_breakpoints
-        mesh = (u * u) / p if metric in ("d2_lambda", "d2") else u / (2.0 * p)
+        mesh = (u * u) / p
         g = math.ceil(1.0 / mesh)
         count = math.comb(g + p, p)
         if count > max_members:
@@ -439,14 +431,6 @@ class BVectorClass:
             if key not in seen:
                 seen[key] = member
         return list(seen.values())
-
-
-@dataclass(frozen=True)
-class BInfinityClass:
-    """Union over n of B(n); not a VC class, no uniform Riemann gap bound."""
-
-    def riemann_gap_bound(self, n: int) -> float:
-        raise NoBoundError("no closed-form Riemann gap bound for BInfinityClass")
 
 
 def b_infinity_witness(n: int) -> IntervalUnion:
@@ -618,13 +602,13 @@ class GClass:
         coeffs = (2 * rng.random(self.degree + 1) - 1) * self.coeff_bound
         return BoundedPolynomial(tuple(coeffs))
 
-    def build_net(self, u: float, model: NuModel, metric: str = "d2_nu",
+    def build_net(self, u: float, model: NuModel,
                   max_members: int = 200_000) -> list[GMember]:
         """Quantile net: d2_nu distance between indicator members is
         sqrt(|F(w) - F(w')|), so an F-quantile grid of mesh u^2 covers."""
         if self.kind == "poly":
             raise NetTooLargeError(10**9, max_members)  # no constructive net shipped
-        mesh = u * u if metric in ("d2_nu", "d2") else u
+        mesh = u * u
         count = math.ceil(1.0 / mesh)
         if count > max_members:
             raise NetTooLargeError(count, max_members)
@@ -675,7 +659,7 @@ class ProductClass:
 # Rate bounds and observed gaps
 # ---------------------------------------------------------------------------
 
-AnyClass = Union[HolderClass, BVectorClass, IndicatorFamily, BInfinityClass]
+AnyClass = Union[HolderClass, BVectorClass, IndicatorFamily]
 
 
 def riemann_gap_bound(cls: AnyClass, n: int) -> float:
@@ -694,10 +678,18 @@ _GAP_BLOCK_CELLS = 16_000
 
 
 def observed_riemann_gap_rows(members: Sequence, n_list: Sequence[int]) -> list[list[float]]:
-    """observed_riemann_gaps(members, n) for each n of n_list, in order.
+    """|lambda_n(m) - lambda(m)| for each member, each rounded once: one row
+    per n of n_list, members in order.
 
-    Each member is classified, and each cusp member's lambda_exact() and
-    padded coeff/center row are built, once for every n."""
+    Set members are read in integers (IntervalUnion.riemann_gap).  Cusp-form
+    HolderMembers that share a beta are evaluated together, in row blocks:
+    a block starts at each row's a and adds c_k |x - x_k|^beta for k = 0, 1,
+    ... to the rows that have a k-th cusp, so every value takes the float
+    operations of HolderMember.__call__, and the row means minus lambda_exact()
+    give the bits of the scalar float(abs(lambda_n(n) - Fraction(lambda))).
+    Any other member takes that scalar expression, where a Fraction lambda_n
+    (indicators) subtracts exactly.  Members are classified, and each cusp
+    member's lambda_exact() and padded row built, once for every n."""
     set_rows, other_rows = [], []  # (index, IntervalUnion) and (index, Fraction lambda)
     cusp_rows: dict = {}  # beta -> indices of its cusp members
     for i, m in enumerate(members):
@@ -751,23 +743,9 @@ def observed_riemann_gap_rows(members: Sequence, n_list: Sequence[int]) -> list[
     return table
 
 
-def observed_riemann_gaps(members: Sequence, n: int) -> list[float]:
-    """|lambda_n(m) - lambda(m)| for each member, in order, each rounded once.
-
-    Set members are read in integers (IntervalUnion.riemann_gap).  Cusp-form
-    HolderMembers that share a beta are evaluated together, in row blocks:
-    a block starts at each row's a and adds c_k |x - x_k|^beta for k = 0, 1,
-    ... to the rows that have a k-th cusp, so every value takes the float
-    operations of HolderMember.__call__, and the row means minus lambda_exact()
-    give the bits of the scalar float(abs(lambda_n(n) - Fraction(lambda))).
-    Any other member takes that scalar expression, where a Fraction lambda_n
-    (indicators) subtracts exactly."""
-    return observed_riemann_gap_rows(members, [n])[0]
-
-
 def observed_riemann_gap(member, n: int) -> float:
-    """One member's gap; see observed_riemann_gaps."""
-    return observed_riemann_gaps([member], n)[0]
+    """One member's gap; see observed_riemann_gap_rows."""
+    return observed_riemann_gap_rows([member], [n])[0][0]
 
 
 def parse_class_descriptor(desc: dict):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -300,18 +300,13 @@ class DeviationSandwich:
     upper: float
     net_u: float
     n: int
-    centering: str
     h_net_size: int = 0
     g_net_size: int = 0
-
-    def __post_init__(self):
-        if self.lower > self.upper + 1e-12:
-            raise ValueError("lower > upper")
 
 
 def _h_net_for_semp(h_class, u_h: float, n: int):
     """Net of the h side with replacement slack <= u_h in the relevant metric
-    (sup norm for Holder, lambda_n/lambda L1 for indicators)."""
+    (sup norm for Holder, lambda_n L1 for indicators)."""
     if isinstance(h_class, HolderClass):
         return h_class.build_net(u_h)
     if isinstance(h_class, IndicatorFamily):
@@ -345,60 +340,39 @@ def sup_deviation_net(
     product_class: ProductClass,
     sample: Sample,
     net_u: float,
-    centering: str = "lambda_n",
-    model: Optional[NuModel] = None,
-    members: Optional[Sequence] = None,
 ) -> DeviationSandwich:
-    """Net sandwich for sup |P_n(hg) - center(h) nu(g)| over F = H * G.
+    """Net sandwich for sup |P_n(hg) - lambda_n(h) nu(g)| over F = H * G.
 
     lower is the max over net pairs; upper = lower + 2 net_u, valid because
     the one-sided replacement error of (h, g) by its net neighbor is at most
     G_env * (h gap) + H_env * (g gap) <= net_u on the P_n side and again on
-    the centering side.  With an explicit member list (singleton classes),
-    net_u may be 0 and the sandwich degenerates.
+    the centering side.
     """
-    if model is None:
-        model = parse_model(sample.model)
-    if centering not in ("lambda_n", "lambda"):
-        raise ValueError("centering must be lambda_n or lambda")
-
-    if members is not None:
-        h_net = [h for h, _ in members]
-        g_net = [g for _, g in members]
-        pairs_mode = "zip"
-    else:
-        if net_u <= 0:
-            raise ValueError("net_u must be > 0 when the net is constructed")
-        g_env = product_class.g_class.envelope_constant
-        if g_env is None:
-            raise ValueError("net sandwich requires a constant G envelope")
-        h_env = product_class.h_class.envelope_constant
-        u_h = net_u / (2.0 * g_env)
-        u_g = net_u / (2.0 * h_env)
-        h_net = _h_net_for_semp(product_class.h_class, u_h, sample.n)
-        g_net = _g_net_for_semp(product_class.g_class, u_g, sample, model)
-        pairs_mode = "product"
+    model = parse_model(sample.model)
+    if net_u <= 0:
+        raise ValueError("net_u must be > 0")
+    g_env = product_class.g_class.envelope_constant
+    if g_env is None:
+        raise ValueError("net sandwich requires a constant G envelope")
+    h_env = product_class.h_class.envelope_constant
+    u_h = net_u / (2.0 * g_env)
+    u_g = net_u / (2.0 * h_env)
+    h_net = _h_net_for_semp(product_class.h_class, u_h, sample.n)
+    g_net = _g_net_for_semp(product_class.g_class, u_g, sample, model)
 
     s_grid = sample.grid()
     xs = sample.xs()
     h_vals = np.stack([np.asarray(h(s_grid), dtype=float) for h in h_net])
     g_vals = np.stack([np.asarray(g(xs), dtype=float) for g in g_net])
-    if centering == "lambda_n":
-        h_center = h_vals.mean(axis=1)
-    else:
-        h_center = np.array([h.lambda_exact() for h in h_net])
+    h_center = h_vals.mean(axis=1)
     g_mean = np.array([g.mean(model) for g in g_net])
 
-    if pairs_mode == "zip":
-        pn = np.einsum("kn,kn->k", h_vals, g_vals) / sample.n
-        dev = np.abs(pn - h_center * g_mean)
-    else:
-        pn = (h_vals @ g_vals.T) / sample.n
-        dev = np.abs(pn - np.outer(h_center, g_mean))
+    pn = (h_vals @ g_vals.T) / sample.n
+    dev = np.abs(pn - np.outer(h_center, g_mean))
     lower = float(np.max(dev))
     return DeviationSandwich(
         lower=lower, upper=lower + 2.0 * net_u, net_u=net_u, n=sample.n,
-        centering=centering, h_net_size=len(h_net), g_net_size=len(g_net),
+        h_net_size=len(h_net), g_net_size=len(g_net),
     )
 
 

@@ -128,8 +128,9 @@ class TestPlotData:
         assert len(lines) == 3
 
     def test_empty_schedule_header_only(self, tmp_path):
-        rep = run_experiment("ulln", {"n_schedule": [], "replicates": 5, "seed": 1})
-        paths = emit_plotdata(rep, str(tmp_path / "e"))
+        # an empty schedule is a config error (TestCountsAndOrders); a report
+        # without rows still gets its header
+        paths = emit_plotdata({"experiment": "ulln", "results": []}, str(tmp_path / "e"))
         lines = open(paths[0]).read().strip().split("\n")
         assert lines == ["n,mean,median,q95,max,bound"]
 
@@ -262,6 +263,41 @@ class TestMainEntry:
         code = main(["ulln", "--set", 'centering="lambda-typo"', "--set", "n_schedule=[20,40]",
                      "--set", "replicates=3"])
         assert code == 2
+
+
+class TestCountsAndOrders:
+    """The ledgers read n_schedule and alpha_list smallest first, and the
+    statistics need enough replicates or draws: anything else is a config
+    error naming its key, not a ledger failure or a traceback."""
+
+    @pytest.mark.parametrize("argv,key", [
+        (["ulln", "--set", "n_schedule=[400,50]", "--set", "replicates=20"], "ulln.n_schedule"),
+        (["ulln", "--set", "n_schedule=[50,50]", "--set", "replicates=2"], "ulln.n_schedule"),
+        (["ulln", "--set", "n_schedule=[]"], "ulln.n_schedule"),
+        (["ulln", "--set", "replicates=0"], "ulln.replicates"),
+        (["fclt", "--set", "alpha_list=[0.4,0.1]", "--set", "run_lindeberg=false"],
+         "fclt.alpha_list"),
+        (["fclt", "--set", "alpha_list=[]", "--set", "run_lindeberg=false"], "fclt.alpha_list"),
+        (["fclt", "--set", "modulus_replicates=0", "--set", "run_lindeberg=false"],
+         "fclt.modulus_replicates"),
+        (["fclt", "--set", "replicates=1", "--set", "run_lindeberg=false"], "fclt.replicates"),
+        (["kiefer", "--set", "draws=1"], "kiefer.draws"),
+    ], ids=["ulln-decreasing", "ulln-repeated", "ulln-empty", "ulln-replicates", "fclt-alpha",
+            "fclt-alpha-empty", "fclt-modulus-replicates", "fclt-replicates", "kiefer-draws"])
+    def test_bad_config_exit_2(self, capsys, argv, key):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key {key} must be")
+
+    @pytest.mark.parametrize("argv", [
+        ["ulln", "--n-schedule", "20", "--replicates", "1"],
+        ["fclt", "--n", "50", "--replicates", "2", "--alpha-list", "0.1,0.4", "--net-u", "0.45",
+         "--modulus-replicates", "1", "--run-lindeberg", "false",
+         "--cov-tolerance", "10", "--ks-tolerance", "10"],
+        ["kiefer", "--draws", "2", "--tolerance", "10"],
+    ], ids=["ulln", "fclt", "kiefer"])
+    def test_smallest_valid_counts_exit_0(self, argv):
+        assert main(argv) == 0
 
 
 class TestDocsQuickstart:

@@ -6,26 +6,23 @@ import numpy as np
 import pytest
 
 from semproc.covering import (
-    PseudoMetricId,
     check_covering_lemmas,
-    eval_pseudometric,
     exact_covering_number,
     greedy_net_indices,
-    pairwise_distances,
     random_covering_boundedness,
     shatter_coefficient,
 )
 from semproc.function_classes import (
-    BoundedPolynomial,
     BVectorClass,
     GClass,
     HalfLine,
-    HolderClass,
     IndicatorFamily,
     IndicatorMember,
     ProductClass,
+    lambda_sq_distance,
+    lambda_sq_matrix,
 )
-from semproc.measures import draw_sample, parse_model
+from semproc.measures import parse_model
 
 
 def _euclid(points):
@@ -33,78 +30,54 @@ def _euclid(points):
     return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
 
 
+def d2_lambda(h1, h2):
+    """L2(lambda) distance from the exact lambda((h1-h2)^2)."""
+    return math.sqrt(max(lambda_sq_distance(h1, h2), 0.0))
+
+
+def d2_nu(g1, g2, model):
+    """L2(nu) distance from the closed-form g moments."""
+    sq = g1.second_moment(model) - 2.0 * g1.pair_mean(g2, model) + g2.second_moment(model)
+    return math.sqrt(max(sq, 0.0))
+
+
+def _metric(kind, model):
+    """The distance of kind, and the side it acts on ('h' or 'g')."""
+    if kind == "d2_lambda":
+        return d2_lambda, "h"
+    return (lambda a, b: d2_nu(a, b, model)), "g"
+
+
+def _triples(rng, side):
+    member = IndicatorMember if side == "h" else HalfLine
+    return (member(float(t)) for t in rng.random(3))
+
+
 class TestPseudoMetrics:
     def test_identity_is_zero(self):
         model = parse_model("uniform01")
-        s = draw_sample("uniform01", 20, 1)
         h = IndicatorMember(0.6)
         g = HalfLine(0.4)
-        for kind in ("d1_lambdan", "d2_lambdan"):
-            m = PseudoMetricId(kind, n=20)
-            assert eval_pseudometric(m, h, h) == 0.0
-        for kind in ("d1_nun", "d2_nun"):
-            m = PseudoMetricId(kind, sample=s)
-            assert eval_pseudometric(m, g, g) == 0.0
-        m = PseudoMetricId("composite_d", model=model)
-        assert eval_pseudometric(m, (h, g), (h, g)) == 0.0
+        assert d2_lambda(h, h) == 0.0
+        assert d2_nu(g, g, model) == 0.0
 
     def test_d2_lambda_indicator_closed_form(self):
-        m = PseudoMetricId("d2_lambda")
         rng = np.random.default_rng(0)
         for _ in range(50):
             t1, t2 = rng.random(2)
-            got = eval_pseudometric(m, IndicatorMember(t1), IndicatorMember(t2))
+            got = d2_lambda(IndicatorMember(t1), IndicatorMember(t2))
             assert got == pytest.approx(math.sqrt(abs(t1 - t2)), abs=1e-12)
 
-    def test_d1_pn_single_atom_constants(self):
-        s = draw_sample("uniform01", 1, 3)
-        metric = PseudoMetricId("d1_Pn", sample=s)
-        f1 = (IndicatorMember(1.0), BoundedPolynomial((0.7,)))
-        f2 = (IndicatorMember(1.0), BoundedPolynomial((0.2,)))
-        assert eval_pseudometric(metric, f1, f2) == pytest.approx(0.5, abs=1e-12)
-
-    @pytest.mark.parametrize("kind,ctx", [
-        ("d1_lambdan", "n"), ("d2_lambdan", "n"),
-        ("d1_nun", "s"), ("d2_nun", "s"),
-        ("d2_lambda", None), ("d2_nu", "m"),
-    ])
+    @pytest.mark.parametrize("kind,ctx", [("d2_lambda", None), ("d2_nu", "m")])
     def test_axioms_random_triples(self, kind, ctx):
-        model = parse_model("uniform01")
-        sample = draw_sample("uniform01", 30, 5)
-        metric = PseudoMetricId(
-            kind,
-            n=30 if ctx == "n" else None,
-            sample=sample if ctx == "s" else None,
-            model=model if ctx == "m" else None,
-        )
+        # ctx is the context the distance needs: none, or the model
+        dist, side = _metric(kind, parse_model("uniform01") if ctx == "m" else None)
         rng = np.random.default_rng(11)
-        h_kinds = kind in ("d1_lambdan", "d2_lambdan", "d2_lambda")
         for _ in range(120):
-            if h_kinds:
-                a, b, c = (IndicatorMember(float(t)) for t in rng.random(3))
-            else:
-                a, b, c = (HalfLine(float(t)) for t in rng.random(3))
-            dab = eval_pseudometric(metric, a, b)
-            dba = eval_pseudometric(metric, b, a)
-            dac = eval_pseudometric(metric, a, c)
-            dcb = eval_pseudometric(metric, c, b)
-            assert dab == pytest.approx(dba, abs=1e-12)
-            assert dab <= dac + dcb + 1e-12
-
-    def test_d2_product_composite_consistency(self):
-        # d2_product at n against the closed-form grams
-        model = parse_model("uniform01")
-        metric = PseudoMetricId("d2_product", n=50, model=model)
-        f1 = (IndicatorMember(0.5), HalfLine(0.3))
-        f2 = (IndicatorMember(0.8), HalfLine(0.6))
-        got = eval_pseudometric(metric, f1, f2)
-        # direct evaluation through the defining sum over the grid
-        import numpy as np
-        s = (np.arange(1, 51)) / 50
-        h1 = (s <= 0.5).astype(float)
-        h2 = (s <= 0.8).astype(float)
-        want = math.sqrt(np.mean(h1 * h1 * 0.3 - 2 * h1 * h2 * 0.3 + h2 * h2 * 0.6))
-        assert got == pytest.approx(want, abs=1e-12)
+            a, b, c = _triples(rng, side)
+            dab = dist(a, b)
+            assert dab == pytest.approx(dist(b, a), abs=1e-12)
+            assert dab <= dist(a, c) + dist(c, b) + 1e-12
 
 
 class TestCoveringNumbers:
@@ -238,14 +211,15 @@ class TestReportSurfaces:
 
 class TestCompositeMetricProductBound:
     def test_f_net_covering_factorizes(self):
-        # N(eps, F-net, d) <= N(eps/2, H-net, d2_lambda) * N(eps/2, G-net, d2_nu)
+        # N(eps, F-net, d) <= N(eps/2, H-net, d2_lambda) * N(eps/2, G-net, d2_nu),
+        # with the composite d((h, g), (h', g')) = d2_lambda(h, h') + d2_nu(g, g')
         model = parse_model("uniform01")
         h_net = [IndicatorMember(t) for t in (0.25, 0.5, 0.75, 1.0)]
         g_net = [HalfLine(w) for w in (0.2, 0.5, 0.8)]
-        f_net = [(h, g) for h in h_net for g in g_net]
-        d_f = pairwise_distances(f_net, PseudoMetricId("composite_d", model=model))
-        d_h = pairwise_distances(h_net, PseudoMetricId("d2_lambda"))
-        d_g = pairwise_distances(g_net, PseudoMetricId("d2_nu", model=model))
+        d_h = np.sqrt(np.maximum(lambda_sq_matrix(h_net), 0.0))
+        d_g = np.array([[d2_nu(a, b, model) for b in g_net] for a in g_net])
+        k = len(h_net) * len(g_net)  # F-net member (h_a, g_b) is row a * len(g_net) + b
+        d_f = (d_h[:, None, :, None] + d_g[None, :, None, :]).reshape(k, k)
         for eps in (0.3, 0.6, 0.9, 1.5):
             n_f = exact_covering_number(d_f, eps)
             bound = (exact_covering_number(d_h, eps / 2)
@@ -256,24 +230,11 @@ class TestCompositeMetricProductBound:
 class TestMetricAxiomsFullScale:
     def test_thousand_triples_each(self):
         model = parse_model("uniform01")
-        sample = draw_sample("uniform01", 25, 6)
         rng = np.random.default_rng(60)
-        configs = [
-            ("d1_lambdan", dict(n=25), "h"),
-            ("d2_lambdan", dict(n=25), "h"),
-            ("d2_lambda", {}, "h"),
-            ("d1_nun", dict(sample=sample), "g"),
-            ("d2_nun", dict(sample=sample), "g"),
-            ("d2_nu", dict(model=model), "g"),
-        ]
-        for kind, kw, side in configs:
-            metric = PseudoMetricId(kind, **kw)
+        for kind in ("d2_lambda", "d2_nu"):
+            dist, side = _metric(kind, model)
             for _ in range(1000):
-                if side == "h":
-                    a, b, c = (IndicatorMember(float(t)) for t in rng.random(3))
-                else:
-                    a, b, c = (HalfLine(float(t)) for t in rng.random(3))
-                dab = eval_pseudometric(metric, a, b)
-                assert dab == pytest.approx(eval_pseudometric(metric, b, a), abs=1e-12)
-                assert dab <= (eval_pseudometric(metric, a, c)
-                               + eval_pseudometric(metric, c, b) + 1e-12)
+                a, b, c = _triples(rng, side)
+                dab = dist(a, b)
+                assert dab == pytest.approx(dist(b, a), abs=1e-12)
+                assert dab <= dist(a, c) + dist(c, b) + 1e-12

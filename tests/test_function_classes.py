@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from semproc.function_classes import (
-    BInfinityClass,
     BVectorClass,
     GClass,
     HolderClass,
@@ -15,12 +14,10 @@ from semproc.function_classes import (
     IndicatorFamily,
     IndicatorMember,
     NetTooLargeError,
-    NoBoundError,
     ProductClass,
     b_infinity_witness,
     observed_riemann_gap,
     observed_riemann_gap_rows,
-    observed_riemann_gaps,
     riemann_gap_bound,
 )
 from semproc.intervals import IntervalUnion
@@ -39,10 +36,6 @@ class TestRiemannGapBounds:
         assert riemann_gap_bound(HolderClass(1, 1, 0.5), 100) == pytest.approx(0.1)
         assert riemann_gap_bound(BVectorClass(1, "odd"), 60) == pytest.approx(0.1)
         assert riemann_gap_bound(BVectorClass(1, "even"), 40) == pytest.approx(0.1)
-
-    def test_no_bound_for_b_infinity(self):
-        with pytest.raises(NoBoundError):
-            riemann_gap_bound(BInfinityClass(), 10)
 
     def test_observed_floor_example(self):
         m = BVectorClass(0, "odd").member([0.25])
@@ -68,7 +61,7 @@ class TestRiemannGapBounds:
                     HolderClass(1, 1, 1.0).build_net(0.8)[3], HolderMember(1, 1, 0.5, a=0.2)]
         n_list = [1, 10, 17, 1000]
         rows = observed_riemann_gap_rows(members, n_list)
-        assert rows == [observed_riemann_gaps(members, n) for n in n_list]
+        assert rows == [observed_riemann_gap_rows(members, [n])[0] for n in n_list]
         assert observed_riemann_gap_rows(members, []) == []
 
     def test_sup_lambda_gap_below_display_bound(self):
@@ -189,7 +182,7 @@ class TestBVectorClasses:
     def test_net_coverage_d2_lambda(self):
         cls = BVectorClass(1, "odd")
         u = 0.35
-        net = cls.build_net(u, "d2_lambda", max_members=500_000)
+        net = cls.build_net(u, max_members=500_000)
         rng = np.random.default_rng(9)
         for _ in range(60):
             m = cls.random_member(rng)
@@ -199,7 +192,7 @@ class TestBVectorClasses:
             assert best <= u
 
     def test_b1_net_quantile_structure(self):
-        net = BVectorClass(0, "odd").build_net(0.1, "d2_lambda")
+        net = BVectorClass(0, "odd").build_net(0.1)
         ts = sorted(float(m.lambda_exact()) for m in net)  # t of 1_(0, t]
         # d2 distance sqrt(|t - t'|): mesh 0.01 covers within 0.1
         for t in np.linspace(0.001, 1.0, 97):

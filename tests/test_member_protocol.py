@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semproc.covering import PseudoMetricId, eval_pseudometric
 from semproc.function_classes import (
     BVectorClass,
     BVectorMember,
@@ -32,8 +31,6 @@ from semproc.function_classes import (
 from semproc.intervals import IntervalUnion
 from semproc.piecewise import diff_sq_integral, prod_integral
 from semproc.quadrature import integrate
-
-D2_LAMBDA = PseudoMetricId("d2_lambda")
 
 
 # -- reference implementations (the per-caller type switches) ---------------
@@ -139,7 +136,6 @@ class TestSetMemberPairs:
             xor, inter = _cell_measures(a.set, b.set)
             assert a.set.symdiff_measure(b.set) == xor
             assert lambda_sq_distance(a, b) == float(xor)
-            assert eval_pseudometric(D2_LAMBDA, a, b) == math.sqrt(float(xor))
             assert lambda_prod(a, b, 1e-10) == float(inter)
             bare = IntervalUnion(a.bounds), IntervalUnion(b.bounds)
             assert lambda_sq_distance(*bare) == float(xor)

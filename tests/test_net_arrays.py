@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from semproc.covering import PseudoMetricId, eval_pseudometric, pairwise_distances
 from semproc.function_classes import (
     HolderClass,
     HolderMember,
@@ -144,9 +143,3 @@ class TestLambdaSqMatrix:
         cusp = cls.random_member(np.random.default_rng(2))
         family = coarse + fine + [other, cusp]
         assert bits_equal(lambda_sq_matrix(family), scalar_sq(family))
-
-    def test_pairwise_d2_lambda_matches_scalar_metric(self):
-        net = HolderClass(1.0, 1.0, 0.5).build_net(1.2)[::20]
-        metric = PseudoMetricId("d2_lambda")
-        scalar = pairwise_distances(net, lambda a, b: eval_pseudometric(metric, a, b))
-        assert bits_equal(pairwise_distances(net, metric), scalar)

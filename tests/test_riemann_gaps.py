@@ -1,4 +1,4 @@
-"""observed_riemann_gaps against the one-member gap, bit for bit.
+"""observed_riemann_gap_rows against the one-member gap, bit for bit.
 
 Cusp Holder members are evaluated in row blocks; every gap must equal
 scalar_riemann_gap (set members: the exact rational gap rounded once), at
@@ -20,7 +20,7 @@ from semproc.function_classes import (
     IndicatorMember,
     b_infinity_witness,
     observed_riemann_gap,
-    observed_riemann_gaps,
+    observed_riemann_gap_rows,
 )
 from semproc.intervals import IntervalUnion
 
@@ -64,7 +64,7 @@ def test_block_edges_and_cusp_counts(beta):
     lists += [[cusp_member(rng, beta, cusps) for _ in range(17)] for cusps in (1, 2, 3)]
     for n in NS:
         for members in lists:
-            assert_bits(observed_riemann_gaps(members, n), members, n)
+            assert_bits(observed_riemann_gap_rows(members, [n])[0], members, n)
 
 
 def test_random_members_of_the_bounds_classes():
@@ -72,7 +72,7 @@ def test_random_members_of_the_bounds_classes():
     for beta in (0.5, 1.0):
         members = [HolderClass(1.0, 1.0, beta).random_member(rng) for _ in range(200)]
         for n in (10, 100, 1000):
-            assert_bits(observed_riemann_gaps(members, n), members, n)
+            assert_bits(observed_riemann_gap_rows(members, [n])[0], members, n)
 
 
 def test_mixed_list_keeps_its_order():
@@ -90,22 +90,22 @@ def test_mixed_list_keeps_its_order():
     order = rng.permutation(len(members))
     members = [members[i] for i in order]
     for n in NS:
-        got = observed_riemann_gaps(members, n)
+        got = observed_riemann_gap_rows(members, [n])[0]
         assert_bits(got, members, n)
         assert [observed_riemann_gap(m, n) for m in members] == got
 
 
 def test_empty_list():
-    assert observed_riemann_gaps([], 10) == []
+    assert observed_riemann_gap_rows([], [10])[0] == []
 
 
 def test_one_call_stays_below_one_megabyte():
     rng = np.random.default_rng(2)
     members = mixed_cusps(rng, 0.5, 1000)
-    observed_riemann_gaps(members, 1000)  # warm up
+    observed_riemann_gap_rows(members, [1000])  # warm up
     tracemalloc.start()
     try:
-        observed_riemann_gaps(members, 1000)
+        observed_riemann_gap_rows(members, [1000])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -9,10 +9,8 @@ import pytest
 from semproc.function_classes import (
     BVectorClass,
     GClass,
-    HalfLine,
     HolderClass,
     IndicatorFamily,
-    IndicatorMember,
     ProductClass,
 )
 from semproc.measures import Sample, draw_sample, parse_model
@@ -79,19 +77,6 @@ class TestExactStatistic:
 
 
 class TestNetSandwich:
-    def test_singleton_degenerates(self):
-        s = draw_sample("uniform01", 40, 2)
-        pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
-        member = (IndicatorMember(0.7), HalfLine(0.4))
-        out = sup_deviation_net(pc, s, 0.0, members=[member])
-        assert out.upper == out.lower
-        # pointwise LLN deviation of that single member
-        grid = s.grid()
-        xs = s.xs()
-        pn = float(np.mean((grid <= 0.7) * (xs <= 0.4)))
-        want = abs(pn - float(np.mean(grid <= 0.7)) * 0.4)
-        assert out.lower == pytest.approx(want, abs=1e-14)
-
     def test_sandwich_contains_exact(self):
         pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
         rng = np.random.default_rng(3)
@@ -103,12 +88,6 @@ class TestNetSandwich:
             assert out.lower <= exact + 1e-12
             assert exact <= out.upper + 1e-12
             assert out.upper - out.lower == pytest.approx(2 * 0.15, abs=1e-15)
-
-    def test_lambda_centering_mode(self):
-        pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
-        s = draw_sample("uniform01", 60, 4)
-        out = sup_deviation_net(pc, s, 0.2, centering="lambda")
-        assert out.lower >= 0 and out.centering == "lambda"
 
 
 class TestOscillation:
