@@ -44,15 +44,12 @@ from .fclt import (
 from .function_classes import (
     BoundedPolynomial,
     BVectorClass,
-    GClass,
     HalfLine,
     HolderClass,
     HolderMember,
-    IndicatorFamily,
     IndicatorMember,
     InitialInterval,
     NetTooLargeError,
-    ProductClass,
     b_infinity_witness,
     observed_riemann_gap_rows,
     parse_class_descriptor,
@@ -81,9 +78,20 @@ class ConfigError(ValueError):
     pass
 
 
+def _typed(value, want: type, key: str, what: str):
+    """value as a want, coercing only int -> float (a bool is no number
+    here); a ConfigError naming key otherwise."""
+    if want is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, want) or (want is not bool and isinstance(value, bool)):
+        raise ConfigError(f"config key {key} must be {what}, got {value!r}")
+    return value
+
+
 def parse_config(experiment: str, raw: dict) -> dict:
     """Strict schema application: unknown keys rejected, types coerced only
-    int -> float, values echoed back into the report."""
+    int -> float, list elements typed by the default's first element, values
+    echoed back into the report."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; registered: {sorted(EXPERIMENTS)}"
@@ -93,13 +101,11 @@ def parse_config(experiment: str, raw: dict) -> dict:
     for key, value in raw.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {experiment}.{key}")
-        want = type(defaults[key])
-        if want is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if not isinstance(value, want) or (want is not bool and isinstance(value, bool)):
-            raise ConfigError(
-                f"config key {experiment}.{key} must be {want.__name__}, got {value!r}"
-            )
+        want, name = type(defaults[key]), f"{experiment}.{key}"
+        value = _typed(value, want, name, want.__name__)
+        if want is list:
+            elem = type(defaults[key][0])
+            value = [_typed(v, elem, name, f"a list of {elem.__name__}") for v in value]
         out[key] = value
     for key, default in defaults.items():
         if key not in out:
@@ -155,7 +161,6 @@ def _run_ulln(cfg: dict) -> tuple:
     ))
     if cfg["net_u"] > 0 and cfg["j"] == 0 and cfg["parity"] == "odd":
         # net sandwich cross-check against the exact statistic, one sample per n
-        pclass = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
         for n in exp.n_schedule:
             if cfg["net_u"] <= 3.0 / n:
                 continue
@@ -163,7 +168,7 @@ def _run_ulln(cfg: dict) -> tuple:
             sample = draw_sample(cfg["model"], int(n),
                                  derive_seed(cfg["seed"], ["gc", int(n), 0]))
             exact = float(report.replicate_values[n][0])
-            sw = sup_deviation_net(pclass, sample, cfg["net_u"])
+            sw = sup_deviation_net(sample, cfg["net_u"])
             ledger.append(_ledger_entry(
                 f"net sandwich contains exact statistic (n={n})",
                 {"lower": sw.lower, "exact": exact, "upper": sw.upper}, None,
@@ -259,12 +264,13 @@ def _run_fclt(cfg: dict) -> tuple:
         _require(cfg["modulus_replicates"] >= 1, "fclt.modulus_replicates", ">= 1",
                  cfg["modulus_replicates"])
         # before the fidi test, so a net too large for net_u fails fast
-        h_class = parse_class_descriptor(cfg["h_class"])
-        if not isinstance(h_class, (HolderClass, IndicatorFamily)):
-            raise ConfigError("h_class must describe a holder or indicator family")
-        pclass = ProductClass(h_class, GClass("half-lines"), "pi(UB,M-VC)")
+        try:
+            h_class = parse_class_descriptor(cfg["h_class"])
+        except ValueError as exc:
+            raise ConfigError(f"config key fclt.h_class must be a holder or indicators "
+                              f"descriptor, got {cfg['h_class']!r}: {exc}") from None
         mod = equicontinuity_modulus(
-            pclass, cfg["n"], tuple(cfg["alpha_list"]), cfg["net_u"],
+            h_class, cfg["n"], tuple(cfg["alpha_list"]), cfg["net_u"],
             cfg["modulus_replicates"], cfg["seed"], model,
         )
     fidi = fidi_convergence_test(q_list, cfg["n"], cfg["replicates"], cfg["seed"], model)
@@ -301,9 +307,10 @@ def _run_fclt(cfg: dict) -> tuple:
         monotone = all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         ledger.append(_ledger_entry("mean modulus nondecreasing in alpha",
                                     vals, None, "monotone", monotone))
-        ledger.append(_ledger_entry(
-            "modulus at smallest alpha <= 0.5 x modulus at largest",
-            vals[0], 0.5 * vals[-1], "<=", vals[0] <= 0.5 * vals[-1]))
+        if len(vals) >= 2:  # one alpha is both the smallest and the largest
+            ledger.append(_ledger_entry(
+                "modulus at smallest alpha <= 0.5 x modulus at largest",
+                vals[0], 0.5 * vals[-1], "<=", vals[0] <= 0.5 * vals[-1]))
     if cfg["run_lindeberg"]:
         lin = lindeberg_check(make_sx_q(), parse_model("standard-normal"),
                               [10**2, 10**3, 10**4, 10**5, 10**6], [0.1])
@@ -318,10 +325,9 @@ def _run_fclt(cfg: dict) -> tuple:
 def _run_covering(cfg: dict) -> tuple:
     lemmas = check_covering_lemmas(cfg["trials"], cfg["seed"])
     model = parse_model(cfg["model"])
-    pclass = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
     seeds = [derive_seed(cfg["seed"], ["covering", i]) % 2**63
              for i in range(cfg["n_seeds"])]
-    bdd = random_covering_boundedness(pclass, cfg["tau"],
+    bdd = random_covering_boundedness(cfg["tau"],
                                       [int(n) for n in cfg["n_list"]], seeds, model)
     ledger = [
         _ledger_entry("covering lemma violations", lemmas.total_violations, 0,
@@ -385,12 +391,16 @@ def _run_bounds(cfg: dict) -> tuple:
                 series_rows.append({"c": c, "D1": d1, "D2": d2, "closed": closed,
                                     "quadrature": quad, "rel_err": rel, "ok": rel <= 1e-6})
     series_ok = all(r["ok"] for r in series_rows)
-    s_class = {}
+    s_class, s_misses = {}, 0
     for c in (0.5, math.log(2.0), 2.0):
-        s_class[f"c={c:.6f}"] = series_S_diagnostic(1, c, 300).classification
+        rep = series_S_diagnostic(1, c, 300)
+        s_class[f"c={c:.6f}"] = rep.classification
+        s_misses += rep.bracket_misses()
+    # the classification reads c alone; the bracket checks the partial sums
     s_ok = (s_class[f"c={0.5:.6f}"] == "divergent"
             and s_class[f"c={math.log(2.0):.6f}"] == "divergent"
-            and s_class[f"c={2.0:.6f}"] == "convergent")
+            and s_class[f"c={2.0:.6f}"] == "convergent"
+            and s_misses == 0)
 
     tb = gc_tail_bound(0.5, 10**4, 1)
     ledger = [

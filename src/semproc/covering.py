@@ -25,10 +25,10 @@ import numpy as np
 
 from .function_classes import (
     BVectorClass,
-    GClass,
+    HalfLine,
+    HalfLineFamily,
     IndicatorFamily,
     IndicatorMember,
-    ProductClass,
 )
 from .measures import NuModel, draw_sample, grid_points
 
@@ -291,7 +291,7 @@ def _runs_of_mask(mask: int) -> int:
 
 
 def shatter_coefficient(
-    cls: Union[BVectorClass, GClass, IndicatorFamily],
+    cls: Union[BVectorClass, HalfLineFamily, IndicatorFamily],
     points: Sequence[float],
     keep_dichotomies: bool = False,
 ) -> ShatterReport:
@@ -309,11 +309,7 @@ def shatter_coefficient(
     if k > 20:
         raise ValueError("instance too large: at most 20 points")
 
-    if isinstance(cls, GClass):
-        if cls.kind not in ("half-lines", "initial-intervals"):
-            raise ValueError("shatter enumeration shipped for indicator G kinds only")
-        achievable = [m for m in range(1 << k) if _is_prefix_mask(m, k)]
-    elif isinstance(cls, IndicatorFamily):
+    if isinstance(cls, (HalfLineFamily, IndicatorFamily)):
         achievable = [m for m in range(1 << k) if _is_prefix_mask(m, k)]
     elif isinstance(cls, BVectorClass):
         achievable = []
@@ -326,11 +322,9 @@ def shatter_coefficient(
     else:
         raise TypeError(type(cls))
 
-    label = getattr(cls, "kind", None) or (
-        f"B({cls.n_breakpoints})" if isinstance(cls, BVectorClass) else type(cls).__name__
-    )
+    label = f"B({cls.n_breakpoints})" if isinstance(cls, BVectorClass) else type(cls).__name__
     return ShatterReport(
-        class_label=str(label),
+        class_label=label,
         points=tuple(pts),
         coefficient=len(achievable),
         dichotomies=tuple(achievable) if keep_dichotomies else None,
@@ -373,31 +367,23 @@ class RandomCoveringReport:
 
 
 # members per factor of the fixed fine net: _FINE_NET indicators times
-# _FINE_NET half-lines or initial intervals at the model's quantiles
+# _FINE_NET half-lines at the model's quantiles
 _FINE_NET = 12
 
 
 def random_covering_boundedness(
-    product_class: ProductClass,
     tau: float,
     n_list: Sequence[int],
     seeds: Sequence[int],
     model: NuModel,
 ) -> RandomCoveringReport:
-    """Greedy covering numbers of a fixed fine net of F under the random
-    empirical L1 metric, trial by trial, against the factorized bound
-    N(tau/2, H, d1_lambdan) * N(tau/2, G, d1_nun)."""
-    if product_class.taxonomy_tag != "pi(UB,M-VC)":
-        raise ValueError("random covering boundedness is stated for pi(UB,M-VC)")
-    if not isinstance(product_class.h_class, IndicatorFamily):
-        raise ValueError("the shipped fine net uses the indicator h family")
-
-    from .function_classes import HalfLine, InitialInterval
-
+    """Greedy covering numbers of a fixed fine net of the uniformly bounded
+    product class F = indicators x half-lines (the Kiefer process class)
+    under the random empirical L1 metric, trial by trial, against the
+    factorized bound N(tau/2, H, d1_lambdan) * N(tau/2, G, d1_nun)."""
     h_net = [IndicatorMember((i + 1) / _FINE_NET) for i in range(_FINE_NET)]
     probs = [(i + 1) / (_FINE_NET + 1) for i in range(_FINE_NET)]
-    g_ctor = HalfLine if product_class.g_class.kind == "half-lines" else InitialInterval
-    g_net = [g_ctor(float(model.ppf(p))) for p in probs]
+    g_net = [HalfLine(float(model.ppf(p))) for p in probs]
 
     report = RandomCoveringReport(tau=tau)
     for n in n_list:

@@ -29,11 +29,11 @@ import numpy as np
 from .function_classes import (
     BoundedPolynomial,
     HalfLine,
+    HalfLineFamily,
     HolderClass,
     HolderMember,
     IndicatorFamily,
     IndicatorMember,
-    ProductClass,
     lambda_prod,
     lambda_sq_matrix,
 )
@@ -349,7 +349,7 @@ def _h_pool(h_class, net_u: float, cap: int, seed: int):
 
 @dataclass(frozen=True)
 class _MemberPools:
-    """The h pool and g net of a product class with what pairing them needs:
+    """The h pool and the half-line net with what pairing them needs:
     h_sq[a, b] = lambda((h_a-h_b)^2), the d2_lambda and d2_nu distance
     matrices, and the g moments nu(g_b^2) and nu(g_b g_c)."""
 
@@ -362,10 +362,10 @@ class _MemberPools:
     g_cross: np.ndarray
 
 
-def _member_pools(product_class: ProductClass, net_u: float, h_cap: int, g_cap: int,
+def _member_pools(h_class, net_u: float, h_cap: int, g_cap: int,
                   seed: int, model: NuModel) -> _MemberPools:
-    h_pool, h_sq = _h_pool(product_class.h_class, net_u, h_cap, seed)
-    g_net = product_class.g_class.build_net(net_u, model, max_members=10**6)
+    h_pool, h_sq = _h_pool(h_class, net_u, h_cap, seed)
+    g_net = HalfLineFamily().build_net(net_u, model, max_members=10**6)
     if len(g_net) > g_cap:
         idx = np.linspace(0, len(g_net) - 1, g_cap).round().astype(int)
         g_net = [g_net[i] for i in sorted(set(idx.tolist()))]
@@ -412,7 +412,7 @@ class ModulusReport:
 
 
 def equicontinuity_modulus(
-    product_class: ProductClass,
+    h_class,
     n: int,
     alpha_list: Sequence[float],
     net_u: float,
@@ -422,14 +422,15 @@ def equicontinuity_modulus(
     h_cap: int = 60,
     g_cap: int = 24,
 ) -> ModulusReport:
-    """Mean over replicates of sup over member pairs within alpha (composite
-    metric d = d2_lambda + d2_nu) of |Z_n(f1) - Z_n(f2)|, per alpha.  The
-    pair pool is the u-net (deterministically thinned to the caps); a subset
-    of the class, so the observed modulus is a lower proxy of the class
-    modulus, which is the verifiable direction of the tightness statement.
+    """Mean over replicates of sup over member pairs of F = h_class x
+    half-lines within alpha (composite metric d = d2_lambda + d2_nu) of
+    |Z_n(f1) - Z_n(f2)|, per alpha.  The pair pool is the u-net
+    (deterministically thinned to the caps); a subset of the class, so the
+    observed modulus is a lower proxy of the class modulus, which is the
+    verifiable direction of the tightness statement.
     The R replicate samples are drawn in row blocks, each contracted into Z
     as soon as it is drawn (_modulus_Z), so no (R, n) array is held."""
-    pools = _member_pools(product_class, net_u, h_cap, g_cap, seed, model)
+    pools = _member_pools(h_class, net_u, h_cap, g_cap, seed, model)
     kh, kg = len(pools.h), len(pools.g)
     svals = grid_points(n)
     h_vals = np.stack([np.asarray(h(svals), dtype=float) for h in pools.h])
@@ -460,7 +461,7 @@ def equicontinuity_modulus(
 
 
 def fluctuation_bound_check(
-    product_class: ProductClass,
+    h_class,
     n_list: Sequence[int],
     alpha_list: Sequence[float],
     net_u: float,
@@ -469,16 +470,16 @@ def fluctuation_bound_check(
     g_cap: int = 16,
     seed: int = 0,
 ) -> list[dict]:
-    """Deterministic check of the fluctuation bound: for pairs within alpha in
-    the composite metric, the (lambda_n x nu) L2 distance is at most
+    """Deterministic check of the fluctuation bound over F = h_class x
+    half-lines, whose sqrt(nu(G^2)) is 1: for pairs within alpha in the
+    composite metric, the (lambda_n x nu) L2 distance is at most
 
-        H_env * d2_nu(g1, g2) + sqrt(nu(G^2)) * (d2_lambda(h1, h2)
-                       + sqrt(|lambda_n((h1-h2)^2) - lambda((h1-h2)^2)|)),
+        H_env * d2_nu(g1, g2) + d2_lambda(h1, h2)
+                       + sqrt(|lambda_n((h1-h2)^2) - lambda((h1-h2)^2)|),
 
     and the sup over alpha-pairs shrinks with alpha."""
-    pools = _member_pools(product_class, net_u, h_cap, g_cap, seed, model)
-    h_env = product_class.h_class.envelope_constant
-    nu_g2 = product_class.g_class.envelope_sq_mean(model)
+    pools = _member_pools(h_class, net_u, h_cap, g_cap, seed, model)
+    h_env = h_class.envelope_constant
     p, q, pair_d = _pairs_within(pools.d_h, pools.d_g, max(alpha_list))
     a1, b1 = np.divmod(p, len(pools.g))
     a2, b2 = np.divmod(q, len(pools.g))   # a1 <= a2, so gram_n[a1, a2] is the upper triangle
@@ -493,9 +494,8 @@ def fluctuation_bound_check(
               + g22 * pools.g_second[b2])
         obs = np.sqrt(np.maximum(sq, 0.0))
         lam_gap = np.abs(g11 - 2.0 * g12 + g22 - pools.h_sq[a1, a2])
-        bound = h_env * pools.d_g[b1, b2] + math.sqrt(nu_g2) * (
-            pools.d_h[a1, a2] + np.sqrt(lam_gap)
-        )
+        # the h terms are summed first, as when sqrt(nu(G^2)) multiplied them
+        bound = h_env * pools.d_g[b1, b2] + (pools.d_h[a1, a2] + np.sqrt(lam_gap))
         for alpha in alpha_list:
             within = pair_d <= alpha
             rows.append({"n": n, "alpha": alpha,

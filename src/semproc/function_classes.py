@@ -1,9 +1,10 @@
 """The explicit function and set classes: Holder balls H(T, C, beta), the
 initial-interval indicator family, the interval-union set classes B(2j+1) and
-B(2j), the non-uniformly-Riemann-integrable counterexample family, parametric
-G classes on the sample space, and products F = H * G.
+B(2j), the non-uniformly-Riemann-integrable counterexample family, the
+members g on the sample space, and HalfLineFamily, the one G class: a product
+class F = H * G = {h(s) g(x)} is named by its h class alone.
 
-Every class exposes three things, which is how an infinite class becomes
+Every h class exposes three things, which is how an infinite class becomes
 computable:
 
   * random member generation (seeded),
@@ -58,11 +59,10 @@ __all__ = [
     "BVectorClass",
     "BVectorMember",
     "b_infinity_witness",
-    "GClass",
     "HalfLine",
+    "HalfLineFamily",
     "InitialInterval",
     "BoundedPolynomial",
-    "ProductClass",
     "riemann_gap_bound",
     "observed_riemann_gap",
     "observed_riemann_gap_rows",
@@ -444,7 +444,7 @@ def b_infinity_witness(n: int) -> IntervalUnion:
 
 
 # ---------------------------------------------------------------------------
-# G classes on the sample space
+# The sample space: G members and the half-line class
 # ---------------------------------------------------------------------------
 #
 # A G member g answers g(x), mean(model) = nu(g), second_moment(model) =
@@ -560,99 +560,24 @@ class BoundedPolynomial:
         return v**2 * model.centered_sq_tail(a)
 
 
-GMember = Union[HalfLine, InitialInterval, BoundedPolynomial]
-
-
 @dataclass(frozen=True)
-class GClass:
-    """A parametric class on the sample space: half-lines, initial intervals,
-    or bounded-degree polynomials with a coefficient box."""
+class HalfLineFamily:
+    """The G class of the half-lines {1_(-inf, w]}, the G-side twin of
+    IndicatorFamily: the products h(s) g(x) of the two index the sequential
+    empirical (Kiefer) process."""
 
-    kind: str
-    degree: int = 0
-    coeff_bound: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("half-lines", "initial-intervals", "poly"):
-            raise ValueError(f"unknown G kind {self.kind!r}")
-
-    @property
-    def envelope_constant(self) -> Optional[float]:
-        """Constant envelope value, or None when the envelope is not constant."""
-        if self.kind in ("half-lines", "initial-intervals"):
-            return 1.0
-        return None
-
-    def envelope_sq_mean(self, model: NuModel) -> float:
-        """nu(G^2) for the class envelope (exact via model moments)."""
-        if self.kind in ("half-lines", "initial-intervals"):
-            return 1.0
-        b = self.coeff_bound
-        total = 0.0
-        for k in range(self.degree + 1):
-            for l in range(self.degree + 1):
-                total += b * b * _abs_moment(model, k + l)
-        return total
-
-    def random_member(self, rng: np.random.Generator, model: NuModel) -> GMember:
-        if self.kind == "half-lines":
-            return HalfLine(float(model.ppf(min(rng.random(), 1 - 1e-12))))
-        if self.kind == "initial-intervals":
-            return InitialInterval(abs(float(model.ppf(min(rng.random(), 1 - 1e-12)))))
-        coeffs = (2 * rng.random(self.degree + 1) - 1) * self.coeff_bound
-        return BoundedPolynomial(tuple(coeffs))
+    envelope_constant = 1.0
 
     def build_net(self, u: float, model: NuModel,
-                  max_members: int = 200_000) -> list[GMember]:
-        """Quantile net: d2_nu distance between indicator members is
+                  max_members: int = 200_000) -> list[HalfLine]:
+        """Quantile net: d2_nu distance between half-lines is
         sqrt(|F(w) - F(w')|), so an F-quantile grid of mesh u^2 covers."""
-        if self.kind == "poly":
-            raise NetTooLargeError(10**9, max_members)  # no constructive net shipped
         mesh = u * u
         count = math.ceil(1.0 / mesh)
         if count > max_members:
             raise NetTooLargeError(count, max_members)
         probs = [min((k + 1) * mesh, 1.0 - 1e-12) for k in range(count)]
-        ws = sorted({float(model.ppf(p)) for p in probs})
-        if self.kind == "half-lines":
-            return [HalfLine(w) for w in ws]
-        return [InitialInterval(max(w, 0.0)) for w in ws]
-
-
-def _abs_moment(model: NuModel, k: int) -> float:
-    if model.kind == "standard-normal" and k % 2 == 1:
-        # E|X|^k for odd k: 2^{k/2} Gamma((k+1)/2) / sqrt(pi)
-        return 2 ** (k / 2) * math.gamma((k + 1) / 2) / math.sqrt(math.pi)
-    return model.moment(k)
-
-
-# ---------------------------------------------------------------------------
-# Product classes
-# ---------------------------------------------------------------------------
-
-_TAXONOMY_TAGS = ("pi(UB,M-VC)", "pi(nuG,J-VC)", "pi(nuG2,J-VC)")
-
-
-@dataclass(frozen=True)
-class ProductClass:
-    """F = H * G = {f(s, x) = h(s) g(x)} with a taxonomy tag.
-
-    The uniformly bounded tag requires both component envelopes constant;
-    construction is rejected otherwise.
-    """
-
-    h_class: Union[HolderClass, IndicatorFamily]
-    g_class: GClass
-    taxonomy_tag: str = "pi(nuG2,J-VC)"
-
-    def __post_init__(self):
-        if self.taxonomy_tag not in _TAXONOMY_TAGS:
-            raise ValueError(f"unknown taxonomy tag {self.taxonomy_tag!r}")
-        if self.taxonomy_tag == "pi(UB,M-VC)" and self.g_class.envelope_constant is None:
-            raise ValueError(
-                "pi(UB,M-VC) requires a constant G envelope; "
-                f"{self.g_class.kind} has a non-constant envelope"
-            )
+        return [HalfLine(w) for w in sorted({float(model.ppf(p)) for p in probs})]
 
 
 # ---------------------------------------------------------------------------
@@ -749,22 +674,17 @@ def observed_riemann_gap(member, n: int) -> float:
 
 
 def parse_class_descriptor(desc: dict):
-    """CLI class descriptors: {"class": "holder", "T":..,"C":..,"beta":..},
-    {"class": "bvector", "j":.., "parity":..}, {"class": "halflines"},
-    {"class": "indicators"}."""
+    """CLI h class descriptors: {"class": "holder", "T":..,"C":..,"beta":..}
+    and {"class": "indicators"}."""
     if not isinstance(desc, dict) or "class" not in desc:
         raise ValueError("class descriptor must be a dict with a 'class' key")
     kind = desc["class"]
-    extra = set(desc) - {"class", "T", "C", "beta", "j", "parity"}
+    extra = set(desc) - {"class", "T", "C", "beta"}
     if extra:
         raise ValueError(f"unknown class descriptor keys: {sorted(extra)}")
     if kind == "holder":
         return HolderClass(float(desc.get("T", 1.0)), float(desc.get("C", 1.0)),
                            float(desc.get("beta", 1.0)))
-    if kind == "bvector":
-        return BVectorClass(int(desc.get("j", 0)), str(desc.get("parity", "odd")))
-    if kind == "halflines":
-        return GClass("half-lines")
     if kind == "indicators":
         return IndicatorFamily()
     raise ValueError(f"unknown class kind {kind!r}")

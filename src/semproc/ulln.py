@@ -37,10 +37,9 @@ import numpy as np
 
 from .function_classes import (
     BVectorClass,
-    GClass,
+    HalfLine,
     HolderClass,
     IndicatorFamily,
-    ProductClass,
     lambda_sq_matrix,
 )
 from .measures import NuModel, Sample, draw_sample, grid_points, parse_model
@@ -304,64 +303,33 @@ class DeviationSandwich:
     g_net_size: int = 0
 
 
-def _h_net_for_semp(h_class, u_h: float, n: int):
-    """Net of the h side with replacement slack <= u_h in the relevant metric
-    (sup norm for Holder, lambda_n L1 for indicators)."""
-    if isinstance(h_class, HolderClass):
-        return h_class.build_net(u_h)
-    if isinstance(h_class, IndicatorFamily):
-        if u_h <= 1.5 / n:
-            raise ValueError("net_u too small for this n (indicator h side)")
-        return h_class.build_net(u_h - 1.0 / n, "d1_lambdan", max_members=10**6)
-    raise TypeError(type(h_class))
-
-
-def _g_net_for_semp(g_class: GClass, u_g: float, sample: Sample, model: NuModel):
-    """Half-line net with both empirical and population L1 gaps <= u_g:
-    merged sample quantiles and F quantiles."""
-    if g_class.kind not in ("half-lines", "initial-intervals"):
-        raise ValueError("semp nets shipped for indicator G kinds")
-    if u_g <= 1.5 / sample.n:
-        raise ValueError("net_u too small for this n (g side)")
-    xs_sorted = np.sort(sample.xs())
-    stride = max(1, int(math.floor(u_g * sample.n)))
-    ws = set(float(x) for x in xs_sorted[stride - 1::stride])
-    ws.add(float(xs_sorted[-1]))
-    count = math.ceil(1.0 / u_g)
-    for i in range(count):
-        ws.add(float(model.ppf(min((i + 1) * u_g, 1 - 1e-12))))
-    from .function_classes import HalfLine, InitialInterval
-
-    ctor = HalfLine if g_class.kind == "half-lines" else InitialInterval
-    return [ctor(w) for w in sorted(ws)]
-
-
-def sup_deviation_net(
-    product_class: ProductClass,
-    sample: Sample,
-    net_u: float,
-) -> DeviationSandwich:
-    """Net sandwich for sup |P_n(hg) - lambda_n(h) nu(g)| over F = H * G.
+def sup_deviation_net(sample: Sample, net_u: float) -> DeviationSandwich:
+    """Net sandwich for sup |P_n(hg) - lambda_n(h) nu(g)| over the Kiefer
+    class F = indicators x half-lines.
 
     lower is the max over net pairs; upper = lower + 2 net_u, valid because
     the one-sided replacement error of (h, g) by its net neighbor is at most
     G_env * (h gap) + H_env * (g gap) <= net_u on the P_n side and again on
-    the centering side.
+    the centering side.  Both envelopes are 1, so each side gets the gap
+    u = net_u / 2: indicators at mesh u - 1/n (one grid point more at most
+    in lambda_n L1), and half-lines at merged sample and F quantiles, which
+    keeps both the empirical and the population L1 gap within u.
     """
     model = parse_model(sample.model)
-    if net_u <= 0:
-        raise ValueError("net_u must be > 0")
-    g_env = product_class.g_class.envelope_constant
-    if g_env is None:
-        raise ValueError("net sandwich requires a constant G envelope")
-    h_env = product_class.h_class.envelope_constant
-    u_h = net_u / (2.0 * g_env)
-    u_g = net_u / (2.0 * h_env)
-    h_net = _h_net_for_semp(product_class.h_class, u_h, sample.n)
-    g_net = _g_net_for_semp(product_class.g_class, u_g, sample, model)
+    u = net_u / 2.0
+    if u <= 1.5 / sample.n:  # also every net_u <= 0
+        raise ValueError(f"net_u={net_u} is too small for n={sample.n}")
+    h_net = IndicatorFamily().build_net(u - 1.0 / sample.n, "d1_lambdan", max_members=10**6)
+    xs = sample.xs()
+    xs_sorted = np.sort(xs)
+    stride = max(1, int(math.floor(u * sample.n)))
+    ws = set(float(x) for x in xs_sorted[stride - 1::stride])
+    ws.add(float(xs_sorted[-1]))
+    for i in range(math.ceil(1.0 / u)):
+        ws.add(float(model.ppf(min((i + 1) * u, 1 - 1e-12))))
+    g_net = [HalfLine(w) for w in sorted(ws)]
 
     s_grid = sample.grid()
-    xs = sample.xs()
     h_vals = np.stack([np.asarray(h(s_grid), dtype=float) for h in h_net])
     g_vals = np.stack([np.asarray(g(xs), dtype=float) for g in g_net])
     h_center = h_vals.mean(axis=1)
@@ -510,6 +478,21 @@ class SeriesSReport:
     tail_increment: float
     bound_sequence: tuple[float, ...]
     classification: str
+
+    def bracket_misses(self) -> int:
+        """Partial sums outside their closed-form bracket by more than 1e-12
+        relative.  Termwise 2^n - 1 <= sum_k k^D C(n,k) <= n^D (2^n - 1), so
+        the m-th partial sum lies in [sum_{n<=m} (2^n - 1) e^{-cn},
+        sum_{n<=m} n^D (2^n - 1) e^{-cn}]."""
+        misses, lo, hi = 0, 0.0, 0.0
+        for n, total in enumerate(self.partial_sums, start=1):
+            log_lo = n * math.log(2.0) + math.log1p(-(2.0**-n)) - self.c * n
+            log_hi = log_lo + self.D * math.log(n)
+            lo += math.exp(log_lo) if log_lo > -745 else 0.0
+            hi += math.exp(log_hi) if log_hi < 709 else math.inf
+            if not lo * (1.0 - 1e-12) <= total <= hi * (1.0 + 1e-12):
+                misses += 1
+        return misses
 
 
 def series_S_diagnostic(D: int, c: float, N: int = 400) -> SeriesSReport:

@@ -23,12 +23,10 @@ from semproc.fclt import (
 )
 from semproc.function_classes import (
     BVectorClass,
-    GClass,
     HalfLine,
+    HalfLineFamily,
     HolderClass,
-    IndicatorFamily,
     IndicatorMember,
-    ProductClass,
     b_infinity_witness,
     observed_riemann_gap,
     riemann_gap_bound,
@@ -146,7 +144,7 @@ def test_criterion_06_shatter_coefficients():
     ok = True
     for k in range(1, 13):
         pts = np.sort(rng.random(k) * 0.98 + 0.01)
-        ok = ok and shatter_coefficient(GClass("half-lines"), pts).coefficient == k + 1
+        ok = ok and shatter_coefficient(HalfLineFamily(), pts).coefficient == k + 1
         ok = ok and shatter_coefficient(BVectorClass(0, "odd"), pts).coefficient == k + 1
     ok = ok and shatter_coefficient(BVectorClass(1, "odd"), [0.25, 0.5, 0.75]).shatters
     four_point_shattered = 0
@@ -235,9 +233,7 @@ def test_criterion_10_series_identities():
 
 def test_criterion_11_equicontinuity_modulus():
     start = time.monotonic()
-    pclass = ProductClass(HolderClass(1.0, 1.0, 1.0), GClass("half-lines"),
-                          "pi(UB,M-VC)")
-    rep = equicontinuity_modulus(pclass, 2000, (0.05, 0.1, 0.2, 0.4), 0.3,
+    rep = equicontinuity_modulus(HolderClass(1.0, 1.0, 1.0), 2000, (0.05, 0.1, 0.2, 0.4), 0.3,
                                  100, 1108, UNIFORM)
     vals = [r["mean_modulus"] for r in rep.rows]
     monotone = all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))

@@ -1,5 +1,6 @@
 """Config parsing, seed derivation, report determinism, plot-data contracts."""
 
+import dataclasses
 import json
 import math
 
@@ -18,6 +19,7 @@ from semproc.cli import (
 from semproc.fclt import NotPSDError
 from semproc.quadrature import QuadratureError
 from semproc.seeds import derive_seed
+from semproc.ulln import series_S_diagnostic
 
 
 class TestDeriveSeed:
@@ -107,6 +109,23 @@ class TestRunExperiment:
         assert rep["ledger"]
         for entry in rep["ledger"]:
             assert set(entry) >= {"name", "observed", "bound", "tolerance", "ok"}
+
+    @pytest.mark.parametrize("scale", [1.01, 0.99])
+    def test_series_S_gate_reads_the_partial_sums(self, monkeypatch, scale):
+        # planted fault: partial sums off by 1% leave the classifications as
+        # they were, and must still fail the dichotomy ledger row
+        def scaled(*args):
+            rep = series_S_diagnostic(*args)
+            return dataclasses.replace(
+                rep, partial_sums=tuple(scale * p for p in rep.partial_sums))
+
+        cfg = {"members": 20, "seed": 1, "n_list": [10], "witness_max_n": 4}
+        name = "series S dichotomy classifications"
+        good = {e["name"]: e for e in run_experiment("bounds", cfg)["ledger"]}[name]
+        monkeypatch.setattr("semproc.cli.series_S_diagnostic", scaled)
+        bad = {e["name"]: e for e in run_experiment("bounds", cfg)["ledger"]}[name]
+        assert good["ok"] is True and bad["ok"] is False
+        assert bad["observed"] == good["observed"]
 
     def test_report_schema(self, tmp_path):
         rep = run_experiment("kiefer", {"draws": 5000, "seed": 2, "tolerance": 0.1})
@@ -282,12 +301,37 @@ class TestCountsAndOrders:
          "fclt.modulus_replicates"),
         (["fclt", "--set", "replicates=1", "--set", "run_lindeberg=false"], "fclt.replicates"),
         (["kiefer", "--set", "draws=1"], "kiefer.draws"),
+        (["fclt", "--set", 'alpha_list=[0.1,"a"]', "--set", "run_lindeberg=false"],
+         "fclt.alpha_list"),
+        (["ulln", "--set", 'n_schedule=[100,"a"]'], "ulln.n_schedule"),
+        (["ulln", "--set", "n_schedule=[true,100]"], "ulln.n_schedule"),
+        (["fclt", "--set", 'h_class={"class":"bvector"}', "--set", "run_lindeberg=false"],
+         "fclt.h_class"),
+        (["fclt", "--set", 'h_class={"class":"halflines"}', "--set", "run_lindeberg=false"],
+         "fclt.h_class"),
     ], ids=["ulln-decreasing", "ulln-repeated", "ulln-empty", "ulln-replicates", "fclt-alpha",
-            "fclt-alpha-empty", "fclt-modulus-replicates", "fclt-replicates", "kiefer-draws"])
+            "fclt-alpha-empty", "fclt-modulus-replicates", "fclt-replicates", "kiefer-draws",
+            "fclt-alpha-element", "ulln-schedule-element", "ulln-schedule-bool",
+            "fclt-h-class-bvector", "fclt-h-class-halflines"])
     def test_bad_config_exit_2(self, capsys, argv, key):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config key {key} must be")
+
+    def test_int_list_elements_coerced_to_float(self):
+        cfg = parse_config("fclt", {"alpha_list": [1, 2.5]})
+        assert cfg["alpha_list"] == [1.0, 2.5]
+        assert all(type(a) is float for a in cfg["alpha_list"])
+
+    def test_one_alpha_has_no_smallest_largest_row(self):
+        # one alpha is both the smallest and the largest, so the ratio row is not run
+        rep = run_experiment("fclt", {"n": 50, "replicates": 2, "alpha_list": [0.4],
+                                      "net_u": 0.45, "modulus_replicates": 1,
+                                      "run_lindeberg": False, "cov_tolerance": 10.0,
+                                      "ks_tolerance": 10.0})
+        names = [e["name"] for e in rep["ledger"]]
+        assert "mean modulus nondecreasing in alpha" in names
+        assert not any(name.startswith("modulus at smallest alpha") for name in names)
 
     @pytest.mark.parametrize("argv", [
         ["ulln", "--n-schedule", "20", "--replicates", "1"],
@@ -295,7 +339,10 @@ class TestCountsAndOrders:
          "--modulus-replicates", "1", "--run-lindeberg", "false",
          "--cov-tolerance", "10", "--ks-tolerance", "10"],
         ["kiefer", "--draws", "2", "--tolerance", "10"],
-    ], ids=["ulln", "fclt", "kiefer"])
+        ["fclt", "--n", "50", "--replicates", "2", "--alpha-list", "0.4", "--net-u", "0.45",
+         "--modulus-replicates", "1", "--run-lindeberg", "false",
+         "--cov-tolerance", "10", "--ks-tolerance", "10"],
+    ], ids=["ulln", "fclt", "kiefer", "fclt-one-alpha"])
     def test_smallest_valid_counts_exit_0(self, argv):
         assert main(argv) == 0
 

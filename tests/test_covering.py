@@ -14,11 +14,9 @@ from semproc.covering import (
 )
 from semproc.function_classes import (
     BVectorClass,
-    GClass,
     HalfLine,
-    IndicatorFamily,
+    HalfLineFamily,
     IndicatorMember,
-    ProductClass,
     lambda_sq_distance,
     lambda_sq_matrix,
 )
@@ -113,7 +111,7 @@ class TestCoveringNumbers:
 
 class TestShatter:
     def test_half_lines_prefixes(self):
-        rep = shatter_coefficient(GClass("half-lines"), [0.1, 0.5, 0.9])
+        rep = shatter_coefficient(HalfLineFamily(), [0.1, 0.5, 0.9])
         assert rep.coefficient == 4
 
     def test_b1_prefixes(self):
@@ -137,7 +135,7 @@ class TestShatter:
     def test_sauer_bound(self):
         rng = np.random.default_rng(5)
         for cls, dim in ((BVectorClass(1, "odd"), 3), (BVectorClass(2, "odd"), 5),
-                         (BVectorClass(1, "even"), 2), (GClass("half-lines"), 1)):
+                         (BVectorClass(1, "even"), 2), (HalfLineFamily(), 1)):
             for _ in range(30):
                 k = int(rng.integers(1, 11))
                 pts = np.sort(rng.random(k) * 0.98 + 0.01)
@@ -170,27 +168,20 @@ class TestShatter:
 
     def test_instance_too_large(self):
         with pytest.raises(ValueError):
-            shatter_coefficient(GClass("half-lines"), list(np.linspace(0.01, 0.99, 21)))
+            shatter_coefficient(HalfLineFamily(), list(np.linspace(0.01, 0.99, 21)))
 
 
 class TestRandomCoveringBoundedness:
     def test_trivial_radius(self):
         model = parse_model("uniform01")
-        pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
-        rep = random_covering_boundedness(pc, 2.5, [20], [1], model)
+        rep = random_covering_boundedness(2.5, [20], [1], model)
         assert rep.max_observed == 1
 
     def test_within_product_bound(self):
         model = parse_model("uniform01")
-        pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
-        rep = random_covering_boundedness(pc, 0.5, [10, 100, 1000], list(range(8)), model)
+        rep = random_covering_boundedness(0.5, [10, 100, 1000], list(range(8)), model)
         assert rep.violations == 0
         assert all(t["observed"] <= t["bound"] for t in rep.trials)
-
-    def test_requires_ub_tag(self):
-        pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(nuG,J-VC)")
-        with pytest.raises(ValueError):
-            random_covering_boundedness(pc, 0.5, [10], [1], parse_model("uniform01"))
 
 
 class TestReportSurfaces:

@@ -144,7 +144,6 @@ _CHILD = textwrap.dedent("""
     import sys
     import numpy as np
     from semproc import covering
-    from semproc.function_classes import GClass, IndicatorFamily, ProductClass
     from semproc.measures import parse_model
 
     ins, outs = [], []
@@ -156,8 +155,7 @@ _CHILD = textwrap.dedent("""
         return outs[-1]
 
     covering._l1_distances = record
-    pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
-    covering.random_covering_boundedness(pc, 0.5, [10, 100, 1000], [1, 2, 3],
+    covering.random_covering_boundedness(0.5, [10, 100, 1000], [1, 2, 3],
                                          parse_model("uniform01"))
     np.savez(sys.argv[1], *ins, *outs)
 """)

@@ -27,14 +27,12 @@ import pytest
 from semproc.cli import numeric_bytes, run_experiment
 from semproc.fclt import fluctuation_bound_check, lindeberg_check
 from semproc.function_classes import (
-    GClass,
     HalfLine,
     HolderClass,
     HolderMember,
     IndicatorFamily,
     IndicatorMember,
     InitialInterval,
-    ProductClass,
 )
 from semproc.measures import draw_sample, parse_model
 from semproc.piecewise import PiecewiseLinear
@@ -125,15 +123,13 @@ INDICATOR_ROWS = [
 
 
 def test_fluctuation_rows_pinned_holder():
-    pc = ProductClass(HolderClass(1.0, 1.0, 1.0), GClass("half-lines"), "pi(UB,M-VC)")
-    rows = fluctuation_bound_check(pc, [50, 200], [0.3, 0.6], 0.45, parse_model("uniform01"),
-                                   h_cap=16, g_cap=6, seed=2)
+    rows = fluctuation_bound_check(HolderClass(1.0, 1.0, 1.0), [50, 200], [0.3, 0.6], 0.45,
+                                   parse_model("uniform01"), h_cap=16, g_cap=6, seed=2)
     assert json.dumps(rows) == json.dumps(HOLDER_ROWS)
 
 
 def test_fluctuation_rows_pinned_indicator():
-    pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
-    rows = fluctuation_bound_check(pc, [50, 400], [0.2, 0.4], 0.3,
+    rows = fluctuation_bound_check(IndicatorFamily(), [50, 400], [0.2, 0.4], 0.3,
                                    parse_model("exponential(2)"), h_cap=12, g_cap=8)
     assert json.dumps(rows) == json.dumps(INDICATOR_ROWS)
 

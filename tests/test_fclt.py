@@ -27,14 +27,12 @@ from semproc.fclt import (
 )
 from semproc.function_classes import (
     BoundedPolynomial,
-    GClass,
     HalfLine,
     HolderClass,
     HolderMember,
     IndicatorFamily,
     IndicatorMember,
     InitialInterval,
-    ProductClass,
 )
 from semproc.measures import grid_points, parse_model
 from semproc.piecewise import PiecewiseLinear
@@ -390,18 +388,14 @@ class TestKSDistance:
 
 
 class TestModulus:
-    def _pclass(self):
-        return ProductClass(HolderClass(1.0, 1.0, 1.0), GClass("half-lines"),
-                            "pi(UB,M-VC)")
-
     def test_zero_alpha_zero_modulus(self):
-        rep = equicontinuity_modulus(self._pclass(), 200, (0.0, 0.3), 0.45, 10, 1,
+        rep = equicontinuity_modulus(HolderClass(1.0, 1.0, 1.0), 200, (0.0, 0.3), 0.45, 10, 1,
                                      UNIFORM, h_cap=20, g_cap=8)
         assert rep.rows[0]["mean_modulus"] == 0.0
         assert rep.rows[0]["pairs"] == 0
 
     def test_monotone_and_saturates(self):
-        rep = equicontinuity_modulus(self._pclass(), 300, (0.1, 0.4, 50.0), 0.45,
+        rep = equicontinuity_modulus(HolderClass(1.0, 1.0, 1.0), 300, (0.1, 0.4, 50.0), 0.45,
                                      15, 2, UNIFORM, h_cap=20, g_cap=8)
         vals = [r["mean_modulus"] for r in rep.rows]
         assert vals[0] <= vals[1] <= vals[2]
@@ -411,16 +405,14 @@ class TestModulus:
         assert total_pairs == (kh * kg) * (kh * kg - 1) // 2
 
     def test_indicator_family_pool(self):
-        pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
-        rep = equicontinuity_modulus(pc, 200, (0.2, 0.6), 0.35, 10, 3, UNIFORM,
+        rep = equicontinuity_modulus(IndicatorFamily(), 200, (0.2, 0.6), 0.35, 10, 3, UNIFORM,
                                      h_cap=12, g_cap=8)
         assert rep.rows[0]["mean_modulus"] <= rep.rows[1]["mean_modulus"]
 
 
 class TestFluctuationBound:
     def test_observed_below_bound_and_shrinking(self):
-        pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
-        rows = fluctuation_bound_check(pc, [50, 400], [0.1, 0.2, 0.4], 0.3, UNIFORM,
+        rows = fluctuation_bound_check(IndicatorFamily(), [50, 400], [0.1, 0.2, 0.4], 0.3, UNIFORM,
                                        h_cap=12, g_cap=8)
         assert all(r["violations"] == 0 for r in rows)
         by_n = {}
@@ -433,11 +425,10 @@ class TestFluctuationBound:
         # for envelope-1 components: observed <= 2 alpha + sqrt(oscillation)
         from semproc.ulln import oscillation_sup
 
-        pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
         net_u = 0.3
         for n in (50, 400):
             osc = oscillation_sup(IndicatorFamily(), n, net_u).value
-            rows = fluctuation_bound_check(pc, [n], [0.2, 0.4], net_u, UNIFORM,
+            rows = fluctuation_bound_check(IndicatorFamily(), [n], [0.2, 0.4], net_u, UNIFORM,
                                            h_cap=12, g_cap=8)
             for r in rows:
                 assert r["observed"] <= 2 * r["alpha"] + math.sqrt(osc) + 1e-9

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from semproc.function_classes import (
+    BoundedPolynomial,
     BVectorClass,
-    GClass,
+    HalfLine,
+    HalfLineFamily,
     HolderClass,
     HolderMember,
     IndicatorFamily,
     IndicatorMember,
     NetTooLargeError,
-    ProductClass,
     b_infinity_witness,
     observed_riemann_gap,
     observed_riemann_gap_rows,
@@ -211,14 +212,7 @@ class TestOscillationBound:
 
 class TestGClass:
     def test_envelopes(self):
-        assert GClass("half-lines").envelope_constant == 1.0
-        assert GClass("poly", degree=2, coeff_bound=1.0).envelope_constant is None
-
-    def test_taxonomy_gate(self):
-        with pytest.raises(ValueError):
-            ProductClass(IndicatorFamily(), GClass("poly", degree=1), "pi(UB,M-VC)")
-        ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
-        ProductClass(HolderClass(1, 1, 1), GClass("poly", degree=1), "pi(nuG2,J-VC)")
+        assert HalfLineFamily().envelope_constant == 1.0
 
     @pytest.mark.parametrize("model_name", ["uniform01", "standard-normal", "exponential(1)"])
     def test_pair_means_against_quadrature(self, model_name):
@@ -226,14 +220,13 @@ class TestGClass:
 
         model = parse_model(model_name)
         rng = np.random.default_rng(4)
-        gh = GClass("half-lines")
-        gp = GClass("poly", degree=2, coeff_bound=0.5)
         lo, hi = model.support
         lo = max(lo, -40.0)
         hi = min(hi, 60.0)
         for _ in range(5):
-            g1 = gh.random_member(rng, model)
-            g2 = gp.random_member(rng, model)
+            # a half-line at a random quantile, a degree-2 polynomial in [-0.5, 0.5]^3
+            g1 = HalfLine(float(model.ppf(min(rng.random(), 1 - 1e-12))))
+            g2 = BoundedPolynomial(tuple((2 * rng.random(3) - 1) * 0.5))
             for a, b in ((g1, g2), (g2, g2), (g1, g1)):
                 oracle, _ = sciint.quad(
                     lambda x: float(np.asarray(a(np.asarray([x])))[0])
@@ -244,7 +237,7 @@ class TestGClass:
 
     def test_half_line_net_coverage(self):
         model = parse_model("standard-normal")
-        net = GClass("half-lines").build_net(0.3, model)
+        net = HalfLineFamily().build_net(0.3, model)
         rng = np.random.default_rng(8)
         for _ in range(80):
             w = float(model.ppf(rng.random() * 0.998 + 0.001))
@@ -259,9 +252,10 @@ class TestDescriptorAndExport:
 
         cls = parse_class_descriptor({"class": "holder", "T": 2.0, "C": 0.5, "beta": 0.5})
         assert isinstance(cls, HolderClass) and cls.beta == 0.5
-        cls = parse_class_descriptor({"class": "bvector", "j": 1, "parity": "even"})
-        assert isinstance(cls, BVectorClass)
-        assert isinstance(parse_class_descriptor({"class": "halflines"}), GClass)
+        assert isinstance(parse_class_descriptor({"class": "indicators"}), IndicatorFamily)
+        for kind in ("bvector", "halflines"):  # not h classes of the modulus
+            with pytest.raises(ValueError):
+                parse_class_descriptor({"class": kind})
         with pytest.raises(ValueError):
             parse_class_descriptor({"class": "holder", "gamma": 1})
         with pytest.raises(ValueError):

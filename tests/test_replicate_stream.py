@@ -96,16 +96,16 @@ _MODULUS_CHILD = textwrap.dedent("""
     import sys
     import numpy as np
     from semproc import fclt
-    from semproc.function_classes import GClass, HolderClass, ProductClass
+    from semproc.function_classes import HolderClass
     from semproc.measures import grid_points, parse_model
     from member_oracles import one_shot_modulus_Z
 
     n = 2000
-    pclass = ProductClass(HolderClass(1.0, 1.0, 1.0), GClass("half-lines"), "pi(UB,M-VC)")
+    h_class = HolderClass(1.0, 1.0, 1.0)
     cases = []
     for name in %(models)r:
         model = parse_model(name)
-        pools = fclt._member_pools(pclass, 0.3, 60, 24, 1, model)
+        pools = fclt._member_pools(h_class, 0.3, 60, 24, 1, model)
         h_vals = np.stack([np.asarray(h(grid_points(n)), dtype=float) for h in pools.h])
         for R in (257, 1001):
             got = fclt._modulus_Z(h_vals, pools.g, n, R, np.random.default_rng(R), model)

@@ -1,5 +1,6 @@
 """Exact supremum statistics, sandwich bounds, tail bound, series identities."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,10 +9,8 @@ import pytest
 
 from semproc.function_classes import (
     BVectorClass,
-    GClass,
     HolderClass,
     IndicatorFamily,
-    ProductClass,
 )
 from semproc.measures import Sample, draw_sample, parse_model
 from semproc.ulln import (
@@ -78,13 +77,12 @@ class TestExactStatistic:
 
 class TestNetSandwich:
     def test_sandwich_contains_exact(self):
-        pc = ProductClass(IndicatorFamily(), GClass("half-lines"), "pi(UB,M-VC)")
         rng = np.random.default_rng(3)
         for _ in range(12):
             n = int(rng.integers(30, 120))
             s = draw_sample("uniform01", n, int(rng.integers(0, 2**60)))
             exact = sup_deviation_exact_BW(0, "odd", s)
-            out = sup_deviation_net(pc, s, 0.15)
+            out = sup_deviation_net(s, 0.15)
             assert out.lower <= exact + 1e-12
             assert exact <= out.upper + 1e-12
             assert out.upper - out.lower == pytest.approx(2 * 0.15, abs=1e-15)
@@ -218,6 +216,17 @@ class TestSeriesS:
         rep = series_S_diagnostic(1, math.log(2.0), 50)
         assert rep.classification == "divergent"
         assert all(abs(b - 1.0) < 1e-12 for b in rep.bound_sequence)
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("c", [0.1, 0.5, math.log(2.0), 2.0, 5.0])
+    def test_partial_sums_inside_closed_form_bracket(self, D, c):
+        assert series_S_diagnostic(D, c, 300).bracket_misses() == 0
+
+    def test_bracket_catches_a_wrong_term(self):
+        rep = series_S_diagnostic(2, 0.5, 300)
+        # drop the n = 1 term (e^{-c}) from every partial sum: the first falls to 0
+        ps = tuple(p - math.exp(-0.5) for p in rep.partial_sums)
+        assert dataclasses.replace(rep, partial_sums=ps).bracket_misses() >= 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
