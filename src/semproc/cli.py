@@ -246,6 +246,7 @@ def _load_q_file(path: str) -> list:
 
 
 def _run_fclt(cfg: dict) -> tuple:
+    _require(cfg["n"] >= 1, "fclt.n", ">= 1", cfg["n"])
     _require(cfg["replicates"] >= 2, "fclt.replicates", ">= 2", cfg["replicates"])
     model = parse_model(cfg["model"])
     if cfg["q_set"] == "kiefer-3":
@@ -323,6 +324,9 @@ def _run_fclt(cfg: dict) -> tuple:
 
 
 def _run_covering(cfg: dict) -> tuple:
+    _require(cfg["tau"] > 0, "covering.tau", "> 0", cfg["tau"])
+    _require(all(n >= 1 for n in cfg["n_list"]), "covering.n_list", "a list of ints >= 1",
+             cfg["n_list"])
     lemmas = check_covering_lemmas(cfg["trials"], cfg["seed"])
     model = parse_model(cfg["model"])
     seeds = [derive_seed(cfg["seed"], ["covering", i]) % 2**63
@@ -345,6 +349,8 @@ def _run_covering(cfg: dict) -> tuple:
 
 
 def _run_bounds(cfg: dict) -> tuple:
+    _require(all(n >= 1 for n in cfg["n_list"]), "bounds.n_list", "a list of ints >= 1",
+             cfg["n_list"])
     rng_root = cfg["seed"]
     n_list = [int(n) for n in cfg["n_list"]]
     members = cfg["members"]

@@ -36,7 +36,6 @@ __all__ = [
     "greedy_net_indices",
     "exact_covering_number",
     "check_covering_lemmas",
-    "ShatterReport",
     "shatter_coefficient",
     "random_covering_boundedness",
 ]
@@ -60,7 +59,12 @@ def pairwise_distances(family: Sequence, metric) -> np.ndarray:
 def greedy_net_indices(dist: np.ndarray, u: float) -> list[int]:
     """Farthest-point-first u-net (strict < u coverage); deterministic start
     at index 0.  The selected points are pairwise >= u apart, so the result is
-    simultaneously a maximal u-packing and a valid u-net."""
+    simultaneously a maximal u-packing and a valid u-net.  Raises ValueError
+    for u <= 0 or a non-finite distance, where the sweep would never end."""
+    if not u > 0:
+        raise ValueError(f"greedy net radius u must be > 0, got {u!r}")
+    if not np.isfinite(dist).all():
+        raise ValueError("greedy net distances must be finite")
     k = dist.shape[0]
     if k == 0:
         return []
@@ -256,35 +260,6 @@ def check_covering_lemmas(trials: int, seed: int) -> LemmaCheckReport:
 # Shatter coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShatterReport:
-    class_label: str
-    points: tuple[float, ...]
-    coefficient: int
-    dichotomies: Optional[tuple[int, ...]] = None
-
-    def sauer_bound(self, vc_dim: int) -> int:
-        return (len(self.points) + 1) ** vc_dim
-
-    @property
-    def shatters(self) -> bool:
-        return self.coefficient == 2 ** len(self.points)
-
-    def to_json(self) -> dict:
-        out = {
-            "class": self.class_label,
-            "points": list(self.points),
-            "coefficient": self.coefficient,
-            "shatters": self.shatters,
-        }
-        if self.dichotomies is not None:
-            out["dichotomies"] = [
-                [i for i in range(len(self.points)) if m >> i & 1]
-                for m in self.dichotomies
-            ]
-        return out
-
-
 def _runs_of_mask(mask: int) -> int:
     # number of maximal blocks of consecutive ones
     return bin(mask & ~(mask << 1)).count("1")
@@ -293,14 +268,15 @@ def _runs_of_mask(mask: int) -> int:
 def shatter_coefficient(
     cls: Union[BVectorClass, HalfLineFamily, IndicatorFamily],
     points: Sequence[float],
-    keep_dichotomies: bool = False,
-) -> ShatterReport:
-    """Exact count of distinct subsets of `points` cut out by the class.
+) -> int:
+    """Exact count of the distinct subsets of `points` cut out by the class.
 
     For interval-built classes the dichotomy rule on sorted points reduces to
     run counting: a subset is achievable iff its number of consecutive runs is
     within the interval budget, with the anchored initial interval granting one
-    extra run exactly when the smallest point is selected.
+    extra run exactly when the smallest point is selected.  Half-lines and
+    indicators cut exactly the prefixes of the sorted points, the sets of
+    B(1), so they take its rule.
     """
     pts = sorted(float(p) for p in points)
     if len(set(pts)) != len(pts):
@@ -308,34 +284,19 @@ def shatter_coefficient(
     k = len(pts)
     if k > 20:
         raise ValueError("instance too large: at most 20 points")
-
     if isinstance(cls, (HalfLineFamily, IndicatorFamily)):
-        achievable = [m for m in range(1 << k) if _is_prefix_mask(m, k)]
-    elif isinstance(cls, BVectorClass):
-        achievable = []
-        for m in range(1 << k):
-            budget = cls.j
-            if cls.parity == "odd" and (m & 1):
-                budget += 1  # anchored initial interval, usable iff p_min selected
-            if _runs_of_mask(m) <= budget:
-                achievable.append(m)
-    else:
+        cls = BVectorClass(0, "odd")
+    elif not isinstance(cls, BVectorClass):
         raise TypeError(type(cls))
 
-    label = f"B({cls.n_breakpoints})" if isinstance(cls, BVectorClass) else type(cls).__name__
-    return ShatterReport(
-        class_label=label,
-        points=tuple(pts),
-        coefficient=len(achievable),
-        dichotomies=tuple(achievable) if keep_dichotomies else None,
-    )
-
-
-def _is_prefix_mask(mask: int, k: int) -> bool:
-    # half-lines cut exactly the prefixes of the sorted order (incl. empty)
-    if mask == 0:
-        return True
-    return _runs_of_mask(mask) == 1 and (mask & 1) == 1
+    count = 0
+    for m in range(1 << k):
+        budget = cls.j
+        if cls.parity == "odd" and (m & 1):
+            budget += 1  # anchored initial interval, usable iff p_min selected
+        if _runs_of_mask(m) <= budget:
+            count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The standardized process Z_n, its Gaussian limit, and the verification
 machinery for the functional-CLT side: the covariance kernel, a
-finite-dimensional Gaussian sampler, Lindeberg and quadrature-limit checks, a
-fidi convergence test, and the equicontinuity-modulus proxy.
+finite-dimensional Gaussian sampler, the Lindeberg check, a fidi convergence
+test, and the equicontinuity-modulus proxy.
 
 A q is the pair (h, g) of the product q(s, x) = h(s) g(x): h an h member and
 g a G member of semproc.function_classes.  The covariance kernel factorizes
@@ -39,7 +39,7 @@ from .function_classes import (
 )
 from .measures import NuModel, grid_points
 from .piecewise import PiecewiseLinear
-from .quadrature import DEFAULT_TOL, integrate
+from .quadrature import integrate
 from .seeds import derive_seed
 from .special import ndtr
 
@@ -48,7 +48,6 @@ __all__ = [
     "kiefer_cell",
     "cov_kernel",
     "cov_matrix",
-    "quadrature_limit_check",
     "lindeberg_check",
     "NotPSDError",
     "gaussian_fidi_sample",
@@ -57,7 +56,6 @@ __all__ = [
     "fidi_convergence_test",
     "ModulusReport",
     "equicontinuity_modulus",
-    "fluctuation_bound_check",
 ]
 
 _KERNEL_TOL = 1e-10      # quadrature tolerance of the covariance kernel
@@ -114,25 +112,8 @@ def cov_matrix(q_list: Sequence[tuple], model: NuModel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature limit and Lindeberg checks
+# Lindeberg check
 # ---------------------------------------------------------------------------
-
-def quadrature_limit_check(q: tuple, model: NuModel,
-                           n_list: Sequence[int]) -> list[dict]:
-    """Gap |(lambda_n x nu)(q^2) - (lambda x nu)(q^2)| along n_list."""
-    h, g = q
-    nu_g2 = g.second_moment(model)
-
-    def sq(hs):  # nu(q^2)(s) = h(s)^2 nu(g^2)
-        return hs**2 * nu_g2
-
-    limit = _lambda_integral(sq, h, DEFAULT_TOL)
-    rows = []
-    for n in n_list:
-        val = float(np.mean(sq(np.asarray(h(grid_points(n)), dtype=float))))
-        rows.append({"n": n, "value": val, "limit": limit, "gap": abs(val - limit)})
-    return rows
-
 
 def lindeberg_check(
     q: tuple,
@@ -309,7 +290,7 @@ def fidi_convergence_test(
 
 
 # ---------------------------------------------------------------------------
-# Equicontinuity modulus and the fluctuation bound
+# Equicontinuity modulus
 # ---------------------------------------------------------------------------
 
 def _h_pool(h_class, net_u: float, cap: int, seed: int):
@@ -347,23 +328,10 @@ def _h_pool(h_class, net_u: float, cap: int, seed: int):
     return [net[i] for i in idx], sq[np.ix_(idx, idx)]
 
 
-@dataclass(frozen=True)
-class _MemberPools:
-    """The h pool and the half-line net with what pairing them needs:
-    h_sq[a, b] = lambda((h_a-h_b)^2), the d2_lambda and d2_nu distance
-    matrices, and the g moments nu(g_b^2) and nu(g_b g_c)."""
-
-    h: list
-    g: list
-    h_sq: np.ndarray
-    d_h: np.ndarray
-    d_g: np.ndarray
-    g_second: np.ndarray
-    g_cross: np.ndarray
-
-
 def _member_pools(h_class, net_u: float, h_cap: int, g_cap: int,
-                  seed: int, model: NuModel) -> _MemberPools:
+                  seed: int, model: NuModel) -> tuple:
+    """The h pool and the half-line net (thinned to the caps) with their
+    d2_lambda and d2_nu distance matrices: (h_pool, g_pool, d_h, d_g)."""
     h_pool, h_sq = _h_pool(h_class, net_u, h_cap, seed)
     g_net = HalfLineFamily().build_net(net_u, model, max_members=10**6)
     if len(g_net) > g_cap:
@@ -372,7 +340,7 @@ def _member_pools(h_class, net_u: float, h_cap: int, g_cap: int,
     seconds = np.array([g.second_moment(model) for g in g_net])
     cross = np.array([[g1.pair_mean(g2, model) for g2 in g_net] for g1 in g_net])
     d_g = np.sqrt(np.maximum(seconds[:, None] - 2 * cross + seconds[None, :], 0.0))
-    return _MemberPools(h_pool, g_net, h_sq, np.sqrt(h_sq), d_g, seconds, cross)
+    return h_pool, g_net, np.sqrt(h_sq), d_g
 
 
 def _pairs_within(d_h: np.ndarray, d_g: np.ndarray, alpha: float):
@@ -430,13 +398,13 @@ def equicontinuity_modulus(
     verifiable direction of the tightness statement.
     The R replicate samples are drawn in row blocks, each contracted into Z
     as soon as it is drawn (_modulus_Z), so no (R, n) array is held."""
-    pools = _member_pools(h_class, net_u, h_cap, g_cap, seed, model)
-    kh, kg = len(pools.h), len(pools.g)
+    h_pool, g_pool, d_h, d_g = _member_pools(h_class, net_u, h_cap, g_cap, seed, model)
+    kh, kg = len(h_pool), len(g_pool)
     svals = grid_points(n)
-    h_vals = np.stack([np.asarray(h(svals), dtype=float) for h in pools.h])
-    pairs_p, pairs_q, pair_d = _pairs_within(pools.d_h, pools.d_g, max(alpha_list))
+    h_vals = np.stack([np.asarray(h(svals), dtype=float) for h in h_pool])
+    pairs_p, pairs_q, pair_d = _pairs_within(d_h, d_g, max(alpha_list))
 
-    Z = _modulus_Z(h_vals, pools.g, n, R,
+    Z = _modulus_Z(h_vals, g_pool, n, R,
                    np.random.default_rng(derive_seed(seed, ["modulus", n, R])), model)
 
     report = ModulusReport(n=n, replicates=R, net_u=net_u, h_pool=kh, g_pool=kg)
@@ -458,49 +426,3 @@ def equicontinuity_modulus(
              "pairs": int(mask.sum())}
         )
     return report
-
-
-def fluctuation_bound_check(
-    h_class,
-    n_list: Sequence[int],
-    alpha_list: Sequence[float],
-    net_u: float,
-    model: NuModel,
-    h_cap: int = 40,
-    g_cap: int = 16,
-    seed: int = 0,
-) -> list[dict]:
-    """Deterministic check of the fluctuation bound over F = h_class x
-    half-lines, whose sqrt(nu(G^2)) is 1: for pairs within alpha in the
-    composite metric, the (lambda_n x nu) L2 distance is at most
-
-        H_env * d2_nu(g1, g2) + d2_lambda(h1, h2)
-                       + sqrt(|lambda_n((h1-h2)^2) - lambda((h1-h2)^2)|),
-
-    and the sup over alpha-pairs shrinks with alpha."""
-    pools = _member_pools(h_class, net_u, h_cap, g_cap, seed, model)
-    h_env = h_class.envelope_constant
-    p, q, pair_d = _pairs_within(pools.d_h, pools.d_g, max(alpha_list))
-    a1, b1 = np.divmod(p, len(pools.g))
-    a2, b2 = np.divmod(q, len(pools.g))   # a1 <= a2, so gram_n[a1, a2] is the upper triangle
-
-    rows = []
-    for n in n_list:
-        svals = grid_points(n)
-        hv = np.stack([np.asarray(h(svals), dtype=float) for h in pools.h])
-        gram_n = hv @ hv.T / n                       # lambda_n(h_a h_b)
-        g11, g12, g22 = gram_n[a1, a1], gram_n[a1, a2], gram_n[a2, a2]
-        sq = (g11 * pools.g_second[b1] - 2.0 * g12 * pools.g_cross[b1, b2]
-              + g22 * pools.g_second[b2])
-        obs = np.sqrt(np.maximum(sq, 0.0))
-        lam_gap = np.abs(g11 - 2.0 * g12 + g22 - pools.h_sq[a1, a2])
-        # the h terms are summed first, as when sqrt(nu(G^2)) multiplied them
-        bound = h_env * pools.d_g[b1, b2] + (pools.d_h[a1, a2] + np.sqrt(lam_gap))
-        for alpha in alpha_list:
-            within = pair_d <= alpha
-            rows.append({"n": n, "alpha": alpha,
-                         "observed": float(np.max(obs[within], initial=0.0)),
-                         "bound": float(np.max(bound[within], initial=0.0)),
-                         "pairs": int(within.sum()),
-                         "violations": int(np.sum(obs[within] > bound[within] + 1e-9))})
-    return rows

@@ -4,12 +4,10 @@ B(2j), the non-uniformly-Riemann-integrable counterexample family, the
 members g on the sample space, and HalfLineFamily, the one G class: a product
 class F = H * G = {h(s) g(x)} is named by its h class alone.
 
-Every h class exposes three things, which is how an infinite class becomes
-computable:
-
-  * random member generation (seeded),
-  * u-net construction with a provable coverage guarantee in a stated metric,
-  * closed-form rate bounds where they exist.
+Every h class exposes seeded random member generation and its closed-form
+Riemann gap bound; the Holder balls and the indicator family also build
+u-nets with a provable coverage guarantee in a stated metric, which is how an
+infinite class becomes computable.
 
 Holder nets are built on a uniform grid: candidate value sequences are
 enumerated on a step/2 value lattice, each sequence is replaced by its largest
@@ -22,7 +20,7 @@ is itself (C, beta)-Holder, so net members are exact class members; rounding
 interpolation (u/2) add up to sup-distance at most u from any class member.
 
 Only this module knows how an h member is stored.  An h member (HolderMember,
-IndicatorMember, or a set member: BVectorMember or any IntervalUnion) is used
+IndicatorMember, or a set member: any IntervalUnion) is used
 through h(x), lambda_exact() = lambda(h), lambda_n(n) and breakpoints(), the
 points where h may jump; the lambdas are exact Fractions for set members, and
 lambda_n is one for indicators.  A set member's Riemann gap is read in
@@ -37,7 +35,6 @@ two unions) and quadrature split at both breakpoints if not.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +54,6 @@ __all__ = [
     "IndicatorFamily",
     "IndicatorMember",
     "BVectorClass",
-    "BVectorMember",
     "b_infinity_witness",
     "HalfLine",
     "HalfLineFamily",
@@ -163,11 +159,6 @@ class HolderClass:
 
     def riemann_gap_bound(self, n: int) -> float:
         return self.C / n**self.beta
-
-    def oscillation_sup_bound(self, n: int) -> float:
-        """Closed-form bound on sup |lambda_n((h1-h2)^2) - lambda((h1-h2)^2)|
-        over the class, aggregated from the square and cross-product chains."""
-        return 8.0 * self.C * (self.C + self.T) / n**self.beta
 
     # -- net construction ----------------------------------------------------
 
@@ -361,14 +352,6 @@ class IndicatorFamily:
 # Interval-union set classes
 # ---------------------------------------------------------------------------
 
-class BVectorMember(IntervalUnion):
-    """A member of B(2j+1) or B(2j): an interval union, so a set member."""
-
-    @property
-    def set(self) -> IntervalUnion:
-        return self
-
-
 @dataclass(frozen=True)
 class BVectorClass:
     """B(2j+1) (parity 'odd': anchored initial interval plus j intervals) or
@@ -387,16 +370,16 @@ class BVectorClass:
     def n_breakpoints(self) -> int:
         return 2 * self.j + 1 if self.parity == "odd" else 2 * self.j
 
-    def member(self, breakpoints: Sequence[Union[float, Fraction]]) -> BVectorMember:
+    def member(self, breakpoints: Sequence[Union[float, Fraction]]) -> IntervalUnion:
         t = list(breakpoints)
         if len(t) != self.n_breakpoints:
             raise ValueError(f"expected {self.n_breakpoints} breakpoints")
         if t != sorted(t):
             raise ValueError("breakpoints must be nondecreasing")
         ends = [0] + t if self.parity == "odd" else t  # odd: (0, t0] is the anchored interval
-        return BVectorMember.from_pairs(zip(ends[::2], ends[1::2]))
+        return IntervalUnion.from_pairs(zip(ends[::2], ends[1::2]))
 
-    def random_member(self, rng: np.random.Generator) -> BVectorMember:
+    def random_member(self, rng: np.random.Generator) -> IntervalUnion:
         t = np.sort(rng.random(self.n_breakpoints))
         return self.member(t.tolist())
 
@@ -411,26 +394,6 @@ class BVectorClass:
         if self.parity == "odd":
             return (self.j + 1) / n
         return self.j / n
-
-    def build_net(self, u: float, max_members: int = 200_000) -> list[BVectorMember]:
-        """Net by breakpoint quantization; mesh chosen so the guarantee holds
-        in d2_lambda (L2 distance between indicators is the square root of
-        the symmetric difference measure)."""
-        p = self.n_breakpoints
-        mesh = (u * u) / p
-        g = math.ceil(1.0 / mesh)
-        count = math.comb(g + p, p)
-        if count > max_members:
-            raise NetTooLargeError(count, max_members)
-        grid = [Fraction(k, g) for k in range(g + 1)]
-        seen: dict[tuple, BVectorMember] = {}
-        for combo in itertools.combinations_with_replacement(range(g + 1), p):
-            t = [grid[c] for c in combo]
-            member = self.member(t)
-            key = member.set.bounds
-            if key not in seen:
-                seen[key] = member
-        return list(seen.values())
 
 
 def b_infinity_witness(n: int) -> IntervalUnion:

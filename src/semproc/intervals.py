@@ -156,7 +156,3 @@ class IntervalUnion:
         return np.minimum(out, 1.0)
 
     __call__ = indicator
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.bounds)

@@ -35,14 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .function_classes import (
-    BVectorClass,
-    HalfLine,
-    HolderClass,
-    IndicatorFamily,
-    lambda_sq_matrix,
-)
-from .measures import NuModel, Sample, draw_sample, grid_points, parse_model
+from .function_classes import BVectorClass, HalfLine, IndicatorFamily
+from .measures import NuModel, Sample, draw_sample, parse_model
 from .quadrature import integrate
 from .seeds import derive_seed
 from .special import gammaincc, log_factorials
@@ -52,8 +46,6 @@ __all__ = [
     "sup_deviation_net",
     "sup_deviation_exact_BW",
     "sup_deviation_bruteforce",
-    "oscillation_sup",
-    "OscillationReport",
     "gc_tail_bound",
     "TailBound",
     "series_I_closed_form",
@@ -299,8 +291,6 @@ class DeviationSandwich:
     upper: float
     net_u: float
     n: int
-    h_net_size: int = 0
-    g_net_size: int = 0
 
 
 def sup_deviation_net(sample: Sample, net_u: float) -> DeviationSandwich:
@@ -338,51 +328,7 @@ def sup_deviation_net(sample: Sample, net_u: float) -> DeviationSandwich:
     pn = (h_vals @ g_vals.T) / sample.n
     dev = np.abs(pn - np.outer(h_center, g_mean))
     lower = float(np.max(dev))
-    return DeviationSandwich(
-        lower=lower, upper=lower + 2.0 * net_u, net_u=net_u, n=sample.n,
-        h_net_size=len(h_net), g_net_size=len(g_net),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Oscillation statistic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OscillationReport:
-    value: float
-    net_u: float
-    n: int
-    pool_size: int
-
-
-def oscillation_sup(h_class, n: int, net_u: float, pool_cap: int = 120,
-                    seed: int = 0) -> OscillationReport:
-    """Max over net pairs of |lambda_n((h1-h2)^2) - lambda((h1-h2)^2)|.
-
-    Nets larger than pool_cap are subsampled deterministically; the reported
-    value is then a net-restricted maximum (the direction used by the bound
-    checks is unaffected: observed <= closed-form bound stays meaningful)."""
-    if isinstance(h_class, IndicatorFamily):
-        net = h_class.build_net(net_u, "d2_lambda", max_members=10**6)
-        ts = np.array(sorted(m.t for m in net))
-        best = 0.0
-        for i in range(len(ts)):
-            width = ts[i:] - ts[i]
-            ln = (np.floor(n * ts[i:] + 1e-12) - np.floor(n * ts[i] + 1e-12)) / n
-            best = max(best, float(np.max(np.abs(ln - width))))
-        return OscillationReport(best, net_u, n, len(ts))
-    if not isinstance(h_class, HolderClass):
-        raise TypeError(type(h_class))
-    net = h_class.net_sample(net_u, pool_cap, np.random.default_rng(seed))
-    lam = lambda_sq_matrix(net)
-    pts = grid_points(n)
-    vals = np.stack([m(pts) for m in net])
-    best = 0.0
-    for i in range(len(net) - 1):
-        ln = np.mean((vals[i] - vals[i + 1:]) ** 2, axis=1)
-        best = max(best, float(np.max(np.abs(ln - lam[i, i + 1:]))))
-    return OscillationReport(best, net_u, n, len(net))
+    return DeviationSandwich(lower=lower, upper=lower + 2.0 * net_u, net_u=net_u, n=sample.n)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +415,15 @@ def series_I_quadrature(c: float, D1: int, D2: int) -> float:
     return integrate(f, 0.0, 1.0, tol=_SERIES_REL_TOL * abs(integrate(f, 0.0, 1.0, tol=1e-3)))
 
 
+def _or_inf(f, *args) -> float:
+    """f(*args), or inf where the float result is past the float range and f
+    raises OverflowError."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class SeriesSReport:
     D: int
@@ -488,40 +443,52 @@ class SeriesSReport:
         for n, total in enumerate(self.partial_sums, start=1):
             log_lo = n * math.log(2.0) + math.log1p(-(2.0**-n)) - self.c * n
             log_hi = log_lo + self.D * math.log(n)
-            lo += math.exp(log_lo) if log_lo > -745 else 0.0
+            lo += _or_inf(math.exp, log_lo) if log_lo > -745 else 0.0
             hi += math.exp(log_hi) if log_hi < 709 else math.inf
             if not lo * (1.0 - 1e-12) <= total <= hi * (1.0 + 1e-12):
                 misses += 1
         return misses
 
 
+def _power_term(n: int, D: int, ratio: float) -> float:
+    """n^D ratio^n as the float product n**D * ratio**n; in log space when the
+    integer n**D has no float."""
+    try:
+        return n**D * ratio**n
+    except OverflowError:
+        return _or_inf(math.exp, D * math.log(n) + n * math.log(ratio)) if ratio > 0 else 0.0
+
+
 def series_S_diagnostic(D: int, c: float, N: int = 400) -> SeriesSReport:
     """Partial sums of S(D, c) = sum_n sum_{k<=n} k^D C(n,k) e^{-cn} with the
     dichotomy at c = log 2: upper bound sum_n n^D (2 e^{-c})^n for c > log 2,
-    divergent lower bound terms (2 e^{-c})^n otherwise."""
+    divergent lower bound terms (2 e^{-c})^n otherwise.  A term past the float
+    range reads inf, and so does every partial sum after it."""
     if D < 1 or c <= 0 or N < 1 or N > 10**4:
         raise ValueError("need D >= 1, c > 0, 1 <= N <= 1e4")
     partial = []
-    total = 0.0
+    total = term = 0.0
     lf = log_factorials(N)
     for n in range(1, N + 1):
         k = np.arange(1, n + 1, dtype=float)
         logs = D * np.log(k) + lf[n] - lf[1:n + 1] - lf[n - 1::-1]
         m = float(np.max(logs))
         inner = m + math.log(float(np.sum(np.exp(logs - m))))
-        total += math.exp(inner - c * n) if inner - c * n > -745 else 0.0
+        term = _or_inf(math.exp, inner - c * n) if inner - c * n > -745 else 0.0
+        total += term
         partial.append(total)
-    tail = partial[-1] - partial[-2] if N >= 2 else partial[-1]
+    # the last term itself once the sums are inf (inf - inf is nan)
+    tail = partial[-1] - partial[-2] if N >= 2 and math.isfinite(partial[-2]) else term
     ratio = 2.0 * math.exp(-c)
     if c > math.log(2.0):
         bound = []
         acc = 0.0
         for n in range(1, N + 1):
-            acc += n**D * ratio**n
+            acc += _power_term(n, D, ratio)
             bound.append(acc)
         classification = "convergent"
     else:
-        bound = [ratio**n for n in range(1, N + 1)]
+        bound = [_or_inf(pow, ratio, n) for n in range(1, N + 1)]
         classification = "divergent"
     return SeriesSReport(
         D=D, c=c, N=N,

@@ -3,6 +3,12 @@
 import dataclasses
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,8 @@ from semproc.fclt import NotPSDError
 from semproc.quadrature import QuadratureError
 from semproc.seeds import derive_seed
 from semproc.ulln import series_S_diagnostic
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestDeriveSeed:
@@ -345,6 +353,56 @@ class TestCountsAndOrders:
     ], ids=["ulln", "fclt", "kiefer", "fclt-one-alpha"])
     def test_smallest_valid_counts_exit_0(self, argv):
         assert main(argv) == 0
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def _run_capped(args: list) -> subprocess.CompletedProcess:
+    """python args in a child with a 60 s timeout and a 2 GiB address-space
+    cap, so a value that makes the code loop without end fails the test
+    instead of stalling the suite or filling the memory."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60, preexec_fn=_cap_address_space)
+
+
+class TestRunawayValues:
+    """Values that died with a traceback (n = 0 divides by zero or gives nan
+    rows) or never returned (the greedy net sweep on nan distances or a
+    radius u <= 0): each is a config error naming its key."""
+
+    @pytest.mark.parametrize("argv,key", [
+        (["bounds", "--set", "n_list=[0,10]"], "bounds.n_list"),
+        (["covering", "--set", "n_list=[0]"], "covering.n_list"),
+        (["covering", "--set", "tau=0"], "covering.tau"),
+        (["fclt", "--n", "0", "--run-modulus", "false"], "fclt.n"),
+    ], ids=["bounds-n-list", "covering-n-list", "covering-tau", "fclt-n"])
+    def test_exit_2_naming_the_key(self, argv, key):
+        out = _run_capped(["-m", "semproc.cli", *argv])
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith(f"config error: config key {key} must be")
+
+    def test_greedy_net_rejects_what_never_ends_its_sweep(self):
+        code = textwrap.dedent("""
+            import math
+            import numpy as np
+            from semproc.covering import greedy_net_indices
+            dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+            cases = [(dist, 0.0), (dist, -1.0), (dist, math.nan),
+                     (np.full((2, 2), math.nan), 0.5),
+                     (np.array([[0.0, math.inf], [math.inf, 0.0]]), 0.5)]
+            for d, u in cases:
+                try:
+                    greedy_net_indices(d, u)
+                except ValueError:
+                    print("ValueError")
+        """)
+        out = _run_capped(["-c", code])
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["ValueError"] * 5
 
 
 class TestDocsQuickstart:

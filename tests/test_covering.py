@@ -111,26 +111,22 @@ class TestCoveringNumbers:
 
 class TestShatter:
     def test_half_lines_prefixes(self):
-        rep = shatter_coefficient(HalfLineFamily(), [0.1, 0.5, 0.9])
-        assert rep.coefficient == 4
+        assert shatter_coefficient(HalfLineFamily(), [0.1, 0.5, 0.9]) == 4
 
     def test_b1_prefixes(self):
         rng = np.random.default_rng(3)
         for k in range(1, 9):
             pts = np.sort(rng.random(k) * 0.98 + 0.01)
-            rep = shatter_coefficient(BVectorClass(0, "odd"), pts)
-            assert rep.coefficient == k + 1
+            assert shatter_coefficient(BVectorClass(0, "odd"), pts) == k + 1
 
     def test_b3_shatters_three_points(self):
-        rep = shatter_coefficient(BVectorClass(1, "odd"), [0.2, 0.5, 0.8])
-        assert rep.coefficient == 8 and rep.shatters
+        assert shatter_coefficient(BVectorClass(1, "odd"), [0.2, 0.5, 0.8]) == 2**3
 
     def test_b3_never_shatters_four(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             pts = np.sort(rng.random(4) * 0.98 + 0.01)
-            rep = shatter_coefficient(BVectorClass(1, "odd"), pts)
-            assert rep.coefficient < 16
+            assert shatter_coefficient(BVectorClass(1, "odd"), pts) < 16
 
     def test_sauer_bound(self):
         rng = np.random.default_rng(5)
@@ -139,9 +135,9 @@ class TestShatter:
             for _ in range(30):
                 k = int(rng.integers(1, 11))
                 pts = np.sort(rng.random(k) * 0.98 + 0.01)
-                rep = shatter_coefficient(cls, pts)
-                assert rep.coefficient <= rep.sauer_bound(dim)
-                assert rep.coefficient <= 2**k
+                coefficient = shatter_coefficient(cls, pts)
+                assert coefficient <= (k + 1) ** dim
+                assert coefficient <= 2**k
 
     def test_oracle_against_direct_enumeration(self):
         # independent oracle: enumerate breakpoint grids and collect dichotomies
@@ -163,8 +159,7 @@ class TestShatter:
                             if inside:
                                 mask |= 1 << i
                         seen.add(mask)
-            rep = shatter_coefficient(cls, pts)
-            assert rep.coefficient == len(seen)
+            assert shatter_coefficient(cls, pts) == len(seen)
 
     def test_instance_too_large(self):
         with pytest.raises(ValueError):
@@ -192,12 +187,6 @@ class TestReportSurfaces:
         for r in rows:
             assert set(r) == {"lemma", "trials", "violations", "worst_case"}
             assert r["violations"] == 0 and r["worst_case"] is None
-
-    def test_shatter_report_json_with_dichotomies(self):
-        rep = shatter_coefficient(BVectorClass(0, "odd"), [0.2, 0.6], keep_dichotomies=True)
-        out = rep.to_json()
-        assert out["coefficient"] == 3
-        assert sorted(map(tuple, out["dichotomies"])) == [(), (0,), (0, 1)]
 
 
 class TestCompositeMetricProductBound:

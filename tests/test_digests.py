@@ -1,4 +1,4 @@
-"""Pinned report digests, fluctuation-bound rows and Lindeberg rows.
+"""Pinned report digests and Lindeberg rows.
 
 The values were recorded before the sampling, member-pool and pair paths
 were merged, and the two fclt q_set cases (Holder products with the
@@ -25,12 +25,10 @@ import numpy as np
 import pytest
 
 from semproc.cli import numeric_bytes, run_experiment
-from semproc.fclt import fluctuation_bound_check, lindeberg_check
+from semproc.fclt import lindeberg_check
 from semproc.function_classes import (
     HalfLine,
-    HolderClass,
     HolderMember,
-    IndicatorFamily,
     IndicatorMember,
     InitialInterval,
 )
@@ -97,41 +95,6 @@ def test_numeric_sha256_pinned(name):
     experiment, cfg, want = CASES[name]
     report = run_experiment(experiment, cfg)
     assert hashlib.sha256(numeric_bytes(report)).hexdigest() == want
-
-
-HOLDER_ROWS = [
-    {"n": 50, "alpha": 0.3, "observed": 0.2924903844571893, "bound": 0.3019394283564081,
-     "pairs": 45, "violations": 0},
-    {"n": 50, "alpha": 0.6, "observed": 0.6682159082212875, "bound": 1.0512233264629716,
-     "pairs": 322, "violations": 0},
-    {"n": 200, "alpha": 0.3, "observed": 0.29234845165900014, "bound": 0.29537951493791953,
-     "pairs": 45, "violations": 0},
-    {"n": 200, "alpha": 0.6, "observed": 0.666431237075514, "bound": 1.0473503431169107,
-     "pairs": 322, "violations": 0},
-]
-
-INDICATOR_ROWS = [
-    {"n": 50, "alpha": 0.2, "observed": 0.14142135623723892, "bound": 0.2000000000000001,
-     "pairs": 8, "violations": 0},
-    {"n": 50, "alpha": 0.4, "observed": 0.3464101615136022, "bound": 0.5,
-     "pairs": 150, "violations": 0},
-    {"n": 400, "alpha": 0.2, "observed": 0.09999999999995009, "bound": 0.10000000000000005,
-     "pairs": 8, "violations": 0},
-    {"n": 400, "alpha": 0.4, "observed": 0.32015621187148247, "bound": 0.39999999999999997,
-     "pairs": 150, "violations": 0},
-]
-
-
-def test_fluctuation_rows_pinned_holder():
-    rows = fluctuation_bound_check(HolderClass(1.0, 1.0, 1.0), [50, 200], [0.3, 0.6], 0.45,
-                                   parse_model("uniform01"), h_cap=16, g_cap=6, seed=2)
-    assert json.dumps(rows) == json.dumps(HOLDER_ROWS)
-
-
-def test_fluctuation_rows_pinned_indicator():
-    rows = fluctuation_bound_check(IndicatorFamily(), [50, 400], [0.2, 0.4], 0.3,
-                                   parse_model("exponential(2)"), h_cap=12, g_cap=8)
-    assert json.dumps(rows) == json.dumps(INDICATOR_ROWS)
 
 
 # lindeberg_check on two-valued products that no report runs, recorded while

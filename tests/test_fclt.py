@@ -16,13 +16,11 @@ from semproc.fclt import (
     cov_matrix,
     equicontinuity_modulus,
     fidi_convergence_test,
-    fluctuation_bound_check,
     gaussian_fidi_sample,
     kiefer_cell,
     ks_normal_distance,
     lindeberg_check,
     make_sx_q,
-    quadrature_limit_check,
     replicate_Z_values,
 )
 from semproc.function_classes import (
@@ -221,26 +219,6 @@ class TestGaussianSampler:
             gaussian_fidi_sample(bad, 10, 1)
 
 
-class TestQuadratureLimit:
-    def test_s_only_hand_value(self):
-        q = (_linear_h(), BoundedPolynomial((1.0,)))  # q = s
-        rows = quadrature_limit_check(q, UNIFORM, [10])
-        # (1/10) sum (i/10)^2 = 0.385 against 1/3
-        assert rows[0]["value"] == pytest.approx(0.385, abs=1e-12)
-        assert rows[0]["gap"] == pytest.approx(0.385 - 1 / 3, abs=1e-9)
-
-    def test_constant_zero_gap(self):
-        rows = quadrature_limit_check(make_constant_q(2.0), UNIFORM, [5, 50])
-        assert all(r["gap"] <= 1e-9 for r in rows)
-
-    def test_gap_decreases(self):
-        q = kiefer_cell(0.37, 0.51)
-        rows = quadrature_limit_check(q, UNIFORM, [10, 100, 1000, 10000])
-        gaps = [r["gap"] for r in rows]
-        assert gaps[-1] <= 1e-3
-        assert gaps[-1] < gaps[0]
-
-
 class TestLindeberg:
     def test_bounded_q_truncates_to_exact_zero(self):
         rep = lindeberg_check(kiefer_cell(0.5, 0.5), UNIFORM, [10, 100, 2000], [0.2])
@@ -408,39 +386,3 @@ class TestModulus:
         rep = equicontinuity_modulus(IndicatorFamily(), 200, (0.2, 0.6), 0.35, 10, 3, UNIFORM,
                                      h_cap=12, g_cap=8)
         assert rep.rows[0]["mean_modulus"] <= rep.rows[1]["mean_modulus"]
-
-
-class TestFluctuationBound:
-    def test_observed_below_bound_and_shrinking(self):
-        rows = fluctuation_bound_check(IndicatorFamily(), [50, 400], [0.1, 0.2, 0.4], 0.3, UNIFORM,
-                                       h_cap=12, g_cap=8)
-        assert all(r["violations"] == 0 for r in rows)
-        by_n = {}
-        for r in rows:
-            by_n.setdefault(r["n"], []).append(r["observed"])
-        for vals in by_n.values():
-            assert vals == sorted(vals)  # nondecreasing in alpha
-
-    def test_spec_chain_property(self):
-        # for envelope-1 components: observed <= 2 alpha + sqrt(oscillation)
-        from semproc.ulln import oscillation_sup
-
-        net_u = 0.3
-        for n in (50, 400):
-            osc = oscillation_sup(IndicatorFamily(), n, net_u).value
-            rows = fluctuation_bound_check(IndicatorFamily(), [n], [0.2, 0.4], net_u, UNIFORM,
-                                           h_cap=12, g_cap=8)
-            for r in rows:
-                assert r["observed"] <= 2 * r["alpha"] + math.sqrt(osc) + 1e-9
-
-
-class TestQuadratureLimitSlope:
-    def test_holder_times_bounded_g_rate(self):
-        # gap for a Lipschitz h times a bounded g decays like 1/n: the
-        # fitted log-log slope must be at most -0.8
-        q = (_linear_h(), HalfLine(0.5))
-        rows = quadrature_limit_check(q, UNIFORM, [10, 100, 1000, 10000])
-        ns = np.array([r["n"] for r in rows], dtype=float)
-        gaps = np.array([max(r["gap"], 1e-300) for r in rows])
-        slope = np.polyfit(np.log(ns), np.log(gaps), 1)[0]
-        assert slope <= -0.8

@@ -160,18 +160,18 @@ class TestBVectorClasses:
         rng = np.random.default_rng(0)
         for _ in range(50):
             m = cls.random_member(rng)
-            assert m.set.n_intervals <= cls.j + 1
+            assert len(m.bounds) <= cls.j + 1
 
         cls = BVectorClass(2, "even")
         for _ in range(50):
             m = cls.random_member(rng)
-            assert m.set.n_intervals <= cls.j
+            assert len(m.bounds) <= cls.j
 
     def test_degenerate_breakpoints_normalized(self):
         # the empty (0.5, 0.5] interval is dropped
         m = BVectorClass(1, "odd").member([0.3, 0.5, 0.5])
-        assert m.set.n_intervals == 1
-        assert float(m.set.lebesgue()) == pytest.approx(0.3)
+        assert len(m.bounds) == 1
+        assert float(m.lebesgue()) == pytest.approx(0.3)
 
     def test_indicator_membership_example(self):
         m = BVectorClass(1, "odd").member([0.2, 0.4, 0.6])
@@ -179,35 +179,6 @@ class TestBVectorClasses:
         assert eval_member(m, 0.5) == 1.0
         assert eval_member(m, 0.3) == 0.0
         assert eval_member(m, 0.2) == 1.0  # right-closed
-
-    def test_net_coverage_d2_lambda(self):
-        cls = BVectorClass(1, "odd")
-        u = 0.35
-        net = cls.build_net(u, max_members=500_000)
-        rng = np.random.default_rng(9)
-        for _ in range(60):
-            m = cls.random_member(rng)
-            best = min(
-                math.sqrt(float(m.set.symdiff_measure(x.set))) for x in net
-            )
-            assert best <= u
-
-    def test_b1_net_quantile_structure(self):
-        net = BVectorClass(0, "odd").build_net(0.1)
-        ts = sorted(float(m.lambda_exact()) for m in net)  # t of 1_(0, t]
-        # d2 distance sqrt(|t - t'|): mesh 0.01 covers within 0.1
-        for t in np.linspace(0.001, 1.0, 97):
-            assert min(math.sqrt(abs(t - s)) for s in ts) <= 0.1
-
-
-class TestOscillationBound:
-    def test_paper_chain_value(self):
-        assert HolderClass(1, 1, 1).oscillation_sup_bound(100) == pytest.approx(0.16)
-
-    def test_monotone_decay(self):
-        cls = HolderClass(2.0, 1.5, 0.7)
-        vals = [cls.oscillation_sup_bound(n) for n in (10, 100, 1000, 10000)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 class TestGClass:

@@ -105,12 +105,12 @@ _MODULUS_CHILD = textwrap.dedent("""
     cases = []
     for name in %(models)r:
         model = parse_model(name)
-        pools = fclt._member_pools(h_class, 0.3, 60, 24, 1, model)
-        h_vals = np.stack([np.asarray(h(grid_points(n)), dtype=float) for h in pools.h])
+        h_pool, g_pool, _, _ = fclt._member_pools(h_class, 0.3, 60, 24, 1, model)
+        h_vals = np.stack([np.asarray(h(grid_points(n)), dtype=float) for h in h_pool])
         for R in (257, 1001):
-            got = fclt._modulus_Z(h_vals, pools.g, n, R, np.random.default_rng(R), model)
-            want = one_shot_modulus_Z(h_vals, pools.g, n, R, np.random.default_rng(R), model)
-            cases.append([name, R, got.shape == want.shape == (R, 60 * len(pools.g)),
+            got = fclt._modulus_Z(h_vals, g_pool, n, R, np.random.default_rng(R), model)
+            want = one_shot_modulus_Z(h_vals, g_pool, n, R, np.random.default_rng(R), model)
+            cases.append([name, R, got.shape == want.shape == (R, 60 * len(g_pool)),
                           got.tobytes() == want.tobytes()])
     with open(sys.argv[1], "w") as out:
         json.dump(cases, out)

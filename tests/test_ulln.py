@@ -7,17 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semproc.function_classes import (
-    BVectorClass,
-    HolderClass,
-    IndicatorFamily,
-)
+from semproc.function_classes import BVectorClass
 from semproc.measures import Sample, draw_sample, parse_model
 from semproc.ulln import (
     GCExperiment,
     gc_experiment,
     gc_tail_bound,
-    oscillation_sup,
     series_I_closed_form,
     series_I_quadrature,
     series_S_diagnostic,
@@ -86,35 +81,6 @@ class TestNetSandwich:
             assert out.lower <= exact + 1e-12
             assert exact <= out.upper + 1e-12
             assert out.upper - out.lower == pytest.approx(2 * 0.15, abs=1e-15)
-
-
-class TestOscillation:
-    def test_indicator_pairs_floor_gap(self):
-        for n in (10, 100):
-            rep = oscillation_sup(IndicatorFamily(), n, 0.25)
-            assert rep.value <= 2.0 / n + 1e-12
-
-    def test_holder_below_closed_form(self):
-        cls = HolderClass(1.0, 1.0, 1.0)
-        for n in (10, 100, 1000):
-            rep = oscillation_sup(cls, n, 0.5, pool_cap=60)
-            assert rep.value <= cls.oscillation_sup_bound(n) + 1e-12
-
-    def test_identical_pair_zero(self):
-        rep = oscillation_sup(IndicatorFamily(), 50, 0.9)
-        assert rep.value >= 0.0
-
-    @pytest.mark.parametrize("h_class,n,net_u,pool_cap,seed,value,pool", [
-        (HolderClass(1.0, 1.0, 1.0), 50, 0.5, 60, 0, 0.07564166666666594, 60),
-        (HolderClass(1.0, 1.0, 0.5), 200, 1.2, 120, 3, 0.020823295691065447, 120),
-        (HolderClass(0.5, 2.0, 1.0), 37, 0.9, 40, 5, 0.24278027296836502, 40),
-        (IndicatorFamily(), 50, 0.25, 120, 0, 0.017500000000000016, 16),
-        (IndicatorFamily(), 333, 0.2, 120, 0, 0.0028828828828828534, 25),
-    ])
-    def test_pinned_values(self, h_class, n, net_u, pool_cap, seed, value, pool):
-        # recorded from the pair-by-pair loop over lambda_sq_distance
-        rep = oscillation_sup(h_class, n, net_u, pool_cap=pool_cap, seed=seed)
-        assert rep.value == value and rep.pool_size == pool
 
 
 class TestTailBound:
@@ -227,6 +193,25 @@ class TestSeriesS:
         # drop the n = 1 term (e^{-c}) from every partial sum: the first falls to 0
         ps = tuple(p - math.exp(-0.5) for p in rep.partial_sums)
         assert dataclasses.replace(rep, partial_sums=ps).bracket_misses() >= 1
+
+    def test_terms_past_the_float_range_read_inf(self):
+        # e^(inner - c n) passes e^709 from n = 1030 and (2 e^-0.01)^n soon
+        # after: both read inf instead of raising OverflowError
+        rep = series_S_diagnostic(1, 0.01, 2000)
+        assert math.isfinite(rep.partial_sums[1000]) and rep.partial_sums[-1] == math.inf
+        assert math.isfinite(rep.bound_sequence[1000]) and rep.bound_sequence[-1] == math.inf
+        assert rep.tail_increment == math.inf and rep.classification == "divergent"
+        assert rep.bracket_misses() == 0
+        short = series_S_diagnostic(1, 0.01, 1000)
+        assert rep.partial_sums[:1000] == short.partial_sums
+        assert rep.bound_sequence[:1000] == short.bound_sequence
+
+    def test_convergent_bound_with_an_integer_power_past_the_float_range(self):
+        # 3000**90 has no float, but n^90 (2 e^-2)^n is tiny there
+        rep = series_S_diagnostic(90, 2.0, 3000)
+        assert rep.classification == "convergent"
+        assert all(math.isfinite(b) for b in rep.bound_sequence)
+        assert rep.bracket_misses() == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
