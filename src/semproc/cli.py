@@ -47,13 +47,12 @@ from .function_classes import (
     HalfLine,
     HolderClass,
     HolderMember,
-    IndicatorMember,
     InitialInterval,
     NetTooLargeError,
     b_infinity_witness,
+    indicator,
     observed_riemann_gap_rows,
     parse_class_descriptor,
-    riemann_gap_bound,
 )
 from .measures import draw_sample, parse_model
 from .piecewise import PiecewiseLinear
@@ -219,7 +218,7 @@ def _load_q_file(path: str) -> list:
                 raise ConfigError(f"q file entry {i} and its 'h' and 'g' must be JSON objects")
             h_spec, g_spec = e["h"], e["g"]
             if h_spec["type"] == "indicator":
-                h = IndicatorMember(number(h_spec["t"], "t"))
+                h = indicator(number(h_spec["t"], "t"))
             elif h_spec["type"] == "holder-pl":
                 h = HolderMember(
                     number(h_spec.get("T", 1.0), "T"), number(h_spec.get("C", 1.0), "C"),
@@ -264,16 +263,21 @@ def _run_fclt(cfg: dict) -> tuple:
         _require_increasing("fclt.alpha_list", cfg["alpha_list"])
         _require(cfg["modulus_replicates"] >= 1, "fclt.modulus_replicates", ">= 1",
                  cfg["modulus_replicates"])
+        _require(cfg["net_u"] > 0, "fclt.net_u", "> 0", cfg["net_u"])
         # before the fidi test, so a net too large for net_u fails fast
         try:
             h_class = parse_class_descriptor(cfg["h_class"])
         except ValueError as exc:
             raise ConfigError(f"config key fclt.h_class must be a holder or indicators "
                               f"descriptor, got {cfg['h_class']!r}: {exc}") from None
-        mod = equicontinuity_modulus(
-            h_class, cfg["n"], tuple(cfg["alpha_list"]), cfg["net_u"],
-            cfg["modulus_replicates"], cfg["seed"], model,
-        )
+        try:
+            mod = equicontinuity_modulus(
+                h_class, cfg["n"], tuple(cfg["alpha_list"]), cfg["net_u"],
+                cfg["modulus_replicates"], cfg["seed"], model,
+            )
+        except NetTooLargeError as exc:
+            raise ConfigError(f"config key fclt.net_u must be large enough for the "
+                              f"modulus nets, got {cfg['net_u']!r}: the {exc}") from None
     fidi = fidi_convergence_test(q_list, cfg["n"], cfg["replicates"], cfg["seed"], model)
     results: dict[str, Any] = {
         "fidi": {
@@ -325,8 +329,10 @@ def _run_fclt(cfg: dict) -> tuple:
 
 def _run_covering(cfg: dict) -> tuple:
     _require(cfg["tau"] > 0, "covering.tau", "> 0", cfg["tau"])
-    _require(all(n >= 1 for n in cfg["n_list"]), "covering.n_list", "a list of ints >= 1",
-             cfg["n_list"])
+    _require(bool(cfg["n_list"]) and all(n >= 1 for n in cfg["n_list"]), "covering.n_list",
+             "a nonempty list of ints >= 1", cfg["n_list"])
+    _require(cfg["trials"] >= 1, "covering.trials", ">= 1", cfg["trials"])
+    _require(cfg["n_seeds"] >= 1, "covering.n_seeds", ">= 1", cfg["n_seeds"])
     lemmas = check_covering_lemmas(cfg["trials"], cfg["seed"])
     model = parse_model(cfg["model"])
     seeds = [derive_seed(cfg["seed"], ["covering", i]) % 2**63
@@ -349,8 +355,10 @@ def _run_covering(cfg: dict) -> tuple:
 
 
 def _run_bounds(cfg: dict) -> tuple:
-    _require(all(n >= 1 for n in cfg["n_list"]), "bounds.n_list", "a list of ints >= 1",
-             cfg["n_list"])
+    _require(bool(cfg["n_list"]) and all(n >= 1 for n in cfg["n_list"]), "bounds.n_list",
+             "a nonempty list of ints >= 1", cfg["n_list"])
+    _require(cfg["members"] >= 1, "bounds.members", ">= 1", cfg["members"])
+    _require(cfg["witness_max_n"] >= 1, "bounds.witness_max_n", ">= 1", cfg["witness_max_n"])
     rng_root = cfg["seed"]
     n_list = [int(n) for n in cfg["n_list"]]
     members = cfg["members"]
@@ -367,7 +375,7 @@ def _run_bounds(cfg: dict) -> tuple:
         rng = np.random.default_rng(derive_seed(rng_root, ["bounds", label]))
         mems = [cls.random_member(rng) for _ in range(members)]
         for n, gaps in zip(n_list, observed_riemann_gap_rows(mems, n_list)):
-            bound = riemann_gap_bound(cls, n)
+            bound = cls.riemann_gap_bound(n)
             margin = -math.inf
             for gap in gaps:
                 checks += 1
@@ -428,11 +436,11 @@ def _run_bounds(cfg: dict) -> tuple:
 
 def _run_kiefer(cfg: dict) -> tuple:
     _require(cfg["draws"] >= 2, "kiefer.draws", ">= 2", cfg["draws"])
+    _require(cfg["grid"] >= 1, "kiefer.grid", ">= 1", cfg["grid"])
     model = parse_model("uniform01")
-    grid = cfg["grid"]
-    cells = _kiefer_cells(grid)
+    cells = _kiefer_cells(cfg["grid"])
     analytic = cov_matrix(cells, model)
-    s = np.array([h.t for h, _ in cells])
+    s = np.array([float(h.lebesgue()) for h, _ in cells])
     x = np.array([g.w for _, g in cells])
     closed = np.minimum.outer(s, s) * (np.minimum.outer(x, x) - np.outer(x, x))
     kernel_err = float(np.max(np.abs(analytic - closed)))
@@ -675,10 +683,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = run_experiment(args.experiment, raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NetTooLargeError as exc:
-        net_u = parse_config(args.experiment, raw).get("net_u")
-        print(f"config error: net_u={net_u} is too small: the {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

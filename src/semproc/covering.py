@@ -19,17 +19,11 @@ the one actually used when passing from a product class to its factor classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .function_classes import (
-    BVectorClass,
-    HalfLine,
-    HalfLineFamily,
-    IndicatorFamily,
-    IndicatorMember,
-)
+from .function_classes import BVectorClass, HalfLine, indicator
 from .measures import NuModel, draw_sample, grid_points
 
 __all__ = [
@@ -265,18 +259,15 @@ def _runs_of_mask(mask: int) -> int:
     return bin(mask & ~(mask << 1)).count("1")
 
 
-def shatter_coefficient(
-    cls: Union[BVectorClass, HalfLineFamily, IndicatorFamily],
-    points: Sequence[float],
-) -> int:
+def shatter_coefficient(cls: BVectorClass, points: Sequence[float]) -> int:
     """Exact count of the distinct subsets of `points` cut out by the class.
 
-    For interval-built classes the dichotomy rule on sorted points reduces to
-    run counting: a subset is achievable iff its number of consecutive runs is
-    within the interval budget, with the anchored initial interval granting one
-    extra run exactly when the smallest point is selected.  Half-lines and
-    indicators cut exactly the prefixes of the sorted points, the sets of
-    B(1), so they take its rule.
+    The dichotomy rule on sorted points reduces to run counting: a subset is
+    achievable iff its number of consecutive runs is within the interval
+    budget, with the anchored initial interval granting one extra run exactly
+    when the smallest point is selected.  Half-lines and indicators cut
+    exactly the prefixes of the sorted points, the sets of B(1) =
+    BVectorClass(0, "odd").
     """
     pts = sorted(float(p) for p in points)
     if len(set(pts)) != len(pts):
@@ -284,10 +275,6 @@ def shatter_coefficient(
     k = len(pts)
     if k > 20:
         raise ValueError("instance too large: at most 20 points")
-    if isinstance(cls, (HalfLineFamily, IndicatorFamily)):
-        cls = BVectorClass(0, "odd")
-    elif not isinstance(cls, BVectorClass):
-        raise TypeError(type(cls))
 
     count = 0
     for m in range(1 << k):
@@ -342,7 +329,7 @@ def random_covering_boundedness(
     product class F = indicators x half-lines (the Kiefer process class)
     under the random empirical L1 metric, trial by trial, against the
     factorized bound N(tau/2, H, d1_lambdan) * N(tau/2, G, d1_nun)."""
-    h_net = [IndicatorMember((i + 1) / _FINE_NET) for i in range(_FINE_NET)]
+    h_net = [indicator((i + 1) / _FINE_NET) for i in range(_FINE_NET)]
     probs = [(i + 1) / (_FINE_NET + 1) for i in range(_FINE_NET)]
     g_net = [HalfLine(float(model.ppf(p))) for p in probs]
 

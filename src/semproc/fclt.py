@@ -28,12 +28,13 @@ import numpy as np
 
 from .function_classes import (
     BoundedPolynomial,
+    BVectorClass,
     HalfLine,
-    HalfLineFamily,
     HolderClass,
     HolderMember,
-    IndicatorFamily,
-    IndicatorMember,
+    half_line_net,
+    indicator,
+    indicator_net,
     lambda_prod,
     lambda_sq_matrix,
 )
@@ -72,7 +73,7 @@ _BLOCK_ROWS = 256        # replicate rows drawn and contracted at a time
 def kiefer_cell(s0: float, x0: float) -> tuple:
     """q = 1_(0, s0](s) * 1_(-inf, x0](x); under uniform nu the limit process
     restricted to these cells is the classical Kiefer process."""
-    return IndicatorMember(s0), HalfLine(x0)
+    return indicator(s0), HalfLine(x0)
 
 
 def make_sx_q() -> tuple:
@@ -297,12 +298,13 @@ def _h_pool(h_class, net_u: float, cap: int, seed: int):
     """Member pool for modulus experiments: the u-net when it fits, otherwise
     a deterministic subsample that keeps both spread (farthest-first sweep)
     and near pairs (each kept member's nearest net neighbor).  Returns the
-    pool and its matrix of lambda((h1-h2)^2)."""
-    if isinstance(h_class, IndicatorFamily):
-        net = h_class.build_net(net_u, "d2_lambda", max_members=10**6)
+    pool and its matrix of lambda((h1-h2)^2).  The indicators, B(1), take
+    the mesh net_u^2, so that neighbors are within net_u in d2_lambda."""
+    if h_class == BVectorClass(0, "odd"):
+        net = indicator_net(net_u * net_u)
     elif isinstance(h_class, HolderClass):
         rng = np.random.default_rng(derive_seed(seed, ["h-pool"]))
-        net = h_class.net_sample(net_u, 4 * cap, rng, max_members=500_000)
+        net = h_class.net_sample(net_u, 4 * cap, rng)
     else:
         raise TypeError(type(h_class))
     sq = lambda_sq_matrix(net)
@@ -330,10 +332,10 @@ def _h_pool(h_class, net_u: float, cap: int, seed: int):
 
 def _member_pools(h_class, net_u: float, h_cap: int, g_cap: int,
                   seed: int, model: NuModel) -> tuple:
-    """The h pool and the half-line net (thinned to the caps) with their
-    d2_lambda and d2_nu distance matrices: (h_pool, g_pool, d_h, d_g)."""
+    """The h pool and the half-line net of d2_nu mesh net_u, thinned to the
+    caps, with their distance matrices: (h_pool, g_pool, d_h, d_g)."""
     h_pool, h_sq = _h_pool(h_class, net_u, h_cap, seed)
-    g_net = HalfLineFamily().build_net(net_u, model, max_members=10**6)
+    g_net = half_line_net(net_u * net_u, model)
     if len(g_net) > g_cap:
         idx = np.linspace(0, len(g_net) - 1, g_cap).round().astype(int)
         g_net = [g_net[i] for i in sorted(set(idx.tolist()))]

@@ -1,13 +1,14 @@
 """The explicit function and set classes: Holder balls H(T, C, beta), the
-initial-interval indicator family, the interval-union set classes B(2j+1) and
-B(2j), the non-uniformly-Riemann-integrable counterexample family, the
-members g on the sample space, and HalfLineFamily, the one G class: a product
-class F = H * G = {h(s) g(x)} is named by its h class alone.
+interval-union set classes B(2j+1) and B(2j) (the indicators 1_(0,t] are
+B(1)), the non-uniformly-Riemann-integrable counterexample family, and the
+members g on the sample space.  A product class F = H * G = {h(s) g(x)} has
+G the half-lines, so it is named by its h class alone.
 
 Every h class exposes seeded random member generation and its closed-form
-Riemann gap bound; the Holder balls and the indicator family also build
-u-nets with a provable coverage guarantee in a stated metric, which is how an
-infinite class becomes computable.
+Riemann gap bound.  The Holder balls build u-nets with a provable sup-norm
+coverage guarantee, which is how an infinite class becomes computable;
+indicator_net and half_line_net space the indicators and the half-lines at a
+mesh the caller picks.
 
 Holder nets are built on a uniform grid: candidate value sequences are
 enumerated on a step/2 value lattice, each sequence is replaced by its largest
@@ -20,17 +21,16 @@ is itself (C, beta)-Holder, so net members are exact class members; rounding
 interpolation (u/2) add up to sup-distance at most u from any class member.
 
 Only this module knows how an h member is stored.  An h member (HolderMember,
-IndicatorMember, or a set member: any IntervalUnion) is used
-through h(x), lambda_exact() = lambda(h), lambda_n(n) and breakpoints(), the
-points where h may jump; the lambdas are exact Fractions for set members, and
-lambda_n is one for indicators.  A set member's Riemann gap is read in
-integers, through IntervalUnion.riemann_gap; the gaps of cusp Holder members
-are computed per class, all members of one beta together in row blocks of
-grid values (observed_riemann_gap_rows), with the bits of the one-member float
-expression.  The pair integrals
+or a set member: any IntervalUnion, indicators among them) is used through
+h(x), lambda_exact() = lambda(h), lambda_n(n) and breakpoints(), the points
+where h may jump; the lambdas are exact Fractions for set members.  A set
+member's Riemann gap is read in integers, through IntervalUnion.riemann_gap;
+the gaps of cusp Holder members are computed per class, all members of one
+beta together in row blocks of grid values (observed_riemann_gap_rows), with
+the bits of the one-member float expression.  The pair integrals
 lambda((h1-h2)^2) and lambda(h1 h2) are closed forms when both members have
-one exact form (the t of two indicators, two piecewise-linear Holder members,
-two unions) and quadrature split at both breakpoints if not.
+one exact form (two piecewise-linear Holder members, two unions) and
+quadrature split at both breakpoints if not.
 """
 
 from __future__ import annotations
@@ -51,15 +51,14 @@ __all__ = [
     "NetTooLargeError",
     "HolderClass",
     "HolderMember",
-    "IndicatorFamily",
-    "IndicatorMember",
     "BVectorClass",
+    "indicator",
+    "indicator_net",
     "b_infinity_witness",
     "HalfLine",
-    "HalfLineFamily",
+    "half_line_net",
     "InitialInterval",
     "BoundedPolynomial",
-    "riemann_gap_bound",
     "observed_riemann_gap",
     "observed_riemann_gap_rows",
     "lambda_sq_distance",
@@ -68,11 +67,20 @@ __all__ = [
 ]
 
 
-class NetTooLargeError(RuntimeError):
-    def __init__(self, estimate: int, cap: int):
-        super().__init__(f"net would need about {estimate} members (cap {cap})")
-        self.estimate = estimate
+class NetTooLargeError(ValueError):
+    """A net of more than cap members, about 10**log10_estimate of them."""
+
+    def __init__(self, log10_estimate: float, cap: int):
+        exp = math.floor(log10_estimate)
+        super().__init__(f"net would need about {10 ** (log10_estimate - exp):.3g}e{exp} "
+                         f"members (cap {cap})")
+        self.log10_estimate = log10_estimate
         self.cap = cap
+
+
+# the most members a Holder net, and an indicator or half-line net, may have
+_HOLDER_NET_CAP = 500_000
+_LINE_NET_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +147,6 @@ class HolderClass:
         if self.T <= 0 or self.C <= 0 or not (0 < self.beta <= 1):
             raise ValueError("need T > 0, C > 0, beta in (0, 1]")
 
-    @property
-    def envelope_constant(self) -> float:
-        return self.C + self.T
-
     def random_member(self, rng: np.random.Generator) -> HolderMember:
         k = int(rng.integers(1, _MAX_CUSPS + 1))
         centers = rng.random(k)
@@ -166,31 +170,32 @@ class HolderClass:
         """Cells m such that 2 C (1/(2m))^beta <= u/2; equals ceil(2C/u) at beta=1."""
         return max(1, math.ceil(0.5 * (4.0 * self.C / u) ** (1.0 / self.beta)))
 
-    def net_values(self, u: float, max_members: int = 200_000) -> tuple[np.ndarray, np.ndarray]:
+    def net_values(self, u: float) -> tuple[np.ndarray, np.ndarray]:
         """Knot grid and member values, one row per member, of the sup-norm
         u-net (see module docstring).  Level k extends every feasible partial
         sequence by every step option, parent order then step order, so rows
         come in the lexicographic order of (anchor, step_1, ..., step_m); rows
-        equal after rounding to 9 decimals keep the first."""
+        equal after rounding to 9 decimals keep the first.  The bound
+        anchors * steps^m on the row count is checked before anything is
+        built, in log space first: at a tiny u it has millions of digits."""
         if u <= 0:
             raise ValueError("u must be > 0")
         m = self.net_grid_count(u)
         step = u / 2.0
-        anchor_lo = -(self.T + u / 4.0)
-        anchor_hi = self.T + u / 4.0
-        anchors = [k * step for k in range(math.ceil(anchor_lo / step),
-                                           math.floor(anchor_hi / step) + 1)]
+        k_lo = math.ceil(-(self.T + u / 4.0) / step)
+        k_hi = math.floor((self.T + u / 4.0) / step)
         max_step = self.C / m**self.beta + u / 2.0
         n_steps = 2 * math.floor(max_step / step + 1e-12) + 1
-        estimate = len(anchors) * n_steps**m
-        if estimate > max_members:
-            raise NetTooLargeError(estimate, max_members)
-        steps = np.array([k * step for k in range(-(n_steps // 2), n_steps // 2 + 1)])
+        log10_estimate = math.log10(k_hi - k_lo + 1) + m * math.log10(n_steps)
+        if (log10_estimate > math.log10(_HOLDER_NET_CAP) + 1.0
+                or (k_hi - k_lo + 1) * n_steps**m > _HOLDER_NET_CAP):
+            raise NetTooLargeError(log10_estimate, _HOLDER_NET_CAP)
+        steps = np.arange(-(n_steps // 2), n_steps // 2 + 1) * step
         env = self.C + self.T + u / 4.0
         grid = np.arange(0, m + 1, dtype=float) / m
         hol = self.C * np.abs(grid[:, None] - grid[None, :]) ** self.beta
 
-        seqs = np.array(anchors)[:, None]
+        seqs = (np.arange(k_lo, k_hi + 1) * step)[:, None]  # the anchors
         for k in range(1, m + 1):
             cand = (seqs[:, -1:] + steps).ravel()
             prev = np.repeat(seqs, n_steps, axis=0)
@@ -204,27 +209,24 @@ class HolderClass:
         return grid, vals[np.sort(first)]
 
     def net_sample(self, u: float, size: Optional[int] = None,
-                   rng: Optional[np.random.Generator] = None,
-                   max_members: int = 200_000) -> list[HolderMember]:
+                   rng: Optional[np.random.Generator] = None) -> list[HolderMember]:
         """Members of the u-net at size rows drawn by rng without replacement,
         in net order; the whole net when size is None or not below its size."""
-        grid, vals = self.net_values(u, max_members)
+        grid, vals = self.net_values(u)
         if size is not None and len(vals) > size:
             vals = vals[np.sort(rng.choice(len(vals), size=size, replace=False))]
         knots = tuple(grid)
         return [HolderMember(self.T, self.C, self.beta, pl=PiecewiseLinear(knots, tuple(v)))
                 for v in vals.tolist()]
 
-    def build_net(self, u: float, max_members: int = 200_000) -> list[HolderMember]:
+    def build_net(self, u: float) -> list[HolderMember]:
         """Sup-norm u-net of exact class members (see module docstring)."""
-        return self.net_sample(u, max_members=max_members)
+        return self.net_sample(u)
 
 
 def _exact_form(h):
-    """The form the pair closed forms read: ("t", t), ("pl", interpolant) or
-    ("set", union); (None, None) for a member with no exact form."""
-    if isinstance(h, IndicatorMember):
-        return "t", h.t
+    """The form the pair closed forms read: ("pl", interpolant) or ("set",
+    union); (None, None) for a member with no exact form."""
     if isinstance(h, HolderMember) and h.pl is not None:
         return "pl", h.pl
     if isinstance(h, IntervalUnion):
@@ -233,12 +235,10 @@ def _exact_form(h):
 
 
 def lambda_sq_distance(h1, h2) -> float:
-    """lambda((h1-h2)^2): |t1 - t2| for two indicators, the per-cell Simpson
-    sum for two piecewise-linear members, the symmetric-difference measure for
-    two set members; quadrature split at both members' breakpoints otherwise."""
+    """lambda((h1-h2)^2): the per-cell Simpson sum for two piecewise-linear
+    members, the symmetric-difference measure for two set members; quadrature
+    split at both members' breakpoints otherwise."""
     (k1, a), (k2, b) = _exact_form(h1), _exact_form(h2)
-    if k1 == k2 == "t":
-        return abs(a - b)
     if k1 == k2 == "pl":
         return diff_sq_integral(a, b)
     if k1 == k2 == "set":
@@ -248,12 +248,10 @@ def lambda_sq_distance(h1, h2) -> float:
 
 
 def lambda_prod(h1, h2, tol: float) -> float:
-    """lambda(h1 h2): min(t1, t2) for two indicators, the per-cell Simpson
-    sum for two piecewise-linear members, the intersection measure for two set
-    members; quadrature to tol split at both members' breakpoints otherwise."""
+    """lambda(h1 h2): the per-cell Simpson sum for two piecewise-linear
+    members, the intersection measure for two set members; quadrature to tol
+    split at both members' breakpoints otherwise."""
     (k1, a), (k2, b) = _exact_form(h1), _exact_form(h2)
-    if k1 == k2 == "t":
-        return min(a, b)
     if k1 == k2 == "pl":
         return prod_integral(a, b)
     if k1 == k2 == "set":
@@ -262,17 +260,28 @@ def lambda_prod(h1, h2, tol: float) -> float:
                      breakpoints=h1.breakpoints() + h2.breakpoints())
 
 
+def _indicator_end(kind, form) -> Optional[float]:
+    """t of a set member (0, t] whose t is a float, else None."""
+    if kind == "set" and len(form.bounds) == 1 and form.bounds[0][0] == 0:
+        t = float(form.bounds[0][1])
+        if t == form.bounds[0][1]:
+            return t
+    return None
+
+
 def lambda_sq_matrix(members: Sequence) -> np.ndarray:
     """The matrix of lambda_sq_distance over a family, entry for entry the
-    same floats: |t_i - t_j| for indicators; for piecewise-linear Holder
-    members on one shared knot vector, the per-cell Simpson sum of
+    same floats: |t_i - t_j| for indicators (0, t] with float t, the one
+    rounding of the exact symmetric-difference measure; for piecewise-linear
+    Holder members on one shared knot vector, the per-cell Simpson sum of
     diff_sq_integral with each member evaluated once instead of once per pair;
     the scalar function pair by pair for anything else."""
     forms = [_exact_form(h) for h in members]
-    kinds = {k for k, _ in forms}
-    if kinds <= {"t"}:
-        ts = np.array([t for _, t in forms], dtype=float)
+    ends = [_indicator_end(k, f) for k, f in forms]
+    if ends and None not in ends:
+        ts = np.array(ends)
         return np.abs(np.subtract.outer(ts, ts))
+    kinds = {k for k, _ in forms}
     pls = [p for _, p in forms]
     if kinds != {"pl"} or any(p.knots != pls[0].knots for p in pls):
         k = len(members)
@@ -295,57 +304,6 @@ def lambda_sq_matrix(members: Sequence) -> np.ndarray:
         sq[lo:lo + rows] = np.sum(w / 6.0 * (d[..., :-1] ** 2 + 4.0 * dm**2 + d[..., 1:] ** 2),
                                   axis=2)
     return sq
-
-
-# ---------------------------------------------------------------------------
-# Indicator family on [0, 1] (the h-side analogue of B(1))
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IndicatorMember:
-    """h = 1 on (0, t], 0 elsewhere (right-closed convention)."""
-
-    t: float
-
-    def __post_init__(self):
-        if not 0.0 < self.t <= 1.0:
-            raise ValueError(f"indicator end point t={self.t!r} is outside (0, 1]")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = ((x > 0.0) & (x <= self.t)).astype(float)
-        return out if out.shape else float(out)
-
-    def lambda_exact(self) -> float:
-        """Exact integral over [0, 1]."""
-        return self.t
-
-    def lambda_n(self, n: int) -> Fraction:  # exact card((0, t] n grid) / n
-        return Fraction(math.floor(n * Fraction(self.t)), n)
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return (self.t,)
-
-
-@dataclass(frozen=True)
-class IndicatorFamily:
-    """The uniformly Riemann-integrable class {1_(0,t] : 0 < t <= 1}."""
-
-    envelope_constant = 1.0
-
-    def random_member(self, rng: np.random.Generator) -> IndicatorMember:
-        return IndicatorMember(float(1.0 - rng.random()))  # in (0, 1]
-
-    def riemann_gap_bound(self, n: int) -> float:
-        return 2.0 / n  # B(1) bound at j = 0
-
-    def build_net(self, u: float, metric: str = "d2_lambda",
-                  max_members: int = 200_000) -> list[IndicatorMember]:
-        mesh = u * u if metric in ("d2_lambda", "d2") else u
-        count = math.ceil(1.0 / mesh)
-        if count > max_members:
-            raise NetTooLargeError(count, max_members)
-        return [IndicatorMember(min(1.0, (k + 1) * mesh)) for k in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +354,22 @@ class BVectorClass:
         return self.j / n
 
 
+def indicator(t: float) -> IntervalUnion:
+    """The B(1) member 1_(0, t], for t in (0, 1]."""
+    if not 0.0 < t <= 1.0:
+        raise ValueError(f"indicator end point t={t!r} is outside (0, 1]")
+    return IntervalUnion(((Fraction(0), Fraction(t)),))
+
+
+def indicator_net(mesh: float) -> list[IntervalUnion]:
+    """The indicators 1_(0, t] at t = mesh, 2 mesh, ... and 1: every
+    indicator is within mesh of one in lambda((h1-h2)^2) = |t1 - t2|."""
+    count = math.ceil(1.0 / mesh)
+    if count > _LINE_NET_CAP:
+        raise NetTooLargeError(math.log10(count), _LINE_NET_CAP)
+    return [indicator(min(1.0, (k + 1) * mesh)) for k in range(count)]
+
+
 def b_infinity_witness(n: int) -> IntervalUnion:
     """B_n = union over m < n of (m/n, (m+1)/n - eps_n] with eps_n = 1/(n 2^n):
     misses the whole grid while filling Lebesgue measure 1 - 2^{-n}."""
@@ -407,7 +381,7 @@ def b_infinity_witness(n: int) -> IntervalUnion:
 
 
 # ---------------------------------------------------------------------------
-# The sample space: G members and the half-line class
+# The sample space: G members and the half-line net
 # ---------------------------------------------------------------------------
 #
 # A G member g answers g(x), mean(model) = nu(g), second_moment(model) =
@@ -523,39 +497,20 @@ class BoundedPolynomial:
         return v**2 * model.centered_sq_tail(a)
 
 
-@dataclass(frozen=True)
-class HalfLineFamily:
-    """The G class of the half-lines {1_(-inf, w]}, the G-side twin of
-    IndicatorFamily: the products h(s) g(x) of the two index the sequential
-    empirical (Kiefer) process."""
-
-    envelope_constant = 1.0
-
-    def build_net(self, u: float, model: NuModel,
-                  max_members: int = 200_000) -> list[HalfLine]:
-        """Quantile net: d2_nu distance between half-lines is
-        sqrt(|F(w) - F(w')|), so an F-quantile grid of mesh u^2 covers."""
-        mesh = u * u
-        count = math.ceil(1.0 / mesh)
-        if count > max_members:
-            raise NetTooLargeError(count, max_members)
-        probs = [min((k + 1) * mesh, 1.0 - 1e-12) for k in range(count)]
-        return [HalfLine(w) for w in sorted({float(model.ppf(p)) for p in probs})]
+def half_line_net(mesh: float, model: NuModel) -> list[HalfLine]:
+    """The half-lines at the F-quantiles mesh, 2 mesh, ... (capped just
+    below 1), sorted, equal ones once: a half-line's nu(g) and nu(g^2) are
+    both F(w), so neighbors are within mesh in d1_nu and in d2_nu^2."""
+    count = math.ceil(1.0 / mesh)
+    if count > _LINE_NET_CAP:
+        raise NetTooLargeError(math.log10(count), _LINE_NET_CAP)
+    probs = [min((k + 1) * mesh, 1.0 - 1e-12) for k in range(count)]
+    return [HalfLine(w) for w in sorted({float(model.ppf(p)) for p in probs})]
 
 
 # ---------------------------------------------------------------------------
-# Rate bounds and observed gaps
+# Observed gaps
 # ---------------------------------------------------------------------------
-
-AnyClass = Union[HolderClass, BVectorClass, IndicatorFamily]
-
-
-def riemann_gap_bound(cls: AnyClass, n: int) -> float:
-    """The closed-form uniform bound on |lambda_n - lambda| over the class."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return cls.riemann_gap_bound(n)
-
 
 # A block of cusp Holder rows holds at most _GAP_BLOCK_ROWS rows and
 # _GAP_BLOCK_CELLS values: 128,000 bytes per float temporary, below glibc's
@@ -575,8 +530,8 @@ def observed_riemann_gap_rows(members: Sequence, n_list: Sequence[int]) -> list[
     ... to the rows that have a k-th cusp, so every value takes the float
     operations of HolderMember.__call__, and the row means minus lambda_exact()
     give the bits of the scalar float(abs(lambda_n(n) - Fraction(lambda))).
-    Any other member takes that scalar expression, where a Fraction lambda_n
-    (indicators) subtracts exactly.  Members are classified, and each cusp
+    Any other member (a piecewise-linear or a cusp-free Holder member) takes
+    that scalar expression.  Members are classified, and each cusp
     member's lambda_exact() and padded row built, once for every n."""
     set_rows, other_rows = [], []  # (index, IntervalUnion) and (index, Fraction lambda)
     cusp_rows: dict = {}  # beta -> indices of its cusp members
@@ -648,6 +603,6 @@ def parse_class_descriptor(desc: dict):
     if kind == "holder":
         return HolderClass(float(desc.get("T", 1.0)), float(desc.get("C", 1.0)),
                            float(desc.get("beta", 1.0)))
-    if kind == "indicators":
-        return IndicatorFamily()
+    if kind == "indicators":  # 1_(0, t], the sets of B(1)
+        return BVectorClass(0, "odd")
     raise ValueError(f"unknown class kind {kind!r}")

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .function_classes import BVectorClass, HalfLine, IndicatorFamily
+from .function_classes import BVectorClass, HalfLine, half_line_net, indicator_net
 from .measures import NuModel, Sample, draw_sample, parse_model
 from .quadrature import integrate
 from .seeds import derive_seed
@@ -309,14 +309,13 @@ def sup_deviation_net(sample: Sample, net_u: float) -> DeviationSandwich:
     u = net_u / 2.0
     if u <= 1.5 / sample.n:  # also every net_u <= 0
         raise ValueError(f"net_u={net_u} is too small for n={sample.n}")
-    h_net = IndicatorFamily().build_net(u - 1.0 / sample.n, "d1_lambdan", max_members=10**6)
+    h_net = indicator_net(u - 1.0 / sample.n)
     xs = sample.xs()
     xs_sorted = np.sort(xs)
     stride = max(1, int(math.floor(u * sample.n)))
     ws = set(float(x) for x in xs_sorted[stride - 1::stride])
     ws.add(float(xs_sorted[-1]))
-    for i in range(math.ceil(1.0 / u)):
-        ws.add(float(model.ppf(min((i + 1) * u, 1 - 1e-12))))
+    ws.update(g.w for g in half_line_net(u, model))
     g_net = [HalfLine(w) for w in sorted(ws)]
 
     s_grid = sample.grid()

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from semproc.function_classes import BoundedPolynomial, IndicatorMember, _exact_form
+from semproc.function_classes import BoundedPolynomial, _exact_form, indicator
 from semproc.intervals import IntervalUnion
 from semproc.measures import NuModel, Sample, grid_points
 from semproc.quadrature import DEFAULT_TOL, integrate
@@ -48,8 +48,8 @@ def observed_riemann_gap_exact(member: IntervalUnion, n: int) -> Fraction:
 
 def scalar_riemann_gap(member, n: int) -> float:
     """|lambda_n - lambda| of a member that is not a set, one member at a time:
-    the float lambda_n of a Holder member (or the Fraction one of an
-    indicator) minus lambda_exact as an exact Fraction, rounded once."""
+    the float lambda_n of a Holder member minus lambda_exact as an exact
+    Fraction, rounded once."""
     return float(abs(member.lambda_n(n) - Fraction(member.lambda_exact())))
 
 
@@ -64,7 +64,7 @@ def eval_member(member, point: float) -> float:
 
 def make_constant_q(c: float) -> tuple:
     """q identically c, realized as the product 1_(0,1] * c."""
-    return IndicatorMember(1.0), BoundedPolynomial((c,))
+    return indicator(1.0), BoundedPolynomial((c,))
 
 
 def _ordered_sum(terms: Iterable[float], compensated: bool = False) -> float:

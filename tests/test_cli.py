@@ -211,7 +211,9 @@ class TestMainEntry:
                      "--run-lindeberg", "false"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "net_u=0.1" in err and "3910064697265625" in err
+        # 41 anchors times 5 steps at each of 20 knots: 3910064697265625 members
+        assert err.startswith("config error: config key fclt.net_u must be")
+        assert "got 0.1" in err and "3.91e15 members (cap 500000)" in err
 
     def test_net_checked_before_fidi(self, monkeypatch):
         def fidi_must_not_run(*args, **kwargs):
@@ -241,9 +243,11 @@ class TestMainEntry:
          "config error: q file entry 1 and its 'h' and 'g' must be JSON objects"),
         ({"h": {"type": "indicator", "t": [0.5]}, "g": {"type": "half-line", "w": 0.5}},
          "config error: q file entry 1 is malformed"),
-        # lambda(h1 h2) = min(t1, t2) would read 2.5 and the kernel be wrong
+        # an indicator is a nonempty B(1) set (0, t]: t = 2.5 leaves [0, 1], t = 0 is empty
         ({"h": {"type": "indicator", "t": 2.5}, "g": {"type": "half-line", "w": 0.5}},
          "error: indicator end point t=2.5 is outside (0, 1]"),
+        ({"h": {"type": "indicator", "t": 0}, "g": {"type": "half-line", "w": 0.5}},
+         "error: indicator end point t=0.0 is outside (0, 1]"),
     ])
     def test_ill_typed_q_file_exit_2(self, tmp_path, capsys, entry, message):
         good = {"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 0.5}}
@@ -317,10 +321,23 @@ class TestCountsAndOrders:
          "fclt.h_class"),
         (["fclt", "--set", 'h_class={"class":"halflines"}', "--set", "run_lindeberg=false"],
          "fclt.h_class"),
+        (["fclt", "--net-u", "0", "--set", 'h_class={"class":"indicators"}'], "fclt.net_u"),
+        (["fclt", "--net-u", "-0.3", "--set", 'h_class={"class":"indicators"}'], "fclt.net_u"),
+        (["fclt", "--net-u", "0", "--run-lindeberg", "false"], "fclt.net_u"),
+        (["kiefer", "--set", "grid=0"], "kiefer.grid"),
+        (["bounds", "--set", "n_list=[]"], "bounds.n_list"),
+        (["bounds", "--set", "members=0"], "bounds.members"),
+        (["bounds", "--set", "witness_max_n=0"], "bounds.witness_max_n"),
+        (["covering", "--set", "n_list=[]"], "covering.n_list"),
+        (["covering", "--set", "n_seeds=0"], "covering.n_seeds"),
+        (["covering", "--trials", "0"], "covering.trials"),
     ], ids=["ulln-decreasing", "ulln-repeated", "ulln-empty", "ulln-replicates", "fclt-alpha",
             "fclt-alpha-empty", "fclt-modulus-replicates", "fclt-replicates", "kiefer-draws",
             "fclt-alpha-element", "ulln-schedule-element", "ulln-schedule-bool",
-            "fclt-h-class-bvector", "fclt-h-class-halflines"])
+            "fclt-h-class-bvector", "fclt-h-class-halflines", "fclt-net-u-zero-indicators",
+            "fclt-net-u-negative-indicators", "fclt-net-u-zero-holder", "kiefer-grid",
+            "bounds-n-list-empty", "bounds-members", "bounds-witness-max-n",
+            "covering-n-list-empty", "covering-n-seeds", "covering-trials"])
     def test_bad_config_exit_2(self, capsys, argv, key):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -384,6 +401,15 @@ class TestRunawayValues:
         out = _run_capped(["-m", "semproc.cli", *argv])
         assert out.returncode == 2, out.stderr
         assert out.stderr.startswith(f"config error: config key {key} must be")
+
+    @pytest.mark.parametrize("net_u", ["0.0001", "1e-9"])
+    def test_tiny_net_u_is_a_config_error(self, net_u):
+        # the Holder net's member bound has about 2/net_u digits: it is compared
+        # in log space, before the anchors are listed
+        out = _run_capped(["-m", "semproc.cli", "fclt", "--net-u", net_u])
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("config error: config key fclt.net_u must be")
+        assert len(out.stderr) < 300
 
     def test_greedy_net_rejects_what_never_ends_its_sweep(self):
         code = textwrap.dedent("""

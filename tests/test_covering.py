@@ -15,8 +15,7 @@ from semproc.covering import (
 from semproc.function_classes import (
     BVectorClass,
     HalfLine,
-    HalfLineFamily,
-    IndicatorMember,
+    indicator,
     lambda_sq_distance,
     lambda_sq_matrix,
 )
@@ -47,14 +46,14 @@ def _metric(kind, model):
 
 
 def _triples(rng, side):
-    member = IndicatorMember if side == "h" else HalfLine
+    member = indicator if side == "h" else HalfLine
     return (member(float(t)) for t in rng.random(3))
 
 
 class TestPseudoMetrics:
     def test_identity_is_zero(self):
         model = parse_model("uniform01")
-        h = IndicatorMember(0.6)
+        h = indicator(0.6)
         g = HalfLine(0.4)
         assert d2_lambda(h, h) == 0.0
         assert d2_nu(g, g, model) == 0.0
@@ -63,7 +62,7 @@ class TestPseudoMetrics:
         rng = np.random.default_rng(0)
         for _ in range(50):
             t1, t2 = rng.random(2)
-            got = d2_lambda(IndicatorMember(t1), IndicatorMember(t2))
+            got = d2_lambda(indicator(t1), indicator(t2))
             assert got == pytest.approx(math.sqrt(abs(t1 - t2)), abs=1e-12)
 
     @pytest.mark.parametrize("kind,ctx", [("d2_lambda", None), ("d2_nu", "m")])
@@ -111,7 +110,7 @@ class TestCoveringNumbers:
 
 class TestShatter:
     def test_half_lines_prefixes(self):
-        assert shatter_coefficient(HalfLineFamily(), [0.1, 0.5, 0.9]) == 4
+        assert shatter_coefficient(BVectorClass(0, "odd"), [0.1, 0.5, 0.9]) == 4
 
     def test_b1_prefixes(self):
         rng = np.random.default_rng(3)
@@ -131,7 +130,7 @@ class TestShatter:
     def test_sauer_bound(self):
         rng = np.random.default_rng(5)
         for cls, dim in ((BVectorClass(1, "odd"), 3), (BVectorClass(2, "odd"), 5),
-                         (BVectorClass(1, "even"), 2), (HalfLineFamily(), 1)):
+                         (BVectorClass(1, "even"), 2), (BVectorClass(0, "odd"), 1)):
             for _ in range(30):
                 k = int(rng.integers(1, 11))
                 pts = np.sort(rng.random(k) * 0.98 + 0.01)
@@ -163,7 +162,7 @@ class TestShatter:
 
     def test_instance_too_large(self):
         with pytest.raises(ValueError):
-            shatter_coefficient(HalfLineFamily(), list(np.linspace(0.01, 0.99, 21)))
+            shatter_coefficient(BVectorClass(0, "odd"), list(np.linspace(0.01, 0.99, 21)))
 
 
 class TestRandomCoveringBoundedness:
@@ -194,7 +193,7 @@ class TestCompositeMetricProductBound:
         # N(eps, F-net, d) <= N(eps/2, H-net, d2_lambda) * N(eps/2, G-net, d2_nu),
         # with the composite d((h, g), (h', g')) = d2_lambda(h, h') + d2_nu(g, g')
         model = parse_model("uniform01")
-        h_net = [IndicatorMember(t) for t in (0.25, 0.5, 0.75, 1.0)]
+        h_net = [indicator(t) for t in (0.25, 0.5, 0.75, 1.0)]
         g_net = [HalfLine(w) for w in (0.2, 0.5, 0.8)]
         d_h = np.sqrt(np.maximum(lambda_sq_matrix(h_net), 0.0))
         d_g = np.array([[d2_nu(a, b, model) for b in g_net] for a in g_net])

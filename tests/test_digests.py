@@ -29,8 +29,8 @@ from semproc.fclt import lindeberg_check
 from semproc.function_classes import (
     HalfLine,
     HolderMember,
-    IndicatorMember,
     InitialInterval,
+    indicator,
 )
 from semproc.measures import draw_sample, parse_model
 from semproc.piecewise import PiecewiseLinear
@@ -100,7 +100,7 @@ def test_numeric_sha256_pinned(name):
 # lindeberg_check on two-valued products that no report runs, recorded while
 # a q was still a callback bundle with its own sup-bound shortcut and tail
 _LINDEBERG_H = {
-    "indicator": IndicatorMember(0.45),
+    "indicator": indicator(0.45),
     "holder-pl": HolderMember(1.0, 1.0, 1.0,
                               pl=PiecewiseLinear((0.0, 0.5, 1.0), (0.2, -0.2, 0.3))),
 }

@@ -25,12 +25,12 @@ from semproc.fclt import (
 )
 from semproc.function_classes import (
     BoundedPolynomial,
+    BVectorClass,
     HalfLine,
     HolderClass,
     HolderMember,
-    IndicatorFamily,
-    IndicatorMember,
     InitialInterval,
+    indicator,
 )
 from semproc.measures import grid_points, parse_model
 from semproc.piecewise import PiecewiseLinear
@@ -79,7 +79,7 @@ class TestCenterQ:
 def _all_builder_qs():
     """Products over {indicator, pl Holder, cusp Holder} x {HalfLine,
     InitialInterval, BoundedPolynomial}, s*x and a constant."""
-    hs = [IndicatorMember(0.45), HolderClass(1.0, 1.0, 1.0).build_net(0.8)[7],
+    hs = [indicator(0.45), HolderClass(1.0, 1.0, 1.0).build_net(0.8)[7],
           HolderClass(1.0, 1.0, 0.5).random_member(np.random.default_rng(3))]
     gs = [HalfLine(0.3), InitialInterval(0.6), BoundedPolynomial((0.2, -0.5, 0.25))]
     return [(h, g) for h in hs for g in gs] + [make_sx_q(), make_constant_q(-1.3)]
@@ -111,7 +111,7 @@ class TestEvalZn:
 
     def test_single_point_hand_value(self):
         # q = 1_(-inf, 0.5](x) at n = 1: Z_1 = 1{X_1 <= 0.5} - 0.5
-        q = (IndicatorMember(1.0), HalfLine(0.5))
+        q = (indicator(1.0), HalfLine(0.5))
         Z = replicate_Z_values([q], 1, 60, 4, UNIFORM)
         assert set(Z[:, 0].tolist()) == {-0.5, 0.5}
 
@@ -125,7 +125,7 @@ class TestEvalZn:
     def test_linearity(self):
         # Z_n(h, c0 + c1 x) = c1 Z_n(h, x): Z_n is linear in g and zero on
         # constants; the columns share one draw matrix
-        h = IndicatorMember(0.7)
+        h = indicator(0.7)
         a0, a1 = 1.7, -0.6
         Z = replicate_Z_values([(h, BoundedPolynomial((0.0, 1.0))),
                                 (h, BoundedPolynomial((a0, a1)))], 64, 30, 9, NORMAL)
@@ -167,8 +167,8 @@ class TestCovKernel:
     def test_product_vs_generic_random_pairs(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
-            q1 = (IndicatorMember(float(rng.random())), HalfLine(float(rng.random())))
-            q2 = (IndicatorMember(float(rng.random())),
+            q1 = (indicator(float(rng.random())), HalfLine(float(rng.random())))
+            q2 = (indicator(float(rng.random())),
                   BoundedPolynomial(tuple(rng.random(3) - 0.5)))
             a = cov_kernel(q1, q2, UNIFORM)
             b = cov_kernel_quadrature(q1, q2, UNIFORM)
@@ -284,7 +284,7 @@ class TestLindeberg:
 
     def test_no_closed_form_raises(self):
         # a degree-2 g has no closed-form tail
-        q = (IndicatorMember(0.5), BoundedPolynomial((0.0, 1.0, 1.0)))
+        q = (indicator(0.5), BoundedPolynomial((0.0, 1.0, 1.0)))
         with pytest.raises(ValueError):
             lindeberg_check(q, UNIFORM, [20], [0.1])
 
@@ -383,6 +383,6 @@ class TestModulus:
         assert total_pairs == (kh * kg) * (kh * kg - 1) // 2
 
     def test_indicator_family_pool(self):
-        rep = equicontinuity_modulus(IndicatorFamily(), 200, (0.2, 0.6), 0.35, 10, 3, UNIFORM,
-                                     h_cap=12, g_cap=8)
+        rep = equicontinuity_modulus(BVectorClass(0, "odd"), 200, (0.2, 0.6), 0.35, 10, 3,
+                                     UNIFORM, h_cap=12, g_cap=8)
         assert rep.rows[0]["mean_modulus"] <= rep.rows[1]["mean_modulus"]

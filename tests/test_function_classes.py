@@ -10,16 +10,15 @@ from semproc.function_classes import (
     BoundedPolynomial,
     BVectorClass,
     HalfLine,
-    HalfLineFamily,
     HolderClass,
     HolderMember,
-    IndicatorFamily,
-    IndicatorMember,
     NetTooLargeError,
     b_infinity_witness,
+    half_line_net,
+    indicator,
+    indicator_net,
     observed_riemann_gap,
     observed_riemann_gap_rows,
-    riemann_gap_bound,
 )
 from semproc.intervals import IntervalUnion
 from semproc.measures import parse_model
@@ -34,9 +33,9 @@ from member_oracles import (
 
 class TestRiemannGapBounds:
     def test_paper_values(self):
-        assert riemann_gap_bound(HolderClass(1, 1, 0.5), 100) == pytest.approx(0.1)
-        assert riemann_gap_bound(BVectorClass(1, "odd"), 60) == pytest.approx(0.1)
-        assert riemann_gap_bound(BVectorClass(1, "even"), 40) == pytest.approx(0.1)
+        assert HolderClass(1, 1, 0.5).riemann_gap_bound(100) == pytest.approx(0.1)
+        assert BVectorClass(1, "odd").riemann_gap_bound(60) == pytest.approx(0.1)
+        assert BVectorClass(1, "even").riemann_gap_bound(40) == pytest.approx(0.1)
 
     def test_observed_floor_example(self):
         m = BVectorClass(0, "odd").member([0.25])
@@ -52,13 +51,13 @@ class TestRiemannGapBounds:
         for _ in range(100):
             m = cls.random_member(rng)
             for n in (10, 100):
-                assert observed_riemann_gap(m, n) <= riemann_gap_bound(cls, n) + 1e-12
+                assert observed_riemann_gap(m, n) <= cls.riemann_gap_bound(n) + 1e-12
 
     def test_gap_rows_are_the_one_n_gaps(self):
         # the bounds experiment reads every n from one observed_riemann_gap_rows call
         rng = np.random.default_rng(8)
         members = [HolderClass(1, 1, beta).random_member(rng) for beta in (0.5, 1.0) * 20]
-        members += [BVectorClass(1, "odd").random_member(rng), IndicatorMember(0.3),
+        members += [BVectorClass(1, "odd").random_member(rng), indicator(0.3),
                     HolderClass(1, 1, 1.0).build_net(0.8)[3], HolderMember(1, 1, 0.5, a=0.2)]
         n_list = [1, 10, 17, 1000]
         rows = observed_riemann_gap_rows(members, n_list)
@@ -100,12 +99,13 @@ class TestHolderMembers:
             assert abs(float(h(np.zeros(1))[0])) <= cls.T + 1e-12
 
     def test_envelope(self):
+        # |h(x)| <= |h(0)| + C x^beta <= T + C
         cls = HolderClass(1.0, 1.0, 0.5)
         rng = np.random.default_rng(3)
         xs = rng.random(1000)
         for k in range(30):
             h = cls.random_member(np.random.default_rng(k))
-            assert np.max(np.abs(h(xs))) <= cls.envelope_constant + 1e-12
+            assert np.max(np.abs(h(xs))) <= cls.C + cls.T + 1e-12
 
     def test_lambda_exact_matches_quadrature(self):
         cls = HolderClass(1.0, 1.0, 0.5)
@@ -123,7 +123,7 @@ class TestHolderNet:
         x, y = rng.random(400), rng.random(400)
         for m in net[:: max(1, len(net) // 100)]:
             assert np.all(np.abs(m(x) - m(y)) <= cls.C * np.abs(x - y) + 1e-12)
-            assert np.max(np.abs(m(np.linspace(0, 1, 101)))) <= cls.envelope_constant + 1e-12
+            assert np.max(np.abs(m(np.linspace(0, 1, 101)))) <= cls.C + cls.T + 1e-12
 
     @pytest.mark.parametrize("beta,u", [(1.0, 0.5), (0.5, 1.2)])
     def test_coverage_randomized(self, beta, u):
@@ -136,7 +136,7 @@ class TestHolderNet:
 
     def test_diameter_case_single_member_suffices(self):
         cls = HolderClass(1.0, 1.0, 1.0)
-        u = 2 * cls.envelope_constant
+        u = 2 * (cls.C + cls.T)  # the sup-norm diameter of the class
         net = cls.build_net(u)
         assert len(net) >= 1
         h = cls.random_member(np.random.default_rng(1))
@@ -144,8 +144,9 @@ class TestHolderNet:
 
     def test_net_too_large(self):
         with pytest.raises(NetTooLargeError) as err:
-            HolderClass(1.0, 1.0, 1.0).build_net(0.01, max_members=1000)
-        assert err.value.estimate > 1000
+            HolderClass(1.0, 1.0, 1.0).build_net(0.01)
+        assert err.value.cap == 500_000
+        assert err.value.log10_estimate > math.log10(err.value.cap)
 
     def test_member_pl_value_at_breakpoint(self):
         net = HolderClass(1.0, 1.0, 1.0).build_net(0.8)
@@ -180,10 +181,27 @@ class TestBVectorClasses:
         assert eval_member(m, 0.3) == 0.0
         assert eval_member(m, 0.2) == 1.0  # right-closed
 
+    def test_indicator_is_the_b1_member(self):
+        for t in (0.25, 0.3, 1.0):
+            assert indicator(t) == BVectorClass(0, "odd").member([t])
+
+    @pytest.mark.parametrize("mesh", [0.04, 0.3, 1 / 3, 0.7, 1.0, 2.0])
+    def test_indicator_net_mesh(self, mesh):
+        net = indicator_net(mesh)
+        ends = [float(h.lebesgue()) for h in net]
+        assert ends[-1] == 1.0 and ends == sorted(ends) and len(set(ends)) == len(ends)
+        assert all(b - a <= mesh + 1e-15 for a, b in zip([0.0] + ends, ends))
+        with pytest.raises(NetTooLargeError):
+            indicator_net(1e-7)
+
 
 class TestGClass:
     def test_envelopes(self):
-        assert HalfLineFamily().envelope_constant == 1.0
+        # half-lines take the values 0 and 1, so the G envelope is 1
+        model = parse_model("standard-normal")
+        xs = np.random.default_rng(2).standard_normal(500)
+        for g in half_line_net(0.1, model):
+            assert set(np.unique(g(xs)).tolist()) <= {0.0, 1.0}
 
     @pytest.mark.parametrize("model_name", ["uniform01", "standard-normal", "exponential(1)"])
     def test_pair_means_against_quadrature(self, model_name):
@@ -208,7 +226,7 @@ class TestGClass:
 
     def test_half_line_net_coverage(self):
         model = parse_model("standard-normal")
-        net = HalfLineFamily().build_net(0.3, model)
+        net = half_line_net(0.3 * 0.3, model)
         rng = np.random.default_rng(8)
         for _ in range(80):
             w = float(model.ppf(rng.random() * 0.998 + 0.001))
@@ -223,7 +241,7 @@ class TestDescriptorAndExport:
 
         cls = parse_class_descriptor({"class": "holder", "T": 2.0, "C": 0.5, "beta": 0.5})
         assert isinstance(cls, HolderClass) and cls.beta == 0.5
-        assert isinstance(parse_class_descriptor({"class": "indicators"}), IndicatorFamily)
+        assert parse_class_descriptor({"class": "indicators"}) == BVectorClass(0, "odd")
         for kind in ("bvector", "halflines"):  # not h classes of the modulus
             with pytest.raises(ValueError):
                 parse_class_descriptor({"class": kind})

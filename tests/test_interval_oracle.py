@@ -17,8 +17,8 @@ import pytest
 from semproc.function_classes import (
     BVectorClass,
     HolderClass,
-    IndicatorMember,
     b_infinity_witness,
+    indicator,
     observed_riemann_gap,
 )
 from semproc.intervals import IntervalUnion
@@ -151,7 +151,7 @@ def test_non_set_members_keep_their_gaps():
                 want = fraction_gap(h.lambda_n(n), h.lambda_exact())
                 assert observed_riemann_gap(h, n).hex() == want.hex()
     for t in rng.random(100):
-        h = IndicatorMember(float(t))
+        h = indicator(float(t))
         for n in N_LIST:
             want = fraction_gap(h.lambda_n(n), h.lambda_exact())
             assert observed_riemann_gap(h, n).hex() == want.hex()

@@ -2,9 +2,10 @@
 
 The reference functions below are the lambda((h1-h2)^2), lambda(h1 h2) and
 observed-gap computations as they stood when each caller switched on member
-types itself.  On the pairs those switches already handled exactly (Holder
-piecewise-linear, Holder cusp, indicators) the protocol path must give the
-same floats bit for bit.  Set-member pairs are checked against exact
+types itself, with an indicator 1_(0, t] recognised as a union of one
+interval anchored at 0.  On the pairs those switches already handled exactly
+(Holder piecewise-linear, Holder cusp, indicators) the protocol path must
+give the same floats bit for bit.  Set-member pairs are checked against exact
 Fraction forms instead: the old switch sent them to breakpoint-free
 quadrature, which reads 0.0 for many disjoint-looking pairs.
 """
@@ -19,9 +20,8 @@ from semproc.function_classes import (
     BVectorClass,
     HolderClass,
     HolderMember,
-    IndicatorFamily,
-    IndicatorMember,
     b_infinity_witness,
+    indicator,
     lambda_prod,
     lambda_sq_distance,
     lambda_sq_matrix,
@@ -34,8 +34,23 @@ from semproc.quadrature import integrate
 
 # -- reference implementations (the per-caller type switches) ---------------
 
+def _ref_indicator_end(h):
+    """The float t of an indicator 1_(0, t], a union of one interval anchored
+    at 0 whose end is a float; None for any other member."""
+    if isinstance(h, IntervalUnion) and len(h.bounds) == 1 and h.bounds[0][0] == 0:
+        t = h.bounds[0][1]
+        if Fraction(float(t)) == t:
+            return float(t)
+    return None
+
+
+def _both_indicators(h1, h2):
+    return _ref_indicator_end(h1) is not None and _ref_indicator_end(h2) is not None
+
+
 def _ref_breakpoints(h):
-    return (h.t,) if isinstance(h, IndicatorMember) else ()
+    t = _ref_indicator_end(h)
+    return () if t is None else (t,)
 
 
 def _both_pl(h1, h2):
@@ -44,8 +59,8 @@ def _both_pl(h1, h2):
 
 
 def ref_lambda_h_product(h1, h2, tol):
-    if isinstance(h1, IndicatorMember) and isinstance(h2, IndicatorMember):
-        return min(h1.t, h2.t)
+    if _both_indicators(h1, h2):
+        return min(_ref_indicator_end(h1), _ref_indicator_end(h2))
     if _both_pl(h1, h2):
         return prod_integral(h1.pl, h2.pl)
     breakpoints = tuple(set(_ref_breakpoints(h1) + _ref_breakpoints(h2)))
@@ -54,8 +69,8 @@ def ref_lambda_h_product(h1, h2, tol):
 
 
 def ref_lambda_sq_distance(h1, h2):
-    if isinstance(h1, IndicatorMember) and isinstance(h2, IndicatorMember):
-        return abs(h1.t - h2.t)
+    if _both_indicators(h1, h2):
+        return abs(_ref_indicator_end(h1) - _ref_indicator_end(h2))
     if _both_pl(h1, h2):
         return diff_sq_integral(h1.pl, h2.pl)
     return integrate(lambda x: (float(h1(x)) - float(h2(x))) ** 2, 0.0, 1.0, tol=1e-10)
@@ -68,8 +83,9 @@ def _ref_measure(iu):
 def ref_observed_riemann_gap(member, n):
     if isinstance(member, HolderMember):
         return abs(member.lambda_n(n) - member.lambda_exact())
-    if isinstance(member, IndicatorMember):
-        member = IntervalUnion.from_pairs([(0, member.t)])
+    t = _ref_indicator_end(member)
+    if t is not None:
+        member = IntervalUnion.from_pairs([(0, t)])
     return float(abs(member.lambda_n(n) - _ref_measure(member)))
 
 
@@ -104,7 +120,7 @@ def _holder_pairs():
 
 def _indicator_pairs():
     ts = [0.05, 0.3, 1 / 3, 0.5, 0.71, 1.0]
-    return [(IndicatorMember(a), IndicatorMember(b)) for a in ts for b in ts]
+    return [(indicator(a), indicator(b)) for a in ts for b in ts]
 
 
 def _set_pairs(cls, count, seed=0):
@@ -148,15 +164,17 @@ class TestSetMemberPairs:
                           np.array([[float(x.symdiff_measure(y))
                                      for y, _ in pairs[:20]] for x, _ in pairs[:20]]))
 
-    def test_mixed_indicator_and_set_pairs_use_breakpoints(self):
+    def test_mixed_indicator_and_set_pairs_are_exact(self):
+        # an indicator is a set member, so it meets any union in the exact forms
         rng = np.random.default_rng(3)
         for cls in SET_CLASSES:
             for a, _ in _set_pairs(cls, 10, seed=int(rng.integers(1 << 30))):
-                h = IndicatorMember(float(rng.random()))
-                xor, inter = _cell_measures(IntervalUnion.from_pairs([(0, h.t)]), a)
-                assert lambda_sq_distance(h, a) == pytest.approx(float(xor), abs=1e-12)
-                assert lambda_sq_distance(a, h) == pytest.approx(float(xor), abs=1e-12)
-                assert lambda_prod(h, a, 1e-10) == pytest.approx(float(inter), abs=1e-12)
+                t = float(rng.random())
+                h = indicator(t)
+                xor, inter = _cell_measures(IntervalUnion.from_pairs([(0, t)]), a)
+                assert lambda_sq_distance(h, a) == float(xor)
+                assert lambda_sq_distance(a, h) == float(xor)
+                assert lambda_prod(h, a, 1e-10) == float(inter)
 
 
 class TestObservedGapMatchesReference:
@@ -166,7 +184,7 @@ class TestObservedGapMatchesReference:
         out += HolderClass(1.0, 1.0, 1.0).net_sample(0.5, 3, rng)
         out += [cls.random_member(rng) for cls in SET_CLASSES + [BVectorClass(2, "odd")]]
         out += [cls.member([Fraction(1, 3)] * cls.n_breakpoints) for cls in SET_CLASSES]
-        out += [IndicatorMember(t) for t in (0.05, 1 / 3, 0.5, 0.999, 1.0)]
+        out += [indicator(t) for t in (0.05, 1 / 3, 0.5, 0.999, 1.0)]
         out += [b_infinity_witness(k) for k in (1, 3, 7)]
         out += [IntervalUnion.from_pairs([(Fraction(1, 7), Fraction(2, 7)), (0.5, 0.9)])]
         return out
@@ -179,7 +197,7 @@ class TestObservedGapMatchesReference:
 
 class TestProtocol:
     def test_breakpoints(self):
-        assert IndicatorMember(0.25).breakpoints() == (0.25,)
+        assert indicator(0.25).breakpoints() == (0.0, 0.25)
         assert HolderClass(1.0, 1.0, 1.0).random_member(np.random.default_rng(0)) \
             .breakpoints() == ()
         m = BVectorClass(1, "even").member([0.1, 0.4])
@@ -190,9 +208,9 @@ class TestProtocol:
         m = BVectorClass(1, "odd").member([0.25, 0.5, 0.75])
         assert m.lambda_exact() == Fraction(1, 2) and m(0.6) == 1.0 and m(0.4) == 0.0
         assert m.lambda_n(8) == Fraction(4, 8)
-        assert IndicatorMember(0.25).lambda_n(10) == Fraction(2, 10)
-        assert IndicatorMember(0.3).lambda_n(10) == Fraction(2, 10)   # the float 0.3 < 3/10
-        assert IndicatorMember(0.3).lambda_exact() == 0.3
+        assert indicator(0.25).lambda_n(10) == Fraction(2, 10)
+        assert indicator(0.3).lambda_n(10) == Fraction(2, 10)   # the float 0.3 < 3/10
+        assert indicator(0.3).lambda_exact() == 0.3
 
     def test_stored_lebesgue_is_the_sum(self):
         rng = np.random.default_rng(4)
@@ -202,14 +220,9 @@ class TestProtocol:
         assert IntervalUnion.empty().lebesgue() == 0
         assert IntervalUnion.full().lebesgue() == 1
 
-    @pytest.mark.parametrize("t", [0.0, -0.25, 1.0 + 1e-12, 2.5, math.nan])
+    @pytest.mark.parametrize("t", [0.0, -0.25, 1.0 + 1e-12, 2.5, math.nan, -0.1, 1.5])
     def test_indicator_end_point_outside_unit_interval_rejected(self, t):
-        # lambda(h1 h2) reads min(t1, t2), which only holds for t in (0, 1]
-        with pytest.raises(ValueError):
-            IndicatorMember(t)
-        assert IndicatorMember(1.0).lambda_exact() == 1.0
-
-    def test_indicator_family_envelope_is_a_constant(self):
-        assert IndicatorFamily().envelope_constant == 1.0
-        with pytest.raises(TypeError):
-            IndicatorFamily(2.0)
+        # an indicator is a nonempty B(1) set (0, t], so t lies in (0, 1]
+        with pytest.raises(ValueError, match=r"indicator end point t=.* is outside \(0, 1\]"):
+            indicator(t)
+        assert indicator(1.0).lambda_exact() == 1.0

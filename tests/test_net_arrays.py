@@ -3,15 +3,19 @@ scalar references: the recursive net enumeration and the pair-by-pair
 lambda_sq_distance."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import semproc.function_classes as fc
 from semproc.function_classes import (
+    BVectorClass,
     HolderClass,
     HolderMember,
-    IndicatorFamily,
     NetTooLargeError,
+    indicator,
+    indicator_net,
     lambda_sq_distance,
     lambda_sq_matrix,
 )
@@ -22,7 +26,9 @@ from semproc.seeds import derive_seed
 def recursive_net(cls: HolderClass, u: float, max_members: int = 200_000):
     """Reference enumeration: depth-first over (anchor, step_1, ..., step_m),
     Holder minorant and anchor clamp at each leaf, first occurrence kept per
-    row rounded to 9 decimals.  Returns the grid and the member rows."""
+    row rounded to 9 decimals.  Returns the grid and the member rows; raises
+    NetTooLargeError, with the exact bound anchors * steps^m as its
+    estimate, when that bound exceeds max_members."""
     m = cls.net_grid_count(u)
     step = u / 2.0
     grid = np.arange(0, m + 1, dtype=float) / m
@@ -35,7 +41,9 @@ def recursive_net(cls: HolderClass, u: float, max_members: int = 200_000):
     n_steps = 2 * math.floor(max_step / step + 1e-12) + 1
     estimate = len(anchors) * n_steps**m
     if estimate > max_members:
-        raise NetTooLargeError(estimate, max_members)
+        err = NetTooLargeError(math.log10(estimate), max_members)
+        err.estimate = estimate
+        raise err
     step_options = [k * step for k in range(-(n_steps // 2), n_steps // 2 + 1)]
     env = cls.C + cls.T + u / 4.0
 
@@ -91,11 +99,11 @@ class TestNetValues:
     def test_build_net_matches_recursive_order_and_bits(self, T, C, beta, u):
         cls = HolderClass(T, C, beta)
         grid, rows = recursive_net(cls, u, max_members=500_000)
-        net = cls.build_net(u, max_members=500_000)
+        net = cls.build_net(u)
         assert len(net) == len(rows)
         assert bits_equal([m.pl.values for m in net], rows)
         assert all(m.pl.knots == tuple(grid) for m in net)
-        got_grid, got_rows = cls.net_values(u, max_members=500_000)
+        got_grid, got_rows = cls.net_values(u)
         assert bits_equal(got_grid, grid) and bits_equal(got_rows, rows)
 
     @pytest.mark.parametrize("u,cap,estimate", [
@@ -103,19 +111,36 @@ class TestNetValues:
         (0.05, 10**6, 736690708436071872711181640625),
     ])
     def test_too_large_estimate_unchanged(self, u, cap, estimate):
+        # net_values has the one cap 500,000; the reference takes cap
         cls = HolderClass(1.0, 1.0, 1.0)
         with pytest.raises(NetTooLargeError) as err:
-            cls.net_values(u, max_members=cap)
-        assert err.value.estimate == estimate and err.value.cap == cap
+            cls.net_values(u)
+        assert err.value.log10_estimate == pytest.approx(math.log10(estimate), rel=1e-14)
+        assert err.value.cap == 500_000
         with pytest.raises(NetTooLargeError) as ref:
             recursive_net(cls, u, max_members=cap)
         assert ref.value.estimate == estimate
+
+    @pytest.mark.parametrize("T,C,beta,u", [(1.0, 1.0, 1.0, 0.8), (0.5, 2.0, 1.0, 0.9),
+                                            (1.0, 1.0, 0.5, 1.2)])
+    def test_cap_compares_the_exact_count(self, monkeypatch, T, C, beta, u):
+        # at a cap equal to the exact bound the net is built; one below, it is not
+        cls = HolderClass(T, C, beta)
+        with pytest.raises(NetTooLargeError) as ref:
+            recursive_net(cls, u, max_members=0)
+        estimate = ref.value.estimate
+        monkeypatch.setattr(fc, "_HOLDER_NET_CAP", estimate)
+        grid, rows = recursive_net(cls, u, max_members=estimate)
+        assert bits_equal(cls.net_values(u)[1], rows)
+        monkeypatch.setattr(fc, "_HOLDER_NET_CAP", estimate - 1)
+        with pytest.raises(NetTooLargeError):
+            cls.net_values(u)
 
 
 class TestLambdaSqMatrix:
     def test_equals_scalar_on_h_pool_subsample(self):
         # the 4 * cap = 240 rows fclt._h_pool draws at net_u 0.3, seed 1
-        net = HolderClass(1.0, 1.0, 1.0).build_net(0.3, max_members=500_000)
+        net = HolderClass(1.0, 1.0, 1.0).build_net(0.3)
         rng = np.random.default_rng(derive_seed(1, ["h-pool"]))
         pool = [net[i] for i in sorted(rng.choice(len(net), size=240, replace=False))]
         assert bits_equal(lambda_sq_matrix(pool), scalar_sq(pool))
@@ -132,8 +157,33 @@ class TestLambdaSqMatrix:
         assert bits_equal(lambda_sq_matrix(strided), scalar_sq(strided))
 
     def test_indicators(self):
-        net = IndicatorFamily().build_net(0.2, "d2_lambda")
+        net = indicator_net(0.2 * 0.2)
         assert bits_equal(lambda_sq_matrix(net), scalar_sq(net))
+
+    @pytest.mark.parametrize("mesh", [0.01, 0.09, 0.1, 1 / 7, 0.3])
+    def test_indicator_nets_equal_the_exact_symmetric_difference(self, mesh, monkeypatch):
+        # |t_i - t_j| in floats against the Fraction measure of (0, t_i] xor (0, t_j]
+        net = indicator_net(mesh)
+        exact = np.array([[float(a.symdiff_measure(b)) for b in net] for a in net])
+        calls = []
+        monkeypatch.setattr(fc, "lambda_sq_distance",
+                            lambda a, b: calls.append(1) or lambda_sq_distance(a, b))
+        assert bits_equal(lambda_sq_matrix(net), exact)
+        assert not calls  # the one-interval path, no pair loop
+
+    @pytest.mark.parametrize("family", [
+        [indicator(0.2), BVectorClass(1, "even").member([0.1, 0.4]), indicator(0.7)],
+        [indicator(0.5), BVectorClass(1, "odd").member([0.2, 0.5, 0.9]), indicator(1.0)],
+        [indicator(0.25), BVectorClass(0, "odd").member([Fraction(1, 3)])],
+    ], ids=["unanchored", "two-intervals", "non-float-end"])
+    def test_mixed_unions_take_the_pair_loop(self, family, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fc, "lambda_sq_distance",
+                            lambda a, b: calls.append(1) or lambda_sq_distance(a, b))
+        sq = lambda_sq_matrix(family)
+        k = len(family)
+        assert len(calls) == k * (k - 1) // 2
+        assert bits_equal(sq, [[float(a.symdiff_measure(b)) for b in family] for a in family])
 
     def test_mixed_knots_fall_back_to_scalar(self):
         cls = HolderClass(1.0, 1.0, 1.0)

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from semproc.fclt import kiefer_cell, replicate_Z_values
-from semproc.function_classes import HalfLine, IndicatorMember, InitialInterval
+from semproc.function_classes import HalfLine, InitialInterval, indicator
 from semproc.measures import parse_model
 
 from member_oracles import one_shot_replicate_Z_values
@@ -52,7 +52,7 @@ def _run_child(code, tmp_path):
 @pytest.mark.parametrize("name", MODELS)
 def test_indicator_products_equal_the_one_shot_bytes(name):
     model = parse_model(name)
-    q_list = [(IndicatorMember(s), g) for s in (0.3, 1.0)
+    q_list = [(indicator(s), g) for s in (0.3, 1.0)
               for g in (HalfLine(0.4), InitialInterval(0.8))]
     for n in NS:
         for R in ROWS:

@@ -17,8 +17,8 @@ from semproc.function_classes import (
     BVectorClass,
     HolderClass,
     HolderMember,
-    IndicatorMember,
     b_infinity_witness,
+    indicator,
     observed_riemann_gap,
     observed_riemann_gap_rows,
 )
@@ -78,7 +78,7 @@ def test_random_members_of_the_bounds_classes():
 def test_mixed_list_keeps_its_order():
     rng = np.random.default_rng(5)
     others = [
-        IndicatorMember(0.3), IndicatorMember(1.0),
+        indicator(0.3), indicator(1.0),
         BVectorClass(1, "odd").random_member(rng), BVectorClass(2, "even").random_member(rng),
         b_infinity_witness(4),
         IntervalUnion.from_pairs([(Fraction(1, 7), Fraction(2, 7)), (0.5, 0.9)]),
