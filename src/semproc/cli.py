@@ -1,11 +1,14 @@
 """Experiment orchestration: config parsing, the experiment registry, report
 serialization, plot-data emission and the `semproc` executable.
 
-Each experiment is declared once, in EXPERIMENTS: its config defaults (a
-key's type is its default's type), its runner, which returns the results and
-the ledger of named checks, and its plot-data series.  run_experiment derives
-a report's "pass" from the ledger.  selftest runs the five other experiments
-at small configs through the same registry.
+Each experiment is declared once, in EXPERIMENTS: its config keys, each a
+default (a key's type is its default's type) beside the value rules it must
+pass, its runner, which returns the results and the ledger of named checks,
+and its plot-data series.  parse_config is the one place that enforces a
+key's rules; a runner checks only what needs work first (a Holder net's
+size, a q file's contents).  run_experiment derives a report's "pass" from
+the ledger.  selftest runs the five other experiments at small configs
+through the same registry.
 
 Reproducibility is the product: a report embeds the exact config and the root
 seed, every random stream is derived from the root seed through
@@ -25,6 +28,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -78,37 +82,46 @@ class ConfigError(ValueError):
 
 
 def _typed(value, want: type, key: str, what: str):
-    """value as a want, coercing only int -> float (a bool is no number
-    here); a ConfigError naming key otherwise."""
-    if want is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+    """value as a want, coercing only an int in the float range to float (a
+    bool is no number here); a ConfigError naming key otherwise, and for a
+    float that is not finite."""
+    if want is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
     if not isinstance(value, want) or (want is not bool and isinstance(value, bool)):
         raise ConfigError(f"config key {key} must be {what}, got {value!r}")
+    if want is float and not math.isfinite(value):
+        raise ConfigError(f"config key {key} must be finite, got {value!r}")
     return value
 
 
 def parse_config(experiment: str, raw: dict) -> dict:
     """Strict schema application: unknown keys rejected, types coerced only
-    int -> float, list elements typed by the default's first element, values
-    echoed back into the report."""
+    int -> float, list elements typed by the default's first element, floats
+    finite, every key's rules checked, values echoed back into the report."""
     if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; registered: {sorted(EXPERIMENTS)}"
-        )
-    defaults = EXPERIMENTS[experiment].defaults
+        raise ConfigError(f"unknown experiment {experiment!r}; registered: {sorted(EXPERIMENTS)}")
+    keys = EXPERIMENTS[experiment].keys
     out = {}
     for key, value in raw.items():
-        if key not in defaults:
+        if key not in keys:
             raise ConfigError(f"unknown config key {experiment}.{key}")
-        want, name = type(defaults[key]), f"{experiment}.{key}"
+        default = keys[key][0]
+        want, name = type(default), f"{experiment}.{key}"
         value = _typed(value, want, name, want.__name__)
         if want is list:
-            elem = type(defaults[key][0])
+            elem = type(default[0])
             value = [_typed(v, elem, name, f"a list of {elem.__name__}") for v in value]
         out[key] = value
-    for key, default in defaults.items():
-        if key not in out:
-            out[key] = json.loads(json.dumps(default)) if isinstance(default, (list, dict)) else default
+    for key, (default, *rules) in keys.items():
+        value = out.setdefault(key, json.loads(json.dumps(default)))
+        for text, ok in rules:  # a predicate that raises fails, and its message follows
+            try:
+                passed, why = bool(ok(value)), ""
+            except (ValueError, TypeError) as exc:
+                passed, why = False, f": {exc}"
+            if not passed:
+                raise ConfigError(f"config key {experiment}.{key} must be {text}, "
+                                  f"got {value!r}{why}")
     return out
 
 
@@ -121,29 +134,12 @@ def _ledger_entry(name: str, observed, bound, tolerance: str, ok: bool) -> dict:
             "tolerance": tolerance, "ok": bool(ok)}
 
 
-def _require(ok: bool, key: str, rule: str, value) -> None:
-    if not ok:
-        raise ConfigError(f"config key {key} must be {rule}, got {value!r}")
-
-
-def _require_increasing(key: str, values: list) -> None:
-    """The ledgers read these lists in order, smallest first."""
-    _require(bool(values) and all(a < b for a, b in zip(values, values[1:])),
-             key, "a nonempty strictly increasing list", values)
-
-
 def _run_ulln(cfg: dict) -> tuple:
-    if cfg["class"] != "bvector":
-        raise ConfigError(
-            f"unknown sequential set class {cfg['class']!r}; registered: bvector"
-        )
     exp = GCExperiment(
         j=cfg["j"], parity=cfg["parity"], model=cfg["model"],
-        n_schedule=tuple(int(n) for n in cfg["n_schedule"]),
+        n_schedule=tuple(cfg["n_schedule"]),
         replicates=cfg["replicates"], seed=cfg["seed"], centering=cfg["centering"],
     )
-    _require_increasing("ulln.n_schedule", list(exp.n_schedule))
-    _require(exp.replicates >= 1, "ulln.replicates", ">= 1", exp.replicates)
     report = gc_experiment(exp)
     ledger = []
     for row in report.rows:
@@ -164,8 +160,7 @@ def _run_ulln(cfg: dict) -> tuple:
             if cfg["net_u"] <= 3.0 / n:
                 continue
             # replicate 0 of gc_experiment: the same sample and its statistic
-            sample = draw_sample(cfg["model"], int(n),
-                                 derive_seed(cfg["seed"], ["gc", int(n), 0]))
+            sample = draw_sample(cfg["model"], n, derive_seed(cfg["seed"], ["gc", n, 0]))
             exact = float(report.replicate_values[n][0])
             sw = sup_deviation_net(sample, cfg["net_u"])
             ledger.append(_ledger_entry(
@@ -178,11 +173,7 @@ def _run_ulln(cfg: dict) -> tuple:
 
 
 def _kiefer_cells(grid: int) -> list:
-    cells = []
-    for i in range(grid):
-        for k in range(grid):
-            cells.append(kiefer_cell((i + 1) / grid, (k + 1) / grid))
-    return cells
+    return [kiefer_cell((i + 1) / grid, (k + 1) / grid) for i in range(grid) for k in range(grid)]
 
 
 def _holder_product_qs(model) -> list:
@@ -245,8 +236,6 @@ def _load_q_file(path: str) -> list:
 
 
 def _run_fclt(cfg: dict) -> tuple:
-    _require(cfg["n"] >= 1, "fclt.n", ">= 1", cfg["n"])
-    _require(cfg["replicates"] >= 2, "fclt.replicates", ">= 2", cfg["replicates"])
     model = parse_model(cfg["model"])
     if cfg["q_set"] == "kiefer-3":
         q_list = [kiefer_cell(0.5, 0.5), kiefer_cell(1.0, 0.5), kiefer_cell(0.5, 0.25)]
@@ -254,27 +243,15 @@ def _run_fclt(cfg: dict) -> tuple:
         q_list = _kiefer_cells(3)
     elif cfg["q_set"] == "holder-product":
         q_list = _holder_product_qs(model)
-    elif cfg["q_set"] == "custom-file":
+    else:  # custom-file
         q_list = _load_q_file(cfg["q_file"])
-    else:
-        raise ConfigError(f"unknown q_set {cfg['q_set']!r}")
     mod = None
     if cfg["run_modulus"]:
-        _require_increasing("fclt.alpha_list", cfg["alpha_list"])
-        _require(cfg["modulus_replicates"] >= 1, "fclt.modulus_replicates", ">= 1",
-                 cfg["modulus_replicates"])
-        _require(cfg["net_u"] > 0, "fclt.net_u", "> 0", cfg["net_u"])
         # before the fidi test, so a net too large for net_u fails fast
         try:
-            h_class = parse_class_descriptor(cfg["h_class"])
-        except ValueError as exc:
-            raise ConfigError(f"config key fclt.h_class must be a holder or indicators "
-                              f"descriptor, got {cfg['h_class']!r}: {exc}") from None
-        try:
             mod = equicontinuity_modulus(
-                h_class, cfg["n"], tuple(cfg["alpha_list"]), cfg["net_u"],
-                cfg["modulus_replicates"], cfg["seed"], model,
-            )
+                parse_class_descriptor(cfg["h_class"]), cfg["n"], tuple(cfg["alpha_list"]),
+                cfg["net_u"], cfg["modulus_replicates"], cfg["seed"], model)
         except NetTooLargeError as exc:
             raise ConfigError(f"config key fclt.net_u must be large enough for the "
                               f"modulus nets, got {cfg['net_u']!r}: the {exc}") from None
@@ -328,17 +305,11 @@ def _run_fclt(cfg: dict) -> tuple:
 
 
 def _run_covering(cfg: dict) -> tuple:
-    _require(cfg["tau"] > 0, "covering.tau", "> 0", cfg["tau"])
-    _require(bool(cfg["n_list"]) and all(n >= 1 for n in cfg["n_list"]), "covering.n_list",
-             "a nonempty list of ints >= 1", cfg["n_list"])
-    _require(cfg["trials"] >= 1, "covering.trials", ">= 1", cfg["trials"])
-    _require(cfg["n_seeds"] >= 1, "covering.n_seeds", ">= 1", cfg["n_seeds"])
     lemmas = check_covering_lemmas(cfg["trials"], cfg["seed"])
     model = parse_model(cfg["model"])
     seeds = [derive_seed(cfg["seed"], ["covering", i]) % 2**63
              for i in range(cfg["n_seeds"])]
-    bdd = random_covering_boundedness(cfg["tau"],
-                                      [int(n) for n in cfg["n_list"]], seeds, model)
+    bdd = random_covering_boundedness(cfg["tau"], cfg["n_list"], seeds, model)
     ledger = [
         _ledger_entry("covering lemma violations", lemmas.total_violations, 0,
                       "== 0", lemmas.total_violations == 0),
@@ -355,13 +326,7 @@ def _run_covering(cfg: dict) -> tuple:
 
 
 def _run_bounds(cfg: dict) -> tuple:
-    _require(bool(cfg["n_list"]) and all(n >= 1 for n in cfg["n_list"]), "bounds.n_list",
-             "a nonempty list of ints >= 1", cfg["n_list"])
-    _require(cfg["members"] >= 1, "bounds.members", ">= 1", cfg["members"])
-    _require(cfg["witness_max_n"] >= 1, "bounds.witness_max_n", ">= 1", cfg["witness_max_n"])
-    rng_root = cfg["seed"]
-    n_list = [int(n) for n in cfg["n_list"]]
-    members = cfg["members"]
+    n_list = cfg["n_list"]
     violations = []
     checks = 0
 
@@ -372,8 +337,8 @@ def _run_bounds(cfg: dict) -> tuple:
              ("B4", BVectorClass(2, "even"))]
     worst = {}
     for label, cls in specs:
-        rng = np.random.default_rng(derive_seed(rng_root, ["bounds", label]))
-        mems = [cls.random_member(rng) for _ in range(members)]
+        rng = np.random.default_rng(derive_seed(cfg["seed"], ["bounds", label]))
+        mems = [cls.random_member(rng) for _ in range(cfg["members"])]
         for n, gaps in zip(n_list, observed_riemann_gap_rows(mems, n_list)):
             bound = cls.riemann_gap_bound(n)
             margin = -math.inf
@@ -389,7 +354,7 @@ def _run_bounds(cfg: dict) -> tuple:
         w = b_infinity_witness(n)
         ln = w.lambda_n(n)
         gap = ln - w.lebesgue()
-        expected = 1 - 2 ** (-n)
+        expected = 1 - Fraction(1, 2**n)  # exact: the float rounds to 1 from n = 54
         witness_rows.append({"n": n, "lambda_n": float(ln), "gap": float(abs(gap)),
                              "expected_gap": float(expected),
                              "ok": (ln == 0) and (abs(gap) == expected)})
@@ -411,10 +376,7 @@ def _run_bounds(cfg: dict) -> tuple:
         s_class[f"c={c:.6f}"] = rep.classification
         s_misses += rep.bracket_misses()
     # the classification reads c alone; the bracket checks the partial sums
-    s_ok = (s_class[f"c={0.5:.6f}"] == "divergent"
-            and s_class[f"c={math.log(2.0):.6f}"] == "divergent"
-            and s_class[f"c={2.0:.6f}"] == "convergent"
-            and s_misses == 0)
+    s_ok = list(s_class.values()) == ["divergent", "divergent", "convergent"] and s_misses == 0
 
     tb = gc_tail_bound(0.5, 10**4, 1)
     ledger = [
@@ -435,8 +397,6 @@ def _run_bounds(cfg: dict) -> tuple:
 
 
 def _run_kiefer(cfg: dict) -> tuple:
-    _require(cfg["draws"] >= 2, "kiefer.draws", ">= 2", cfg["draws"])
-    _require(cfg["grid"] >= 1, "kiefer.grid", ">= 1", cfg["grid"])
     model = parse_model("uniform01")
     cells = _kiefer_cells(cfg["grid"])
     analytic = cov_matrix(cells, model)
@@ -495,32 +455,61 @@ def _run_selftest(cfg: dict) -> tuple:
     return {"sections": sections}, []
 
 
+# Value rules, (text, predicate): a key's rules sit beside its default in
+# EXPERIMENTS, and the text completes "config key <key> must be ..."
+POSITIVE = ("> 0", lambda v: v > 0)
+NONNEGATIVE = (">= 0", lambda v: v >= 0)
+AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+AT_LEAST_2 = (">= 2", lambda v: v >= 2)
+# the ledgers read these lists in order, smallest first
+INCREASING = ("a nonempty strictly increasing list",
+              lambda v: bool(v) and all(a < b for a, b in zip(v, v[1:])))
+POSITIVE_ITEMS = ("a list of floats > 0", lambda v: all(a > 0 for a in v))
+COUNTS = ("a nonempty list of ints >= 1", lambda v: bool(v) and all(n >= 1 for n in v))
+SEED = ("in [0, 2**64)", lambda v: 0 <= v < 2**64)
+MODEL = ("a model name", parse_model)
+H_CLASS = ("a holder or indicators descriptor", parse_class_descriptor)
+
+
+def one_of(*names: str) -> tuple:
+    return (f"one of {', '.join(names)}", lambda v: v in names)
+
+
 @dataclass(frozen=True)
 class Experiment:
-    """An experiment's config defaults (a key's type is its default's type),
-    its runner, cfg -> (results, ledger), and its plot-data series, each
-    (file suffix, {CSV column: row key}, results -> rows)."""
+    """An experiment's config keys, each (default, *rules): a key's type is
+    its default's type and its value must pass every rule; its runner, cfg ->
+    (results, ledger); and its plot-data series, each (file suffix, {CSV
+    column: row key}, results -> rows)."""
 
-    defaults: dict
+    keys: dict
     run: Callable[[dict], tuple]
     plots: tuple = ()
 
 
 EXPERIMENTS: dict[str, Experiment] = {
     "ulln": Experiment(
-        {"class": "bvector", "j": 0, "parity": "odd", "model": "uniform01",
-         "n_schedule": [100, 1000, 10000], "replicates": 200, "seed": 1,
-         "centering": "lambda_n", "net_u": 0.0},
+        {"class": ("bvector", one_of("bvector")), "j": (0, NONNEGATIVE),
+         "parity": ("odd", one_of("odd", "even")), "model": ("uniform01", MODEL),
+         "n_schedule": ([100, 1000, 10000], INCREASING, COUNTS),
+         "replicates": (200, AT_LEAST_1), "seed": (1, SEED),
+         "centering": ("lambda_n", one_of("lambda_n", "lambda")),
+         "net_u": (0.0, NONNEGATIVE)},  # 0: no net sandwich
         _run_ulln,
         (("convergence", {"n": "n", "mean": "mean", "median": "median", "q95": "q95",
                           "max": "max", "bound": "lambda_gap_bound"}, lambda res: res),),
     ),
     "fclt": Experiment(
-        {"q_set": "kiefer-3", "q_file": "", "n": 2000, "replicates": 5000, "seed": 1,
-         "model": "uniform01", "alpha_list": [0.05, 0.1, 0.2, 0.4], "net_u": 0.3,
-         "h_class": {"class": "holder", "T": 1.0, "C": 1.0, "beta": 1.0},
-         "modulus_replicates": 100, "run_modulus": True, "run_lindeberg": True,
-         "cov_tolerance": 0.05, "ks_tolerance": 0.03},
+        {"q_set": ("kiefer-3", one_of("kiefer-3", "kiefer-grid", "holder-product",
+                                      "custom-file")),
+         "q_file": ("",), "n": (2000, AT_LEAST_1), "replicates": (5000, AT_LEAST_2),
+         "seed": (1, SEED), "model": ("uniform01", MODEL),
+         "alpha_list": ([0.05, 0.1, 0.2, 0.4], INCREASING, POSITIVE_ITEMS),
+         "net_u": (0.3, POSITIVE),
+         "h_class": ({"class": "holder", "T": 1.0, "C": 1.0, "beta": 1.0}, H_CLASS),
+         "modulus_replicates": (100, AT_LEAST_1), "run_modulus": (True,),
+         "run_lindeberg": (True,), "cov_tolerance": (0.05, POSITIVE),
+         "ks_tolerance": (0.03, POSITIVE)},
         _run_fclt,
         (("modulus", {"alpha": "alpha", "mean_modulus": "mean_modulus"},
           lambda res: res.get("modulus", {}).get("rows", [])),
@@ -528,19 +517,22 @@ EXPERIMENTS: dict[str, Experiment] = {
           lambda res: res.get("lindeberg", {}).get("rows", []))),
     ),
     "covering": Experiment(
-        {"trials": 1000, "seed": 1, "tau": 0.5, "n_list": [10, 100, 1000], "n_seeds": 20,
-         "model": "uniform01"},
+        {"trials": (1000, AT_LEAST_1), "seed": (1, SEED), "tau": (0.5, POSITIVE),
+         "n_list": ([10, 100, 1000], COUNTS), "n_seeds": (20, AT_LEAST_1),
+         "model": ("uniform01", MODEL)},
         _run_covering,
     ),
     "bounds": Experiment(
-        {"members": 1000, "seed": 1, "n_list": [10, 100, 1000], "witness_max_n": 20},
+        {"members": (1000, AT_LEAST_1), "seed": (1, SEED),
+         "n_list": ([10, 100, 1000], COUNTS), "witness_max_n": (20, AT_LEAST_1)},
         _run_bounds,
     ),
     "kiefer": Experiment(
-        {"grid": 3, "draws": 100000, "seed": 1, "tolerance": 0.02},
+        {"grid": (3, AT_LEAST_1), "draws": (100000, AT_LEAST_2), "seed": (1, SEED),
+         "tolerance": (0.02, POSITIVE)},
         _run_kiefer,
     ),
-    "selftest": Experiment({"seed": 1}, _run_selftest),
+    "selftest": Experiment({"seed": (1, SEED)}, _run_selftest),
 }
 
 
@@ -667,9 +659,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--out", default=None, help="report path (JSON)")
         p.add_argument("--plot-prefix", default=None,
                        help="emit plot-data CSVs with this path prefix")
-        for key, default in exp.defaults.items():
+        for key, (default, *rules) in exp.keys.items():
+            rule = "; must be " + " and ".join(text for text, _ in rules) if rules else ""
             p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
-                           type=_flag_type(default), help=f"sets {key} (default {default!r})")
+                           type=_flag_type(default), help=f"sets {key} (default {default!r}{rule})")
 
     args = parser.parse_args(argv)
     try:
@@ -677,7 +670,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for item in args.set:
             key, value = _parse_override(item)
             raw[key] = value
-        for key in EXPERIMENTS[args.experiment].defaults:
+        for key in EXPERIMENTS[args.experiment].keys:
             if getattr(args, key) is not None:
                 raw[key] = getattr(args, key)
         report = run_experiment(args.experiment, raw)

@@ -71,9 +71,12 @@ class NetTooLargeError(ValueError):
     """A net of more than cap members, about 10**log10_estimate of them."""
 
     def __init__(self, log10_estimate: float, cap: int):
-        exp = math.floor(log10_estimate)
-        super().__init__(f"net would need about {10 ** (log10_estimate - exp):.3g}e{exp} "
-                         f"members (cap {cap})")
+        if math.isinf(log10_estimate):  # past every float count
+            size = "more than 1e308"
+        else:
+            exp = math.floor(log10_estimate)
+            size = f"about {10 ** (log10_estimate - exp):.3g}e{exp}"
+        super().__init__(f"net would need {size} members (cap {cap})")
         self.log10_estimate = log10_estimate
         self.cap = cap
 
@@ -144,8 +147,8 @@ class HolderClass:
     beta: float
 
     def __post_init__(self):
-        if self.T <= 0 or self.C <= 0 or not (0 < self.beta <= 1):
-            raise ValueError("need T > 0, C > 0, beta in (0, 1]")
+        if not (0 < self.T < math.inf and 0 < self.C < math.inf and 0 < self.beta <= 1):
+            raise ValueError("need T and C finite and > 0, beta in (0, 1]")
 
     def random_member(self, rng: np.random.Generator) -> HolderMember:
         k = int(rng.integers(1, _MAX_CUSPS + 1))
@@ -167,7 +170,11 @@ class HolderClass:
     # -- net construction ----------------------------------------------------
 
     def net_grid_count(self, u: float) -> int:
-        """Cells m such that 2 C (1/(2m))^beta <= u/2; equals ceil(2C/u) at beta=1."""
+        """Cells m such that 2 C (1/(2m))^beta <= u/2; equals ceil(2C/u) at beta=1.
+        The net's bound anchors * steps^m is at least 3^m, so a 2m past 1e15,
+        found in log space before a small beta overflows m, raises NetTooLargeError."""
+        if (math.log10(4.0 * self.C) - math.log10(u)) / self.beta > 15.0:
+            raise NetTooLargeError(math.inf, _HOLDER_NET_CAP)
         return max(1, math.ceil(0.5 * (4.0 * self.C / u) ** (1.0 / self.beta)))
 
     def net_values(self, u: float) -> tuple[np.ndarray, np.ndarray]:

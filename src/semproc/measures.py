@@ -57,8 +57,8 @@ class NuModel:
         if self.kind not in ("uniform01", "standard-normal", "exponential"):
             raise ValueError(f"unknown model kind: {self.kind!r}")
         if self.kind == "exponential":
-            if len(self.params) != 1 or self.params[0] <= 0:
-                raise ValueError("exponential model needs a positive rate")
+            if len(self.params) != 1 or not 0 < self.params[0] < math.inf:
+                raise ValueError("exponential model needs a positive finite rate")
         elif self.params:
             raise ValueError(f"{self.kind} takes no parameters")
 

@@ -111,6 +111,13 @@ class TestRunExperiment:
         assert numeric_bytes(a) == numeric_bytes(b)
         assert a["pass"] is True
 
+    def test_witness_gaps_exact_past_float_precision(self):
+        # 1 - 2**-n rounds to 1.0 from n = 54; the exact gap 1 - 1/2**n does not
+        rep = run_experiment("bounds", {"members": 5, "n_list": [10], "witness_max_n": 80})
+        assert rep["pass"] is True
+        assert len(rep["results"]["witness"]) == 80
+        assert all(row["ok"] for row in rep["results"]["witness"])
+
     def test_ledger_entries_cite_tolerance(self):
         rep = run_experiment("bounds", {"members": 20, "seed": 1,
                                         "n_list": [10], "witness_max_n": 4})

@@ -148,6 +148,21 @@ class TestHolderNet:
         assert err.value.cap == 500_000
         assert err.value.log10_estimate > math.log10(err.value.cap)
 
+    @pytest.mark.parametrize("beta,u", [(0.001, 0.3), (5e-324, 0.3), (1.0, 5e-324)])
+    def test_grid_count_past_the_float_range(self, beta, u):
+        # (4 C / u) ** (1 / beta) overflows: the count is bounded in log space,
+        # and a net of 3^m or more members is too large for any cap
+        with pytest.raises(NetTooLargeError, match=r"more than 1e308 members \(cap 500000\)"):
+            HolderClass(1.0, 1.0, beta).net_values(u)
+        assert HolderClass(1.0, 1.0, 0.1).net_grid_count(0.3) == math.ceil(
+            0.5 * (4.0 / 0.3) ** 10.0)  # 2m near 1.8e11: still counted
+
+    @pytest.mark.parametrize("T,C", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                     (1.0, math.inf), (0.0, 1.0), (1.0, -1.0)])
+    def test_radius_and_constant_finite_and_positive(self, T, C):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            HolderClass(T, C, 1.0)
+
     def test_member_pl_value_at_breakpoint(self):
         net = HolderClass(1.0, 1.0, 1.0).build_net(0.8)
         m = net[len(net) // 2]

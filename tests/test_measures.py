@@ -174,6 +174,14 @@ class TestDrawSample:
         with pytest.raises(ValueError):
             parse_model("exponential(0)")
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_exponential_rate_positive_and_finite(self, rate):
+        # a nan or inf rate used to build a model whose moments and draws are nan
+        with pytest.raises(ValueError, match="needs a positive finite rate"):
+            NuModel("exponential", (rate,))
+        with pytest.raises(ValueError, match="needs a positive finite rate"):
+            parse_model(f"exponential({rate})")
+
 
 class TestModelMoments:
     @pytest.mark.parametrize("name", ["uniform01", "standard-normal", "exponential(2)"])
