@@ -444,11 +444,12 @@ def _run_selftest(cfg: dict) -> tuple:
     for trial in range(40):
         rng = np.random.default_rng(derive_seed(seed, ["selftest-dp", trial]))
         n = int(rng.integers(2, 10))
-        j = int(rng.integers(0, 2))
+        parity = ("odd", "even")[int(rng.integers(0, 2))]
+        j = int(rng.integers(1 if parity == "even" else 0, 3))  # B(2j) needs j >= 1
         sample = draw_sample("uniform01", n,
                              derive_seed(seed, ["selftest-dp-sample", trial]) % 2**63)
-        a = sup_deviation_exact_BW(j, "odd", sample)
-        b = sup_deviation_bruteforce(j, "odd", sample)
+        a = sup_deviation_exact_BW(j, parity, sample)
+        b = sup_deviation_bruteforce(j, parity, sample)
         if abs(a - b) > 1e-12:
             mismatches += 1
     sections["dp_oracle"] = {"trials": 40, "mismatches": mismatches}

@@ -368,12 +368,22 @@ def indicator(t: float) -> IntervalUnion:
     return IntervalUnion(((Fraction(0), Fraction(t)),))
 
 
-def indicator_net(mesh: float) -> list[IntervalUnion]:
-    """The indicators 1_(0, t] at t = mesh, 2 mesh, ... and 1: every
-    indicator is within mesh of one in lambda((h1-h2)^2) = |t1 - t2|."""
+def _line_net_count(mesh: float) -> int:
+    """ceil(1 / mesh), the size of an indicator or half-line net, within
+    _LINE_NET_CAP; a mesh of 0 or one whose 1 / mesh is past the float range
+    is too fine for any net."""
+    if mesh == 0 or not math.isfinite(1.0 / mesh):
+        raise NetTooLargeError(math.inf, _LINE_NET_CAP)
     count = math.ceil(1.0 / mesh)
     if count > _LINE_NET_CAP:
         raise NetTooLargeError(math.log10(count), _LINE_NET_CAP)
+    return count
+
+
+def indicator_net(mesh: float) -> list[IntervalUnion]:
+    """The indicators 1_(0, t] at t = mesh, 2 mesh, ... and 1: every
+    indicator is within mesh of one in lambda((h1-h2)^2) = |t1 - t2|."""
+    count = _line_net_count(mesh)
     return [indicator(min(1.0, (k + 1) * mesh)) for k in range(count)]
 
 
@@ -508,9 +518,7 @@ def half_line_net(mesh: float, model: NuModel) -> list[HalfLine]:
     """The half-lines at the F-quantiles mesh, 2 mesh, ... (capped just
     below 1), sorted, equal ones once: a half-line's nu(g) and nu(g^2) are
     both F(w), so neighbors are within mesh in d1_nu and in d2_nu^2."""
-    count = math.ceil(1.0 / mesh)
-    if count > _LINE_NET_CAP:
-        raise NetTooLargeError(math.log10(count), _LINE_NET_CAP)
+    count = _line_net_count(mesh)
     probs = [min((k + 1) * mesh, 1.0 - 1e-12) for k in range(count)]
     return [HalfLine(w) for w in sorted({float(model.ppf(p)) for p in probs})]
 

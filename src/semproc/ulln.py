@@ -8,16 +8,19 @@ The exact supremum statistic over B(2j+1) x half-lines works in two layers:
     family is convex in nu(W).  The supremum over all half-lines is therefore
     attained among the n+1 canonical cut positions evaluated at both
     one-sided limits (inclusive constant F(X_(k)) and right limit
-    F(X_(k+1)), with 1 at the top end).
+    F(X_(k+1)), with 1 at the top end).  A sum over S falls as nu(W)
+    grows, so the positive deviation peaks at the inclusive column and the
+    negative one at the right limit: one sign per column, 2n+1 signed
+    columns.
 
-  * Interval reduction.  For a fixed half-line column with per-atom terms
-    a_i, the supremum over B(2j+1) of |sum_{i/n in B} a_i| is a best-choice
+  * Interval reduction.  For a fixed signed column with per-atom terms
+    a_i, the supremum over B(2j+1) of sum_{i/n in B} a_i is a best-choice
     problem over unions of at most j grid runs plus an optional anchored
     prefix (the initial interval <0, t_0]), solved by a dynamic program
-    that sweeps the n rows once and updates all 2n+1 columns of both signs
-    at each row: O(n^2 j) time and O(n j) memory.  Ties are broken toward
-    fewer runs and leftmost placement by the max() scan order, which keeps
-    results deterministic.
+    that sweeps the n rows once and updates all 2n+1 signed columns of a
+    block of replicates of one n at each row: O(n^2 j) time per replicate
+    and O(block n j) memory, the block sized so that each state array stays
+    below 128 KiB.
 
 For j = 0 (the anchored-prefix-only family B(1)) a branch-and-bound sweep
 over blocks of sorted columns bounds each block in O(n), then evaluates
@@ -63,69 +66,96 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _canonical_columns(sample: Sample, model: NuModel):
-    """Sorted ranks plus the canonical (cut index, nu value) column pairs.
+    """Ranks plus the nu values of the signed canonical columns.
 
     ranks[i] is the rank of the i-th point among the sorted values.  Cut k
-    (the k smallest points) gives the inclusive column (k, F(X_(k))) for
-    k >= 1 and the right-limit column (k, F(X_(k+1))), with 1 at k = n, in
-    the order (0, F(X_(1))), (1, F(X_(1))), (1, F(X_(2))), ..., (n, 1)."""
+    (the k smallest points) has the inclusive column (k, F(X_(k))) for
+    k >= 1 and the right-limit column (k, F(X_(k+1))), with 1 at k = n.  A
+    selected sum of [rank <= k] - nu only falls as nu grows, so the plus sign
+    peaks at a cut's inclusive column and the minus sign at its right limit:
+    nus holds F(X_(1)), ..., F(X_(n)) for the plus columns k = 1..n, then
+    F(X_(1)), ..., F(X_(n)), 1 for the minus columns k = 0..n
+    (_signed_cuts)."""
     n = sample.n
     xs = sample.xs()
     order = np.argsort(xs, kind="stable")
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
     f_sorted = np.asarray(model.cdf(xs[order]), dtype=float)  # F(X_(k)), k=1..n
-    ks = np.repeat(np.arange(n + 1), 2)[1:]
-    nus = np.empty(2 * n + 1)
-    nus[0::2] = np.append(f_sorted, 1.0)
-    nus[1::2] = f_sorted
-    return ranks, ks, nus
+    return ranks, np.concatenate([f_sorted, f_sorted, [1.0]])
 
 
-def _max_runs_dp(ranks: np.ndarray, ks: np.ndarray, nus: np.ndarray, j: int,
-                 anchored: bool) -> float:
-    """n times the statistic: the max over the columns (ks, nus), each with
-    both signs, and over the selectable index sets of the selected-entry sum
-    of a_i = [ranks[i] <= k] - nu.
+def _signed_cuts(n: int) -> np.ndarray:
+    """The cut index of each signed column: 1..n (plus), then 0..n (minus)."""
+    return np.concatenate([np.arange(1, n + 1), np.arange(n + 1)])
+
+
+def _max_runs_dp(ranks: np.ndarray, nus: np.ndarray, j: int, anchored: bool) -> np.ndarray:
+    """n times the statistic of each of R samples of one size n: ranks is
+    (R, n) and nus (R, 2n + 1), from _canonical_columns.  For each sample,
+    the max over the signed columns and over the selectable index sets of
+    the selected-entry sum of a_i = +-([ranks[i] <= k] - nu).
 
     The family is <= j free runs, plus, when anchored, an optional prefix
     {1..p} alongside the j runs.  Empty selection (value 0) is always
     allowed, so the value is >= 0.  One sweep over the rows updates every
-    column of both signs at once: the state is (family, runs, 2K) with the K
-    columns, then their negatives, so the time is O(n K j) and the memory
-    O(K j).
+    column of every sample at once, with one sign per column: the opposite
+    sign at the same cut's other column is never larger, as a_i falls with
+    nu in float too (0.0 - nu and 1.0 - nu, then a negation) and every step
+    is a sum or a max.  The prefix is a run that may only start at the first
+    row, so one set of run states holds the sets with and without it: float
+    + is monotone, so the max of two states plus a_i rounds to the max of
+    the two sums.  The state is (runs, R, 2n + 1), so the time is O(R n^2 j)
+    and the memory O(R n j).
     """
-    K = len(ks)
-    families = 2 if anchored else 1
-    # family 0 takes free runs only, family 1 the prefix as well;
-    # closed[f, r]: best with <= r runs so far (family 1: after its prefix),
-    # opened[f, r - 1]: best with the r-th run ending at the current row
-    closed = np.zeros((families, j + 1, 2 * K))
-    closed[1:] = -np.inf
-    opened = np.full((families, j, 2 * K), -np.inf)
-    before, after = closed[:, :-1], closed[:, 1:]
-    pref = np.zeros(2 * K)
-    inside = np.empty(K, dtype=bool)
-    a = np.empty(2 * K)
-    plus, minus = a[:K], a[K:]
-    for rank in ranks:
+    R, n = ranks.shape
+    ks = _signed_cuts(n)
+    levels = j + int(anchored)
+    # closed[r + 1]: best so far with at most r + 1 runs, closed[0] the empty
+    # set's 0; opened[r]: best with the (r + 1)-th run ending at the current
+    # row.  When anchored, the prefix is the first run: opened[0] starts from
+    # 0.0 and, with closed[0] = -inf, can never start later.
+    closed = np.zeros((levels + 1, R, 2 * n + 1))
+    opened = np.full((levels, R, 2 * n + 1), -np.inf)
+    if anchored:
+        closed[0] = -np.inf
+        opened[0] = 0.0
+    before, after = closed[:-1], closed[1:]
+    inside = np.empty((R, 2 * n + 1), dtype=bool)
+    a = np.empty((R, 2 * n + 1))
+    minus = a[:, n:]
+    for rank in np.ascontiguousarray(ranks.T)[:, :, None]:
         np.less_equal(rank, ks, out=inside)
-        np.subtract(inside, nus, out=plus)
-        np.negative(plus, out=minus)
-        # a run opened at this row follows what closed[r - 1] held one row
-        # earlier, so the prefix enters closed[1, 0] only afterwards
+        np.subtract(inside, nus, out=a)
+        np.negative(minus, out=minus)
+        # a run opened at this row follows what closed held one row earlier
         np.maximum(opened, before, out=opened)
         np.add(a, opened, out=opened)
         np.maximum(after, opened, out=after)
-        if anchored:
-            np.add(pref, a, out=pref)
-            np.maximum(closed[1, 0], pref, out=closed[1, 0])
-    return float(closed[:, j].max())
+    return closed[-1].max(axis=1)
 
 
-def _exact_stat_generic(sample: Sample, model: NuModel, j: int, parity: str) -> float:
-    ranks, ks, nus = _canonical_columns(sample, model)
-    return _max_runs_dp(ranks, ks, nus, j, parity == "odd") / sample.n
+# Cells of the largest run-DP state array, closed, per block of replicates:
+# 128,000 bytes, below glibc's default 128 KiB mmap threshold, as with
+# function_classes._GAP_BLOCK_CELLS.
+_RUNS_BLOCK_CELLS = 16_000
+
+
+def _runs_block(n: int, j: int, parity: str) -> int:
+    """Replicates of size n swept at once: as many as keep _max_runs_dp's
+    closed, of (levels + 1, block, 2n + 1) cells, within _RUNS_BLOCK_CELLS,
+    and at least 1."""
+    levels = j + (1 if parity == "odd" else 0)
+    return max(1, _RUNS_BLOCK_CELLS // ((levels + 1) * (2 * n + 1)))
+
+
+def _exact_stats_runs(samples: list, model: NuModel, j: int, parity: str) -> np.ndarray:
+    """The j >= 1 exact statistic of each of some samples of one size n, in
+    one run-DP sweep."""
+    columns = [_canonical_columns(sample, model) for sample in samples]
+    ranks = np.stack([c[0] for c in columns])
+    nus = np.stack([c[1] for c in columns])
+    return _max_runs_dp(ranks, nus, j, parity == "odd") / samples[0].n
 
 
 # Sorted columns per block in the j = 0 branch and bound (16-28 measured
@@ -249,7 +279,7 @@ def sup_deviation_exact_BW(
     cls = BVectorClass(j, parity)  # validates (j, parity)
     if cls.parity == "odd" and j == 0:
         return _exact_stat_prefix_fast(sample, model)
-    return _exact_stat_generic(sample, model, j, parity)
+    return float(_exact_stats_runs([sample], model, j, parity)[0])
 
 
 def sup_deviation_bruteforce(
@@ -265,8 +295,8 @@ def sup_deviation_bruteforce(
         raise ValueError("brute force limited to n <= 16")
     if model is None:
         model = parse_model(sample.model)
-    ranks, ks, nus = _canonical_columns(sample, model)
-    A = (ranks[:, None] <= ks[None, :]).astype(float) - nus[None, :]
+    ranks, nus = _canonical_columns(sample, model)
+    A = (ranks[:, None] <= _signed_cuts(n)[None, :]).astype(float) - nus[None, :]
 
     all_masks = np.arange(1 << n, dtype=np.int64)
     bits = (all_masks[:, None] >> np.arange(n)[None, :]) & 1
@@ -534,20 +564,26 @@ def gc_experiment(config: GCExperiment) -> GCReport:
 
     Replicates are independent with per-replicate derived seeds; results are
     assembled in replicate order, so the report does not depend on how the
-    replicates are scheduled."""
+    replicates are scheduled.  For j >= 1 each block of _runs_block
+    replicates goes through one run-DP sweep."""
     model = parse_model(config.model)
     cls = BVectorClass(config.j, config.parity)
     report = GCReport(config=config)
 
-    def one(n: int, r: int) -> float:
-        seed = derive_seed(config.seed, ["gc", n, r])
-        sample = draw_sample(model, n, seed)
-        return sup_deviation_exact_BW(config.j, config.parity, sample, model)
+    def draw(n: int, r: int) -> Sample:
+        return draw_sample(model, n, derive_seed(config.seed, ["gc", n, r]))
 
     for n in config.n_schedule:
         vals = np.empty(config.replicates)
-        for r in range(config.replicates):
-            vals[r] = one(n, r)
+        if config.j == 0:  # B(1) takes no run DP
+            for r in range(config.replicates):
+                vals[r] = sup_deviation_exact_BW(0, "odd", draw(n, r), model)
+        else:
+            block = _runs_block(n, config.j, config.parity)
+            for lo in range(0, config.replicates, block):
+                rs = range(lo, min(lo + block, config.replicates))
+                vals[lo:rs.stop] = _exact_stats_runs([draw(n, r) for r in rs], model,
+                                                     config.j, config.parity)
         report.replicate_values[n] = vals.copy()
         if config.centering == "lambda":
             vals += cls.sup_lambda_gap(n)  # sup_W nu(W) <= 1 for half-lines

@@ -330,6 +330,10 @@ class TestCountsAndOrders:
          "fclt.h_class"),
         (["fclt", "--net-u", "0", "--set", 'h_class={"class":"indicators"}'], "fclt.net_u"),
         (["fclt", "--net-u", "-0.3", "--set", 'h_class={"class":"indicators"}'], "fclt.net_u"),
+        (["fclt", "--net-u", "1e-200", "--set", 'h_class={"class":"indicators"}'],
+         "fclt.net_u"),
+        (["fclt", "--net-u", "1e-160", "--set", 'h_class={"class":"indicators"}'],
+         "fclt.net_u"),
         (["fclt", "--net-u", "0", "--run-lindeberg", "false"], "fclt.net_u"),
         (["kiefer", "--set", "grid=0"], "kiefer.grid"),
         (["bounds", "--set", "n_list=[]"], "bounds.n_list"),
@@ -342,7 +346,8 @@ class TestCountsAndOrders:
             "fclt-alpha-empty", "fclt-modulus-replicates", "fclt-replicates", "kiefer-draws",
             "fclt-alpha-element", "ulln-schedule-element", "ulln-schedule-bool",
             "fclt-h-class-bvector", "fclt-h-class-halflines", "fclt-net-u-zero-indicators",
-            "fclt-net-u-negative-indicators", "fclt-net-u-zero-holder", "kiefer-grid",
+            "fclt-net-u-negative-indicators", "fclt-net-u-mesh-underflow-indicators",
+            "fclt-net-u-mesh-past-float-indicators", "fclt-net-u-zero-holder", "kiefer-grid",
             "bounds-n-list-empty", "bounds-members", "bounds-witness-max-n",
             "covering-n-list-empty", "covering-n-seeds", "covering-trials"])
     def test_bad_config_exit_2(self, capsys, argv, key):

@@ -209,6 +209,14 @@ class TestBVectorClasses:
         with pytest.raises(NetTooLargeError):
             indicator_net(1e-7)
 
+    @pytest.mark.parametrize("mesh", [0.0, 1e-320, 1e-200 * 1e-200])
+    def test_line_nets_too_fine_for_a_float_count(self, mesh):
+        # 1 / mesh is inf or a division by zero: too large, not a traceback
+        model = parse_model("uniform01")
+        for make in (indicator_net, lambda m: half_line_net(m, model)):
+            with pytest.raises(NetTooLargeError, match=r"more than 1e308 members"):
+                make(mesh)
+
 
 class TestGClass:
     def test_envelopes(self):

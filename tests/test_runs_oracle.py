@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from semproc.measures import NuModel, Sample, draw_sample, parse_model
 from semproc.seeds import derive_seed
 from semproc.ulln import sup_deviation_bruteforce, sup_deviation_exact_BW
+from semproc import ulln
+from semproc.ulln import GCExperiment, gc_experiment
 
 MODELS = ("uniform01", "standard-normal", "exponential(1)")
 SIZES = (1, 2, 17, 255, 256, 1000)
@@ -150,3 +152,71 @@ def test_matches_bruteforce_with_forced_ties(grid, cls):
     got = sup_deviation_exact_BW(j, parity, sample)
     assert got == chunked_runs_stat(sample, parse_model("uniform01"), j, parity)
     assert abs(got - sup_deviation_bruteforce(j, parity, sample)) <= 1e-12
+
+
+# gc_experiment sweeps a block of replicates of one n at once; each
+# replicate's statistic must have the bits sup_deviation_exact_BW gives its
+# sample alone.
+
+def _one_at_a_time(j, parity, name, n, replicates, seed):
+    model = parse_model(name)
+    return np.array([sup_deviation_exact_BW(j, parity,
+                                            draw_sample(model, n, derive_seed(seed, ["gc", n, r])))
+                     for r in range(replicates)])
+
+
+@pytest.mark.parametrize("j,parity", CLASSES)
+@pytest.mark.parametrize("name", MODELS)
+def test_batched_replicates_bit_equal_to_one_at_a_time(j, parity, name):
+    # 17 replicates: at n = 300 blocks of 5 to 13 and a short last block
+    sizes, replicates = (1, 2, 7, 300), 17
+    assert 1 < ulln._runs_block(300, j, parity) < replicates
+    assert replicates % ulln._runs_block(300, j, parity)
+    report = gc_experiment(GCExperiment(j=j, parity=parity, model=name, n_schedule=sizes,
+                                        replicates=replicates, seed=5))
+    for n in sizes:
+        want = _one_at_a_time(j, parity, name, n, replicates, 5)
+        assert report.replicate_values[n].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_batched_replicates_one_per_block(name):
+    assert ulln._runs_block(800, 3, "odd") == 1
+    report = gc_experiment(GCExperiment(j=3, parity="odd", model=name, n_schedule=(800,),
+                                        replicates=3, seed=6))
+    assert report.replicate_values[800].tobytes() == _one_at_a_time(3, "odd", name, 800,
+                                                                    3, 6).tobytes()
+
+
+class _RecordingNumpy:
+    """numpy, with the bytes of every array that zeros, full and empty make."""
+
+    def __init__(self):
+        self.nbytes = []
+
+    def __getattr__(self, attr):
+        make = getattr(np, attr)
+        if attr not in ("zeros", "full", "empty"):
+            return make
+
+        def recorded(*args, **kwargs):
+            out = make(*args, **kwargs)
+            self.nbytes.append(out.nbytes)
+            return out
+        return recorded
+
+
+@pytest.mark.parametrize("j,parity", CLASSES)
+def test_block_rule_keeps_each_state_array_below_128_kib(j, parity, monkeypatch):
+    for n in (1, 2, 7, 100, 1000, 10**4, 10**6):
+        assert ulln._runs_block(n, j, parity) >= 1
+    # the arrays one block's sweep makes, at sizes whose block holds 2 or more
+    for n in (7, 300, 1000 // j):
+        block = ulln._runs_block(n, j, parity)
+        assert block >= 2
+        recording = _RecordingNumpy()
+        monkeypatch.setattr(ulln, "np", recording)
+        ranks = np.tile(np.arange(1, n + 1), (block, 1))
+        ulln._max_runs_dp(ranks, np.full((block, 2 * n + 1), 0.5), j, parity == "odd")
+        monkeypatch.undo()
+        assert max(recording.nbytes) <= 128 * 1024
