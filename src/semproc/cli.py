@@ -46,6 +46,7 @@ from .fclt import (
     make_sx_q,
 )
 from .function_classes import (
+    INDICATORS,
     BoundedPolynomial,
     BVectorClass,
     HalfLine,
@@ -63,8 +64,8 @@ from .piecewise import PiecewiseLinear
 from .quadrature import QuadratureError
 from .seeds import derive_seed
 from .ulln import (
-    GCExperiment,
     gc_experiment,
+    gc_sample,
     gc_tail_bound,
     series_I_closed_form,
     series_I_quadrature,
@@ -135,41 +136,37 @@ def _ledger_entry(name: str, observed, bound, tolerance: str, ok: bool) -> dict:
 
 
 def _run_ulln(cfg: dict) -> tuple:
-    exp = GCExperiment(
-        j=cfg["j"], parity=cfg["parity"], model=cfg["model"],
-        n_schedule=tuple(cfg["n_schedule"]),
-        replicates=cfg["replicates"], seed=cfg["seed"], centering=cfg["centering"],
-    )
-    report = gc_experiment(exp)
+    cls, model = BVectorClass(cfg["j"], cfg["parity"]), parse_model(cfg["model"])
+    rows, values = gc_experiment(cls, model, cfg["n_schedule"], cfg["replicates"],
+                                 cfg["seed"], cfg["centering"])
     ledger = []
-    for row in report.rows:
+    for row in rows:
         ledger.append(_ledger_entry(
             f"lambda-centering correction <= class gap bound (n={row['n']})",
             row["sup_lambda_gap"], row["lambda_gap_bound"],
             "exact <=", row["sup_lambda_gap"] <= row["lambda_gap_bound"],
         ))
-    medians = [row["median"] for row in report.rows]
+    medians = [row["median"] for row in rows]
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     ledger.append(_ledger_entry(
         "median deviation strictly decreasing along n schedule",
         medians, None, "strict decrease", decreasing,
     ))
-    if cfg["net_u"] > 0 and cfg["j"] == 0 and cfg["parity"] == "odd":
+    if cfg["net_u"] > 0 and cls == INDICATORS:
         # net sandwich cross-check against the exact statistic, one sample per n
-        for n in exp.n_schedule:
+        for n in cfg["n_schedule"]:
             if cfg["net_u"] <= 3.0 / n:
                 continue
             # replicate 0 of gc_experiment: the same sample and its statistic
-            sample = draw_sample(cfg["model"], n, derive_seed(cfg["seed"], ["gc", n, 0]))
-            exact = float(report.replicate_values[n][0])
-            sw = sup_deviation_net(sample, cfg["net_u"])
+            exact = float(values[n][0])
+            sw = sup_deviation_net(gc_sample(model, n, cfg["seed"], 0), cfg["net_u"])
             ledger.append(_ledger_entry(
                 f"net sandwich contains exact statistic (n={n})",
                 {"lower": sw.lower, "exact": exact, "upper": sw.upper}, None,
                 "lower <= exact <= upper",
                 sw.lower <= exact + 1e-12 and exact <= sw.upper + 1e-12,
             ))
-    return report.rows, ledger
+    return rows, ledger
 
 
 def _kiefer_cells(grid: int) -> list:
@@ -332,7 +329,7 @@ def _run_bounds(cfg: dict) -> tuple:
 
     specs = [("holder-b0.5", HolderClass(1.0, 1.0, 0.5)),
              ("holder-b1", HolderClass(1.0, 1.0, 1.0)),
-             ("B1", BVectorClass(0, "odd")), ("B3", BVectorClass(1, "odd")),
+             ("B1", INDICATORS), ("B3", BVectorClass(1, "odd")),
              ("B5", BVectorClass(2, "odd")), ("B2", BVectorClass(1, "even")),
              ("B4", BVectorClass(2, "even"))]
     worst = {}

@@ -28,6 +28,7 @@ from .measures import NuModel, draw_sample, grid_points
 
 __all__ = [
     "greedy_net_indices",
+    "product_distances",
     "exact_covering_number",
     "check_covering_lemmas",
     "shatter_coefficient",
@@ -146,6 +147,13 @@ def _euclidean(points: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=2))
 
 
+def product_distances(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """The composite metric d1 + d2 on the product of two finite spaces:
+    member (a, b) has flat index a * len(d2) + b."""
+    k = d1.shape[0] * d2.shape[0]
+    return (d1[:, None, :, None] + d2[None, :, None, :]).reshape(k, k)
+
+
 @dataclass
 class LemmaCheckReport:
     trials: int
@@ -222,7 +230,7 @@ def check_covering_lemmas(trials: int, seed: int) -> LemmaCheckReport:
         p1 = rng.random((k1, 2))
         p2 = rng.random((k2, 2))
         d1, d2 = _euclidean(p1), _euclidean(p2)
-        dprod = (d1[:, None, :, None] + d2[None, :, None, :]).reshape(k1 * k2, k1 * k2)
+        dprod = product_distances(d1, d2)
         t = float(rng.random() * 0.8 + 0.1)
         u2 = float(rng.random() * 1.2 * (d1.max() + d2.max()) + 1e-6)
         n_prod = exact_covering_number(dprod, u2)
@@ -254,36 +262,18 @@ def check_covering_lemmas(trials: int, seed: int) -> LemmaCheckReport:
 # Shatter coefficients
 # ---------------------------------------------------------------------------
 
-def _runs_of_mask(mask: int) -> int:
-    # number of maximal blocks of consecutive ones
-    return bin(mask & ~(mask << 1)).count("1")
-
-
 def shatter_coefficient(cls: BVectorClass, points: Sequence[float]) -> int:
-    """Exact count of the distinct subsets of `points` cut out by the class.
-
-    The dichotomy rule on sorted points reduces to run counting: a subset is
-    achievable iff its number of consecutive runs is within the interval
-    budget, with the anchored initial interval granting one extra run exactly
-    when the smallest point is selected.  Half-lines and indicators cut
-    exactly the prefixes of the sorted points, the sets of B(1) =
-    BVectorClass(0, "odd").
+    """Exact count of the distinct subsets of `points` cut out by the class:
+    on distinct points only their order matters, so this is the number of
+    BVectorClass.cut_masks.  Half-lines and indicators cut exactly the
+    prefixes of the sorted points, the sets of B(1) = INDICATORS.
     """
-    pts = sorted(float(p) for p in points)
+    pts = [float(p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
-    k = len(pts)
-    if k > 20:
+    if len(pts) > 20:
         raise ValueError("instance too large: at most 20 points")
-
-    count = 0
-    for m in range(1 << k):
-        budget = cls.j
-        if cls.parity == "odd" and (m & 1):
-            budget += 1  # anchored initial interval, usable iff p_min selected
-        if _runs_of_mask(m) <= budget:
-            count += 1
-    return count
+    return len(cls.cut_masks(len(pts)))
 
 
 # ---------------------------------------------------------------------------

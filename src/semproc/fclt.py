@@ -26,9 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .covering import greedy_net_indices, product_distances
 from .function_classes import (
+    INDICATORS,
     BoundedPolynomial,
-    BVectorClass,
     HalfLine,
     HolderClass,
     HolderMember,
@@ -64,6 +65,7 @@ _DEGENERATE_TOL = 1e-12  # limiting variance below which Lindeberg is degenerate
 _CLAMP_REL = 1e-10       # eigenvalues in [-_CLAMP_REL * trace, 0) clamp to zero
 _N_COMBOS = 5            # random Cramer-Wold combinations in the fidi test
 _BLOCK_ROWS = 256        # replicate rows drawn and contracted at a time
+_TINY = 5e-324           # a greedy radius that stops only at distance 0
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +301,13 @@ def _h_pool(h_class, net_u: float, cap: int, seed: int):
     a deterministic subsample that keeps both spread (farthest-first sweep)
     and near pairs (each kept member's nearest net neighbor).  Returns the
     pool and its matrix of lambda((h1-h2)^2).  The indicators, B(1), take
-    the mesh net_u^2, so that neighbors are within net_u in d2_lambda."""
-    if h_class == BVectorClass(0, "odd"):
-        net = indicator_net(net_u * net_u)
+    the mesh net_u^2, so that neighbors are within net_u in d2_lambda.  A
+    net of more than 4 cap members is first thinned to 4 cap drawn at
+    random, before any member or distance is computed."""
+    rng = np.random.default_rng(derive_seed(seed, ["h-pool"]))
+    if h_class == INDICATORS:
+        net = indicator_net(net_u * net_u, 4 * cap, rng)
     elif isinstance(h_class, HolderClass):
-        rng = np.random.default_rng(derive_seed(seed, ["h-pool"]))
         net = h_class.net_sample(net_u, 4 * cap, rng)
     else:
         raise TypeError(type(h_class))
@@ -311,16 +315,11 @@ def _h_pool(h_class, net_u: float, cap: int, seed: int):
     if len(net) <= cap:
         return net, sq
     dist = np.sqrt(sq)
-    chosen = [0]
-    mind = dist[0].copy()
-    while len(chosen) < cap // 2:
-        far = int(np.argmax(mind))
-        if mind[far] <= 0:
-            break
-        chosen.append(far)
-        mind = np.minimum(mind, dist[far])
+    # farthest-first from member 0 until the spread phase holds cap // 2
+    # members (at least member 0) or every member is at distance 0 from it
+    chosen = greedy_net_indices(dist, _TINY)[:max(1, cap // 2)]
     pool_idx = set(chosen)
-    for i in list(chosen):
+    for i in chosen:
         d = dist[i].copy()
         d[list(pool_idx)] = np.inf
         pool_idx.add(int(np.argmin(d)))
@@ -346,11 +345,10 @@ def _member_pools(h_class, net_u: float, h_cap: int, g_cap: int,
 
 
 def _pairs_within(d_h: np.ndarray, d_g: np.ndarray, alpha: float):
-    """Member pairs within alpha in the composite metric d_h + d_g.  Member
-    (a, b) has flat index a * len(d_g) + b; returns the flat indices p < q of
-    each pair in row-major order and the pair distances."""
-    k = d_h.shape[0] * d_g.shape[0]
-    d = (d_h[:, None, :, None] + d_g[None, :, None, :]).reshape(k, k)
+    """Member pairs within alpha in the composite metric d_h + d_g
+    (covering.product_distances); returns the flat indices p < q of each
+    pair in row-major order and the pair distances."""
+    d = product_distances(d_h, d_g)
     p, q = np.nonzero(np.triu(d <= alpha, k=1))
     return p, q, d[p, q]
 

@@ -5,10 +5,13 @@ members g on the sample space.  A product class F = H * G = {h(s) g(x)} has
 G the half-lines, so it is named by its h class alone.
 
 Every h class exposes seeded random member generation and its closed-form
-Riemann gap bound.  The Holder balls build u-nets with a provable sup-norm
-coverage guarantee, which is how an infinite class becomes computable;
-indicator_net and half_line_net space the indicators and the half-lines at a
-mesh the caller picks.
+Riemann gap bound.  A set class BVectorClass also owns its grid-cut rule:
+cut_masks(k) lists the subsets of k ordered points it cuts out (at most j
+runs, one more through the anchored interval), which the shatter counts and
+the brute-force ULLN oracle read.  The Holder balls build u-nets with a
+provable sup-norm coverage guarantee, which is how an infinite class becomes
+computable; indicator_net and half_line_net space the indicators and the
+half-lines at a mesh the caller picks.
 
 Holder nets are built on a uniform grid: candidate value sequences are
 enumerated on a step/2 value lattice, each sequence is replaced by its largest
@@ -52,6 +55,7 @@ __all__ = [
     "HolderClass",
     "HolderMember",
     "BVectorClass",
+    "INDICATORS",
     "indicator",
     "indicator_net",
     "b_infinity_witness",
@@ -332,8 +336,29 @@ class BVectorClass:
             raise ValueError("need j >= 0 (odd) or j >= 1 (even)")
 
     @property
+    def anchored(self) -> bool:
+        """Whether the class has the anchored initial interval (0, t0]."""
+        return self.parity == "odd"
+
+    @property
     def n_breakpoints(self) -> int:
-        return 2 * self.j + 1 if self.parity == "odd" else 2 * self.j
+        return 2 * self.j + self.anchored
+
+    @property
+    def n_intervals(self) -> int:
+        """A member's intervals, the anchored one included: it holds at most
+        this many runs of consecutive grid points."""
+        return self.j + self.anchored
+
+    def cut_masks(self, k: int) -> np.ndarray:
+        """The subsets of k ordered points that the class cuts out, as
+        ascending int masks (bit i: the (i+1)-th smallest point).  A subset
+        is cut out iff it has at most j runs of consecutive points, or j + 1
+        when the class is anchored and the subset holds the first point: the
+        anchored interval can take only a run that starts there."""
+        m = np.arange(1 << k, dtype=np.int64)
+        runs = np.bitwise_count(m & ~(m << 1))  # bits that start a run
+        return m[runs <= self.j + (m & 1) * self.anchored]
 
     def member(self, breakpoints: Sequence[Union[float, Fraction]]) -> IntervalUnion:
         t = list(breakpoints)
@@ -341,7 +366,7 @@ class BVectorClass:
             raise ValueError(f"expected {self.n_breakpoints} breakpoints")
         if t != sorted(t):
             raise ValueError("breakpoints must be nondecreasing")
-        ends = [0] + t if self.parity == "odd" else t  # odd: (0, t0] is the anchored interval
+        ends = [0] + t if self.anchored else t  # (0, t0] is the anchored interval
         return IntervalUnion.from_pairs(zip(ends[::2], ends[1::2]))
 
     def random_member(self, rng: np.random.Generator) -> IntervalUnion:
@@ -349,16 +374,17 @@ class BVectorClass:
         return self.member(t.tolist())
 
     def riemann_gap_bound(self, n: int) -> float:
-        if self.parity == "odd":
-            return 2.0 * (2 * self.j + 1) / n
-        return 4.0 * self.j / n
+        return 2.0 * self.n_breakpoints / n
 
     def sup_lambda_gap(self, n: int) -> float:
         """Exact sup over the class of |lambda_n(B) - lambda(B)| (supremum
-        value; approached, not attained).  Tighter than the display bound."""
-        if self.parity == "odd":
-            return (self.j + 1) / n
-        return self.j / n
+        value; approached, not attained): 1/n per interval.  Tighter than the
+        display bound."""
+        return self.n_intervals / n
+
+
+# B(1), the indicators 1_(0, t]
+INDICATORS = BVectorClass(0, "odd")
 
 
 def indicator(t: float) -> IntervalUnion:
@@ -380,11 +406,17 @@ def _line_net_count(mesh: float) -> int:
     return count
 
 
-def indicator_net(mesh: float) -> list[IntervalUnion]:
+def indicator_net(mesh: float, size: Optional[int] = None,
+                  rng: Optional[np.random.Generator] = None) -> list[IntervalUnion]:
     """The indicators 1_(0, t] at t = mesh, 2 mesh, ... and 1: every
-    indicator is within mesh of one in lambda((h1-h2)^2) = |t1 - t2|."""
-    count = _line_net_count(mesh)
-    return [indicator(min(1.0, (k + 1) * mesh)) for k in range(count)]
+    indicator is within mesh of one in lambda((h1-h2)^2) = |t1 - t2|.  As
+    with HolderClass.net_sample, size members drawn by rng without
+    replacement, in net order, when the net has more than size; the draw
+    comes before any member is built."""
+    ks = range(_line_net_count(mesh))
+    if size is not None and len(ks) > size:
+        ks = np.sort(rng.choice(len(ks), size=size, replace=False)).tolist()
+    return [indicator(min(1.0, (k + 1) * mesh)) for k in ks]
 
 
 def b_infinity_witness(n: int) -> IntervalUnion:
@@ -470,6 +502,8 @@ class InitialInterval(_TwoValued):
                 return 0.0
             return float(model.cdf(lo)) - float(model.cdf(0.0))
         if isinstance(other, BoundedPolynomial):
+            if self.w < 0:  # [0, w] is empty
+                return 0.0
             return other.truncated_mean(model, self.w) - other.truncated_mean(model, 0.0)
         raise TypeError(type(other))
 
@@ -618,6 +652,6 @@ def parse_class_descriptor(desc: dict):
     if kind == "holder":
         return HolderClass(float(desc.get("T", 1.0)), float(desc.get("C", 1.0)),
                            float(desc.get("beta", 1.0)))
-    if kind == "indicators":  # 1_(0, t], the sets of B(1)
-        return BVectorClass(0, "odd")
+    if kind == "indicators":
+        return INDICATORS
     raise ValueError(f"unknown class kind {kind!r}")

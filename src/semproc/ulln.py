@@ -28,17 +28,21 @@ exactly only the (column, step) cells of blocks whose bound can beat the best
 value found, with the same float expressions as a full O(n^2) pass and so the
 same bits, in O(n) memory; this is what the desk-scale convergence
 experiments run on.
+
+The class is a BVectorClass throughout: the run DP takes its number of
+intervals and whether it is anchored, the brute-force oracle enumerates its
+cut_masks, and gc_experiment runs the replicated statistic for any class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .function_classes import BVectorClass, HalfLine, half_line_net, indicator_net
+from .function_classes import INDICATORS, BVectorClass, HalfLine, half_line_net, indicator_net
 from .measures import NuModel, Sample, draw_sample, parse_model
 from .quadrature import integrate
 from .seeds import derive_seed
@@ -55,9 +59,8 @@ __all__ = [
     "series_I_quadrature",
     "series_S_diagnostic",
     "SeriesSReport",
-    "GCExperiment",
+    "gc_sample",
     "gc_experiment",
-    "GCReport",
 ]
 
 
@@ -90,14 +93,14 @@ def _signed_cuts(n: int) -> np.ndarray:
     return np.concatenate([np.arange(1, n + 1), np.arange(n + 1)])
 
 
-def _max_runs_dp(ranks: np.ndarray, nus: np.ndarray, j: int, anchored: bool) -> np.ndarray:
+def _max_runs_dp(ranks: np.ndarray, nus: np.ndarray, cls: BVectorClass) -> np.ndarray:
     """n times the statistic of each of R samples of one size n: ranks is
     (R, n) and nus (R, 2n + 1), from _canonical_columns.  For each sample,
-    the max over the signed columns and over the selectable index sets of
-    the selected-entry sum of a_i = +-([ranks[i] <= k] - nu).
+    the max over the signed columns and over the index sets cls cuts out of
+    the grid of the selected-entry sum of a_i = +-([ranks[i] <= k] - nu).
 
-    The family is <= j free runs, plus, when anchored, an optional prefix
-    {1..p} alongside the j runs.  Empty selection (value 0) is always
+    The family is <= j free runs, plus, when cls is anchored, an optional
+    prefix {1..p} alongside the j runs.  Empty selection (value 0) is always
     allowed, so the value is >= 0.  One sweep over the rows updates every
     column of every sample at once, with one sign per column: the opposite
     sign at the same cut's other column is never larger, as a_i falls with
@@ -110,14 +113,14 @@ def _max_runs_dp(ranks: np.ndarray, nus: np.ndarray, j: int, anchored: bool) -> 
     """
     R, n = ranks.shape
     ks = _signed_cuts(n)
-    levels = j + int(anchored)
+    levels = cls.n_intervals
     # closed[r + 1]: best so far with at most r + 1 runs, closed[0] the empty
     # set's 0; opened[r]: best with the (r + 1)-th run ending at the current
     # row.  When anchored, the prefix is the first run: opened[0] starts from
     # 0.0 and, with closed[0] = -inf, can never start later.
     closed = np.zeros((levels + 1, R, 2 * n + 1))
     opened = np.full((levels, R, 2 * n + 1), -np.inf)
-    if anchored:
+    if cls.anchored:
         closed[0] = -np.inf
         opened[0] = 0.0
     before, after = closed[:-1], closed[1:]
@@ -141,21 +144,20 @@ def _max_runs_dp(ranks: np.ndarray, nus: np.ndarray, j: int, anchored: bool) -> 
 _RUNS_BLOCK_CELLS = 16_000
 
 
-def _runs_block(n: int, j: int, parity: str) -> int:
+def _runs_block(n: int, cls: BVectorClass) -> int:
     """Replicates of size n swept at once: as many as keep _max_runs_dp's
-    closed, of (levels + 1, block, 2n + 1) cells, within _RUNS_BLOCK_CELLS,
-    and at least 1."""
-    levels = j + (1 if parity == "odd" else 0)
-    return max(1, _RUNS_BLOCK_CELLS // ((levels + 1) * (2 * n + 1)))
+    closed, of (n_intervals + 1, block, 2n + 1) cells, within
+    _RUNS_BLOCK_CELLS, and at least 1."""
+    return max(1, _RUNS_BLOCK_CELLS // ((cls.n_intervals + 1) * (2 * n + 1)))
 
 
-def _exact_stats_runs(samples: list, model: NuModel, j: int, parity: str) -> np.ndarray:
-    """The j >= 1 exact statistic of each of some samples of one size n, in
-    one run-DP sweep."""
+def _exact_stats_runs(samples: list, model: NuModel, cls: BVectorClass) -> np.ndarray:
+    """The exact statistic of each of some samples of one size n, in one
+    run-DP sweep."""
     columns = [_canonical_columns(sample, model) for sample in samples]
     ranks = np.stack([c[0] for c in columns])
     nus = np.stack([c[1] for c in columns])
-    return _max_runs_dp(ranks, nus, j, parity == "odd") / samples[0].n
+    return _max_runs_dp(ranks, nus, cls) / samples[0].n
 
 
 # Sorted columns per block in the j = 0 branch and bound (16-28 measured
@@ -274,12 +276,12 @@ def sup_deviation_exact_BW(
 ) -> float:
     """Exact sup over B(2j+1) (parity 'odd') or B(2j) ('even') and all
     half-lines W of |P_n(B x W) - lambda_n(B) nu(W)|."""
+    cls = BVectorClass(j, parity)  # validates (j, parity)
     if model is None:
         model = parse_model(sample.model)
-    cls = BVectorClass(j, parity)  # validates (j, parity)
-    if cls.parity == "odd" and j == 0:
+    if cls == INDICATORS:
         return _exact_stat_prefix_fast(sample, model)
-    return float(_exact_stats_runs([sample], model, j, parity)[0])
+    return float(_exact_stats_runs([sample], model, cls)[0])
 
 
 def sup_deviation_bruteforce(
@@ -288,8 +290,10 @@ def sup_deviation_bruteforce(
     sample: Sample,
     model: Optional[NuModel] = None,
 ) -> float:
-    """Independent oracle: exhaustive enumeration over all achievable grid
-    index sets and canonical half-line columns.  n <= 16."""
+    """Independent oracle: exhaustive enumeration over the grid index sets
+    the class cuts out (BVectorClass.cut_masks) and the canonical half-line
+    columns.  n <= 16."""
+    cls = BVectorClass(j, parity)  # validates (j, parity)
     n = sample.n
     if n > 16:
         raise ValueError("brute force limited to n <= 16")
@@ -297,17 +301,8 @@ def sup_deviation_bruteforce(
         model = parse_model(sample.model)
     ranks, nus = _canonical_columns(sample, model)
     A = (ranks[:, None] <= _signed_cuts(n)[None, :]).astype(float) - nus[None, :]
-
-    all_masks = np.arange(1 << n, dtype=np.int64)
-    bits = (all_masks[:, None] >> np.arange(n)[None, :]) & 1
-    run_starts = bits.copy()
-    run_starts[:, 1:] &= 1 - bits[:, :-1]
-    runs = run_starts.sum(axis=1)
-    budget = np.full(len(all_masks), j)
-    if parity == "odd":
-        budget = budget + bits[:, 0]
-    keep = runs <= budget
-    sums = bits[keep].astype(float) @ A
+    bits = (cls.cut_masks(n)[:, None] >> np.arange(n)[None, :]) & 1
+    sums = bits.astype(float) @ A
     return float(np.max(np.abs(sums))) / n
 
 
@@ -532,62 +527,42 @@ def series_S_diagnostic(D: int, c: float, N: int = 400) -> SeriesSReport:
 # GC experiment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GCExperiment:
-    j: int = 0
-    parity: str = "odd"
-    model: str = "uniform01"
-    n_schedule: tuple[int, ...] = (100, 1000, 10000)
-    replicates: int = 200
-    seed: int = 0
-    centering: str = "lambda_n"
-
-    def __post_init__(self):
-        if self.centering not in ("lambda_n", "lambda"):
-            raise ValueError(f"centering must be lambda_n or lambda, got {self.centering!r}")
+def gc_sample(model, n: int, seed: int, r: int) -> Sample:
+    """Replicate r of size n of gc_experiment under the root seed, drawn
+    from model (a NuModel or its name) under the derived seed ["gc", n, r]."""
+    return draw_sample(model, n, derive_seed(seed, ["gc", n, r]))
 
 
-@dataclass
-class GCReport:
-    config: GCExperiment
-    rows: list = field(default_factory=list)
-    # n -> the replicate statistics before any lambda-centering correction;
-    # kept for callers that reuse a replicate, not part of the rows
-    replicate_values: dict = field(default_factory=dict, repr=False)
+def gc_experiment(cls: BVectorClass, model: NuModel, n_schedule: Sequence[int],
+                  replicates: int, seed: int, centering: str = "lambda_n") -> tuple:
+    """Replicated exact deviations over cls x half-lines per n, plus the
+    deterministic correction term when the centering is "lambda" rather than
+    "lambda_n" (triangle split: the lambda-centered sup is bounded by the
+    exact statistic plus sup_B |lambda_n(B) - lambda(B)| times sup_W nu(W)
+    <= the class gap).  Returns the rows, one per n, and {n: the replicate
+    statistics before that correction}.
 
-
-def gc_experiment(config: GCExperiment) -> GCReport:
-    """Replicated exact deviations per n, plus the deterministic correction
-    term when the centering is lambda rather than lambda_n (triangle split:
-    the lambda-centered sup is bounded by the exact statistic plus
-    sup_B |lambda_n(B) - lambda(B)| times sup_W nu(W) <= the class gap).
-
-    Replicates are independent with per-replicate derived seeds; results are
-    assembled in replicate order, so the report does not depend on how the
-    replicates are scheduled.  For j >= 1 each block of _runs_block
-    replicates goes through one run-DP sweep."""
-    model = parse_model(config.model)
-    cls = BVectorClass(config.j, config.parity)
-    report = GCReport(config=config)
-
-    def draw(n: int, r: int) -> Sample:
-        return draw_sample(model, n, derive_seed(config.seed, ["gc", n, r]))
-
-    for n in config.n_schedule:
-        vals = np.empty(config.replicates)
-        if config.j == 0:  # B(1) takes no run DP
-            for r in range(config.replicates):
-                vals[r] = sup_deviation_exact_BW(0, "odd", draw(n, r), model)
+    Replicates are independent samples (gc_sample); results are assembled in
+    replicate order, so they do not depend on how the replicates are
+    scheduled.  The indicators take the exact statistic one replicate at a
+    time; any other class sweeps each block of _runs_block replicates
+    through one run DP."""
+    rows, values = [], {}
+    for n in n_schedule:
+        vals = np.empty(replicates)
+        if cls == INDICATORS:
+            for r in range(replicates):
+                vals[r] = sup_deviation_exact_BW(0, "odd", gc_sample(model, n, seed, r), model)
         else:
-            block = _runs_block(n, config.j, config.parity)
-            for lo in range(0, config.replicates, block):
-                rs = range(lo, min(lo + block, config.replicates))
-                vals[lo:rs.stop] = _exact_stats_runs([draw(n, r) for r in rs], model,
-                                                     config.j, config.parity)
-        report.replicate_values[n] = vals.copy()
-        if config.centering == "lambda":
-            vals += cls.sup_lambda_gap(n)  # sup_W nu(W) <= 1 for half-lines
-        report.rows.append(
+            block = _runs_block(n, cls)
+            for lo in range(0, replicates, block):
+                rs = range(lo, min(lo + block, replicates))
+                vals[lo:rs.stop] = _exact_stats_runs([gc_sample(model, n, seed, r) for r in rs],
+                                                     model, cls)
+        values[n] = vals
+        if centering == "lambda":
+            vals = vals + cls.sup_lambda_gap(n)  # sup_W nu(W) <= 1 for half-lines
+        rows.append(
             {
                 "n": n,
                 "mean": float(vals.mean()),
@@ -598,4 +573,4 @@ def gc_experiment(config: GCExperiment) -> GCReport:
                 "sup_lambda_gap": cls.sup_lambda_gap(n),
             }
         )
-    return report
+    return rows, values

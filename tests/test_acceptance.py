@@ -31,7 +31,6 @@ from semproc.function_classes import (
 )
 from semproc.measures import draw_sample, parse_model
 from semproc.ulln import (
-    GCExperiment,
     gc_experiment,
     series_I_closed_form,
     series_I_quadrature,
@@ -113,11 +112,9 @@ def test_criterion_03_dp_vs_bruteforce():
 
 def test_criterion_04_ulln_desk_scale_convergence():
     start = time.monotonic()
-    rep = gc_experiment(GCExperiment(
-        j=0, parity="odd", model="uniform01",
-        n_schedule=(100, 1000, 10000), replicates=200, seed=404,
-    ))
-    means = [r["mean"] for r in rep.rows]
+    rows, _ = gc_experiment(BVectorClass(0, "odd"), parse_model("uniform01"),
+                            (100, 1000, 10000), 200, 404)
+    means = [r["mean"] for r in rows]
     ok = means[2] <= 0.02 and means[0] >= 2 * means[1] and means[1] >= 2 * means[2]
     elapsed = time.monotonic() - start
     _report(4, ok,

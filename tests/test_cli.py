@@ -400,8 +400,9 @@ def _run_capped(args: list) -> subprocess.CompletedProcess:
 
 class TestRunawayValues:
     """Values that died with a traceback (n = 0 divides by zero or gives nan
-    rows) or never returned (the greedy net sweep on nan distances or a
-    radius u <= 0): each is a config error naming its key."""
+    rows, a fine indicator net asks for its full distance matrix) or never
+    returned (the greedy net sweep on nan distances or a radius u <= 0): each
+    is a config error naming its key, or a valid value that now runs."""
 
     @pytest.mark.parametrize("argv,key", [
         (["bounds", "--set", "n_list=[0,10]"], "bounds.n_list"),
@@ -422,6 +423,16 @@ class TestRunawayValues:
         assert out.returncode == 2, out.stderr
         assert out.stderr.startswith("config error: config key fclt.net_u must be")
         assert len(out.stderr) < 300
+
+    def test_fine_indicator_net_u_runs_without_a_traceback(self):
+        # 1e6 indicators at net_u = 1e-3: the pool thins the net before its
+        # distance matrix (7.28 TiB in full) is built
+        out = _run_capped(["-m", "semproc.cli", "fclt", "--set",
+                           'h_class={"class": "indicators"}', "--net-u", "1e-3",
+                           "--replicates", "200", "--modulus-replicates", "5",
+                           "--run-lindeberg", "false"])
+        assert out.returncode in (0, 1), out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_greedy_net_rejects_what_never_ends_its_sweep(self):
         code = textwrap.dedent("""

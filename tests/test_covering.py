@@ -160,6 +160,22 @@ class TestShatter:
                         seen.add(mask)
             assert shatter_coefficient(cls, pts) == len(seen)
 
+    @pytest.mark.parametrize("j,parity", [(j, p) for j in range(4) for p in ("odd", "even")
+                                          if (j, p) != (0, "even")])
+    def test_closed_form(self, j, parity):
+        # a subset of r runs among k points is a choice of 2r of the k + 1
+        # gaps; B(2j) takes r <= j, and B(2j+1) also the sets of j + 1 runs
+        # that hold the first point: 2j + 1 of the k gaps after it
+        cls = BVectorClass(j, parity)
+        for k in range(21):
+            want = sum(math.comb(k + 1, 2 * r) for r in range(j + 1))
+            if parity == "odd":
+                want += math.comb(k, 2 * j + 1)
+            assert shatter_coefficient(cls, [i / 20 for i in range(k)]) == want
+
+    def test_b5_at_twenty_points(self):
+        assert shatter_coefficient(BVectorClass(2, "odd"), np.linspace(0.0, 1.0, 20)) == 21_700
+
     def test_instance_too_large(self):
         with pytest.raises(ValueError):
             shatter_coefficient(BVectorClass(0, "odd"), list(np.linspace(0.01, 0.99, 21)))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semproc import fclt
 from semproc.fclt import (
     NotPSDError,
     cov_kernel,
@@ -24,6 +25,7 @@ from semproc.fclt import (
     replicate_Z_values,
 )
 from semproc.function_classes import (
+    INDICATORS,
     BoundedPolynomial,
     BVectorClass,
     HalfLine,
@@ -163,6 +165,21 @@ class TestCovKernel:
         q1 = kiefer_cell(0.5, 0.5)
         q2 = (_linear_h(), BoundedPolynomial((1.0,)))
         assert cov_kernel(q1, q2, UNIFORM) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model_name", ["uniform01", "standard-normal", "exponential(2)"])
+    @pytest.mark.parametrize("coeffs", [(1.0,), (0.2, -0.5, 0.25)])
+    def test_empty_initial_interval_times_polynomial(self, model_name, coeffs):
+        # [0, w] is empty for w < 0, so g1 g2 is identically 0: nu(g1 g2) and
+        # the kernel are 0, in both call orders, as the quadrature oracle finds
+        model = parse_model(model_name)
+        g1, g2 = InitialInterval(-0.5), BoundedPolynomial(coeffs)
+        assert g1.pair_mean(g2, model) == 0.0
+        assert g2.pair_mean(g1, model) == 0.0
+        assert expect(model, lambda xs: g1(xs) * g2(xs), points=(-0.5, 0.0)) == 0.0
+        for q1, q2 in [((indicator(0.5), g1), (_linear_h(), g2)),
+                       ((_linear_h(), g2), (indicator(0.5), g1))]:
+            assert cov_kernel(q1, q2, model) == 0.0
+            assert abs(cov_kernel_quadrature(q1, q2, model)) <= 1e-12
 
     def test_product_vs_generic_random_pairs(self):
         rng = np.random.default_rng(10)
@@ -381,6 +398,14 @@ class TestModulus:
         total_pairs = rep.rows[-1]["pairs"]
         kh, kg = rep.h_pool, rep.g_pool
         assert total_pairs == (kh * kg) * (kh * kg - 1) // 2
+
+    def test_fine_indicator_net_is_thinned_before_it_is_built(self):
+        # net_u = 1e-3 spaces 1e6 indicators: the pool draws 4 cap of them
+        # before building any, as for a Holder net
+        pool, sq = fclt._h_pool(INDICATORS, 1e-3, 60, 1)
+        ts = np.array([float(h.lebesgue()) for h in pool])
+        assert len(pool) == 60 and np.all(np.diff(ts) > 0)
+        assert sq.tobytes() == np.abs(np.subtract.outer(ts, ts)).tobytes()
 
     def test_indicator_family_pool(self):
         rep = equicontinuity_modulus(BVectorClass(0, "odd"), 200, (0.2, 0.6), 0.35, 10, 3,

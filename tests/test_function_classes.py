@@ -196,6 +196,21 @@ class TestBVectorClasses:
         assert eval_member(m, 0.3) == 0.0
         assert eval_member(m, 0.2) == 1.0  # right-closed
 
+    @pytest.mark.parametrize("j,parity", [(0, "odd"), (1, "odd"), (1, "even"), (2, "odd"),
+                                          (2, "even"), (3, "odd")])
+    def test_cut_masks_against_run_strings(self, j, parity):
+        # the runs of a mask are the nonempty pieces of its bit string split
+        # at 0; the anchored interval takes a run that holds point 0
+        cls = BVectorClass(j, parity)
+        for k in range(11):
+            want = []
+            for m in range(1 << k):
+                bits = format(m, f"0{k}b")[::-1] if k else ""
+                runs = len([r for r in bits.split("0") if r])
+                if runs - (cls.anchored and bits.startswith("1")) <= j:
+                    want.append(m)
+            assert cls.cut_masks(k).tolist() == want
+
     def test_indicator_is_the_b1_member(self):
         for t in (0.25, 0.3, 1.0):
             assert indicator(t) == BVectorClass(0, "odd").member([t])

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semproc.function_classes import BVectorClass
 from semproc.measures import NuModel, Sample, draw_sample, parse_model
 from semproc.seeds import derive_seed
 from semproc.ulln import sup_deviation_bruteforce, sup_deviation_exact_BW
 from semproc import ulln
-from semproc.ulln import GCExperiment, gc_experiment
+from semproc.ulln import gc_experiment
 
 MODELS = ("uniform01", "standard-normal", "exponential(1)")
 SIZES = (1, 2, 17, 255, 256, 1000)
@@ -170,22 +171,21 @@ def _one_at_a_time(j, parity, name, n, replicates, seed):
 def test_batched_replicates_bit_equal_to_one_at_a_time(j, parity, name):
     # 17 replicates: at n = 300 blocks of 5 to 13 and a short last block
     sizes, replicates = (1, 2, 7, 300), 17
-    assert 1 < ulln._runs_block(300, j, parity) < replicates
-    assert replicates % ulln._runs_block(300, j, parity)
-    report = gc_experiment(GCExperiment(j=j, parity=parity, model=name, n_schedule=sizes,
-                                        replicates=replicates, seed=5))
+    cls = BVectorClass(j, parity)
+    assert 1 < ulln._runs_block(300, cls) < replicates
+    assert replicates % ulln._runs_block(300, cls)
+    _, values = gc_experiment(cls, parse_model(name), sizes, replicates, 5)
     for n in sizes:
         want = _one_at_a_time(j, parity, name, n, replicates, 5)
-        assert report.replicate_values[n].tobytes() == want.tobytes()
+        assert values[n].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", MODELS)
 def test_batched_replicates_one_per_block(name):
-    assert ulln._runs_block(800, 3, "odd") == 1
-    report = gc_experiment(GCExperiment(j=3, parity="odd", model=name, n_schedule=(800,),
-                                        replicates=3, seed=6))
-    assert report.replicate_values[800].tobytes() == _one_at_a_time(3, "odd", name, 800,
-                                                                    3, 6).tobytes()
+    cls = BVectorClass(3, "odd")
+    assert ulln._runs_block(800, cls) == 1
+    _, values = gc_experiment(cls, parse_model(name), (800,), 3, 6)
+    assert values[800].tobytes() == _one_at_a_time(3, "odd", name, 800, 3, 6).tobytes()
 
 
 class _RecordingNumpy:
@@ -208,15 +208,16 @@ class _RecordingNumpy:
 
 @pytest.mark.parametrize("j,parity", CLASSES)
 def test_block_rule_keeps_each_state_array_below_128_kib(j, parity, monkeypatch):
+    cls = BVectorClass(j, parity)
     for n in (1, 2, 7, 100, 1000, 10**4, 10**6):
-        assert ulln._runs_block(n, j, parity) >= 1
+        assert ulln._runs_block(n, cls) >= 1
     # the arrays one block's sweep makes, at sizes whose block holds 2 or more
     for n in (7, 300, 1000 // j):
-        block = ulln._runs_block(n, j, parity)
+        block = ulln._runs_block(n, cls)
         assert block >= 2
         recording = _RecordingNumpy()
         monkeypatch.setattr(ulln, "np", recording)
         ranks = np.tile(np.arange(1, n + 1), (block, 1))
-        ulln._max_runs_dp(ranks, np.full((block, 2 * n + 1), 0.5), j, parity == "odd")
+        ulln._max_runs_dp(ranks, np.full((block, 2 * n + 1), 0.5), cls)
         monkeypatch.undo()
         assert max(recording.nbytes) <= 128 * 1024

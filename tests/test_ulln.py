@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semproc.function_classes import BVectorClass
+from semproc.function_classes import INDICATORS
 from semproc.measures import Sample, draw_sample, parse_model
 from semproc.ulln import (
-    GCExperiment,
     gc_experiment,
+    gc_sample,
     gc_tail_bound,
     series_I_closed_form,
     series_I_quadrature,
@@ -21,11 +21,20 @@ from semproc.ulln import (
     sup_deviation_net,
 )
 
+UNIFORM = parse_model("uniform01")
+
 
 class TestExactStatistic:
     def test_single_point_half(self):
         s = Sample(1, (0.5,), 0, "uniform01")
         assert sup_deviation_exact_BW(0, "odd", s) == pytest.approx(0.5, abs=1e-15)
+
+    def test_b0_is_rejected_by_both(self):
+        # B(0) is no class: j = 0 needs the anchored interval
+        s = draw_sample("uniform01", 5, 1)
+        for stat in (sup_deviation_exact_BW, sup_deviation_bruteforce):
+            with pytest.raises(ValueError):
+                stat(0, "even", s)
 
     def test_dp_matches_bruteforce(self):
         rng = np.random.default_rng(1234)
@@ -222,20 +231,23 @@ class TestSeriesS:
 
 class TestGCExperiment:
     def test_medians_decrease(self):
-        rep = gc_experiment(GCExperiment(n_schedule=(50, 400), replicates=40, seed=3))
-        meds = [r["median"] for r in rep.rows]
+        rows, _ = gc_experiment(INDICATORS, UNIFORM, (50, 400), 40, 3)
+        meds = [r["median"] for r in rows]
         assert meds[1] < meds[0]
 
     def test_lambda_centering_adds_exact_correction(self):
-        cfg_n = GCExperiment(n_schedule=(60,), replicates=10, seed=5)
-        cfg_l = GCExperiment(n_schedule=(60,), replicates=10, seed=5, centering="lambda")
-        a = gc_experiment(cfg_n).rows[0]
-        b = gc_experiment(cfg_l).rows[0]
-        gap = BVectorClass(0, "odd").sup_lambda_gap(60)
+        (a,), values = gc_experiment(INDICATORS, UNIFORM, (60,), 10, 5)
+        (b,), _ = gc_experiment(INDICATORS, UNIFORM, (60,), 10, 5, centering="lambda")
+        gap = INDICATORS.sup_lambda_gap(60)
         assert b["mean"] == pytest.approx(a["mean"] + gap, abs=1e-14)
         assert gap <= a["lambda_gap_bound"]
+        assert a["mean"] == float(values[60].mean())  # the values are uncorrected
+
+    def test_replicates_are_gc_samples(self):
+        _, values = gc_experiment(INDICATORS, UNIFORM, (30,), 3, 9)
+        for r in range(3):
+            assert values[30][r] == sup_deviation_exact_BW(0, "odd", gc_sample(UNIFORM, 30, 9, r))
 
     def test_degenerate_model_rejected(self):
         with pytest.raises(ValueError):
-            gc_experiment(GCExperiment(model="exponential(0)", n_schedule=(10,),
-                                       replicates=2, seed=1))
+            gc_sample("exponential(0)", 10, 1, 0)
