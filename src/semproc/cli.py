@@ -6,7 +6,8 @@ default (a key's type is its default's type) beside the value rules it must
 pass, its runner, which returns the results and the ledger of named checks,
 and its plot-data series.  parse_config is the one place that enforces a
 key's rules; a runner checks only what needs work first (a Holder net's
-size, a q file's contents).  run_experiment derives a report's "pass" from
+size, a q file's contents) or reads two keys at once (ulln.net_u against the
+class).  run_experiment derives a report's "pass" from
 the ledger.  selftest runs the five other experiments at small configs
 through the same registry.
 
@@ -51,7 +52,6 @@ from .function_classes import (
     BVectorClass,
     HalfLine,
     HolderClass,
-    HolderMember,
     InitialInterval,
     NetTooLargeError,
     b_infinity_witness,
@@ -137,6 +137,10 @@ def _ledger_entry(name: str, observed, bound, tolerance: str, ok: bool) -> dict:
 
 def _run_ulln(cfg: dict) -> tuple:
     cls, model = BVectorClass(cfg["j"], cfg["parity"]), parse_model(cfg["model"])
+    if cfg["net_u"] > 0 and cls != INDICATORS:
+        raise ConfigError(f"config key ulln.net_u must be 0 unless j is 0 and parity odd "
+                          f"(the net sandwich covers B(1) x half-lines only), "
+                          f"got {cfg['net_u']!r}")
     rows, values = gc_experiment(cls, model, cfg["n_schedule"], cfg["replicates"],
                                  cfg["seed"], cfg["centering"])
     ledger = []
@@ -152,19 +156,19 @@ def _run_ulln(cfg: dict) -> tuple:
         "median deviation strictly decreasing along n schedule",
         medians, None, "strict decrease", decreasing,
     ))
-    if cfg["net_u"] > 0 and cls == INDICATORS:
+    if cfg["net_u"] > 0:
         # net sandwich cross-check against the exact statistic, one sample per n
         for n in cfg["n_schedule"]:
             if cfg["net_u"] <= 3.0 / n:
                 continue
             # replicate 0 of gc_experiment: the same sample and its statistic
             exact = float(values[n][0])
-            sw = sup_deviation_net(gc_sample(model, n, cfg["seed"], 0), cfg["net_u"])
+            lower, upper = sup_deviation_net(gc_sample(model, n, cfg["seed"], 0), cfg["net_u"])
             ledger.append(_ledger_entry(
                 f"net sandwich contains exact statistic (n={n})",
-                {"lower": sw.lower, "exact": exact, "upper": sw.upper}, None,
+                {"lower": lower, "exact": exact, "upper": upper}, None,
                 "lower <= exact <= upper",
-                sw.lower <= exact + 1e-12 and exact <= sw.upper + 1e-12,
+                lower <= exact + 1e-12 and exact <= upper + 1e-12,
             ))
     return rows, ledger
 
@@ -181,6 +185,9 @@ def _holder_product_qs(model) -> list:
 
 
 def _load_q_file(path: str) -> list:
+    """The (h, g) pairs of a q file: a JSON list of {"h": ..., "g": ...},
+    each part a {"type": ...} object that holds no key but the ones its type
+    reads (the table types below)."""
     with open(path) as fh:
         # NaN and Infinity stay strings, which number() rejects with the entry and key
         entries = json.load(fh, parse_constant=str)
@@ -198,33 +205,37 @@ def _load_q_file(path: str) -> list:
             number(raw, key)
         return tuple(raws)
 
+    def only(spec: dict, keys, prefix: str = "") -> None:
+        for key in spec:
+            if key not in keys:
+                raise ConfigError(f"q file entry {i} has unknown key {prefix + key!r}")
+
+    # per part and type: the keys the type reads beside "type", and its member
+    types = {
+        "h": {"indicator": (("t",), lambda s: indicator(number(s["t"], "t"))),
+              "holder-pl": (("knots", "values"), lambda s: PiecewiseLinear(
+                  numbers(s["knots"], "knots"), numbers(s["values"], "values")))},
+        "g": {"half-line": (("w",), lambda s: HalfLine(number(s["w"], "w"))),
+              "initial-interval": (("w",), lambda s: InitialInterval(number(s["w"], "w"))),
+              "poly": (("coeffs",), lambda s: BoundedPolynomial(
+                  tuple(number(c, "coeffs") for c in s["coeffs"])))},
+    }
     out = []
     try:
         for i, e in enumerate(entries):
             if not (isinstance(e, dict)
                     and all(isinstance(e.get(k, {}), dict) for k in ("h", "g"))):
                 raise ConfigError(f"q file entry {i} and its 'h' and 'g' must be JSON objects")
-            h_spec, g_spec = e["h"], e["g"]
-            if h_spec["type"] == "indicator":
-                h = indicator(number(h_spec["t"], "t"))
-            elif h_spec["type"] == "holder-pl":
-                h = HolderMember(
-                    number(h_spec.get("T", 1.0), "T"), number(h_spec.get("C", 1.0), "C"),
-                    number(h_spec.get("beta", 1.0), "beta"),
-                    pl=PiecewiseLinear(numbers(h_spec["knots"], "knots"),
-                                       numbers(h_spec["values"], "values")),
-                )
-            else:
-                raise ConfigError(f"unknown h type {h_spec['type']!r}")
-            if g_spec["type"] == "half-line":
-                g = HalfLine(number(g_spec["w"], "w"))
-            elif g_spec["type"] == "initial-interval":
-                g = InitialInterval(number(g_spec["w"], "w"))
-            elif g_spec["type"] == "poly":
-                g = BoundedPolynomial(tuple(number(c, "coeffs") for c in g_spec["coeffs"]))
-            else:
-                raise ConfigError(f"unknown g type {g_spec['type']!r}")
-            out.append((h, g))
+            only(e, ("h", "g"))
+            pair = []
+            for part in ("h", "g"):
+                spec = e[part]
+                if spec["type"] not in types[part]:
+                    raise ConfigError(f"unknown {part} type {spec['type']!r}")
+                keys, member = types[part][spec["type"]]
+                only(spec, ("type",) + keys, f"{part}.")
+                pair.append(member(spec))
+            out.append(tuple(pair))
     except KeyError as exc:
         raise ConfigError(f"q file entry {i} has no key {exc.args[0]!r}") from None
     except TypeError as exc:  # a value of the wrong JSON type
@@ -253,24 +264,13 @@ def _run_fclt(cfg: dict) -> tuple:
             raise ConfigError(f"config key fclt.net_u must be large enough for the "
                               f"modulus nets, got {cfg['net_u']!r}: the {exc}") from None
     fidi = fidi_convergence_test(q_list, cfg["n"], cfg["replicates"], cfg["seed"], model)
-    results: dict[str, Any] = {
-        "fidi": {
-            "n": fidi.n,
-            "replicates": fidi.replicates,
-            "analytic_cov": fidi.analytic_cov.tolist(),
-            "empirical_cov": fidi.empirical_cov.tolist(),
-            "max_cov_error": fidi.max_cov_error,
-            "marginal_ks": fidi.marginal_ks,
-            "combo_ks": fidi.combo_ks,
-            "ks": fidi.marginal_ks + fidi.combo_ks,
-        }
-    }
+    results: dict[str, Any] = {"fidi": fidi}
     cov_tol, ks_tol = cfg["cov_tolerance"], cfg["ks_tolerance"]
     ledger = [
-        _ledger_entry("fidi max covariance entry error", fidi.max_cov_error,
-                      cov_tol, f"<= {cov_tol}", fidi.max_cov_error <= cov_tol),
+        _ledger_entry("fidi max covariance entry error", fidi["max_cov_error"],
+                      cov_tol, f"<= {cov_tol}", fidi["max_cov_error"] <= cov_tol),
     ]
-    for row in fidi.marginal_ks + fidi.combo_ks:
+    for row in fidi["ks"]:
         if not row["degenerate"]:
             ledger.append(_ledger_entry(
                 f"KS distance {row['label']}", row["ks"], ks_tol,
@@ -307,19 +307,14 @@ def _run_covering(cfg: dict) -> tuple:
     seeds = [derive_seed(cfg["seed"], ["covering", i]) % 2**63
              for i in range(cfg["n_seeds"])]
     bdd = random_covering_boundedness(cfg["tau"], cfg["n_list"], seeds, model)
+    violations = len(lemmas["lemma_violations"])
+    misses = sum(not t["ok"] for t in bdd["covering_trials"])
     ledger = [
-        _ledger_entry("covering lemma violations", lemmas.total_violations, 0,
-                      "== 0", lemmas.total_violations == 0),
+        _ledger_entry("covering lemma violations", violations, 0, "== 0", violations == 0),
         _ledger_entry("random covering numbers within product bound",
-                      bdd.violations, 0, "== 0", bdd.violations == 0),
+                      misses, 0, "== 0", misses == 0),
     ]
-    return {
-        "lemma_checks": lemmas.checks,
-        "lemma_reports": lemmas.to_json(),
-        "lemma_violations": lemmas.violations,
-        "covering_max_observed": bdd.max_observed,
-        "covering_trials": bdd.trials,
-    }, ledger
+    return {**lemmas, **bdd}, ledger
 
 
 def _run_bounds(cfg: dict) -> tuple:
@@ -375,7 +370,6 @@ def _run_bounds(cfg: dict) -> tuple:
     # the classification reads c alone; the bracket checks the partial sums
     s_ok = list(s_class.values()) == ["divergent", "divergent", "convergent"] and s_misses == 0
 
-    tb = gc_tail_bound(0.5, 10**4, 1)
     ledger = [
         _ledger_entry("Riemann gap bound violations (all classes)",
                       len(violations), 0, "== 0", len(violations) == 0),
@@ -389,8 +383,7 @@ def _run_bounds(cfg: dict) -> tuple:
     return {"bound_checks": checks, "worst_margins": worst,
             "witness": witness_rows, "series_I": series_rows,
             "series_S": s_class,
-            "tail_bound_example": {"value": tb.value, "vacuous": tb.vacuous,
-                                   "applicable": tb.applicable}}, ledger
+            "tail_bound_example": gc_tail_bound(0.5, 10**4, 1)}, ledger
 
 
 def _run_kiefer(cfg: dict) -> tuple:

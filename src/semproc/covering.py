@@ -18,7 +18,6 @@ the one actually used when passing from a product class to its factor classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -154,34 +153,13 @@ def product_distances(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return (d1[:, None, :, None] + d2[None, :, None, :]).reshape(k, k)
 
 
-@dataclass
-class LemmaCheckReport:
-    trials: int
-    checks: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-
-    @property
-    def total_violations(self) -> int:
-        return len(self.violations)
-
-    def to_json(self) -> list[dict]:
-        """One {lemma, trials, violations, worst_case} record per lemma."""
-        out = []
-        for lemma, trials in self.checks.items():
-            mine = [v for v in self.violations if v["lemma"] == lemma]
-            out.append({
-                "lemma": lemma,
-                "trials": trials,
-                "violations": len(mine),
-                "worst_case": mine[0] if mine else None,
-            })
-        return out
-
-
-def check_covering_lemmas(trials: int, seed: int) -> LemmaCheckReport:
+def check_covering_lemmas(trials: int, seed: int) -> dict:
     """Randomized finite metric spaces (Euclidean point clouds, <= 10 points),
-    exact covering numbers; asserts subset monotonicity (ambient nets), metric
-    domination, the product bound and isometry invariance.
+    exact covering numbers; checks subset monotonicity (ambient nets), metric
+    domination, the product bound and isometry invariance.  Returns the
+    covering report's lemma part: "lemma_checks", the trials per lemma;
+    "lemma_reports", one {lemma, trials, violations, worst_case} record per
+    lemma; and "lemma_violations", every violation in trial order.
 
     Each trial makes seven exact_covering_number calls: N(u, d) once, read by
     the subset, domination and isometry checks alike, then the subset, the
@@ -190,7 +168,7 @@ def check_covering_lemmas(trials: int, seed: int) -> LemmaCheckReport:
     if trials < 1:
         raise ValueError("trials >= 1")
     rng = np.random.default_rng(seed)
-    report = LemmaCheckReport(trials=trials)
+    violations = []
     counts = {"subset": 0, "domination": 0, "product": 0, "isometry": 0}
 
     for trial in range(trials):
@@ -208,7 +186,7 @@ def check_covering_lemmas(trials: int, seed: int) -> LemmaCheckReport:
         n_sub = exact_covering_number(dist, u, targets=sub)
         counts["subset"] += 1
         if n_sub > n_full:
-            report.violations.append(
+            violations.append(
                 {"lemma": "subset", "trial": trial, "u": u,
                  "points": pts.tolist(), "subset": sub,
                  "n_sub": n_sub, "n_full": n_full}
@@ -220,7 +198,7 @@ def check_covering_lemmas(trials: int, seed: int) -> LemmaCheckReport:
         n_dp = exact_covering_number(dist_prime, u)
         counts["domination"] += 1
         if n_full > n_dp:
-            report.violations.append(
+            violations.append(
                 {"lemma": "domination", "trial": trial, "u": u,
                  "points": pts.tolist(), "n_d": n_full, "n_dprime": n_dp}
             )
@@ -237,7 +215,7 @@ def check_covering_lemmas(trials: int, seed: int) -> LemmaCheckReport:
         bound = exact_covering_number(d1, t * u2) * exact_covering_number(d2, (1 - t) * u2)
         counts["product"] += 1
         if n_prod > bound:
-            report.violations.append(
+            violations.append(
                 {"lemma": "product", "trial": trial, "u": u2, "t": t,
                  "n_product": n_prod, "bound": bound,
                  "p1": p1.tolist(), "p2": p2.tolist()}
@@ -249,13 +227,17 @@ def check_covering_lemmas(trials: int, seed: int) -> LemmaCheckReport:
         n_perm = exact_covering_number(dist_perm, u)
         counts["isometry"] += 1
         if n_perm != n_full:
-            report.violations.append(
+            violations.append(
                 {"lemma": "isometry", "trial": trial, "u": u,
                  "n_original": n_full, "n_relabeled": n_perm}
             )
 
-    report.checks = counts
-    return report
+    reports = []
+    for lemma, checked in counts.items():
+        mine = [v for v in violations if v["lemma"] == lemma]
+        reports.append({"lemma": lemma, "trials": checked, "violations": len(mine),
+                        "worst_case": mine[0] if mine else None})
+    return {"lemma_checks": counts, "lemma_reports": reports, "lemma_violations": violations}
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +278,6 @@ def _l1_distances(vals: np.ndarray) -> np.ndarray:
     return (s[:, None] + s[None, :] - 2.0 * (v @ v.T)) / v.shape[1]
 
 
-@dataclass
-class RandomCoveringReport:
-    tau: float
-    trials: list = field(default_factory=list)
-    max_observed: int = 0
-    violations: int = 0
-
-
 # members per factor of the fixed fine net: _FINE_NET indicators times
 # _FINE_NET half-lines at the model's quantiles
 _FINE_NET = 12
@@ -314,16 +288,18 @@ def random_covering_boundedness(
     n_list: Sequence[int],
     seeds: Sequence[int],
     model: NuModel,
-) -> RandomCoveringReport:
+) -> dict:
     """Greedy covering numbers of a fixed fine net of the uniformly bounded
     product class F = indicators x half-lines (the Kiefer process class)
     under the random empirical L1 metric, trial by trial, against the
-    factorized bound N(tau/2, H, d1_lambdan) * N(tau/2, G, d1_nun)."""
+    factorized bound N(tau/2, H, d1_lambdan) * N(tau/2, G, d1_nun).  Returns
+    the covering report's "covering_trials", one row per (n, seed) whose
+    "ok" says the bound held, and "covering_max_observed"."""
     h_net = [indicator((i + 1) / _FINE_NET) for i in range(_FINE_NET)]
     probs = [(i + 1) / (_FINE_NET + 1) for i in range(_FINE_NET)]
     g_net = [HalfLine(float(model.ppf(p))) for p in probs]
 
-    report = RandomCoveringReport(tau=tau)
+    trials = []
     for n in n_list:
         s_grid = grid_points(n)
         h_vals = np.stack([h(s_grid) for h in h_net])      # (H, n)
@@ -335,12 +311,7 @@ def random_covering_boundedness(
             f_vals = (h_vals[:, None, :] * g_vals[None, :, :]).reshape(-1, n)
             observed = len(greedy_net_indices(_l1_distances(f_vals), tau))
             ng = len(greedy_net_indices(_l1_distances(g_vals), tau / 2.0))
-            ok = observed <= nh * ng
-            report.trials.append(
-                {"n": n, "seed": seed, "observed": observed,
-                 "bound_h": nh, "bound_g": ng, "bound": nh * ng, "ok": ok}
-            )
-            report.max_observed = max(report.max_observed, observed)
-            if not ok:
-                report.violations += 1
-    return report
+            trials.append({"n": n, "seed": seed, "observed": observed, "bound_h": nh,
+                           "bound_g": ng, "bound": nh * ng, "ok": observed <= nh * ng})
+    return {"covering_max_observed": max((t["observed"] for t in trials), default=0),
+            "covering_trials": trials}

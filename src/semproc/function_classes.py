@@ -23,17 +23,19 @@ is itself (C, beta)-Holder, so net members are exact class members; rounding
 (u/4), regularization (u/4), anchor translation (u/4 slack absorbed) and
 interpolation (u/2) add up to sup-distance at most u from any class member.
 
-Only this module knows how an h member is stored.  An h member (HolderMember,
-or a set member: any IntervalUnion, indicators among them) is used through
+Only this module knows how an h member is stored.  An h member is a cusp
+HolderMember, a PiecewiseLinear (the Holder net members among them) or a set
+member (any IntervalUnion, indicators among them); each is used through
 h(x), lambda_exact() = lambda(h), lambda_n(n) and breakpoints(), the points
 where h may jump; the lambdas are exact Fractions for set members.  A set
 member's Riemann gap is read in integers, through IntervalUnion.riemann_gap;
 the gaps of cusp Holder members are computed per class, all members of one
 beta together in row blocks of grid values (observed_riemann_gap_rows), with
-the bits of the one-member float expression.  The pair integrals
-lambda((h1-h2)^2) and lambda(h1 h2) are closed forms when both members have
-one exact form (two piecewise-linear Holder members, two unions) and
-quadrature split at both breakpoints if not.
+the bits of the one-member float expression.  The pair integral lambda(h1 h2)
+is a closed form when both members have one exact form (two piecewise-linear
+members, two unions) and quadrature split at both breakpoints if not;
+lambda_sq_matrix gives lambda((h1-h2)^2) over the two families the member
+pools use, indicators and piecewise-linear members on one knot vector.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from .intervals import IntervalUnion
 from .measures import NuModel
-from .piecewise import PiecewiseLinear, diff_sq_integral, prod_integral
+from .piecewise import PiecewiseLinear, prod_integral
 from .quadrature import integrate
 
 __all__ = [
@@ -65,7 +67,6 @@ __all__ = [
     "BoundedPolynomial",
     "observed_riemann_gap",
     "observed_riemann_gap_rows",
-    "lambda_sq_distance",
     "lambda_prod",
     "lambda_sq_matrix",
 ]
@@ -96,12 +97,13 @@ _LINE_NET_CAP = 10**6
 
 @dataclass(frozen=True)
 class HolderMember:
-    """A function in H(T, C, beta), either a cusp mixture
+    """A function in H(T, C, beta), the cusp mixture
 
         h(x) = a + sum_k c_k |x - x_k|^beta   with sum |c_k| <= C, |h(0)| <= T,
 
-    (exactly Holder by subadditivity of t -> t^beta) or a piecewise-linear
-    interpolant of pairwise-feasible grid values (net members)."""
+    exactly Holder by subadditivity of t -> t^beta.  The net members, the
+    piecewise-linear interpolants of pairwise-feasible grid values, are
+    PiecewiseLinear."""
 
     T: float
     C: float
@@ -109,12 +111,9 @@ class HolderMember:
     a: float = 0.0
     coeffs: tuple[float, ...] = ()
     centers: tuple[float, ...] = ()
-    pl: Optional[PiecewiseLinear] = None
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.pl is not None:
-            return self.pl(x)
         out = np.full(x.shape, self.a, dtype=float)
         for c, x0 in zip(self.coeffs, self.centers):
             out += c * np.abs(x - x0) ** self.beta
@@ -122,8 +121,6 @@ class HolderMember:
 
     def lambda_exact(self) -> float:
         """Exact integral over [0, 1]."""
-        if self.pl is not None:
-            return self.pl.integral()
         b = self.beta
         total = self.a
         for c, x0 in zip(self.coeffs, self.centers):
@@ -220,87 +217,58 @@ class HolderClass:
         return grid, vals[np.sort(first)]
 
     def net_sample(self, u: float, size: Optional[int] = None,
-                   rng: Optional[np.random.Generator] = None) -> list[HolderMember]:
+                   rng: Optional[np.random.Generator] = None) -> list[PiecewiseLinear]:
         """Members of the u-net at size rows drawn by rng without replacement,
         in net order; the whole net when size is None or not below its size."""
         grid, vals = self.net_values(u)
         if size is not None and len(vals) > size:
             vals = vals[np.sort(rng.choice(len(vals), size=size, replace=False))]
         knots = tuple(grid)
-        return [HolderMember(self.T, self.C, self.beta, pl=PiecewiseLinear(knots, tuple(v)))
-                for v in vals.tolist()]
+        return [PiecewiseLinear(knots, tuple(v)) for v in vals.tolist()]
 
-    def build_net(self, u: float) -> list[HolderMember]:
+    def build_net(self, u: float) -> list[PiecewiseLinear]:
         """Sup-norm u-net of exact class members (see module docstring)."""
         return self.net_sample(u)
-
-
-def _exact_form(h):
-    """The form the pair closed forms read: ("pl", interpolant) or ("set",
-    union); (None, None) for a member with no exact form."""
-    if isinstance(h, HolderMember) and h.pl is not None:
-        return "pl", h.pl
-    if isinstance(h, IntervalUnion):
-        return "set", h
-    return None, None
-
-
-def lambda_sq_distance(h1, h2) -> float:
-    """lambda((h1-h2)^2): the per-cell Simpson sum for two piecewise-linear
-    members, the symmetric-difference measure for two set members; quadrature
-    split at both members' breakpoints otherwise."""
-    (k1, a), (k2, b) = _exact_form(h1), _exact_form(h2)
-    if k1 == k2 == "pl":
-        return diff_sq_integral(a, b)
-    if k1 == k2 == "set":
-        return float(a.symdiff_measure(b))
-    return integrate(lambda x: (float(h1(x)) - float(h2(x))) ** 2, 0.0, 1.0, tol=1e-10,
-                     breakpoints=h1.breakpoints() + h2.breakpoints())
 
 
 def lambda_prod(h1, h2, tol: float) -> float:
     """lambda(h1 h2): the per-cell Simpson sum for two piecewise-linear
     members, the intersection measure for two set members; quadrature to tol
     split at both members' breakpoints otherwise."""
-    (k1, a), (k2, b) = _exact_form(h1), _exact_form(h2)
-    if k1 == k2 == "pl":
-        return prod_integral(a, b)
-    if k1 == k2 == "set":
-        return float(a.intersect(b).lebesgue())
+    if isinstance(h1, PiecewiseLinear) and isinstance(h2, PiecewiseLinear):
+        return prod_integral(h1, h2)
+    if isinstance(h1, IntervalUnion) and isinstance(h2, IntervalUnion):
+        return float(h1.intersect(h2).lebesgue())
     return integrate(lambda s: float(h1(s)) * float(h2(s)), 0.0, 1.0, tol=tol,
                      breakpoints=h1.breakpoints() + h2.breakpoints())
 
 
-def _indicator_end(kind, form) -> Optional[float]:
+def _indicator_end(h) -> Optional[float]:
     """t of a set member (0, t] whose t is a float, else None."""
-    if kind == "set" and len(form.bounds) == 1 and form.bounds[0][0] == 0:
-        t = float(form.bounds[0][1])
-        if t == form.bounds[0][1]:
+    if isinstance(h, IntervalUnion) and len(h.bounds) == 1 and h.bounds[0][0] == 0:
+        t = float(h.bounds[0][1])
+        if t == h.bounds[0][1]:
             return t
     return None
 
 
 def lambda_sq_matrix(members: Sequence) -> np.ndarray:
-    """The matrix of lambda_sq_distance over a family, entry for entry the
-    same floats: |t_i - t_j| for indicators (0, t] with float t, the one
-    rounding of the exact symmetric-difference measure; for piecewise-linear
-    Holder members on one shared knot vector, the per-cell Simpson sum of
-    diff_sq_integral with each member evaluated once instead of once per pair;
-    the scalar function pair by pair for anything else."""
-    forms = [_exact_form(h) for h in members]
-    ends = [_indicator_end(k, f) for k, f in forms]
+    """The matrix of lambda((h1-h2)^2) over a family of indicators (0, t]
+    with float t, or of piecewise-linear members on one shared knot vector;
+    TypeError for any other family.  For indicators an entry is |t_i - t_j|,
+    the one rounding of the exact symmetric-difference measure; for
+    piecewise-linear members, the per-cell Simpson sum of
+    piecewise.diff_sq_integral, bit for bit, with each member evaluated once
+    instead of once per pair."""
+    ends = [_indicator_end(h) for h in members]
     if ends and None not in ends:
         ts = np.array(ends)
         return np.abs(np.subtract.outer(ts, ts))
-    kinds = {k for k, _ in forms}
-    pls = [p for _, p in forms]
-    if kinds != {"pl"} or any(p.knots != pls[0].knots for p in pls):
-        k = len(members)
-        out = np.zeros((k, k))
-        for i in range(k):
-            for j in range(i + 1, k):
-                out[i, j] = out[j, i] = lambda_sq_distance(members[i], members[j])
-        return out
+    pls = list(members)
+    if not (pls and all(isinstance(p, PiecewiseLinear) for p in pls)
+            and all(p.knots == pls[0].knots for p in pls)):
+        raise TypeError("lambda_sq_matrix takes indicators (0, t] with float t or "
+                        "piecewise-linear members on one knot vector")
     knots = np.asarray(pls[0].knots, dtype=float)
     mid = 0.5 * (knots[1:] + knots[:-1])
     w = knots[1:] - knots[:-1]
@@ -579,16 +547,15 @@ def observed_riemann_gap_rows(members: Sequence, n_list: Sequence[int]) -> list[
     ... to the rows that have a k-th cusp, so every value takes the float
     operations of HolderMember.__call__, and the row means minus lambda_exact()
     give the bits of the scalar float(abs(lambda_n(n) - Fraction(lambda))).
-    Any other member (a piecewise-linear or a cusp-free Holder member) takes
-    that scalar expression.  Members are classified, and each cusp
-    member's lambda_exact() and padded row built, once for every n."""
+    Any other member (a PiecewiseLinear) takes that scalar expression.
+    Members are classified, and each cusp member's lambda_exact() and padded
+    row built, once for every n."""
     set_rows, other_rows = [], []  # (index, IntervalUnion) and (index, Fraction lambda)
     cusp_rows: dict = {}  # beta -> indices of its cusp members
     for i, m in enumerate(members):
-        kind, form = _exact_form(m)
-        if kind == "set":
-            set_rows.append((i, form))
-        elif isinstance(m, HolderMember) and m.pl is None:
+        if isinstance(m, IntervalUnion):
+            set_rows.append((i, m))
+        elif isinstance(m, HolderMember):
             cusp_rows.setdefault(m.beta, []).append(i)
         else:
             other_rows.append((i, Fraction(m.lambda_exact())))

@@ -82,21 +82,6 @@ class IntervalUnion:
         fr = [Fraction(x) for x in ends]
         return cls(tuple(zip(fr[::2], fr[1::2])))
 
-    @classmethod
-    def full(cls) -> "IntervalUnion":
-        return cls(((Fraction(0), Fraction(1)),))
-
-    @classmethod
-    def empty(cls) -> "IntervalUnion":
-        return cls(())
-
-    def contains(self, x: Number) -> bool:
-        fx = Fraction(x)
-        for a, b in self.bounds:
-            if a < fx <= b:
-                return True
-        return False
-
     def lebesgue(self) -> Fraction:
         """Exact Lebesgue measure."""
         return self._lebesgue

@@ -68,14 +68,6 @@ class NuModel:
             return f"exponential({self.params[0]:g})"
         return self.kind
 
-    @property
-    def support(self) -> tuple[float, float]:
-        if self.kind == "uniform01":
-            return (0.0, 1.0)
-        if self.kind == "standard-normal":
-            return (-math.inf, math.inf)
-        return (0.0, math.inf)
-
     # -- distribution primitives -------------------------------------------
 
     def cdf(self, w):
@@ -100,17 +92,6 @@ class NuModel:
         else:
             rate = self.params[0]
             out = -np.log1p(-np.clip(p, 0.0, 1.0 - 1e-16)) / rate
-        return out if out.shape else float(out)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "uniform01":
-            out = ((x >= 0.0) & (x <= 1.0)).astype(float)
-        elif self.kind == "standard-normal":
-            out = np.exp(-0.5 * x * x) / _SQRT2PI
-        else:
-            rate = self.params[0]
-            out = np.where(x >= 0.0, rate * np.exp(-rate * np.minimum(x, 700 / rate)), 0.0)
         return out if out.shape else float(out)
 
     # -- closed-form moments -------------------------------------------------

@@ -1,4 +1,7 @@
-"""Piecewise-linear functions on [0, 1] with exact integral algebra."""
+"""Piecewise-linear functions on [0, 1] with exact integral algebra.  A
+PiecewiseLinear is also an h member of function_classes' protocol: the
+Holder net members, the q-file holder-pl h and the identity h of the
+Lindeberg check are all PiecewiseLinear."""
 
 from __future__ import annotations
 
@@ -25,11 +28,17 @@ class PiecewiseLinear:
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self.knots, self.values)
 
-    def integral(self) -> float:
+    def lambda_exact(self) -> float:
         """Exact integral over [0, 1] (trapezoid on the knot partition)."""
         k = np.asarray(self.knots)
         v = np.asarray(self.values)
         return float(np.sum(0.5 * (v[1:] + v[:-1]) * (k[1:] - k[:-1])))
+
+    def lambda_n(self, n: int) -> float:
+        return float(np.mean(self(np.arange(1, n + 1, dtype=float) / n)))
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return ()  # continuous
 
 
 def merged_knots(p: PiecewiseLinear, q: PiecewiseLinear) -> np.ndarray:

@@ -49,12 +49,10 @@ from .seeds import derive_seed
 from .special import gammaincc, log_factorials
 
 __all__ = [
-    "DeviationSandwich",
     "sup_deviation_net",
     "sup_deviation_exact_BW",
     "sup_deviation_bruteforce",
     "gc_tail_bound",
-    "TailBound",
     "series_I_closed_form",
     "series_I_quadrature",
     "series_S_diagnostic",
@@ -310,17 +308,9 @@ def sup_deviation_bruteforce(
 # Net sandwich for product classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeviationSandwich:
-    lower: float
-    upper: float
-    net_u: float
-    n: int
-
-
-def sup_deviation_net(sample: Sample, net_u: float) -> DeviationSandwich:
-    """Net sandwich for sup |P_n(hg) - lambda_n(h) nu(g)| over the Kiefer
-    class F = indicators x half-lines.
+def sup_deviation_net(sample: Sample, net_u: float) -> tuple[float, float]:
+    """Net sandwich (lower, upper) for sup |P_n(hg) - lambda_n(h) nu(g)| over
+    the Kiefer class F = indicators x half-lines.
 
     lower is the max over net pairs; upper = lower + 2 net_u, valid because
     the one-sided replacement error of (h, g) by its net neighbor is at most
@@ -352,40 +342,24 @@ def sup_deviation_net(sample: Sample, net_u: float) -> DeviationSandwich:
     pn = (h_vals @ g_vals.T) / sample.n
     dev = np.abs(pn - np.outer(h_center, g_mean))
     lower = float(np.max(dev))
-    return DeviationSandwich(lower=lower, upper=lower + 2.0 * net_u, net_u=net_u, n=sample.n)
+    return lower, lower + 2.0 * net_u
 
 
 # ---------------------------------------------------------------------------
 # Tail bound and series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailBound:
-    value: float
-    epsilon: float
-    k: int
-    vc_dim: int
-    vacuous: bool
-    applicable: bool
-
-
-def gc_tail_bound(epsilon: float, k: int, S: int) -> TailBound:
-    """8 (k+1)^S exp(-eps^2 k / 32), the Hoeffding-union tail bound for the
-    B-empirical deviation, with the Sauer bound on the shatter coefficient.
-    Flagged inapplicable when k < 8 eps^-2 (the symmetrization precondition),
-    vacuous when the value exceeds 1."""
+def gc_tail_bound(epsilon: float, k: int, S: int) -> dict:
+    """{"value", "vacuous", "applicable"}: the value 8 (k+1)^S exp(-eps^2 k /
+    32), the Hoeffding-union tail bound for the B-empirical deviation, with
+    the Sauer bound on the shatter coefficient.  Flagged inapplicable when
+    k < 8 eps^-2 (the symmetrization precondition), vacuous when the value
+    exceeds 1."""
     if epsilon <= 0 or k < 1 or S < 1:
         raise ValueError("need epsilon > 0, k >= 1, S >= 1")
     log_val = math.log(8.0) + S * math.log(k + 1.0) - epsilon**2 * k / 32.0
     value = math.exp(log_val) if log_val < 700 else math.inf
-    return TailBound(
-        value=value,
-        epsilon=epsilon,
-        k=k,
-        vc_dim=S,
-        vacuous=value > 1.0,
-        applicable=k >= 8.0 / epsilon**2,
-    )
+    return {"value": value, "vacuous": value > 1.0, "applicable": k >= 8.0 / epsilon**2}
 
 
 def series_I_closed_form(c: float, D1: int, D2: int) -> float:

@@ -2,9 +2,10 @@
 
 semproc reads members through their protocol (h(x), lambda_exact, lambda_n);
 these are the independent forms the tests compare against: pointwise
-evaluation from the exact representation, a certified sup distance between
-Holder members, the exact rational Riemann gap of an interval union, the
-one-member float gap of any other member, the constant q as a product pair,
+evaluation from the exact representation (with its own membership test for
+interval unions), a certified sup distance between Holder members, the
+exact rational Riemann gap of an interval union, the one-member float gap
+of any other member, the constant q as a product pair,
 scalar evaluators of lambda_n, lambda, the sequential empirical measure
 P_n and the B-empirical measure nu_{n,B} that sum term by term from the
 definitions, and the one-shot replicate Z matrices that semproc.fclt now
@@ -18,26 +19,39 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from semproc.function_classes import BoundedPolynomial, _exact_form, indicator
+from semproc.function_classes import BoundedPolynomial, indicator
 from semproc.intervals import IntervalUnion
 from semproc.measures import NuModel, Sample, grid_points
+from semproc.piecewise import PiecewiseLinear
 from semproc.quadrature import DEFAULT_TOL, integrate
 from semproc.seeds import derive_seed
 
 
+def contains(union: IntervalUnion, x) -> bool:
+    """Whether x lies in the union of half-open intervals (a, b], compared
+    exactly against the Fraction end points."""
+    fx = Fraction(x)
+    return any(a < fx <= b for a, b in union.bounds)
+
+
 def holder_sup_distance(h1, h2, grid_size: int = 4001) -> float:
     """Certified upper bound on sup |h1 - h2|; exact when both are pl (the
-    difference is piecewise linear, so its extremes sit at the merged knots)."""
-    (k1, p1), (k2, p2) = _exact_form(h1), _exact_form(h2)
-    if k1 == k2 == "pl":
-        k = np.union1d(np.asarray(p1.knots), np.asarray(p2.knots))
-        return float(np.max(np.abs(p1(k) - p2(k))))
+    difference is piecewise linear, so its extremes sit at the merged knots).
+    Otherwise the grid maximum plus each member's largest change over half a
+    grid step: C half^beta for a cusp member, the steepest slope times half
+    for a piecewise-linear one."""
+    if isinstance(h1, PiecewiseLinear) and isinstance(h2, PiecewiseLinear):
+        k = np.union1d(np.asarray(h1.knots), np.asarray(h2.knots))
+        return float(np.max(np.abs(h1(k) - h2(k))))
     xs = np.linspace(0.0, 1.0, grid_size)
     est = float(np.max(np.abs(h1(xs) - h2(xs))))
     half = 0.5 / (grid_size - 1)
     slack = 0.0
     for h in (h1, h2):
-        slack += h.C * half ** h.beta
+        if isinstance(h, PiecewiseLinear):
+            slack += float(np.max(np.abs(np.diff(h.values) / np.diff(h.knots)))) * half
+        else:
+            slack += h.C * half ** h.beta
     return est + slack
 
 
@@ -56,9 +70,8 @@ def scalar_riemann_gap(member, n: int) -> float:
 def eval_member(member, point: float) -> float:
     """Pointwise evaluation with the conventions fixed by the class
     representations (exact right-closed intervals, pl interpolation)."""
-    kind, form = _exact_form(member)
-    if kind == "set":
-        return 1.0 if form.contains(point) else 0.0
+    if isinstance(member, IntervalUnion):
+        return 1.0 if contains(member, point) else 0.0
     return float(member(point))
 
 

@@ -3,11 +3,16 @@
 semproc computes every expectation over x in closed form; these are the
 independent quadrature forms the tests compare against: E[f(X)] under a
 sampling model by scipy.integrate.quad against its density, and the
-covariance kernel of two product pairs as an integral over s.
+covariance kernel of two product pairs as an integral over s.  A model's
+density and support come from scipy.stats (law), so the quadrature reads
+nothing of the code it checks.
 """
+
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate as sciint
+from scipy import stats
 
 from semproc.function_classes import HalfLine, InitialInterval
 from semproc.quadrature import integrate
@@ -15,14 +20,26 @@ from semproc.quadrature import integrate
 _KERNEL_TOL = 1e-10
 
 
+@lru_cache(maxsize=None)
+def law(model):
+    """The scipy.stats distribution of a sampling model: uniform on [0, 1],
+    the standard normal, or the exponential of the model's rate."""
+    if model.kind == "uniform01":
+        return stats.uniform()
+    if model.kind == "standard-normal":
+        return stats.norm()
+    return stats.expon(scale=1.0 / model.params[0])
+
+
 def expect(model, f, tol=1e-10, points=None):
     """E[f(X)] under model by scipy's quad against the density, with the
     range split at points (interior kinks or jumps of f)."""
-    lo, hi = model.support
+    dist = law(model)
+    lo, hi = dist.support()
     cuts = [lo] + sorted(p for p in (points or ()) if lo < p < hi) + [hi]
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        val, _ = sciint.quad(lambda x: float(f(np.asarray([x]))[0]) * float(model.pdf(x)),
+        val, _ = sciint.quad(lambda x: float(f(np.asarray([x]))[0]) * float(dist.pdf(x)),
                              a, b, epsabs=tol, epsrel=tol, limit=200)
         total += val
     return total

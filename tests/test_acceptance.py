@@ -127,8 +127,9 @@ def test_criterion_05_covering_lemma_suite():
     start = time.monotonic()
     rep = check_covering_lemmas(1000, 505)
     elapsed = time.monotonic() - start
-    _report(5, rep.total_violations == 0,
-            f"4 lemmas x 1000 spaces, {rep.total_violations} violations",
+    violations = len(rep["lemma_violations"])
+    _report(5, violations == 0,
+            f"4 lemmas x 1000 spaces, {violations} violations",
             elapsed, 30.0)
 
 
@@ -182,11 +183,11 @@ def test_criterion_08_fidi_convergence():
     start = time.monotonic()
     cells = [kiefer_cell(0.5, 0.5), kiefer_cell(1.0, 0.5), kiefer_cell(0.5, 0.25)]
     rep = fidi_convergence_test(cells, 2000, 5000, 8, UNIFORM)
-    ks_all = [r["ks"] for r in rep.marginal_ks + rep.combo_ks]
-    ok = rep.max_cov_error <= 0.05 and max(ks_all) <= 0.03
+    ks_all = [r["ks"] for r in rep["ks"]]
+    ok = rep["max_cov_error"] <= 0.05 and max(ks_all) <= 0.03
     elapsed = time.monotonic() - start
     _report(8, ok,
-            f"cov err {rep.max_cov_error:.4f} <= 0.05, max KS {max(ks_all):.4f} <= 0.03",
+            f"cov err {rep['max_cov_error']:.4f} <= 0.05, max KS {max(ks_all):.4f} <= 0.03",
             elapsed, 300.0)
 
 

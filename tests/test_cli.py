@@ -255,6 +255,25 @@ class TestMainEntry:
          "error: indicator end point t=2.5 is outside (0, 1]"),
         ({"h": {"type": "indicator", "t": 0}, "g": {"type": "half-line", "w": 0.5}},
          "error: indicator end point t=0.0 is outside (0, 1]"),
+        # a key its type does not read, misspelt or not, is no longer ignored
+        ({"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 0.5}, "q": 1},
+         "config error: q file entry 1 has unknown key 'q'\n"),
+        ({"h": {"type": "indicator", "t": 0.5, "w": 0.2}, "g": {"type": "half-line", "w": 0.5}},
+         "config error: q file entry 1 has unknown key 'h.w'\n"),
+        ({"h": {"type": "holder-pl", "knots": [0, 1], "values": [0, 1], "beta": 1.0},
+          "g": {"type": "half-line", "w": 0.5}},
+         "config error: q file entry 1 has unknown key 'h.beta'\n"),
+        ({"h": {"type": "holder-pl", "T": 2, "knots": [0, 1], "values": [0, 1]},
+          "g": {"type": "half-line", "w": 0.5}},
+         "config error: q file entry 1 has unknown key 'h.T'\n"),
+        ({"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 0.5, "t": 1}},
+         "config error: q file entry 1 has unknown key 'g.t'\n"),
+        ({"h": {"type": "indicator", "t": 0.5},
+          "g": {"type": "initial-interval", "w": 0.5, "W": 0.5}},
+         "config error: q file entry 1 has unknown key 'g.W'\n"),
+        ({"h": {"type": "indicator", "t": 0.5},
+          "g": {"type": "poly", "coeffs": [0.0, 1.0], "degree": 1}},
+         "config error: q file entry 1 has unknown key 'g.degree'\n"),
     ])
     def test_ill_typed_q_file_exit_2(self, tmp_path, capsys, entry, message):
         good = {"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 0.5}}
@@ -301,6 +320,17 @@ class TestMainEntry:
         code = main(["ulln", "--set", 'centering="lambda-typo"', "--set", "n_schedule=[20,40]",
                      "--set", "replicates=3"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["--j", "1"], ["--j", "1", "--parity", "even"]],
+                             ids=["B3", "B2"])
+    def test_ulln_net_u_outside_b1_exit_2(self, capsys, argv):
+        # the net sandwich covers B(1) x half-lines only: elsewhere net_u did nothing
+        code = main(["ulln", *argv, "--net-u", "0.3", "--n-schedule", "50,100",
+                     "--replicates", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key ulln.net_u must be 0 unless")
+        assert "got 0.3" in err
 
 
 class TestCountsAndOrders:

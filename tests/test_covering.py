@@ -16,7 +16,6 @@ from semproc.function_classes import (
     BVectorClass,
     HalfLine,
     indicator,
-    lambda_sq_distance,
     lambda_sq_matrix,
 )
 from semproc.measures import parse_model
@@ -28,8 +27,9 @@ def _euclid(points):
 
 
 def d2_lambda(h1, h2):
-    """L2(lambda) distance from the exact lambda((h1-h2)^2)."""
-    return math.sqrt(max(lambda_sq_distance(h1, h2), 0.0))
+    """L2(lambda) distance of two set members from the exact lambda((h1-h2)^2),
+    the measure of their symmetric difference."""
+    return math.sqrt(max(float(h1.symdiff_measure(h2)), 0.0))
 
 
 def d2_nu(g1, g2, model):
@@ -100,8 +100,8 @@ class TestCoveringNumbers:
 
     def test_lemma_suite_clean(self):
         rep = check_covering_lemmas(1000, 42)
-        assert rep.total_violations == 0
-        assert all(v == 1000 for v in rep.checks.values())
+        assert len(rep["lemma_violations"]) == 0
+        assert all(v == 1000 for v in rep["lemma_checks"].values())
 
     def test_lemma_suite_validates_input(self):
         with pytest.raises(ValueError):
@@ -185,19 +185,19 @@ class TestRandomCoveringBoundedness:
     def test_trivial_radius(self):
         model = parse_model("uniform01")
         rep = random_covering_boundedness(2.5, [20], [1], model)
-        assert rep.max_observed == 1
+        assert rep["covering_max_observed"] == 1
 
     def test_within_product_bound(self):
         model = parse_model("uniform01")
         rep = random_covering_boundedness(0.5, [10, 100, 1000], list(range(8)), model)
-        assert rep.violations == 0
-        assert all(t["observed"] <= t["bound"] for t in rep.trials)
+        assert sum(not t["ok"] for t in rep["covering_trials"]) == 0
+        assert all(t["observed"] <= t["bound"] for t in rep["covering_trials"])
 
 
 class TestReportSurfaces:
     def test_lemma_report_json(self):
         rep = check_covering_lemmas(20, 3)
-        rows = rep.to_json()
+        rows = rep["lemma_reports"]
         assert {r["lemma"] for r in rows} == {"subset", "domination", "product", "isometry"}
         for r in rows:
             assert set(r) == {"lemma", "trials", "violations", "worst_case"}

@@ -26,12 +26,7 @@ import pytest
 
 from semproc.cli import numeric_bytes, run_experiment
 from semproc.fclt import lindeberg_check
-from semproc.function_classes import (
-    HalfLine,
-    HolderMember,
-    InitialInterval,
-    indicator,
-)
+from semproc.function_classes import HalfLine, InitialInterval, indicator
 from semproc.measures import draw_sample, parse_model
 from semproc.piecewise import PiecewiseLinear
 
@@ -97,12 +92,38 @@ def test_numeric_sha256_pinned(name):
     assert hashlib.sha256(numeric_bytes(report)).hexdigest() == want
 
 
+# The custom-file q set on a q file of every h and g type: the indicator
+# meets the two piecewise-linear h (on different knots) in cov_kernel's
+# set x piecewise-linear quadrature.  The report echoes the file's path in
+# config.q_file, so the pin hashes the report with that path replaced.
+_Q_FILE = [
+    {"h": {"type": "indicator", "t": 0.4}, "g": {"type": "half-line", "w": 0.3}},
+    {"h": {"type": "holder-pl", "knots": [0.0, 0.5, 1.0], "values": [0.2, -0.3, 0.4]},
+     "g": {"type": "initial-interval", "w": 0.6}},
+    {"h": {"type": "holder-pl", "knots": [0.0, 0.25, 1.0], "values": [0.0, 0.5, -0.1]},
+     "g": {"type": "poly", "coeffs": [0.1, 0.7]}},
+]
+
+
+CUSTOM_FILE_PIN = "968bc5dc18e638b49554dc0cfb346c199e8583bc2f5f14d911dc0c25c5efc322"
+
+
+def test_custom_file_q_set_pinned(tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(_Q_FILE))
+    report = run_experiment("fclt", {"q_set": "custom-file", "q_file": str(path), "n": 300,
+                                     "replicates": 400, "seed": 3, "model": "standard-normal",
+                                     "run_modulus": False, "cov_tolerance": 0.3,
+                                     "ks_tolerance": 0.3})
+    report["config"]["q_file"] = "q.json"
+    assert hashlib.sha256(numeric_bytes(report)).hexdigest() == CUSTOM_FILE_PIN
+
+
 # lindeberg_check on two-valued products that no report runs, recorded while
 # a q was still a callback bundle with its own sup-bound shortcut and tail
 _LINDEBERG_H = {
     "indicator": indicator(0.45),
-    "holder-pl": HolderMember(1.0, 1.0, 1.0,
-                              pl=PiecewiseLinear((0.0, 0.5, 1.0), (0.2, -0.2, 0.3))),
+    "holder-pl": PiecewiseLinear((0.0, 0.5, 1.0), (0.2, -0.2, 0.3)),
 }
 _LINDEBERG_G = {"half-line": HalfLine(0.3), "initial-interval": InitialInterval(0.6)}
 LINDEBERG_PINS = {

@@ -1,5 +1,6 @@
-"""Every name a semproc module lists in __all__ resolves in that module, and
-every name it imports is used there."""
+"""Every name a semproc module lists in __all__ resolves in that module and
+is read by the package or the benchmark, and every name a module imports is
+used there."""
 
 import ast
 import importlib
@@ -11,6 +12,14 @@ import pytest
 import semproc
 
 MODULES = sorted(f"semproc.{m.name}" for m in pkgutil.iter_modules(semproc.__path__))
+ROOT = Path(__file__).resolve().parents[1]
+
+# __all__ names that nothing under src/ or perfbench/ reads, each with the
+# reason it stays exported
+UNREAD_EXPORTS = {
+    "semproc.covering.shatter_coefficient":
+        "acceptance criterion 6 checks the exact shatter counts of the B(k) classes",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -48,3 +57,47 @@ def test_every_import_is_used(name):
 def test_unused_import_is_caught():
     source = "import math\nfrom numpy import sqrt, pi as PI\nprint(PI)\n"
     assert _unused_imports(source) == ["math", "sqrt"]
+
+
+def _reads(tree: ast.AST, name: str, strings: bool = False) -> bool:
+    """Whether tree reads name outside the def or class that defines it: as
+    a name or an attribute, or, when strings is set, as a string constant
+    that is the name or starts with it and a dot (perfbench names the layers
+    it traces by string, such as "HolderClass.build_net")."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            continue
+        if isinstance(node, ast.Name) and node.id == name and not isinstance(node.ctx, ast.Store):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        if (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and (node.value == name or node.value.startswith(name + "."))):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _trees(folder: str) -> list:
+    return [ast.parse(p.read_text()) for p in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def test_every_export_is_read():
+    src, bench = _trees("src/semproc"), _trees("perfbench")
+    unread = []
+    for name in MODULES:
+        for entry in getattr(importlib.import_module(name), "__all__", []):
+            if not (any(_reads(t, entry) for t in src)
+                    or any(_reads(t, entry, strings=True) for t in bench)):
+                unread.append(f"{name}.{entry}")
+    assert unread == sorted(UNREAD_EXPORTS)
+
+
+def test_unread_export_is_caught():
+    tree = ast.parse("__all__ = ['f', 'g']\ndef f():\n    return f()\ng = 1\n")
+    assert not _reads(tree, "f") and not _reads(tree, "g")
+    assert _reads(ast.parse("x = f()"), "f") and _reads(ast.parse("m.f"), "f")
+    assert _reads(ast.parse("LAYERS = ['f.meth']"), "f", strings=True)
+    assert not _reads(ast.parse("LAYERS = ['f.meth']"), "f")

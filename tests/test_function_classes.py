@@ -29,6 +29,7 @@ from member_oracles import (
     holder_sup_distance,
     observed_riemann_gap_exact,
 )
+from quad_oracle import law
 
 
 class TestRiemannGapBounds:
@@ -166,8 +167,8 @@ class TestHolderNet:
     def test_member_pl_value_at_breakpoint(self):
         net = HolderClass(1.0, 1.0, 1.0).build_net(0.8)
         m = net[len(net) // 2]
-        k = len(m.pl.knots) // 2
-        assert eval_member(m, m.pl.knots[k]) == pytest.approx(m.pl.values[k], abs=1e-15)
+        k = len(m.knots) // 2
+        assert eval_member(m, m.knots[k]) == pytest.approx(m.values[k], abs=1e-15)
 
 
 class TestBVectorClasses:
@@ -246,8 +247,9 @@ class TestGClass:
         from scipy import integrate as sciint
 
         model = parse_model(model_name)
+        dist = law(model)
         rng = np.random.default_rng(4)
-        lo, hi = model.support
+        lo, hi = dist.support()
         lo = max(lo, -40.0)
         hi = min(hi, 60.0)
         for _ in range(5):
@@ -257,7 +259,7 @@ class TestGClass:
             for a, b in ((g1, g2), (g2, g2), (g1, g1)):
                 oracle, _ = sciint.quad(
                     lambda x: float(np.asarray(a(np.asarray([x])))[0])
-                    * float(np.asarray(b(np.asarray([x])))[0]) * float(model.pdf(x)),
+                    * float(np.asarray(b(np.asarray([x])))[0]) * float(dist.pdf(x)),
                     lo, hi, limit=400, points=None,
                 )
                 assert a.pair_mean(b, model) == pytest.approx(oracle, abs=5e-7)

@@ -12,7 +12,10 @@ from semproc.intervals import IntervalUnion
 from semproc.measures import NuModel, Sample, draw_sample, parse_model
 from semproc.quadrature import QuadratureError, integrate
 
-from member_oracles import eval_b_empirical, eval_lambda, eval_lambda_n, eval_semp
+from member_oracles import contains, eval_b_empirical, eval_lambda, eval_lambda_n, eval_semp
+from quad_oracle import law
+
+FULL = IntervalUnion.from_pairs([(0, 1)])
 
 
 class TestLambdaN:
@@ -95,14 +98,14 @@ class TestBEmpirical:
     def test_full_grid_is_classical_empirical(self):
         s = draw_sample("uniform01", 50, 9)
         W = IntervalUnion.from_pairs([(0, 0.5)])
-        out = eval_b_empirical(IntervalUnion.full(), W, s)
+        out = eval_b_empirical(FULL, W, s)
         assert out.k == 50
         assert out.value == pytest.approx(float(np.mean(s.xs() <= 0.5)), abs=1e-15)
 
     def test_empty_intersection_flag(self):
         B = IntervalUnion.from_pairs([(Fraction(1, 100), Fraction(1, 50) - Fraction(1, 1000))])
         s = draw_sample("uniform01", 4, 1)
-        out = eval_b_empirical(B, IntervalUnion.full(), s)
+        out = eval_b_empirical(B, FULL, s)
         assert out.empty_intersection and out.value == 0.0 and out.k == 0
 
     def test_hand_enumeration(self):
@@ -128,7 +131,7 @@ class TestBEmpirical:
             w = float(rng.random())
             W = IntervalUnion.from_pairs([(0, w)])
             semp = eval_semp(
-                lambda t, x: (1.0 if B.contains(t) else 0.0) * (1.0 if 0 < x <= w else 0.0), s
+                lambda t, x: (1.0 if contains(B, t) else 0.0) * (1.0 if 0 < x <= w else 0.0), s
             )
             be = eval_b_empirical(B, W, s)
             assert semp == pytest.approx(be.k / n * be.value, abs=1e-14)
@@ -136,7 +139,7 @@ class TestBEmpirical:
 
 class TestKnB:
     def test_full(self):
-        assert IntervalUnion.full().grid_count(7) == 7
+        assert FULL.grid_count(7) == 7
 
     def test_half(self):
         assert IntervalUnion.from_pairs([(0, 0.5)]).grid_count(10) == 5
@@ -187,19 +190,21 @@ class TestModelMoments:
     @pytest.mark.parametrize("name", ["uniform01", "standard-normal", "exponential(2)"])
     def test_raw_moments_against_quadrature(self, name):
         model = parse_model(name)
-        lo, hi = model.support
+        dist = law(model)
+        lo, hi = dist.support()
         for k in range(5):
-            oracle, _ = sciint.quad(lambda x: x**k * float(model.pdf(x)), lo, hi, limit=200)
+            oracle, _ = sciint.quad(lambda x: x**k * float(dist.pdf(x)), lo, hi, limit=200)
             assert model.moment(k) == pytest.approx(oracle, abs=1e-8)
 
     @pytest.mark.parametrize("name", ["uniform01", "standard-normal", "exponential(2)"])
     def test_truncated_moments_against_quadrature(self, name):
         model = parse_model(name)
-        lo, _ = model.support
+        dist = law(model)
+        lo, _ = dist.support()
         for k in range(4):
             for w in (-0.5, 0.3, 1.2):
                 oracle, _ = sciint.quad(
-                    lambda x: x**k * float(model.pdf(x)), lo, w, limit=200
+                    lambda x: x**k * float(dist.pdf(x)), lo, w, limit=200
                 ) if w > lo else (0.0, 0.0)
                 assert model.truncated_moment(k, w) == pytest.approx(oracle, abs=1e-8)
 

@@ -23,13 +23,14 @@ from semproc.function_classes import (
     b_infinity_witness,
     indicator,
     lambda_prod,
-    lambda_sq_distance,
     lambda_sq_matrix,
     observed_riemann_gap,
 )
 from semproc.intervals import IntervalUnion
-from semproc.piecewise import diff_sq_integral, prod_integral
+from semproc.piecewise import PiecewiseLinear, diff_sq_integral, prod_integral
 from semproc.quadrature import integrate
+
+from member_oracles import contains
 
 
 # -- reference implementations (the per-caller type switches) ---------------
@@ -54,15 +55,14 @@ def _ref_breakpoints(h):
 
 
 def _both_pl(h1, h2):
-    return (isinstance(h1, HolderMember) and isinstance(h2, HolderMember)
-            and h1.pl is not None and h2.pl is not None)
+    return isinstance(h1, PiecewiseLinear) and isinstance(h2, PiecewiseLinear)
 
 
 def ref_lambda_h_product(h1, h2, tol):
     if _both_indicators(h1, h2):
         return min(_ref_indicator_end(h1), _ref_indicator_end(h2))
     if _both_pl(h1, h2):
-        return prod_integral(h1.pl, h2.pl)
+        return prod_integral(h1, h2)
     breakpoints = tuple(set(_ref_breakpoints(h1) + _ref_breakpoints(h2)))
     return integrate(lambda s: float(h1(s)) * float(h2(s)),
                      0.0, 1.0, tol=tol, breakpoints=breakpoints)
@@ -72,7 +72,7 @@ def ref_lambda_sq_distance(h1, h2):
     if _both_indicators(h1, h2):
         return abs(_ref_indicator_end(h1) - _ref_indicator_end(h2))
     if _both_pl(h1, h2):
-        return diff_sq_integral(h1.pl, h2.pl)
+        return diff_sq_integral(h1, h2)
     return integrate(lambda x: (float(h1(x)) - float(h2(x))) ** 2, 0.0, 1.0, tol=1e-10)
 
 
@@ -81,7 +81,7 @@ def _ref_measure(iu):
 
 
 def ref_observed_riemann_gap(member, n):
-    if isinstance(member, HolderMember):
+    if isinstance(member, (HolderMember, PiecewiseLinear)):
         return abs(member.lambda_n(n) - member.lambda_exact())
     t = _ref_indicator_end(member)
     if t is not None:
@@ -102,7 +102,7 @@ def _cell_measures(u, v):
     xor = inter = Fraction(0)
     for lo, hi in zip(cuts, cuts[1:]):
         mid = (lo + hi) / 2
-        in_u, in_v = u.contains(mid), v.contains(mid)
+        in_u, in_v = contains(u, mid), contains(v, mid)
         xor += (hi - lo) * (in_u != in_v)
         inter += (hi - lo) * (in_u and in_v)
     return xor, inter
@@ -137,7 +137,10 @@ class TestPairFormsMatchReference:
                              ids=["holder", "indicator"])
     def test_bit_equal(self, pairs):
         for h1, h2 in pairs:
-            assert bits_equal(lambda_sq_distance(h1, h2), ref_lambda_sq_distance(h1, h2))
+            if _both_indicators(h1, h2) or (_both_pl(h1, h2) and h1.knots == h2.knots):
+                # the two families lambda_sq_matrix takes
+                assert bits_equal(lambda_sq_matrix([h1, h2])[0, 1],
+                                  ref_lambda_sq_distance(h1, h2))
             for tol in (1e-10, 1e-8):
                 assert bits_equal(lambda_prod(h1, h2, tol), ref_lambda_h_product(h1, h2, tol))
 
@@ -148,21 +151,21 @@ class TestSetMemberPairs:
         for a, b in _set_pairs(cls, 60):
             xor, inter = _cell_measures(a, b)
             assert a.symdiff_measure(b) == xor
-            assert lambda_sq_distance(a, b) == float(xor)
             assert lambda_prod(a, b, 1e-10) == float(inter)
             bare = IntervalUnion(a.bounds), IntervalUnion(b.bounds)
-            assert lambda_sq_distance(*bare) == float(xor)
+            assert bare[0].symdiff_measure(bare[1]) == xor
             assert lambda_prod(*bare, 1e-10) == float(inter)
 
     def test_b3_pairs_that_quadrature_without_breakpoints_missed(self):
         # The breakpoint-free quadrature read these pairs up to 0.357 off.
+        # The exact forms read them right; lambda_sq_matrix takes no B(3) family.
         pairs = _set_pairs(BVectorClass(1, "odd"), 200)
-        got = np.array([lambda_sq_distance(a, b) for a, b in pairs])
-        exact = np.array([float(a.symdiff_measure(b)) for a, b in pairs])
+        got = np.array([lambda_prod(a, b, 1e-10) for a, b in pairs])
+        exact = np.array([float(_cell_measures(a, b)[1]) for a, b in pairs])
         assert bits_equal(got, exact)
-        assert bits_equal(lambda_sq_matrix([a for a, _ in pairs[:20]]),
-                          np.array([[float(x.symdiff_measure(y))
-                                     for y, _ in pairs[:20]] for x, _ in pairs[:20]]))
+        assert all(a.symdiff_measure(b) == _cell_measures(a, b)[0] for a, b in pairs)
+        with pytest.raises(TypeError):
+            lambda_sq_matrix([a for a, _ in pairs[:20]])
 
     def test_mixed_indicator_and_set_pairs_are_exact(self):
         # an indicator is a set member, so it meets any union in the exact forms
@@ -172,8 +175,7 @@ class TestSetMemberPairs:
                 t = float(rng.random())
                 h = indicator(t)
                 xor, inter = _cell_measures(IntervalUnion.from_pairs([(0, t)]), a)
-                assert lambda_sq_distance(h, a) == float(xor)
-                assert lambda_sq_distance(a, h) == float(xor)
+                assert h.symdiff_measure(a) == a.symdiff_measure(h) == xor
                 assert lambda_prod(h, a, 1e-10) == float(inter)
 
 
@@ -217,8 +219,8 @@ class TestProtocol:
         for _ in range(50):
             u = BVectorClass(2, "even").random_member(rng)
             assert u.lebesgue() == _ref_measure(u) == u.lambda_exact()
-        assert IntervalUnion.empty().lebesgue() == 0
-        assert IntervalUnion.full().lebesgue() == 1
+        assert IntervalUnion(()).lebesgue() == 0
+        assert IntervalUnion.from_pairs([(0, 1)]).lebesgue() == 1
 
     @pytest.mark.parametrize("t", [0.0, -0.25, 1.0 + 1e-12, 2.5, math.nan, -0.1, 1.5])
     def test_indicator_end_point_outside_unit_interval_rejected(self, t):

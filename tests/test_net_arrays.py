@@ -1,6 +1,6 @@
 """Array-built Holder nets and the lambda((h1-h2)^2) matrix against their
-scalar references: the recursive net enumeration and the pair-by-pair
-lambda_sq_distance."""
+scalar references: the recursive net enumeration, and pair by pair
+piecewise.diff_sq_integral and IntervalUnion.symdiff_measure."""
 
 import math
 from fractions import Fraction
@@ -12,14 +12,13 @@ import semproc.function_classes as fc
 from semproc.function_classes import (
     BVectorClass,
     HolderClass,
-    HolderMember,
     NetTooLargeError,
     indicator,
     indicator_net,
-    lambda_sq_distance,
     lambda_sq_matrix,
 )
-from semproc.piecewise import PiecewiseLinear
+from semproc.intervals import IntervalUnion
+from semproc.piecewise import PiecewiseLinear, diff_sq_integral
 from semproc.seeds import derive_seed
 
 
@@ -76,12 +75,20 @@ def recursive_net(cls: HolderClass, u: float, max_members: int = 200_000):
     return grid, np.array(list(members.values()))
 
 
+def pair_sq(a, b) -> float:
+    """lambda((a-b)^2) of one pair: the per-cell Simpson sum of two
+    piecewise-linear members, the symmetric-difference measure of two sets."""
+    if isinstance(a, IntervalUnion):
+        return float(a.symdiff_measure(b))
+    return diff_sq_integral(a, b)
+
+
 def scalar_sq(members) -> np.ndarray:
     k = len(members)
     sq = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            sq[i, j] = sq[j, i] = lambda_sq_distance(members[i], members[j])
+            sq[i, j] = sq[j, i] = pair_sq(members[i], members[j])
     return sq
 
 
@@ -101,8 +108,8 @@ class TestNetValues:
         grid, rows = recursive_net(cls, u, max_members=500_000)
         net = cls.build_net(u)
         assert len(net) == len(rows)
-        assert bits_equal([m.pl.values for m in net], rows)
-        assert all(m.pl.knots == tuple(grid) for m in net)
+        assert bits_equal([m.values for m in net], rows)
+        assert all(m.knots == tuple(grid) for m in net)
         got_grid, got_rows = cls.net_values(u)
         assert bits_equal(got_grid, grid) and bits_equal(got_rows, rows)
 
@@ -152,7 +159,7 @@ class TestLambdaSqMatrix:
         assert bits_equal(sq, sq.T) and not np.any(np.diag(sq))
         rng = np.random.default_rng(3)
         for i, j in rng.integers(0, len(net), size=(3000, 2)):
-            assert bits_equal(sq[i, j], lambda_sq_distance(net[i], net[j]))
+            assert bits_equal(sq[i, j], pair_sq(net[i], net[j]))
         strided = net[:: len(net) // 90]
         assert bits_equal(lambda_sq_matrix(strided), scalar_sq(strided))
 
@@ -161,35 +168,21 @@ class TestLambdaSqMatrix:
         assert bits_equal(lambda_sq_matrix(net), scalar_sq(net))
 
     @pytest.mark.parametrize("mesh", [0.01, 0.09, 0.1, 1 / 7, 0.3])
-    def test_indicator_nets_equal_the_exact_symmetric_difference(self, mesh, monkeypatch):
+    def test_indicator_nets_equal_the_exact_symmetric_difference(self, mesh):
         # |t_i - t_j| in floats against the Fraction measure of (0, t_i] xor (0, t_j]
         net = indicator_net(mesh)
         exact = np.array([[float(a.symdiff_measure(b)) for b in net] for a in net])
-        calls = []
-        monkeypatch.setattr(fc, "lambda_sq_distance",
-                            lambda a, b: calls.append(1) or lambda_sq_distance(a, b))
         assert bits_equal(lambda_sq_matrix(net), exact)
-        assert not calls  # the one-interval path, no pair loop
 
     @pytest.mark.parametrize("family", [
         [indicator(0.2), BVectorClass(1, "even").member([0.1, 0.4]), indicator(0.7)],
         [indicator(0.5), BVectorClass(1, "odd").member([0.2, 0.5, 0.9]), indicator(1.0)],
         [indicator(0.25), BVectorClass(0, "odd").member([Fraction(1, 3)])],
-    ], ids=["unanchored", "two-intervals", "non-float-end"])
-    def test_mixed_unions_take_the_pair_loop(self, family, monkeypatch):
-        calls = []
-        monkeypatch.setattr(fc, "lambda_sq_distance",
-                            lambda a, b: calls.append(1) or lambda_sq_distance(a, b))
-        sq = lambda_sq_matrix(family)
-        k = len(family)
-        assert len(calls) == k * (k - 1) // 2
-        assert bits_equal(sq, [[float(a.symdiff_measure(b)) for b in family] for a in family])
-
-    def test_mixed_knots_fall_back_to_scalar(self):
-        cls = HolderClass(1.0, 1.0, 1.0)
-        coarse = cls.build_net(0.8)[:3]
-        fine = cls.build_net(0.5)[:3]
-        other = HolderMember(1.0, 1.0, 1.0, pl=PiecewiseLinear((0.0, 0.3, 1.0), (0.1, -0.2, 0.4)))
-        cusp = cls.random_member(np.random.default_rng(2))
-        family = coarse + fine + [other, cusp]
-        assert bits_equal(lambda_sq_matrix(family), scalar_sq(family))
+        HolderClass(1.0, 1.0, 1.0).build_net(0.8)[:3]
+        + [PiecewiseLinear((0.0, 0.3, 1.0), (0.1, -0.2, 0.4))],
+        [indicator(0.5), PiecewiseLinear((0.0, 1.0), (0.0, 1.0))],
+    ], ids=["unanchored", "two-intervals", "non-float-end", "mixed-knots", "set-and-pl"])
+    def test_other_families_raise_type_error(self, family):
+        # no member pool holds such a family; the pair forms stay per pair
+        with pytest.raises(TypeError, match="lambda_sq_matrix takes"):
+            lambda_sq_matrix(family)
