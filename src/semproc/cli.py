@@ -330,7 +330,7 @@ def _run_bounds(cfg: dict) -> tuple:
     worst = {}
     for label, cls in specs:
         rng = np.random.default_rng(derive_seed(cfg["seed"], ["bounds", label]))
-        mems = [cls.random_member(rng) for _ in range(cfg["members"])]
+        mems = cls.random_members(rng, cfg["members"])
         for n, gaps in zip(n_list, observed_riemann_gap_rows(mems, n_list)):
             bound = cls.riemann_gap_bound(n)
             margin = -math.inf

@@ -4,14 +4,15 @@ B(1)), the non-uniformly-Riemann-integrable counterexample family, and the
 members g on the sample space.  A product class F = H * G = {h(s) g(x)} has
 G the half-lines, so it is named by its h class alone.
 
-Every h class exposes seeded random member generation and its closed-form
-Riemann gap bound.  A set class BVectorClass also owns its grid-cut rule:
-cut_masks(k) lists the subsets of k ordered points it cuts out (at most j
-runs, one more through the anchored interval), which the shatter counts and
-the brute-force ULLN oracle read.  The Holder balls build u-nets with a
-provable sup-norm coverage guarantee, which is how an infinite class becomes
-computable; indicator_net and half_line_net space the indicators and the
-half-lines at a mesh the caller picks.
+Every h class exposes seeded random member generation, one member or a list
+(random_members, one generator draw for all members of a set class), and its
+closed-form Riemann gap bound.  A set class BVectorClass also owns its
+grid-cut rule: cut_masks(k) lists the subsets of k ordered points it cuts
+out (at most j runs, one more through the anchored interval), which the
+shatter counts and the brute-force ULLN oracle read.  The Holder balls build
+u-nets with a provable sup-norm coverage guarantee, which is how an infinite
+class becomes computable; indicator_net and half_line_net space the
+indicators and the half-lines at a mesh the caller picks.
 
 Holder nets are built on a uniform grid: candidate value sequences are
 enumerated on a step/2 value lattice, each sequence is replaced by its largest
@@ -150,6 +151,11 @@ class HolderClass:
     def __post_init__(self):
         if not (0 < self.T < math.inf and 0 < self.C < math.inf and 0 < self.beta <= 1):
             raise ValueError("need T and C finite and > 0, beta in (0, 1]")
+
+    def random_members(self, rng: np.random.Generator, count: int) -> list[HolderMember]:
+        """count random_member draws in turn: a member's normal draw has a
+        length drawn just before it, so the draws cannot share one call."""
+        return [self.random_member(rng) for _ in range(count)]
 
     def random_member(self, rng: np.random.Generator) -> HolderMember:
         k = int(rng.integers(1, _MAX_CUSPS + 1))
@@ -337,9 +343,15 @@ class BVectorClass:
         ends = [0] + t if self.anchored else t  # (0, t0] is the anchored interval
         return IntervalUnion.from_pairs(zip(ends[::2], ends[1::2]))
 
+    def random_members(self, rng: np.random.Generator, count: int) -> list[IntervalUnion]:
+        """count members with uniform sorted breakpoints, from one
+        rng.random((count, n_breakpoints)) draw: the stream of count
+        rng.random(n_breakpoints) calls, row by row."""
+        t = np.sort(rng.random((count, self.n_breakpoints)), axis=1)
+        return [self.member(row) for row in t.tolist()]
+
     def random_member(self, rng: np.random.Generator) -> IntervalUnion:
-        t = np.sort(rng.random(self.n_breakpoints))
-        return self.member(t.tolist())
+        return self.random_members(rng, 1)[0]
 
     def riemann_gap_bound(self, n: int) -> float:
         return 2.0 * self.n_breakpoints / n

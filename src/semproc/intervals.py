@@ -2,8 +2,11 @@
 
 Everything that touches the grid {i/n : i = 1..n} goes through this module so
 that membership tests and counting are exact integer arithmetic, never float
-comparisons.  Endpoints are stored as exact rationals (``fractions.Fraction``);
-a float endpoint is converted through ``Fraction(float)``, which is lossless.
+comparisons.  A union's state is its endpoints over one common denominator D,
+as integer numerators; a float endpoint enters through as_integer_ratio(),
+which is lossless, and D is a power of two when every endpoint is a float.
+The endpoints as exact rationals (``fractions.Fraction``) are built from that
+state on first read of ``bounds``.
 
 Intervals follow the half-open convention (a, b]: closed on the right, open on
 the left.  The right-closed choice matches the grid-counting identity
@@ -17,7 +20,7 @@ member of function_classes' h-member protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
@@ -35,27 +38,40 @@ def _exact_key(x: Number) -> Number:
     return float(x) if isinstance(x, float) else Fraction(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class IntervalUnion:
     """A finite union of disjoint half-open intervals (a, b] inside [0, 1].
 
-    ``bounds`` holds the endpoints as Fraction pairs, and Fractions are what
-    bounds, lebesgue() (= lambda_exact()), lambda_n(), intersect() and
-    symdiff_measure() give back.  Construction also puts the endpoints over
-    one common denominator D (a power of two when they came from floats):
-    the measure, grid_count(), grid_indices() and riemann_gap() are integer
-    arithmetic on those numerators, and lebesgue() turns the integer measure
-    into a Fraction on first use."""
+    The state is the flattened endpoints a1, b1, a2, b2, ... as integer
+    numerators over D, the lcm of their reduced denominators, so two unions
+    are equal (and hash alike) exactly when their endpoints are.  The
+    measure, grid_count(), grid_indices() and riemann_gap() are integer
+    arithmetic on that state.  ``bounds``, the endpoints as Fraction pairs,
+    and lebesgue() (= lambda_exact()) are built on first read; lambda_n(),
+    intersect() and symdiff_measure() give back Fractions too."""
 
-    bounds: tuple[tuple[Fraction, Fraction], ...]
+    _den: int
+    _nums: tuple[int, ...]
+    _measure: int = field(compare=False)
 
-    def __post_init__(self):
-        ratios = [x.as_integer_ratio() for pair in self.bounds for x in pair]
+    def __init__(self, bounds: Iterable[tuple[Number, Number]] = ()):
+        self._set(x.as_integer_ratio() for pair in bounds for x in pair)
+
+    def _set(self, ratios: Iterable[tuple[int, int]]) -> None:
+        ratios = list(ratios)
         den = math.lcm(*[q for _, q in ratios])
         nums = tuple([p * (den // q) for p, q in ratios])
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_measure", sum(nums[1::2]) - sum(nums[::2]))
+
+    def __repr__(self) -> str:
+        return f"IntervalUnion({self.bounds!r})"
+
+    @cached_property
+    def bounds(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        fr = [Fraction(p, self._den) for p in self._nums]
+        return tuple(zip(fr[::2], fr[1::2]))
 
     @cached_property
     def _lebesgue(self) -> Fraction:
@@ -63,8 +79,8 @@ class IntervalUnion:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Number, Number]]) -> "IntervalUnion":
-        """Normalize: drop empty intervals, sort, merge overlaps, then convert
-        the merged endpoints to Fractions."""
+        """Normalize: drop empty intervals, sort, merge overlaps, then put the
+        merged endpoints over their common denominator."""
         raw = []
         for a, b in pairs:
             ka, kb = _exact_key(a), _exact_key(b)
@@ -79,8 +95,9 @@ class IntervalUnion:
                 ends[-1] = max(ends[-1], b)
             else:
                 ends += (a, b)
-        fr = [Fraction(x) for x in ends]
-        return cls(tuple(zip(fr[::2], fr[1::2])))
+        union = cls.__new__(cls)
+        union._set(x.as_integer_ratio() for x in ends)
+        return union
 
     def lebesgue(self) -> Fraction:
         """Exact Lebesgue measure."""

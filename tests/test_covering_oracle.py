@@ -2,10 +2,11 @@
 slow reference forms.
 
 bfs_covering_number is the breadth-first search over unions of target masks
-that exact_covering_number replaced; row_loop_l1 is the row-at-a-time mean
-absolute difference that _l1_distances replaced.  Both are kept here as
-oracles: the fast paths must give the same counts and the same float bits.
-"""
+that exact_covering_number replaced, and bfs_min_cover is that search on
+masks already built, the form in which check_covering_lemmas hands each set
+cover to _min_cover; row_loop_l1 is the row-at-a-time mean absolute
+difference that _l1_distances replaced.  They are kept here as oracles: the
+fast paths must give the same counts and the same float bits."""
 
 import os
 import subprocess
@@ -44,8 +45,14 @@ def bfs_covering_number(dist, u, targets=None, centers=None, hard_cap=22):
         for p in tg:
             if dist[c, p] < u:
                 m |= 1 << pos[p]
-        if m:
-            masks.append(m)
+        masks.append(m)
+    return bfs_min_cover(masks, t)
+
+
+def bfs_min_cover(masks, t):
+    """The fewest masks whose union is the t >= 1 low bits, by breadth-first
+    search over every union of the nonzero masks."""
+    masks = [m for m in masks if m]
     full = (1 << t) - 1
     if not masks:
         raise ValueError("some target cannot be covered at this radius")
@@ -79,13 +86,14 @@ def _euclid(points):
 
 def _recorded_lemma_calls(monkeypatch, trials, seed):
     calls = []
+    kernel = covering._min_cover
 
-    def record(dist, u, targets=None, centers=None):
-        calls.append((dist.copy(), u, targets, centers))
-        return exact_covering_number(dist, u, targets=targets, centers=centers)
+    def record(masks, t):
+        calls.append((list(masks), t))
+        return kernel(masks, t)
 
     with monkeypatch.context() as m:
-        m.setattr(covering, "exact_covering_number", record)
+        m.setattr(covering, "_min_cover", record)
         check_covering_lemmas(trials, seed)
     return calls
 
@@ -95,9 +103,8 @@ class TestExactCoveringAgainstBFS:
     def test_every_lemma_call(self, monkeypatch, seed):
         calls = _recorded_lemma_calls(monkeypatch, 250, seed)
         assert len(calls) == 7 * 250  # N(u, d) is computed once per trial
-        for dist, u, targets, centers in calls:
-            want = bfs_covering_number(dist, u, targets=targets, centers=centers)
-            assert exact_covering_number(dist, u, targets=targets, centers=centers) == want
+        for masks, t in calls:
+            assert covering._min_cover(masks, t) == bfs_min_cover(masks, t)
 
     def test_restricted_targets_and_centers(self):
         rng = np.random.default_rng(17)

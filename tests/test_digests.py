@@ -82,6 +82,14 @@ CASES = {
         "ulln", {"j": 2, "parity": "even", "model": "exponential(1)", "n_schedule": [100, 1000],
                  "replicates": 2, "seed": 12},
         "f063b27db1f16b6ba79b9fd286ed9e9c027c5754d4b524d52f7ddce2b91c3622"),
+    # recorded before the lemma trials ran in blocks of 50 and the set members
+    # were drawn in bulk: 77 trials end mid-block, 33 members a short draw
+    "covering-block-edge": (
+        "covering", {"trials": 77, "seed": 3, "n_list": [20, 100], "n_seeds": 3},
+        "fd55935e586143fc129dc5b144e6142aa9213e218ffced5ed37de64fecf66db6"),
+    "bounds-short-bulk-draw": (
+        "bounds", {"members": 33, "seed": 4, "n_list": [10, 40], "witness_max_n": 5},
+        "9de68fd1cdada0706e6748b47c6665c3fa3a6a178ece7d557837042dfc9e0169"),
 }
 
 
