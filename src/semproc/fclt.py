@@ -1,12 +1,13 @@
 """The standardized process Z_n, its Gaussian limit, and the verification
-machinery for the functional-CLT side: the covariance kernel, a
-finite-dimensional Gaussian sampler, the Lindeberg check, a fidi convergence
-test, and the equicontinuity-modulus proxy.
+machinery for the functional-CLT side: the covariance kernel, a sampler of
+the Kiefer process, the Lindeberg check, a fidi convergence test, and the
+equicontinuity-modulus proxy.
 
 A q is the pair (h, g) of the product q(s, x) = h(s) g(x): h an h member and
-g a G member of semproc.function_classes.  The covariance kernel factorizes
-over the pair, and the Lindeberg tail is g's closed-form centered_sq_tail at
-the values h(i/n); there is no quadrature fallback over x.
+g a G member of semproc.function_classes.  The covariance kernel lambda(h1
+h2) Cov_nu(g1, g2), the Lindeberg limit variance and its tail (g's
+centered_sq_tail at the values h(i/n)) are closed forms; nothing here
+integrates by quadrature.
 
 Weak convergence in the sup-norm sense is not desk-verifiable; what this
 module verifies are its two operational pillars.  Fidi convergence is
@@ -40,7 +41,6 @@ from .function_classes import (
 )
 from .measures import NuModel, grid_points
 from .piecewise import PiecewiseLinear
-from .quadrature import integrate
 from .seeds import derive_seed
 from .special import ndtr
 
@@ -50,7 +50,6 @@ __all__ = [
     "cov_kernel",
     "cov_matrix",
     "lindeberg_check",
-    "NotPSDError",
     "gaussian_fidi_sample",
     "ks_normal_distance",
     "fidi_convergence_test",
@@ -58,9 +57,7 @@ __all__ = [
     "equicontinuity_modulus",
 ]
 
-_KERNEL_TOL = 1e-10      # quadrature tolerance of the covariance kernel
 _DEGENERATE_TOL = 1e-12  # limiting variance below which Lindeberg is degenerate
-_CLAMP_REL = 1e-10       # eigenvalues in [-_CLAMP_REL * trace, 0) clamp to zero
 _N_COMBOS = 5            # random Cramer-Wold combinations in the fidi test
 _BLOCK_ROWS = 256        # replicate rows drawn and contracted at a time
 _TINY = 5e-324           # a greedy radius that stops only at distance 0
@@ -81,24 +78,14 @@ def make_sx_q() -> tuple:
     return PiecewiseLinear((0.0, 1.0), (0.0, 1.0)), BoundedPolynomial((0.0, 1.0))
 
 
-def _lambda_integral(fn, h, tol: float) -> float:
-    """The integral over s in [0, 1] of fn(h(s)), split at h's breakpoints."""
-    return integrate(lambda s: float(fn(np.asarray(h(np.atleast_1d(s)), dtype=float))[0]),
-                     0.0, 1.0, tol=tol, breakpoints=h.breakpoints())
-
-
 # ---------------------------------------------------------------------------
 # Covariance kernel
 # ---------------------------------------------------------------------------
 
-class NotPSDError(RuntimeError):
-    pass
-
-
 def cov_kernel(q1: tuple, q2: tuple, model: NuModel) -> float:
     """Cov(Z(q1), Z(q2)) factorized as lambda(h1 h2) [nu(g1 g2) - nu(g1) nu(g2)]."""
     (h1, g1), (h2, g2) = q1, q2
-    lam = lambda_prod(h1, h2, _KERNEL_TOL)
+    lam = lambda_prod(h1, h2)
     return lam * (g1.pair_mean(g2, model) - g1.mean(model) * g2.mean(model))
 
 
@@ -130,16 +117,17 @@ def lindeberg_check(
     with q_tilde(s, x) = h(s) (g(x) - nu(g)), evaluated by g's closed-form
     centered_sq_tail (no sampling, no quadrature over x); a g without one
     raises ValueError.  A row whose grid misses the support of h has V_n = 0
-    and reports ratio None.  When the limiting variance (lambda x
-    nu)(q_tilde^2) vanishes the degenerate branch is reported instead (the
-    limit is the point mass at zero)."""
+    and reports ratio None.  The limiting variance (lambda x nu)(q_tilde^2)
+    is the closed form Var_nu(g) lambda(h^2); when it vanishes the
+    degenerate branch is reported instead (the limit is the point mass at
+    zero)."""
     h, g = q
     nu_g, nu_g2 = g.mean(model), g.second_moment(model)
 
     def centered_sq(hs):  # nu(q_tilde^2)(s) = h(s)^2 nu(g^2) - (h(s) nu(g))^2
         return hs**2 * nu_g2 - (hs * nu_g) ** 2
 
-    limit_var = _lambda_integral(centered_sq, h, 1e-11)
+    limit_var = (nu_g2 - nu_g**2) * lambda_prod(h, h)
     if limit_var < _DEGENERATE_TOL:
         return {"degenerate": True, "limit_variance": limit_var, "rows": []}
 
@@ -161,25 +149,22 @@ def lindeberg_check(
 # Gaussian sampling and the fidi test
 # ---------------------------------------------------------------------------
 
-def gaussian_fidi_sample(cov: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """Centered multivariate normal draws via symmetric eigendecomposition.
-    Eigenvalues in [-_CLAMP_REL * trace, 0) are clamped to zero; anything more
-    negative signals an inconsistent kernel and raises NotPSDError."""
-    cov = np.asarray(cov, dtype=float)
-    if not np.allclose(cov, cov.T, atol=1e-12):
-        raise NotPSDError("covariance matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(cov)
-    tr = max(float(np.trace(cov)), 1e-300)
-    if np.any(vals < -_CLAMP_REL * tr):
-        raise NotPSDError(
-            f"eigenvalue {vals.min():.3e} below -{_CLAMP_REL:.0e} * trace; "
-            "quadrature tolerance too loose"
-        )
-    vals = np.clip(vals, 0.0, None)
-    root = vecs * np.sqrt(vals)[None, :]
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, cov.shape[0]))
-    return z @ root.T
+def gaussian_fidi_sample(grid: int, count: int, seed: int) -> np.ndarray:
+    """count draws of the Kiefer process K(s, x) = W(s, x) - x W(s, 1), W a
+    Brownian sheet, at the cells ((i + 1) / grid, (k + 1) / grid) of cli's
+    kiefer grid: row i * grid + k, one column per draw.  W sums independent
+    N(0, 1 / grid^2) cell increments, in place along s and then along x, in
+    one cell-major (grid, grid, count) array; no covariance matrix is
+    factored, and the x = 1 column of K is exactly 0.0."""
+    w = np.random.default_rng(seed).standard_normal((grid, grid, count))
+    w /= grid
+    for i in range(1, grid):
+        w[i] += w[i - 1]
+    for k in range(1, grid):
+        w[:, k] += w[:, k - 1]
+    for k in range(grid):
+        w[:, k] -= ((k + 1) / grid) * w[:, -1]
+    return w.reshape(grid * grid, count)
 
 
 def _draw_blocks(model: NuModel, R: int, n: int, rng: np.random.Generator):
@@ -268,7 +253,7 @@ def fidi_convergence_test(
     combos = []
     for c in range(_N_COMBOS):
         a = rng.standard_normal(len(q_list))
-        a /= float(np.linalg.norm(a))
+        a /= math.sqrt(a.dot(a))
         var = float(a @ analytic @ a)
         combos.append(ks_row(Z @ a, var, f"combo[{c}]"))
 

@@ -27,16 +27,16 @@ interpolation (u/2) add up to sup-distance at most u from any class member.
 Only this module knows how an h member is stored.  An h member is a cusp
 HolderMember, a PiecewiseLinear (the Holder net members among them) or a set
 member (any IntervalUnion, indicators among them); each is used through
-h(x), lambda_exact() = lambda(h), lambda_n(n) and breakpoints(), the points
-where h may jump; the lambdas are exact Fractions for set members.  A set
-member's Riemann gap is read in integers, through IntervalUnion.riemann_gap;
-the gaps of cusp Holder members are computed per class, all members of one
-beta together in row blocks of grid values (observed_riemann_gap_rows), with
-the bits of the one-member float expression.  The pair integral lambda(h1 h2)
-is a closed form when both members have one exact form (two piecewise-linear
-members, two unions) and quadrature split at both breakpoints if not;
-lambda_sq_matrix gives lambda((h1-h2)^2) over the two families the member
-pools use, indicators and piecewise-linear members on one knot vector.
+h(x), lambda_exact() = lambda(h) and lambda_n(n); the lambdas are exact
+Fractions for set members.  A set member's Riemann gap is read in integers,
+through IntervalUnion.riemann_gap; the gaps of cusp Holder members are
+computed per class, all members of one beta together in row blocks of grid
+values (observed_riemann_gap_rows), with the bits of the one-member float
+expression.  The pair integral lambda(h1 h2) is a closed form for every
+pair of piecewise-linear and set members (lambda_prod); no report builds a
+cusp member as an FCLT h, and lambda_prod rejects one.  lambda_sq_matrix
+gives lambda((h1-h2)^2) over the two families the member pools use,
+indicators and piecewise-linear members on one knot vector.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ import numpy as np
 from .intervals import IntervalUnion
 from .measures import NuModel
 from .piecewise import PiecewiseLinear, prod_integral
-from .quadrature import integrate
 
 __all__ = [
     "NetTooLargeError",
@@ -131,9 +130,6 @@ class HolderMember:
     def lambda_n(self, n: int) -> float:
         grid = np.arange(1, n + 1, dtype=float) / n
         return float(np.mean(self(grid)))
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()  # continuous
 
 
 # random Holder members are sums of 1 to _MAX_CUSPS cusps |x - c|^beta
@@ -237,16 +233,32 @@ class HolderClass:
         return self.net_sample(u)
 
 
-def lambda_prod(h1, h2, tol: float) -> float:
-    """lambda(h1 h2): the per-cell Simpson sum for two piecewise-linear
-    members, the intersection measure for two set members; quadrature to tol
-    split at both members' breakpoints otherwise."""
+def _set_pl_integral(u: IntervalUnion, p: PiecewiseLinear) -> float:
+    """The integral of p over u: per interval (a, b], the trapezoid sum of p
+    over a, its knots inside, and b, exact since p is linear on each cell."""
+    knots = np.asarray(p.knots)
+    total = 0.0
+    for a, b in u.bounds:
+        a, b = float(a), float(b)
+        x = np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
+        v = p(x)
+        total += float(np.sum((x[1:] - x[:-1]) * (v[1:] + v[:-1]))) / 2.0
+    return total
+
+
+def lambda_prod(h1, h2) -> float:
+    """lambda(h1 h2) in closed form for piecewise-linear and set members
+    (prod_integral, the intersection measure, _set_pl_integral); TypeError
+    for any other pair, a cusp HolderMember among them."""
     if isinstance(h1, PiecewiseLinear) and isinstance(h2, PiecewiseLinear):
         return prod_integral(h1, h2)
     if isinstance(h1, IntervalUnion) and isinstance(h2, IntervalUnion):
         return float(h1.intersect(h2).lebesgue())
-    return integrate(lambda s: float(h1(s)) * float(h2(s)), 0.0, 1.0, tol=tol,
-                     breakpoints=h1.breakpoints() + h2.breakpoints())
+    for u, p in ((h1, h2), (h2, h1)):
+        if isinstance(u, IntervalUnion) and isinstance(p, PiecewiseLinear):
+            return _set_pl_integral(u, p)
+    raise TypeError(f"lambda_prod takes piecewise-linear and set members, not "
+                    f"{type(h1).__name__} x {type(h2).__name__}")
 
 
 def _indicator_end(h) -> Optional[float]:

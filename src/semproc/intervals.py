@@ -105,9 +105,6 @@ class IntervalUnion:
 
     lambda_exact = lebesgue
 
-    def breakpoints(self) -> tuple[float, ...]:  # where the indicator jumps
-        return tuple(float(x) for pair in self.bounds for x in pair)
-
     def grid_count(self, n: int) -> int:
         """Exact card(self n {1/n, ..., n/n}): the sum over the intervals of
         floor(n b) - floor(n a), in integers."""

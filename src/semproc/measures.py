@@ -5,8 +5,8 @@ deliberately the only ones registered: each has closed-form cdf, raw moments,
 truncated moments and centred tail second moments, so product expectations
 and Lindeberg tails of every registered function family are exactly
 computable, nothing integrates over x by quadrature, and bound checks never
-need nested Monte Carlo.  The package's one quadrature
-routine is semproc.quadrature.integrate.
+need nested Monte Carlo.  The package's one quadrature routine,
+semproc.quadrature.integrate, serves only the bounds series oracle.
 
 Determinism contract: every draw from a model goes through NuModel.draw(rng,
 shape), one vectorized generator call per model kind.  draw_sample(model, n,

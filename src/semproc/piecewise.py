@@ -37,9 +37,6 @@ class PiecewiseLinear:
     def lambda_n(self, n: int) -> float:
         return float(np.mean(self(np.arange(1, n + 1, dtype=float) / n)))
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()  # continuous
-
 
 def merged_knots(p: PiecewiseLinear, q: PiecewiseLinear) -> np.ndarray:
     return np.union1d(np.asarray(p.knots), np.asarray(q.knots))

@@ -3,9 +3,9 @@
 semproc computes every expectation over x in closed form; these are the
 independent quadrature forms the tests compare against: E[f(X)] under a
 sampling model by scipy.integrate.quad against its density, and the
-covariance kernel of two product pairs as an integral over s.  A model's
-density and support come from scipy.stats (law), so the quadrature reads
-nothing of the code it checks.
+covariance kernel of two product pairs and lambda(h1 h2) as integrals over
+s.  A model's density and support come from scipy.stats (law), so the
+quadrature reads nothing of the code it checks.
 """
 
 from functools import lru_cache
@@ -15,6 +15,7 @@ from scipy import integrate as sciint
 from scipy import stats
 
 from semproc.function_classes import HalfLine, InitialInterval
+from semproc.intervals import IntervalUnion
 from semproc.quadrature import integrate
 
 _KERNEL_TOL = 1e-10
@@ -45,14 +46,24 @@ def expect(model, f, tol=1e-10, points=None):
     return total
 
 
-def _jumps(g):
-    """The points where a G member jumps: w for a half-line, 0 and w for an
-    initial interval, none for a polynomial."""
-    if isinstance(g, HalfLine):
-        return (g.w,)
-    if isinstance(g, InitialInterval):
-        return (0.0, g.w)
+def _jumps(member):
+    """The points where a G or an h member jumps: w for a half-line, 0 and w
+    for an initial interval, the float endpoints of a set member, none for a
+    polynomial or a continuous h."""
+    if isinstance(member, HalfLine):
+        return (member.w,)
+    if isinstance(member, InitialInterval):
+        return (0.0, member.w)
+    if isinstance(member, IntervalUnion):
+        return tuple(float(x) for pair in member.bounds for x in pair)
     return ()
+
+
+def lambda_prod_quadrature(h1, h2, tol=_KERNEL_TOL):
+    """lambda(h1 h2) by adaptive quadrature split at the jumps of both; the
+    independent reference for semproc.function_classes.lambda_prod."""
+    return integrate(lambda s: float(h1(s)) * float(h2(s)), 0.0, 1.0, tol=tol,
+                     breakpoints=tuple(set(_jumps(h1) + _jumps(h2))))
 
 
 def cov_kernel_quadrature(q1, q2, model):
@@ -65,4 +76,4 @@ def cov_kernel_quadrature(q1, q2, model):
     cross = expect(model, lambda xs: g1(xs) * g2(xs), points=points)
     cov_g = cross - expect(model, g1, points=_jumps(g1)) * expect(model, g2, points=_jumps(g2))
     return integrate(lambda s: float(h1(s)) * float(h2(s)) * cov_g, 0.0, 1.0, tol=_KERNEL_TOL,
-                     breakpoints=tuple(set(h1.breakpoints() + h2.breakpoints())))
+                     breakpoints=tuple(set(_jumps(h1) + _jumps(h2))))

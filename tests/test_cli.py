@@ -22,7 +22,6 @@ from semproc.cli import (
     run_experiment,
     write_report,
 )
-from semproc.fclt import NotPSDError
 from semproc.quadrature import QuadratureError
 from semproc.seeds import derive_seed
 from semproc.ulln import series_S_diagnostic
@@ -140,7 +139,11 @@ class TestRunExperiment:
         monkeypatch.setattr("semproc.cli.series_S_diagnostic", scaled)
         bad = {e["name"]: e for e in run_experiment("bounds", cfg)["ledger"]}[name]
         assert good["ok"] is True and bad["ok"] is False
-        assert bad["observed"] == good["observed"]
+        # the classifications stay; the row names each c whose sums missed
+        assert ({c: row["classification"] for c, row in bad["observed"].items()}
+                == {c: row["classification"] for c, row in good["observed"].items()})
+        assert [row["bracket_misses"] for row in good["observed"].values()] == [0, 0, 0]
+        assert all(row["bracket_misses"] > 0 for row in bad["observed"].values())
 
     def test_report_schema(self, tmp_path):
         rep = run_experiment("kiefer", {"draws": 5000, "seed": 2, "tolerance": 0.1})
@@ -305,9 +308,8 @@ class TestMainEntry:
         assert code == 2
         assert capsys.readouterr().err == message + "\n"
 
-    @pytest.mark.parametrize("exc", [NotPSDError("covariance matrix is not PSD"),
-                                     QuadratureError("no convergence", 0.5)],
-                             ids=["not-psd", "quadrature"])
+    @pytest.mark.parametrize("exc", [QuadratureError("no convergence", 0.5)],
+                             ids=["quadrature"])
     def test_internal_error_exit_3(self, monkeypatch, capsys, exc):
         def fail(*args, **kwargs):
             raise exc

@@ -16,10 +16,35 @@ scipy.special.gammaincc onto the Poisson sum semproc.special.gammaincc:
 diffing the two reports shows only the last bits of 9 of the series_I
 quadrature values and their rel_err changed.  The closed form
 series_I_closed_form is the oracle there, and it did not move.
+
+Three groups were re-recorded when every lambda-integral became a closed
+form and the Kiefer sampler moved onto Brownian-sheet increments; diffing
+old and new reports shows only these values changed:
+- the two bounds pins: the "series S dichotomy classifications" ledger row's
+  observed value now holds each c's bracket_misses() beside its
+  classification (all 0);
+- every fclt pin that runs the Lindeberg check (fclt-holder-product-q,
+  fclt-kiefer-grid-normal, the custom file) and seven of the twelve
+  Lindeberg row pins: limit_variance, now Var_nu(g) lambda(h^2) instead of
+  adaptive Simpson, e.g. 0.3333333333331778 -> 0.3333333333333333 (exactly
+  float(1/3)) and 0.003849999999992487 -> 0.0038499999999999997; the other
+  five already read the closed form's bits;
+- the custom file: lambda(h1 h2) for its indicator times each
+  piecewise-linear h is now a trapezoid sum instead of quadrature, so
+  analytic_cov[0][1] reads -0.0 for the exact 0 (was 2.4e-19) and
+  analytic_cov[0][2] moves by 4e-15, with the combination variances and KS
+  distances that read them in their last bits;
+- kiefer: empirical_cov and sampler_error (0.0102 -> 0.0053), drawn from
+  the sheet instead of an eigendecomposition; the x = 1 entries now read
+  exactly 0.0, where they read up to 4e-13.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +55,7 @@ from semproc.function_classes import HalfLine, InitialInterval, indicator
 from semproc.measures import draw_sample, parse_model
 from semproc.piecewise import PiecewiseLinear
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 _SMALL_FCLT = {"modulus_replicates": 5, "run_lindeberg": False,
                "cov_tolerance": 0.3, "ks_tolerance": 0.3}
 
@@ -55,11 +81,11 @@ CASES = {
     "fclt-holder-product-q": (
         "fclt", {"q_set": "holder-product", "n": 120, "replicates": 200, "seed": 4,
                  "modulus_replicates": 4, "alpha_list": [0.3, 0.8], "net_u": 0.6},
-        "d5fe767ca31ce205d29c77ddeb77141d294abcd7326f0fce7816087eab50687c"),
+        "54cef8ad31b6dec132355450154c9172d31d189f1439693a4ebc5c71057e0a9c"),
     "fclt-kiefer-grid-normal": (
         "fclt", {"q_set": "kiefer-grid", "n": 100, "replicates": 150, "seed": 5,
                  "model": "standard-normal", "run_modulus": False},
-        "96354505799d3b94dbad21a1e9feef87afad4bf39af4d94e6907640adb13167d"),
+        "e7f8cdd802147251c686eb6350b295c894c38658d4e8ef565ec8c9cd12ea620c"),
     "fclt-indicator-modulus": (
         "fclt", {"n": 120, "replicates": 200, "seed": 9, "alpha_list": [0.2, 0.6],
                  "net_u": 0.3, "model": "exponential(2)", "h_class": {"class": "indicators"},
@@ -70,10 +96,10 @@ CASES = {
         "b39d058769225e521a84555c75fd510fb433306202f7afaccee1d2d29cecc2cc"),
     "bounds": (
         "bounds", {"members": 20, "seed": 4, "n_list": [10, 40], "witness_max_n": 5},
-        "dc24ebf9ce019eb17d8f983efd90a8e6948546435e03d70884fca55a4eec4933"),
+        "f3aa03855f883c9f5a9fccd77893f7b20792ab29a8e841cc0e58472947560f46"),
     "kiefer": (
         "kiefer", {"draws": 5000, "seed": 6, "tolerance": 0.1},
-        "d50ee6cfc43cfc260346929c099ce94f8dc25180504bbab6f024dd54301824f3"),
+        "56a6c3ea1225e19b730457fcfeb574eedfc3fc58a39b31aeb2f5b85e258c26bc"),
     "ulln-runs-j1-odd-normal": (
         "ulln", {"j": 1, "parity": "odd", "model": "standard-normal", "n_schedule": [100, 1000],
                  "replicates": 2, "seed": 11},
@@ -89,7 +115,7 @@ CASES = {
         "fd55935e586143fc129dc5b144e6142aa9213e218ffced5ed37de64fecf66db6"),
     "bounds-short-bulk-draw": (
         "bounds", {"members": 33, "seed": 4, "n_list": [10, 40], "witness_max_n": 5},
-        "9de68fd1cdada0706e6748b47c6665c3fa3a6a178ece7d557837042dfc9e0169"),
+        "5f592a72c93545298ed30299bfaf941754fa2866bda6ddd6f2f654a86e2a08c1"),
 }
 
 
@@ -100,9 +126,40 @@ def test_numeric_sha256_pinned(name):
     assert hashlib.sha256(numeric_bytes(report)).hexdigest() == want
 
 
+# BLAS and SIMD settings that change no kiefer byte: the Kiefer sampler sums
+# sheet increments and its covariance reduces products with np.sum, so no
+# GEMM or LAPACK call reaches the report.  Haswell needs AVX2, Prescott
+# SSE3; a setting the host cannot execute kills the child by a signal and
+# is skipped.
+_KIEFER_SETTINGS = {
+    "blas-1-thread": {"OPENBLAS_NUM_THREADS": "1"},
+    "blas-2-threads": {"OPENBLAS_NUM_THREADS": "2"},
+    "coretype-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "coretype-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "avx512-dispatch-off": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
+@pytest.mark.parametrize("setting", sorted(_KIEFER_SETTINGS))
+def test_kiefer_digest_ignores_blas_and_simd(setting):
+    experiment, cfg, want = CASES["kiefer"]
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("OPENBLAS_", "NPY_DISABLE_CPU_FEATURES"))}
+    env.update(_KIEFER_SETTINGS[setting])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "semproc.cli", experiment]
+    for key, value in cfg.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    if out.returncode < 0:
+        pytest.skip(f"{setting} cannot run on this host (signal {-out.returncode})")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[2] == f"numeric_sha256={want}"
+
+
 # The custom-file q set on a q file of every h and g type: the indicator
 # meets the two piecewise-linear h (on different knots) in cov_kernel's
-# set x piecewise-linear quadrature.  The report echoes the file's path in
+# set x piecewise-linear trapezoid sums.  The report echoes the file's path in
 # config.q_file, so the pin hashes the report with that path replaced.
 _Q_FILE = [
     {"h": {"type": "indicator", "t": 0.4}, "g": {"type": "half-line", "w": 0.3}},
@@ -113,7 +170,7 @@ _Q_FILE = [
 ]
 
 
-CUSTOM_FILE_PIN = "968bc5dc18e638b49554dc0cfb346c199e8583bc2f5f14d911dc0c25c5efc322"
+CUSTOM_FILE_PIN = "8736fa6faf01692ffcd0863c4378045d019433fa1952925f435686da310a62cc"
 
 
 def test_custom_file_q_set_pinned(tmp_path):
@@ -140,25 +197,25 @@ LINDEBERG_PINS = {
     ("indicator", "initial-interval", "uniform01"):
         "6758854082e26b66b93603b311e2138de838b9ee3951ae9b9bae74b6bb95b34c",
     ("holder-pl", "half-line", "uniform01"):
-        "56f19733132b12232aa0af3824114676e01a1484653e2bed457f506d46ad68b7",
+        "1b0ee8b18d6b72f31b892423b3f7af9bb0cd6e94dce69c4a7de442f30baf26f1",
     ("holder-pl", "initial-interval", "uniform01"):
-        "536171a07a81c24540d9d05983bd664943d8a6eea205170a8af51eaa564cb847",
+        "13225ab6831d904a9fa0ac8d8f07384e4443258d058e903f61d15e5325114619",
     ("indicator", "half-line", "standard-normal"):
         "e4153cd13402ab3ae13f53cff85717e2aa593de1b10e90e1b42d154538eaa8ca",
     ("indicator", "initial-interval", "standard-normal"):
         "84091416f82450b60aab14eac97ac75a7a900d7e9fbc0631f54a6d1a710b77a8",
     ("holder-pl", "half-line", "standard-normal"):
-        "3e9cf2288c8b7c7d718471f34ab012cdf753d20fe38698c46870d46c2eb1b1ae",
+        "7c7179ae89f58ad666abcc1d4ced0f9886aa22799399fe6a5e0568412c0bd32b",
     ("holder-pl", "initial-interval", "standard-normal"):
-        "a2622f8d9695f7c54ef1571aed439c7872d362890edea432b6b53e75723a210a",
+        "9e9de500dc81315cf460b47f2f28024bec4a5092ffea278ca5f5d40a7a06700f",
     ("indicator", "half-line", "exponential(2)"):
         "189f37ff1e424df3121ffc4d570a441bb46fd9d1dff102e3149f7b5c7ac89dd7",
     ("indicator", "initial-interval", "exponential(2)"):
-        "cb2265dc98a0ef38aa267a6bbcd347635c34876a41805353f9f1ca555371d9ed",
+        "2d61332444e2a17f9da9cda307bc885dd40fd0a08a1cf52c3da15708ef3e8a13",
     ("holder-pl", "half-line", "exponential(2)"):
-        "a0ecf2bd924f12980f729dd8ae165989b726bfcb4c9c2c70f31bcd9392db208b",
+        "8aaf5bd004648733b3cb2f53b58a90b53e3462b97f2864f13c0dfa3bc399fa8e",
     ("holder-pl", "initial-interval", "exponential(2)"):
-        "8a372526264e47162eb06bad22579f7b6804af34e964d87de82c0396f737a5f0",
+        "cfd2162aea24f02749f89fc941d4ed2ff8ba9a597141975f94e5b8662692d7e1",
 }
 
 

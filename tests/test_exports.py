@@ -1,6 +1,7 @@
 """Every name a semproc module lists in __all__ resolves in that module and
 is read by the package or the benchmark, and every name a module imports is
-used there."""
+used there.  Quadrature serves only the bounds series oracle, and no module
+reaches LAPACK through np.linalg."""
 
 import ast
 import importlib
@@ -101,3 +102,42 @@ def test_unread_export_is_caught():
     assert _reads(ast.parse("x = f()"), "f") and _reads(ast.parse("m.f"), "f")
     assert _reads(ast.parse("LAYERS = ['f.meth']"), "f", strings=True)
     assert not _reads(ast.parse("LAYERS = ['f.meth']"), "f")
+
+
+def _quadrature_importers_and_linalg(source: str) -> tuple:
+    """(whether source imports semproc.quadrature, the lines that name
+    numpy.linalg), read from its syntax tree."""
+    imports_quadrature, linalg = False, []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module, names = node.module or "", [a.name for a in node.names]
+            imports_quadrature |= (module in ("quadrature", "semproc.quadrature")
+                                   or (module in ("", "semproc") and "quadrature" in names))
+            if module.startswith("numpy.linalg") or (module == "numpy" and "linalg" in names):
+                linalg.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            imports_quadrature |= any(a.name == "semproc.quadrature" for a in node.names)
+            linalg += [node.lineno for a in node.names if a.name.startswith("numpy.linalg")]
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            linalg.append(node.lineno)
+    return imports_quadrature, linalg
+
+
+def test_quadrature_and_linalg_stay_out_of_the_numerics():
+    # ulln holds the series oracle; cli maps its QuadratureError to exit 3
+    importers, linalg = [], []
+    for path in sorted((ROOT / "src/semproc").glob("*.py")):
+        quad, lines = _quadrature_importers_and_linalg(path.read_text())
+        importers += [path.stem] if quad else []
+        linalg += [f"{path.stem}:{line}" for line in lines]
+    assert importers == ["cli", "ulln"]
+    assert linalg == []
+
+
+def test_quadrature_and_linalg_guard_catches():
+    for source in ("from .quadrature import integrate", "from . import quadrature",
+                   "import semproc.quadrature", "from semproc.quadrature import integrate"):
+        assert _quadrature_importers_and_linalg(source) == (True, [])
+    for source in ("np.linalg.eigh(a)", "import numpy.linalg", "from numpy import linalg",
+                   "from numpy.linalg import norm", "numpy.linalg.norm(a)"):
+        assert _quadrature_importers_and_linalg(source) == (False, [1])

@@ -4,15 +4,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semproc import fclt
+from semproc.cli import run_experiment
 from semproc.fclt import (
-    NotPSDError,
     cov_kernel,
     cov_matrix,
     equicontinuity_modulus,
@@ -211,28 +213,78 @@ class TestCovKernel:
         assert np.all(np.diag(cov) >= -1e-12)
 
 
-class TestGaussianSampler:
-    def test_variance_within_five_percent(self):
-        draws = gaussian_fidi_sample(np.array([[0.36]]), 10**5, 1)
-        assert abs(float(np.var(draws)) - 0.36) <= 0.05 * 0.36
+def _kiefer_closed_form(grid):
+    """(s ^ s')(x ^ x' - x x') over the cells ((i + 1) / grid, (k + 1) / grid)
+    in row i * grid + k."""
+    t = np.arange(1, grid + 1) / grid
+    s, x = np.repeat(t, grid), np.tile(t, grid)
+    return np.minimum.outer(s, s) * (np.minimum.outer(x, x) - np.outer(x, x))
 
-    def test_duplicate_coordinates_degenerate(self):
-        q = kiefer_cell(0.5, 0.5)
-        cov = cov_matrix([q, q], UNIFORM)
-        draws = gaussian_fidi_sample(cov, 2000, 2)
-        assert float(np.max(np.abs(draws[:, 0] - draws[:, 1]))) <= 1e-9
+
+def _sheet_draws(grid, count, seed, fault=None):
+    """The sampler's construction with np.cumsum, and one planted fault on
+    request: a cell sd of 1 / grid^2, the bridge taken along s instead of x,
+    or a cumulative sum along one axis only."""
+    z = np.random.default_rng(seed).standard_normal((grid, grid, count))
+    z = z / (grid * grid if fault == "cell-sd" else grid)
+    w = z if fault == "sum-x-only" else np.cumsum(z, axis=0)
+    if fault != "sum-s-only":
+        w = np.cumsum(w, axis=1)
+    t = np.arange(1, grid + 1) / grid
+    if fault == "bridge-s":
+        k = w - t[:, None, None] * w[-1:, :, :]
+    else:
+        k = w - t[None, :, None] * w[:, -1:, :]
+    return k.reshape(grid * grid, count)
+
+
+class TestGaussianSampler:
+    """gaussian_fidi_sample draws the Kiefer process from Brownian-sheet
+    increments; the kiefer experiment's default gate is 0.02 at grid 3 and
+    1e5 draws."""
+
+    def test_variance_within_five_percent(self):
+        draws = gaussian_fidi_sample(3, 10**5, 1)
+        want = np.diag(_kiefer_closed_form(3))
+        live = want > 0
+        assert np.all(np.abs(np.var(draws, axis=1, ddof=1)[live] - want[live])
+                      <= 0.05 * want[live])
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 5])
+    def test_x_one_column_is_exactly_zero(self, grid):
+        draws = gaussian_fidi_sample(grid, 500, 2)
+        assert draws.shape == (grid * grid, 500)
+        assert np.all(draws[grid - 1::grid] == 0.0)
+        assert np.all(np.delete(draws, np.s_[grid - 1::grid], axis=0) != 0.0)
 
     def test_kiefer_grid_covariance(self):
-        cells = [kiefer_cell((i + 1) / 3, (k + 1) / 3) for i in range(3) for k in range(3)]
-        cov = cov_matrix(cells, UNIFORM)
-        draws = gaussian_fidi_sample(cov, 10**5, 3)
-        emp = np.cov(draws.T, ddof=1)
-        assert float(np.max(np.abs(emp - cov))) <= 0.02
+        draws = gaussian_fidi_sample(3, 10**5, 3)
+        assert float(np.max(np.abs(np.cov(draws) - _kiefer_closed_form(3)))) <= 0.02
 
-    def test_not_psd_rejected(self):
-        bad = np.array([[1.0, 0.0], [0.0, -0.5]])
-        with pytest.raises(NotPSDError):
-            gaussian_fidi_sample(bad, 10, 1)
+    def test_reference_construction_is_the_sampler(self):
+        for grid, seed in ((1, 4), (3, 5), (4, 6)):
+            assert np.array_equal(_sheet_draws(grid, 300, seed),
+                                  gaussian_fidi_sample(grid, 300, seed))
+
+    def test_kiefer_run_holds_one_draw_array(self):
+        # the sheet is summed and centred in place and the covariance takes
+        # one pair of rows at a time, so the default run's traced peak stays
+        # within 1.5 (grid^2, draws) arrays (the eigh sampler and np.cov
+        # reached 2)
+        run_experiment("kiefer", {"draws": 100})  # imports outside the trace
+        tracemalloc.start()
+        try:
+            run_experiment("kiefer", {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 9 * 10**5 * 8
+
+    @pytest.mark.parametrize("fault", ["cell-sd", "bridge-s", "sum-s-only", "sum-x-only"])
+    def test_planted_fault_fails_the_gate(self, fault):
+        # the fault-free construction is the sampler, bit for bit (above)
+        draws = _sheet_draws(3, 10**5, 3, fault)
+        assert float(np.max(np.abs(np.cov(draws) - _kiefer_closed_form(3)))) > 0.02
 
 
 class TestLindeberg:
@@ -251,6 +303,11 @@ class TestLindeberg:
     def test_degenerate_branch(self):
         rep = lindeberg_check(make_constant_q(5.0), UNIFORM, [10], [0.1])
         assert rep["degenerate"]
+
+    def test_sx_normal_limit_variance_is_one_third(self):
+        # Var(X) lambda(s^2) = 1/3 in closed form, bit for bit
+        rep = lindeberg_check(make_sx_q(), NORMAL, [10], [0.1])
+        assert rep["limit_variance"] == float(Fraction(1, 3))
 
     def test_sx_exponential_closed_form_ratio(self):
         # the closed-form tails, each checked against quad in

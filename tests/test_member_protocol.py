@@ -1,13 +1,15 @@
-"""The h-member protocol and the two pair closed forms.
+"""The h-member protocol and the pair closed forms.
 
 The reference functions below are the lambda((h1-h2)^2), lambda(h1 h2) and
 observed-gap computations as they stood when each caller switched on member
 types itself, with an indicator 1_(0, t] recognised as a union of one
 interval anchored at 0.  On the pairs those switches already handled exactly
-(Holder piecewise-linear, Holder cusp, indicators) the protocol path must
-give the same floats bit for bit.  Set-member pairs are checked against exact
-Fraction forms instead: the old switch sent them to breakpoint-free
-quadrature, which reads 0.0 for many disjoint-looking pairs.
+(Holder piecewise-linear, indicators) the protocol path must give the same
+floats bit for bit.  Set-member pairs are checked against exact Fraction
+forms instead: the old switch sent them to breakpoint-free quadrature, which
+reads 0.0 for many disjoint-looking pairs.  A set member times a
+piecewise-linear one is checked against exact Fraction arithmetic and
+against quadrature; a cusp Holder member has no closed form and is refused.
 """
 
 import math
@@ -28,9 +30,9 @@ from semproc.function_classes import (
 )
 from semproc.intervals import IntervalUnion
 from semproc.piecewise import PiecewiseLinear, diff_sq_integral, prod_integral
-from semproc.quadrature import integrate
 
 from member_oracles import contains
+from quad_oracle import lambda_prod_quadrature
 
 
 # -- reference implementations (the per-caller type switches) ---------------
@@ -49,31 +51,22 @@ def _both_indicators(h1, h2):
     return _ref_indicator_end(h1) is not None and _ref_indicator_end(h2) is not None
 
 
-def _ref_breakpoints(h):
-    t = _ref_indicator_end(h)
-    return () if t is None else (t,)
-
-
 def _both_pl(h1, h2):
     return isinstance(h1, PiecewiseLinear) and isinstance(h2, PiecewiseLinear)
 
 
-def ref_lambda_h_product(h1, h2, tol):
+def ref_lambda_h_product(h1, h2):
     if _both_indicators(h1, h2):
         return min(_ref_indicator_end(h1), _ref_indicator_end(h2))
-    if _both_pl(h1, h2):
-        return prod_integral(h1, h2)
-    breakpoints = tuple(set(_ref_breakpoints(h1) + _ref_breakpoints(h2)))
-    return integrate(lambda s: float(h1(s)) * float(h2(s)),
-                     0.0, 1.0, tol=tol, breakpoints=breakpoints)
+    assert _both_pl(h1, h2)
+    return prod_integral(h1, h2)
 
 
 def ref_lambda_sq_distance(h1, h2):
     if _both_indicators(h1, h2):
         return abs(_ref_indicator_end(h1) - _ref_indicator_end(h2))
-    if _both_pl(h1, h2):
-        return diff_sq_integral(h1, h2)
-    return integrate(lambda x: (float(h1(x)) - float(h2(x))) ** 2, 0.0, 1.0, tol=1e-10)
+    assert _both_pl(h1, h2)
+    return diff_sq_integral(h1, h2)
 
 
 def _ref_measure(iu):
@@ -108,14 +101,26 @@ def _cell_measures(u, v):
     return xor, inter
 
 
-def _holder_pairs():
+def _holder_members():
+    """Four cusp members, then seven piecewise-linear net members on two knot
+    grids (four cells, then three)."""
     rng = np.random.default_rng(11)
     cusp = [HolderClass(1.0, 1.0, beta).random_member(rng) for beta in (0.5, 1.0)]
     cusp += [HolderClass(2.0, 0.5, 0.7).random_member(rng) for _ in range(2)]
     pl = HolderClass(1.0, 1.0, 1.0).net_sample(0.5, 4, rng)
     pl += HolderClass(1.0, 0.5, 1.0).net_sample(0.4, 3, rng)   # another knot grid
-    return ([(a, b) for a in pl for b in pl]
-            + [(cusp[0], cusp[1]), (cusp[2], cusp[3]), (cusp[1], pl[0]), (pl[5], cusp[3])])
+    return cusp, pl
+
+
+def _holder_pairs():
+    _, pl = _holder_members()
+    return [(a, b) for a in pl for b in pl]
+
+
+def _cusp_pairs():
+    cusp, pl = _holder_members()
+    return [(cusp[0], cusp[1]), (cusp[2], cusp[3]), (cusp[1], pl[0]), (pl[5], cusp[3]),
+            (cusp[0], indicator(0.5)), (indicator(0.5), cusp[2])]
 
 
 def _indicator_pairs():
@@ -141,8 +146,13 @@ class TestPairFormsMatchReference:
                 # the two families lambda_sq_matrix takes
                 assert bits_equal(lambda_sq_matrix([h1, h2])[0, 1],
                                   ref_lambda_sq_distance(h1, h2))
-            for tol in (1e-10, 1e-8):
-                assert bits_equal(lambda_prod(h1, h2, tol), ref_lambda_h_product(h1, h2, tol))
+            assert bits_equal(lambda_prod(h1, h2), ref_lambda_h_product(h1, h2))
+
+    def test_cusp_member_raises_type_error(self):
+        # a cusp HolderMember has no closed-form lambda(h1 h2) with any member
+        for h1, h2 in _cusp_pairs():
+            with pytest.raises(TypeError):
+                lambda_prod(h1, h2)
 
 
 class TestSetMemberPairs:
@@ -151,16 +161,16 @@ class TestSetMemberPairs:
         for a, b in _set_pairs(cls, 60):
             xor, inter = _cell_measures(a, b)
             assert a.symdiff_measure(b) == xor
-            assert lambda_prod(a, b, 1e-10) == float(inter)
+            assert lambda_prod(a, b) == float(inter)
             bare = IntervalUnion(a.bounds), IntervalUnion(b.bounds)
             assert bare[0].symdiff_measure(bare[1]) == xor
-            assert lambda_prod(*bare, 1e-10) == float(inter)
+            assert lambda_prod(*bare) == float(inter)
 
     def test_b3_pairs_that_quadrature_without_breakpoints_missed(self):
         # The breakpoint-free quadrature read these pairs up to 0.357 off.
         # The exact forms read them right; lambda_sq_matrix takes no B(3) family.
         pairs = _set_pairs(BVectorClass(1, "odd"), 200)
-        got = np.array([lambda_prod(a, b, 1e-10) for a, b in pairs])
+        got = np.array([lambda_prod(a, b) for a, b in pairs])
         exact = np.array([float(_cell_measures(a, b)[1]) for a, b in pairs])
         assert bits_equal(got, exact)
         assert all(a.symdiff_measure(b) == _cell_measures(a, b)[0] for a, b in pairs)
@@ -176,7 +186,46 @@ class TestSetMemberPairs:
                 h = indicator(t)
                 xor, inter = _cell_measures(IntervalUnion.from_pairs([(0, t)]), a)
                 assert h.symdiff_measure(a) == a.symdiff_measure(h) == xor
-                assert lambda_prod(h, a, 1e-10) == float(inter)
+                assert lambda_prod(h, a) == float(inter)
+
+
+def _exact_set_pl(u, p) -> Fraction:
+    """The integral of p over u in exact Fractions of the float knots, values
+    and endpoints: p is linear on each knot cell, so each piece of a cell
+    inside an interval is its width times the mean of p at its two ends."""
+    knots = [Fraction(k) for k in p.knots]
+    vals = [Fraction(v) for v in p.values]
+    total = Fraction(0)
+    for a, b in u.bounds:
+        for k0, k1, v0, v1 in zip(knots, knots[1:], vals, vals[1:]):
+            lo, hi = max(a, k0), min(b, k1)
+            if lo < hi:
+                at_lo, at_hi = (v0 + (v1 - v0) * (t - k0) / (k1 - k0) for t in (lo, hi))
+                total += (hi - lo) * (at_lo + at_hi) / 2
+    return total
+
+
+def _set_pl_pairs():
+    """Random unions of every set class, and indicators, times the
+    piecewise-linear members on both knot grids of _holder_members."""
+    _, pl = _holder_members()
+    rng = np.random.default_rng(17)
+    sets = [cls.random_member(rng) for cls in SET_CLASSES + [BVectorClass(2, "odd")]
+            for _ in range(6)]
+    sets += [indicator(t) for t in (0.05, 0.5, 0.71, 1.0)]
+    return [(u, p) for u in sets for p in pl]
+
+
+class TestSetTimesPiecewiseLinear:
+    def test_exact_fraction_oracle(self):
+        for u, p in _set_pl_pairs():
+            got = lambda_prod(u, p)
+            assert bits_equal(lambda_prod(p, u), got)
+            assert abs(Fraction(got) - _exact_set_pl(u, p)) <= Fraction(1, 10**15)
+
+    def test_quadrature_oracle(self):
+        for u, p in _set_pl_pairs():
+            assert abs(lambda_prod(u, p) - lambda_prod_quadrature(u, p)) <= 1e-12
 
 
 class TestObservedGapMatchesReference:
@@ -198,14 +247,6 @@ class TestObservedGapMatchesReference:
 
 
 class TestProtocol:
-    def test_breakpoints(self):
-        assert indicator(0.25).breakpoints() == (0.0, 0.25)
-        assert HolderClass(1.0, 1.0, 1.0).random_member(np.random.default_rng(0)) \
-            .breakpoints() == ()
-        m = BVectorClass(1, "even").member([0.1, 0.4])
-        assert m.breakpoints() == (0.1, 0.4)
-        assert BVectorClass(0, "odd").member([0.0]).breakpoints() == ()
-
     def test_exact_lambdas(self):
         m = BVectorClass(1, "odd").member([0.25, 0.5, 0.75])
         assert m.lambda_exact() == Fraction(1, 2) and m(0.6) == 1.0 and m(0.4) == 0.0
