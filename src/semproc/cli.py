@@ -7,9 +7,9 @@ pass, its runner, which returns the results and the ledger of named checks,
 and its plot-data series.  parse_config is the one place that enforces a
 key's rules; a runner checks only what needs work first (a Holder net's
 size, a q file's contents) or reads two keys at once (ulln.net_u against the
-class).  run_experiment derives a report's "pass" from
-the ledger.  selftest runs the five other experiments at small configs
-through the same registry.
+class, fclt.q_file against the q set).  run_experiment derives a report's
+"pass" from the ledger.  selftest runs the five other experiments at small
+configs through the same registry.
 
 Reproducibility is the product: a report embeds the exact config and the root
 seed, every random stream is derived from the root seed through
@@ -245,6 +245,9 @@ def _load_q_file(path: str) -> list:
 
 def _run_fclt(cfg: dict) -> tuple:
     model = parse_model(cfg["model"])
+    if cfg["q_file"] and cfg["q_set"] != "custom-file":
+        raise ConfigError(f"config key fclt.q_file must be empty unless q_set is custom-file "
+                          f"(only that q set reads the file), got {cfg['q_file']!r}")
     if cfg["q_set"] == "kiefer-3":
         q_list = [kiefer_cell(0.5, 0.5), kiefer_cell(1.0, 0.5), kiefer_cell(0.5, 0.25)]
     elif cfg["q_set"] == "kiefer-grid":
@@ -362,10 +365,8 @@ def _run_bounds(cfg: dict) -> tuple:
                 series_rows.append({"c": c, "D1": d1, "D2": d2, "closed": closed,
                                     "quadrature": quad, "rel_err": rel, "ok": rel <= 1e-6})
     series_ok = all(r["ok"] for r in series_rows)
-    s_reps = {f"c={c:.6f}": series_S_diagnostic(1, c, 300) for c in (0.5, math.log(2.0), 2.0)}
-    s_class = {key: rep.classification for key, rep in s_reps.items()}
-    s_rows = {key: {"classification": rep.classification, "bracket_misses": rep.bracket_misses()}
-              for key, rep in s_reps.items()}
+    s_rows = {f"c={c:.6f}": series_S_diagnostic(1, c, 300) for c in (0.5, math.log(2.0), 2.0)}
+    s_class = {key: row["classification"] for key, row in s_rows.items()}
     # the classification reads c alone; the bracket checks the partial sums
     s_ok = (list(s_class.values()) == ["divergent", "divergent", "convergent"]
             and not any(row["bracket_misses"] for row in s_rows.values()))

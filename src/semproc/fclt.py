@@ -61,6 +61,7 @@ _DEGENERATE_TOL = 1e-12  # limiting variance below which Lindeberg is degenerate
 _N_COMBOS = 5            # random Cramer-Wold combinations in the fidi test
 _BLOCK_ROWS = 256        # replicate rows drawn and contracted at a time
 _TINY = 5e-324           # a greedy radius that stops only at distance 0
+_H_CAP, _G_CAP = 60, 24  # h members and half-lines in a modulus pool
 
 
 # ---------------------------------------------------------------------------
@@ -266,52 +267,50 @@ def fidi_convergence_test(
 # Equicontinuity modulus
 # ---------------------------------------------------------------------------
 
-def _h_pool(h_class, net_u: float, cap: int, seed: int):
+def _h_pool(h_class, net_u: float, seed: int):
     """Member pool for modulus experiments: the u-net when it fits, otherwise
     a deterministic subsample that keeps both spread (farthest-first sweep)
     and near pairs (each kept member's nearest net neighbor).  Returns the
     pool and its matrix of lambda((h1-h2)^2).  The indicators, B(1), take
     the mesh net_u^2, so that neighbors are within net_u in d2_lambda.  A
-    net of more than 4 cap members is first thinned to 4 cap drawn at
+    net of more than 4 _H_CAP members is first thinned to 4 _H_CAP drawn at
     random, before any member or distance is computed."""
     rng = np.random.default_rng(derive_seed(seed, ["h-pool"]))
     if h_class == INDICATORS:
-        net = indicator_net(net_u * net_u, 4 * cap, rng)
+        net = indicator_net(net_u * net_u, 4 * _H_CAP, rng)
     elif isinstance(h_class, HolderClass):
-        net = h_class.net_sample(net_u, 4 * cap, rng)
+        net = h_class.net_sample(net_u, 4 * _H_CAP, rng)
     else:
         raise TypeError(type(h_class))
     sq = lambda_sq_matrix(net)
-    if len(net) <= cap:
+    if len(net) <= _H_CAP:
         return net, sq
     dist = np.sqrt(sq)
-    # farthest-first from member 0 until the spread phase holds cap // 2
+    # farthest-first from member 0 until the spread phase holds _H_CAP // 2
     # members (at least member 0) or every member is at distance 0 from it
-    chosen = greedy_net_indices(dist, _TINY)[:max(1, cap // 2)]
+    chosen = greedy_net_indices(dist, _TINY)[:max(1, _H_CAP // 2)]
     pool_idx = set(chosen)
     for i in chosen:
         d = dist[i].copy()
         d[list(pool_idx)] = np.inf
         pool_idx.add(int(np.argmin(d)))
-        if len(pool_idx) >= cap:
+        if len(pool_idx) >= _H_CAP:
             break
     idx = sorted(pool_idx)
     return [net[i] for i in idx], sq[np.ix_(idx, idx)]
 
 
-def _member_pools(h_class, net_u: float, h_cap: int, g_cap: int,
-                  seed: int, model: NuModel) -> tuple:
+def _member_pools(h_class, net_u: float, seed: int, model: NuModel) -> tuple:
     """The h pool and the half-line net of d2_nu mesh net_u, thinned to the
-    caps, with their distance matrices: (h_pool, g_pool, d_h, d_g)."""
-    h_pool, h_sq = _h_pool(h_class, net_u, h_cap, seed)
+    caps, with their distance matrices: (h_pool, g_pool, d_h, d_g); for
+    half-lines nu((g1 - g2)^2) = |F(w1) - F(w2)|, as for indicators."""
+    h_pool, h_sq = _h_pool(h_class, net_u, seed)
     g_net = half_line_net(net_u * net_u, model)
-    if len(g_net) > g_cap:
-        idx = np.linspace(0, len(g_net) - 1, g_cap).round().astype(int)
+    if len(g_net) > _G_CAP:
+        idx = np.linspace(0, len(g_net) - 1, _G_CAP).round().astype(int)
         g_net = [g_net[i] for i in sorted(set(idx.tolist()))]
-    seconds = np.array([g.second_moment(model) for g in g_net])
-    cross = np.array([[g1.pair_mean(g2, model) for g2 in g_net] for g1 in g_net])
-    d_g = np.sqrt(np.maximum(seconds[:, None] - 2 * cross + seconds[None, :], 0.0))
-    return h_pool, g_net, np.sqrt(h_sq), d_g
+    F = np.array([g.mean(model) for g in g_net])
+    return h_pool, g_net, np.sqrt(h_sq), np.sqrt(np.abs(np.subtract.outer(F, F)))
 
 
 def _pairs_within(d_h: np.ndarray, d_g: np.ndarray, alpha: float):
@@ -341,8 +340,6 @@ def _modulus_Z(h_vals: np.ndarray, g_list: Sequence, n: int, R: int,
 
 @dataclass
 class ModulusReport:
-    n: int
-    replicates: int
     net_u: float
     rows: list = field(default_factory=list)
     h_pool: int = 0
@@ -357,8 +354,6 @@ def equicontinuity_modulus(
     R: int,
     seed: int,
     model: NuModel,
-    h_cap: int = 60,
-    g_cap: int = 24,
 ) -> ModulusReport:
     """Mean over replicates of sup over member pairs of F = h_class x
     half-lines within alpha (composite metric d = d2_lambda + d2_nu) of
@@ -368,7 +363,7 @@ def equicontinuity_modulus(
     verifiable direction of the tightness statement.
     The R replicate samples are drawn in row blocks, each contracted into Z
     as soon as it is drawn (_modulus_Z), so no (R, n) array is held."""
-    h_pool, g_pool, d_h, d_g = _member_pools(h_class, net_u, h_cap, g_cap, seed, model)
+    h_pool, g_pool, d_h, d_g = _member_pools(h_class, net_u, seed, model)
     kh, kg = len(h_pool), len(g_pool)
     svals = grid_points(n)
     h_vals = np.stack([np.asarray(h(svals), dtype=float) for h in h_pool])
@@ -377,12 +372,9 @@ def equicontinuity_modulus(
     Z = _modulus_Z(h_vals, g_pool, n, R,
                    np.random.default_rng(derive_seed(seed, ["modulus", n, R])), model)
 
-    report = ModulusReport(n=n, replicates=R, net_u=net_u, h_pool=kh, g_pool=kg)
+    report = ModulusReport(net_u=net_u, h_pool=kh, g_pool=kg)
     for alpha in alpha_list:
         mask = pair_d <= alpha
-        if not np.any(mask):
-            report.rows.append({"alpha": alpha, "mean_modulus": 0.0, "pairs": 0})
-            continue
         p_idx, q_idx = pairs_p[mask], pairs_q[mask]
         per_rep = np.zeros(R)
         chunk = 200_000

@@ -37,7 +37,6 @@ cut_masks, and gc_experiment runs the replicated statistic for any class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,7 +55,6 @@ __all__ = [
     "series_I_closed_form",
     "series_I_quadrature",
     "series_S_diagnostic",
-    "SeriesSReport",
     "gc_sample",
     "gc_experiment",
 ]
@@ -253,19 +251,6 @@ def _prefix_branch_and_bound(f_arrival: np.ndarray,
     return best, visited, n_blocks
 
 
-def _exact_stat_prefix_fast(sample: Sample, model: NuModel) -> float:
-    """j = 0 anchored family: the selectable index sets are the grid
-    prefixes, so the statistic is
-
-        (1/n) max_p  p * max(KS+_p, KS-_p),
-
-    the running maximum of the prefix-scaled one-sided KS statistics of the
-    first p values, computed by a branch-and-bound column sweep."""
-    f_arrival = np.atleast_1d(np.asarray(model.cdf(sample.xs()), dtype=float))
-    best, _, _ = _prefix_branch_and_bound(f_arrival)
-    return max(best, 0.0) / sample.n
-
-
 def sup_deviation_exact_BW(
     j: int,
     parity: str,
@@ -277,8 +262,10 @@ def sup_deviation_exact_BW(
     cls = BVectorClass(j, parity)  # validates (j, parity)
     if model is None:
         model = parse_model(sample.model)
-    if cls == INDICATORS:
-        return _exact_stat_prefix_fast(sample, model)
+    if cls == INDICATORS:  # max_p p max(KS+_p, KS-_p) / n over the grid prefixes
+        f_arrival = np.atleast_1d(np.asarray(model.cdf(sample.xs()), dtype=float))
+        best, _, _ = _prefix_branch_and_bound(f_arrival)
+        return max(best, 0.0) / sample.n
     return float(_exact_stats_runs([sample], model, cls)[0])
 
 
@@ -422,79 +409,46 @@ def _or_inf(f, *args) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class SeriesSReport:
-    D: int
-    c: float
-    N: int
-    partial_sums: tuple[float, ...]
-    tail_increment: float
-    bound_sequence: tuple[float, ...]
-    classification: str
-
-    def bracket_misses(self) -> int:
-        """Partial sums outside their closed-form bracket by more than 1e-12
-        relative.  Termwise 2^n - 1 <= sum_k k^D C(n,k) <= n^D (2^n - 1), so
-        the m-th partial sum lies in [sum_{n<=m} (2^n - 1) e^{-cn},
-        sum_{n<=m} n^D (2^n - 1) e^{-cn}]."""
-        misses, lo, hi = 0, 0.0, 0.0
-        for n, total in enumerate(self.partial_sums, start=1):
-            log_lo = n * math.log(2.0) + math.log1p(-(2.0**-n)) - self.c * n
-            log_hi = log_lo + self.D * math.log(n)
-            lo += _or_inf(math.exp, log_lo) if log_lo > -745 else 0.0
-            hi += math.exp(log_hi) if log_hi < 709 else math.inf
-            if not lo * (1.0 - 1e-12) <= total <= hi * (1.0 + 1e-12):
-                misses += 1
-        return misses
-
-
-def _power_term(n: int, D: int, ratio: float) -> float:
-    """n^D ratio^n as the float product n**D * ratio**n; in log space when the
-    integer n**D has no float."""
-    try:
-        return n**D * ratio**n
-    except OverflowError:
-        return _or_inf(math.exp, D * math.log(n) + n * math.log(ratio)) if ratio > 0 else 0.0
-
-
-def series_S_diagnostic(D: int, c: float, N: int = 400) -> SeriesSReport:
-    """Partial sums of S(D, c) = sum_n sum_{k<=n} k^D C(n,k) e^{-cn} with the
-    dichotomy at c = log 2: upper bound sum_n n^D (2 e^{-c})^n for c > log 2,
-    divergent lower bound terms (2 e^{-c})^n otherwise.  A term past the float
+def _partial_sums(D: int, c: float, N: int) -> list[float]:
+    """The partial sums through n = N of S(D, c) = sum_n sum_{k<=n} k^D
+    C(n,k) e^{-cn}, each term summed in log space.  A term past the float
     range reads inf, and so does every partial sum after it."""
-    if D < 1 or c <= 0 or N < 1 or N > 10**4:
-        raise ValueError("need D >= 1, c > 0, 1 <= N <= 1e4")
-    partial = []
-    total = term = 0.0
+    partial, total = [], 0.0
     lf = log_factorials(N)
     for n in range(1, N + 1):
         k = np.arange(1, n + 1, dtype=float)
         logs = D * np.log(k) + lf[n] - lf[1:n + 1] - lf[n - 1::-1]
         m = float(np.max(logs))
         inner = m + math.log(float(np.sum(np.exp(logs - m))))
-        term = _or_inf(math.exp, inner - c * n) if inner - c * n > -745 else 0.0
-        total += term
+        total += _or_inf(math.exp, inner - c * n) if inner - c * n > -745 else 0.0
         partial.append(total)
-    # the last term itself once the sums are inf (inf - inf is nan)
-    tail = partial[-1] - partial[-2] if N >= 2 and math.isfinite(partial[-2]) else term
-    ratio = 2.0 * math.exp(-c)
-    if c > math.log(2.0):
-        bound = []
-        acc = 0.0
-        for n in range(1, N + 1):
-            acc += _power_term(n, D, ratio)
-            bound.append(acc)
-        classification = "convergent"
-    else:
-        bound = [_or_inf(pow, ratio, n) for n in range(1, N + 1)]
-        classification = "divergent"
-    return SeriesSReport(
-        D=D, c=c, N=N,
-        partial_sums=tuple(partial),
-        tail_increment=tail,
-        bound_sequence=tuple(bound),
-        classification=classification,
-    )
+    return partial
+
+
+def _bracket_misses(D: int, c: float, partial_sums: Sequence[float]) -> int:
+    """Partial sums outside their closed-form bracket by more than 1e-12
+    relative.  Termwise 2^n - 1 <= sum_k k^D C(n,k) <= n^D (2^n - 1), so the
+    m-th partial sum lies in [sum_{n<=m} (2^n - 1) e^{-cn}, sum_{n<=m} n^D
+    (2^n - 1) e^{-cn}]."""
+    misses, lo, hi = 0, 0.0, 0.0
+    for n, total in enumerate(partial_sums, start=1):
+        log_lo = n * math.log(2.0) + math.log1p(-(2.0**-n)) - c * n
+        log_hi = log_lo + D * math.log(n)
+        lo += _or_inf(math.exp, log_lo) if log_lo > -745 else 0.0
+        hi += math.exp(log_hi) if log_hi < 709 else math.inf
+        if not lo * (1.0 - 1e-12) <= total <= hi * (1.0 + 1e-12):
+            misses += 1
+    return misses
+
+
+def series_S_diagnostic(D: int, c: float, N: int) -> dict:
+    """The bounds report's row for S(D, c): the dichotomy at c = log 2 and the
+    first N partial sums' bracket misses.  The bracket's upper end converges
+    for c > log 2 and its lower end diverges otherwise."""
+    if D < 1 or c <= 0 or N < 1 or N > 10**4:
+        raise ValueError("need D >= 1, c > 0, 1 <= N <= 1e4")
+    return {"classification": "convergent" if c > math.log(2.0) else "divergent",
+            "bracket_misses": _bracket_misses(D, c, _partial_sums(D, c, N))}
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def test_criterion_10_series_identities():
                 closed = series_I_closed_form(c, d1, d2)
                 quad = series_I_quadrature(c, d1, d2)
                 worst_rel = max(worst_rel, abs(closed - quad) / abs(quad))
-    got = [series_S_diagnostic(1, c, 300).classification
+    got = [series_S_diagnostic(1, c, 300)["classification"]
            for c in (0.5, math.log(2.0), 2.0)]
     ok = worst_rel <= 1e-6 and got == ["divergent", "divergent", "convergent"]
     elapsed = time.monotonic() - start

@@ -1,6 +1,5 @@
 """Config parsing, seed derivation, report determinism, plot-data contracts."""
 
-import dataclasses
 import json
 import math
 import os
@@ -13,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semproc import ulln
 from semproc.cli import (
     ConfigError,
     emit_plotdata,
@@ -128,15 +128,15 @@ class TestRunExperiment:
     def test_series_S_gate_reads_the_partial_sums(self, monkeypatch, scale):
         # planted fault: partial sums off by 1% leave the classifications as
         # they were, and must still fail the dichotomy ledger row
+        partial_sums = ulln._partial_sums
+
         def scaled(*args):
-            rep = series_S_diagnostic(*args)
-            return dataclasses.replace(
-                rep, partial_sums=tuple(scale * p for p in rep.partial_sums))
+            return [scale * p for p in partial_sums(*args)]
 
         cfg = {"members": 20, "seed": 1, "n_list": [10], "witness_max_n": 4}
         name = "series S dichotomy classifications"
         good = {e["name"]: e for e in run_experiment("bounds", cfg)["ledger"]}[name]
-        monkeypatch.setattr("semproc.cli.series_S_diagnostic", scaled)
+        monkeypatch.setattr(ulln, "_partial_sums", scaled)
         bad = {e["name"]: e for e in run_experiment("bounds", cfg)["ledger"]}[name]
         assert good["ok"] is True and bad["ok"] is False
         # the classifications stay; the row names each c whose sums missed
@@ -144,6 +144,21 @@ class TestRunExperiment:
                 == {c: row["classification"] for c, row in good["observed"].items()})
         assert [row["bracket_misses"] for row in good["observed"].values()] == [0, 0, 0]
         assert all(row["bracket_misses"] > 0 for row in bad["observed"].values())
+
+    def test_series_S_row_with_one_miss_fails_the_gate(self, monkeypatch):
+        # the ledger row reads each S(D, c) row's bracket_misses as it comes
+        def one_miss(D, c, N):
+            row = series_S_diagnostic(D, c, N)
+            return {**row, "bracket_misses": int(c == 2.0)}
+
+        cfg = {"members": 20, "seed": 1, "n_list": [10], "witness_max_n": 4}
+        monkeypatch.setattr("semproc.cli.series_S_diagnostic", one_miss)
+        rep = run_experiment("bounds", cfg)
+        row = {e["name"]: e for e in rep["ledger"]}["series S dichotomy classifications"]
+        assert row["ok"] is False and rep["pass"] is False
+        assert [r["bracket_misses"] for r in row["observed"].values()] == [0, 0, 1]
+        assert list(rep["results"]["series_S"].values()) == ["divergent", "divergent",
+                                                             "convergent"]
 
     def test_report_schema(self, tmp_path):
         rep = run_experiment("kiefer", {"draws": 5000, "seed": 2, "tolerance": 0.1})
@@ -333,6 +348,15 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("config error: config key ulln.net_u must be 0 unless")
         assert "got 0.3" in err
+
+    @pytest.mark.parametrize("q_set", ["kiefer-3", "kiefer-grid", "holder-product"])
+    def test_fclt_q_file_outside_custom_file_exit_2(self, capsys, q_set):
+        # only the custom-file q set reads the file: elsewhere it did nothing
+        code = main(["fclt", "--q-set", q_set, "--q-file", "/nonexistent.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key fclt.q_file must be empty unless")
+        assert "got '/nonexistent.json'" in err
 
 
 class TestCountsAndOrders:

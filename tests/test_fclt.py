@@ -34,6 +34,7 @@ from semproc.function_classes import (
     HolderClass,
     InitialInterval,
     indicator,
+    parse_class_descriptor,
 )
 from semproc.measures import grid_points, parse_model
 from semproc.piecewise import PiecewiseLinear
@@ -439,15 +440,20 @@ class TestKSDistance:
 
 
 class TestModulus:
-    def test_zero_alpha_zero_modulus(self):
+    @pytest.fixture
+    def small_caps(self, monkeypatch):
+        monkeypatch.setattr(fclt, "_H_CAP", 20)
+        monkeypatch.setattr(fclt, "_G_CAP", 8)
+
+    def test_zero_alpha_zero_modulus(self, small_caps):
         rep = equicontinuity_modulus(HolderClass(1.0, 1.0, 1.0), 200, (0.0, 0.3), 0.45, 10, 1,
-                                     UNIFORM, h_cap=20, g_cap=8)
+                                     UNIFORM)
         assert rep.rows[0]["mean_modulus"] == 0.0
         assert rep.rows[0]["pairs"] == 0
 
-    def test_monotone_and_saturates(self):
+    def test_monotone_and_saturates(self, small_caps):
         rep = equicontinuity_modulus(HolderClass(1.0, 1.0, 1.0), 300, (0.1, 0.4, 50.0), 0.45,
-                                     15, 2, UNIFORM, h_cap=20, g_cap=8)
+                                     15, 2, UNIFORM)
         vals = [r["mean_modulus"] for r in rep.rows]
         assert vals[0] <= vals[1] <= vals[2]
         # alpha beyond the diameter reaches every pair
@@ -458,12 +464,56 @@ class TestModulus:
     def test_fine_indicator_net_is_thinned_before_it_is_built(self):
         # net_u = 1e-3 spaces 1e6 indicators: the pool draws 4 cap of them
         # before building any, as for a Holder net
-        pool, sq = fclt._h_pool(INDICATORS, 1e-3, 60, 1)
+        pool, sq = fclt._h_pool(INDICATORS, 1e-3, 1)
         ts = np.array([float(h.lebesgue()) for h in pool])
         assert len(pool) == 60 and np.all(np.diff(ts) > 0)
         assert sq.tobytes() == np.abs(np.subtract.outer(ts, ts)).tobytes()
 
-    def test_indicator_family_pool(self):
+    def test_indicator_family_pool(self, monkeypatch):
+        monkeypatch.setattr(fclt, "_H_CAP", 12)
+        monkeypatch.setattr(fclt, "_G_CAP", 8)
         rep = equicontinuity_modulus(BVectorClass(0, "odd"), 200, (0.2, 0.6), 0.35, 10, 3,
-                                     UNIFORM, h_cap=12, g_cap=8)
+                                     UNIFORM)
         assert rep.rows[0]["mean_modulus"] <= rep.rows[1]["mean_modulus"]
+
+
+def _d_g_by_pair_means(g_pool, model) -> np.ndarray:
+    """sqrt(nu((g1 - g2)^2)) = sqrt(nu(g1^2) - 2 nu(g1 g2) + nu(g2^2)) from the
+    members' second moments and pair means: the form the closed form replaced."""
+    seconds = np.array([g.second_moment(model) for g in g_pool])
+    cross = np.array([[g1.pair_mean(g2, model) for g2 in g_pool] for g1 in g_pool])
+    return np.sqrt(np.maximum(seconds[:, None] - 2 * cross + seconds[None, :], 0.0))
+
+
+# the fclt configs whose modulus rows a digest pins, and the default and
+# selftest ones: (h_class, net_u, model, alpha_list, seed)
+_HOLDER = {"class": "holder", "T": 1.0, "C": 1.0, "beta": 1.0}
+_PINNED_MODULI = {
+    "default": (_HOLDER, 0.3, "uniform01", [0.05, 0.1, 0.2, 0.4], 1),
+    "selftest": (_HOLDER, 0.4, "uniform01", [0.1, 0.4], 1),
+    "fclt-holder-modulus": ({**_HOLDER, "C": 0.5}, 0.6, "standard-normal", [0.2, 0.5], 8),
+    "fclt-holder-product-q": (_HOLDER, 0.6, "uniform01", [0.3, 0.8], 4),
+    "fclt-indicator-modulus": ({"class": "indicators"}, 0.3, "exponential(2)", [0.2, 0.6], 9),
+    "fclt-modulus-lindeberg": (_HOLDER, 0.45, "uniform01", [0.2, 0.5], 8),
+}
+
+
+class TestHalfLineDistances:
+    @pytest.mark.parametrize("name", ["uniform01", "standard-normal", "exponential(1)"])
+    @pytest.mark.parametrize("net_u", [0.05, 0.1, 0.2, 0.3, 0.4])
+    def test_closed_form_matches_pair_means(self, name, net_u):
+        model = parse_model(name)
+        _, g_pool, _, d_g = fclt._member_pools(INDICATORS, net_u, 1, model)
+        assert len(g_pool) >= 2
+        assert np.max(np.abs(d_g - _d_g_by_pair_means(g_pool, model))) <= 2.3e-16
+
+    @pytest.mark.parametrize("case", sorted(_PINNED_MODULI))
+    def test_same_pairs_at_every_pinned_alpha(self, case):
+        desc, net_u, name, alphas, seed = _PINNED_MODULI[case]
+        model = parse_model(name)
+        _, g_pool, d_h, d_g = fclt._member_pools(parse_class_descriptor(desc), net_u, seed,
+                                                 model)
+        old = _d_g_by_pair_means(g_pool, model)
+        for alpha in alphas:
+            got, want = fclt._pairs_within(d_h, d_g, alpha), fclt._pairs_within(d_h, old, alpha)
+            assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]

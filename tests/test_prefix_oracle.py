@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from semproc.measures import Sample, draw_sample, parse_model
 from semproc.seeds import derive_seed
 from semproc.ulln import (
-    _exact_stat_prefix_fast,
     _prefix_branch_and_bound,
     _prefix_may_beat,
     sup_deviation_bruteforce,
@@ -83,7 +82,8 @@ def test_bit_equal_on_ties_and_saturated_tails(name, n):
     model = parse_model(name)
     for r in range(2):
         for sample in (_tied(name, n, r), _saturated(name, n, r)):
-            assert _exact_stat_prefix_fast(sample, model) == insertion_prefix_stat(sample, model)
+            assert (sup_deviation_exact_BW(0, "odd", sample, model)
+                    == insertion_prefix_stat(sample, model))
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])

@@ -105,7 +105,7 @@ _MODULUS_CHILD = textwrap.dedent("""
     cases = []
     for name in %(models)r:
         model = parse_model(name)
-        h_pool, g_pool, _, _ = fclt._member_pools(h_class, 0.3, 60, 24, 1, model)
+        h_pool, g_pool, _, _ = fclt._member_pools(h_class, 0.3, 1, model)
         h_vals = np.stack([np.asarray(h(grid_points(n)), dtype=float) for h in h_pool])
         for R in (257, 1001):
             got = fclt._modulus_Z(h_vals, g_pool, n, R, np.random.default_rng(R), model)

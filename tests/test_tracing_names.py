@@ -1,11 +1,14 @@
 """Every function the benchmark's tracer wraps still exists under its name,
-and the j = 0 exact-statistic layer still sees every replicate.
+the j = 0 exact-statistic layer still sees every replicate, and every work
+counter and peak the tracer derives still reads what it expects.
 
 perfbench/tracing.py patches semproc functions by (module, attribute); a
 renamed function, or one the experiments stop calling, would leave its layer
-silently empty in traced runs.  This reads the two tables and resolves each
-entry, Class.method entries included, then counts the j = 0 layer's calls in
-a traced ulln run.
+silently empty in traced runs, and a changed signature or return type would
+break a work counter only in a traced benchmark round.  This reads the two
+tables and resolves each entry, Class.method entries included, counts the
+j = 0 layer's calls in a traced ulln run, and runs tiny fclt, run-DP and
+covering operations under both recorders.
 """
 
 import importlib
@@ -68,3 +71,51 @@ def test_j0_layer_counts_every_replicate():
     assert calls["ulln.exact_sup.j0"] == replicates * len(n_schedule)
     assert "ulln.exact_sup.runs" not in calls
     assert calls["ulln.gc_experiment"] == 1
+
+
+# A tiny fclt (the Holder modulus, and the holder-product q set, which builds
+# a Holder net), one run-DP statistic and a tiny covering run: between them
+# they reach every work counter and every PEAK_LAYERS function
+_CONTRACT_OPS = """
+from semproc.cli import run_experiment
+from semproc.measures import draw_sample
+from semproc.ulln import sup_deviation_exact_BW
+run_experiment("fclt", {"q_set": "holder-product", "n": 60, "replicates": 20,
+                        "modulus_replicates": 2, "alpha_list": [0.3, 0.8], "net_u": 0.6,
+                        "run_lindeberg": False, "cov_tolerance": 10.0, "ks_tolerance": 10.0})
+sup_deviation_exact_BW(1, "odd", draw_sample("uniform01", 30, 1))
+run_experiment("covering", {"trials": 5, "n_list": [10], "n_seeds": 1})
+"""
+
+
+def _traced_child(recorder: str, result: str) -> dict:
+    """Runs _CONTRACT_OPS in a child under tracing.<recorder> and returns
+    the JSON of the expression result there."""
+    code = "\n".join([
+        "import json, sys",
+        f"sys.path.insert(0, {str(PERFBENCH)!r})",
+        "import tracing",
+        f"recorder = tracing.{recorder}()",
+        "recorder.install()",
+        _CONTRACT_OPS,
+        f"print(json.dumps({result}))",
+    ])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_work_counters_read_their_calls():
+    metrics = _traced_child("SpanRecorder", "recorder.layer_metrics()")
+    assert metrics["fclt.equicontinuity_modulus"]["pairs"] > 0
+    assert metrics["function_classes.HolderClass.build_net"]["members"] > 0
+    assert metrics["ulln.exact_sup.runs"]["cells"] > 0
+
+
+def test_every_peak_layer_records_a_peak(tracing):
+    peaks = _traced_child("PeakRecorder", "recorder.peaks")
+    assert sorted(peaks) == sorted(name for _, _, name in tracing.PEAK_LAYERS)
+    assert all(peak > 0 for peak in peaks.values())

@@ -1,6 +1,5 @@
 """Exact supremum statistics, sandwich bounds, tail bound, series identities."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,6 +9,8 @@ import pytest
 from semproc.function_classes import INDICATORS
 from semproc.measures import Sample, draw_sample, parse_model
 from semproc.ulln import (
+    _bracket_misses,
+    _partial_sums,
     gc_experiment,
     gc_sample,
     gc_tail_bound,
@@ -174,53 +175,54 @@ class TestSeriesI:
 
 class TestSeriesS:
     def test_supercritical_converges(self):
-        rep = series_S_diagnostic(1, 2.0, 300)
-        assert rep.classification == "convergent"
-        assert rep.tail_increment < 1e-12
-        ps = rep.partial_sums
+        assert series_S_diagnostic(1, 2.0, 300)["classification"] == "convergent"
+        ps = _partial_sums(1, 2.0, 300)
+        assert ps[-1] - ps[-2] < 1e-12
         assert abs(ps[250] - ps[200]) < 1e-12
 
     def test_subcritical_diverges(self):
-        rep = series_S_diagnostic(1, 0.5, 120)
-        assert rep.classification == "divergent"
-        # lower-bound terms (2 e^{-c})^n blow up
-        assert rep.bound_sequence[-1] > rep.bound_sequence[0]
-        assert rep.bound_sequence[-1] > 10.0
+        assert series_S_diagnostic(1, 0.5, 120)["classification"] == "divergent"
+        # the partial sums pass their lower bracket end, which grows like (2 e^{-c})^n
+        ps = _partial_sums(1, 0.5, 120)
+        assert ps[-1] > 1e10 * ps[0]
 
     def test_critical_boundary(self):
-        rep = series_S_diagnostic(1, math.log(2.0), 50)
-        assert rep.classification == "divergent"
-        assert all(abs(b - 1.0) < 1e-12 for b in rep.bound_sequence)
+        assert series_S_diagnostic(1, math.log(2.0), 50)["classification"] == "divergent"
+        # at c = log 2 each term is at least (2^n - 1) 2^-n = 1 - 2^-n: linear growth
+        ps = _partial_sums(1, math.log(2.0), 50)
+        assert all(p >= n - 1.0 for n, p in enumerate(ps, start=1))
 
     @pytest.mark.parametrize("D", [1, 2, 3])
     @pytest.mark.parametrize("c", [0.1, 0.5, math.log(2.0), 2.0, 5.0])
     def test_partial_sums_inside_closed_form_bracket(self, D, c):
-        assert series_S_diagnostic(D, c, 300).bracket_misses() == 0
+        assert _bracket_misses(D, c, _partial_sums(D, c, 300)) == 0
+        assert series_S_diagnostic(D, c, 300)["bracket_misses"] == 0
 
     def test_bracket_catches_a_wrong_term(self):
-        rep = series_S_diagnostic(2, 0.5, 300)
+        ps = _partial_sums(2, 0.5, 300)
         # drop the n = 1 term (e^{-c}) from every partial sum: the first falls to 0
-        ps = tuple(p - math.exp(-0.5) for p in rep.partial_sums)
-        assert dataclasses.replace(rep, partial_sums=ps).bracket_misses() >= 1
+        assert _bracket_misses(2, 0.5, [p - math.exp(-0.5) for p in ps]) >= 1
+        # sums off by 1% either way
+        for scale in (1.01, 0.99):
+            assert _bracket_misses(2, 0.5, [scale * p for p in ps]) >= 1
 
     def test_terms_past_the_float_range_read_inf(self):
-        # e^(inner - c n) passes e^709 from n = 1030 and (2 e^-0.01)^n soon
-        # after: both read inf instead of raising OverflowError
-        rep = series_S_diagnostic(1, 0.01, 2000)
-        assert math.isfinite(rep.partial_sums[1000]) and rep.partial_sums[-1] == math.inf
-        assert math.isfinite(rep.bound_sequence[1000]) and rep.bound_sequence[-1] == math.inf
-        assert rep.tail_increment == math.inf and rep.classification == "divergent"
-        assert rep.bracket_misses() == 0
-        short = series_S_diagnostic(1, 0.01, 1000)
-        assert rep.partial_sums[:1000] == short.partial_sums
-        assert rep.bound_sequence[:1000] == short.bound_sequence
+        # e^(inner - c n) passes e^709 from n = 1030: the sums read inf
+        # instead of raising OverflowError, and the bracket's ends do too
+        ps = _partial_sums(1, 0.01, 2000)
+        assert math.isfinite(ps[1000]) and ps[-1] == math.inf
+        assert ps[:1000] == _partial_sums(1, 0.01, 1000)
+        assert _bracket_misses(1, 0.01, ps) == 0
+        assert series_S_diagnostic(1, 0.01, 2000) == {"classification": "divergent",
+                                                     "bracket_misses": 0}
 
     def test_convergent_bound_with_an_integer_power_past_the_float_range(self):
-        # 3000**90 has no float, but n^90 (2 e^-2)^n is tiny there
-        rep = series_S_diagnostic(90, 2.0, 3000)
-        assert rep.classification == "convergent"
-        assert all(math.isfinite(b) for b in rep.bound_sequence)
-        assert rep.bracket_misses() == 0
+        # 3000**90 has no float, but the bracket's upper end n^90 (2^n - 1)
+        # e^{-2n} is summed in log space and stays finite
+        ps = _partial_sums(90, 2.0, 3000)
+        assert all(math.isfinite(p) for p in ps)
+        assert series_S_diagnostic(90, 2.0, 3000) == {"classification": "convergent",
+                                                     "bracket_misses": 0}
 
     def test_validation(self):
         with pytest.raises(ValueError):
