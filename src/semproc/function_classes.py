@@ -253,7 +253,7 @@ def lambda_prod(h1, h2) -> float:
     if isinstance(h1, PiecewiseLinear) and isinstance(h2, PiecewiseLinear):
         return prod_integral(h1, h2)
     if isinstance(h1, IntervalUnion) and isinstance(h2, IntervalUnion):
-        return float(h1.intersect(h2).lebesgue())
+        return float(h1.intersection_measure(h2))
     for u, p in ((h1, h2), (h2, h1)):
         if isinstance(u, IntervalUnion) and isinstance(p, PiecewiseLinear):
             return _set_pl_integral(u, p)

@@ -48,7 +48,7 @@ class IntervalUnion:
     measure, grid_count(), grid_indices() and riemann_gap() are integer
     arithmetic on that state.  ``bounds``, the endpoints as Fraction pairs,
     and lebesgue() (= lambda_exact()) are built on first read; lambda_n(),
-    intersect() and symdiff_measure() give back Fractions too."""
+    intersection_measure() and symdiff_measure() give back Fractions too."""
 
     _den: int
     _nums: tuple[int, ...]
@@ -130,19 +130,33 @@ class IntervalUnion:
         d = self._den
         return abs(self.grid_count(n) * d - self._measure * n) / (n * d)
 
-    def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        pieces = []
-        for a, b in self.bounds:
-            for c, d in other.bounds:
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    pieces.append((lo, hi))
-        return IntervalUnion.from_pairs(pieces)
+    def _common(self, other: "IntervalUnion") -> tuple[int, int, int, int]:
+        """(M1, M2, I, D): the two measures and that of the intersection as
+        numerators over D = lcm(D1, D2), I by a merge walk over the two
+        endpoint lists, whose intervals are sorted and disjoint."""
+        den = math.lcm(self._den, other._den)
+        xs = [x * (den // self._den) for x in self._nums]
+        ys = [y * (den // other._den) for y in other._nums]
+        inter, i, j = 0, 0, 0
+        while i < len(xs) and j < len(ys):
+            inter += max(0, min(xs[i + 1], ys[j + 1]) - max(xs[i], ys[j]))
+            # the interval that ends first meets nothing further in the other
+            if xs[i + 1] <= ys[j + 1]:
+                i += 2
+            else:
+                j += 2
+        return (self._measure * (den // self._den), other._measure * (den // other._den),
+                inter, den)
+
+    def intersection_measure(self, other: "IntervalUnion") -> Fraction:
+        """Exact Lebesgue measure of the intersection."""
+        _, _, inter, den = self._common(other)
+        return Fraction(inter, den)
 
     def symdiff_measure(self, other: "IntervalUnion") -> Fraction:
         """Exact Lebesgue measure of the symmetric difference."""
-        inter = self.intersect(other).lebesgue()
-        return self.lebesgue() + other.lebesgue() - 2 * inter
+        m1, m2, inter, den = self._common(other)
+        return Fraction(m1 + m2 - 2 * inter, den)
 
     def indicator(self, xs) -> "object":
         """Vectorized {0,1} indicator for a numpy array of floats (float semantics)."""

@@ -22,12 +22,14 @@ The exact supremum statistic over B(2j+1) x half-lines works in two layers:
     and O(block n j) memory, the block sized so that each state array stays
     below 128 KiB.
 
-For j = 0 (the anchored-prefix-only family B(1)) a branch-and-bound sweep
-over blocks of sorted columns bounds each block in O(n), then evaluates
-exactly only the (column, step) cells of blocks whose bound can beat the best
-value found, with the same float expressions as a full O(n^2) pass and so the
-same bits, in O(n) memory; this is what the desk-scale convergence
-experiments run on.
+For j = 0 (the anchored-prefix-only family B(1)) a two-level branch and bound
+over (block of sorted columns x block of steps) cells bounds every cell from
+arrival counts at the ends of the step blocks, O(n^2 / (20 step_block)) in
+all, then evaluates exactly only the (column, step) cells of the cells whose
+bound and whose per-step bound can beat the best value found, with the same
+float expressions as a full O(n^2) pass and so the same bits, in
+O(n + 16,000) memory; this is what the desk-scale convergence experiments
+run on.
 
 The class is a BVectorClass throughout: the run DP takes its number of
 intervals and whether it is anchored, the brute-force oracle enumerates its
@@ -160,9 +162,11 @@ def _exact_stats_runs(samples: list, model: NuModel, cls: BVectorClass) -> np.nd
 # alike at n = 1e3 and 1e4; wider blocks loosen the bounds, narrower ones
 # lengthen pass 1).
 _PREFIX_BLOCK = 20
-# Candidate steps evaluated at once in a visited block, so that its
-# (block, steps) arrays stay small.
-_PREFIX_STEP_CHUNK = 512
+# Steps per step block: this, or isqrt(n) / 4 where that is more (n >= 17,424)
+# (measured: 16-48 alike at n = 1e4, 43-96 at 3e4, 64-128 at 1e5, the
+# other side of each range from halving the pass-1 cells to twice the
+# blocks visited).
+_PREFIX_STEPS = 32
 # Pruning slack, in units of (n + 1) eps.  A bound takes two float64 roundings
 # (p * F, an integer subtraction) and a candidate three (one more for + 1.0),
 # each of a value of magnitude <= n + 1, so together they stray at most
@@ -177,8 +181,49 @@ def _prefix_may_beat(bound, best: float, n: int):
     return bound + _PREFIX_SLACK_ULPS * (n + 1) * np.finfo(float).eps > best
 
 
-def _prefix_branch_and_bound(f_arrival: np.ndarray,
-                             block: int = _PREFIX_BLOCK) -> tuple[float, int, int]:
+def _prefix_counts(step_block_of: np.ndarray, n_step_blocks: int, stops: np.ndarray,
+                   start: int = 0, base=0.0) -> np.ndarray:
+    """C at the ends of step blocks, one row per column stop.
+
+    Row i of the (len(stops) + 1, n_step_blocks + 1) result counts the
+    sorted columns below stops[i - 1] (row 0: below start, which base holds)
+    whose point arrives by the last step of step block P - 1, in column P
+    (column 0: before step 1).  stops is nondecreasing; the columns
+    start..stops[-1] take one bincount and two cumsums."""
+    cols = np.arange(start, stops[-1])
+    counts = np.zeros((len(stops) + 1, n_step_blocks + 1))
+    counts[0] = base
+    counts[1:, 1:] = np.bincount(
+        np.searchsorted(stops, cols, side="right") * n_step_blocks + step_block_of[cols],
+        minlength=len(stops) * n_step_blocks).reshape(len(stops), n_step_blocks)
+    np.cumsum(counts[1:, 1:], axis=1, out=counts[1:, 1:])
+    return np.cumsum(counts, axis=0, out=counts)
+
+
+def _prefix_cell_bounds(base: np.ndarray, end: np.ndarray, p_first: np.ndarray,
+                        p_last: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
+    """The bound of each (column block, step block) cell, (blocks, step
+    blocks), from the _prefix_counts rows of each block's start (C_base) and
+    end (C_end).  For steps P0..P1, with a = C_base(P1) - C_base(P0 - 1)
+    and e = C_end(P1) - C_end(P0 - 1), every candidate of the cell is at most
+
+        max((P1 - a) F_hi - C_base(P0 - 1), C_end(P1) - max(P0, P0 - 1 + e) F_lo).
+
+    Both counts rise with p, by at most one a step (one point arrives per
+    step), so C_base(p) >= max(C_base(P0 - 1), C_base(P1) - (P1 - p)) and
+    C_end(p) <= min(C_end(P1), C_end(P0 - 1) + p - P0 + 1); each per-step
+    bound's max over p then sits where its two caps cross.  Lowering P1 by
+    a and raising P0 to P0 - 1 + e is what makes this tighter than
+    max(P1 F_hi - C_base(P0 - 1), C_end(P1) - P0 F_lo)."""
+    base_first, base_last = base[:, :-1], base[:, 1:]
+    end_first, end_last = end[:, :-1], end[:, 1:]
+    up = (p_last - (base_last - base_first)) * f_hi[:, None] - base_first
+    p_down = np.maximum(p_first, end_last - end_first + (p_first - 1.0))
+    return np.maximum(up, end_last - p_down * f_lo[:, None], out=up)
+
+
+def _prefix_branch_and_bound(f_arrival: np.ndarray, block: int = _PREFIX_BLOCK,
+                             step_block: Optional[int] = None) -> tuple[float, int, int]:
     """n times the j = 0 statistic before the floor at 0, with the number of
     column blocks visited and the number of blocks.
 
@@ -191,63 +236,105 @@ def _prefix_branch_and_bound(f_arrival: np.ndarray,
     C_base(p) the arrivals in earlier blocks and C_end(p) those through the
     block's end, every candidate at step p is at most
 
-        max(p F_hi - C_base(p), C_end(p) - p F_lo),
+        max(p F_hi - C_base(p), C_end(p) - p F_lo).
 
-    which pass 1 maximises over the steps after the block's first arrival.
-    Pass 2 starts from the exact p = n row, visits blocks by decreasing bound
-    until a bound cannot beat the best value, and evaluates exactly only the
-    steps whose own bound can.  Memory is O(n + block _PREFIX_STEP_CHUNK)."""
+    Pass 1 bounds every (column block, step block) cell from C_base and
+    C_end at the ends of the step blocks alone (_prefix_cell_bounds), a
+    group of column blocks at a time so that each array stays within
+    _RUNS_BLOCK_CELLS.  The plain cell bound
+    max(P1 F_hi - C_base(P0 - 1), C_end(P1) - P0 F_lo) is at least every
+    float per-step bound of its cell, float rounding being monotone in p F
+    and in the counts; the tighter one is, like the per-step bound, at least
+    the exact candidates it covers and rounded twice, which is what
+    _prefix_may_beat's slack is for.  Pass 2 starts from the exact p = n
+    row and visits the column blocks by decreasing cell maximum, in batches
+    of 1, 2, 4, ..., until none can beat the best value: it rebuilds a
+    batch's counts in O(n), keeps the cells that may beat the best value,
+    and evaluates exactly the steps of those cells whose per-step bound may
+    too.  The work is O(n log n + n^2 / (block step_block)) for pass 1 and
+    O(n) per batch besides the steps evaluated; the memory is
+    O(n + _RUNS_BLOCK_CELLS)."""
     n = len(f_arrival)
+    if step_block is None:
+        step_block = max(_PREFIX_STEPS, math.isqrt(n) // 4)
     order = np.argsort(f_arrival, kind="stable")   # arrival index of sorted column k
     f_sorted = f_arrival[order]
     n_blocks = -(-n // block)
+    n_step_blocks = -(-n // step_block)
     block_of = np.empty(n, dtype=np.int64)          # block of the point arriving at step p
     block_of[order] = np.arange(n) // block
-    # each block's arrival indices in increasing order, padded with n, and
-    # for how many steps from each arrival its count of arrived columns holds
-    padded = np.full(n_blocks * block, n)
-    padded[:n] = order
-    arrivals = np.sort(padded.reshape(n_blocks, block), axis=1)
-    holds = np.diff(arrivals, axis=1, append=n)
-    counts = np.arange(1.0, block + 1.0)
-    f_lo = f_sorted[::block]
-    f_hi = f_sorted[np.minimum(np.arange(1, n_blocks + 1) * block, n) - 1]
+    step_block_of = order // step_block             # step block of column k's arrival
+    col_stop = np.minimum(np.arange(n_blocks + 1) * block, n)
+    f_lo, f_hi = f_sorted[col_stop[:-1]], f_sorted[col_stop[1:] - 1]
     steps = np.arange(1.0, n + 1.0)
-
-    def step_bounds(b, c_base):
-        # from the block's first arrival on: C_end and the two per-step bounds
-        first = arrivals[b, 0]
-        c_end = c_base[first:] + np.repeat(counts, holds[b])
-        up = steps[first:] * f_hi[b] - c_base[first:]
-        down = c_end - steps[first:] * f_lo[b]
-        return first, c_end, up, down
+    p_first = steps[::step_block]
+    p_last = steps[np.minimum(np.arange(1, n_step_blocks + 1) * step_block, n) - 1]
+    # rows of _prefix_counts that fit in _RUNS_BLOCK_CELLS
+    rows = max(2, _RUNS_BLOCK_CELLS // (n_step_blocks + 1))
 
     bounds = np.empty(n_blocks)
-    c_base = np.zeros(n)
-    for b in range(n_blocks):
-        first, c_end, up, down = step_bounds(b, c_base)
-        bounds[b] = max(up.max(), down.max())
-        c_base[first:] = c_end
+    counts = np.zeros((1, n_step_blocks + 1))
+    for b0 in range(0, n_blocks, rows - 1):
+        blocks = slice(b0, min(b0 + rows - 1, n_blocks))
+        counts = _prefix_counts(step_block_of, n_step_blocks, col_stop[b0 + 1:blocks.stop + 1],
+                                col_stop[b0], counts[-1])
+        bounds[blocks] = _prefix_cell_bounds(counts[:-1], counts[1:], p_first, p_last,
+                                             f_lo[blocks], f_hi[blocks]).max(axis=1)
 
     d = n * f_sorted - steps                        # the p = n row: C_k(n) = k
     best = max(float(d.max()) + 1.0, -float(d.min()))
-    visited = 0
-    for b in np.argsort(-bounds, kind="stable"):
-        if not _prefix_may_beat(bounds[b], best, n):
-            break
-        visited += 1
-        c_base = np.cumsum(block_of < b, dtype=float)
-        first, _, up, down = step_bounds(b, c_base)
-        cand = np.flatnonzero(_prefix_may_beat(np.maximum(up, down), best, n)) + first
-        cols = slice(b * block, (b + 1) * block)
-        for i in range(0, len(cand), _PREFIX_STEP_CHUNK):
-            at = cand[i:i + _PREFIX_STEP_CHUNK]
-            arrived = order[cols, None] <= at[None, :]
+    # arrival index and F of each block's sorted columns, (block, blocks);
+    # the last block is padded with columns that never arrive, at F = 1
+    arrival_cols = np.full(n_blocks * block, n)
+    arrival_cols[:n] = order
+    arrival_cols = arrival_cols.reshape(n_blocks, block).T.copy()
+    f_cols = np.ones(n_blocks * block)
+    f_cols[:n] = f_sorted
+    f_cols = f_cols.reshape(n_blocks, block).T.copy()
+    width = min(step_block, n)
+    # cells whose steps go at once, so that (block, steps) stays within
+    # _RUNS_BLOCK_CELLS
+    per_chunk = max(1, _RUNS_BLOCK_CELLS // (block * width))
+    visit = np.argsort(-bounds, kind="stable")
+    visited, batch = 0, 1
+    while visited < n_blocks and _prefix_may_beat(bounds[visit[visited]], best, n):
+        ahead = visit[visited:visited + min(batch, max(1, (rows - 1) // 2))]
+        bs = np.sort(ahead[_prefix_may_beat(bounds[ahead], best, n)])
+        visited += len(bs)
+        batch *= 2
+        counts = _prefix_counts(step_block_of, n_step_blocks,
+                                col_stop[np.stack([bs, bs + 1], axis=1).ravel()])
+        base, end = counts[1::2], counts[2::2]
+        kept_block, kept_cell = np.nonzero(_prefix_may_beat(_prefix_cell_bounds(
+            base, end, p_first, p_last, f_lo[bs], f_hi[bs]), best, n))
+        for i in range(0, len(kept_cell), per_chunk):
+            kb, kc = kept_block[i:i + per_chunk], kept_cell[i:i + per_chunk]
+            b = bs[kb]
+            at = kc * step_block + np.arange(width)[:, None]    # (steps, cells)
+            inside = at < n                         # the last step block may be short
+            at = np.minimum(at, n - 1)
+            arriving = block_of[at]
+            c_base = base[kb, kc] + np.cumsum(arriving < b, axis=0)
+            c_end = end[kb, kc] + np.cumsum(arriving <= b, axis=0)
+            up = steps[at] * f_hi[b] - c_base
+            down = c_end - steps[at] * f_lo[b]
+            may = np.flatnonzero(_prefix_may_beat(np.maximum(up, down), best, n) & inside)
+            if not len(may):
+                continue
+            at, c_base, b = at.take(may), c_base.take(may), b[may % len(b)]  # b by column
+            # (block, candidates): C_k(p) at every column, arrived or not.  At
+            # a column not yet arrived, -d is at most that of the last arrived
+            # column below (same C, smaller F), or <= 0 if there is none; with
+            # C + 1, the C of the first arrived column above, d + 1.0 is at
+            # most that column's (larger F), or <= 0 if there is none.  The
+            # p = n row's best is >= 0, so neither needs a mask.
+            arrived = arrival_cols[:, b] <= at
             c = np.cumsum(arrived, axis=0, dtype=float)
-            c += c_base[at]                         # C_k(p), exact in float64
-            d = np.subtract(steps[at] * f_sorted[cols, None], c, out=c)
-            best = max(best, float(d.max(where=arrived, initial=-np.inf)) + 1.0,
-                       -float(d.min(where=arrived, initial=np.inf)))
+            c += c_base
+            pf = steps[at] * f_cols[:, b]
+            best = max(best, -float((pf - c).min()))
+            c += ~arrived
+            best = max(best, float(np.subtract(pf, c, out=c).max()) + 1.0)
     return best, visited, n_blocks
 
 

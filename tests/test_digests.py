@@ -108,6 +108,12 @@ CASES = {
         "ulln", {"j": 2, "parity": "even", "model": "exponential(1)", "n_schedule": [100, 1000],
                  "replicates": 2, "seed": 12},
         "f063b27db1f16b6ba79b9fd286ed9e9c027c5754d4b524d52f7ddce2b91c3622"),
+    # recorded before the j = 0 branch and bound bounded (column block x step
+    # block) cells: at n = 20000 pass 1 runs in many groups of column blocks
+    "ulln-j0-odd-exponential-20000": (
+        "ulln", {"j": 0, "parity": "odd", "model": "exponential(1)", "n_schedule": [3000, 20000],
+                 "replicates": 2, "seed": 13},
+        "409d363427f83ffcfde2dd198c87db706f4765327202de8608c98181350ba441"),
     # recorded before the lemma trials ran in blocks of 50 and the set members
     # were drawn in bulk: 77 trials end mid-block, 33 members a short draw
     "covering-block-edge": (

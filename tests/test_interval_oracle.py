@@ -52,6 +52,13 @@ def fraction_grid_count(bounds, n):
     return sum(math.floor(n * b) - math.floor(n * a) for a, b in bounds)
 
 
+def fraction_intersection(bounds1, bounds2):
+    """The intersection of two merged Fraction unions, pair by pair, merged
+    again: how IntervalUnion.intersect built it before the merge walk."""
+    return fraction_from_pairs([(max(a, c), min(b, d)) for a, b in bounds1
+                                for c, d in bounds2 if max(a, c) < min(b, d)])
+
+
 def fraction_gap(lambda_n, lambda_exact):
     return float(abs(lambda_n - Fraction(lambda_exact)))
 
@@ -155,3 +162,31 @@ def test_non_set_members_keep_their_gaps():
         for n in N_LIST:
             want = fraction_gap(h.lambda_n(n), h.lambda_exact())
             assert observed_riemann_gap(h, n).hex() == want.hex()
+
+
+def _random_union(rng, den):
+    """A union whose ends sit on the grid k / den, as Fractions or floats
+    (exact when den is a power of 2), at 0 or 1 as ints, or off the grid as
+    floats, so that two unions on one grid often share and touch ends."""
+    def end():
+        kind, k = rng.random(), int(rng.integers(0, den + 1))
+        if kind < 0.4:
+            return Fraction(k, den)
+        if kind < 0.8:
+            return k / den
+        return int(rng.integers(0, 2)) if kind < 0.9 else float(rng.random())
+
+    ends = [end() for _ in range(2 * int(rng.integers(0, 6)))]
+    return IntervalUnion.from_pairs(zip(ends[::2], ends[1::2]))
+
+
+def test_intersection_and_symdiff_measures_against_fraction_pairs():
+    rng = np.random.default_rng(28)
+    for trial in range(600):
+        den = int(rng.choice([7, 8, 12]))
+        a = _random_union(rng, den)
+        b = a if trial % 5 == 0 else _random_union(rng, den)
+        inter = fraction_lebesgue(fraction_intersection(a.bounds, b.bounds))
+        assert a.intersection_measure(b) == b.intersection_measure(a) == inter
+        assert type(a.intersection_measure(b)) is Fraction
+        assert a.symdiff_measure(b) == a.lebesgue() + b.lebesgue() - 2 * inter

@@ -7,6 +7,9 @@ same float expressions at the same (column, step) cells, so it must return
 the same bits, on ties and on samples whose F saturates at 0 or 1 too.
 """
 
+import tracemalloc
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +102,57 @@ def test_bit_equal_at_other_block_widths(block):
                 best, visited, blocks = _prefix_branch_and_bound(f, block)
                 assert blocks == -(-n // block) and 0 <= visited <= blocks
                 assert max(best, 0.0) / n == insertion_prefix_stat(sample, model)
+
+
+_KINDS = {"plain": lambda name, n: _draw(name, n, "plain", 0),
+          "tied": lambda name, n: _tied(name, n, 0),
+          "saturated": lambda name, n: _saturated(name, n, 0)}
+
+
+@lru_cache(maxsize=None)
+def _case(kind: str, name: str, n: int) -> tuple:
+    """F at the arrivals of one sample and its insertion-pass statistic."""
+    model = parse_model(name)
+    sample = _KINDS[kind](name, n)
+    f = np.asarray(model.cdf(sample.xs()), dtype=float)
+    return f, insertion_prefix_stat(sample, model)
+
+
+@pytest.mark.parametrize("step_block", [1, 2, 5, 16, 33, 1001])
+def test_bit_equal_over_a_grid_of_cell_widths(step_block):
+    # step widths from one step per cell to one cell for every step (1001 > n),
+    # each against column widths from 1 to past n: every kind of cell bound,
+    # short last blocks on both sides, and batches of visited blocks
+    for block in (1, 2, 3, 7, 20, 64):
+        for kind in _KINDS:
+            for name in MODELS:
+                for n in (5, 40, 300, 1000):
+                    f, want = _case(kind, name, n)
+                    best, visited, blocks = _prefix_branch_and_bound(f, block, step_block)
+                    assert blocks == -(-n // block) and 0 <= visited <= blocks
+                    assert max(best, 0.0) / n == want, (block, kind, name, n)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_bit_equal_at_thirty_thousand(name):
+    # the default step width is past its floor here (isqrt(n) // 4 = 43)
+    model = parse_model(name)
+    sample = _draw(name, 30_000, "plain", 0)
+    assert sup_deviation_exact_BW(0, "odd", sample, model) == insertion_prefix_stat(sample, model)
+
+
+def test_memory_peak_at_ten_thousand():
+    # pass 1 and pass 2 arrays stay within the run-DP block rule, so one call
+    # peaks at a few O(n) arrays: about 1.3 MB at n = 1e4
+    model = parse_model("uniform01")
+    f = np.asarray(model.cdf(draw_sample(model, 10_000, 0).xs()), dtype=float)
+    tracemalloc.start()
+    try:
+        _prefix_branch_and_bound(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
