@@ -189,21 +189,21 @@ def _load_q_file(path: str) -> list:
     each part a {"type": ...} object that holds no key but the ones its type
     reads (the table types below)."""
     with open(path) as fh:
-        # NaN and Infinity stay strings, which number() rejects with the entry and key
+        # NaN and Infinity stay strings: number() rejects them, true and other strings
         entries = json.load(fh, parse_constant=str)
     if not isinstance(entries, list) or not entries:
         raise ConfigError("q file must hold a nonempty JSON list")
 
     def number(raw, key: str) -> float:
+        if isinstance(raw, (bool, str)) and raw not in ("NaN", "Infinity", "-Infinity"):
+            raise ConfigError(f"q file entry {i} key {key!r} is {json.dumps(raw)}, not a number")
         x = float(raw)
         if not math.isfinite(x):
             raise ConfigError(f"q file entry {i} key {key!r} is {raw}, not a finite number")
         return x
 
     def numbers(raws, key: str) -> tuple:
-        for raw in raws:
-            number(raw, key)
-        return tuple(raws)
+        return tuple(number(raw, key) for raw in raws)
 
     def only(spec: dict, keys, prefix: str = "") -> None:
         for key in spec:
@@ -217,8 +217,7 @@ def _load_q_file(path: str) -> list:
                   numbers(s["knots"], "knots"), numbers(s["values"], "values")))},
         "g": {"half-line": (("w",), lambda s: HalfLine(number(s["w"], "w"))),
               "initial-interval": (("w",), lambda s: InitialInterval(number(s["w"], "w"))),
-              "poly": (("coeffs",), lambda s: BoundedPolynomial(
-                  tuple(number(c, "coeffs") for c in s["coeffs"])))},
+              "poly": (("coeffs",), lambda s: BoundedPolynomial(numbers(s["coeffs"], "coeffs")))},
     }
     out = []
     try:

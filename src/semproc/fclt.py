@@ -9,6 +9,9 @@ h2) Cov_nu(g1, g2), the Lindeberg limit variance and its tail (g's
 centered_sq_tail at the values h(i/n)) are closed forms; nothing here
 integrates by quadrature.
 
+One kernel, process_deviations, computes P_n(hg) - lambda_n(h) nu(g) for the
+fidi test, the modulus and the ULLN net sandwich (semproc.ulln).
+
 Weak convergence in the sup-norm sense is not desk-verifiable; what this
 module verifies are its two operational pillars.  Fidi convergence is
 measured statistically (empirical covariance and KS distances against the
@@ -51,6 +54,7 @@ __all__ = [
     "cov_matrix",
     "lindeberg_check",
     "gaussian_fidi_sample",
+    "process_deviations",
     "ks_normal_distance",
     "fidi_convergence_test",
     "ModulusReport",
@@ -124,10 +128,6 @@ def lindeberg_check(
     zero)."""
     h, g = q
     nu_g, nu_g2 = g.mean(model), g.second_moment(model)
-
-    def centered_sq(hs):  # nu(q_tilde^2)(s) = h(s)^2 nu(g^2) - (h(s) nu(g))^2
-        return hs**2 * nu_g2 - (hs * nu_g) ** 2
-
     limit_var = (nu_g2 - nu_g**2) * lambda_prod(h, h)
     if limit_var < _DEGENERATE_TOL:
         return {"degenerate": True, "limit_variance": limit_var, "rows": []}
@@ -135,7 +135,8 @@ def lindeberg_check(
     rows = []
     for n in n_list:
         hs = np.asarray(h(grid_points(n)), dtype=float)
-        vn = float(np.mean(centered_sq(hs)))
+        # V_n averages nu(q_tilde^2)(s) = h(s)^2 nu(g^2) - (h(s) nu(g))^2
+        vn = float(np.mean(hs**2 * nu_g2 - (hs * nu_g) ** 2))
         for eps in epsilon_list:
             T = eps * math.sqrt(n * vn)
             ratio = None
@@ -175,8 +176,8 @@ def _draw_blocks(model: NuModel, R: int, n: int, rng: np.random.Generator):
     The generator fills every model's draws in sequence, so the blocks
     concatenate to the one-shot model.draw(rng, (R, n)).  A one-row tail
     joins the block before it: NumPy contracts a one-row matrix through
-    another BLAS kernel than the GEMV/GEMM of a taller block, whose sums can
-    differ in their last bits."""
+    another BLAS kernel than the GEMV or GEMM of a taller block in
+    process_deviations, whose sums can differ in their last bits."""
     lo = 0
     while lo < R:
         hi = min(lo + _BLOCK_ROWS, R)
@@ -186,25 +187,45 @@ def _draw_blocks(model: NuModel, R: int, n: int, rng: np.random.Generator):
         lo = hi
 
 
+def process_deviations(h_vals: np.ndarray, g_list: Sequence, rows: np.ndarray,
+                       model: NuModel, by_h: bool = False) -> np.ndarray:
+    """P_n(h_a g_b) - lambda_n(h_a) nu(g_b) per row of rows (m, n) in column
+    a * kg + b, for h_a(i/n) the rows of h_vals (kh, n): the GEMM g_b(rows) @
+    h_vals.T / n minus lambda_n(h_a) nu(g_b).  by_h takes one GEMV per h_a,
+    whose sums, unlike the GEMM's, do not depend on m (row blocks then give
+    the bits of one call on all rows)."""
+    n, kg = rows.shape[1], len(g_list)
+    h_center = h_vals.mean(axis=1)
+    out = np.empty((rows.shape[0], h_vals.shape[0] * kg))
+    for b, g in enumerate(g_list):
+        gv = np.asarray(g(rows), dtype=float)
+        pn = (np.stack([gv @ hv for hv in h_vals], axis=1) if by_h else gv @ h_vals.T) / n
+        out[:, b::kg] = pn - h_center * g.mean(model)
+        del gv  # so the next g's values reuse its memory, not fresh pages
+    return out
+
+
+def _replicate_Z(h_list: Sequence, g_list: Sequence, cols, n: int, R: int, seed: int,
+                 model: NuModel, by_h: bool) -> np.ndarray:
+    """The columns cols of sqrt(n) process_deviations over the (R, n) draws of
+    default_rng(seed), C-ordered, each row block contracted as it is drawn."""
+    h_vals = np.stack([np.asarray(h(grid_points(n)), dtype=float) for h in h_list])
+    Z = np.empty((R, len(cols)))
+    for lo, hi, draws in _draw_blocks(model, R, n, np.random.default_rng(seed)):
+        Z[lo:hi] = math.sqrt(n) * process_deviations(h_vals, g_list, draws, model, by_h)[:, cols]
+    return Z
+
+
 def replicate_Z_values(q_list: Sequence[tuple], n: int, R: int, seed: int,
                        model: NuModel) -> np.ndarray:
-    """(R, K) matrix of Z_n(q) over R independent replicate samples.
-
-    The replicates are the rows of one (R, n) draw matrix from a single
-    derived-seed generator, drawn in row blocks (_draw_blocks); the column of
-    q = (h, g) sums g(block) @ h(i/n) block by block, then centres and scales.
-    Peak memory is O(_BLOCK_ROWS * n), not O(R * n).
-    """
-    rng = np.random.default_rng(derive_seed(seed, ["replicate-Z", n, R]))
-    svals = grid_points(n)
-    hvs = [np.asarray(h(svals), dtype=float) for h, _ in q_list]
-    sums = np.empty((R, len(q_list)))
-    for lo, hi, draws in _draw_blocks(model, R, n, rng):
-        for k, (hv, (_, g)) in enumerate(zip(hvs, q_list)):
-            sums[lo:hi, k] = np.asarray(g(draws), dtype=float) @ hv
-    centers = np.array([float(np.mean(hv * g.mean(model)))
-                        for hv, (_, g) in zip(hvs, q_list)])
-    return math.sqrt(n) * (sums / n - centers)
+    """(R, K) matrix of Z_n(q) over R replicate samples: the rows of one (R,
+    n) draw matrix of a derived-seed generator, drawn in row blocks
+    (_draw_blocks), so peak memory is O(_BLOCK_ROWS * n), not O(R * n).  The
+    q columns are read from the product of the q list's distinct h and g
+    members (process_deviations, by_h), each g evaluated once per block."""
+    hs, gs = list(dict.fromkeys(h for h, _ in q_list)), list(dict.fromkeys(g for _, g in q_list))
+    cols = [hs.index(h) * len(gs) + gs.index(g) for h, g in q_list]
+    return _replicate_Z(hs, gs, cols, n, R, derive_seed(seed, ["replicate-Z", n, R]), model, True)
 
 
 def ks_normal_distance(values: np.ndarray, sd: float) -> float:
@@ -305,10 +326,7 @@ def _member_pools(h_class, net_u: float, seed: int, model: NuModel) -> tuple:
     caps, with their distance matrices: (h_pool, g_pool, d_h, d_g); for
     half-lines nu((g1 - g2)^2) = |F(w1) - F(w2)|, as for indicators."""
     h_pool, h_sq = _h_pool(h_class, net_u, seed)
-    g_net = half_line_net(net_u * net_u, model)
-    if len(g_net) > _G_CAP:
-        idx = np.linspace(0, len(g_net) - 1, _G_CAP).round().astype(int)
-        g_net = [g_net[i] for i in sorted(set(idx.tolist()))]
+    g_net = half_line_net(net_u * net_u, model, _G_CAP)
     F = np.array([g.mean(model) for g in g_net])
     return h_pool, g_net, np.sqrt(h_sq), np.sqrt(np.abs(np.subtract.outer(F, F)))
 
@@ -320,22 +338,6 @@ def _pairs_within(d_h: np.ndarray, d_g: np.ndarray, alpha: float):
     d = product_distances(d_h, d_g)
     p, q = np.nonzero(np.triu(d <= alpha, k=1))
     return p, q, d[p, q]
-
-
-def _modulus_Z(h_vals: np.ndarray, g_list: Sequence, n: int, R: int,
-               rng: np.random.Generator, model: NuModel) -> np.ndarray:
-    """(R, kh * kg) matrix of Z_n(h_a g_b) in column a * kg + b for the rows
-    h_a(i/n) of h_vals: each row block of the draws (_draw_blocks) is
-    contracted by the GEMM g_b(block) @ h_vals.T as soon as it is drawn."""
-    kg = len(g_list)
-    means = np.array([g.mean(model) for g in g_list])
-    h_center = h_vals.mean(axis=1)
-    Z = np.empty((R, h_vals.shape[0] * kg))
-    for lo, hi, draws in _draw_blocks(model, R, n, rng):
-        for b, g in enumerate(g_list):
-            pn = np.asarray(g(draws), dtype=float) @ h_vals.T / n    # (hi - lo, kh)
-            Z[lo:hi, b::kg] = math.sqrt(n) * (pn - h_center[None, :] * means[b])
-    return Z
 
 
 @dataclass
@@ -362,15 +364,13 @@ def equicontinuity_modulus(
     observed modulus is a lower proxy of the class modulus, which is the
     verifiable direction of the tightness statement.
     The R replicate samples are drawn in row blocks, each contracted into Z
-    as soon as it is drawn (_modulus_Z), so no (R, n) array is held."""
+    as soon as it is drawn (process_deviations), so no (R, n) array is held."""
     h_pool, g_pool, d_h, d_g = _member_pools(h_class, net_u, seed, model)
     kh, kg = len(h_pool), len(g_pool)
-    svals = grid_points(n)
-    h_vals = np.stack([np.asarray(h(svals), dtype=float) for h in h_pool])
     pairs_p, pairs_q, pair_d = _pairs_within(d_h, d_g, max(alpha_list))
 
-    Z = _modulus_Z(h_vals, g_pool, n, R,
-                   np.random.default_rng(derive_seed(seed, ["modulus", n, R])), model)
+    Z = _replicate_Z(h_pool, g_pool, range(kh * kg), n, R,
+                     derive_seed(seed, ["modulus", n, R]), model, False)
 
     report = ModulusReport(net_u=net_u, h_pool=kh, g_pool=kg)
     for alpha in alpha_list:
@@ -379,9 +379,7 @@ def equicontinuity_modulus(
         per_rep = np.zeros(R)
         chunk = 200_000
         for lo in range(0, len(p_idx), chunk):
-            sel_p = p_idx[lo:lo + chunk]
-            sel_q = q_idx[lo:lo + chunk]
-            diff = np.abs(Z[:, sel_p] - Z[:, sel_q])
+            diff = np.abs(Z[:, p_idx[lo:lo + chunk]] - Z[:, q_idx[lo:lo + chunk]])
             per_rep = np.maximum(per_rep, diff.max(axis=1))
         report.rows.append(
             {"alpha": alpha, "mean_modulus": float(per_rep.mean()),

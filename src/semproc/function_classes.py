@@ -540,13 +540,18 @@ class BoundedPolynomial:
         return v**2 * model.centered_sq_tail(a)
 
 
-def half_line_net(mesh: float, model: NuModel) -> list[HalfLine]:
+def half_line_net(mesh: float, model: NuModel, size: Optional[int] = None) -> list[HalfLine]:
     """The half-lines at the F-quantiles mesh, 2 mesh, ... (capped just
     below 1), sorted, equal ones once: a half-line's nu(g) and nu(g^2) are
-    both F(w), so neighbors are within mesh in d1_nu and in d2_nu^2."""
-    count = _line_net_count(mesh)
-    probs = [min((k + 1) * mesh, 1.0 - 1e-12) for k in range(count)]
-    return [HalfLine(w) for w in sorted({float(model.ppf(p)) for p in probs})]
+    both F(w), so neighbors are within mesh in d1_nu and in d2_nu^2.  With
+    size, when the net has more members, the at most size at evenly spaced
+    ranks (the first and the last among them); the end points are thinned
+    before any member is built."""
+    ks = np.arange(1, _line_net_count(mesh) + 1)
+    ws = np.unique(model.ppf(np.minimum(ks * mesh, 1.0 - 1e-12)))
+    if size is not None and len(ws) > size:
+        ws = ws[np.unique(np.linspace(0, len(ws) - 1, size).round().astype(int))]
+    return [HalfLine(w) for w in ws.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +646,10 @@ def parse_class_descriptor(desc: dict):
     if extra:
         raise ValueError(f"unknown class descriptor keys: {sorted(extra)}")
     if kind == "holder":
-        return HolderClass(float(desc.get("T", 1.0)), float(desc.get("C", 1.0)),
-                           float(desc.get("beta", 1.0)))
+        for key, v in desc.items():
+            if key != "class" and (isinstance(v, bool) or not isinstance(v, (int, float))):
+                raise ValueError(f"class descriptor key {key!r} must be a number, got {v!r}")
+        return HolderClass(*(float(desc.get(key, 1.0)) for key in ("T", "C", "beta")))
     if kind == "indicators":
         return INDICATORS
     raise ValueError(f"unknown class kind {kind!r}")

@@ -43,6 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .fclt import process_deviations
 from .function_classes import INDICATORS, BVectorClass, HalfLine, half_line_net, indicator_net
 from .measures import NuModel, Sample, draw_sample, parse_model
 from .quadrature import integrate
@@ -386,13 +387,14 @@ def sup_deviation_net(sample: Sample, net_u: float) -> tuple[float, float]:
     """Net sandwich (lower, upper) for sup |P_n(hg) - lambda_n(h) nu(g)| over
     the Kiefer class F = indicators x half-lines.
 
-    lower is the max over net pairs; upper = lower + 2 net_u, valid because
-    the one-sided replacement error of (h, g) by its net neighbor is at most
-    G_env * (h gap) + H_env * (g gap) <= net_u on the P_n side and again on
-    the centering side.  Both envelopes are 1, so each side gets the gap
-    u = net_u / 2: indicators at mesh u - 1/n (one grid point more at most
-    in lambda_n L1), and half-lines at merged sample and F quantiles, which
-    keeps both the empirical and the population L1 gap within u.
+    lower is the max over net pairs (fclt.process_deviations on the sample);
+    upper = lower + 2 net_u, valid because the one-sided replacement error
+    of (h, g) by its net neighbor is at most G_env * (h gap) + H_env * (g
+    gap) <= net_u on the P_n side and again on the centering side.  Both
+    envelopes are 1, so each side gets the gap u = net_u / 2: indicators at
+    mesh u - 1/n (one grid point more at most in lambda_n L1), and
+    half-lines at merged sample and F quantiles, which keeps both the
+    empirical and the population L1 gap within u.
     """
     model = parse_model(sample.model)
     u = net_u / 2.0
@@ -409,13 +411,7 @@ def sup_deviation_net(sample: Sample, net_u: float) -> tuple[float, float]:
 
     s_grid = sample.grid()
     h_vals = np.stack([np.asarray(h(s_grid), dtype=float) for h in h_net])
-    g_vals = np.stack([np.asarray(g(xs), dtype=float) for g in g_net])
-    h_center = h_vals.mean(axis=1)
-    g_mean = np.array([g.mean(model) for g in g_net])
-
-    pn = (h_vals @ g_vals.T) / sample.n
-    dev = np.abs(pn - np.outer(h_center, g_mean))
-    lower = float(np.max(dev))
+    lower = float(np.abs(process_deviations(h_vals, g_net, xs[None, :], model)).max())
     return lower, lower + 2.0 * net_u
 
 

@@ -8,8 +8,8 @@ exact rational Riemann gap of an interval union, the one-member float gap
 of any other member, the constant q as a product pair,
 scalar evaluators of lambda_n, lambda, the sequential empirical measure
 P_n and the B-empirical measure nu_{n,B} that sum term by term from the
-definitions, and the one-shot replicate Z matrices that semproc.fclt now
-builds from row blocks of the draws.
+definitions, the one-shot Z matrix that semproc.fclt builds from row blocks
+of the draws, and the per-q Z values that its one kernel replaced.
 """
 
 import math
@@ -24,7 +24,6 @@ from semproc.intervals import IntervalUnion
 from semproc.measures import NuModel, Sample, grid_points
 from semproc.piecewise import PiecewiseLinear
 from semproc.quadrature import DEFAULT_TOL, integrate
-from semproc.seeds import derive_seed
 
 
 def contains(union: IntervalUnion, x) -> bool:
@@ -149,11 +148,13 @@ def eval_b_empirical(
     return BEmpiricalValue(float(vals.mean()), len(idx), False)
 
 
-def one_shot_replicate_Z_values(q_list: Sequence[tuple], n: int, R: int, seed: int,
-                                model: NuModel) -> np.ndarray:
-    """fclt.replicate_Z_values from one (R, n) draw matrix: the column of
-    q = (h, g) is the matrix product g(draws) @ h(i/n), centred and scaled."""
-    draws = model.draw(np.random.default_rng(derive_seed(seed, ["replicate-Z", n, R])), (R, n))
+def per_q_Z_values(q_list: Sequence[tuple], n: int, R: int, rng: np.random.Generator,
+                   model: NuModel) -> np.ndarray:
+    """Z_n(q) over the rows of one (R, n) draw matrix of rng, one q at a
+    time: the column of q = (h, g) is the product g(draws) @ h(i/n) / n,
+    centred by lambda_n(h nu(g)) and scaled by sqrt(n).  The per-q form that
+    fclt.process_deviations replaced, kept as its independent oracle."""
+    draws = model.draw(rng, (R, n))
     svals = grid_points(n)
     cols = []
     for h, g in q_list:
@@ -164,16 +165,19 @@ def one_shot_replicate_Z_values(q_list: Sequence[tuple], n: int, R: int, seed: i
     return np.stack(cols, axis=1)
 
 
-def one_shot_modulus_Z(h_vals: np.ndarray, g_list: Sequence, n: int, R: int,
-                       rng: np.random.Generator, model: NuModel) -> np.ndarray:
-    """fclt._modulus_Z from one (R, n) draw matrix: column a * kg + b holds
-    Z_n(h_a g_b), from the product g_b(draws) @ h_vals.T."""
-    kg = len(g_list)
-    means = np.array([g.mean(model) for g in g_list])
-    h_center = h_vals.mean(axis=1)
+def one_shot_Z(h_list: Sequence, g_list: Sequence, n: int, R: int,
+               rng: np.random.Generator, model: NuModel, by_h: bool) -> np.ndarray:
+    """sqrt(n) fclt.process_deviations over one (R, n) draw matrix of rng,
+    which semproc draws and contracts in row blocks: column a * kg + b holds
+    Z_n(h_a g_b), entry by entry from the products g_b(draws) @ h_a(i/n) /
+    n, one GEMV per h_a with by_h and one GEMM per g_b without, minus
+    lambda_n(h_a) nu(g_b)."""
     draws = model.draw(rng, (R, n))
-    Z = np.empty((R, h_vals.shape[0] * kg))
-    for b, g in enumerate(g_list):
-        pn = np.asarray(g(draws), dtype=float) @ h_vals.T / n
-        Z[:, b::kg] = math.sqrt(n) * (pn - h_center[None, :] * means[b])
-    return Z
+    h_vals = np.stack([np.asarray(h(grid_points(n)), dtype=float) for h in h_list])
+    pn = []  # pn[b][:, a] = P_n(h_a g_b)
+    for g in g_list:
+        gv = np.asarray(g(draws), dtype=float)
+        pn.append((np.stack([gv @ hv for hv in h_vals], axis=1) if by_h else gv @ h_vals.T) / n)
+    cols = [pn[b][:, a] - h_vals[a].mean() * g.mean(model)
+            for a in range(len(h_list)) for b, g in enumerate(g_list)]
+    return math.sqrt(n) * np.stack(cols, axis=1)

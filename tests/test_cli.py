@@ -292,6 +292,19 @@ class TestMainEntry:
         ({"h": {"type": "indicator", "t": 0.5},
           "g": {"type": "poly", "coeffs": [0.0, 1.0], "degree": 1}},
          "config error: q file entry 1 has unknown key 'g.degree'\n"),
+        # a JSON boolean is no number: float(true) would read t = 1
+        ({"h": {"type": "indicator", "t": True}, "g": {"type": "half-line", "w": False}},
+         "config error: q file entry 1 key 't' is true, not a number\n"),
+        ({"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": False}},
+         "config error: q file entry 1 key 'w' is false, not a number\n"),
+        ({"h": {"type": "holder-pl", "knots": [0, True, 1], "values": [0, 1, 0]},
+          "g": {"type": "half-line", "w": 0.5}},
+         "config error: q file entry 1 key 'knots' is true, not a number\n"),
+        ({"h": {"type": "indicator", "t": 0.5}, "g": {"type": "poly", "coeffs": [0.5, True]}},
+         "config error: q file entry 1 key 'coeffs' is true, not a number\n"),
+        # nor is a string, which float() would read as the number it spells
+        ({"h": {"type": "indicator", "t": "0.5"}, "g": {"type": "half-line", "w": 0.5}},
+         'config error: q file entry 1 key \'t\' is "0.5", not a number\n'),
     ])
     def test_ill_typed_q_file_exit_2(self, tmp_path, capsys, entry, message):
         good = {"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 0.5}}
@@ -384,6 +397,8 @@ class TestCountsAndOrders:
          "fclt.h_class"),
         (["fclt", "--set", 'h_class={"class":"halflines"}', "--set", "run_lindeberg=false"],
          "fclt.h_class"),
+        (["fclt", "--set", 'h_class={"class":"holder","T":true,"C":1.0,"beta":true}',
+          "--set", "run_lindeberg=false"], "fclt.h_class"),
         (["fclt", "--net-u", "0", "--set", 'h_class={"class":"indicators"}'], "fclt.net_u"),
         (["fclt", "--net-u", "-0.3", "--set", 'h_class={"class":"indicators"}'], "fclt.net_u"),
         (["fclt", "--net-u", "1e-200", "--set", 'h_class={"class":"indicators"}'],
@@ -401,7 +416,8 @@ class TestCountsAndOrders:
     ], ids=["ulln-decreasing", "ulln-repeated", "ulln-empty", "ulln-replicates", "fclt-alpha",
             "fclt-alpha-empty", "fclt-modulus-replicates", "fclt-replicates", "kiefer-draws",
             "fclt-alpha-element", "ulln-schedule-element", "ulln-schedule-bool",
-            "fclt-h-class-bvector", "fclt-h-class-halflines", "fclt-net-u-zero-indicators",
+            "fclt-h-class-bvector", "fclt-h-class-halflines", "fclt-h-class-bool",
+            "fclt-net-u-zero-indicators",
             "fclt-net-u-negative-indicators", "fclt-net-u-mesh-underflow-indicators",
             "fclt-net-u-mesh-past-float-indicators", "fclt-net-u-zero-holder", "kiefer-grid",
             "bounds-n-list-empty", "bounds-members", "bounds-witness-max-n",
@@ -410,6 +426,18 @@ class TestCountsAndOrders:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config key {key} must be")
+
+    @pytest.mark.parametrize("desc,key", [
+        ('{"class":"holder","T":true,"C":1.0,"beta":true}', "'T'"),
+        ('{"class":"holder","beta":false}', "'beta'"),
+        ('{"class":"holder","C":"1.0"}', "'C'"),
+    ])
+    def test_h_class_field_not_a_number_names_the_field(self, capsys, desc, key):
+        # a bool would read as 1.0 or 0.0, a string as the number it spells
+        assert main(["fclt", "--set", f"h_class={desc}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key fclt.h_class must be")
+        assert f"class descriptor key {key} must be a number" in err
 
     def test_int_list_elements_coerced_to_float(self):
         cfg = parse_config("fclt", {"alpha_list": [1, 2.5]})

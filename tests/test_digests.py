@@ -37,6 +37,17 @@ old and new reports shows only these values changed:
 - kiefer: empirical_cov and sampler_error (0.0102 -> 0.0053), drawn from
   the sheet instead of an eigendecomposition; the x = 1 entries now read
   exactly 0.0, where they read up to 4e-13.
+
+Four fclt pins were re-recorded when the fidi test's Z columns came from
+fclt.process_deviations, the one P_n(hg) - lambda_n(h) nu(g) kernel:
+fclt-holder-product-q, fclt-indicator-modulus, fclt-kiefer-grid-normal and
+the custom file.  Each q column keeps its GEMV sums but is now centred by
+lambda_n(h) nu(g), where it was lambda_n(h nu(g)); the two agree bit for
+bit when h is 0/1 and nu(g) dyadic, as for kiefer-3 under uniform01, but
+not otherwise.  Diffing old and new reports, only fidi values moved
+(empirical covariances, KS distances and their ledger echoes), none by more
+than 3.9e-14 relative.  fclt-holder-modulus held: its kiefer-3 columns
+happen to round the same way in both forms.
 """
 
 import hashlib
@@ -81,16 +92,16 @@ CASES = {
     "fclt-holder-product-q": (
         "fclt", {"q_set": "holder-product", "n": 120, "replicates": 200, "seed": 4,
                  "modulus_replicates": 4, "alpha_list": [0.3, 0.8], "net_u": 0.6},
-        "54cef8ad31b6dec132355450154c9172d31d189f1439693a4ebc5c71057e0a9c"),
+        "6d80ccdd58ba76e1931a945ebca25a2f85ef1f07fd4e6d907a700d8ebbacfc0b"),
     "fclt-kiefer-grid-normal": (
         "fclt", {"q_set": "kiefer-grid", "n": 100, "replicates": 150, "seed": 5,
                  "model": "standard-normal", "run_modulus": False},
-        "e7f8cdd802147251c686eb6350b295c894c38658d4e8ef565ec8c9cd12ea620c"),
+        "687220712e72705015ebc059e64c89d14f23bad57a9235c54f5bd546a26d80de"),
     "fclt-indicator-modulus": (
         "fclt", {"n": 120, "replicates": 200, "seed": 9, "alpha_list": [0.2, 0.6],
                  "net_u": 0.3, "model": "exponential(2)", "h_class": {"class": "indicators"},
                  **_SMALL_FCLT},
-        "8cda8d058bbdb2d5f4ae5427a6dc0630539d33c6db1025a97eec5ecf5c9d0291"),
+        "8404a59069c9c001218398eb01210c05d63f404a6ce419112574c472268a486e"),
     "covering": (
         "covering", {"trials": 30, "seed": 2, "n_list": [20, 100], "n_seeds": 3},
         "b39d058769225e521a84555c75fd510fb433306202f7afaccee1d2d29cecc2cc"),
@@ -130,6 +141,34 @@ def test_numeric_sha256_pinned(name):
     experiment, cfg, want = CASES[name]
     report = run_experiment(experiment, cfg)
     assert hashlib.sha256(numeric_bytes(report)).hexdigest() == want
+
+
+# The default report of each experiment, as `semproc <experiment>` prints
+# its digest, in a child at one BLAS thread.  The fclt and selftest pins are
+# one-thread pins of this host's OpenBLAS kernel (the modulus GEMM and
+# np.cov round with it) until the fclt digest depends on the config alone
+# (ROADMAP, "Digests that depend on the config alone").  selftest exits 1 at
+# its default seed (a marginal KS distance over its fixed tolerance).
+DEFAULT_PINS = {
+    "selftest": "8373a3c3f7fb9c024e472d00b125fbcf30e122d7b5ced6b073d1fc7bdf8a1b1e",
+    "bounds": "7ee2073b283d86805a0be69042a2d39717049756749c1aec63d3949620e2b197",
+    "kiefer": "5adfadac94533ed68e413c1b2edf58b62449fd43f143146fff32b0cf0acabb70",
+    "covering": "4c7a7b34ef60f13412863c4e788581ec98f766af0ad36bc753ff29c507035737",
+    "fclt": "9bf1664cfabff0b874a2235e07aaed53001c7af86df3588f46991f74ef1816fa",
+    "ulln": "29a8807f10c7d9f96ca3b0f7ff7cb50c7ca2cd54a8864a30783fb9ce2cc70969",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(DEFAULT_PINS))
+def test_default_digest_pinned_at_one_blas_thread(experiment):
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("OPENBLAS_", "OMP_", "MKL_", "NPY_DISABLE_CPU_FEATURES"))}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "semproc.cli", experiment], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode in (0, 1), out.stderr
+    assert out.stdout.split()[2] == f"numeric_sha256={DEFAULT_PINS[experiment]}"
 
 
 # BLAS and SIMD settings that change no kiefer byte: the Kiefer sampler sums
@@ -176,7 +215,7 @@ _Q_FILE = [
 ]
 
 
-CUSTOM_FILE_PIN = "8736fa6faf01692ffcd0863c4378045d019433fa1952925f435686da310a62cc"
+CUSTOM_FILE_PIN = "0fd9df76e33789cf13f654a6f5d81956331c790b1bda7c45d7692d2dda85aeee"
 
 
 def test_custom_file_q_set_pinned(tmp_path):

@@ -264,6 +264,21 @@ class TestGClass:
                 )
                 assert a.pair_mean(b, model) == pytest.approx(oracle, abs=5e-7)
 
+    @pytest.mark.parametrize("model_name", ["uniform01", "standard-normal", "exponential(2)"])
+    @pytest.mark.parametrize("mesh", [0.3 * 0.3, 0.05, 1e-3, 1.0, 2.0])
+    def test_half_line_net_equals_its_scalar_form(self, model_name, mesh):
+        # one scalar ppf per F-quantile, equal end points once, thinned after
+        # the whole net is built: the form the vectorized net replaced
+        model = parse_model(model_name)
+        count = math.ceil(1.0 / mesh)
+        ws = sorted({float(model.ppf(min((k + 1) * mesh, 1.0 - 1e-12))) for k in range(count)})
+        assert [g.w for g in half_line_net(mesh, model)] == ws
+        for size in (1, 2, 5, 24):
+            idx = np.linspace(0, len(ws) - 1, size).round().astype(int) if len(ws) > size \
+                else range(len(ws))
+            want = [ws[i] for i in sorted(set(idx))]
+            assert [g.w for g in half_line_net(mesh, model, size)] == want
+
     def test_half_line_net_coverage(self):
         model = parse_model("standard-normal")
         net = half_line_net(0.3 * 0.3, model)

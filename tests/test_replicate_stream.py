@@ -1,11 +1,16 @@
-"""The streamed replicate Z matrices against their one-shot forms.
+"""The streamed replicate Z matrices against their one-shot form.
 
-fclt.replicate_Z_values and fclt._modulus_Z draw the (R, n) replicate matrix
-in row blocks and contract each block as soon as it is drawn; the one-shot
-forms in member_oracles draw it whole.  For 0/1 h and g every entry is an
-integer count before centring, so the two agree byte for byte at any BLAS
-thread count.  For other h the block products must still be the bits of the
-one-shot product at one BLAS thread, at block edges and with a one-row tail.
+fclt.replicate_Z_values and the modulus draw the (R, n) replicate matrix in
+row blocks and contract each block with fclt.process_deviations as soon as
+it is drawn; member_oracles.one_shot_Z draws it whole and lays out the
+columns a * kg + b itself.  The fidi test's q columns are the product
+columns of the q list's distinct h and g, repeated and reordered ones
+included.  For 0/1 h and g every entry is an integer count before centring,
+so the two agree byte for byte at any BLAS thread count.  For other h the
+block products must still be the bits of the one-shot product at one BLAS
+thread, at block edges and with a one-row tail: the fidi test contracts one
+h at a time (GEMV, by_h), whose sums do not depend on the block's row
+count, and the modulus its whole pool (GEMM) at the sizes checked below.
 The stream must also keep a call's memory far below one (R, n) matrix, and
 the default fclt report must not move.
 """
@@ -18,13 +23,15 @@ import textwrap
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semproc.fclt import kiefer_cell, replicate_Z_values
 from semproc.function_classes import HalfLine, InitialInterval, indicator
 from semproc.measures import parse_model
+from semproc.seeds import derive_seed
 
-from member_oracles import one_shot_replicate_Z_values
+from member_oracles import one_shot_Z
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -42,6 +49,20 @@ def _one_blas_thread_env():
     return env
 
 
+def one_shot_replicate_Z_values(q_list, n, R, seed, model):
+    """replicate_Z_values from one_shot_Z over the q list's distinct h and g,
+    each in the order of its first q: the column of q = (h_a, g_b)."""
+    hs, gs = [], []
+    for h, g in q_list:
+        if h not in hs:
+            hs.append(h)
+        if g not in gs:
+            gs.append(g)
+    rng = np.random.default_rng(derive_seed(seed, ["replicate-Z", n, R]))
+    Z = one_shot_Z(hs, gs, n, R, rng, model, by_h=True)
+    return np.ascontiguousarray(Z[:, [hs.index(h) * len(gs) + gs.index(g) for h, g in q_list]])
+
+
 def _run_child(code, tmp_path):
     out = tmp_path / "child.json"
     subprocess.run([sys.executable, "-c", code, str(out)], env=_one_blas_thread_env(),
@@ -52,12 +73,15 @@ def _run_child(code, tmp_path):
 @pytest.mark.parametrize("name", MODELS)
 def test_indicator_products_equal_the_one_shot_bytes(name):
     model = parse_model(name)
+    # repeated and reordered members: the columns of a sub-product
     q_list = [(indicator(s), g) for s in (0.3, 1.0)
-              for g in (HalfLine(0.4), InitialInterval(0.8))]
+              for g in (HalfLine(0.4), InitialInterval(0.8))][::-1]
+    q_list += [q_list[1], (indicator(0.3), HalfLine(0.4))]
     for n in NS:
         for R in ROWS:
             got = replicate_Z_values(q_list, n, R, 6, model)
             want = one_shot_replicate_Z_values(q_list, n, R, 6, model)
+            assert got.flags.c_contiguous and got.shape == (R, 6)
             assert got.tobytes() == want.tobytes(), (n, R)
 
 
@@ -67,7 +91,7 @@ _SWEEP_CHILD = textwrap.dedent("""
     from semproc import fclt
     from semproc.cli import _holder_product_qs, _kiefer_cells
     from semproc.measures import parse_model
-    from member_oracles import one_shot_replicate_Z_values
+    from test_replicate_stream import one_shot_replicate_Z_values
 
     cases = []
     for name in %(models)r:
@@ -97,8 +121,8 @@ _MODULUS_CHILD = textwrap.dedent("""
     import numpy as np
     from semproc import fclt
     from semproc.function_classes import HolderClass
-    from semproc.measures import grid_points, parse_model
-    from member_oracles import one_shot_modulus_Z
+    from semproc.measures import parse_model
+    from member_oracles import one_shot_Z
 
     n = 2000
     h_class = HolderClass(1.0, 1.0, 1.0)
@@ -106,10 +130,10 @@ _MODULUS_CHILD = textwrap.dedent("""
     for name in %(models)r:
         model = parse_model(name)
         h_pool, g_pool, _, _ = fclt._member_pools(h_class, 0.3, 1, model)
-        h_vals = np.stack([np.asarray(h(grid_points(n)), dtype=float) for h in h_pool])
+        cols = range(len(h_pool) * len(g_pool))
         for R in (257, 1001):
-            got = fclt._modulus_Z(h_vals, g_pool, n, R, np.random.default_rng(R), model)
-            want = one_shot_modulus_Z(h_vals, g_pool, n, R, np.random.default_rng(R), model)
+            got = fclt._replicate_Z(h_pool, g_pool, cols, n, R, R, model, False)
+            want = one_shot_Z(h_pool, g_pool, n, R, np.random.default_rng(R), model, False)
             cases.append([name, R, got.shape == want.shape == (R, 60 * len(g_pool)),
                           got.tobytes() == want.tobytes()])
     with open(sys.argv[1], "w") as out:
@@ -127,9 +151,11 @@ _DEFAULT_FCLT_CHILD = textwrap.dedent("""
     import hashlib
     import json
     import sys
+    import numpy as np
     from semproc import fclt
     from semproc.cli import numeric_bytes, run_experiment
-    from member_oracles import one_shot_modulus_Z, one_shot_replicate_Z_values
+    from member_oracles import one_shot_Z
+    from test_replicate_stream import one_shot_replicate_Z_values
 
     def digest():
         return hashlib.sha256(numeric_bytes(run_experiment("fclt", {}))).hexdigest()
@@ -143,8 +169,12 @@ _DEFAULT_FCLT_CHILD = textwrap.dedent("""
             return oracle(*args)
         return call
 
+    def one_shot_modulus_Z(h_list, g_list, cols, n, R, seed, model, by_h):
+        assert list(cols) == list(range(len(h_list) * len(g_list))) and not by_h
+        return one_shot_Z(h_list, g_list, n, R, np.random.default_rng(seed), model, by_h)
+
     fclt.replicate_Z_values = recorded(one_shot_replicate_Z_values)
-    fclt._modulus_Z = recorded(one_shot_modulus_Z)
+    fclt._replicate_Z = recorded(one_shot_modulus_Z)
     with open(sys.argv[1], "w") as out:
         json.dump({"streamed": streamed, "one_shot": digest(), "calls": calls}, out)
 """)
