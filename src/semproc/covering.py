@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .function_classes import BVectorClass, HalfLine, indicator
-from .measures import NuModel, draw_sample, grid_points
+from .function_classes import BVectorClass, indicator
+from .measures import NuModel, draw_sample
 
 __all__ = [
     "greedy_net_indices",
@@ -363,20 +363,18 @@ def shatter_coefficient(cls: BVectorClass, points: Sequence[float]) -> int:
 # Stochastic boundedness of random covering numbers
 # ---------------------------------------------------------------------------
 
-def _l1_distances(vals: np.ndarray) -> np.ndarray:
-    """Mean absolute difference between every pair of 0/1 rows.
-
-    For 0/1 rows a and b, sum|a - b| = sum a + sum b - 2 a.b counts the
-    positions where they differ.  Every term is an integer below 2^53, so the
-    row sums and the Gram matrix V V^T are exact in float64 whatever the
-    summation order (and the BLAS thread count), and the one rounding is the
-    division by n, as in np.mean(np.abs(a - b)).  Raises ValueError on any
-    entry that is not 0 or 1."""
-    v = np.asarray(vals, dtype=float)
-    if not ((v == 0.0) | (v == 1.0)).all():
-        raise ValueError("_l1_distances takes rows of 0/1 values")
-    s = v.sum(axis=1)
-    return (s[:, None] + s[None, :] - 2.0 * (v @ v.T)) / v.shape[1]
+def _quadrant_distances(counts: np.ndarray, n: int) -> np.ndarray:
+    """Empirical L1 distances between the quadrants Q(a, k) = {i <= p_a,
+    X_i <= w_k} of the design points (i/n, X_i), for ascending p and w, from
+    counts[a, k] = #Q(a, k): the pair of members a * K + k and a' * K + k'
+    differs on #Q(a, k) + #Q(a', k') - 2 #Q(min(a, a'), min(k, k')) points.
+    The counts are integers, so the one rounding is the division by n."""
+    rows, cols = counts.shape
+    a, k = np.arange(rows), np.arange(cols)
+    meet = counts[np.minimum.outer(a, a)[:, None, :, None],
+                  np.minimum.outer(k, k)[None, :, None, :]].reshape(rows * cols, -1)
+    c = counts.ravel()
+    return (c[:, None] + c[None, :] - 2 * meet) / n
 
 
 # members per factor of the fixed fine net: _FINE_NET indicators times
@@ -395,23 +393,26 @@ def random_covering_boundedness(
     under the random empirical L1 metric, trial by trial, against the
     factorized bound N(tau/2, H, d1_lambdan) * N(tau/2, G, d1_nun).  Returns
     the covering report's "covering_trials", one row per (n, seed) whose
-    "ok" says the bound held, and "covering_max_observed"."""
+    "ok" says the bound held, and "covering_max_observed".
+
+    Every member is a quadrant of the design points (_quadrant_distances):
+    the indicator (0, t] keeps the points i <= p = grid_count(n), the
+    half-line (-inf, w] those with X_i <= w, and their product both, so
+    the three distance matrices come from one table of integer counts."""
     h_net = [indicator((i + 1) / _FINE_NET) for i in range(_FINE_NET)]
     probs = [(i + 1) / (_FINE_NET + 1) for i in range(_FINE_NET)]
-    g_net = [HalfLine(float(model.ppf(p))) for p in probs]
+    ws = np.array([float(model.ppf(p)) for p in probs])
 
     trials = []
     for n in n_list:
-        s_grid = grid_points(n)
-        h_vals = np.stack([h(s_grid) for h in h_net])      # (H, n)
-        nh = len(greedy_net_indices(_l1_distances(h_vals), tau / 2.0))
+        p = np.array([h.grid_count(n) for h in h_net])
+        nh = len(greedy_net_indices(_quadrant_distances(p[:, None], n), tau / 2.0))
         for seed in seeds:
-            sample = draw_sample(model, n, seed)
-            xs = sample.xs()
-            g_vals = np.stack([g(xs) for g in g_net])      # (G, n)
-            f_vals = (h_vals[:, None, :] * g_vals[None, :, :]).reshape(-1, n)
-            observed = len(greedy_net_indices(_l1_distances(f_vals), tau))
-            ng = len(greedy_net_indices(_l1_distances(g_vals), tau / 2.0))
+            xs = draw_sample(model, n, seed).xs()
+            below = np.zeros((len(ws), n + 1), dtype=np.int64)  # [k, p] = #{i <= p : X_i <= w_k}
+            np.cumsum(xs <= ws[:, None], axis=1, out=below[:, 1:])
+            observed = len(greedy_net_indices(_quadrant_distances(below[:, p].T, n), tau))
+            ng = len(greedy_net_indices(_quadrant_distances(below[None, :, n], n), tau / 2.0))
             trials.append({"n": n, "seed": seed, "observed": observed, "bound_h": nh,
                            "bound_g": ng, "bound": nh * ng, "ok": observed <= nh * ng})
     return {"covering_max_observed": max((t["observed"] for t in trials), default=0),

@@ -36,13 +36,14 @@ from .function_classes import (
     BoundedPolynomial,
     HalfLine,
     HolderClass,
+    grid_values,
     half_line_net,
     indicator,
     indicator_net,
     lambda_prod,
     lambda_sq_matrix,
 )
-from .measures import NuModel, grid_points
+from .measures import NuModel
 from .piecewise import PiecewiseLinear
 from .seeds import derive_seed
 from .special import ndtr
@@ -134,7 +135,7 @@ def lindeberg_check(
 
     rows = []
     for n in n_list:
-        hs = np.asarray(h(grid_points(n)), dtype=float)
+        hs = grid_values([h], n)[0]
         # V_n averages nu(q_tilde^2)(s) = h(s)^2 nu(g^2) - (h(s) nu(g))^2
         vn = float(np.mean(hs**2 * nu_g2 - (hs * nu_g) ** 2))
         for eps in epsilon_list:
@@ -209,7 +210,7 @@ def _replicate_Z(h_list: Sequence, g_list: Sequence, cols, n: int, R: int, seed:
                  model: NuModel, by_h: bool) -> np.ndarray:
     """The columns cols of sqrt(n) process_deviations over the (R, n) draws of
     default_rng(seed), C-ordered, each row block contracted as it is drawn."""
-    h_vals = np.stack([np.asarray(h(grid_points(n)), dtype=float) for h in h_list])
+    h_vals = grid_values(h_list, n)
     Z = np.empty((R, len(cols)))
     for lo, hi, draws in _draw_blocks(model, R, n, np.random.default_rng(seed)):
         Z[lo:hi] = math.sqrt(n) * process_deviations(h_vals, g_list, draws, model, by_h)[:, cols]

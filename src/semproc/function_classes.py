@@ -27,16 +27,20 @@ interpolation (u/2) add up to sup-distance at most u from any class member.
 Only this module knows how an h member is stored.  An h member is a cusp
 HolderMember, a PiecewiseLinear (the Holder net members among them) or a set
 member (any IntervalUnion, indicators among them); each is used through
-h(x), lambda_exact() = lambda(h) and lambda_n(n); the lambdas are exact
-Fractions for set members.  A set member's Riemann gap is read in integers,
-through IntervalUnion.riemann_gap; the gaps of cusp Holder members are
-computed per class, all members of one beta together in row blocks of grid
-values (observed_riemann_gap_rows), with the bits of the one-member float
-expression.  The pair integral lambda(h1 h2) is a closed form for every
-pair of piecewise-linear and set members (lambda_prod); no report builds a
-cusp member as an FCLT h, and lambda_prod rejects one.  lambda_sq_matrix
-gives lambda((h1-h2)^2) over the two families the member pools use,
-indicators and piecewise-linear members on one knot vector.
+grid_values(members, n), lambda_exact() = lambda(h) and lambda_n(n); the
+lambdas are exact Fractions for set members.  grid_values is the one place
+an h member meets the grid i/n: a set member gives the 0/1 values of its
+integer floors (IntervalUnion.on_grid), the same rule as its lambda_n, and
+any other member is evaluated at measures.grid_points.  A set member's
+Riemann gap is read in integers, through IntervalUnion.riemann_gap; the gaps
+of cusp Holder members are computed per class, all members of one beta
+together in row blocks of grid values (observed_riemann_gap_rows), with the
+bits of the one-member float expression.  The pair integral lambda(h1 h2)
+is a closed form for every pair of piecewise-linear and set members
+(lambda_prod); no report builds a cusp member as an FCLT h, and lambda_prod
+rejects one.  lambda_sq_matrix gives lambda((h1-h2)^2) over the two families
+the member pools use, indicators and piecewise-linear members on one knot
+vector.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .intervals import IntervalUnion
-from .measures import NuModel
+from .measures import NuModel, grid_points
 from .piecewise import PiecewiseLinear, prod_integral
 
 __all__ = [
@@ -60,6 +64,7 @@ __all__ = [
     "INDICATORS",
     "indicator",
     "indicator_net",
+    "grid_values",
     "b_infinity_witness",
     "HalfLine",
     "half_line_net",
@@ -128,8 +133,7 @@ class HolderMember:
         return total
 
     def lambda_n(self, n: int) -> float:
-        grid = np.arange(1, n + 1, dtype=float) / n
-        return float(np.mean(self(grid)))
+        return float(np.mean(self(grid_points(n))))
 
 
 # random Holder members are sums of 1 to _MAX_CUSPS cusps |x - c|^beta
@@ -383,7 +387,7 @@ def indicator(t: float) -> IntervalUnion:
     """The B(1) member 1_(0, t], for t in (0, 1]."""
     if not 0.0 < t <= 1.0:
         raise ValueError(f"indicator end point t={t!r} is outside (0, 1]")
-    return IntervalUnion(((Fraction(0), Fraction(t)),))
+    return IntervalUnion([(0, t)])
 
 
 def _line_net_count(mesh: float) -> int:
@@ -409,6 +413,16 @@ def indicator_net(mesh: float, size: Optional[int] = None,
     if size is not None and len(ks) > size:
         ks = np.sort(rng.choice(len(ks), size=size, replace=False)).tolist()
     return [indicator(min(1.0, (k + 1) * mesh)) for k in ks]
+
+
+def grid_values(members: Sequence, n: int) -> np.ndarray:
+    """The (len(members), n) float64 values of h members at 1/n, ..., n/n: a
+    set member's 0/1 values from its integer floors (IntervalUnion.on_grid),
+    any other member evaluated at grid_points(n)."""
+    s = grid_points(n)
+    rows = [h.on_grid(n) if isinstance(h, IntervalUnion) else np.asarray(h(s), dtype=float)
+            for h in members]
+    return np.stack(rows) if len(rows) > 1 else rows[0][None]  # a view: np.stack copies
 
 
 def b_infinity_witness(n: int) -> IntervalUnion:
@@ -610,7 +624,7 @@ def observed_riemann_gap_rows(members: Sequence, n_list: Sequence[int]) -> list[
             gaps[i] = form.riemann_gap(n)
         for i, lam in other_rows:
             gaps[i] = float(abs(members[i].lambda_n(n) - lam))
-        grid = np.arange(1, n + 1, dtype=float) / n
+        grid = grid_points(n)
         step = max(1, min(_GAP_BLOCK_ROWS, _GAP_BLOCK_CELLS // n))
         for beta, rows, with_cusp, coeffs, centers, a, lam in groups:
             means = np.empty(len(rows))

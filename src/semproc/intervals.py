@@ -2,7 +2,9 @@
 
 Everything that touches the grid {i/n : i = 1..n} goes through this module so
 that membership tests and counting are exact integer arithmetic, never float
-comparisons.  A union's state is its endpoints over one common denominator D,
+comparisons: a union meets i/n only through the integer floors floor(n x) of
+its end points x, which both grid_count() and the 0/1 grid values on_grid()
+read.  A union's state is its endpoints over one common denominator D,
 as integer numerators; a float endpoint enters through as_integer_ratio(),
 which is lossless, and D is a power of two when every endpoint is a float.
 The endpoints as exact rationals (``fractions.Fraction``) are built from that
@@ -25,6 +27,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
 
+import numpy as np
+
 Number = Union[int, float, Fraction]
 
 
@@ -45,20 +49,34 @@ class IntervalUnion:
     The state is the flattened endpoints a1, b1, a2, b2, ... as integer
     numerators over D, the lcm of their reduced denominators, so two unions
     are equal (and hash alike) exactly when their endpoints are.  The
-    measure, grid_count(), grid_indices() and riemann_gap() are integer
+    measure, grid_count(), on_grid() and riemann_gap() are integer
     arithmetic on that state.  ``bounds``, the endpoints as Fraction pairs,
     and lebesgue() (= lambda_exact()) are built on first read; lambda_n(),
-    intersection_measure() and symdiff_measure() give back Fractions too."""
+    intersection_measure() and symdiff_measure() give back Fractions too.
+    The constructor drops empty pairs, sorts and merges the rest, and puts
+    the merged endpoints over one denominator; an endpoint outside [0, 1]
+    (or NaN) is a ValueError."""
 
     _den: int
     _nums: tuple[int, ...]
     _measure: int = field(compare=False)
 
-    def __init__(self, bounds: Iterable[tuple[Number, Number]] = ()):
-        self._set(x.as_integer_ratio() for pair in bounds for x in pair)
-
-    def _set(self, ratios: Iterable[tuple[int, int]]) -> None:
-        ratios = list(ratios)
+    def __init__(self, pairs: Iterable[tuple[Number, Number]] = ()):
+        raw = []
+        for a, b in pairs:
+            ka, kb = _exact_key(a), _exact_key(b)
+            if not (0 <= ka and kb <= 1):  # also catches a NaN endpoint
+                raise ValueError(f"interval ({a}, {b}] not inside [0, 1]")
+            if ka < kb:  # (a, b] with a >= b is empty; degenerate vectors drop out here
+                raw.append((ka, kb))
+        raw.sort()
+        ends: list[Number] = []  # merged intervals, flattened
+        for a, b in raw:
+            if ends and a <= ends[-1]:
+                ends[-1] = max(ends[-1], b)
+            else:
+                ends += (a, b)
+        ratios = [x.as_integer_ratio() for x in ends]
         den = math.lcm(*[q for _, q in ratios])
         nums = tuple([p * (den // q) for p, q in ratios])
         object.__setattr__(self, "_den", den)
@@ -79,25 +97,8 @@ class IntervalUnion:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Number, Number]]) -> "IntervalUnion":
-        """Normalize: drop empty intervals, sort, merge overlaps, then put the
-        merged endpoints over their common denominator."""
-        raw = []
-        for a, b in pairs:
-            ka, kb = _exact_key(a), _exact_key(b)
-            if not (0 <= ka and kb <= 1):  # also catches a NaN endpoint
-                raise ValueError(f"interval ({a}, {b}] not inside [0, 1]")
-            if ka < kb:  # (a, b] with a >= b is empty; degenerate vectors drop out here
-                raw.append((ka, kb))
-        raw.sort()
-        ends: list[Number] = []  # merged intervals, flattened
-        for a, b in raw:
-            if ends and a <= ends[-1]:
-                ends[-1] = max(ends[-1], b)
-            else:
-                ends += (a, b)
-        union = cls.__new__(cls)
-        union._set(x.as_integer_ratio() for x in ends)
-        return union
+        """The union of the pairs; the constructor under a name of its own."""
+        return cls(pairs)
 
     def lebesgue(self) -> Fraction:
         """Exact Lebesgue measure."""
@@ -105,20 +106,27 @@ class IntervalUnion:
 
     lambda_exact = lebesgue
 
-    def grid_count(self, n: int) -> int:
-        """Exact card(self n {1/n, ..., n/n}): the sum over the intervals of
-        floor(n b) - floor(n a), in integers."""
+    def _floors(self, n: int) -> list[int]:
+        """floor(n x) for every endpoint x, in integers: i/n lies in (a, b]
+        exactly when floor(n a) < i <= floor(n b)."""
         if n <= 0:
             raise ValueError("n must be a positive integer")
         d = self._den
-        fl = [n * x // d for x in self._nums]
+        return [n * x // d for x in self._nums]
+
+    def grid_count(self, n: int) -> int:
+        """Exact card(self n {1/n, ..., n/n}): the sum over the intervals of
+        floor(n b) - floor(n a)."""
+        fl = self._floors(n)
         return sum(fl[1::2]) - sum(fl[::2])
 
-    def grid_indices(self, n: int) -> list[int]:
-        """Indices i in {1..n} with i/n in the set, ascending."""
-        d = self._den
-        fl = [n * x // d for x in self._nums]
-        return [i for lo, hi in zip(fl[::2], fl[1::2]) for i in range(lo + 1, hi + 1)]
+    def on_grid(self, n: int) -> np.ndarray:
+        """The float64 0/1 values of the set's indicator at 1/n, ..., n/n."""
+        out = np.zeros(n)
+        fl = self._floors(n)
+        for lo, hi in zip(fl[::2], fl[1::2]):
+            out[lo:hi] = 1.0
+        return out
 
     def lambda_n(self, n: int) -> Fraction:
         """Exact value of the discrete uniform measure of the set."""
@@ -157,15 +165,3 @@ class IntervalUnion:
         """Exact Lebesgue measure of the symmetric difference."""
         m1, m2, inter, den = self._common(other)
         return Fraction(m1 + m2 - 2 * inter, den)
-
-    def indicator(self, xs) -> "object":
-        """Vectorized {0,1} indicator for a numpy array of floats (float semantics)."""
-        import numpy as np
-
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape, dtype=float)
-        for a, b in self.bounds:
-            out += ((xs > float(a)) & (xs <= float(b))).astype(float)
-        return np.minimum(out, 1.0)
-
-    __call__ = indicator

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -61,12 +61,6 @@ class NuModel:
                 raise ValueError("exponential model needs a positive finite rate")
         elif self.params:
             raise ValueError(f"{self.kind} takes no parameters")
-
-    @property
-    def name(self) -> str:
-        if self.kind == "exponential":
-            return f"exponential({self.params[0]:g})"
-        return self.kind
 
     # -- distribution primitives -------------------------------------------
 
@@ -168,17 +162,11 @@ class NuModel:
         return rng.exponential(1.0 / self.params[0], shape)
 
 
-_MODEL_REGISTRY: dict[str, Callable[[], NuModel]] = {
-    "uniform01": lambda: NuModel("uniform01"),
-    "standard-normal": lambda: NuModel("standard-normal"),
-}
-
-
 def parse_model(name: str) -> NuModel:
     """Resolve a model identifier such as 'uniform01' or 'exponential(2.5)'."""
     name = name.strip()
-    if name in _MODEL_REGISTRY:
-        return _MODEL_REGISTRY[name]()
+    if name in ("uniform01", "standard-normal"):
+        return NuModel(name)
     if name.startswith("exponential(") and name.endswith(")"):
         rate = float(name[len("exponential("):-1])
         return NuModel("exponential", (rate,))
@@ -193,17 +181,18 @@ def parse_model(name: str) -> NuModel:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """An ordered i.i.d. draw (X_1..X_n) paired with the time grid i/n.
+    """An ordered i.i.d. draw (X_1..X_n) from model, X_i observed at time i/n.
 
-    values is stored as a read-only float64 copy of what was passed in.
-    eq=False: an ndarray field can be neither compared nor hashed as a
-    dataclass field, so samples compare by identity.
+    values is stored as a read-only float64 copy of what was passed in, and
+    a model passed by name as its NuModel (parse_model).  eq=False: an
+    ndarray field can be neither compared nor hashed as a dataclass field,
+    so samples compare by identity.
     """
 
     n: int
     values: np.ndarray
     seed: int
-    model: str
+    model: NuModel
 
     def __post_init__(self):
         if self.n <= 0:
@@ -213,12 +202,11 @@ class Sample:
             raise ValueError("values must be a flat sequence of length n")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+        if isinstance(self.model, str):
+            object.__setattr__(self, "model", parse_model(self.model))
 
     def xs(self) -> np.ndarray:
         return self.values
-
-    def grid(self) -> np.ndarray:
-        return grid_points(self.n)
 
 
 def draw_sample(model: Union[NuModel, str], n: int, seed: int) -> Sample:
@@ -228,8 +216,10 @@ def draw_sample(model: Union[NuModel, str], n: int, seed: int) -> Sample:
     if n <= 0:
         raise ValueError("n must be a positive integer")
     values = model.draw(np.random.default_rng(seed), n)
-    return Sample(n=n, values=values, seed=seed, model=model.name)
+    return Sample(n=n, values=values, seed=seed, model=model)
 
 
 def grid_points(n: int) -> np.ndarray:
+    """The float times 1/n, ..., n/n; h members meet them only through
+    function_classes.grid_values."""
     return np.arange(1, n + 1, dtype=float) / n

@@ -44,8 +44,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fclt import process_deviations
-from .function_classes import INDICATORS, BVectorClass, HalfLine, half_line_net, indicator_net
-from .measures import NuModel, Sample, draw_sample, parse_model
+from .function_classes import (INDICATORS, BVectorClass, HalfLine, grid_values, half_line_net,
+                               indicator_net)
+from .measures import NuModel, Sample, draw_sample
 from .quadrature import integrate
 from .seeds import derive_seed
 from .special import gammaincc, log_factorials
@@ -346,33 +347,31 @@ def sup_deviation_exact_BW(
     model: Optional[NuModel] = None,
 ) -> float:
     """Exact sup over B(2j+1) (parity 'odd') or B(2j) ('even') and all
-    half-lines W of |P_n(B x W) - lambda_n(B) nu(W)|."""
+    half-lines W of |P_n(B x W) - lambda_n(B) nu(W)|, nu the sample's model.
+    A model passed as well must be that model (ValueError otherwise)."""
     cls = BVectorClass(j, parity)  # validates (j, parity)
-    if model is None:
-        model = parse_model(sample.model)
+    if model not in (None, sample.model):
+        raise ValueError(f"model {model} is not the sample's model {sample.model}")
     if cls == INDICATORS:  # max_p p max(KS+_p, KS-_p) / n over the grid prefixes
-        f_arrival = np.atleast_1d(np.asarray(model.cdf(sample.xs()), dtype=float))
+        f_arrival = np.atleast_1d(np.asarray(sample.model.cdf(sample.xs()), dtype=float))
         best, _, _ = _prefix_branch_and_bound(f_arrival)
         return max(best, 0.0) / sample.n
-    return float(_exact_stats_runs([sample], model, cls)[0])
+    return float(_exact_stats_runs([sample], sample.model, cls)[0])
 
 
 def sup_deviation_bruteforce(
     j: int,
     parity: str,
     sample: Sample,
-    model: Optional[NuModel] = None,
 ) -> float:
     """Independent oracle: exhaustive enumeration over the grid index sets
     the class cuts out (BVectorClass.cut_masks) and the canonical half-line
-    columns.  n <= 16."""
+    columns of the sample's model.  n <= 16."""
     cls = BVectorClass(j, parity)  # validates (j, parity)
     n = sample.n
     if n > 16:
         raise ValueError("brute force limited to n <= 16")
-    if model is None:
-        model = parse_model(sample.model)
-    ranks, nus = _canonical_columns(sample, model)
+    ranks, nus = _canonical_columns(sample, sample.model)
     A = (ranks[:, None] <= _signed_cuts(n)[None, :]).astype(float) - nus[None, :]
     bits = (cls.cut_masks(n)[:, None] >> np.arange(n)[None, :]) & 1
     sums = bits.astype(float) @ A
@@ -396,7 +395,7 @@ def sup_deviation_net(sample: Sample, net_u: float) -> tuple[float, float]:
     half-lines at merged sample and F quantiles, which keeps both the
     empirical and the population L1 gap within u.
     """
-    model = parse_model(sample.model)
+    model = sample.model
     u = net_u / 2.0
     if u <= 1.5 / sample.n:  # also every net_u <= 0
         raise ValueError(f"net_u={net_u} is too small for n={sample.n}")
@@ -409,8 +408,7 @@ def sup_deviation_net(sample: Sample, net_u: float) -> tuple[float, float]:
     ws.update(g.w for g in half_line_net(u, model))
     g_net = [HalfLine(w) for w in sorted(ws)]
 
-    s_grid = sample.grid()
-    h_vals = np.stack([np.asarray(h(s_grid), dtype=float) for h in h_net])
+    h_vals = grid_values(h_net, sample.n)
     lower = float(np.abs(process_deviations(h_vals, g_net, xs[None, :], model)).max())
     return lower, lower + 2.0 * net_u
 
@@ -563,7 +561,7 @@ def gc_experiment(cls: BVectorClass, model: NuModel, n_schedule: Sequence[int],
         vals = np.empty(replicates)
         if cls == INDICATORS:
             for r in range(replicates):
-                vals[r] = sup_deviation_exact_BW(0, "odd", gc_sample(model, n, seed, r), model)
+                vals[r] = sup_deviation_exact_BW(0, "odd", gc_sample(model, n, seed, r))
         else:
             block = _runs_block(n, cls)
             for lo in range(0, replicates, block):

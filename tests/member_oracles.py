@@ -1,29 +1,34 @@
 """Reference evaluations of class members and measures for the tests.
 
-semproc reads members through their protocol (h(x), lambda_exact, lambda_n);
-these are the independent forms the tests compare against: pointwise
-evaluation from the exact representation (with its own membership test for
-interval unions), a certified sup distance between Holder members, the
-exact rational Riemann gap of an interval union, the one-member float gap
-of any other member, the constant q as a product pair,
-scalar evaluators of lambda_n, lambda, the sequential empirical measure
-P_n and the B-empirical measure nu_{n,B} that sum term by term from the
-definitions, the one-shot Z matrix that semproc.fclt builds from row blocks
-of the draws, and the per-q Z values that its one kernel replaced.
+semproc reads members through their protocol (grid_values, lambda_exact,
+lambda_n); these are the independent forms the tests compare against:
+pointwise evaluation from the exact representation (with its own membership
+test for interval unions), the values at the grid i/n with a set's
+membership decided on the Fraction i/n (exact_grid_values), a certified
+sup distance between Holder members, the exact rational Riemann gap of an
+interval union, the one-member float gap of any other member, the constant
+q as a product pair, scalar evaluators of lambda_n, lambda, the sequential
+empirical measure P_n and the B-empirical measure nu_{n,B} that sum term by
+term from the definitions, the one-shot Z matrix that semproc.fclt builds
+from row blocks of the draws, and the per-q Z values that its one kernel
+replaced.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from semproc.function_classes import BoundedPolynomial, indicator
 from semproc.intervals import IntervalUnion
-from semproc.measures import NuModel, Sample, grid_points
+from semproc.measures import NuModel, Sample
 from semproc.piecewise import PiecewiseLinear
 from semproc.quadrature import DEFAULT_TOL, integrate
+
+from quad_oracle import evaluator
 
 
 def contains(union: IntervalUnion, x) -> bool:
@@ -31,6 +36,19 @@ def contains(union: IntervalUnion, x) -> bool:
     exactly against the Fraction end points."""
     fx = Fraction(x)
     return any(a < fx <= b for a, b in union.bounds)
+
+
+@lru_cache(maxsize=256)
+def _set_on_grid(union: IntervalUnion, n: int) -> tuple:
+    return tuple(float(contains(union, Fraction(i, n))) for i in range(1, n + 1))
+
+
+def exact_grid_values(h, n: int) -> np.ndarray:
+    """h at 1/n, ..., n/n: for a set member, 1.0 where the Fraction i/n lies
+    in it, point by point; any other member evaluated at the floats i / n."""
+    if isinstance(h, IntervalUnion):
+        return np.array(_set_on_grid(h, n))
+    return np.asarray(h(np.arange(1, n + 1) / n), dtype=float)
 
 
 def holder_sup_distance(h1, h2, grid_size: int = 4001) -> float:
@@ -137,14 +155,10 @@ def eval_b_empirical(
     Returns 0 with the empty-intersection flag set when B misses the grid,
     matching the defining convention of the B-empirical measure.
     """
-    idx = B.grid_indices(sample.n)
-    if not idx:
+    idx = np.flatnonzero(exact_grid_values(B, sample.n))
+    if not len(idx):
         return BEmpiricalValue(0.0, 0, True)
-    xs = sample.xs()[np.asarray(idx) - 1]
-    if isinstance(W_or_g, IntervalUnion):
-        vals = W_or_g.indicator(xs)
-    else:
-        vals = np.asarray(W_or_g(xs), dtype=float)
+    vals = np.asarray(evaluator(W_or_g)(sample.xs()[idx]), dtype=float)
     return BEmpiricalValue(float(vals.mean()), len(idx), False)
 
 
@@ -155,10 +169,9 @@ def per_q_Z_values(q_list: Sequence[tuple], n: int, R: int, rng: np.random.Gener
     centred by lambda_n(h nu(g)) and scaled by sqrt(n).  The per-q form that
     fclt.process_deviations replaced, kept as its independent oracle."""
     draws = model.draw(rng, (R, n))
-    svals = grid_points(n)
     cols = []
     for h, g in q_list:
-        hv = np.asarray(h(svals), dtype=float)
+        hv = exact_grid_values(h, n)
         center = float(np.mean(hv * g.mean(model)))
         pn = np.asarray(g(draws), dtype=float) @ hv / n
         cols.append(math.sqrt(n) * (pn - center))
@@ -173,7 +186,7 @@ def one_shot_Z(h_list: Sequence, g_list: Sequence, n: int, R: int,
     n, one GEMV per h_a with by_h and one GEMM per g_b without, minus
     lambda_n(h_a) nu(g_b)."""
     draws = model.draw(rng, (R, n))
-    h_vals = np.stack([np.asarray(h(grid_points(n)), dtype=float) for h in h_list])
+    h_vals = np.stack([exact_grid_values(h, n) for h in h_list])
     pn = []  # pn[b][:, a] = P_n(h_a g_b)
     for g in g_list:
         gv = np.asarray(g(draws), dtype=float)

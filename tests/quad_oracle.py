@@ -4,8 +4,11 @@ semproc computes every expectation over x in closed form; these are the
 independent quadrature forms the tests compare against: E[f(X)] under a
 sampling model by scipy.integrate.quad against its density, and the
 covariance kernel of two product pairs and lambda(h1 h2) as integrals over
-s.  A model's density and support come from scipy.stats (law), so the
-quadrature reads nothing of the code it checks.
+s.  semproc evaluates a set member only on the grid i/n; the quadrature
+nodes lie off it, so a set is integrated through evaluator(), an indicator
+built here from its Fraction bounds.  A model's density and support come
+from scipy.stats (law), so the quadrature reads nothing of the code it
+checks.
 """
 
 from functools import lru_cache
@@ -46,6 +49,24 @@ def expect(model, f, tol=1e-10, points=None):
     return total
 
 
+def evaluator(member):
+    """member as a function of s: for a set member, the 0/1 indicator of the
+    union of its intervals (a, b], compared with the floats of its bounds;
+    any other member itself."""
+    if not isinstance(member, IntervalUnion):
+        return member
+    ends = [(float(a), float(b)) for a, b in member.bounds]
+
+    def indicator(s):
+        s = np.asarray(s, dtype=float)
+        out = np.zeros(s.shape)
+        for a, b in ends:
+            out[(s > a) & (s <= b)] = 1.0
+        return out
+
+    return indicator
+
+
 def _jumps(member):
     """The points where a G or an h member jumps: w for a half-line, 0 and w
     for an initial interval, the float endpoints of a set member, none for a
@@ -62,7 +83,8 @@ def _jumps(member):
 def lambda_prod_quadrature(h1, h2, tol=_KERNEL_TOL):
     """lambda(h1 h2) by adaptive quadrature split at the jumps of both; the
     independent reference for semproc.function_classes.lambda_prod."""
-    return integrate(lambda s: float(h1(s)) * float(h2(s)), 0.0, 1.0, tol=tol,
+    f1, f2 = evaluator(h1), evaluator(h2)
+    return integrate(lambda s: float(f1(s)) * float(f2(s)), 0.0, 1.0, tol=tol,
                      breakpoints=tuple(set(_jumps(h1) + _jumps(h2))))
 
 
@@ -75,5 +97,6 @@ def cov_kernel_quadrature(q1, q2, model):
     points = _jumps(g1) + _jumps(g2)
     cross = expect(model, lambda xs: g1(xs) * g2(xs), points=points)
     cov_g = cross - expect(model, g1, points=_jumps(g1)) * expect(model, g2, points=_jumps(g2))
-    return integrate(lambda s: float(h1(s)) * float(h2(s)) * cov_g, 0.0, 1.0, tol=_KERNEL_TOL,
+    f1, f2 = evaluator(h1), evaluator(h2)
+    return integrate(lambda s: float(f1(s)) * float(f2(s)) * cov_g, 0.0, 1.0, tol=_KERNEL_TOL,
                      breakpoints=tuple(set(_jumps(h1) + _jumps(h2))))

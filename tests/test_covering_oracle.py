@@ -1,12 +1,15 @@
-"""The exact covering search and the 0/1 L1 distance matrix against their
+"""The exact covering search and the random covering distances against their
 slow reference forms.
 
 bfs_covering_number is the breadth-first search over unions of target masks
 that exact_covering_number replaced, and bfs_min_cover is that search on
 masks already built, the form in which check_covering_lemmas hands each set
-cover to _min_cover; row_loop_l1 is the row-at-a-time mean absolute
-difference that _l1_distances replaced.  They are kept here as oracles: the
-fast paths must give the same counts and the same float bits."""
+cover to _min_cover.  random_covering_boundedness reads its L1 distances
+from a table of integer quadrant counts; gram_l1, the 0/1 Gram form it
+replaced, and row_loop_l1, the row-at-a-time mean absolute difference before
+that, read the member values at the design points, a set's membership taken
+on the Fraction i/n.  They are kept here as oracles: the fast paths must give
+the same counts and the same float bits."""
 
 import os
 import subprocess
@@ -20,10 +23,13 @@ import pytest
 from semproc import covering
 from semproc.covering import (
     MAX_EXACT_TARGETS,
-    _l1_distances,
     check_covering_lemmas,
     exact_covering_number,
 )
+from semproc.function_classes import HalfLine, indicator
+from semproc.measures import draw_sample, parse_model
+
+from member_oracles import exact_grid_values
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -78,6 +84,30 @@ def bfs_min_cover(masks, t):
 def row_loop_l1(vals):
     """Mean absolute difference between every pair of rows, one row at a time."""
     return np.stack([np.mean(np.abs(v - vals), axis=1) for v in vals])
+
+
+def gram_l1(vals):
+    """Mean absolute difference between every pair of 0/1 rows as
+    (sum a + sum b - 2 a.b) / n: every term is an integer below 2^53, so the
+    row sums and the Gram matrix are exact whatever the summation order."""
+    v = np.asarray(vals, dtype=float)
+    assert ((v == 0.0) | (v == 1.0)).all()
+    s = v.sum(axis=1)
+    return (s[:, None] + s[None, :] - 2.0 * (v @ v.T)) / v.shape[1]
+
+
+def fine_net_rows(model, n, seeds):
+    """The 0/1 rows of random_covering_boundedness's members in its call
+    order: per n the indicators, then per seed the products and the
+    half-lines."""
+    k = covering._FINE_NET
+    h = np.stack([exact_grid_values(indicator((i + 1) / k), n) for i in range(k)])
+    out = [h]
+    for seed in seeds:
+        xs = draw_sample(model, n, seed).xs()
+        g = np.stack([HalfLine(float(model.ppf((i + 1) / (k + 1))))(xs) for i in range(k)])
+        out += [(h[:, None, :] * g[None, :, :]).reshape(-1, n), g]
+    return out
 
 
 def _euclid(points):
@@ -147,25 +177,27 @@ class TestExactCoveringAgainstBFS:
                 fn(dist, u)
 
 
+# n = 12 puts five fine-net end points (i + 1) / 12 on floats that round
+# below their grid points: the float rule would count those points
+_COVER_NS, _COVER_SEEDS = [10, 12, 100, 1000], [1, 2, 3]
+
 _CHILD = textwrap.dedent("""
     import sys
     import numpy as np
     from semproc import covering
     from semproc.measures import parse_model
 
-    ins, outs = [], []
-    fast = covering._l1_distances
+    outs = []
+    fast = covering._quadrant_distances
 
-    def record(vals):
-        ins.append(np.array(vals))
-        outs.append(fast(vals))
+    def record(counts, n):
+        outs.append(fast(counts, n))
         return outs[-1]
 
-    covering._l1_distances = record
-    covering.random_covering_boundedness(0.5, [10, 100, 1000], [1, 2, 3],
-                                         parse_model("uniform01"))
-    np.savez(sys.argv[1], *ins, *outs)
-""")
+    covering._quadrant_distances = record
+    covering.random_covering_boundedness(0.5, %r, %r, parse_model("uniform01"))
+    np.savez(sys.argv[1], *outs)
+""" % (_COVER_NS, _COVER_SEEDS))
 
 
 class TestL1DistancesAgainstRowLoop:
@@ -180,13 +212,9 @@ class TestL1DistancesAgainstRowLoop:
         subprocess.run([sys.executable, "-c", _CHILD, str(out)], env=env, check=True,
                        timeout=120)
         with np.load(out) as z:
-            arrays = [z[f"arr_{i}"] for i in range(len(z.files))]
-        half = len(arrays) // 2
-        assert half == 3 * (1 + 2 * 3)  # per n: the h matrix, then f and g per seed
-        for v, got in zip(arrays[:half], arrays[half:]):
-            assert got.tobytes() == row_loop_l1(v).tobytes()
-
-    def test_non_binary_entry_raises(self):
-        v = np.array([[0.0, 1.0, 1.0], [1.0, 0.5, 0.0]])
-        with pytest.raises(ValueError, match="0/1"):
-            _l1_distances(v)
+            got = [z[f"arr_{i}"] for i in range(len(z.files))]
+        model = parse_model("uniform01")
+        rows = [v for n in _COVER_NS for v in fine_net_rows(model, n, _COVER_SEEDS)]
+        assert len(got) == len(rows) == len(_COVER_NS) * (1 + 2 * len(_COVER_SEEDS))
+        for v, d in zip(rows, got):
+            assert d.tobytes() == gram_l1(v).tobytes() == row_loop_l1(v).tobytes()

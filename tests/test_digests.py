@@ -133,6 +133,13 @@ CASES = {
     "bounds-short-bulk-draw": (
         "bounds", {"members": 33, "seed": 4, "n_list": [10, 40], "witness_max_n": 5},
         "5f592a72c93545298ed30299bfaf941754fa2866bda6ddd6f2f654a86e2a08c1"),
+    # the benchmark's ulln-prefix config at seed 1, recorded when set members
+    # met the grid only through their integer floors: two of the net
+    # sandwich's 11 indicators end on floats just below a grid point
+    "ulln-prefix-net-sandwich": (
+        "ulln", {"j": 0, "parity": "odd", "model": "uniform01", "n_schedule": [1000, 10000],
+                 "replicates": 8, "seed": 1, "net_u": 0.2},
+        "bb211f316b5fdfdf1ab71b9f0cd5c73e13da944e2a52f18a5f5948ecc7d18602"),
 }
 
 

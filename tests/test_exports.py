@@ -141,3 +141,21 @@ def test_quadrature_and_linalg_guard_catches():
     for source in ("np.linalg.eigh(a)", "import numpy.linalg", "from numpy import linalg",
                    "from numpy.linalg import norm", "numpy.linalg.norm(a)"):
         assert _quadrature_importers_and_linalg(source) == (False, [1])
+
+
+def test_one_grid_rule_for_set_members():
+    # an h member meets the float grid only in function_classes.grid_values,
+    # and a set member has no float evaluator, so it is read at i/n through
+    # its integer floors alone
+    readers = [p.stem for p in sorted((ROOT / "src/semproc").glob("*.py"))
+               if _reads(ast.parse(p.read_text()), "grid_points")]
+    assert readers == ["function_classes"]
+    from semproc.intervals import IntervalUnion
+    assert not {"__call__", "indicator"} & set(vars(IntervalUnion))
+
+
+def test_grid_rule_guard_catches():
+    assert _reads(ast.parse("h(grid_points(n))"), "grid_points")
+    assert _reads(ast.parse("from .measures import grid_points\nx = grid_points(3)"),
+                  "grid_points")
+    assert not _reads(ast.parse("def grid_points(n):\n    return n"), "grid_points")

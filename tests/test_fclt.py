@@ -33,13 +33,15 @@ from semproc.function_classes import (
     HalfLine,
     HolderClass,
     InitialInterval,
+    grid_values,
     indicator,
     parse_class_descriptor,
 )
-from semproc.measures import grid_points, parse_model
+from semproc.intervals import IntervalUnion
+from semproc.measures import parse_model
 from semproc.piecewise import PiecewiseLinear
 
-from member_oracles import make_constant_q
+from member_oracles import exact_grid_values, make_constant_q
 from quad_oracle import cov_kernel_quadrature, expect
 
 UNIFORM = parse_model("uniform01")
@@ -63,14 +65,17 @@ class TestCenterQ:
             assert vn == pytest.approx((n + 1) * (2 * n + 1) / (6 * n * n) / 12, rel=1e-14)
 
     def test_centering_kills_mean(self):
-        # V_n against E[(q - E q)^2] at each grid point by quad
+        # V_n against E[(q - E q)^2] at each grid point by quad; the float 0.6
+        # lies below 6/10, so h(i/n) is 1 at five points, not six
         h, g = kiefer_cell(0.6, 0.3)
         n = 10
         vn = lindeberg_check((h, g), UNIFORM, [n], [0.1])["rows"][0]["variance_n"]
+        hs = exact_grid_values(h, n)
+        assert hs.sum() == 5.0
         want = 0.0
-        for s in grid_points(n):
-            mean = expect(UNIFORM, lambda xs, s=s: h(s) * g(xs), points=(g.w,))
-            want += expect(UNIFORM, lambda xs, s=s: (h(s) * g(xs) - mean) ** 2,
+        for hv in hs:
+            mean = expect(UNIFORM, lambda xs, hv=hv: hv * g(xs), points=(g.w,))
+            want += expect(UNIFORM, lambda xs, hv=hv: (hv * g(xs) - mean) ** 2,
                            points=(g.w,)) / n
         assert vn == pytest.approx(want, abs=1e-10)
 
@@ -92,15 +97,17 @@ def _all_builder_qs():
 class TestQBroadcast:
     @pytest.mark.parametrize("model_name", ["uniform01", "standard-normal", "exponential(2)"])
     def test_grid_matches_per_point_bitwise(self, model_name):
-        # replicate_Z_values evaluates h on the grid and g on the whole
-        # (R, n) draw matrix; each must equal the per-point values
+        # replicate_Z_values evaluates h on the grid (grid_values) and g on
+        # the whole (R, n) draw matrix; each must equal the per-point values,
+        # a set's taken on the Fraction i/n
         model = parse_model(model_name)
         n = 23
         svals = np.arange(1, n + 1) / n
         draws = model.draw(np.random.default_rng(7), (3, n))
         for h, g in _all_builder_qs():
-            per_s = np.concatenate([np.atleast_1d(h(svals[i:i + 1])) for i in range(n)])
-            assert h(svals).tobytes() == per_s.tobytes(), h
+            per_s = (exact_grid_values(h, n) if isinstance(h, IntervalUnion) else
+                     np.concatenate([np.atleast_1d(h(svals[i:i + 1])) for i in range(n)]))
+            assert grid_values([h], n)[0].tobytes() == per_s.tobytes(), h
             rows = g(draws)
             assert rows.shape == (3, n), g
             for r in range(3):
@@ -149,7 +156,7 @@ class TestEvalZn:
         h, g = kiefer_cell(0.5, 0.5)
         n, R = 100, 4000
         Z = replicate_Z_values([(h, g)], n, R, 11, UNIFORM)
-        hs = h(grid_points(n))
+        hs = exact_grid_values(h, n)
         target = float(np.mean(hs**2 * g.second_moment(UNIFORM) - (hs * g.mean(UNIFORM)) ** 2))
         var = float(np.var(Z[:, 0], ddof=1))
         mc_err = 3 * target * math.sqrt(2.0 / (R - 1))  # chi-square scale

@@ -74,8 +74,8 @@ def assert_matches_reference(union, pairs):
         assert union.grid_count(n) == count
         assert union.lambda_n(n) == Fraction(count, n)
         if n <= 100:
-            assert union.grid_indices(n) == [
-                i for i in range(1, n + 1) if any(a < Fraction(i, n) <= b for a, b in ref)]
+            assert union.on_grid(n).tolist() == [
+                float(any(a < Fraction(i, n) <= b for a, b in ref)) for i in range(1, n + 1)]
         want = fraction_gap(Fraction(count, n), lam)
         assert observed_riemann_gap(union, n).hex() == want.hex()
 

@@ -249,10 +249,12 @@ class TestObservedGapMatchesReference:
 class TestProtocol:
     def test_exact_lambdas(self):
         m = BVectorClass(1, "odd").member([0.25, 0.5, 0.75])
-        assert m.lambda_exact() == Fraction(1, 2) and m(0.6) == 1.0 and m(0.4) == 0.0
+        assert m.lambda_exact() == Fraction(1, 2)
+        assert m.on_grid(10).tolist() == [1, 1, 0, 0, 0, 1, 1, 0, 0, 0]
         assert m.lambda_n(8) == Fraction(4, 8)
         assert indicator(0.25).lambda_n(10) == Fraction(2, 10)
         assert indicator(0.3).lambda_n(10) == Fraction(2, 10)   # the float 0.3 < 3/10
+        assert indicator(0.3).on_grid(10).sum() == 2.0
         assert indicator(0.3).lambda_exact() == 0.3
 
     def test_stored_lebesgue_is_the_sum(self):
