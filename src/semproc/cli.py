@@ -4,10 +4,11 @@ serialization, plot-data emission and the `semproc` executable.
 Each experiment is declared once, in EXPERIMENTS: its config keys, each a
 default (a key's type is its default's type) beside the value rules it must
 pass, its runner, which returns the results and the ledger of named checks,
-and its plot-data series.  parse_config is the one place that enforces a
-key's rules; a runner checks only what needs work first (a Holder net's
-size, a q file's contents) or reads two keys at once (ulln.net_u against the
-class, fclt.q_file against the q set).  run_experiment derives a report's
+and its plot-data series.  read_keys is the one reader of outside input
+(configs, h_class descriptors, q files), each read against a key table; a
+runner checks only what needs work first (a Holder net's size, a q file) or
+reads two keys at once (ulln.net_u against the class, fclt.q_file against
+the q set).  run_experiment derives a report's
 "pass" from the ledger.  selftest runs the five other experiments at small
 configs through the same registry.
 
@@ -43,6 +44,7 @@ from .fclt import (
     fidi_convergence_test,
     gaussian_fidi_sample,
     kiefer_cell,
+    kiefer_cells,
     lindeberg_check,
     make_sx_q,
 )
@@ -57,7 +59,6 @@ from .function_classes import (
     b_infinity_witness,
     indicator,
     observed_riemann_gap_rows,
-    parse_class_descriptor,
 )
 from .measures import draw_sample, parse_model
 from .piecewise import PiecewiseLinear
@@ -82,48 +83,68 @@ class ConfigError(ValueError):
     pass
 
 
-def _typed(value, want: type, key: str, what: str):
+def _typed(value, want: type, name: str, what: str):
     """value as a want, coercing only an int in the float range to float (a
-    bool is no number here); a ConfigError naming key otherwise, and for a
+    bool is no number here); a ConfigError naming name otherwise, and for a
     float that is not finite."""
     if want is float and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
     if not isinstance(value, want) or (want is not bool and isinstance(value, bool)):
-        raise ConfigError(f"config key {key} must be {what}, got {value!r}")
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
     if want is float and not math.isfinite(value):
-        raise ConfigError(f"config key {key} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return value
 
 
-def parse_config(experiment: str, raw: dict) -> dict:
-    """Strict schema application: unknown keys rejected, types coerced only
-    int -> float, list elements typed by the default's first element, floats
-    finite, every key's rules checked, values echoed back into the report."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; registered: {sorted(EXPERIMENTS)}")
-    keys = EXPERIMENTS[experiment].keys
+def read_keys(raw, table: dict, where: str, path: str = "") -> dict:
+    """raw, a JSON object, read against a key table {key: (default, *rules)}:
+    any other key rejected, each value typed by its default (a list's items by
+    its first item; a default that is a type, float or [float], means the key
+    must be given), defaults filled, rules run; each message names its path."""
+    _typed(raw, dict, f"{where} key {path}" if path else where, "an object")
     out = {}
     for key, value in raw.items():
-        if key not in keys:
-            raise ConfigError(f"unknown config key {experiment}.{key}")
-        default = keys[key][0]
-        want, name = type(default), f"{experiment}.{key}"
-        value = _typed(value, want, name, want.__name__)
+        full = f"{path}.{key}" if path else key
+        if key not in table:
+            raise ConfigError(f"{where} has unknown key {full}")
+        default, name = table[key][0], f"{where} key {full}"
+        want = default if isinstance(default, type) else type(default)
+        out[key] = _typed(value, want, name, "an object" if want is dict else want.__name__)
         if want is list:
-            elem = type(default[0])
-            value = [_typed(v, elem, name, f"a list of {elem.__name__}") for v in value]
-        out[key] = value
-    for key, (default, *rules) in keys.items():
-        value = out.setdefault(key, json.loads(json.dumps(default)))
+            elem = default[0] if isinstance(default[0], type) else type(default[0])
+            out[key] = [_typed(v, elem, name, f"a list of {elem.__name__}") for v in value]
+    for key, (default, *rules) in table.items():
+        full = f"{path}.{key}" if path else key
+        if key not in out:
+            if isinstance(default[0] if type(default) is list else default, type):
+                raise ConfigError(f"{where} has no key {full}")
+            out[key] = json.loads(json.dumps(default))  # a copy, so the table keeps its own
         for text, ok in rules:  # a predicate that raises fails, and its message follows
             try:
-                passed, why = bool(ok(value)), ""
+                passed, why = bool(ok(out[key])), ""
+            except ConfigError:  # a nested reader's message names its own key
+                raise
             except (ValueError, TypeError) as exc:
                 passed, why = False, f": {exc}"
             if not passed:
-                raise ConfigError(f"config key {experiment}.{key} must be {text}, "
-                                  f"got {value!r}{why}")
+                raise ConfigError(f"{where} key {full} must be {text}, got {out[key]!r}{why}")
     return out
+
+
+def read_tagged(raw, tag: str, kinds: dict, where: str, path: str = ""):
+    """A JSON object whose tag key picks its kind from kinds, {tag value: (key
+    table, build)}: build reads the object as read_keys reads it by that table."""
+    obj = _typed(raw, dict, f"{where} key {path}" if path else where, "an object")
+    head = {tag: obj[tag]} if tag in obj else {}
+    keys, build = kinds[read_keys(head, {tag: (str, one_of(*kinds))}, where, path)[tag]]
+    return build(read_keys(obj, {tag: (str,), **keys}, where, path))
+
+
+def parse_config(experiment: str, raw: dict) -> dict:
+    """An experiment's config, read by its EXPERIMENTS key table and echoed as given."""
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}; registered: {sorted(EXPERIMENTS)}")
+    return read_keys(raw, EXPERIMENTS[experiment].keys, "config", experiment)
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +194,6 @@ def _run_ulln(cfg: dict) -> tuple:
     return rows, ledger
 
 
-def _kiefer_cells(grid: int) -> list:
-    return [kiefer_cell((i + 1) / grid, (k + 1) / grid) for i in range(grid) for k in range(grid)]
-
-
 def _holder_product_qs(model) -> list:
     net = HolderClass(1.0, 1.0, 1.0).build_net(0.8)
     picks = [net[0], net[len(net) // 3], net[2 * len(net) // 3], net[-1]]
@@ -184,62 +201,31 @@ def _holder_product_qs(model) -> list:
     return [(h, g) for h in picks for g in gs]
 
 
+# per q-file part and type: its keys, none with a default, and its member
+Q_PARTS = {
+    "h": {"indicator": ({"t": (float,)}, lambda s: indicator(s["t"])),
+          "holder-pl": ({"knots": ([float],), "values": ([float],)},
+                        lambda s: PiecewiseLinear(tuple(s["knots"]), tuple(s["values"])))},
+    "g": {"half-line": ({"w": (float,)}, lambda s: HalfLine(s["w"])),
+          "initial-interval": ({"w": (float,)}, lambda s: InitialInterval(s["w"])),
+          "poly": ({"coeffs": ([float],)}, lambda s: BoundedPolynomial(tuple(s["coeffs"])))},
+}
+
+
 def _load_q_file(path: str) -> list:
     """The (h, g) pairs of a q file: a JSON list of {"h": ..., "g": ...},
-    each part a {"type": ...} object that holds no key but the ones its type
-    reads (the table types below)."""
+    each part an object tagged by its "type" and read against Q_PARTS."""
     with open(path) as fh:
-        # NaN and Infinity stay strings: number() rejects them, true and other strings
-        entries = json.load(fh, parse_constant=str)
+        entries = json.load(fh)
     if not isinstance(entries, list) or not entries:
         raise ConfigError("q file must hold a nonempty JSON list")
-
-    def number(raw, key: str) -> float:
-        if isinstance(raw, (bool, str)) and raw not in ("NaN", "Infinity", "-Infinity"):
-            raise ConfigError(f"q file entry {i} key {key!r} is {json.dumps(raw)}, not a number")
-        x = float(raw)
-        if not math.isfinite(x):
-            raise ConfigError(f"q file entry {i} key {key!r} is {raw}, not a finite number")
-        return x
-
-    def numbers(raws, key: str) -> tuple:
-        return tuple(number(raw, key) for raw in raws)
-
-    def only(spec: dict, keys, prefix: str = "") -> None:
-        for key in spec:
-            if key not in keys:
-                raise ConfigError(f"q file entry {i} has unknown key {prefix + key!r}")
-
-    # per part and type: the keys the type reads beside "type", and its member
-    types = {
-        "h": {"indicator": (("t",), lambda s: indicator(number(s["t"], "t"))),
-              "holder-pl": (("knots", "values"), lambda s: PiecewiseLinear(
-                  numbers(s["knots"], "knots"), numbers(s["values"], "values")))},
-        "g": {"half-line": (("w",), lambda s: HalfLine(number(s["w"], "w"))),
-              "initial-interval": (("w",), lambda s: InitialInterval(number(s["w"], "w"))),
-              "poly": (("coeffs",), lambda s: BoundedPolynomial(numbers(s["coeffs"], "coeffs")))},
-    }
-    out = []
-    try:
-        for i, e in enumerate(entries):
-            if not (isinstance(e, dict)
-                    and all(isinstance(e.get(k, {}), dict) for k in ("h", "g"))):
-                raise ConfigError(f"q file entry {i} and its 'h' and 'g' must be JSON objects")
-            only(e, ("h", "g"))
-            pair = []
-            for part in ("h", "g"):
-                spec = e[part]
-                if spec["type"] not in types[part]:
-                    raise ConfigError(f"unknown {part} type {spec['type']!r}")
-                keys, member = types[part][spec["type"]]
-                only(spec, ("type",) + keys, f"{part}.")
-                pair.append(member(spec))
-            out.append(tuple(pair))
-    except KeyError as exc:
-        raise ConfigError(f"q file entry {i} has no key {exc.args[0]!r}") from None
-    except TypeError as exc:  # a value of the wrong JSON type
-        raise ConfigError(f"q file entry {i} is malformed: {exc}") from None
-    return out
+    pairs = []
+    for i, raw in enumerate(entries):
+        where = f"q file entry {i}"
+        entry = read_keys(raw, {"h": (dict,), "g": (dict,)}, where)
+        pairs.append(tuple(read_tagged(entry[part], "type", Q_PARTS[part], where, part)
+                           for part in ("h", "g")))
+    return pairs
 
 
 def _run_fclt(cfg: dict) -> tuple:
@@ -250,7 +236,7 @@ def _run_fclt(cfg: dict) -> tuple:
     if cfg["q_set"] == "kiefer-3":
         q_list = [kiefer_cell(0.5, 0.5), kiefer_cell(1.0, 0.5), kiefer_cell(0.5, 0.25)]
     elif cfg["q_set"] == "kiefer-grid":
-        q_list = _kiefer_cells(3)
+        q_list = kiefer_cells(3)
     elif cfg["q_set"] == "holder-product":
         q_list = _holder_product_qs(model)
     else:  # custom-file
@@ -260,7 +246,7 @@ def _run_fclt(cfg: dict) -> tuple:
         # before the fidi test, so a net too large for net_u fails fast
         try:
             mod = equicontinuity_modulus(
-                parse_class_descriptor(cfg["h_class"]), cfg["n"], tuple(cfg["alpha_list"]),
+                read_h_class(cfg["h_class"]), cfg["n"], tuple(cfg["alpha_list"]),
                 cfg["net_u"], cfg["modulus_replicates"], cfg["seed"], model)
         except NetTooLargeError as exc:
             raise ConfigError(f"config key fclt.net_u must be large enough for the "
@@ -388,7 +374,7 @@ def _run_bounds(cfg: dict) -> tuple:
 
 def _run_kiefer(cfg: dict) -> tuple:
     model = parse_model("uniform01")
-    cells = _kiefer_cells(cfg["grid"])
+    cells = kiefer_cells(cfg["grid"])
     analytic = cov_matrix(cells, model)
     s = np.array([float(h.lebesgue()) for h, _ in cells])
     x = np.array([g.w for _, g in cells])
@@ -465,7 +451,18 @@ POSITIVE_ITEMS = ("a list of floats > 0", lambda v: all(a > 0 for a in v))
 COUNTS = ("a nonempty list of ints >= 1", lambda v: bool(v) and all(n >= 1 for n in v))
 SEED = ("in [0, 2**64)", lambda v: 0 <= v < 2**64)
 MODEL = ("a model name", parse_model)
-H_CLASS = ("a holder or indicators descriptor", parse_class_descriptor)
+# the h_class descriptors: per "class", its keys and the h class it names
+H_CLASSES = {
+    "holder": ({"T": (1.0, POSITIVE), "C": (1.0, POSITIVE),
+                "beta": (1.0, ("in (0, 1]", lambda v: 0 < v <= 1))},
+               lambda d: HolderClass(d["T"], d["C"], d["beta"])),
+    "indicators": ({}, lambda d: INDICATORS),
+}
+
+
+def read_h_class(desc):
+    """The h class an fclt.h_class descriptor names."""
+    return read_tagged(desc, "class", H_CLASSES, "config", "fclt.h_class")
 
 
 def one_of(*names: str) -> tuple:
@@ -503,7 +500,8 @@ EXPERIMENTS: dict[str, Experiment] = {
          "seed": (1, SEED), "model": ("uniform01", MODEL),
          "alpha_list": ([0.05, 0.1, 0.2, 0.4], INCREASING, POSITIVE_ITEMS),
          "net_u": (0.3, POSITIVE),
-         "h_class": ({"class": "holder", "T": 1.0, "C": 1.0, "beta": 1.0}, H_CLASS),
+         "h_class": ({"class": "holder", "T": 1.0, "C": 1.0, "beta": 1.0},
+                     ("a holder or indicators descriptor", read_h_class)),
          "modulus_replicates": (100, AT_LEAST_1), "run_modulus": (True,),
          "run_lindeberg": (True,), "cov_tolerance": (0.05, POSITIVE),
          "ks_tolerance": (0.03, POSITIVE)},
@@ -579,11 +577,15 @@ def numeric_bytes(report: dict) -> bytes:
 
 
 def _write_replacing(path: str, text: str) -> None:
-    """Write to path.tmp, then rename over path, so path is never half written."""
+    """Write path.tmp, then rename it over path, so path is never half written."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
 
 
 def write_report(report: dict, path: str) -> None:
@@ -616,6 +618,14 @@ def _load_config_file(path: Optional[str]) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return data
+
+
+def _check_output(flag: str, path: Optional[str]) -> None:
+    """A ConfigError naming flag unless path is unset or its directory exists;
+    a report path is no directory, where a plot prefix only begins file names."""
+    if path and (not os.path.isdir(os.path.dirname(path) or ".")
+                 or (flag == "--out" and os.path.isdir(path))):
+        raise ConfigError(f"{flag} must name a file in an existing directory, got {path!r}")
 
 
 def _parse_override(text: str):
@@ -670,7 +680,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for key in EXPERIMENTS[args.experiment].keys:
             if getattr(args, key) is not None:
                 raw[key] = getattr(args, key)
+        _check_output("--out", args.out)  # before the run, which a bad path would waste
+        _check_output("--plot-prefix", args.plot_prefix)
         report = run_experiment(args.experiment, raw)
+        digest = __import__("hashlib").sha256(numeric_bytes(report)).hexdigest()
+        print(f"experiment={args.experiment} pass={report['pass']} numeric_sha256={digest}")
+        if args.out:
+            write_report(report, args.out)
+            print(f"report written to {args.out}")
+        if args.plot_prefix:
+            for path in emit_plotdata(report, args.plot_prefix):
+                print(f"plot data written to {path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -680,15 +700,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except QuadratureError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-
-    digest = __import__("hashlib").sha256(numeric_bytes(report)).hexdigest()
-    print(f"experiment={args.experiment} pass={report['pass']} numeric_sha256={digest}")
-    if args.out:
-        write_report(report, args.out)
-        print(f"report written to {args.out}")
-    if args.plot_prefix:
-        for path in emit_plotdata(report, args.plot_prefix):
-            print(f"plot data written to {path}")
     return 0 if report["pass"] else 1
 
 

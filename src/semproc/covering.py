@@ -64,11 +64,12 @@ def greedy_net_indices(dist: np.ndarray, u: float) -> list[int]:
     """Farthest-point-first u-net (strict < u coverage); deterministic start
     at index 0.  The selected points are pairwise >= u apart, so the result is
     simultaneously a maximal u-packing and a valid u-net.  Raises ValueError
-    for u <= 0 or a non-finite distance, where the sweep would never end."""
+    for u <= 0, a non-finite distance or a self-distance >= u (an index the
+    sweep picks on every pass), where the sweep would never end."""
     if not u > 0:
         raise ValueError(f"greedy net radius u must be > 0, got {u!r}")
-    if not np.isfinite(dist).all():
-        raise ValueError("greedy net distances must be finite")
+    if not (np.isfinite(dist).all() and (np.diagonal(dist) < u).all()):
+        raise ValueError(f"greedy net distances must be finite and self-distances < u = {u!r}")
     k = dist.shape[0]
     if k == 0:
         return []

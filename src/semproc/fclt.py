@@ -51,6 +51,7 @@ from .special import ndtr
 __all__ = [
     "make_sx_q",
     "kiefer_cell",
+    "kiefer_cells",
     "cov_kernel",
     "cov_matrix",
     "lindeberg_check",
@@ -77,6 +78,11 @@ def kiefer_cell(s0: float, x0: float) -> tuple:
     """q = 1_(0, s0](s) * 1_(-inf, x0](x); under uniform nu the limit process
     restricted to these cells is the classical Kiefer process."""
     return indicator(s0), HalfLine(x0)
+
+
+def kiefer_cells(grid: int) -> list:
+    """kiefer_cell((i + 1) / grid, (k + 1) / grid) at row i * grid + k."""
+    return [kiefer_cell((i + 1) / grid, (k + 1) / grid) for i in range(grid) for k in range(grid)]
 
 
 def make_sx_q() -> tuple:
@@ -154,11 +160,10 @@ def lindeberg_check(
 
 def gaussian_fidi_sample(grid: int, count: int, seed: int) -> np.ndarray:
     """count draws of the Kiefer process K(s, x) = W(s, x) - x W(s, 1), W a
-    Brownian sheet, at the cells ((i + 1) / grid, (k + 1) / grid) of cli's
-    kiefer grid: row i * grid + k, one column per draw.  W sums independent
-    N(0, 1 / grid^2) cell increments, in place along s and then along x, in
-    one cell-major (grid, grid, count) array; no covariance matrix is
-    factored, and the x = 1 column of K is exactly 0.0."""
+    Brownian sheet, at the rows of kiefer_cells(grid), one column per draw.  W
+    sums independent N(0, 1 / grid^2) cell increments, in place along s and
+    then along x, in one cell-major (grid, grid, count) array; no covariance
+    matrix is factored, and the x = 1 column of K is exactly 0.0."""
     w = np.random.default_rng(seed).standard_normal((grid, grid, count))
     w /= grid
     for i in range(1, grid):

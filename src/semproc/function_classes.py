@@ -648,22 +648,3 @@ def observed_riemann_gap_rows(members: Sequence, n_list: Sequence[int]) -> list[
 def observed_riemann_gap(member, n: int) -> float:
     """One member's gap; see observed_riemann_gap_rows."""
     return observed_riemann_gap_rows([member], [n])[0][0]
-
-
-def parse_class_descriptor(desc: dict):
-    """CLI h class descriptors: {"class": "holder", "T":..,"C":..,"beta":..}
-    and {"class": "indicators"}."""
-    if not isinstance(desc, dict) or "class" not in desc:
-        raise ValueError("class descriptor must be a dict with a 'class' key")
-    kind = desc["class"]
-    extra = set(desc) - {"class", "T", "C", "beta"}
-    if extra:
-        raise ValueError(f"unknown class descriptor keys: {sorted(extra)}")
-    if kind == "holder":
-        for key, v in desc.items():
-            if key != "class" and (isinstance(v, bool) or not isinstance(v, (int, float))):
-                raise ValueError(f"class descriptor key {key!r} must be a number, got {v!r}")
-        return HolderClass(*(float(desc.get(key, 1.0)) for key in ("T", "C", "beta")))
-    if kind == "indicators":
-        return INDICATORS
-    raise ValueError(f"unknown class kind {kind!r}")

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 from semproc import ulln
 from semproc.cli import (
     ConfigError,
+    _write_replacing,
     emit_plotdata,
     main,
     numeric_bytes,
@@ -199,6 +201,52 @@ class TestPlotData:
         assert lin[0] == "n,lindeberg_ratio" and len(lin) >= 2
 
 
+class TestOutputPaths:
+    """--out and --plot-prefix are checked before the run, and a write that
+    fails exits 2 and leaves no temporary file."""
+
+    @pytest.mark.parametrize("flag,path", [
+        ("--out", "d"), ("--out", "missing/r.json"), ("--out", "f/r.json"),
+        ("--plot-prefix", "missing/u"), ("--plot-prefix", "f/u"),
+    ], ids=["out-directory", "out-missing-parent", "out-file-parent",
+            "prefix-missing-parent", "prefix-file-parent"])
+    def test_bad_path_exits_2_before_the_run(self, tmp_path, monkeypatch, capsys, flag, path):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the experiment ran before its output path was checked")
+
+        monkeypatch.setattr("semproc.cli.run_experiment", must_not_run)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_text("")
+        target = str(tmp_path / path)
+        assert main(["kiefer", flag, target]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {flag} must name a file in an existing directory, got {target!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "f"]
+
+    def test_failed_rename_removes_the_temporary_file(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError):
+            _write_replacing(str(tmp_path / "d"), "text")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+    def test_prefix_may_name_a_directory(self, tmp_path):
+        # a plot prefix only begins the CSV file names
+        (tmp_path / "u").mkdir()
+        assert main(["ulln", "--n-schedule", "20,40", "--replicates", "3",
+                     "--plot-prefix", str(tmp_path / "u")]) in (0, 1)
+        assert (tmp_path / "u_convergence.csv").exists()
+
+    def test_failed_write_exits_2(self, tmp_path, capsys):
+        # the prefix's directory exists, but the CSV path is a directory
+        (tmp_path / "u_convergence.csv").mkdir()
+        code = main(["ulln", "--n-schedule", "20,40", "--replicates", "3",
+                     "--plot-prefix", str(tmp_path / "u")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] Is a directory") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["u_convergence.csv"]
+
+
 class TestMainEntry:
     def test_usage_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -260,14 +308,15 @@ class TestMainEntry:
                      "--run-modulus", "false", "--run-lindeberg", "false"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "entry 1" in err and key in err
+        # the message names the key's full path, which ends in the missing key
+        assert re.fullmatch(rf"config error: q file entry 1 has no key ([hg]\.)?{key[1:-1]}\n", err)
 
     @pytest.mark.parametrize("entry,message", [
-        (5, "config error: q file entry 1 and its 'h' and 'g' must be JSON objects"),
+        (5, "config error: q file entry 1 must be an object, got 5\n"),
         ({"h": 5, "g": {"type": "half-line", "w": 0.5}},
-         "config error: q file entry 1 and its 'h' and 'g' must be JSON objects"),
+         "config error: q file entry 1 key h must be an object, got 5\n"),
         ({"h": {"type": "indicator", "t": [0.5]}, "g": {"type": "half-line", "w": 0.5}},
-         "config error: q file entry 1 is malformed"),
+         "config error: q file entry 1 key h.t must be float, got [0.5]\n"),
         # an indicator is a nonempty B(1) set (0, t]: t = 2.5 leaves [0, 1], t = 0 is empty
         ({"h": {"type": "indicator", "t": 2.5}, "g": {"type": "half-line", "w": 0.5}},
          "error: indicator end point t=2.5 is outside (0, 1]"),
@@ -275,36 +324,42 @@ class TestMainEntry:
          "error: indicator end point t=0.0 is outside (0, 1]"),
         # a key its type does not read, misspelt or not, is no longer ignored
         ({"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 0.5}, "q": 1},
-         "config error: q file entry 1 has unknown key 'q'\n"),
+         "config error: q file entry 1 has unknown key q\n"),
         ({"h": {"type": "indicator", "t": 0.5, "w": 0.2}, "g": {"type": "half-line", "w": 0.5}},
-         "config error: q file entry 1 has unknown key 'h.w'\n"),
+         "config error: q file entry 1 has unknown key h.w\n"),
         ({"h": {"type": "holder-pl", "knots": [0, 1], "values": [0, 1], "beta": 1.0},
           "g": {"type": "half-line", "w": 0.5}},
-         "config error: q file entry 1 has unknown key 'h.beta'\n"),
+         "config error: q file entry 1 has unknown key h.beta\n"),
         ({"h": {"type": "holder-pl", "T": 2, "knots": [0, 1], "values": [0, 1]},
           "g": {"type": "half-line", "w": 0.5}},
-         "config error: q file entry 1 has unknown key 'h.T'\n"),
+         "config error: q file entry 1 has unknown key h.T\n"),
         ({"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 0.5, "t": 1}},
-         "config error: q file entry 1 has unknown key 'g.t'\n"),
+         "config error: q file entry 1 has unknown key g.t\n"),
         ({"h": {"type": "indicator", "t": 0.5},
           "g": {"type": "initial-interval", "w": 0.5, "W": 0.5}},
-         "config error: q file entry 1 has unknown key 'g.W'\n"),
+         "config error: q file entry 1 has unknown key g.W\n"),
         ({"h": {"type": "indicator", "t": 0.5},
           "g": {"type": "poly", "coeffs": [0.0, 1.0], "degree": 1}},
-         "config error: q file entry 1 has unknown key 'g.degree'\n"),
+         "config error: q file entry 1 has unknown key g.degree\n"),
         # a JSON boolean is no number: float(true) would read t = 1
         ({"h": {"type": "indicator", "t": True}, "g": {"type": "half-line", "w": False}},
-         "config error: q file entry 1 key 't' is true, not a number\n"),
+         "config error: q file entry 1 key h.t must be float, got True\n"),
         ({"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": False}},
-         "config error: q file entry 1 key 'w' is false, not a number\n"),
+         "config error: q file entry 1 key g.w must be float, got False\n"),
         ({"h": {"type": "holder-pl", "knots": [0, True, 1], "values": [0, 1, 0]},
           "g": {"type": "half-line", "w": 0.5}},
-         "config error: q file entry 1 key 'knots' is true, not a number\n"),
+         "config error: q file entry 1 key h.knots must be a list of float, got True\n"),
         ({"h": {"type": "indicator", "t": 0.5}, "g": {"type": "poly", "coeffs": [0.5, True]}},
-         "config error: q file entry 1 key 'coeffs' is true, not a number\n"),
+         "config error: q file entry 1 key g.coeffs must be a list of float, got True\n"),
         # nor is a string, which float() would read as the number it spells
         ({"h": {"type": "indicator", "t": "0.5"}, "g": {"type": "half-line", "w": 0.5}},
-         'config error: q file entry 1 key \'t\' is "0.5", not a number\n'),
+         "config error: q file entry 1 key h.t must be float, got '0.5'\n"),
+        # an unknown or missing type names its entry and part too
+        ({"h": {"type": "step", "t": 0.5}, "g": {"type": "half-line", "w": 0.5}},
+         "config error: q file entry 1 key h.type must be one of indicator, holder-pl, "
+         "got 'step'\n"),
+        ({"h": {"type": "indicator", "t": 0.5}, "g": {"w": 0.5}},
+         "config error: q file entry 1 has no key g.type\n"),
     ])
     def test_ill_typed_q_file_exit_2(self, tmp_path, capsys, entry, message):
         good = {"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 0.5}}
@@ -317,14 +372,14 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("text,message", [
         ('{"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": NaN}}',
-         "config error: q file entry 1 key 'w' is NaN, not a finite number"),
+         "config error: q file entry 1 key g.w must be finite, got nan"),
         ('{"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 1e999}}',
-         "config error: q file entry 1 key 'w' is inf, not a finite number"),
+         "config error: q file entry 1 key g.w must be finite, got inf"),
         ('{"h": {"type": "indicator", "t": -Infinity}, "g": {"type": "half-line", "w": 0.5}}',
-         "config error: q file entry 1 key 't' is -Infinity, not a finite number"),
+         "config error: q file entry 1 key h.t must be finite, got -inf"),
         ('{"h": {"type": "holder-pl", "knots": [0, 0.5, 1], "values": [0, Infinity, 0]},'
          ' "g": {"type": "half-line", "w": 0.5}}',
-         "config error: q file entry 1 key 'values' is Infinity, not a finite number"),
+         "config error: q file entry 1 key h.values must be finite, got inf"),
     ], ids=["nan", "overflow", "minus-infinity", "pl-value"])
     def test_non_finite_q_file_exit_2(self, tmp_path, capsys, text, message):
         good = {"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 0.5}}
@@ -394,11 +449,11 @@ class TestCountsAndOrders:
         (["ulln", "--set", 'n_schedule=[100,"a"]'], "ulln.n_schedule"),
         (["ulln", "--set", "n_schedule=[true,100]"], "ulln.n_schedule"),
         (["fclt", "--set", 'h_class={"class":"bvector"}', "--set", "run_lindeberg=false"],
-         "fclt.h_class"),
+         "fclt.h_class.class"),
         (["fclt", "--set", 'h_class={"class":"halflines"}', "--set", "run_lindeberg=false"],
-         "fclt.h_class"),
+         "fclt.h_class.class"),
         (["fclt", "--set", 'h_class={"class":"holder","T":true,"C":1.0,"beta":true}',
-          "--set", "run_lindeberg=false"], "fclt.h_class"),
+          "--set", "run_lindeberg=false"], "fclt.h_class.T"),
         (["fclt", "--net-u", "0", "--set", 'h_class={"class":"indicators"}'], "fclt.net_u"),
         (["fclt", "--net-u", "-0.3", "--set", 'h_class={"class":"indicators"}'], "fclt.net_u"),
         (["fclt", "--net-u", "1e-200", "--set", 'h_class={"class":"indicators"}'],
@@ -428,16 +483,15 @@ class TestCountsAndOrders:
         assert err.startswith(f"config error: config key {key} must be")
 
     @pytest.mark.parametrize("desc,key", [
-        ('{"class":"holder","T":true,"C":1.0,"beta":true}', "'T'"),
-        ('{"class":"holder","beta":false}', "'beta'"),
-        ('{"class":"holder","C":"1.0"}', "'C'"),
+        ('{"class":"holder","T":true,"C":1.0,"beta":true}', "T"),
+        ('{"class":"holder","beta":false}', "beta"),
+        ('{"class":"holder","C":"1.0"}', "C"),
     ])
     def test_h_class_field_not_a_number_names_the_field(self, capsys, desc, key):
         # a bool would read as 1.0 or 0.0, a string as the number it spells
         assert main(["fclt", "--set", f"h_class={desc}"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: config key fclt.h_class must be")
-        assert f"class descriptor key {key} must be a number" in err
+        assert err.startswith(f"config error: config key fclt.h_class.{key} must be float, got")
 
     def test_int_list_elements_coerced_to_float(self):
         cfg = parse_config("fclt", {"alpha_list": [1, 2.5]})

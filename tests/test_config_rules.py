@@ -1,12 +1,18 @@
-"""A config fuzz generated from the rule table in semproc.cli.EXPERIMENTS.
+"""A config fuzz generated from the key tables in semproc.cli: the
+EXPERIMENTS tables, each h_class kind's table in H_CLASSES and each q-file
+part type's table in Q_PARTS.
 
 Every key but q_file (a path, read only by the custom-file q set) and the
 two bool switches is run at the boundary values of its type on a small base
-config.  Every run must end
-in exit 0, 1 or 2, never in a traceback; a value outside its key's rules (or
-not finite) must exit 2 with a config error naming the key.  The finite
-extremes 5e-324 and 1e300 can size a net or a cover, so they run in a child
-with a timeout and an address-space cap; everything else runs in process.
+config, each float also as an integer past the float range; each h_class
+kind's and q-file type's field is run the same way, and so is a key that
+another kind reads.  Every run must end in exit 0, 1 or 2, never in a
+traceback; a value outside its key's rules (or not finite, or past the float
+range, or a key its kind does not read) must exit 2 with a config error
+naming the key's full path.  The finite extremes 5e-324 and 1e300 can size a
+net or a cover, so they run in a child with a timeout and an address-space
+cap; everything else runs in process, but for the q-file cases, which run in
+one capped child.
 """
 
 import contextlib
@@ -17,7 +23,7 @@ import textwrap
 
 import pytest
 
-from semproc.cli import EXPERIMENTS, main
+from semproc.cli import EXPERIMENTS, H_CLASSES, Q_PARTS, main
 
 from test_cli import _run_capped
 
@@ -34,6 +40,7 @@ BASE = {
 # selftest runs these sections in place of its own
 SMALL_SELFTEST = tuple((name, cfg) for name, cfg in BASE.items() if name != "selftest")
 
+BIG = 10**400  # an integer past the float range
 FLOATS = [0.0, -1.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]
 INTS = [0, -1]
 CAPPED = (5e-324, 1e300)
@@ -49,34 +56,64 @@ def _holds(rules: list, value) -> bool:
     return True
 
 
+def _ill(numbers) -> bool:
+    """Whether a float key's values hold one the reader rejects by its type."""
+    return any(x == "x" or x is BIG or (isinstance(x, float) and not math.isfinite(x))
+               for x in numbers)
+
+
+def _values(default) -> list:
+    if isinstance(default, float):
+        return FLOATS + [BIG]
+    if isinstance(default, int):
+        return INTS
+    if isinstance(default, str):
+        return ["", "no-such-name"]
+    elems = FLOATS + [BIG] if isinstance(default[0], float) else INTS
+    return [[], ["x"]] + [[v] for v in elems]
+
+
+def _h_class_cases():
+    """(value, path, outside) per h_class kind's field at each boundary, and
+    per key that only another kind reads."""
+    for kind, (keys, _) in H_CLASSES.items():
+        base = {"class": kind, **{field: default for field, (default, *_) in keys.items()}}
+        for field, (default, *rules) in keys.items():
+            for v in _values(default):
+                yield ({**base, field: v}, f"fclt.h_class.{field}",
+                       _ill([v]) or not _holds(rules, v))
+        others = {f for other, (k, _) in H_CLASSES.items() if other != kind for f in k}
+        for field in sorted(others - set(keys)):
+            yield {**base, field: 0.5}, f"fclt.h_class.{field}", True
+
+
 def _cases():
-    """(experiment, key, value, outside its rules, run capped) per boundary value."""
+    """(experiment, key, value, outside its rules, run capped, named path)
+    per boundary value."""
     for exp, spec in EXPERIMENTS.items():
         for key, (default, *rules) in spec.keys.items():
             if key == "q_file" or isinstance(default, bool):
                 continue
-            if isinstance(default, float):
-                values = FLOATS
-            elif isinstance(default, int):
-                values = INTS
-            elif isinstance(default, str):
-                values = ["", "no-such-name"]
-            elif isinstance(default, list):
-                elems = FLOATS if isinstance(default[0], float) else INTS
-                values = [[], ["x"]] + [[v] for v in elems]
-            else:  # the h_class descriptor: each field at the float boundaries
-                values = [{**default, field: v} for field in ("T", "C", "beta") for v in FLOATS]
-            for value in values:
+            if isinstance(default, dict):  # the h_class descriptor
+                assert key == "h_class"
+                cases = _h_class_cases()
+            else:
+                cases = ((value, f"{exp}.{key}",
+                          _ill(value if isinstance(value, list) else [value])
+                          or not _holds(rules, value)) for value in _values(default))
+            for value, path, outside in cases:
                 numbers = value.values() if isinstance(value, dict) else (
                     value if isinstance(value, list) else [value])
-                finite = all(not isinstance(x, float) or math.isfinite(x) for x in numbers)
-                well_typed = value != ["x"]
-                outside = not (finite and well_typed and _holds(rules, value))
                 capped = any(isinstance(x, float) and x in CAPPED for x in numbers)
-                yield exp, key, value, outside, capped
+                yield exp, key, value, outside, capped, path
 
 
 CASES = list(_cases())
+
+
+def _id(exp, key, value, outside) -> str:
+    return "-".join([json.dumps(exp), json.dumps(key),
+                     json.dumps(value).replace(str(BIG), "1e400int"), str(outside)])
 
 
 def _base_argv(exp: str) -> list:
@@ -87,45 +124,92 @@ def _argv(exp: str, key: str, value) -> list:
     return _base_argv(exp) + ["--set", f"{key}={json.dumps(value)}"]
 
 
-def _check(exp: str, key: str, value, outside: bool, code, err: str) -> None:
-    assert code in (0, 1, 2), (exp, key, value, code, err)
-    assert "Traceback" not in err, (exp, key, value, err)
+def _check(case, code, err: str, where: str = "config") -> None:
+    *_, outside, path = case
+    assert code in (0, 1, 2), (case, code, err)
+    assert "Traceback" not in err, (case, err)
     if outside:
-        assert code == 2, (exp, key, value, code, err)
-        assert err.startswith(f"config error: config key {exp}.{key} must be"), err
+        assert code == 2, (case, code, err)
+        assert (err.startswith(f"config error: {where} key {path} must be")
+                or err == f"config error: {where} has unknown key {path}\n"), (case, err)
 
 
-@pytest.mark.parametrize("exp,key,value,outside",
-                         [c[:4] for c in CASES if not c[4]],
-                         ids=lambda v: json.dumps(v) if not isinstance(v, bool) else None)
-def test_in_process(monkeypatch, exp, key, value, outside):
+@pytest.mark.parametrize("case", [c[:4] + c[5:] for c in CASES if not c[4]],
+                         ids=[_id(*c[:4]) for c in CASES if not c[4]])
+def test_in_process(monkeypatch, case):
     monkeypatch.setattr("semproc.cli._SELFTEST_SECTIONS", SMALL_SELFTEST)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(_argv(exp, key, value))
-    _check(exp, key, value, outside, code, err.getvalue())
+        code = main(_argv(*case[:3]))
+    _check(case, code, err.getvalue())
+
+
+# one child per batch runs its argv lists in turn and prints one JSON line
+# each; an uncaught exception ends the child with its traceback
+_CHILD = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from semproc.cli import main
+    for argv in json.loads(sys.argv[1]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        print(json.dumps([code, err.getvalue()]), flush=True)
+""")
+
+
+def _run_batch(argvs: list) -> list:
+    out = _run_capped(["-c", _CHILD, json.dumps(argvs)])
+    lines = out.stdout.splitlines()
+    assert out.returncode == 0 and len(lines) == len(argvs), (
+        argvs[len(lines)] if len(lines) < len(argvs) else None, out.stderr[-2000:])
+    return [json.loads(line) for line in lines]
 
 
 @pytest.mark.parametrize("exp", sorted({c[0] for c in CASES if c[4]}))
 def test_capped(exp):
-    # one child per experiment runs its cases in turn and prints one JSON
-    # line each; an uncaught exception ends the child with its traceback
-    cases = [c for c in CASES if c[4] and c[0] == exp]
-    code = textwrap.dedent("""
-        import contextlib, io, json, sys
-        from semproc.cli import main
-        for argv in json.loads(sys.argv[1]):
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv)
-            print(json.dumps([code, err.getvalue()]), flush=True)
-    """)
-    out = _run_capped(["-c", code, json.dumps([_argv(*c[:3]) for c in cases])])
-    lines = out.stdout.splitlines()
-    assert out.returncode == 0 and len(lines) == len(cases), (
-        cases[len(lines)][:3] if len(lines) < len(cases) else None, out.stderr[-2000:])
-    for (exp, key, value, outside, _), line in zip(cases, lines):
-        _check(exp, key, value, outside, *json.loads(line))
+    cases = [c[:4] + c[5:] for c in CASES if c[4] and c[0] == exp]
+    for case, (code, err) in zip(cases, _run_batch([_argv(*c[:3]) for c in cases])):
+        _check(case, code, err)
+
+
+# a valid part of each q-file type; every type of Q_PARTS has one
+Q_BASE = {"indicator": {"t": 0.5}, "holder-pl": {"knots": [0.0, 1.0], "values": [0.0, 1.0]},
+          "half-line": {"w": 0.5}, "initial-interval": {"w": 0.5}, "poly": {"coeffs": [0.0, 1.0]}}
+
+
+def _q_cases():
+    """(entry, path, outside) per q-file type's field at each float boundary
+    (a list field's first element), and per key that only another type of
+    the same part reads."""
+    for part, types in Q_PARTS.items():
+        other = "g" if part == "h" else "h"
+        good = {"type": next(iter(Q_PARTS[other])), **Q_BASE[next(iter(Q_PARTS[other]))]}
+        for kind, (keys, _) in types.items():
+            base = {"type": kind, **Q_BASE[kind]}
+            for field in keys:
+                for v in FLOATS + [BIG]:
+                    value = [v, *base[field][1:]] if isinstance(base[field], list) else v
+                    yield ({part: {**base, field: value}, other: good}, f"{part}.{field}",
+                           _ill([v]))
+            fields = {f for k, (table, _) in types.items() if k != kind for f in table}
+            for field in sorted(fields - set(keys)):
+                yield {part: {**base, field: 0.5}, other: good}, f"{part}.{field}", True
+
+
+def test_q_parts_all_have_a_base():
+    assert {k: set(v) for k, v in Q_BASE.items()} == {
+        kind: set(keys) for types in Q_PARTS.values() for kind, (keys, _) in types.items()}
+
+
+def test_q_file_fields(tmp_path):
+    cases, argvs = list(_q_cases()), []
+    for i, (entry, _, _) in enumerate(cases):
+        path = tmp_path / f"q{i}.json"
+        path.write_text(json.dumps([entry]))
+        argvs.append(_base_argv("fclt") + ["--q-set", "custom-file", "--q-file", str(path),
+                                           "--run-modulus", "false"])
+    for (entry, path, outside), (code, err) in zip(cases, _run_batch(argvs)):
+        _check((entry, outside, path), code, err, where="q file entry 0")
 
 
 # The holes the table closed: each exited 0 or 1, ended in a traceback, or
@@ -155,7 +239,7 @@ def test_capped(exp):
     (["ulln", "--parity", "both"], "ulln.parity"),
     (["ulln", "--centering", "lambda-typo"], "ulln.centering"),
     (["ulln", "--set", 'n_schedule=[0,10]'], "ulln.n_schedule"),
-    (["fclt", "--set", 'h_class={"class":"holder","T":NaN}'], "fclt.h_class"),
+    (["fclt", "--set", 'h_class={"class":"holder","T":NaN}'], "fclt.h_class.T"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_closed_holes_exit_2_naming_the_key(capsys, argv, key):
     assert main(_base_argv(argv[0]) + argv[1:]) == 2

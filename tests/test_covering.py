@@ -1,6 +1,7 @@
 """Pseudo-metrics, covering numbers, the lemma suite, shatter coefficients."""
 
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from semproc.function_classes import (
     lambda_sq_matrix,
 )
 from semproc.measures import parse_model
+
+from test_cli import _run_capped
 
 
 def _euclid(points):
@@ -87,6 +90,69 @@ class TestCoveringNumbers:
             greedy = len(greedy_net_indices(dist, u))
             exact = exact_covering_number(dist, u)
             assert exact <= greedy <= 2 * exact  # factor-2 property, checked
+
+    def test_greedy_rejects_a_self_distance_of_u(self):
+        # the sweep picks an index whose self-distance is >= u again on every
+        # pass, so such a matrix is refused before the sweep; the calls run
+        # in a capped child, where an endless sweep fails the test
+        code = textwrap.dedent("""
+            import numpy as np
+            from semproc.covering import greedy_net_indices
+            dist = np.array([[0.0, 1.0], [1.0, 0.5]])
+            for u in (0.5, 0.25, 0.75):
+                try:
+                    print(greedy_net_indices(dist, u))
+                except ValueError as exc:
+                    print(exc)
+        """)
+        out = _run_capped(["-c", code])
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "greedy net distances must be finite and self-distances < u = 0.5",
+            "greedy net distances must be finite and self-distances < u = 0.25",
+            "[0, 1]"]
+
+    def test_greedy_picks_each_index_at_most_once(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            k = int(rng.integers(1, 12))
+            dist = rng.random((k, k))
+            dist = dist + dist.T
+            u = float(rng.random() * 0.5 + 0.05)
+            np.fill_diagonal(dist, rng.random(k) * u)  # every self-distance below u
+            chosen = greedy_net_indices(dist, u)
+            assert chosen[0] == 0 and len(set(chosen)) == len(chosen)
+
+    def test_planted_half_meet_term_raises_at_once(self):
+        # halving the -2 #Q(meet) term of _quadrant_distances makes every
+        # self-distance #Q / n, once an endless sweep: now a ValueError
+        # within seconds, in a child capped in time and address space
+        code = textwrap.dedent("""
+            import time
+            import numpy as np
+            from semproc import covering
+            from semproc.measures import parse_model
+
+            def half_meet(counts, n):
+                rows, cols = counts.shape
+                a, k = np.arange(rows), np.arange(cols)
+                meet = counts[np.minimum.outer(a, a)[:, None, :, None],
+                              np.minimum.outer(k, k)[None, :, None, :]].reshape(rows * cols, -1)
+                c = counts.ravel()
+                return (c[:, None] + c[None, :] - meet) / n
+
+            covering._quadrant_distances = half_meet
+            start = time.monotonic()
+            try:
+                covering.random_covering_boundedness(0.5, [10, 100], [1],
+                                                     parse_model("uniform01"))
+            except ValueError as exc:
+                print(f"ValueError {time.monotonic() - start:.3f}: {exc}")
+        """)
+        out = _run_capped(["-c", code])
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("ValueError"), out.stdout
+        assert float(out.stdout.split()[1].rstrip(":")) < 5.0, out.stdout
 
     def test_subfamily_monotone_ambient(self):
         rng = np.random.default_rng(2)

@@ -159,3 +159,40 @@ def test_grid_rule_guard_catches():
     assert _reads(ast.parse("from .measures import grid_points\nx = grid_points(3)"),
                   "grid_points")
     assert not _reads(ast.parse("def grid_points(n):\n    return n"), "grid_points")
+
+
+def _outside_input_readers(source: str) -> list:
+    """The lines of source that read JSON (json.load or json.loads, called
+    or imported by name) or define a descriptor parser."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("load", "loads")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json" and any(
+                a.name in ("load", "loads") for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.FunctionDef) and "descriptor" in node.name:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_outside_json_is_read_in_cli_alone():
+    # q files, config files, --set values and h_class descriptors are read
+    # against cli's key tables; no other module parses outside input
+    readers = [p.stem for p in sorted((ROOT / "src/semproc").glob("*.py"))
+               if _outside_input_readers(p.read_text())]
+    assert readers == ["cli"]
+
+
+def test_outside_input_guard_catches():
+    planted = ("import json\n"
+               "def load_spec(path):\n"
+               "    with open(path) as fh:\n"
+               "        return json.load(fh)\n")
+    assert _outside_input_readers(planted) == [4]
+    assert _outside_input_readers("x = json.loads(text)") == [1]
+    assert _outside_input_readers("from json import loads as parse") == [1]
+    assert _outside_input_readers("def parse_class_descriptor(desc):\n    return desc") == [1]
+    assert _outside_input_readers("x = json.dumps(obj)\ny = pickle.loads(b)") == []

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from semproc import fclt
-from semproc.cli import run_experiment
+from semproc.cli import read_h_class, run_experiment
 from semproc.fclt import (
     cov_kernel,
     cov_matrix,
@@ -35,7 +35,6 @@ from semproc.function_classes import (
     InitialInterval,
     grid_values,
     indicator,
-    parse_class_descriptor,
 )
 from semproc.intervals import IntervalUnion
 from semproc.measures import parse_model
@@ -518,8 +517,7 @@ class TestHalfLineDistances:
     def test_same_pairs_at_every_pinned_alpha(self, case):
         desc, net_u, name, alphas, seed = _PINNED_MODULI[case]
         model = parse_model(name)
-        _, g_pool, d_h, d_g = fclt._member_pools(parse_class_descriptor(desc), net_u, seed,
-                                                 model)
+        _, g_pool, d_h, d_g = fclt._member_pools(read_h_class(desc), net_u, seed, model)
         old = _d_g_by_pair_means(g_pool, model)
         for alpha in alphas:
             got, want = fclt._pairs_within(d_h, d_g, alpha), fclt._pairs_within(d_h, old, alpha)

@@ -292,15 +292,30 @@ class TestGClass:
 
 class TestDescriptorAndExport:
     def test_parse_class_descriptor(self):
-        from semproc.function_classes import parse_class_descriptor
+        # the descriptors are outside input, read in semproc.cli against the
+        # H_CLASSES key tables; each message names the descriptor key's path
+        from semproc.cli import ConfigError, read_h_class
 
-        cls = parse_class_descriptor({"class": "holder", "T": 2.0, "C": 0.5, "beta": 0.5})
+        cls = read_h_class({"class": "holder", "T": 2.0, "C": 0.5, "beta": 0.5})
         assert isinstance(cls, HolderClass) and cls.beta == 0.5
-        assert parse_class_descriptor({"class": "indicators"}) == BVectorClass(0, "odd")
-        for kind in ("bvector", "halflines"):  # not h classes of the modulus
-            with pytest.raises(ValueError):
-                parse_class_descriptor({"class": kind})
-        with pytest.raises(ValueError):
-            parse_class_descriptor({"class": "holder", "gamma": 1})
-        with pytest.raises(ValueError):
-            parse_class_descriptor({"class": "mystery"})
+        assert read_h_class({"class": "holder"}) == HolderClass(1.0, 1.0, 1.0)
+        assert read_h_class({"class": "indicators"}) == BVectorClass(0, "odd")
+        for desc, message in [
+            # not h classes of the modulus
+            ({"class": "bvector"}, "config key fclt.h_class.class must be one of holder, "
+                                   "indicators, got 'bvector'"),
+            ({"class": "halflines"}, "config key fclt.h_class.class must be one of holder, "
+                                     "indicators, got 'halflines'"),
+            ({"class": "mystery"}, "config key fclt.h_class.class must be one of holder, "
+                                   "indicators, got 'mystery'"),
+            ({"T": 1.0}, "config has no key fclt.h_class.class"),
+            ({"class": "holder", "gamma": 1}, "config has unknown key fclt.h_class.gamma"),
+            # each kind takes only its own keys
+            ({"class": "indicators", "beta": 0.5}, "config has unknown key fclt.h_class.beta"),
+            ({"class": "holder", "beta": 0.0}, "config key fclt.h_class.beta must be in (0, 1], "
+                                               "got 0.0"),
+            ({"class": "holder", "T": 10**400}, "config key fclt.h_class.T must be float, got 1"),
+        ]:
+            with pytest.raises(ConfigError) as exc:
+                read_h_class(desc)
+            assert str(exc.value).startswith(message), (desc, str(exc.value))

@@ -15,8 +15,14 @@ import numpy as np
 import pytest
 
 from semproc import fclt
-from semproc.cli import _holder_product_qs, _kiefer_cells, _load_q_file
-from semproc.fclt import kiefer_cell, make_sx_q, process_deviations, replicate_Z_values
+from semproc.cli import _holder_product_qs, _load_q_file
+from semproc.fclt import (
+    kiefer_cell,
+    kiefer_cells,
+    make_sx_q,
+    process_deviations,
+    replicate_Z_values,
+)
 from semproc.function_classes import (
     INDICATORS,
     BoundedPolynomial,
@@ -47,7 +53,7 @@ def _q_sets(model, tmp_path) -> dict:
     path.write_text(json.dumps(_Q_FILE))
     return {
         "kiefer-3": [kiefer_cell(0.5, 0.5), kiefer_cell(1.0, 0.5), kiefer_cell(0.5, 0.25)],
-        "kiefer-grid": _kiefer_cells(3),
+        "kiefer-grid": kiefer_cells(3),
         "holder-product": _holder_product_qs(model),
         "s*x": [make_sx_q()],
         "custom-file": _load_q_file(str(path)),

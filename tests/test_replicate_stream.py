@@ -89,7 +89,7 @@ _SWEEP_CHILD = textwrap.dedent("""
     import json
     import sys
     from semproc import fclt
-    from semproc.cli import _holder_product_qs, _kiefer_cells
+    from semproc.cli import _holder_product_qs
     from semproc.measures import parse_model
     from test_replicate_stream import one_shot_replicate_Z_values
 
@@ -97,7 +97,7 @@ _SWEEP_CHILD = textwrap.dedent("""
     for name in %(models)r:
         model = parse_model(name)
         q_sets = {"holder-product": _holder_product_qs(model),
-                  "s*x": [fclt.make_sx_q()], "kiefer-grid": _kiefer_cells(3)}
+                  "s*x": [fclt.make_sx_q()], "kiefer-grid": fclt.kiefer_cells(3)}
         for label, q_list in q_sets.items():
             for n in %(ns)r:
                 for R in %(rows)r:
