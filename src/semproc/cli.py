@@ -133,11 +133,28 @@ def read_keys(raw, table: dict, where: str, path: str = "") -> dict:
 
 def read_tagged(raw, tag: str, kinds: dict, where: str, path: str = ""):
     """A JSON object whose tag key picks its kind from kinds, {tag value: (key
-    table, build)}: build reads the object as read_keys reads it by that table."""
+    table, build)}: build reads the object as read_keys reads it by that table,
+    and a ValueError it raises becomes a ConfigError naming the path."""
     obj = _typed(raw, dict, f"{where} key {path}" if path else where, "an object")
     head = {tag: obj[tag]} if tag in obj else {}
     keys, build = kinds[read_keys(head, {tag: (str, one_of(*kinds))}, where, path)[tag]]
-    return build(read_keys(obj, {tag: (str,), **keys}, where, path))
+    fields = read_keys(obj, {tag: (str,), **keys}, where, path)
+    try:
+        return build(fields)
+    except ValueError as exc:  # a member's own range check
+        raise ConfigError(f"{where} key {path}: {exc}" if path else f"{where}: {exc}") from None
+
+
+def _read_json(read, source, where: str):
+    """read(source), json.load or json.loads of outside input; an integer of
+    more digits than Python converts (a ValueError that is no
+    JSONDecodeError) is a ConfigError naming where it came from."""
+    try:
+        return read(source)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_config(experiment: str, raw: dict) -> dict:
@@ -216,7 +233,7 @@ def _load_q_file(path: str) -> list:
     """The (h, g) pairs of a q file: a JSON list of {"h": ..., "g": ...},
     each part an object tagged by its "type" and read against Q_PARTS."""
     with open(path) as fh:
-        entries = json.load(fh)
+        entries = _read_json(json.load, fh, f"q file {path}")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("q file must hold a nonempty JSON list")
     pairs = []
@@ -614,7 +631,7 @@ def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        data = json.load(fh)
+        data = _read_json(json.load, fh, f"--config {path}")
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return data
@@ -633,7 +650,7 @@ def _parse_override(text: str):
     if not _:
         raise ConfigError(f"override {text!r} must look like key=value")
     try:
-        return key, json.loads(value)
+        return key, _read_json(json.loads, value, f"--set {key}")
     except json.JSONDecodeError:
         return key, value
 

@@ -17,10 +17,28 @@ The exact supremum statistic over B(2j+1) x half-lines works in two layers:
     a_i, the supremum over B(2j+1) of sum_{i/n in B} a_i is a best-choice
     problem over unions of at most j grid runs plus an optional anchored
     prefix (the initial interval <0, t_0]), solved by a dynamic program
-    that sweeps the n rows once and updates all 2n+1 signed columns of a
-    block of replicates of one n at each row: O(n^2 j) time per replicate
-    and O(block n j) memory, the block sized so that each state array stays
-    below 128 KiB.
+    that sweeps the n rows once and updates a list of signed columns of a
+    block of replicates of one n at each row, O(n j) per column.  From
+    n = 100 on, a branch and bound picks which columns to sweep.  The plus
+    and the minus columns go in blocks of 8.  Each block is bounded by one
+    column: a plus block's last cut at its least nu, a minus block's first
+    cut at its greatest nu.  Its a_i are at least those of every column of
+    the block, and every DP step (-, + and max) rounds monotonically, so
+    its float value is at least theirs.  A first sweep runs the bound
+    columns and 4 exact pilot columns per sign, those of largest one-sided
+    |k - n nu|; the best pilot is a real column's value.  A second sweep
+    runs exactly the columns of the blocks whose bound is strictly above
+    that best: every other column is at most the best, so the max is the
+    full sweep's bit for bit.  Bounds, pilots and columns are values of one
+    float sweep, so a bound equal to the best hides nothing above it and
+    the strict test needs no slack (the j = 0 bounds below do: they bound
+    exact quantities).  At n = 1000 the second sweep takes 3-14% of the
+    blocks (about 7% on average, 3% at n = 3000), so the two sweeps update
+    about a fifth of the 2n + 1 columns.  Below n = 100 every block is kept
+    and the one sweep is the full O(n^2 j) one.  The replicate block keeps
+    the first sweep's state arrays and the block's (replicates, 2n + 1)
+    column arrays below 128 KiB, and a longer second sweep goes in chunks
+    within that.
 
 For j = 0 (the anchored-prefix-only family B(1)) a two-level branch and bound
 over (block of sorted columns x block of steps) cells bounds every cell from
@@ -93,71 +111,199 @@ def _signed_cuts(n: int) -> np.ndarray:
     return np.concatenate([np.arange(1, n + 1), np.arange(n + 1)])
 
 
-def _max_runs_dp(ranks: np.ndarray, nus: np.ndarray, cls: BVectorClass) -> np.ndarray:
-    """n times the statistic of each of R samples of one size n: ranks is
-    (R, n) and nus (R, 2n + 1), from _canonical_columns.  For each sample,
-    the max over the signed columns and over the index sets cls cuts out of
-    the grid of the selected-entry sum of a_i = +-([ranks[i] <= k] - nu).
+# Cells of the largest run-DP state array, closed: 128,000 bytes, below
+# glibc's default 128 KiB mmap threshold, as with
+# function_classes._GAP_BLOCK_CELLS.
+_RUNS_BLOCK_CELLS = 16_000
+# Signed columns per block in the j >= 1 branch and bound (6-8 measured
+# alike at n = 1000; at 12 and 16 the second sweep takes 2-3 times the
+# blocks).
+_RUNS_WIDTH = 8
+# Exact pilot columns per sign and sample in the first sweep (1-16 measured
+# within 10% of each other at n = 1000).
+_RUNS_PILOTS = 4
+# The smallest n whose column blocks are bounded.  Below it every block is
+# kept: the first sweep's per-row numpy calls cost more than its pruning
+# saves (break-even at n = 80-100 with 6 replicates, lower with more).
+_RUNS_BOUND_N = 100
+
+
+def _runs_sweep(ranks: np.ndarray, reps: np.ndarray, cuts: np.ndarray, nus: np.ndarray,
+                n_plus: int, cls: BVectorClass) -> np.ndarray:
+    """n times the statistic at each of some signed columns of R samples of
+    one size n.  ranks is (R, n), from _canonical_columns; cuts and nus are
+    (G, C) and reps, the sample of each column, broadcasts against them:
+    (G, 1) when each row of columns is one sample's, (1, C) when the columns
+    are one list.  Column [g, c] takes the plus sign for c < n_plus and the
+    minus sign after, and its value is the max over the index sets cls cuts
+    out of the grid of the selected-entry sum of
+    a_i = +-([rank of point i in sample reps <= cut] - nu).
 
     The family is <= j free runs, plus, when cls is anchored, an optional
     prefix {1..p} alongside the j runs.  Empty selection (value 0) is always
-    allowed, so the value is >= 0.  One sweep over the rows updates every
-    column of every sample at once, with one sign per column: the opposite
-    sign at the same cut's other column is never larger, as a_i falls with
-    nu in float too (0.0 - nu and 1.0 - nu, then a negation) and every step
-    is a sum or a max.  The prefix is a run that may only start at the first
-    row, so one set of run states holds the sets with and without it: float
-    + is monotone, so the max of two states plus a_i rounds to the max of
-    the two sums.  The state is (runs, R, 2n + 1), so the time is O(R n^2 j)
-    and the memory O(R n j).
+    allowed, so every value is >= 0.  One sweep over the rows updates a
+    chunk of columns at once, so that closed, of (n_intervals + 1, G, chunk)
+    cells, stays within _RUNS_BLOCK_CELLS.  The prefix is a run that may only
+    start at the first row, so one set of run states holds the sets with and
+    without it: float + is monotone, so the max of two states plus a_i
+    rounds to the max of the two sums.  The time is O(n G C j).  Every step
+    is a float -, + or max, each rounding monotonically, so a column whose
+    a_i are all at least another's has a value at least the other's:
+    _max_runs bounds blocks of columns by that.
     """
-    R, n = ranks.shape
-    ks = _signed_cuts(n)
+    n = ranks.shape[1]
     levels = cls.n_intervals
-    # closed[r + 1]: best so far with at most r + 1 runs, closed[0] the empty
-    # set's 0; opened[r]: best with the (r + 1)-th run ending at the current
-    # row.  When anchored, the prefix is the first run: opened[0] starts from
-    # 0.0 and, with closed[0] = -inf, can never start later.
-    closed = np.zeros((levels + 1, R, 2 * n + 1))
-    opened = np.full((levels, R, 2 * n + 1), -np.inf)
-    if cls.anchored:
-        closed[0] = -np.inf
-        opened[0] = 0.0
-    before, after = closed[:-1], closed[1:]
-    inside = np.empty((R, 2 * n + 1), dtype=bool)
-    a = np.empty((R, 2 * n + 1))
-    minus = a[:, n:]
-    for rank in np.ascontiguousarray(ranks.T)[:, :, None]:
-        np.less_equal(rank, ks, out=inside)
-        np.subtract(inside, nus, out=a)
-        np.negative(minus, out=minus)
-        # a run opened at this row follows what closed held one row earlier
-        np.maximum(opened, before, out=opened)
-        np.add(a, opened, out=opened)
-        np.maximum(after, opened, out=after)
-    return closed[-1].max(axis=1)
+    values = []
+    width = max(1, _RUNS_BLOCK_CELLS // ((levels + 1) * len(cuts)))
+    for lo in range(0, cuts.shape[1], width):
+        chunk = np.s_[:, lo:lo + width]
+        at = reps if reps.shape[1] == 1 else reps[chunk]    # samples by row or by column
+        ks, vs = cuts[chunk], nus[chunk]
+        # closed[r + 1]: best so far with at most r + 1 runs, closed[0] the
+        # empty set's 0; opened[r]: best with the (r + 1)-th run ending at
+        # the current row.  When anchored, the prefix is the first run:
+        # opened[0] starts from 0.0 and, with closed[0] = -inf, can never
+        # start later.
+        closed = np.zeros((levels + 1,) + ks.shape)
+        opened = np.full((levels,) + ks.shape, -np.inf)
+        if cls.anchored:
+            closed[0] = -np.inf
+            opened[0] = 0.0
+        before, after = closed[:-1], closed[1:]
+        # a_i of a block of rows at once, in half of _RUNS_BLOCK_CELLS (a
+        # quarter ran slower at n = 1000, all of it no faster)
+        rows = max(1, _RUNS_BLOCK_CELLS // (2 * ks.size))
+        inside = np.empty((rows,) + ks.shape, dtype=bool)
+        a = np.empty((rows,) + ks.shape)
+        for i in range(0, n, rows):
+            m = min(rows, n - i)
+            np.less_equal(ranks.T[i:i + m][:, at], ks, out=inside[:m])
+            np.subtract(inside[:m], vs, out=a[:m])
+            minus = a[:m, :, min(max(n_plus - lo, 0), ks.shape[1]):]
+            np.negative(minus, out=minus)
+            for a_i in a[:m]:
+                # a run opened at this row follows what closed held one row
+                # earlier
+                np.maximum(opened, before, out=opened)
+                np.add(a_i, opened, out=opened)
+                np.maximum(after, opened, out=after)
+        values.append(closed[-1])
+    return np.concatenate(values, axis=1)
 
 
-# Cells of the largest run-DP state array, closed, per block of replicates:
-# 128,000 bytes, below glibc's default 128 KiB mmap threshold, as with
-# function_classes._GAP_BLOCK_CELLS.
-_RUNS_BLOCK_CELLS = 16_000
+def _first_sweep_columns(n: int) -> int:
+    """Columns per sample of _max_runs' first sweep: one bound per block of
+    _RUNS_WIDTH plus or minus columns and _RUNS_PILOTS pilots per sign, or,
+    below _RUNS_BOUND_N, where the only sweep is the exact one over every
+    block, the 2n + 1 signed columns."""
+    if n < _RUNS_BOUND_N:
+        return 2 * n + 1
+    return -(-n // _RUNS_WIDTH) + -(-(n + 1) // _RUNS_WIDTH) + 2 * _RUNS_PILOTS
 
 
 def _runs_block(n: int, cls: BVectorClass) -> int:
-    """Replicates of size n swept at once: as many as keep _max_runs_dp's
-    closed, of (n_intervals + 1, block, 2n + 1) cells, within
-    _RUNS_BLOCK_CELLS, and at least 1."""
-    return max(1, _RUNS_BLOCK_CELLS // ((cls.n_intervals + 1) * (2 * n + 1)))
+    """Replicates of size n swept at once: as many as keep both the first
+    sweep's closed, of (n_intervals + 1, block, _first_sweep_columns(n))
+    cells, and a (block, 2n + 1) array of the signed columns' nu values
+    within _RUNS_BLOCK_CELLS, and at least 1."""
+    return max(1, min(_RUNS_BLOCK_CELLS // ((cls.n_intervals + 1) * _first_sweep_columns(n)),
+                      _RUNS_BLOCK_CELLS // (2 * n + 1)))
+
+
+def _block_starts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first signed column (_signed_cuts) of each block of _RUNS_WIDTH
+    plus columns, then of each block of minus columns."""
+    return np.arange(0, n, _RUNS_WIDTH), np.arange(n, 2 * n + 1, _RUNS_WIDTH)
+
+
+def _bound_columns(nus: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cut, (blocks,), and the nu values, (R, blocks), of each block's
+    bound column, plus blocks first: a plus block's last cut at its least
+    nu, a minus block's first cut at its greatest nu."""
+    ks = _signed_cuts(n)
+    plus, minus = _block_starts(n)
+    return (np.concatenate([ks[np.append(plus[1:], n) - 1], ks[minus]]),
+            np.concatenate([np.minimum.reduceat(nus[:, :n], plus, axis=1),
+                            np.maximum.reduceat(nus, minus, axis=1)], axis=1))
+
+
+def _pilot_columns(nus: np.ndarray, n: int) -> np.ndarray:
+    """The signed columns (_signed_cuts) of each sample, (R, 2 _RUNS_PILOTS):
+    the _RUNS_PILOTS plus columns of largest k - n nu, then the minus ones of
+    largest n nu - k."""
+    score, p = n * nus - _signed_cuts(n), _RUNS_PILOTS
+    return np.concatenate([np.argsort(score[:, :n], axis=1, kind="stable")[:, :p],
+                           n + np.argsort(-score[:, n:], axis=1, kind="stable")[:, :p]], axis=1)
+
+
+def _first_sweep(ranks: np.ndarray, nus: np.ndarray, cls: BVectorClass) -> tuple:
+    """The bound of each (sample, block) cell, (R, blocks), and each
+    sample's best pilot, (R,), from one _runs_sweep over, per sample, the
+    plus pilots, the bound columns (_bound_columns) and the minus pilots
+    (_pilot_columns)."""
+    R, n = ranks.shape
+    ks, p = _signed_cuts(n), _RUNS_PILOTS
+    pilots = _pilot_columns(nus, n)
+    block_cuts, block_nus = _bound_columns(nus, n)
+    cuts = np.concatenate([ks[pilots[:, :p]], np.broadcast_to(block_cuts, (R, len(block_cuts))),
+                           ks[pilots[:, p:]]], axis=1)
+    vals = np.concatenate([np.take_along_axis(nus, pilots[:, :p], axis=1), block_nus,
+                           np.take_along_axis(nus, pilots[:, p:], axis=1)], axis=1)
+    first = _runs_sweep(ranks, np.arange(R)[:, None], cuts, vals,
+                        p + len(_block_starts(n)[0]), cls)
+    return first[:, p:-p], np.maximum(first[:, :p], first[:, -p:]).max(axis=1)
+
+
+def _max_runs(ranks: np.ndarray, nus: np.ndarray, cls: BVectorClass) -> tuple:
+    """n times the statistic of each of R samples of one size n, with the
+    number of (sample, block) cells swept exactly and the number of cells.
+    ranks is (R, n) and nus (R, 2n + 1), from _canonical_columns; the
+    statistic is the max of _runs_sweep over the 2n + 1 signed columns
+    (_signed_cuts).
+
+    The plus columns k = 1..n and the minus columns k = 0..n go in blocks of
+    _RUNS_WIDTH (_block_starts).  Along a block nu rises with k, and
+    a_i = [rank <= k] - nu of a plus column is at most that of the column at
+    the block's last cut and its least nu: float - is monotone in both
+    operands.  For the minus sign a_i = nu - [rank <= k] is at most that at
+    the block's first cut and its greatest nu (_bound_columns).  _runs_sweep
+    rounds monotonically, so the value of such a bound column is at least
+    the computed value of every column of its block.  The first sweep runs
+    the bound columns and a few exact pilot columns, whose max is best
+    (_first_sweep).  The second sweep runs, as one list, the columns of the
+    blocks whose bound is strictly above best.  Every other column's value
+    is at most best, a real column's, so the max is the full sweep's bit for
+    bit.  Bounds, pilots and columns are values of the same float sweep, not
+    an exact quantity and its rounding, so a bound equal to best hides
+    nothing above it and the test needs no slack.  Below _RUNS_BOUND_N there
+    is no first sweep: every block is kept and best is the empty set's 0."""
+    R, n = ranks.shape
+    starts = np.concatenate(_block_starts(n))
+    if n >= _RUNS_BOUND_N:
+        bound, best = _first_sweep(ranks, nus, cls)
+    else:
+        bound, best = np.full((R, len(starts)), np.inf), np.zeros(R)
+    keep = bound > best[:, None]
+    kept = keep[:, np.repeat(np.arange(len(starts)), np.diff(np.append(starts, 2 * n + 1)))]
+    col, rep = np.nonzero(kept.T)                   # the kept columns as one list, plus first
+    if len(col):
+        second = _runs_sweep(ranks, rep[None, :], _signed_cuts(n)[col][None, :],
+                             nus[rep, col][None, :], int(np.count_nonzero(col < n)), cls)
+        values = np.zeros(kept.shape)
+        values[rep, col] = second[0]
+        np.maximum(best, values.max(axis=1), out=best)
+    return best, int(keep.sum()), keep.size
 
 
 def _exact_stats_runs(samples: list, model: NuModel, cls: BVectorClass) -> np.ndarray:
-    """The exact statistic of each of some samples of one size n, in one
-    run-DP sweep."""
-    columns = [_canonical_columns(sample, model) for sample in samples]
-    ranks = np.stack([c[0] for c in columns])
-    nus = np.stack([c[1] for c in columns])
-    return _max_runs_dp(ranks, nus, cls) / samples[0].n
+    """The exact statistic of each of some samples of one size n, by the
+    run-DP branch and bound."""
+    n = samples[0].n
+    ranks = np.empty((len(samples), n), dtype=np.int64)
+    nus = np.empty((len(samples), 2 * n + 1))
+    for r, sample in enumerate(samples):
+        ranks[r], nus[r] = _canonical_columns(sample, model)
+    return _max_runs(ranks, nus, cls)[0] / n
 
 
 # Sorted columns per block in the j = 0 branch and bound (16-28 measured
@@ -554,8 +700,8 @@ def gc_experiment(cls: BVectorClass, model: NuModel, n_schedule: Sequence[int],
     Replicates are independent samples (gc_sample); results are assembled in
     replicate order, so they do not depend on how the replicates are
     scheduled.  The indicators take the exact statistic one replicate at a
-    time; any other class sweeps each block of _runs_block replicates
-    through one run DP."""
+    time; any other class takes each block of _runs_block replicates
+    through one run-DP branch and bound (_max_runs)."""
     rows, values = [], {}
     for n in n_schedule:
         vals = np.empty(replicates)

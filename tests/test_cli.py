@@ -319,9 +319,9 @@ class TestMainEntry:
          "config error: q file entry 1 key h.t must be float, got [0.5]\n"),
         # an indicator is a nonempty B(1) set (0, t]: t = 2.5 leaves [0, 1], t = 0 is empty
         ({"h": {"type": "indicator", "t": 2.5}, "g": {"type": "half-line", "w": 0.5}},
-         "error: indicator end point t=2.5 is outside (0, 1]"),
+         "config error: q file entry 1 key h: indicator end point t=2.5 is outside (0, 1]"),
         ({"h": {"type": "indicator", "t": 0}, "g": {"type": "half-line", "w": 0.5}},
-         "error: indicator end point t=0.0 is outside (0, 1]"),
+         "config error: q file entry 1 key h: indicator end point t=0.0 is outside (0, 1]"),
         # a key its type does not read, misspelt or not, is no longer ignored
         ({"h": {"type": "indicator", "t": 0.5}, "g": {"type": "half-line", "w": 0.5}, "q": 1},
          "config error: q file entry 1 has unknown key q\n"),

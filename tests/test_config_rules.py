@@ -23,7 +23,7 @@ import textwrap
 
 import pytest
 
-from semproc.cli import EXPERIMENTS, H_CLASSES, Q_PARTS, main
+from semproc.cli import EXPERIMENTS, H_CLASSES, Q_PARTS, _parse_override, main, parse_config
 
 from test_cli import _run_capped
 
@@ -254,3 +254,46 @@ def test_small_holder_beta_is_a_config_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: config key fclt.net_u must be large enough")
     assert "more than 1e308 members (cap 500000)" in err
+
+
+# The fuzz above accepts exit 0, 1 or 2 for a value inside its rules, so it
+# cannot see a reader that rejects valid configs.  Each key's own default,
+# given back as --set key=<json>, must read without a ConfigError, and so
+# must each h_class kind with its fields at their defaults.
+@pytest.mark.parametrize("exp,key", [(exp, key) for exp, spec in EXPERIMENTS.items()
+                                     for key in spec.keys])
+def test_each_default_given_back_is_accepted(exp, key):
+    default = EXPERIMENTS[exp].keys[key][0]
+    name, value = _parse_override(f"{key}={json.dumps(default)}")
+    assert parse_config(exp, {name: value}) == parse_config(exp, {})
+
+
+@pytest.mark.parametrize("kind", sorted(H_CLASSES))
+def test_each_h_class_kind_at_its_defaults_is_accepted(kind):
+    desc = {"class": kind, **{f: d for f, (d, *_) in H_CLASSES[kind][0].items()}}
+    assert parse_config("fclt", {"h_class": desc})["h_class"] == desc
+
+
+# An integer of more digits than Python converts ends json's read with a bare
+# ValueError; each reader of outside input names where the number came from.
+_HUGE = "1" + "0" * 4400
+
+
+def test_huge_integer_in_set_names_the_flag_and_key(capsys):
+    assert main(["ulln", "--set", f"net_u={_HUGE}"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --set net_u: Exceeds the limit")
+
+
+def test_huge_integer_in_config_file_names_the_file(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"net_u": {_HUGE}}}')
+    assert main(["ulln", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: --config {path}: Exceeds the limit")
+
+
+def test_huge_integer_in_q_file_names_the_file(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(f'[{{"h": {{"type": "indicator", "t": {_HUGE}}}, '
+                    f'"g": {{"type": "half-line", "w": 0.5}}}}]')
+    assert main(["fclt", "--q-set", "custom-file", "--q-file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: q file {path}: Exceeds the limit")

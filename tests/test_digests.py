@@ -133,6 +133,12 @@ CASES = {
     "bounds-short-bulk-draw": (
         "bounds", {"members": 33, "seed": 4, "n_list": [10, 40], "witness_max_n": 5},
         "5f592a72c93545298ed30299bfaf941754fa2866bda6ddd6f2f654a86e2a08c1"),
+    # recorded when the run DP still swept every column, one replicate at a
+    # time at n = 3000; the branch and bound sweeps them two at a time
+    "ulln-runs-j3-odd-uniform-3000": (
+        "ulln", {"j": 3, "parity": "odd", "model": "uniform01", "n_schedule": [3000],
+                 "replicates": 4, "seed": 14},
+        "ff08a43247abb76deca329f8934a66b6aebb40763ae8bab197e069e9961b301a"),
     # the benchmark's ulln-prefix config at seed 1, recorded when set members
     # met the grid only through their integer floors: two of the net
     # sandwich's 11 indicators end on floats just below a grid point

@@ -6,7 +6,9 @@ chunk of 512 columns and per sign, a row loop over a materialised (n, 512)
 matrix.  It is kept here as the oracle.  The sweep applies the same float
 operations to every column in the same order, and a max is exact, so it must
 return the same bits: across the old chunk edge (n = 256 gives 513 columns),
-on ties, and on samples whose F saturates at 0 or 1.
+on ties, on samples whose F saturates at 0 or 1, and, from n =
+ulln._RUNS_BOUND_N on, through the column-block branch and bound, which
+sweeps exactly only the blocks whose bound column can beat the pilots.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from semproc.measures import NuModel, Sample, draw_sample, parse_model
 from semproc.seeds import derive_seed
 from semproc.ulln import sup_deviation_bruteforce, sup_deviation_exact_BW
 from semproc import ulln
-from semproc.ulln import gc_experiment
+from semproc.ulln import gc_experiment, gc_sample
 
 MODELS = ("uniform01", "standard-normal", "exponential(1)")
 SIZES = (1, 2, 17, 255, 256, 1000)
@@ -169,11 +171,10 @@ def _one_at_a_time(j, parity, name, n, replicates, seed):
 @pytest.mark.parametrize("j,parity", CLASSES)
 @pytest.mark.parametrize("name", MODELS)
 def test_batched_replicates_bit_equal_to_one_at_a_time(j, parity, name):
-    # 17 replicates: at n = 300 blocks of 5 to 13 and a short last block
-    sizes, replicates = (1, 2, 7, 300), 17
+    # at n = 500 one full block of 15 and a short last block of 2
     cls = BVectorClass(j, parity)
-    assert 1 < ulln._runs_block(300, cls) < replicates
-    assert replicates % ulln._runs_block(300, cls)
+    sizes, replicates = (1, 2, 7, 500), ulln._runs_block(500, cls) + 2
+    assert 1 < ulln._runs_block(500, cls) < replicates
     _, values = gc_experiment(cls, parse_model(name), sizes, replicates, 5)
     for n in sizes:
         want = _one_at_a_time(j, parity, name, n, replicates, 5)
@@ -183,9 +184,9 @@ def test_batched_replicates_bit_equal_to_one_at_a_time(j, parity, name):
 @pytest.mark.parametrize("name", MODELS)
 def test_batched_replicates_one_per_block(name):
     cls = BVectorClass(3, "odd")
-    assert ulln._runs_block(800, cls) == 1
-    _, values = gc_experiment(cls, parse_model(name), (800,), 3, 6)
-    assert values[800].tobytes() == _one_at_a_time(3, "odd", name, 800, 3, 6).tobytes()
+    assert ulln._runs_block(4000, cls) == 1
+    _, values = gc_experiment(cls, parse_model(name), (4000,), 3, 6)
+    assert values[4000].tobytes() == _one_at_a_time(3, "odd", name, 4000, 3, 6).tobytes()
 
 
 class _RecordingNumpy:
@@ -206,18 +207,106 @@ class _RecordingNumpy:
         return recorded
 
 
+def _columns(name: str, n: int, replicates: int, seed: int = 21):
+    """ranks and nus of replicates gc samples of size n, stacked as
+    gc_experiment stacks a block."""
+    model = parse_model(name)
+    columns = [ulln._canonical_columns(gc_sample(model, n, seed, r), model)
+               for r in range(replicates)]
+    return np.stack([c[0] for c in columns]), np.stack([c[1] for c in columns])
+
+
 @pytest.mark.parametrize("j,parity", CLASSES)
 def test_block_rule_keeps_each_state_array_below_128_kib(j, parity, monkeypatch):
     cls = BVectorClass(j, parity)
     for n in (1, 2, 7, 100, 1000, 10**4, 10**6):
         assert ulln._runs_block(n, cls) >= 1
-    # the arrays one block's sweep makes, at sizes whose block holds 2 or more
-    for n in (7, 300, 1000 // j):
+    # the arrays one block's sweeps make, at sizes whose block holds 2 or
+    # more: n = 7 has the exact sweep only, the others both sweeps
+    for n in (7, 300, 1000 // j, 3000):
         block = ulln._runs_block(n, cls)
         assert block >= 2
+        ranks, nus = _columns("standard-normal", n, block)
+        sweeps = []
+        sweep = ulln._runs_sweep
+        monkeypatch.setattr(ulln, "_runs_sweep", lambda *args: sweeps.append(1) or sweep(*args))
         recording = _RecordingNumpy()
         monkeypatch.setattr(ulln, "np", recording)
-        ranks = np.tile(np.arange(1, n + 1), (block, 1))
-        ulln._max_runs_dp(ranks, np.full((block, 2 * n + 1), 0.5), cls)
+        ulln._max_runs(ranks, nus, cls)
         monkeypatch.undo()
+        assert len(sweeps) == (1 if n < ulln._RUNS_BOUND_N else 2)
         assert max(recording.nbytes) <= 128 * 1024
+
+
+# Small cell budgets split both sweeps into column chunks, some across the
+# plus/minus edge, and the sweep into short row blocks: the same bits.
+
+@pytest.mark.parametrize("j,parity", [(1, "odd"), (2, "even"), (3, "odd")])
+@pytest.mark.parametrize("cells", (97, 700))
+def test_column_chunks_bit_equal_to_chunked_kernel(j, parity, cells, monkeypatch):
+    cls, model = BVectorClass(j, parity), parse_model("standard-normal")
+    for n in (60, 300):
+        samples = [gc_sample(model, n, 41, r) for r in range(3)]
+        want = np.array([chunked_runs_stat(s, model, j, parity) for s in samples])
+        monkeypatch.setattr(ulln, "_RUNS_BLOCK_CELLS", cells)
+        got = ulln._exact_stats_runs(samples, model, cls)
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes()
+
+
+# The branch and bound at scale, n = 3000 (test_bit_equal_to_chunked_kernel
+# covers n = 1000); the oracle in chunks of 2n + 1 columns, for speed.
+
+@pytest.mark.parametrize("j,parity", CLASSES)
+def test_branch_and_bound_bit_equal_to_chunked_kernel_at_3000(j, parity):
+    for name in MODELS:
+        model = parse_model(name)
+        sample = gc_sample(model, 3000, 31, 0)
+        assert sup_deviation_exact_BW(j, parity, sample) == chunked_runs_stat(
+            sample, model, j, parity, col_chunk=6001)
+
+
+# The share of (replicate, block) cells swept exactly on the benchmark's two
+# run-DP configs at n = 1000, 6 replicates (0.03-0.14 over seeds 1-60).
+_RUNS_CONFIGS = [(1, "odd", "standard-normal"), (2, "even", "exponential(1)")]
+
+
+@pytest.mark.parametrize("j,parity,name", _RUNS_CONFIGS)
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_blocks_swept_exactly_at_most_15_percent(j, parity, name, seed):
+    _, swept, blocks = ulln._max_runs(*_columns(name, 1000, 6, seed), BVectorClass(j, parity))
+    assert blocks == 6 * (125 + 126)
+    assert 0 < swept <= 0.15 * blocks
+
+
+# Planted faults in the block bound.  Each makes a bound column fall below
+# some column of its block, so the second sweep skips a block that holds the
+# max, and the statistic drops below the chunked kernel's on some sample.
+
+_bound_columns = ulln._bound_columns
+
+
+def _plus_bound_at_greatest_nu(nus, n):
+    cuts, vals = _bound_columns(nus, n)
+    plus, _ = ulln._block_starts(n)
+    vals[:, :len(plus)] = np.maximum.reduceat(nus[:, :n], plus, axis=1)
+    return cuts, vals
+
+
+def _minus_bound_at_last_cut(nus, n):
+    cuts, vals = _bound_columns(nus, n)
+    plus, minus = ulln._block_starts(n)
+    cuts[len(plus):] = ulln._signed_cuts(n)[np.append(minus[1:], 2 * n + 1) - 1]
+    return cuts, vals
+
+
+@pytest.mark.parametrize("fault", [_plus_bound_at_greatest_nu, _minus_bound_at_last_cut])
+@pytest.mark.parametrize("j,parity,name", _RUNS_CONFIGS)
+def test_planted_bound_faults_miss_the_max(fault, j, parity, name, monkeypatch):
+    cls, model = BVectorClass(j, parity), parse_model(name)
+    samples = [gc_sample(model, 300, 21, r) for r in range(12)]
+    want = np.array([chunked_runs_stat(s, model, j, parity) for s in samples])
+    assert ulln._exact_stats_runs(samples, model, cls).tobytes() == want.tobytes()
+    monkeypatch.setattr(ulln, "_bound_columns", fault)
+    got = ulln._exact_stats_runs(samples, model, cls)
+    assert (got <= want).all() and (got < want).any()
