@@ -94,6 +94,11 @@ class NetTooLargeError(ValueError):
 # the most members a Holder net, and an indicator or half-line net, may have
 _HOLDER_NET_CAP = 500_000
 _LINE_NET_CAP = 10**6
+# Values per float temporary of a blocked computation here and in ulln:
+# 128,000 bytes, below glibc's default 128 KiB mmap threshold, so freeing a
+# block never raises that threshold (which would lift the peak RSS of
+# whatever runs later).
+_BLOCK_CELLS = 16_000
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +303,7 @@ def lambda_sq_matrix(members: Sequence) -> np.ndarray:
     at_mid = np.stack([p(mid) for p in pls])
     k = len(pls)
     sq = np.empty((k, k))
-    rows = max(1, 2**20 // (k * len(knots)))  # about 8 MB per temporary
+    rows = max(1, _BLOCK_CELLS // (k * len(knots)))
     for lo in range(0, k, rows):
         d = at_knots[lo:lo + rows, None, :] - at_knots[None, :, :]
         dm = at_mid[lo:lo + rows, None, :] - at_mid[None, :, :]
@@ -573,11 +578,8 @@ def half_line_net(mesh: float, model: NuModel, size: Optional[int] = None) -> li
 # ---------------------------------------------------------------------------
 
 # A block of cusp Holder rows holds at most _GAP_BLOCK_ROWS rows and
-# _GAP_BLOCK_CELLS values: 128,000 bytes per float temporary, below glibc's
-# default 128 KiB mmap threshold, so freeing a block never raises that
-# threshold (which would lift the peak RSS of whatever runs later).
+# _BLOCK_CELLS values.
 _GAP_BLOCK_ROWS = 16
-_GAP_BLOCK_CELLS = 16_000
 
 
 def observed_riemann_gap_rows(members: Sequence, n_list: Sequence[int]) -> list[list[float]]:
@@ -625,7 +627,7 @@ def observed_riemann_gap_rows(members: Sequence, n_list: Sequence[int]) -> list[
         for i, lam in other_rows:
             gaps[i] = float(abs(members[i].lambda_n(n) - lam))
         grid = grid_points(n)
-        step = max(1, min(_GAP_BLOCK_ROWS, _GAP_BLOCK_CELLS // n))
+        step = max(1, min(_GAP_BLOCK_ROWS, _BLOCK_CELLS // n))
         for beta, rows, with_cusp, coeffs, centers, a, lam in groups:
             means = np.empty(len(rows))
             for lo in range(0, len(rows), step):

@@ -221,5 +221,6 @@ def draw_sample(model: Union[NuModel, str], n: int, seed: int) -> Sample:
 
 def grid_points(n: int) -> np.ndarray:
     """The float times 1/n, ..., n/n; h members meet them only through
-    function_classes.grid_values."""
+    function_classes.grid_values and the float lambda_n of HolderMember and
+    PiecewiseLinear."""
     return np.arange(1, n + 1, dtype=float) / n

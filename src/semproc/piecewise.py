@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import grid_points
+
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
@@ -35,7 +37,7 @@ class PiecewiseLinear:
         return float(np.sum(0.5 * (v[1:] + v[:-1]) * (k[1:] - k[:-1])))
 
     def lambda_n(self, n: int) -> float:
-        return float(np.mean(self(np.arange(1, n + 1, dtype=float) / n)))
+        return float(np.mean(self(grid_points(n))))
 
 
 def merged_knots(p: PiecewiseLinear, q: PiecewiseLinear) -> np.ndarray:

@@ -17,15 +17,18 @@ The exact supremum statistic over B(2j+1) x half-lines works in two layers:
     a_i, the supremum over B(2j+1) of sum_{i/n in B} a_i is a best-choice
     problem over unions of at most j grid runs plus an optional anchored
     prefix (the initial interval <0, t_0]), solved by a dynamic program
-    that sweeps the n rows once and updates a list of signed columns of a
-    block of replicates of one n at each row, O(n j) per column.  From
-    n = 100 on, a branch and bound picks which columns to sweep.  The plus
-    and the minus columns go in blocks of 8.  Each block is bounded by one
-    column: a plus block's last cut at its least nu, a minus block's first
-    cut at its greatest nu.  Its a_i are at least those of every column of
-    the block, and every DP step (-, + and max) rounds monotonically, so
-    its float value is at least theirs.  A first sweep runs the bound
-    columns and 4 exact pilot columns per sign, those of largest one-sided
+    that sweeps the n rows once and updates a list of columns of a block
+    of replicates of one n at each row, O(n j) per column; each column
+    carries its own sign.  n rows hold at most ceil(n / 2) runs, so j is
+    clamped to floor(n / 2) beside the prefix (odd parity) or ceil(n / 2)
+    (even parity) first, with the same bits (_runs_class).  At every n a
+    branch and bound picks which columns to sweep.  The plus and the minus
+    columns go in blocks of 8.  Each block is bounded by one column: a plus
+    block's last cut at its least nu, a minus block's first cut at its
+    greatest nu.  Its a_i are at least those of every column of the block,
+    and every DP step (-, + and max) rounds monotonically, so its float
+    value is at least theirs.  A first sweep runs the bound columns and up
+    to 4 exact pilot columns per sign, those of largest one-sided
     |k - n nu|; the best pilot is a real column's value.  A second sweep
     runs exactly the columns of the blocks whose bound is strictly above
     that best: every other column is at most the best, so the max is the
@@ -34,11 +37,10 @@ The exact supremum statistic over B(2j+1) x half-lines works in two layers:
     the strict test needs no slack (the j = 0 bounds below do: they bound
     exact quantities).  At n = 1000 the second sweep takes 3-14% of the
     blocks (about 7% on average, 3% at n = 3000), so the two sweeps update
-    about a fifth of the 2n + 1 columns.  Below n = 100 every block is kept
-    and the one sweep is the full O(n^2 j) one.  The replicate block keeps
-    the first sweep's state arrays and the block's (replicates, 2n + 1)
-    column arrays below 128 KiB, and a longer second sweep goes in chunks
-    within that.
+    about a fifth of the 2n + 1 columns.  The replicate block keeps the
+    first sweep's state arrays and the block's (replicates, 2n + 1) column
+    arrays below 128 KiB, and a longer second sweep goes in chunks within
+    that.
 
 For j = 0 (the anchored-prefix-only family B(1)) a two-level branch and bound
 over (block of sorted columns x block of steps) cells bounds every cell from
@@ -62,8 +64,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fclt import process_deviations
-from .function_classes import (INDICATORS, BVectorClass, HalfLine, grid_values, half_line_net,
-                               indicator_net)
+from .function_classes import (_BLOCK_CELLS, INDICATORS, BVectorClass, HalfLine, grid_values,
+                               half_line_net, indicator_net)
 from .measures import NuModel, Sample, draw_sample
 from .quadrature import integrate
 from .seeds import derive_seed
@@ -86,35 +88,41 @@ __all__ = [
 # Exact supremum over B x W
 # ---------------------------------------------------------------------------
 
-def _canonical_columns(sample: Sample, model: NuModel):
+def _canonical_columns(sample: Sample):
     """Ranks plus the nu values of the signed canonical columns.
 
     ranks[i] is the rank of the i-th point among the sorted values.  Cut k
     (the k smallest points) has the inclusive column (k, F(X_(k))) for
-    k >= 1 and the right-limit column (k, F(X_(k+1))), with 1 at k = n.  A
-    selected sum of [rank <= k] - nu only falls as nu grows, so the plus sign
-    peaks at a cut's inclusive column and the minus sign at its right limit:
-    nus holds F(X_(1)), ..., F(X_(n)) for the plus columns k = 1..n, then
-    F(X_(1)), ..., F(X_(n)), 1 for the minus columns k = 0..n
-    (_signed_cuts)."""
+    k >= 1 and the right-limit column (k, F(X_(k+1))), with 1 at k = n, F
+    the sample's model.  A selected sum of [rank <= k] - nu only falls as nu
+    grows, so the plus sign peaks at a cut's inclusive column and the minus
+    sign at its right limit: nus holds F(X_(1)), ..., F(X_(n)) for the plus
+    columns k = 1..n, then F(X_(1)), ..., F(X_(n)), 1 for the minus columns
+    k = 0..n (_signed_cuts)."""
     n = sample.n
     xs = sample.xs()
     order = np.argsort(xs, kind="stable")
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
-    f_sorted = np.asarray(model.cdf(xs[order]), dtype=float)  # F(X_(k)), k=1..n
+    f_sorted = np.asarray(sample.model.cdf(xs[order]), dtype=float)  # F(X_(k)), k=1..n
     return ranks, np.concatenate([f_sorted, f_sorted, [1.0]])
 
 
 def _signed_cuts(n: int) -> np.ndarray:
-    """The cut index of each signed column: 1..n (plus), then 0..n (minus)."""
+    """The cut index of each signed column: 1..n (plus), then 0..n (minus);
+    column c takes the minus sign iff c >= n."""
     return np.concatenate([np.arange(1, n + 1), np.arange(n + 1)])
 
 
-# Cells of the largest run-DP state array, closed: 128,000 bytes, below
-# glibc's default 128 KiB mmap threshold, as with
-# function_classes._GAP_BLOCK_CELLS.
-_RUNS_BLOCK_CELLS = 16_000
+def _runs_class(cls: BVectorClass, n: int) -> BVectorClass:
+    """cls with j at most what n grid points can use.  They hold at most
+    ceil(n / 2) runs, so past floor(n / 2) free runs beside the anchored
+    prefix (odd parity) or ceil(n / 2) (even parity) a run more adds no index
+    set, and the run DP's value, a max over the same float sums, keeps its
+    bits."""
+    return BVectorClass(min(cls.j, (n + (not cls.anchored)) // 2), cls.parity)
+
+
 # Signed columns per block in the j >= 1 branch and bound (6-8 measured
 # alike at n = 1000; at 12 and 16 the second sweep takes 2-3 times the
 # blocks).
@@ -122,28 +130,24 @@ _RUNS_WIDTH = 8
 # Exact pilot columns per sign and sample in the first sweep (1-16 measured
 # within 10% of each other at n = 1000).
 _RUNS_PILOTS = 4
-# The smallest n whose column blocks are bounded.  Below it every block is
-# kept: the first sweep's per-row numpy calls cost more than its pruning
-# saves (break-even at n = 80-100 with 6 replicates, lower with more).
-_RUNS_BOUND_N = 100
 
 
 def _runs_sweep(ranks: np.ndarray, reps: np.ndarray, cuts: np.ndarray, nus: np.ndarray,
-                n_plus: int, cls: BVectorClass) -> np.ndarray:
+                minus: np.ndarray, cls: BVectorClass) -> np.ndarray:
     """n times the statistic at each of some signed columns of R samples of
     one size n.  ranks is (R, n), from _canonical_columns; cuts and nus are
-    (G, C) and reps, the sample of each column, broadcasts against them:
-    (G, 1) when each row of columns is one sample's, (1, C) when the columns
-    are one list.  Column [g, c] takes the plus sign for c < n_plus and the
-    minus sign after, and its value is the max over the index sets cls cuts
-    out of the grid of the selected-entry sum of
+    (G, C), and reps, the sample of each column, and minus, whether it takes
+    the minus sign, broadcast against them: reps is (G, 1) when each row of
+    columns is one sample's, (1, C) when the columns are one list, and minus
+    has C columns.  Column [g, c] has the value max over the index sets cls
+    cuts out of the grid of the selected-entry sum of
     a_i = +-([rank of point i in sample reps <= cut] - nu).
 
     The family is <= j free runs, plus, when cls is anchored, an optional
     prefix {1..p} alongside the j runs.  Empty selection (value 0) is always
     allowed, so every value is >= 0.  One sweep over the rows updates a
     chunk of columns at once, so that closed, of (n_intervals + 1, G, chunk)
-    cells, stays within _RUNS_BLOCK_CELLS.  The prefix is a run that may only
+    cells, stays within _BLOCK_CELLS.  The prefix is a run that may only
     start at the first row, so one set of run states holds the sets with and
     without it: float + is monotone, so the max of two states plus a_i
     rounds to the max of the two sums.  The time is O(n G C j).  Every step
@@ -154,11 +158,11 @@ def _runs_sweep(ranks: np.ndarray, reps: np.ndarray, cuts: np.ndarray, nus: np.n
     n = ranks.shape[1]
     levels = cls.n_intervals
     values = []
-    width = max(1, _RUNS_BLOCK_CELLS // ((levels + 1) * len(cuts)))
+    width = max(1, _BLOCK_CELLS // ((levels + 1) * len(cuts)))
     for lo in range(0, cuts.shape[1], width):
         chunk = np.s_[:, lo:lo + width]
         at = reps if reps.shape[1] == 1 else reps[chunk]    # samples by row or by column
-        ks, vs = cuts[chunk], nus[chunk]
+        ks, vs, signs = cuts[chunk], nus[chunk], minus[chunk]
         # closed[r + 1]: best so far with at most r + 1 runs, closed[0] the
         # empty set's 0; opened[r]: best with the (r + 1)-th run ending at
         # the current row.  When anchored, the prefix is the first run:
@@ -170,17 +174,16 @@ def _runs_sweep(ranks: np.ndarray, reps: np.ndarray, cuts: np.ndarray, nus: np.n
             closed[0] = -np.inf
             opened[0] = 0.0
         before, after = closed[:-1], closed[1:]
-        # a_i of a block of rows at once, in half of _RUNS_BLOCK_CELLS (a
-        # quarter ran slower at n = 1000, all of it no faster)
-        rows = max(1, _RUNS_BLOCK_CELLS // (2 * ks.size))
+        # a_i of a block of rows at once, in half of _BLOCK_CELLS (a quarter
+        # ran slower at n = 1000, all of it no faster)
+        rows = max(1, _BLOCK_CELLS // (2 * ks.size))
         inside = np.empty((rows,) + ks.shape, dtype=bool)
         a = np.empty((rows,) + ks.shape)
         for i in range(0, n, rows):
             m = min(rows, n - i)
             np.less_equal(ranks.T[i:i + m][:, at], ks, out=inside[:m])
             np.subtract(inside[:m], vs, out=a[:m])
-            minus = a[:m, :, min(max(n_plus - lo, 0), ks.shape[1]):]
-            np.negative(minus, out=minus)
+            np.negative(a[:m], out=a[:m], where=signs)
             for a_i in a[:m]:
                 # a run opened at this row follows what closed held one row
                 # earlier
@@ -191,23 +194,15 @@ def _runs_sweep(ranks: np.ndarray, reps: np.ndarray, cuts: np.ndarray, nus: np.n
     return np.concatenate(values, axis=1)
 
 
-def _first_sweep_columns(n: int) -> int:
-    """Columns per sample of _max_runs' first sweep: one bound per block of
-    _RUNS_WIDTH plus or minus columns and _RUNS_PILOTS pilots per sign, or,
-    below _RUNS_BOUND_N, where the only sweep is the exact one over every
-    block, the 2n + 1 signed columns."""
-    if n < _RUNS_BOUND_N:
-        return 2 * n + 1
-    return -(-n // _RUNS_WIDTH) + -(-(n + 1) // _RUNS_WIDTH) + 2 * _RUNS_PILOTS
-
-
 def _runs_block(n: int, cls: BVectorClass) -> int:
     """Replicates of size n swept at once: as many as keep both the first
-    sweep's closed, of (n_intervals + 1, block, _first_sweep_columns(n))
-    cells, and a (block, 2n + 1) array of the signed columns' nu values
-    within _RUNS_BLOCK_CELLS, and at least 1."""
-    return max(1, min(_RUNS_BLOCK_CELLS // ((cls.n_intervals + 1) * _first_sweep_columns(n)),
-                      _RUNS_BLOCK_CELLS // (2 * n + 1)))
+    sweep's closed, of (n_intervals + 1, block, columns) cells with one
+    bound column per block of _RUNS_WIDTH plus or minus columns and
+    _RUNS_PILOTS pilots per sign, and a (block, 2n + 1) array of the signed
+    columns' nu values within _BLOCK_CELLS, and at least 1."""
+    columns = -(-n // _RUNS_WIDTH) + -(-(n + 1) // _RUNS_WIDTH) + 2 * _RUNS_PILOTS
+    return max(1, min(_BLOCK_CELLS // ((cls.n_intervals + 1) * columns),
+                      _BLOCK_CELLS // (2 * n + 1)))
 
 
 def _block_starts(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,9 +223,9 @@ def _bound_columns(nus: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pilot_columns(nus: np.ndarray, n: int) -> np.ndarray:
-    """The signed columns (_signed_cuts) of each sample, (R, 2 _RUNS_PILOTS):
-    the _RUNS_PILOTS plus columns of largest k - n nu, then the minus ones of
-    largest n nu - k."""
+    """The signed columns (_signed_cuts) of each sample: the
+    min(_RUNS_PILOTS, n) plus columns of largest k - n nu, then the
+    min(_RUNS_PILOTS, n + 1) minus ones of largest n nu - k."""
     score, p = n * nus - _signed_cuts(n), _RUNS_PILOTS
     return np.concatenate([np.argsort(score[:, :n], axis=1, kind="stable")[:, :p],
                            n + np.argsort(-score[:, n:], axis=1, kind="stable")[:, :p]], axis=1)
@@ -239,19 +234,18 @@ def _pilot_columns(nus: np.ndarray, n: int) -> np.ndarray:
 def _first_sweep(ranks: np.ndarray, nus: np.ndarray, cls: BVectorClass) -> tuple:
     """The bound of each (sample, block) cell, (R, blocks), and each
     sample's best pilot, (R,), from one _runs_sweep over, per sample, the
-    plus pilots, the bound columns (_bound_columns) and the minus pilots
-    (_pilot_columns)."""
+    bound columns (_bound_columns), then the pilots (_pilot_columns)."""
     R, n = ranks.shape
-    ks, p = _signed_cuts(n), _RUNS_PILOTS
     pilots = _pilot_columns(nus, n)
     block_cuts, block_nus = _bound_columns(nus, n)
-    cuts = np.concatenate([ks[pilots[:, :p]], np.broadcast_to(block_cuts, (R, len(block_cuts))),
-                           ks[pilots[:, p:]]], axis=1)
-    vals = np.concatenate([np.take_along_axis(nus, pilots[:, :p], axis=1), block_nus,
-                           np.take_along_axis(nus, pilots[:, p:], axis=1)], axis=1)
-    first = _runs_sweep(ranks, np.arange(R)[:, None], cuts, vals,
-                        p + len(_block_starts(n)[0]), cls)
-    return first[:, p:-p], np.maximum(first[:, :p], first[:, -p:]).max(axis=1)
+    blocks = len(block_cuts)
+    starts = np.concatenate(_block_starts(n))
+    first = _runs_sweep(
+        ranks, np.arange(R)[:, None],
+        np.concatenate([np.broadcast_to(block_cuts, (R, blocks)), _signed_cuts(n)[pilots]], axis=1),
+        np.concatenate([block_nus, np.take_along_axis(nus, pilots, axis=1)], axis=1),
+        np.concatenate([np.broadcast_to(starts >= n, (R, blocks)), pilots >= n], axis=1), cls)
+    return first[:, :blocks], first[:, blocks:].max(axis=1)
 
 
 def _max_runs(ranks: np.ndarray, nus: np.ndarray, cls: BVectorClass) -> tuple:
@@ -275,34 +269,28 @@ def _max_runs(ranks: np.ndarray, nus: np.ndarray, cls: BVectorClass) -> tuple:
     is at most best, a real column's, so the max is the full sweep's bit for
     bit.  Bounds, pilots and columns are values of the same float sweep, not
     an exact quantity and its rounding, so a bound equal to best hides
-    nothing above it and the test needs no slack.  Below _RUNS_BOUND_N there
-    is no first sweep: every block is kept and best is the empty set's 0."""
-    R, n = ranks.shape
+    nothing above it and the test needs no slack."""
+    n = ranks.shape[1]
     starts = np.concatenate(_block_starts(n))
-    if n >= _RUNS_BOUND_N:
-        bound, best = _first_sweep(ranks, nus, cls)
-    else:
-        bound, best = np.full((R, len(starts)), np.inf), np.zeros(R)
+    bound, best = _first_sweep(ranks, nus, cls)
     keep = bound > best[:, None]
     kept = keep[:, np.repeat(np.arange(len(starts)), np.diff(np.append(starts, 2 * n + 1)))]
-    col, rep = np.nonzero(kept.T)                   # the kept columns as one list, plus first
+    rep, col = np.nonzero(kept)                     # the kept columns as one list
     if len(col):
         second = _runs_sweep(ranks, rep[None, :], _signed_cuts(n)[col][None, :],
-                             nus[rep, col][None, :], int(np.count_nonzero(col < n)), cls)
-        values = np.zeros(kept.shape)
-        values[rep, col] = second[0]
-        np.maximum(best, values.max(axis=1), out=best)
+                             nus[rep, col][None, :], (col >= n)[None, :], cls)
+        np.maximum.at(best, rep, second[0])
     return best, int(keep.sum()), keep.size
 
 
-def _exact_stats_runs(samples: list, model: NuModel, cls: BVectorClass) -> np.ndarray:
+def _exact_stats_runs(samples: list, cls: BVectorClass) -> np.ndarray:
     """The exact statistic of each of some samples of one size n, by the
-    run-DP branch and bound."""
+    run-DP branch and bound over cls (clamped by _runs_class)."""
     n = samples[0].n
     ranks = np.empty((len(samples), n), dtype=np.int64)
     nus = np.empty((len(samples), 2 * n + 1))
     for r, sample in enumerate(samples):
-        ranks[r], nus[r] = _canonical_columns(sample, model)
+        ranks[r], nus[r] = _canonical_columns(sample)
     return _max_runs(ranks, nus, cls)[0] / n
 
 
@@ -389,7 +377,7 @@ def _prefix_branch_and_bound(f_arrival: np.ndarray, block: int = _PREFIX_BLOCK,
     Pass 1 bounds every (column block, step block) cell from C_base and
     C_end at the ends of the step blocks alone (_prefix_cell_bounds), a
     group of column blocks at a time so that each array stays within
-    _RUNS_BLOCK_CELLS.  The plain cell bound
+    _BLOCK_CELLS.  The plain cell bound
     max(P1 F_hi - C_base(P0 - 1), C_end(P1) - P0 F_lo) is at least every
     float per-step bound of its cell, float rounding being monotone in p F
     and in the counts; the tighter one is, like the per-step bound, at least
@@ -401,7 +389,7 @@ def _prefix_branch_and_bound(f_arrival: np.ndarray, block: int = _PREFIX_BLOCK,
     and evaluates exactly the steps of those cells whose per-step bound may
     too.  The work is O(n log n + n^2 / (block step_block)) for pass 1 and
     O(n) per batch besides the steps evaluated; the memory is
-    O(n + _RUNS_BLOCK_CELLS)."""
+    O(n + _BLOCK_CELLS)."""
     n = len(f_arrival)
     if step_block is None:
         step_block = max(_PREFIX_STEPS, math.isqrt(n) // 4)
@@ -417,8 +405,8 @@ def _prefix_branch_and_bound(f_arrival: np.ndarray, block: int = _PREFIX_BLOCK,
     steps = np.arange(1.0, n + 1.0)
     p_first = steps[::step_block]
     p_last = steps[np.minimum(np.arange(1, n_step_blocks + 1) * step_block, n) - 1]
-    # rows of _prefix_counts that fit in _RUNS_BLOCK_CELLS
-    rows = max(2, _RUNS_BLOCK_CELLS // (n_step_blocks + 1))
+    # rows of _prefix_counts that fit in _BLOCK_CELLS
+    rows = max(2, _BLOCK_CELLS // (n_step_blocks + 1))
 
     bounds = np.empty(n_blocks)
     counts = np.zeros((1, n_step_blocks + 1))
@@ -441,8 +429,8 @@ def _prefix_branch_and_bound(f_arrival: np.ndarray, block: int = _PREFIX_BLOCK,
     f_cols = f_cols.reshape(n_blocks, block).T.copy()
     width = min(step_block, n)
     # cells whose steps go at once, so that (block, steps) stays within
-    # _RUNS_BLOCK_CELLS
-    per_chunk = max(1, _RUNS_BLOCK_CELLS // (block * width))
+    # _BLOCK_CELLS
+    per_chunk = max(1, _BLOCK_CELLS // (block * width))
     visit = np.argsort(-bounds, kind="stable")
     visited, batch = 0, 1
     while visited < n_blocks and _prefix_may_beat(bounds[visit[visited]], best, n):
@@ -502,7 +490,7 @@ def sup_deviation_exact_BW(
         f_arrival = np.atleast_1d(np.asarray(sample.model.cdf(sample.xs()), dtype=float))
         best, _, _ = _prefix_branch_and_bound(f_arrival)
         return max(best, 0.0) / sample.n
-    return float(_exact_stats_runs([sample], sample.model, cls)[0])
+    return float(_exact_stats_runs([sample], _runs_class(cls, sample.n))[0])
 
 
 def sup_deviation_bruteforce(
@@ -517,7 +505,7 @@ def sup_deviation_bruteforce(
     n = sample.n
     if n > 16:
         raise ValueError("brute force limited to n <= 16")
-    ranks, nus = _canonical_columns(sample, sample.model)
+    ranks, nus = _canonical_columns(sample)
     A = (ranks[:, None] <= _signed_cuts(n)[None, :]).astype(float) - nus[None, :]
     bits = (cls.cut_masks(n)[:, None] >> np.arange(n)[None, :]) & 1
     sums = bits.astype(float) @ A
@@ -709,11 +697,12 @@ def gc_experiment(cls: BVectorClass, model: NuModel, n_schedule: Sequence[int],
             for r in range(replicates):
                 vals[r] = sup_deviation_exact_BW(0, "odd", gc_sample(model, n, seed, r))
         else:
-            block = _runs_block(n, cls)
+            runs = _runs_class(cls, n)
+            block = _runs_block(n, runs)
             for lo in range(0, replicates, block):
                 rs = range(lo, min(lo + block, replicates))
                 vals[lo:rs.stop] = _exact_stats_runs([gc_sample(model, n, seed, r) for r in rs],
-                                                     model, cls)
+                                                     runs)
         values[n] = vals
         if centering == "lambda":
             vals = vals + cls.sup_lambda_gap(n)  # sup_W nu(W) <= 1 for half-lines

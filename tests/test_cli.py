@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -561,6 +562,15 @@ class TestRunawayValues:
         assert out.returncode == 2, out.stderr
         assert out.stderr.startswith("config error: config key fclt.net_u must be")
         assert len(out.stderr) < 300
+
+    @pytest.mark.parametrize("j", ["1000000000000", "100000000000000000000"])
+    def test_huge_j_runs_in_under_a_second(self, j):
+        # unclamped, the run DP's (j + 2, 1, 1) state array would take
+        # 7.28 TiB at j = 1e12; 5 grid points hold at most 3 runs
+        start = time.perf_counter()
+        assert main(["ulln", "--set", f"j={j}", "--set", "n_schedule=[5]",
+                     "--set", "replicates=1"]) == 0
+        assert time.perf_counter() - start < 1.0
 
     def test_fine_indicator_net_u_runs_without_a_traceback(self):
         # 1e6 indicators at net_u = 1e-3: the pool thins the net before its

@@ -1,6 +1,6 @@
 """Every name a semproc module lists in __all__ resolves in that module and
-is read by the package or the benchmark, and every name a module imports is
-used there.  Quadrature serves only the bounds series oracle, and no module
+is read by the package or the benchmark, so is every module-level private
+name, and every name a module imports is used there.  Quadrature serves only the bounds series oracle, and no module
 reaches LAPACK through np.linalg."""
 
 import ast
@@ -104,6 +104,37 @@ def test_unread_export_is_caught():
     assert not _reads(ast.parse("LAYERS = ['f.meth']"), "f")
 
 
+def _private_names(tree: ast.Module) -> list:
+    """The module-level private functions, classes and constants tree
+    defines (one leading underscore; dunders such as __all__ excepted)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_name_is_read():
+    src, bench = _trees("src/semproc"), _trees("perfbench")
+    unread = [f"{path.stem}.{name}"
+              for path, tree in zip(sorted((ROOT / "src/semproc").rglob("*.py")), src)
+              for name in _private_names(tree)
+              if not (any(_reads(t, name) for t in src)
+                      or any(_reads(t, name, strings=True) for t in bench))]
+    assert unread == []
+
+
+def test_unread_private_name_is_caught():
+    tree = ast.parse("_LIMIT = 3\n_USED = 4\ndef _helper():\n    return _helper()\n"
+                     "class _Box:\n    pass\n__all__ = []\nprint(_USED)\n")
+    assert _private_names(tree) == ["_LIMIT", "_USED", "_helper", "_Box"]
+    assert [n for n in _private_names(tree) if not _reads(tree, n)] == ["_LIMIT", "_helper",
+                                                                        "_Box"]
+
+
 def _quadrature_importers_and_linalg(source: str) -> tuple:
     """(whether source imports semproc.quadrature, the lines that name
     numpy.linalg), read from its syntax tree."""
@@ -144,12 +175,13 @@ def test_quadrature_and_linalg_guard_catches():
 
 
 def test_one_grid_rule_for_set_members():
-    # an h member meets the float grid only in function_classes.grid_values,
-    # and a set member has no float evaluator, so it is read at i/n through
-    # its integer floors alone
+    # an h member meets the float grid only in function_classes.grid_values
+    # and the float lambda_n of HolderMember and PiecewiseLinear, and a set
+    # member has no float evaluator, so it is read at i/n through its
+    # integer floors alone
     readers = [p.stem for p in sorted((ROOT / "src/semproc").glob("*.py"))
                if _reads(ast.parse(p.read_text()), "grid_points")]
-    assert readers == ["function_classes"]
+    assert readers == ["function_classes", "piecewise"]
     from semproc.intervals import IntervalUnion
     assert not {"__call__", "indicator"} & set(vars(IntervalUnion))
 

@@ -6,9 +6,9 @@ chunk of 512 columns and per sign, a row loop over a materialised (n, 512)
 matrix.  It is kept here as the oracle.  The sweep applies the same float
 operations to every column in the same order, and a max is exact, so it must
 return the same bits: across the old chunk edge (n = 256 gives 513 columns),
-on ties, on samples whose F saturates at 0 or 1, and, from n =
-ulln._RUNS_BOUND_N on, through the column-block branch and bound, which
-sweeps exactly only the blocks whose bound column can beat the pilots.
+on ties, on samples whose F saturates at 0 or 1, and, at every n, through
+the column-block branch and bound, which sweeps exactly only the blocks
+whose bound column can beat the pilots.
 """
 
 import numpy as np
@@ -157,6 +157,22 @@ def test_matches_bruteforce_with_forced_ties(grid, cls):
     assert abs(got - sup_deviation_bruteforce(j, parity, sample)) <= 1e-12
 
 
+# Past floor(n / 2) runs beside the prefix (odd) or ceil(n / 2) (even) j is
+# clamped: at j = n + 2 the value keeps the bits of the unclamped chunked
+# kernel and matches the brute force, and so does a j whose unclamped state
+# arrays would not fit in memory.
+
+@pytest.mark.parametrize("parity", ("odd", "even"))
+@pytest.mark.parametrize("n", range(1, 17))
+def test_j_past_the_runs_n_points_hold(n, parity):
+    for name in MODELS:
+        sample = _draw(name, n, "large-j", 0)
+        got = sup_deviation_exact_BW(n + 2, parity, sample)
+        assert got == chunked_runs_stat(sample, parse_model(name), n + 2, parity)
+        assert abs(got - sup_deviation_bruteforce(n + 2, parity, sample)) <= 1e-12
+        assert sup_deviation_exact_BW(10**12, parity, sample) == got
+
+
 # gc_experiment sweeps a block of replicates of one n at once; each
 # replicate's statistic must have the bits sup_deviation_exact_BW gives its
 # sample alone.
@@ -211,8 +227,7 @@ def _columns(name: str, n: int, replicates: int, seed: int = 21):
     """ranks and nus of replicates gc samples of size n, stacked as
     gc_experiment stacks a block."""
     model = parse_model(name)
-    columns = [ulln._canonical_columns(gc_sample(model, n, seed, r), model)
-               for r in range(replicates)]
+    columns = [ulln._canonical_columns(gc_sample(model, n, seed, r)) for r in range(replicates)]
     return np.stack([c[0] for c in columns]), np.stack([c[1] for c in columns])
 
 
@@ -222,7 +237,7 @@ def test_block_rule_keeps_each_state_array_below_128_kib(j, parity, monkeypatch)
     for n in (1, 2, 7, 100, 1000, 10**4, 10**6):
         assert ulln._runs_block(n, cls) >= 1
     # the arrays one block's sweeps make, at sizes whose block holds 2 or
-    # more: n = 7 has the exact sweep only, the others both sweeps
+    # more: the bound sweep, then the second sweep when a block survives
     for n in (7, 300, 1000 // j, 3000):
         block = ulln._runs_block(n, cls)
         assert block >= 2
@@ -232,9 +247,9 @@ def test_block_rule_keeps_each_state_array_below_128_kib(j, parity, monkeypatch)
         monkeypatch.setattr(ulln, "_runs_sweep", lambda *args: sweeps.append(1) or sweep(*args))
         recording = _RecordingNumpy()
         monkeypatch.setattr(ulln, "np", recording)
-        ulln._max_runs(ranks, nus, cls)
+        _, swept, _ = ulln._max_runs(ranks, nus, cls)
         monkeypatch.undo()
-        assert len(sweeps) == (1 if n < ulln._RUNS_BOUND_N else 2)
+        assert len(sweeps) == 1 + (swept > 0)
         assert max(recording.nbytes) <= 128 * 1024
 
 
@@ -248,8 +263,8 @@ def test_column_chunks_bit_equal_to_chunked_kernel(j, parity, cells, monkeypatch
     for n in (60, 300):
         samples = [gc_sample(model, n, 41, r) for r in range(3)]
         want = np.array([chunked_runs_stat(s, model, j, parity) for s in samples])
-        monkeypatch.setattr(ulln, "_RUNS_BLOCK_CELLS", cells)
-        got = ulln._exact_stats_runs(samples, model, cls)
+        monkeypatch.setattr(ulln, "_BLOCK_CELLS", cells)
+        got = ulln._exact_stats_runs(samples, cls)
         monkeypatch.undo()
         assert got.tobytes() == want.tobytes()
 
@@ -279,6 +294,57 @@ def test_blocks_swept_exactly_at_most_15_percent(j, parity, name, seed):
     assert 0 < swept <= 0.15 * blocks
 
 
+# Small n goes through the same branch and bound: at n = 60 some cells are
+# pruned.
+
+@pytest.mark.parametrize("j,parity,name", _RUNS_CONFIGS)
+def test_blocks_pruned_at_small_n(j, parity, name):
+    _, swept, blocks = ulln._max_runs(*_columns(name, 60, 6), BVectorClass(j, parity))
+    assert blocks == 6 * (8 + 8)
+    assert swept < blocks
+
+
+# Each column carries its sign through both sweeps.  Samples near the top of
+# the uniform make the minus column at cut 0, the first minus column, the
+# max; a wrong sign there in one sweep alone is hidden by the other (the
+# pilot or the block that holds it), so each sweep is checked on its own
+# against every column's value from the oracle's DP.
+
+def _high(n: int, r: int) -> Sample:
+    """A uniform01 draw moved into [0.9, 1): F(X_(1)) is at least 0.9."""
+    xs = 0.9 + 0.1 * _draw("uniform01", n, "high", r).xs()
+    return Sample(n=n, values=xs, seed=0, model="uniform01")
+
+
+@pytest.mark.parametrize("j,parity", [(1, "odd"), (2, "even"), (3, "odd")])
+@pytest.mark.parametrize("n", (7, 60))
+def test_each_column_carries_its_sign(j, parity, n, monkeypatch):
+    cls = BVectorClass(j, parity)
+    samples = [_high(n, r) for r in range(3)] + [_draw("standard-normal", n, "plain", r)
+                                                  for r in range(3)]
+    columns = [ulln._canonical_columns(s) for s in samples]
+    ranks, nus = np.stack([c[0] for c in columns]), np.stack([c[1] for c in columns])
+    cuts, minus = ulln._signed_cuts(n), np.arange(2 * n + 1) >= n
+    want = np.empty(nus.shape)
+    for r in range(len(samples)):
+        A = (ranks[r][:, None] <= cuts[None, :]).astype(float) - nus[r][None, :]
+        A[:, minus] = -A[:, minus]
+        want[r] = _max_runs_dp(A, j, cls.anchored)
+    assert (want[:3].argmax(axis=1) == n).all()     # the minus column at cut 0
+    # the first sweep: every bound at least its block's columns, every
+    # pilot its column's value
+    bound, best = ulln._first_sweep(ranks, nus, cls)
+    ends = np.append(np.concatenate(ulln._block_starts(n)), 2 * n + 1)
+    for b, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+        assert (bound[:, b] >= want[:, lo:hi].max(axis=1)).all()
+    pilots = ulln._pilot_columns(nus, n)
+    assert best.tobytes() == np.take_along_axis(want, pilots, axis=1).max(axis=1).tobytes()
+    # the second sweep alone, every block kept and no pilot
+    monkeypatch.setattr(ulln, "_first_sweep", lambda ranks, nus, cls: (
+        np.full(bound.shape, np.inf), np.zeros(len(samples))))
+    assert ulln._max_runs(ranks, nus, cls)[0].tobytes() == want.max(axis=1).tobytes()
+
+
 # Planted faults in the block bound.  Each makes a bound column fall below
 # some column of its block, so the second sweep skips a block that holds the
 # max, and the statistic drops below the chunked kernel's on some sample.
@@ -306,7 +372,7 @@ def test_planted_bound_faults_miss_the_max(fault, j, parity, name, monkeypatch):
     cls, model = BVectorClass(j, parity), parse_model(name)
     samples = [gc_sample(model, 300, 21, r) for r in range(12)]
     want = np.array([chunked_runs_stat(s, model, j, parity) for s in samples])
-    assert ulln._exact_stats_runs(samples, model, cls).tobytes() == want.tobytes()
+    assert ulln._exact_stats_runs(samples, cls).tobytes() == want.tobytes()
     monkeypatch.setattr(ulln, "_bound_columns", fault)
-    got = ulln._exact_stats_runs(samples, model, cls)
+    got = ulln._exact_stats_runs(samples, cls)
     assert (got <= want).all() and (got < want).any()
