@@ -5,14 +5,21 @@ members g on the sample space.  A product class F = H * G = {h(s) g(x)} has
 G the half-lines, so it is named by its h class alone.
 
 Every h class exposes seeded random member generation, one member or a list
-(random_members, one generator draw for all members of a set class), and its
-closed-form Riemann gap bound.  A set class BVectorClass also owns its
-grid-cut rule: cut_masks(k) lists the subsets of k ordered points it cuts
-out (at most j runs, one more through the anchored interval), which the
-shatter counts and the brute-force ULLN oracle read.  The Holder balls build
-u-nets with a provable sup-norm coverage guarantee, which is how an infinite
-class becomes computable; indicator_net and half_line_net space the
-indicators and the half-lines at a mesh the caller picks.
+(random_members), and its closed-form Riemann gap bound.  The members of a
+list are drawn as arrays first, and random_members builds its objects from
+them: a set class's sorted breakpoints, one row per member, from one
+generator draw (BVectorClass.random_breakpoints); a Holder class's cusp
+arrays (a, coeffs, centers, cusps), the per-member generator calls in turn
+and the arithmetic on the whole arrays (HolderClass.random_cusps).  The
+bounds experiment reads Riemann gaps straight from those arrays
+(set_riemann_gap_rows, cusp_riemann_gap_rows) and builds no member.  A set
+class BVectorClass also owns its grid-cut rule: cut_masks(k) lists the
+subsets of k ordered points it cuts out (at most j runs, one more through
+the anchored interval), which the shatter counts and the brute-force ULLN
+oracle read.  The Holder balls build u-nets with a provable sup-norm
+coverage guarantee, which is how an infinite class becomes computable;
+indicator_net and half_line_net space the indicators and the half-lines at a
+mesh the caller picks.
 
 Holder nets are built on a uniform grid: candidate value sequences are
 enumerated on a step/2 value lattice, each sequence is replaced by its largest
@@ -32,10 +39,11 @@ lambdas are exact Fractions for set members.  grid_values is the one place
 an h member meets the grid i/n: a set member gives the 0/1 values of its
 integer floors (IntervalUnion.on_grid), the same rule as its lambda_n, and
 any other member is evaluated at measures.grid_points.  A set member's
-Riemann gap is read in integers, through IntervalUnion.riemann_gap; the gaps
-of cusp Holder members are computed per class, all members of one beta
-together in row blocks of grid values (observed_riemann_gap_rows), with the
-bits of the one-member float expression.  The pair integral lambda(h1 h2)
+Riemann gap is read in integers, through IntervalUnion.riemann_gap (or, for
+breakpoint arrays, set_riemann_gap_rows, with the same bits); the gaps of
+cusp Holder members are computed all members of one beta together, in row
+blocks of grid values (cusp_riemann_gap_rows), with the bits of the
+one-member float expression.  The pair integral lambda(h1 h2)
 is a closed form for every pair of piecewise-linear and set members
 (lambda_prod); no report builds a cusp member as an FCLT h, and lambda_prod
 rejects one.  lambda_sq_matrix gives lambda((h1-h2)^2) over the two families
@@ -72,6 +80,8 @@ __all__ = [
     "BoundedPolynomial",
     "observed_riemann_gap",
     "observed_riemann_gap_rows",
+    "set_riemann_gap_rows",
+    "cusp_riemann_gap_rows",
     "lambda_prod",
     "lambda_sq_matrix",
 ]
@@ -131,14 +141,21 @@ class HolderMember:
 
     def lambda_exact(self) -> float:
         """Exact integral over [0, 1]."""
-        b = self.beta
-        total = self.a
-        for c, x0 in zip(self.coeffs, self.centers):
-            total += c * (x0 ** (b + 1) + (1 - x0) ** (b + 1)) / (b + 1)
-        return total
+        return _cusp_lambda(self.beta, self.a, self.coeffs, self.centers)
 
     def lambda_n(self, n: int) -> float:
         return float(np.mean(self(grid_points(n))))
+
+
+def _cusp_lambda(beta: float, a: float, coeffs: Sequence[float],
+                 centers: Sequence[float]) -> float:
+    """The integral over [0, 1] of a + sum_k c_k |x - x_k|^beta, in scalar
+    floats (Python's **, the C library's pow; NumPy's SIMD power may differ
+    from it in the last bit)."""
+    total = a
+    for c, x0 in zip(coeffs, centers):
+        total += c * (x0 ** (beta + 1) + (1 - x0) ** (beta + 1)) / (beta + 1)
+    return total
 
 
 # random Holder members are sums of 1 to _MAX_CUSPS cusps |x - c|^beta
@@ -157,24 +174,47 @@ class HolderClass:
         if not (0 < self.T < math.inf and 0 < self.C < math.inf and 0 < self.beta <= 1):
             raise ValueError("need T and C finite and > 0, beta in (0, 1]")
 
+    def random_cusps(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
+        """count random cusp members as arrays (a, coeffs, centers, cusps):
+        member i is a[i] + sum_{k < cusps[i]} coeffs[i, k] |x - centers[i, k]|^beta,
+        its coefficients and centers zero past its cusps[i] columns.
+
+        A member's generator calls come in turn: its cusp count k
+        (integers), k centers (random), k normals (standard_normal), then
+        the coefficient scale and the anchor value (random, twice), since
+        each draw's length is drawn just before it.  The arithmetic then
+        runs on the whole arrays with each member's float operations: the
+        normals over their absolute sum (k ones over k if that sum is 0),
+        times C times the scale, and a = h(0) - sum_k c_k x_k^beta for h(0)
+        uniform in [-T, T)."""
+        cusps = np.empty(count, dtype=np.int64)
+        centers = np.zeros((count, _MAX_CUSPS))
+        raw = np.zeros((count, _MAX_CUSPS))
+        scale_h0 = np.empty((count, 2))
+        for i in range(count):
+            k = cusps[i] = rng.integers(1, _MAX_CUSPS + 1)
+            centers[i, :k] = rng.random(k)
+            raw[i, :k] = rng.standard_normal(k)
+            scale_h0[i] = rng.random(2)  # the two scalar rng.random() draws
+        denom = np.sum(np.abs(raw), axis=1)  # the zero padding adds nothing
+        zero = denom == 0.0
+        if zero.any():
+            raw[zero] = np.arange(_MAX_CUSPS) < cusps[zero, None]
+            denom[zero] = cusps[zero]
+        coeffs = raw / denom[:, None] * self.C * scale_h0[:, :1]
+        h0 = (2.0 * scale_h0[:, 1] - 1.0) * self.T
+        return h0 - np.sum(coeffs * centers**self.beta, axis=1), coeffs, centers, cusps
+
     def random_members(self, rng: np.random.Generator, count: int) -> list[HolderMember]:
-        """count random_member draws in turn: a member's normal draw has a
-        length drawn just before it, so the draws cannot share one call."""
-        return [self.random_member(rng) for _ in range(count)]
+        """count HolderMembers built from one random_cusps draw."""
+        a, coeffs, centers, cusps = self.random_cusps(rng, count)
+        return [HolderMember(self.T, self.C, self.beta, a=a_i, coeffs=tuple(c[:k]),
+                             centers=tuple(x[:k]))
+                for a_i, c, x, k in zip(a.tolist(), coeffs.tolist(), centers.tolist(),
+                                        cusps.tolist())]
 
     def random_member(self, rng: np.random.Generator) -> HolderMember:
-        k = int(rng.integers(1, _MAX_CUSPS + 1))
-        centers = rng.random(k)
-        raw = rng.standard_normal(k)
-        denom = np.sum(np.abs(raw))
-        if denom == 0.0:
-            raw = np.ones(k)
-            denom = float(k)
-        coeffs = raw / denom * self.C * rng.random()
-        t0 = (2.0 * rng.random() - 1.0) * self.T
-        a = t0 - float(np.sum(coeffs * centers**self.beta))
-        return HolderMember(self.T, self.C, self.beta, a=a,
-                            coeffs=tuple(coeffs), centers=tuple(centers))
+        return self.random_members(rng, 1)[0]
 
     def riemann_gap_bound(self, n: int) -> float:
         return self.C / n**self.beta
@@ -222,7 +262,7 @@ class HolderClass:
             ok = (np.abs(cand) <= env + 1e-12) \
                 & np.all(np.abs(cand[:, None] - prev) <= window, axis=1)
             seqs = np.column_stack([prev[ok], cand[ok]])
-        vals = np.min(seqs[:, None, :] + hol, axis=2)  # Holder minorant on the grid
+        vals = _grid_minorant(seqs, hol)
         vals += np.clip(vals[:, :1], -self.T, self.T) - vals[:, :1]
         _, first = np.unique(np.round(vals, 9), axis=0, return_index=True)
         return grid, vals[np.sort(first)]
@@ -240,6 +280,16 @@ class HolderClass:
     def build_net(self, u: float) -> list[PiecewiseLinear]:
         """Sup-norm u-net of exact class members (see module docstring)."""
         return self.net_sample(u)
+
+
+def _grid_minorant(seqs: np.ndarray, hol: np.ndarray) -> np.ndarray:
+    """The largest Holder minorant of each row of grid values,
+    min_j (seqs[:, j] + hol[i, j]) at knot i, as a running minimum over the
+    knots j: no (rows, knots, knots) temporary, and min is exact."""
+    vals = seqs[:, :1] + hol[:, 0]
+    for j in range(1, hol.shape[1]):
+        np.minimum(vals, seqs[:, j:j + 1] + hol[:, j], out=vals)
+    return vals
 
 
 def _set_pl_integral(u: IntervalUnion, p: PiecewiseLinear) -> float:
@@ -364,24 +414,29 @@ class BVectorClass:
         ends = [0] + t if self.anchored else t  # (0, t0] is the anchored interval
         return IntervalUnion.from_pairs(zip(ends[::2], ends[1::2]))
 
-    def random_members(self, rng: np.random.Generator, count: int) -> list[IntervalUnion]:
-        """count members with uniform sorted breakpoints, from one
-        rng.random((count, n_breakpoints)) draw: the stream of count
+    def random_breakpoints(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The sorted breakpoints of count random members, one row each, from
+        one rng.random((count, n_breakpoints)) draw: the stream of count
         rng.random(n_breakpoints) calls, row by row."""
-        t = np.sort(rng.random((count, self.n_breakpoints)), axis=1)
-        return [self.member(row) for row in t.tolist()]
+        return np.sort(rng.random((count, self.n_breakpoints)), axis=1)
+
+    def random_members(self, rng: np.random.Generator, count: int) -> list[IntervalUnion]:
+        """count members with uniform sorted breakpoints (random_breakpoints)."""
+        return [self.member(row) for row in self.random_breakpoints(rng, count).tolist()]
 
     def random_member(self, rng: np.random.Generator) -> IntervalUnion:
         return self.random_members(rng, 1)[0]
 
     def riemann_gap_bound(self, n: int) -> float:
-        return 2.0 * self.n_breakpoints / n
+        """2/n per breakpoint, and at most 1: both lambdas lie in [0, 1]."""
+        return min(1.0, 2.0 * self.n_breakpoints / n)
 
     def sup_lambda_gap(self, n: int) -> float:
         """Exact sup over the class of |lambda_n(B) - lambda(B)| (supremum
-        value; approached, not attained): 1/n per interval.  Tighter than the
+        value; approached, not attained): 1/n per interval, for at most n
+        intervals, since both lambdas lie in [0, 1].  Tighter than the
         display bound."""
-        return self.n_intervals / n
+        return min(self.n_intervals, n) / n
 
 
 # B(1), the indicators 1_(0, t]
@@ -582,19 +637,88 @@ def half_line_net(mesh: float, model: NuModel, size: Optional[int] = None) -> li
 _GAP_BLOCK_ROWS = 16
 
 
+# Generator.random draws k * 2**-53 for an integer k < 2**53
+_RANDOM_BITS = 53
+
+
+def set_riemann_gap_rows(breakpoints: np.ndarray, n_list: Sequence[int]) -> list[list[float]]:
+    """|lambda_n(B) - lambda(B)| for the set member B of each row of sorted
+    breakpoints (BVectorClass.random_breakpoints), anchored or not, each
+    rounded once: one row per n of n_list, the bits of IntervalUnion.riemann_gap.
+
+    The breakpoints must be multiples of 2**-53 in [0, 1], as Generator.random
+    draws are (ValueError otherwise), so X = t 2**53 is an integer and
+    floor(n t) = (n X - r) / 2**53 with r = n X mod 2**53.  r is exact in
+    uint64 for every n: n X wraps modulo 2**64, which 2**53 divides.  Over
+    the denominator 2**53, count(B) 2**53 - n M(B) is then the sum of r over
+    the left ends minus that over the right ends, and the anchor 0 adds
+    nothing; as the ends alternate, the gap is |sum of r over even columns -
+    sum over odd columns| / (n 2**53), one correctly rounded int division."""
+    scaled = breakpoints * float(2**_RANDOM_BITS)  # exact: a power of two
+    if not np.all((scaled >= 0) & (scaled <= 2**_RANDOM_BITS) & (scaled == np.floor(scaled))):
+        raise ValueError("breakpoints must be multiples of 2**-53 in [0, 1]")
+    if breakpoints.shape[1] > 2048:  # an int64 row sum holds 1024 residues below 2**53
+        raise ValueError("set_riemann_gap_rows takes at most 2048 breakpoints per member")
+    x = scaled.astype(np.uint64)
+    mask = np.uint64(2**_RANDOM_BITS - 1)
+    table = []
+    for n in n_list:
+        r = ((np.uint64(n % 2**64) * x) & mask).astype(np.int64)
+        num = np.sum(r[:, ::2], axis=1) - np.sum(r[:, 1::2], axis=1)
+        den = n * 2**_RANDOM_BITS
+        table.append([abs(v) / den for v in num.tolist()])
+    return table
+
+
+def cusp_riemann_gap_rows(beta: float, cusp_arrays: tuple[np.ndarray, ...],
+                          n_list: Sequence[int]) -> list[list[float]]:
+    """|lambda_n(h) - lambda(h)| for the cusp members h of one beta given as
+    arrays (a, coeffs, centers, cusps), laid out as HolderClass.random_cusps
+    returns them, each rounded once: one row per n of n_list, members in order.
+
+    Members are evaluated in row blocks: a block starts at each row's a and
+    adds c_k |x - x_k|^beta for k = 0, 1, ... to the rows that have a k-th
+    cusp (most cusps first, so those rows are a prefix), so every value
+    takes the float operations of HolderMember.__call__, and the row means
+    minus lambda (HolderMember.lambda_exact's scalar expression) give the
+    bits of the scalar float(abs(lambda_n(n) - Fraction(lambda)))."""
+    a, coeffs, centers, cusps = cusp_arrays
+    lam = np.array([_cusp_lambda(beta, a_i, c[:k], x[:k])
+                    for a_i, c, x, k in zip(a.tolist(), coeffs.tolist(), centers.tolist(),
+                                            cusps.tolist())])
+    order = np.argsort(-cusps, kind="stable")
+    a, coeffs, centers, lam = a[order, None], coeffs[order], centers[order], lam[order]
+    with_cusp = [int(np.count_nonzero(cusps > k)) for k in range(coeffs.shape[1])]
+    table = []
+    for n in n_list:
+        grid = grid_points(n)
+        step = max(1, min(_GAP_BLOCK_ROWS, _BLOCK_CELLS // n))
+        means = np.empty(len(a))
+        for lo in range(0, len(a), step):
+            hi = min(lo + step, len(a))
+            block = np.empty((hi - lo, n))
+            block[:] = a[lo:hi]
+            for k, top in enumerate(with_cusp):
+                top = min(hi, top)
+                if top <= lo:
+                    break
+                block[:top - lo] += coeffs[lo:top, k:k + 1] \
+                    * np.abs(grid - centers[lo:top, k:k + 1]) ** beta
+            means[lo:hi] = np.mean(block, axis=1)
+        gaps = np.empty(len(a))
+        gaps[order] = np.abs(means - lam)
+        table.append(gaps.tolist())
+    return table
+
+
 def observed_riemann_gap_rows(members: Sequence, n_list: Sequence[int]) -> list[list[float]]:
     """|lambda_n(m) - lambda(m)| for each member, each rounded once: one row
     per n of n_list, members in order.
 
     Set members are read in integers (IntervalUnion.riemann_gap).  Cusp-form
-    HolderMembers that share a beta are evaluated together, in row blocks:
-    a block starts at each row's a and adds c_k |x - x_k|^beta for k = 0, 1,
-    ... to the rows that have a k-th cusp, so every value takes the float
-    operations of HolderMember.__call__, and the row means minus lambda_exact()
-    give the bits of the scalar float(abs(lambda_n(n) - Fraction(lambda))).
-    Any other member (a PiecewiseLinear) takes that scalar expression.
-    Members are classified, and each cusp member's lambda_exact() and padded
-    row built, once for every n."""
+    HolderMembers that share a beta are packed into the arrays of
+    cusp_riemann_gap_rows once and evaluated together.  Any other member (a
+    PiecewiseLinear) takes the scalar float(abs(lambda_n(n) - Fraction(lambda)))."""
     set_rows, other_rows = [], []  # (index, IntervalUnion) and (index, Fraction lambda)
     cusp_rows: dict = {}  # beta -> indices of its cusp members
     for i, m in enumerate(members):
@@ -604,44 +728,24 @@ def observed_riemann_gap_rows(members: Sequence, n_list: Sequence[int]) -> list[
             cusp_rows.setdefault(m.beta, []).append(i)
         else:
             other_rows.append((i, Fraction(m.lambda_exact())))
-    groups = []
+    cusp_tables = []
     for beta, rows in cusp_rows.items():
-        # most cusps first, so the rows with a k-th cusp are a prefix
-        rows.sort(key=lambda i: -len(members[i].coeffs))
         mems = [members[i] for i in rows]
-        counts = [len(m.coeffs) for m in mems]
-        cusps = counts[0]
-        groups.append((
-            beta, rows,
-            [sum(c > k for c in counts) for k in range(cusps)],  # rows with a k-th cusp
-            np.array([m.coeffs + (0.0,) * (cusps - c) for m, c in zip(mems, counts)]),
-            np.array([m.centers + (0.0,) * (cusps - c) for m, c in zip(mems, counts)]),
-            np.array([[m.a] for m in mems]),
-            np.array([m.lambda_exact() for m in mems]),
-        ))
+        width = max(len(m.coeffs) for m in mems)
+        arrays = (np.array([m.a for m in mems]),
+                  np.array([m.coeffs + (0.0,) * (width - len(m.coeffs)) for m in mems]),
+                  np.array([m.centers + (0.0,) * (width - len(m.centers)) for m in mems]),
+                  np.array([len(m.coeffs) for m in mems], dtype=np.int64))
+        cusp_tables.append((rows, cusp_riemann_gap_rows(beta, arrays, n_list)))
     table = []
-    for n in n_list:
+    for row, n in enumerate(n_list):
         gaps: list = [None] * len(members)
         for i, form in set_rows:
             gaps[i] = form.riemann_gap(n)
         for i, lam in other_rows:
             gaps[i] = float(abs(members[i].lambda_n(n) - lam))
-        grid = grid_points(n)
-        step = max(1, min(_GAP_BLOCK_ROWS, _BLOCK_CELLS // n))
-        for beta, rows, with_cusp, coeffs, centers, a, lam in groups:
-            means = np.empty(len(rows))
-            for lo in range(0, len(rows), step):
-                hi = min(lo + step, len(rows))
-                block = np.empty((hi - lo, n))
-                block[:] = a[lo:hi]
-                for k, top in enumerate(with_cusp):
-                    top = min(hi, top)
-                    if top <= lo:
-                        break
-                    block[:top - lo] += coeffs[lo:top, k:k + 1] \
-                        * np.abs(grid - centers[lo:top, k:k + 1]) ** beta
-                means[lo:hi] = np.mean(block, axis=1)
-            for i, g in zip(rows, np.abs(means - lam).tolist()):
+        for rows, cusp_table in cusp_tables:
+            for i, g in zip(rows, cusp_table[row]):
                 gaps[i] = g
         table.append(gaps)
     return table

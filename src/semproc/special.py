@@ -11,7 +11,8 @@ move Phi and every digest that reads it.
 
 gammainc and gammaincc are the regularized incomplete gamma functions P and Q
 at integer order a >= 1, where Q(a, x) is the Poisson sum
-e^-x sum_{i<a} x^i / i!.  log_factorials tabulates ln k!.
+e^-x sum_{i<a} x^i / i! (poisson_tail, which skips the argument checks of
+check_order).  log_factorials tabulates ln k!.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import math
 
 import numpy as np
 
-__all__ = ["ndtr", "ndtri", "gammainc", "gammaincc", "log_factorials"]
+__all__ = ["ndtr", "ndtri", "gammainc", "gammaincc", "poisson_tail", "check_order",
+           "log_factorials"]
 
 _SQRT1_2 = math.sqrt(0.5)
 _MAXLOG = 7.09782712893383996843e2   # ln(DBL_MAX): erfc underflows past it
@@ -148,7 +150,13 @@ def ndtri(p):
 def gammaincc(a: int, x: float) -> float:
     """Q(a, x) = Gamma(a, x) / Gamma(a) for integer a >= 1 and x >= 0: the
     Poisson sum e^-x sum_{i<a} x^i / i!, all of whose terms are positive."""
-    a, x = _check_order(a, x)
+    return poisson_tail(*check_order(a, x))
+
+
+def poisson_tail(a: int, x: float) -> float:
+    """gammaincc for an int a >= 1 and a float x >= 0 that the caller has
+    checked (check_order), without checking them again: for an integrand
+    that calls it at every node."""
     term = total = 1.0
     for i in range(1, a):
         term *= x / i
@@ -163,7 +171,7 @@ def gammainc(a: int, x: float) -> float:
     """P(a, x) = 1 - Q(a, x) for integer a >= 1 and x >= 0; below x = a + 1
     by the series e^-x x^a / a! sum_j x^j / ((a+1)...(a+j)), which keeps its
     relative accuracy as x -> 0."""
-    a, x = _check_order(a, x)
+    a, x = check_order(a, x)
     if x >= a + 1.0:
         return 1.0 - gammaincc(a, x)
     if x == 0.0:
@@ -177,7 +185,9 @@ def gammainc(a: int, x: float) -> float:
     return math.exp(a * math.log(x) - x - math.lgamma(a + 1.0)) * total
 
 
-def _check_order(a, x) -> tuple[int, float]:
+def check_order(a, x) -> tuple[int, float]:
+    """(a, x) as (int, float) for the incomplete gamma functions; ValueError
+    unless a is an integer >= 1 and x >= 0."""
     if int(a) != a or a < 1:
         raise ValueError(f"order must be an integer >= 1, got {a!r}")
     x = float(x)

@@ -69,7 +69,7 @@ from .function_classes import (_BLOCK_CELLS, INDICATORS, BVectorClass, HalfLine,
 from .measures import NuModel, Sample, draw_sample
 from .quadrature import integrate
 from .seeds import derive_seed
-from .special import gammaincc, log_factorials
+from .special import check_order, log_factorials, poisson_tail
 
 __all__ = [
     "sup_deviation_net",
@@ -608,9 +608,12 @@ def series_I_quadrature(c: float, D1: int, D2: int) -> float:
     _SERIES_REL_TOL times a coarse first pass (the values on the bounds grid
     span about 0.1 to 3e5)."""
     scale = math.gamma(D2 + 1) / c ** (D2 + 1)
+    # gammaincc(D2 + 1, c / u), its order and the sign of c / u (that of c,
+    # as u > 0) checked once here rather than at every node
+    order, _ = check_order(D2 + 1, c)
 
     def f(u):
-        return u ** -(D1 + 2) * gammaincc(D2 + 1, c / u) * scale
+        return u ** -(D1 + 2) * poisson_tail(order, c / u) * scale
 
     return integrate(f, 0.0, 1.0, tol=_SERIES_REL_TOL * abs(integrate(f, 0.0, 1.0, tol=1e-3)))
 

@@ -113,6 +113,24 @@ class TestNetValues:
         got_grid, got_rows = cls.net_values(u)
         assert bits_equal(got_grid, grid) and bits_equal(got_rows, rows)
 
+    @pytest.mark.parametrize("T,C,beta,u", [(1.0, 1.0, 1.0, 0.3), (1.0, 1.0, 0.5, 1.2),
+                                            (2.0, 0.5, 1.0, 0.35)])
+    def test_running_minorant_equals_the_broadcast_form(self, monkeypatch, T, C, beta, u):
+        # (1, 1, 1, 0.3) is the default fclt net, 32,803 rows over 8 knots
+        def broadcast(seqs, hol):
+            return np.min(seqs[:, None, :] + hol, axis=2)
+
+        running = fc._grid_minorant
+        cls = HolderClass(T, C, beta)
+        grid, rows = cls.net_values(u)
+        monkeypatch.setattr(fc, "_grid_minorant", broadcast)
+        want_grid, want_rows = cls.net_values(u)
+        assert bits_equal(grid, want_grid) and bits_equal(rows, want_rows)
+        rng = np.random.default_rng(5)
+        seqs = rng.standard_normal((300, len(grid)))
+        hol = C * np.abs(grid[:, None] - grid[None, :]) ** beta
+        assert bits_equal(running(seqs, hol), broadcast(seqs, hol))
+
     @pytest.mark.parametrize("u,cap,estimate", [
         (0.1, 500_000, 3910064697265625),
         (0.05, 10**6, 736690708436071872711181640625),

@@ -134,6 +134,17 @@ class TestIncompleteGamma:
         with pytest.raises(ValueError):
             special.gammainc(a, x)
 
+    @pytest.mark.parametrize("a, x", [(0, 1.0), (1.5, 1.0), (2, -1.0), (2, float("nan"))])
+    def test_q_rejects_bad_arguments(self, a, x):
+        # gammaincc checks; poisson_tail, its unchecked core, does not
+        with pytest.raises(ValueError):
+            special.gammaincc(a, x)
+
+    def test_poisson_tail_is_gammaincc(self):
+        for a in (1, 3, 8):
+            for x in self.XS[::10].tolist() + [0.0, 1416.0, math.inf]:
+                assert special.poisson_tail(a, x) == special.gammaincc(a, x)
+
 
 def test_log_factorials():
     got = special.log_factorials(10_000)

@@ -144,6 +144,12 @@ class TestSeriesI:
                     # the ledger gates 1e-6; the quadrature's own target is 1e-9
                     assert abs(closed - quad) / abs(quad) <= 1e-9
 
+    @pytest.mark.parametrize("c, d2", [(-1.0, 1), (float("nan"), 1), (1.0, 0.5)])
+    def test_quadrature_checks_its_order_and_sign(self, c, d2):
+        # checked once before the integrand, not at its nodes
+        with pytest.raises(ValueError):
+            series_I_quadrature(c, 1, d2)
+
     def test_decreasing_in_c(self):
         vals = [series_I_closed_form(c, 2, 2) for c in (0.25, 0.5, 1.0, 2.0, 4.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
