@@ -175,6 +175,9 @@ def _ledger_entry(name: str, observed, bound, tolerance: str, ok: bool) -> dict:
 
 
 def _run_ulln(cfg: dict) -> tuple:
+    if cfg["parity"] == "even" and cfg["j"] < 1:
+        raise ConfigError(f"config key ulln.j must be at least 1 when parity is even "
+                          f"(B(2j) has j free intervals), got {cfg['j']!r}")
     cls, model = BVectorClass(cfg["j"], cfg["parity"]), parse_model(cfg["model"])
     if cfg["net_u"] > 0 and cls != INDICATORS:
         raise ConfigError(f"config key ulln.net_u must be 0 unless j is 0 and parity odd "

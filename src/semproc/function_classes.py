@@ -4,22 +4,20 @@ B(1)), the non-uniformly-Riemann-integrable counterexample family, and the
 members g on the sample space.  A product class F = H * G = {h(s) g(x)} has
 G the half-lines, so it is named by its h class alone.
 
-Every h class exposes seeded random member generation, one member or a list
-(random_members), and its closed-form Riemann gap bound.  The members of a
-list are drawn as arrays first, and random_members builds its objects from
-them: a set class's sorted breakpoints, one row per member, from one
-generator draw (BVectorClass.random_breakpoints); a Holder class's cusp
-arrays (a, coeffs, centers, cusps), the per-member generator calls in turn
-and the arithmetic on the whole arrays (HolderClass.random_cusps).  The
-bounds experiment reads Riemann gaps straight from those arrays
-(set_riemann_gap_rows, cusp_riemann_gap_rows) and builds no member.  A set
-class BVectorClass also owns its grid-cut rule: cut_masks(k) lists the
-subsets of k ordered points it cuts out (at most j runs, one more through
-the anchored interval), which the shatter counts and the brute-force ULLN
-oracle read.  The Holder balls build u-nets with a provable sup-norm
-coverage guarantee, which is how an infinite class becomes computable;
-indicator_net and half_line_net space the indicators and the half-lines at a
-mesh the caller picks.
+Every h class exposes seeded random members as arrays, and its closed-form
+Riemann gap bound: a set class's sorted breakpoints, one row per member,
+from one generator draw (BVectorClass.random_breakpoints; member(row) is the
+IntervalUnion of a row); a Holder class's cusp arrays (a, coeffs, centers,
+cusps), the per-member generator calls in turn and the arithmetic on the
+whole arrays (HolderClass.random_cusps).  Their Riemann gaps are read
+straight from those arrays (set_riemann_gap_rows, cusp_riemann_gap_rows).
+A set class BVectorClass also owns its grid-cut rule: cut_masks(k) lists
+the subsets of k ordered points it cuts out (at most j runs, one more
+through the anchored interval), which the shatter counts and the
+brute-force ULLN oracle read.  The Holder balls build u-nets with a
+provable sup-norm coverage guarantee, which is how an infinite class becomes
+computable; indicator_net and half_line_net space the indicators and the
+half-lines at a mesh the caller picks.
 
 Holder nets are built on a uniform grid: candidate value sequences are
 enumerated on a step/2 value lattice, each sequence is replaced by its largest
@@ -31,24 +29,23 @@ is itself (C, beta)-Holder, so net members are exact class members; rounding
 (u/4), regularization (u/4), anchor translation (u/4 slack absorbed) and
 interpolation (u/2) add up to sup-distance at most u from any class member.
 
-Only this module knows how an h member is stored.  An h member is a cusp
-HolderMember, a PiecewiseLinear (the Holder net members among them) or a set
-member (any IntervalUnion, indicators among them); each is used through
+Only this module knows how an h member is stored.  An h member is a
+PiecewiseLinear (the Holder net members among them) or a set member (any
+IntervalUnion, indicators among them); each is used through
 grid_values(members, n), lambda_exact() = lambda(h) and lambda_n(n); the
 lambdas are exact Fractions for set members.  grid_values is the one place
 an h member meets the grid i/n: a set member gives the 0/1 values of its
 integer floors (IntervalUnion.on_grid), the same rule as its lambda_n, and
 any other member is evaluated at measures.grid_points.  A set member's
 Riemann gap is read in integers, through IntervalUnion.riemann_gap (or, for
-breakpoint arrays, set_riemann_gap_rows, with the same bits); the gaps of
-cusp Holder members are computed all members of one beta together, in row
-blocks of grid values (cusp_riemann_gap_rows), with the bits of the
-one-member float expression.  The pair integral lambda(h1 h2)
-is a closed form for every pair of piecewise-linear and set members
-(lambda_prod); no report builds a cusp member as an FCLT h, and lambda_prod
-rejects one.  lambda_sq_matrix gives lambda((h1-h2)^2) over the two families
-the member pools use, indicators and piecewise-linear members on one knot
-vector.
+breakpoint arrays, set_riemann_gap_rows, with the same bits).  A random cusp
+mixture a + sum_k c_k |x - x_k|^beta of a Holder ball exists only as
+random_cusps arrays; their gaps are computed all members of one beta
+together, in row blocks of grid values (cusp_riemann_gap_rows).  The pair
+integral lambda(h1 h2) is a closed form for every pair of members
+(lambda_prod).  lambda_sq_matrix gives lambda((h1-h2)^2) over the two
+families the member pools use, indicators and piecewise-linear members on
+one knot vector.
 """
 
 from __future__ import annotations
@@ -67,7 +64,6 @@ from .piecewise import PiecewiseLinear, prod_integral
 __all__ = [
     "NetTooLargeError",
     "HolderClass",
-    "HolderMember",
     "BVectorClass",
     "INDICATORS",
     "indicator",
@@ -79,7 +75,6 @@ __all__ = [
     "InitialInterval",
     "BoundedPolynomial",
     "observed_riemann_gap",
-    "observed_riemann_gap_rows",
     "set_riemann_gap_rows",
     "cusp_riemann_gap_rows",
     "lambda_prod",
@@ -114,38 +109,6 @@ _BLOCK_CELLS = 16_000
 # ---------------------------------------------------------------------------
 # Holder classes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HolderMember:
-    """A function in H(T, C, beta), the cusp mixture
-
-        h(x) = a + sum_k c_k |x - x_k|^beta   with sum |c_k| <= C, |h(0)| <= T,
-
-    exactly Holder by subadditivity of t -> t^beta.  The net members, the
-    piecewise-linear interpolants of pairwise-feasible grid values, are
-    PiecewiseLinear."""
-
-    T: float
-    C: float
-    beta: float
-    a: float = 0.0
-    coeffs: tuple[float, ...] = ()
-    centers: tuple[float, ...] = ()
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, self.a, dtype=float)
-        for c, x0 in zip(self.coeffs, self.centers):
-            out += c * np.abs(x - x0) ** self.beta
-        return out
-
-    def lambda_exact(self) -> float:
-        """Exact integral over [0, 1]."""
-        return _cusp_lambda(self.beta, self.a, self.coeffs, self.centers)
-
-    def lambda_n(self, n: int) -> float:
-        return float(np.mean(self(grid_points(n))))
-
 
 def _cusp_lambda(beta: float, a: float, coeffs: Sequence[float],
                  centers: Sequence[float]) -> float:
@@ -204,17 +167,6 @@ class HolderClass:
         coeffs = raw / denom[:, None] * self.C * scale_h0[:, :1]
         h0 = (2.0 * scale_h0[:, 1] - 1.0) * self.T
         return h0 - np.sum(coeffs * centers**self.beta, axis=1), coeffs, centers, cusps
-
-    def random_members(self, rng: np.random.Generator, count: int) -> list[HolderMember]:
-        """count HolderMembers built from one random_cusps draw."""
-        a, coeffs, centers, cusps = self.random_cusps(rng, count)
-        return [HolderMember(self.T, self.C, self.beta, a=a_i, coeffs=tuple(c[:k]),
-                             centers=tuple(x[:k]))
-                for a_i, c, x, k in zip(a.tolist(), coeffs.tolist(), centers.tolist(),
-                                        cusps.tolist())]
-
-    def random_member(self, rng: np.random.Generator) -> HolderMember:
-        return self.random_members(rng, 1)[0]
 
     def riemann_gap_bound(self, n: int) -> float:
         return self.C / n**self.beta
@@ -308,7 +260,7 @@ def _set_pl_integral(u: IntervalUnion, p: PiecewiseLinear) -> float:
 def lambda_prod(h1, h2) -> float:
     """lambda(h1 h2) in closed form for piecewise-linear and set members
     (prod_integral, the intersection measure, _set_pl_integral); TypeError
-    for any other pair, a cusp HolderMember among them."""
+    for any other pair."""
     if isinstance(h1, PiecewiseLinear) and isinstance(h2, PiecewiseLinear):
         return prod_integral(h1, h2)
     if isinstance(h1, IntervalUnion) and isinstance(h2, IntervalUnion):
@@ -419,13 +371,6 @@ class BVectorClass:
         one rng.random((count, n_breakpoints)) draw: the stream of count
         rng.random(n_breakpoints) calls, row by row."""
         return np.sort(rng.random((count, self.n_breakpoints)), axis=1)
-
-    def random_members(self, rng: np.random.Generator, count: int) -> list[IntervalUnion]:
-        """count members with uniform sorted breakpoints (random_breakpoints)."""
-        return [self.member(row) for row in self.random_breakpoints(rng, count).tolist()]
-
-    def random_member(self, rng: np.random.Generator) -> IntervalUnion:
-        return self.random_members(rng, 1)[0]
 
     def riemann_gap_bound(self, n: int) -> float:
         """2/n per breakpoint, and at most 1: both lambdas lie in [0, 1]."""
@@ -678,10 +623,12 @@ def cusp_riemann_gap_rows(beta: float, cusp_arrays: tuple[np.ndarray, ...],
 
     Members are evaluated in row blocks: a block starts at each row's a and
     adds c_k |x - x_k|^beta for k = 0, 1, ... to the rows that have a k-th
-    cusp (most cusps first, so those rows are a prefix), so every value
-    takes the float operations of HolderMember.__call__, and the row means
-    minus lambda (HolderMember.lambda_exact's scalar expression) give the
-    bits of the scalar float(abs(lambda_n(n) - Fraction(lambda)))."""
+    cusp (most cusps first, so those rows are a prefix).  So a member's value
+    at a grid point x takes its float operations in one order, whatever the
+    block: a, plus c_0 times NumPy's power |x - x_0| ** beta, plus the next
+    cusp's term, and so on.  The absolute difference of its row mean
+    (np.mean over the n values) and lambda (_cusp_lambda's scalar
+    expression) then has the bits of that member's gap computed alone."""
     a, coeffs, centers, cusps = cusp_arrays
     lam = np.array([_cusp_lambda(beta, a_i, c[:k], x[:k])
                     for a_i, c, x, k in zip(a.tolist(), coeffs.tolist(), centers.tolist(),
@@ -711,46 +658,10 @@ def cusp_riemann_gap_rows(beta: float, cusp_arrays: tuple[np.ndarray, ...],
     return table
 
 
-def observed_riemann_gap_rows(members: Sequence, n_list: Sequence[int]) -> list[list[float]]:
-    """|lambda_n(m) - lambda(m)| for each member, each rounded once: one row
-    per n of n_list, members in order.
-
-    Set members are read in integers (IntervalUnion.riemann_gap).  Cusp-form
-    HolderMembers that share a beta are packed into the arrays of
-    cusp_riemann_gap_rows once and evaluated together.  Any other member (a
-    PiecewiseLinear) takes the scalar float(abs(lambda_n(n) - Fraction(lambda)))."""
-    set_rows, other_rows = [], []  # (index, IntervalUnion) and (index, Fraction lambda)
-    cusp_rows: dict = {}  # beta -> indices of its cusp members
-    for i, m in enumerate(members):
-        if isinstance(m, IntervalUnion):
-            set_rows.append((i, m))
-        elif isinstance(m, HolderMember):
-            cusp_rows.setdefault(m.beta, []).append(i)
-        else:
-            other_rows.append((i, Fraction(m.lambda_exact())))
-    cusp_tables = []
-    for beta, rows in cusp_rows.items():
-        mems = [members[i] for i in rows]
-        width = max(len(m.coeffs) for m in mems)
-        arrays = (np.array([m.a for m in mems]),
-                  np.array([m.coeffs + (0.0,) * (width - len(m.coeffs)) for m in mems]),
-                  np.array([m.centers + (0.0,) * (width - len(m.centers)) for m in mems]),
-                  np.array([len(m.coeffs) for m in mems], dtype=np.int64))
-        cusp_tables.append((rows, cusp_riemann_gap_rows(beta, arrays, n_list)))
-    table = []
-    for row, n in enumerate(n_list):
-        gaps: list = [None] * len(members)
-        for i, form in set_rows:
-            gaps[i] = form.riemann_gap(n)
-        for i, lam in other_rows:
-            gaps[i] = float(abs(members[i].lambda_n(n) - lam))
-        for rows, cusp_table in cusp_tables:
-            for i, g in zip(rows, cusp_table[row]):
-                gaps[i] = g
-        table.append(gaps)
-    return table
-
-
 def observed_riemann_gap(member, n: int) -> float:
-    """One member's gap; see observed_riemann_gap_rows."""
-    return observed_riemann_gap_rows([member], [n])[0][0]
+    """|lambda_n(member) - lambda(member)|, rounded once: a set member's read
+    in integers (IntervalUnion.riemann_gap), any other member's as the
+    difference of its float lambdas."""
+    if isinstance(member, IntervalUnion):
+        return member.riemann_gap(n)
+    return abs(member.lambda_n(n) - member.lambda_exact())

@@ -191,7 +191,6 @@ class Sample:
 
     n: int
     values: np.ndarray
-    seed: int
     model: NuModel
 
     def __post_init__(self):
@@ -216,11 +215,10 @@ def draw_sample(model: Union[NuModel, str], n: int, seed: int) -> Sample:
     if n <= 0:
         raise ValueError("n must be a positive integer")
     values = model.draw(np.random.default_rng(seed), n)
-    return Sample(n=n, values=values, seed=seed, model=model)
+    return Sample(n=n, values=values, model=model)
 
 
 def grid_points(n: int) -> np.ndarray:
     """The float times 1/n, ..., n/n; h members meet them only through
-    function_classes.grid_values and the float lambda_n of HolderMember and
-    PiecewiseLinear."""
+    function_classes.grid_values and the float lambda_n of PiecewiseLinear."""
     return np.arange(1, n + 1, dtype=float) / n

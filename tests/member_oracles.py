@@ -5,8 +5,11 @@ lambda_n); these are the independent forms the tests compare against:
 pointwise evaluation from the exact representation (with its own membership
 test for interval unions), the values at the grid i/n with a set's
 membership decided on the Fraction i/n (exact_grid_values), a certified
-sup distance between Holder members, the exact rational Riemann gap of an
-interval union, the one-member float gap of any other member, the constant
+sup distance between Holder members, the cusp Holder member that
+function_classes keeps only as arrays (CuspMember, with its own lambda) and
+the members of a class's array draw (random_members), the exact rational
+Riemann gap of an interval union, the one-member float gap of any other
+member, the constant
 q as a product pair, scalar evaluators of lambda_n, lambda, the sequential
 empirical measure P_n and the B-empirical measure nu_{n,B} that sum term by
 term from the definitions, the one-shot Z matrix that semproc.fclt builds
@@ -22,7 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from semproc.function_classes import BoundedPolynomial, indicator
+from semproc.function_classes import BoundedPolynomial, HolderClass, indicator
 from semproc.intervals import IntervalUnion
 from semproc.measures import NuModel, Sample
 from semproc.piecewise import PiecewiseLinear
@@ -70,6 +73,62 @@ def holder_sup_distance(h1, h2, grid_size: int = 4001) -> float:
         else:
             slack += h.C * half ** h.beta
     return est + slack
+
+
+@dataclass(frozen=True)
+class CuspMember:
+    """A member of H(T, C, beta), the cusp mixture
+
+        h(x) = a + sum_k c_k |x - x_k|^beta   with sum |c_k| <= C, |h(0)| <= T,
+
+    exactly Holder by subadditivity of t -> t^beta: one row of
+    HolderClass.random_cusps as an object, the scalar reference of
+    function_classes.cusp_riemann_gap_rows.  A value adds the cusp terms to
+    a in order, lambda_n is the mean of the values at the floats i / n, and
+    lambda is the per-cusp closed form in scalar Python floats."""
+
+    T: float
+    C: float
+    beta: float
+    a: float = 0.0
+    coeffs: tuple = ()
+    centers: tuple = ()
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.full(x.shape, self.a, dtype=float)
+        for c, x0 in zip(self.coeffs, self.centers):
+            out += c * np.abs(x - x0) ** self.beta
+        return out
+
+    def lambda_exact(self) -> float:
+        """a + sum_k c_k int_0^1 |x - x_k|^beta dx, each integral
+        (x_k^(beta+1) + (1 - x_k)^(beta+1)) / (beta + 1)."""
+        p = self.beta + 1
+        total = self.a
+        for c, x0 in zip(self.coeffs, self.centers):
+            total += c * (x0 ** p + (1 - x0) ** p) / p
+        return total
+
+    def lambda_n(self, n: int) -> float:
+        return float(np.mean(self(np.arange(1, n + 1) / n)))
+
+
+def cusp_members(cls: HolderClass, arrays) -> list:
+    """The CuspMembers of cls given as arrays (a, coeffs, centers, cusps),
+    laid out as HolderClass.random_cusps returns them."""
+    a, coeffs, centers, cusps = (x.tolist() for x in arrays)
+    return [CuspMember(cls.T, cls.C, cls.beta, a=a_i, coeffs=tuple(c[:k]), centers=tuple(x[:k]))
+            for a_i, c, x, k in zip(a, coeffs, centers, cusps)]
+
+
+def random_members(cls, rng: np.random.Generator, count: int) -> list:
+    """count random members of an h class from its array draw: CuspMembers
+    from HolderClass.random_cusps, set members cls.member(row) from the rows
+    of BVectorClass.random_breakpoints."""
+    if isinstance(cls, HolderClass):
+        return cusp_members(cls, cls.random_cusps(rng, count))
+    return [cls.member(row) for row in cls.random_breakpoints(rng, count).tolist()]
 
 
 def observed_riemann_gap_exact(member: IntervalUnion, n: int) -> Fraction:

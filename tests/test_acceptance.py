@@ -26,8 +26,9 @@ from semproc.function_classes import (
     HalfLine,
     HolderClass,
     b_infinity_witness,
+    cusp_riemann_gap_rows,
     indicator,
-    observed_riemann_gap_rows,
+    set_riemann_gap_rows,
 )
 from semproc.measures import draw_sample, parse_model
 from semproc.ulln import (
@@ -65,15 +66,20 @@ def test_criterion_01_closed_form_bound_ledger():
     ]
     violations = 0
     checks = 0
+    ns = (10, 100, 1000)
     for ci, (cls, _label) in enumerate(specs):
+        # the draws and kernels the bounds experiment runs
         rng = np.random.default_rng(1000 + ci)
-        members = [cls.random_member(rng) for _ in range(1000)]
-        ns = (10, 100, 1000)
-        for n, gaps in zip(ns, observed_riemann_gap_rows(members, ns)):
+        if isinstance(cls, HolderClass):
+            rows = cusp_riemann_gap_rows(cls.beta, cls.random_cusps(rng, 1000), ns)
+        else:
+            rows = set_riemann_gap_rows(cls.random_breakpoints(rng, 1000), ns)
+        for n, gaps in zip(ns, rows):
             bound = cls.riemann_gap_bound(n)
             checks += len(gaps)
             violations += sum(gap > bound + 1e-12 for gap in gaps)
     elapsed = time.monotonic() - start
+    assert checks == 21_000
     _report(1, violations == 0, f"{checks} gap checks, {violations} violations",
             elapsed, 1.0)
 

@@ -1,13 +1,13 @@
-"""The bounds experiment's array path against the member objects, bit for bit.
+"""The bounds experiment's array path against member objects, bit for bit.
 
 set_riemann_gap_rows reads a set member's Riemann gap from its breakpoints in
 uint64 residues; IntervalUnion.riemann_gap, the exact integer form over the
 member's own denominator, is its oracle at every n, past 2**64 included.
 HolderClass.random_cusps must give the members, and leave the generator in
 the state, of the one-member draw it replaced (scalar_random_member below),
-and cusp_riemann_gap_rows the one-member float gap.  A bounds run builds no
-member object but the counterexample witnesses, so its object count does not
-grow with the number of members.
+and cusp_riemann_gap_rows the one-member float gap of those members as
+CuspMembers.  A bounds run builds no member object but the counterexample
+witnesses, so its object count does not grow with the number of members.
 """
 
 from types import SimpleNamespace
@@ -15,19 +15,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from semproc import function_classes, intervals
+from semproc import intervals, piecewise
 from semproc.cli import run_experiment
 from semproc.function_classes import (
     _MAX_CUSPS,
     INDICATORS,
     BVectorClass,
     HolderClass,
-    HolderMember,
     cusp_riemann_gap_rows,
     set_riemann_gap_rows,
 )
 
-from member_oracles import scalar_riemann_gap
+from member_oracles import CuspMember, cusp_members, scalar_riemann_gap
 
 SET_CLASSES = {
     "B1": INDICATORS, "B2": BVectorClass(1, "even"), "B3": BVectorClass(1, "odd"),
@@ -76,7 +75,7 @@ def test_breakpoints_off_the_random_grid_are_rejected(bad):
         set_riemann_gap_rows(np.array([[0.25, bad]]), [10])
 
 
-def scalar_random_member(cls: HolderClass, rng) -> HolderMember:
+def scalar_random_member(cls: HolderClass, rng) -> CuspMember:
     """The one-member draw that HolderClass.random_cusps replaced."""
     k = int(rng.integers(1, _MAX_CUSPS + 1))
     centers = rng.random(k)
@@ -88,8 +87,8 @@ def scalar_random_member(cls: HolderClass, rng) -> HolderMember:
     coeffs = raw / denom * cls.C * rng.random()
     t0 = (2.0 * rng.random() - 1.0) * cls.T
     a = t0 - float(np.sum(coeffs * centers**cls.beta))
-    return HolderMember(cls.T, cls.C, cls.beta, a=a, coeffs=tuple(coeffs),
-                        centers=tuple(centers))
+    return CuspMember(cls.T, cls.C, cls.beta, a=a, coeffs=tuple(coeffs),
+                      centers=tuple(centers))
 
 
 def assert_cusps_equal(arrays, members):
@@ -112,7 +111,7 @@ def test_cusp_arrays_equal_one_member_draws(beta):
         members = [scalar_random_member(cls, one_rng) for _ in range(500)]
         assert_cusps_equal(arrays, members)
         assert bulk_rng.bit_generator.state == one_rng.bit_generator.state
-        assert cls.random_members(np.random.default_rng(seed), 500) == members
+        assert cusp_members(cls, arrays) == members
 
 
 def test_cusp_arrays_take_the_zero_normals_branch():
@@ -137,16 +136,16 @@ def test_cusp_arrays_take_the_zero_normals_branch():
 def test_cusp_gaps_equal_one_member_gaps(beta):
     cls = HolderClass(1.0, 1.0, beta)
     arrays = cls.random_cusps(np.random.default_rng(3), 40)
-    members = cls.random_members(np.random.default_rng(3), 40)
+    members = cusp_members(cls, arrays)
     n_list = [1, 10, 999, 1000, 1001]
     for n, got in zip(n_list, cusp_riemann_gap_rows(beta, arrays, n_list)):
         assert [g.hex() for g in got] == [scalar_riemann_gap(m, n).hex() for m in members]
 
 
 def construction_counts(monkeypatch, members: int) -> dict:
-    counts = {"IntervalUnion": 0, "HolderMember": 0}
+    counts = {"IntervalUnion": 0, "PiecewiseLinear": 0}
     for name, owner in (("IntervalUnion", intervals.IntervalUnion),
-                        ("HolderMember", function_classes.HolderMember)):
+                        ("PiecewiseLinear", piecewise.PiecewiseLinear)):
         init = owner.__init__
 
         def counting(self, *args, _init=init, _name=name, **kwargs):
@@ -164,7 +163,7 @@ def test_bounds_builds_member_objects_only_for_the_witnesses(monkeypatch):
     few = construction_counts(monkeypatch, 10)
     many = construction_counts(monkeypatch, 1000)
     assert few == many
-    assert few["HolderMember"] == 0
+    assert few["PiecewiseLinear"] == 0
 
 
 def test_lambda_gaps_are_clamped_at_one():

@@ -418,6 +418,15 @@ class TestMainEntry:
         assert err.startswith("config error: config key ulln.net_u must be 0 unless")
         assert "got 0.3" in err
 
+    @pytest.mark.parametrize("argv", [["--set", "parity=even", "--set", "j=0"],
+                                      ["--parity", "even", "--j", "0"]], ids=["set", "flags"])
+    def test_ulln_even_parity_j0_names_its_key(self, capsys, argv):
+        # B(0) is no class: a config error on ulln.j, not a bare error
+        assert main(["ulln", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key ulln.j must be at least 1")
+        assert err.endswith("got 0\n")
+
     @pytest.mark.parametrize("q_set", ["kiefer-3", "kiefer-grid", "holder-product"])
     def test_fclt_q_file_outside_custom_file_exit_2(self, capsys, q_set):
         # only the custom-file q set reads the file: elsewhere it did nothing

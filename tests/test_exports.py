@@ -1,6 +1,7 @@
 """Every name a semproc module lists in __all__ resolves in that module and
 is read by the package or the benchmark, so is every module-level private
-name, and every name a module imports is used there.  Quadrature serves only the bounds series oracle, and no module
+name and every public method of a class, and every name a module imports is
+used there.  Quadrature serves only the bounds series oracle, and no module
 reaches LAPACK through np.linalg."""
 
 import ast
@@ -20,6 +21,12 @@ ROOT = Path(__file__).resolve().parents[1]
 UNREAD_EXPORTS = {
     "semproc.covering.shatter_coefficient":
         "acceptance criterion 6 checks the exact shatter counts of the B(k) classes",
+}
+# public methods that nothing under src/ or perfbench/ reads, each with the
+# reason it stays
+UNREAD_METHODS = {
+    "intervals.IntervalUnion.symdiff_measure":
+        "the exact oracle of lambda_sq_matrix in tests/test_net_arrays.py",
 }
 
 
@@ -135,6 +142,34 @@ def test_unread_private_name_is_caught():
                                                                         "_Box"]
 
 
+def _public_methods(tree: ast.Module) -> list:
+    """(class, method) for each public method (properties among them) of
+    each module-level class tree defines."""
+    return [(node.name, item.name) for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+
+
+def test_every_public_method_is_read():
+    # read by name outside its own def, or named "Class.method" by perfbench
+    src, bench = _trees("src/semproc"), _trees("perfbench")
+    unread = [f"{path.stem}.{cls}.{name}"
+              for path, tree in zip(sorted((ROOT / "src/semproc").rglob("*.py")), src)
+              for cls, name in _public_methods(tree)
+              if not (any(_reads(t, name) for t in src + bench)
+                      or any(_reads(t, f"{cls}.{name}", strings=True) for t in bench))]
+    assert unread == sorted(UNREAD_METHODS)
+
+
+def test_unread_public_method_is_caught():
+    tree = ast.parse("class Box:\n    def used(self):\n        return 1\n"
+                     "    def unused(self):\n        return self.unused()\n"
+                     "    def _hidden(self):\n        return 2\nBox().used()\n")
+    assert _public_methods(tree) == [("Box", "used"), ("Box", "unused")]
+    assert [m for _, m in _public_methods(tree) if not _reads(tree, m)] == ["unused"]
+    assert _reads(ast.parse("LAYERS = ['Box.unused']"), "Box.unused", strings=True)
+
+
 def _quadrature_importers_and_linalg(source: str) -> tuple:
     """(whether source imports semproc.quadrature, the lines that name
     numpy.linalg), read from its syntax tree."""
@@ -176,9 +211,8 @@ def test_quadrature_and_linalg_guard_catches():
 
 def test_one_grid_rule_for_set_members():
     # an h member meets the float grid only in function_classes.grid_values
-    # and the float lambda_n of HolderMember and PiecewiseLinear, and a set
-    # member has no float evaluator, so it is read at i/n through its
-    # integer floors alone
+    # and the float lambda_n of PiecewiseLinear, and a set member has no
+    # float evaluator, so it is read at i/n through its integer floors alone
     readers = [p.stem for p in sorted((ROOT / "src/semproc").glob("*.py"))
                if _reads(ast.parse(p.read_text()), "grid_points")]
     assert readers == ["function_classes", "piecewise"]

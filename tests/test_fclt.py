@@ -40,7 +40,7 @@ from semproc.intervals import IntervalUnion
 from semproc.measures import parse_model
 from semproc.piecewise import PiecewiseLinear
 
-from member_oracles import exact_grid_values, make_constant_q
+from member_oracles import exact_grid_values, make_constant_q, random_members
 from quad_oracle import cov_kernel_quadrature, expect
 
 UNIFORM = parse_model("uniform01")
@@ -88,7 +88,7 @@ def _all_builder_qs():
     """Products over {indicator, pl Holder, cusp Holder} x {HalfLine,
     InitialInterval, BoundedPolynomial}, s*x and a constant."""
     hs = [indicator(0.45), HolderClass(1.0, 1.0, 1.0).build_net(0.8)[7],
-          HolderClass(1.0, 1.0, 0.5).random_member(np.random.default_rng(3))]
+          *random_members(HolderClass(1.0, 1.0, 0.5), np.random.default_rng(3), 1)]
     gs = [HalfLine(0.3), InitialInterval(0.6), BoundedPolynomial((0.2, -0.5, 0.25))]
     return [(h, g) for h in hs for g in gs] + [make_sx_q(), make_constant_q(-1.3)]
 

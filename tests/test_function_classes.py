@@ -11,14 +11,14 @@ from semproc.function_classes import (
     BVectorClass,
     HalfLine,
     HolderClass,
-    HolderMember,
     NetTooLargeError,
     b_infinity_witness,
+    cusp_riemann_gap_rows,
     half_line_net,
     indicator,
     indicator_net,
     observed_riemann_gap,
-    observed_riemann_gap_rows,
+    set_riemann_gap_rows,
 )
 from semproc.intervals import IntervalUnion
 from semproc.measures import parse_model
@@ -28,6 +28,7 @@ from member_oracles import (
     eval_member,
     holder_sup_distance,
     observed_riemann_gap_exact,
+    random_members,
 )
 from quad_oracle import law
 
@@ -49,21 +50,23 @@ class TestRiemannGapBounds:
     ])
     def test_gap_below_bound_randomized(self, cls):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            m = cls.random_member(rng)
+        for m in random_members(cls, rng, 100):
             for n in (10, 100):
                 assert observed_riemann_gap(m, n) <= cls.riemann_gap_bound(n) + 1e-12
 
     def test_gap_rows_are_the_one_n_gaps(self):
-        # the bounds experiment reads every n from one observed_riemann_gap_rows call
+        # the bounds experiment reads every n from one call per class
         rng = np.random.default_rng(8)
-        members = [HolderClass(1, 1, beta).random_member(rng) for beta in (0.5, 1.0) * 20]
-        members += [BVectorClass(1, "odd").random_member(rng), indicator(0.3),
-                    HolderClass(1, 1, 1.0).build_net(0.8)[3], HolderMember(1, 1, 0.5, a=0.2)]
         n_list = [1, 10, 17, 1000]
-        rows = observed_riemann_gap_rows(members, n_list)
-        assert rows == [observed_riemann_gap_rows(members, [n])[0] for n in n_list]
-        assert observed_riemann_gap_rows(members, []) == []
+        for beta in (0.5, 1.0):
+            arrays = HolderClass(1, 1, beta).random_cusps(rng, 20)
+            rows = cusp_riemann_gap_rows(beta, arrays, n_list)
+            assert rows == [cusp_riemann_gap_rows(beta, arrays, [n])[0] for n in n_list]
+            assert cusp_riemann_gap_rows(beta, arrays, []) == []
+        t = BVectorClass(1, "odd").random_breakpoints(rng, 20)
+        rows = set_riemann_gap_rows(t, n_list)
+        assert rows == [set_riemann_gap_rows(t, [n])[0] for n in n_list]
+        assert set_riemann_gap_rows(t, []) == []
 
     def test_sup_lambda_gap_below_display_bound(self):
         for cls in (BVectorClass(0, "odd"), BVectorClass(2, "odd"), BVectorClass(1, "even")):
@@ -94,7 +97,7 @@ class TestHolderMembers:
         cls = HolderClass(1.0, 1.0, 0.7)
         rng = np.random.default_rng(17)
         for k in range(20):
-            h = cls.random_member(np.random.default_rng(100 + k))
+            h, = random_members(cls, np.random.default_rng(100 + k), 1)
             x, y = rng.random(1000), rng.random(1000)
             assert np.all(np.abs(h(x) - h(y)) <= cls.C * np.abs(x - y) ** cls.beta + 1e-12)
             assert abs(float(h(np.zeros(1))[0])) <= cls.T + 1e-12
@@ -105,13 +108,13 @@ class TestHolderMembers:
         rng = np.random.default_rng(3)
         xs = rng.random(1000)
         for k in range(30):
-            h = cls.random_member(np.random.default_rng(k))
+            h, = random_members(cls, np.random.default_rng(k), 1)
             assert np.max(np.abs(h(xs))) <= cls.C + cls.T + 1e-12
 
     def test_lambda_exact_matches_quadrature(self):
         cls = HolderClass(1.0, 1.0, 0.5)
         for k in range(10):
-            h = cls.random_member(np.random.default_rng(k))
+            h, = random_members(cls, np.random.default_rng(k), 1)
             quad = eval_lambda(lambda x: float(h(np.asarray([x]))[0]), tol=1e-10)
             assert h.lambda_exact() == pytest.approx(quad, abs=1e-7)
 
@@ -131,7 +134,7 @@ class TestHolderNet:
         cls = HolderClass(1.0, 1.0, beta)
         net = cls.build_net(u)
         for k in range(100):
-            h = cls.random_member(np.random.default_rng(7000 + k))
+            h, = random_members(cls, np.random.default_rng(7000 + k), 1)
             dmin = min(holder_sup_distance(h, m, 2001) for m in net)
             assert dmin <= u
 
@@ -140,7 +143,7 @@ class TestHolderNet:
         u = 2 * (cls.C + cls.T)  # the sup-norm diameter of the class
         net = cls.build_net(u)
         assert len(net) >= 1
-        h = cls.random_member(np.random.default_rng(1))
+        h, = random_members(cls, np.random.default_rng(1), 1)
         assert min(holder_sup_distance(h, m) for m in net) <= u
 
     def test_net_too_large(self):
@@ -175,13 +178,11 @@ class TestBVectorClasses:
     def test_member_structure(self):
         cls = BVectorClass(1, "odd")
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            m = cls.random_member(rng)
+        for m in random_members(cls, rng, 50):
             assert len(m.bounds) <= cls.j + 1
 
         cls = BVectorClass(2, "even")
-        for _ in range(50):
-            m = cls.random_member(rng)
+        for m in random_members(cls, rng, 50):
             assert len(m.bounds) <= cls.j
 
     def test_degenerate_breakpoints_normalized(self):

@@ -147,7 +147,7 @@ class TestSampleModel:
         for sample in (draw_sample(f"exponential({self.RATE})", 50, 5),
                        draw_sample(model, 50, 5)):
             assert sample.model == model and sample.model.params == (self.RATE,)
-        assert Sample(2, (0.5, 1.0), 0, f"exponential({self.RATE})").model == model
+        assert Sample(2, (0.5, 1.0), f"exponential({self.RATE})").model == model
 
     def test_net_sandwich_centres_with_the_sample_rate(self, monkeypatch):
         seen = record_kernel(monkeypatch)

@@ -23,6 +23,8 @@ from semproc.function_classes import (
 )
 from semproc.intervals import IntervalUnion
 
+from member_oracles import random_members
+
 N_LIST = (1, 7, 10, 100, 1000, 4096)
 
 
@@ -152,8 +154,7 @@ def test_outside_unit_interval_raises(pairs):
 def test_non_set_members_keep_their_gaps():
     rng = np.random.default_rng(9)
     for cls in (HolderClass(1, 1, 0.5), HolderClass(1, 1, 1.0)):
-        for _ in range(50):
-            h = cls.random_member(rng)
+        for h in random_members(cls, rng, 50):
             for n in (10, 100, 1000):
                 want = fraction_gap(h.lambda_n(n), h.lambda_exact())
                 assert observed_riemann_gap(h, n).hex() == want.hex()

@@ -90,7 +90,7 @@ class TestSemp:
         assert got == pytest.approx(0.2, abs=0)
 
     def test_two_term_hand_sum(self):
-        s = Sample(2, (0.3, 0.8), 0, "uniform01")
+        s = Sample(2, (0.3, 0.8), "uniform01")
         assert eval_semp(lambda t, x: t * x, s) == pytest.approx(0.475, abs=1e-15)
 
 
@@ -110,7 +110,7 @@ class TestBEmpirical:
 
     def test_hand_enumeration(self):
         # grid {0.25, 0.5, 0.75, 1}: (0.4, 1] catches i = 2, 3, 4
-        s = Sample(4, (0.1, 0.9, 0.2, 0.7), 0, "uniform01")
+        s = Sample(4, (0.1, 0.9, 0.2, 0.7), "uniform01")
         W = IntervalUnion.from_pairs([(0, 0.5)])
         out = eval_b_empirical(IntervalUnion.from_pairs([(0.4, 1)]), W, s)
         assert out.k == 3

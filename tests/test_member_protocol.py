@@ -21,7 +21,6 @@ import pytest
 from semproc.function_classes import (
     BVectorClass,
     HolderClass,
-    HolderMember,
     b_infinity_witness,
     indicator,
     lambda_prod,
@@ -31,7 +30,7 @@ from semproc.function_classes import (
 from semproc.intervals import IntervalUnion
 from semproc.piecewise import PiecewiseLinear, diff_sq_integral, prod_integral
 
-from member_oracles import contains
+from member_oracles import CuspMember, contains, random_members
 from quad_oracle import lambda_prod_quadrature
 
 
@@ -74,7 +73,7 @@ def _ref_measure(iu):
 
 
 def ref_observed_riemann_gap(member, n):
-    if isinstance(member, (HolderMember, PiecewiseLinear)):
+    if isinstance(member, (CuspMember, PiecewiseLinear)):
         return abs(member.lambda_n(n) - member.lambda_exact())
     t = _ref_indicator_end(member)
     if t is not None:
@@ -105,8 +104,8 @@ def _holder_members():
     """Four cusp members, then seven piecewise-linear net members on two knot
     grids (four cells, then three)."""
     rng = np.random.default_rng(11)
-    cusp = [HolderClass(1.0, 1.0, beta).random_member(rng) for beta in (0.5, 1.0)]
-    cusp += [HolderClass(2.0, 0.5, 0.7).random_member(rng) for _ in range(2)]
+    cusp = [random_members(HolderClass(1.0, 1.0, beta), rng, 1)[0] for beta in (0.5, 1.0)]
+    cusp += random_members(HolderClass(2.0, 0.5, 0.7), rng, 2)
     pl = HolderClass(1.0, 1.0, 1.0).net_sample(0.5, 4, rng)
     pl += HolderClass(1.0, 0.5, 1.0).net_sample(0.4, 3, rng)   # another knot grid
     return cusp, pl
@@ -129,8 +128,8 @@ def _indicator_pairs():
 
 
 def _set_pairs(cls, count, seed=0):
-    rng = np.random.default_rng(seed)
-    return [(cls.random_member(rng), cls.random_member(rng)) for _ in range(count)]
+    members = random_members(cls, np.random.default_rng(seed), 2 * count)
+    return list(zip(members[::2], members[1::2]))
 
 
 SET_CLASSES = [BVectorClass(0, "odd"), BVectorClass(1, "odd"),
@@ -149,7 +148,7 @@ class TestPairFormsMatchReference:
             assert bits_equal(lambda_prod(h1, h2), ref_lambda_h_product(h1, h2))
 
     def test_cusp_member_raises_type_error(self):
-        # a cusp HolderMember has no closed-form lambda(h1 h2) with any member
+        # a cusp member has no closed-form lambda(h1 h2) with any member
         for h1, h2 in _cusp_pairs():
             with pytest.raises(TypeError):
                 lambda_prod(h1, h2)
@@ -210,8 +209,8 @@ def _set_pl_pairs():
     piecewise-linear members on both knot grids of _holder_members."""
     _, pl = _holder_members()
     rng = np.random.default_rng(17)
-    sets = [cls.random_member(rng) for cls in SET_CLASSES + [BVectorClass(2, "odd")]
-            for _ in range(6)]
+    sets = [m for cls in SET_CLASSES + [BVectorClass(2, "odd")]
+            for m in random_members(cls, rng, 6)]
     sets += [indicator(t) for t in (0.05, 0.5, 0.71, 1.0)]
     return [(u, p) for u in sets for p in pl]
 
@@ -231,9 +230,9 @@ class TestSetTimesPiecewiseLinear:
 class TestObservedGapMatchesReference:
     def _members(self):
         rng = np.random.default_rng(21)
-        out = [HolderClass(1.0, 1.0, beta).random_member(rng) for beta in (0.5, 1.0)]
+        out = [random_members(HolderClass(1.0, 1.0, beta), rng, 1)[0] for beta in (0.5, 1.0)]
         out += HolderClass(1.0, 1.0, 1.0).net_sample(0.5, 3, rng)
-        out += [cls.random_member(rng) for cls in SET_CLASSES + [BVectorClass(2, "odd")]]
+        out += [random_members(cls, rng, 1)[0] for cls in SET_CLASSES + [BVectorClass(2, "odd")]]
         out += [cls.member([Fraction(1, 3)] * cls.n_breakpoints) for cls in SET_CLASSES]
         out += [indicator(t) for t in (0.05, 1 / 3, 0.5, 0.999, 1.0)]
         out += [b_infinity_witness(k) for k in (1, 3, 7)]
@@ -259,8 +258,7 @@ class TestProtocol:
 
     def test_stored_lebesgue_is_the_sum(self):
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            u = BVectorClass(2, "even").random_member(rng)
+        for u in random_members(BVectorClass(2, "even"), rng, 50):
             assert u.lebesgue() == _ref_measure(u) == u.lambda_exact()
         assert IntervalUnion(()).lebesgue() == 0
         assert IntervalUnion.from_pairs([(0, 1)]).lebesgue() == 1

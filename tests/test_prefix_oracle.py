@@ -55,7 +55,7 @@ def _draw(name: str, n: int, label: str, r: int) -> Sample:
 def _tied(name: str, n: int, r: int) -> Sample:
     """A draw rounded to a coarse grid, so most values repeat."""
     xs = np.round(_draw(name, n, "tied", r).xs(), 1 if name != "uniform01" else 2)
-    return Sample(n=n, values=xs, seed=0, model=name)
+    return Sample(n=n, values=xs, model=name)
 
 
 def _saturated(name: str, n: int, r: int) -> Sample:
@@ -67,7 +67,7 @@ def _saturated(name: str, n: int, r: int) -> Sample:
            "exponential(1)": (-1.0, 40.0)}[name]
     xs[::3] = far[1] + np.arange(len(xs[::3])) % 4
     xs[1::7] = far[0]
-    return Sample(n=n, values=xs, seed=0, model=name)
+    return Sample(n=n, values=xs, model=name)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -164,7 +164,7 @@ def test_matches_bruteforce_and_oracle_with_forced_ties(grid, block):
     # values on the grid {-1/4, 0, ..., 5/4}: ties everywhere, and F = 0 or 1
     # at both ends
     n = len(grid)
-    sample = Sample(n=n, values=np.asarray(grid) / 4.0 - 0.25, seed=0, model="uniform01")
+    sample = Sample(n=n, values=np.asarray(grid) / 4.0 - 0.25, model="uniform01")
     model = parse_model("uniform01")
     got = sup_deviation_exact_BW(0, "odd", sample)
     assert got == insertion_prefix_stat(sample, model)

@@ -106,7 +106,7 @@ def _draw(name: str, n: int, label: str, r: int) -> Sample:
 def _tied(name: str, n: int) -> Sample:
     """A draw rounded to a coarse grid, so most values repeat."""
     xs = np.round(_draw(name, n, "tied", 0).xs(), 1 if name != "uniform01" else 2)
-    return Sample(n=n, values=xs, seed=0, model=name)
+    return Sample(n=n, values=xs, model=name)
 
 
 def _saturated(name: str, n: int) -> Sample:
@@ -118,7 +118,7 @@ def _saturated(name: str, n: int) -> Sample:
            "exponential(1)": (-1.0, 40.0)}[name]
     xs[::3] = far[1] + np.arange(len(xs[::3])) % 4
     xs[1::7] = far[0]
-    return Sample(n=n, values=xs, seed=0, model=name)
+    return Sample(n=n, values=xs, model=name)
 
 
 @pytest.mark.parametrize("j,parity", CLASSES)
@@ -150,8 +150,7 @@ def test_matches_bruteforce_with_forced_ties(grid, cls):
     # values on the grid {-1/4, 0, ..., 5/4}: ties everywhere, and F = 0 or 1
     # at both ends
     j, parity = cls
-    sample = Sample(n=len(grid), values=np.asarray(grid) / 4.0 - 0.25, seed=0,
-                    model="uniform01")
+    sample = Sample(n=len(grid), values=np.asarray(grid) / 4.0 - 0.25, model="uniform01")
     got = sup_deviation_exact_BW(j, parity, sample)
     assert got == chunked_runs_stat(sample, parse_model("uniform01"), j, parity)
     assert abs(got - sup_deviation_bruteforce(j, parity, sample)) <= 1e-12
@@ -313,7 +312,7 @@ def test_blocks_pruned_at_small_n(j, parity, name):
 def _high(n: int, r: int) -> Sample:
     """A uniform01 draw moved into [0.9, 1): F(X_(1)) is at least 0.9."""
     xs = 0.9 + 0.1 * _draw("uniform01", n, "high", r).xs()
-    return Sample(n=n, values=xs, seed=0, model="uniform01")
+    return Sample(n=n, values=xs, model="uniform01")
 
 
 @pytest.mark.parametrize("j,parity", [(1, "odd"), (2, "even"), (3, "odd")])

@@ -1,9 +1,10 @@
 """Bulk member draws and the integer form of IntervalUnion.
 
-random_members(rng, m) must give the members, and leave the generator in the
-state, of m random_member calls.  An IntervalUnion holds its endpoints as
-integers over one denominator; equality and hashing read that form, and the
-Fraction endpoints are built only when bounds or lebesgue() is read.
+A class's array draw of m members (random_breakpoints, random_cusps) must
+give the rows, and leave the generator in the state, of m one-row draws.
+An IntervalUnion holds its endpoints as integers over one denominator;
+equality and hashing read that form, and the Fraction endpoints are built
+only when bounds or lebesgue() is read.
 """
 
 from fractions import Fraction
@@ -22,16 +23,25 @@ CLASSES = {
 }
 
 
+def draw(cls, rng, count) -> list:
+    """The arrays of count members: random_cusps's four, or random_breakpoints's one."""
+    if isinstance(cls, HolderClass):
+        return list(cls.random_cusps(rng, count))
+    return [cls.random_breakpoints(rng, count)]
+
+
 @pytest.mark.parametrize("count", [0, 1, 33])
 @pytest.mark.parametrize("name", sorted(CLASSES))
 def test_random_members_match_one_at_a_time(name, count):
     cls = CLASSES[name]
     bulk_rng, one_rng = np.random.default_rng(21), np.random.default_rng(21)
-    bulk = cls.random_members(bulk_rng, count)
-    one = [cls.random_member(one_rng) for _ in range(count)]
-    assert len(bulk) == count
-    assert bulk == one
-    assert bulk_rng.random() == one_rng.random()
+    bulk = draw(cls, bulk_rng, count)
+    ones = [draw(cls, one_rng, 1) for _ in range(count)]
+    assert len(bulk[0]) == count
+    for k, got in enumerate(bulk):
+        want = np.concatenate([one[k] for one in ones]) if ones else got[:0]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert bulk_rng.bit_generator.state == one_rng.bit_generator.state
 
 
 PAIRS = {

@@ -27,7 +27,7 @@ UNIFORM = parse_model("uniform01")
 
 class TestExactStatistic:
     def test_single_point_half(self):
-        s = Sample(1, (0.5,), 0, "uniform01")
+        s = Sample(1, (0.5,), "uniform01")
         assert sup_deviation_exact_BW(0, "odd", s) == pytest.approx(0.5, abs=1e-15)
 
     def test_b0_is_rejected_by_both(self):
