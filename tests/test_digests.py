@@ -242,6 +242,27 @@ def test_custom_file_q_set_pinned(tmp_path):
     assert hashlib.sha256(numeric_bytes(report)).hexdigest() == CUSTOM_FILE_PIN
 
 
+# The same q file under the two other models, recorded while the G members
+# were still three classes (HalfLine, InitialInterval, BoundedPolynomial):
+# their cdf and truncated moments reach every cov_kernel pair of g types.
+CUSTOM_FILE_MODEL_PINS = {
+    "uniform01": "7596b5cb1e118605cbb4abcf7db3a5f10014d06846f10d5bf7565260eca25218",
+    "exponential(2)": "be2fa48219228e3c937a8974f59edd8bafa4d1414f5a1e87afbb2c0c39ec26a0",
+}
+
+
+@pytest.mark.parametrize("model", sorted(CUSTOM_FILE_MODEL_PINS))
+def test_custom_file_q_set_pinned_per_model(tmp_path, model):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(_Q_FILE))
+    report = run_experiment("fclt", {"q_set": "custom-file", "q_file": str(path), "n": 300,
+                                     "replicates": 400, "seed": 3, "model": model,
+                                     "run_modulus": False, "cov_tolerance": 0.3,
+                                     "ks_tolerance": 0.3})
+    report["config"]["q_file"] = "q.json"
+    assert hashlib.sha256(numeric_bytes(report)).hexdigest() == CUSTOM_FILE_MODEL_PINS[model]
+
+
 # lindeberg_check on two-valued products that no report runs, recorded while
 # a q was still a callback bundle with its own sup-bound shortcut and tail
 _LINDEBERG_H = {
