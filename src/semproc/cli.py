@@ -52,12 +52,12 @@ from .function_classes import (
     INDICATORS,
     BoundedPolynomial,
     BVectorClass,
-    HalfLine,
     HolderClass,
-    InitialInterval,
+    LineInterval,
     NetTooLargeError,
     b_infinity_witness,
     cusp_riemann_gap_rows,
+    half_line,
     indicator,
     set_riemann_gap_rows,
 )
@@ -218,7 +218,7 @@ def _run_ulln(cfg: dict) -> tuple:
 def _holder_product_qs(model) -> list:
     net = HolderClass(1.0, 1.0, 1.0).build_net(0.8)
     picks = [net[0], net[len(net) // 3], net[2 * len(net) // 3], net[-1]]
-    gs = [HalfLine(float(model.ppf(1.0 / 3.0))), HalfLine(float(model.ppf(2.0 / 3.0)))]
+    gs = [half_line(float(model.ppf(1.0 / 3.0))), half_line(float(model.ppf(2.0 / 3.0)))]
     return [(h, g) for h in picks for g in gs]
 
 
@@ -227,8 +227,8 @@ Q_PARTS = {
     "h": {"indicator": ({"t": (float,)}, lambda s: indicator(s["t"])),
           "holder-pl": ({"knots": ([float],), "values": ([float],)},
                         lambda s: PiecewiseLinear(tuple(s["knots"]), tuple(s["values"])))},
-    "g": {"half-line": ({"w": (float,)}, lambda s: HalfLine(s["w"])),
-          "initial-interval": ({"w": (float,)}, lambda s: InitialInterval(s["w"])),
+    "g": {"half-line": ({"w": (float,)}, lambda s: half_line(s["w"])),
+          "initial-interval": ({"w": (float,)}, lambda s: LineInterval(0.0, s["w"])),
           "poly": ({"coeffs": ([float],)}, lambda s: BoundedPolynomial(tuple(s["coeffs"])))},
 }
 
@@ -399,7 +399,7 @@ def _run_kiefer(cfg: dict) -> tuple:
     cells = kiefer_cells(cfg["grid"])
     analytic = cov_matrix(cells, model)
     s = np.array([float(h.lebesgue()) for h, _ in cells])
-    x = np.array([g.w for _, g in cells])
+    x = np.array([g.hi for _, g in cells])
     closed = np.minimum.outer(s, s) * (np.minimum.outer(x, x) - np.outer(x, x))
     kernel_err = float(np.max(np.abs(analytic - closed)))
     # the empirical covariance, one np.sum of products per pair of centred

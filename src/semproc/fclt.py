@@ -4,9 +4,10 @@ the Kiefer process, the Lindeberg check, a fidi convergence test, and the
 equicontinuity-modulus proxy.
 
 A q is the pair (h, g) of the product q(s, x) = h(s) g(x): h an h member and
-g a G member of semproc.function_classes.  The covariance kernel lambda(h1
-h2) Cov_nu(g1, g2), the Lindeberg limit variance and its tail (g's
-centered_sq_tail at the values h(i/n)) are closed forms; nothing here
+g a G member of semproc.function_classes, an interval of the line or a
+polynomial.  The covariance kernel lambda(h1 h2) Cov_nu(g1, g2), the
+Lindeberg limit variance and its tail are closed forms, read from g's mean,
+pair_mean and centered_sq_tail (at the values h(i/n)); nothing here
 integrates by quadrature.
 
 One kernel, process_deviations, computes P_n(hg) - lambda_n(h) nu(g) for the
@@ -34,9 +35,9 @@ from .covering import greedy_net_indices, product_distances
 from .function_classes import (
     INDICATORS,
     BoundedPolynomial,
-    HalfLine,
     HolderClass,
     grid_values,
+    half_line,
     half_line_net,
     indicator,
     indicator_net,
@@ -77,7 +78,7 @@ _H_CAP, _G_CAP = 60, 24  # h members and half-lines in a modulus pool
 def kiefer_cell(s0: float, x0: float) -> tuple:
     """q = 1_(0, s0](s) * 1_(-inf, x0](x); under uniform nu the limit process
     restricted to these cells is the classical Kiefer process."""
-    return indicator(s0), HalfLine(x0)
+    return indicator(s0), half_line(x0)
 
 
 def kiefer_cells(grid: int) -> list:
@@ -134,7 +135,7 @@ def lindeberg_check(
     degenerate branch is reported instead (the limit is the point mass at
     zero)."""
     h, g = q
-    nu_g, nu_g2 = g.mean(model), g.second_moment(model)
+    nu_g, nu_g2 = g.mean(model), g.pair_mean(g, model)
     limit_var = (nu_g2 - nu_g**2) * lambda_prod(h, h)
     if limit_var < _DEGENERATE_TOL:
         return {"degenerate": True, "limit_variance": limit_var, "rows": []}
@@ -306,7 +307,7 @@ def _h_pool(h_class, net_u: float, seed: int):
     if h_class == INDICATORS:
         net = indicator_net(net_u * net_u, 4 * _H_CAP, rng)
     elif isinstance(h_class, HolderClass):
-        net = h_class.net_sample(net_u, 4 * _H_CAP, rng)
+        net = h_class.build_net(net_u, 4 * _H_CAP, rng)
     else:
         raise TypeError(type(h_class))
     sq = lambda_sq_matrix(net)

@@ -1,8 +1,9 @@
 """The explicit function and set classes: Holder balls H(T, C, beta), the
 interval-union set classes B(2j+1) and B(2j) (the indicators 1_(0,t] are
 B(1)), the non-uniformly-Riemann-integrable counterexample family, and the
-members g on the sample space.  A product class F = H * G = {h(s) g(x)} has
-G the half-lines, so it is named by its h class alone.
+members g on the sample space, intervals of the line and polynomials.  A
+product class F = H * G = {h(s) g(x)} has G the half-lines, so it is named
+by its h class alone.
 
 Every h class exposes seeded random members as arrays, and its closed-form
 Riemann gap bound: a set class's sorted breakpoints, one row per member,
@@ -70,9 +71,9 @@ __all__ = [
     "indicator_net",
     "grid_values",
     "b_infinity_witness",
-    "HalfLine",
+    "LineInterval",
+    "half_line",
     "half_line_net",
-    "InitialInterval",
     "BoundedPolynomial",
     "observed_riemann_gap",
     "set_riemann_gap_rows",
@@ -219,19 +220,16 @@ class HolderClass:
         _, first = np.unique(np.round(vals, 9), axis=0, return_index=True)
         return grid, vals[np.sort(first)]
 
-    def net_sample(self, u: float, size: Optional[int] = None,
-                   rng: Optional[np.random.Generator] = None) -> list[PiecewiseLinear]:
-        """Members of the u-net at size rows drawn by rng without replacement,
-        in net order; the whole net when size is None or not below its size."""
+    def build_net(self, u: float, size: Optional[int] = None,
+                  rng: Optional[np.random.Generator] = None) -> list[PiecewiseLinear]:
+        """Sup-norm u-net of exact class members (see module docstring); with
+        size, when the net has more rows, size of them drawn by rng without
+        replacement, in net order, before any member is built."""
         grid, vals = self.net_values(u)
         if size is not None and len(vals) > size:
             vals = vals[np.sort(rng.choice(len(vals), size=size, replace=False))]
         knots = tuple(grid)
         return [PiecewiseLinear(knots, tuple(v)) for v in vals.tolist()]
-
-    def build_net(self, u: float) -> list[PiecewiseLinear]:
-        """Sup-norm u-net of exact class members (see module docstring)."""
-        return self.net_sample(u)
 
 
 def _grid_minorant(seqs: np.ndarray, hol: np.ndarray) -> np.ndarray:
@@ -411,7 +409,7 @@ def indicator_net(mesh: float, size: Optional[int] = None,
                   rng: Optional[np.random.Generator] = None) -> list[IntervalUnion]:
     """The indicators 1_(0, t] at t = mesh, 2 mesh, ... and 1: every
     indicator is within mesh of one in lambda((h1-h2)^2) = |t1 - t2|.  As
-    with HolderClass.net_sample, size members drawn by rng without
+    with HolderClass.build_net, size members drawn by rng without
     replacement, in net order, when the net has more than size; the draw
     comes before any member is built."""
     ks = range(_line_net_count(mesh))
@@ -444,17 +442,46 @@ def b_infinity_witness(n: int) -> IntervalUnion:
 # The sample space: G members and the half-line net
 # ---------------------------------------------------------------------------
 #
-# A G member g answers g(x), mean(model) = nu(g), second_moment(model) =
-# nu(g^2), pair_mean(other, model) = nu(g g') and centered_sq_tail(model, hs,
-# T): the Lindeberg tail of the centred product q_tilde(s, x) = h(s) (g(x) -
-# nu(g)), that is E[q_tilde(s, X)^2; |q_tilde(s, X)| >= T] at each s, given
-# hs = h(s).
+# A G member g, an interval LineInterval or a BoundedPolynomial, answers
+# g(x), mean(model) = nu(g), pair_mean(other, model) = nu(g g') (so nu(g^2)
+# is pair_mean(g, model)) and centered_sq_tail(model, hs, T): the Lindeberg
+# tail of the centred product q_tilde(s, x) = h(s) (g(x) - nu(g)), that is
+# E[q_tilde(s, X)^2; |q_tilde(s, X)| >= T] at each s, given hs = h(s).  Each
+# nu-integral is a closed form in the model's cdf or truncated moments.
 
-class _TwoValued:
-    """The tail shared by the indicator members, where g(X) is 1 with
-    probability m = nu(g) and 0 otherwise."""
+@dataclass(frozen=True)
+class LineInterval:
+    """g = 1 on [lo, hi]; lo = -inf is the half-line (-inf, hi]."""
+
+    lo: float
+    hi: float
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        inside = x <= self.hi
+        if self.lo > -math.inf:
+            inside &= x >= self.lo
+        out = inside.astype(float)
+        return out if out.shape else float(out)
+
+    def mean(self, model: NuModel) -> float:
+        return self.pair_mean(self, model)
+
+    def pair_mean(self, other, model: NuModel) -> float:
+        """nu of [max lo, min hi] with another interval, F(hi) - F(lo), and
+        truncated_mean(hi) - truncated_mean(lo) with a polynomial: 0.0 when
+        the interval is empty, no subtraction when lo is -inf."""
+        if isinstance(other, BoundedPolynomial):
+            lo, hi, primitive = self.lo, self.hi, lambda w: other.truncated_mean(model, w)
+        else:
+            lo, hi, primitive = (max(self.lo, other.lo), min(self.hi, other.hi),
+                                 lambda w: float(model.cdf(w)))
+        if hi < lo:
+            return 0.0
+        return primitive(hi) if lo == -math.inf else primitive(hi) - primitive(lo)
 
     def centered_sq_tail(self, model: NuModel, hs: np.ndarray, T: float) -> np.ndarray:
+        """g(X) is 1 with probability m = nu(g) and 0 otherwise."""
         m = self.mean(model)
         v_in = hs * (1.0 - m)    # value on {g = 1}, probability m
         v_out = -hs * m          # value on {g = 0}, probability 1 - m
@@ -463,63 +490,9 @@ class _TwoValued:
         return out
 
 
-@dataclass(frozen=True)
-class HalfLine(_TwoValued):
+def half_line(w: float) -> LineInterval:
     """g = 1 on (-inf, w]."""
-
-    w: float
-
-    def __call__(self, x):
-        out = (np.asarray(x, dtype=float) <= self.w).astype(float)
-        return out if out.shape else float(out)
-
-    def mean(self, model: NuModel) -> float:
-        return float(model.cdf(self.w))
-
-    def pair_mean(self, other, model: NuModel) -> float:
-        if isinstance(other, HalfLine):
-            return float(model.cdf(min(self.w, other.w)))
-        if isinstance(other, InitialInterval):
-            lo = min(self.w, other.w)
-            return max(0.0, float(model.cdf(lo)) - float(model.cdf(0.0))) if lo >= 0 else 0.0
-        if isinstance(other, BoundedPolynomial):
-            return other.truncated_mean(model, self.w)
-        raise TypeError(type(other))
-
-    def second_moment(self, model: NuModel) -> float:
-        return self.mean(model)
-
-
-@dataclass(frozen=True)
-class InitialInterval(_TwoValued):
-    """g = 1 on [0, w]."""
-
-    w: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = ((x >= 0.0) & (x <= self.w)).astype(float)
-        return out if out.shape else float(out)
-
-    def mean(self, model: NuModel) -> float:
-        if self.w < 0:
-            return 0.0
-        return float(model.cdf(self.w)) - float(model.cdf(0.0))
-
-    def pair_mean(self, other, model: NuModel) -> float:
-        if isinstance(other, (HalfLine, InitialInterval)):
-            lo = min(self.w, other.w)
-            if lo < 0:
-                return 0.0
-            return float(model.cdf(lo)) - float(model.cdf(0.0))
-        if isinstance(other, BoundedPolynomial):
-            if self.w < 0:  # [0, w] is empty
-                return 0.0
-            return other.truncated_mean(model, self.w) - other.truncated_mean(model, 0.0)
-        raise TypeError(type(other))
-
-    def second_moment(self, model: NuModel) -> float:
-        return self.mean(model)
+    return LineInterval(-math.inf, w)
 
 
 @dataclass(frozen=True)
@@ -544,9 +517,6 @@ class BoundedPolynomial:
             return sum(c * model.moment(k) for k, c in enumerate(prod))
         return other.pair_mean(self, model)
 
-    def second_moment(self, model: NuModel) -> float:
-        return self.pair_mean(self, model)
-
     def centered_sq_tail(self, model: NuModel, hs: np.ndarray, T: float) -> np.ndarray:
         """The Lindeberg tail of h * g for degree <= 1: h(s) c_1 (X - mu) is
         v (X - mu) with v = h(s) c_1, so the tail is v^2 times the model's
@@ -559,10 +529,10 @@ class BoundedPolynomial:
         return v**2 * model.centered_sq_tail(a)
 
 
-def half_line_net(mesh: float, model: NuModel, size: Optional[int] = None) -> list[HalfLine]:
+def half_line_net(mesh: float, model: NuModel, size: Optional[int] = None) -> list[LineInterval]:
     """The half-lines at the F-quantiles mesh, 2 mesh, ... (capped just
     below 1), sorted, equal ones once: a half-line's nu(g) and nu(g^2) are
-    both F(w), so neighbors are within mesh in d1_nu and in d2_nu^2.  With
+    both F(hi), so neighbors are within mesh in d1_nu and in d2_nu^2.  With
     size, when the net has more members, the at most size at evenly spaced
     ranks (the first and the last among them); the end points are thinned
     before any member is built."""
@@ -570,7 +540,7 @@ def half_line_net(mesh: float, model: NuModel, size: Optional[int] = None) -> li
     ws = np.unique(model.ppf(np.minimum(ks * mesh, 1.0 - 1e-12)))
     if size is not None and len(ws) > size:
         ws = ws[np.unique(np.linspace(0, len(ws) - 1, size).round().astype(int))]
-    return [HalfLine(w) for w in ws.tolist()]
+    return [half_line(w) for w in ws.tolist()]
 
 
 # ---------------------------------------------------------------------------

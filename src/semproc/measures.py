@@ -91,42 +91,38 @@ class NuModel:
     # -- closed-form moments -------------------------------------------------
 
     def moment(self, k: int) -> float:
-        """Exact raw moment E[X^k]."""
+        """Exact raw moment E[X^k]; ValueError past the float range."""
         if k < 0:
             raise ValueError("k must be >= 0")
         if self.kind == "uniform01":
             return 1.0 / (k + 1)
         if self.kind == "standard-normal":
-            if k % 2 == 1:
-                return 0.0
-            return float(math.prod(range(k - 1, 0, -2))) if k else 1.0
-        rate = self.params[0]
-        return math.factorial(k) / rate**k
+            return 0.0 if k % 2 else self._finite(k, lambda: math.prod(range(k - 1, 0, -2)))
+        return self._finite(k, lambda: math.factorial(k) / self.params[0]**k)
 
     def truncated_moment(self, k: int, w: float) -> float:
-        """Exact integral of x^k over (-inf, w] against nu."""
+        """Exact integral of x^k over (-inf, w] against nu; ValueError past
+        the float range."""
         if k < 0:
             raise ValueError("k must be >= 0")
         if self.kind == "uniform01":
             c = min(max(w, 0.0), 1.0)
             return c ** (k + 1) / (k + 1)
         if self.kind == "standard-normal":
-            phi = math.exp(-0.5 * w * w) / _SQRT2PI
-            m0 = float(ndtr(w))
-            if k == 0:
-                return m0
-            m1 = -phi
-            if k == 1:
-                return m1
-            prev2, prev1 = m0, m1
-            for j in range(2, k + 1):
-                cur = -(w ** (j - 1)) * phi + (j - 1) * prev2
-                prev2, prev1 = prev1, cur
-            return prev1
-        rate = self.params[0]
-        if w <= 0:
-            return 0.0
-        return (math.factorial(k) / rate**k) * gammainc(k + 1, rate * w)
+            return self._finite(k, lambda: _normal_truncated_moment(k, w))
+        return 0.0 if w <= 0 else self.moment(k) * gammainc(k + 1, self.params[0] * w)
+
+    def _finite(self, k: int, value) -> float:
+        """value() as a float, or a ValueError naming the model and k where
+        it is past the float range."""
+        try:
+            out = float(value())
+        except (OverflowError, ZeroDivisionError):
+            out = math.inf
+        if math.isfinite(out):
+            return out
+        rate = f"({self.params[0]!r})" if self.params else ""
+        raise ValueError(f"the order-{k} moment of {self.kind}{rate} is past the float range")
 
     def centered_sq_tail(self, a: np.ndarray) -> np.ndarray:
         """Exact E[(X - mu)^2; |X - mu| >= a] at each threshold of the array a
@@ -160,6 +156,18 @@ class NuModel:
         if self.kind == "standard-normal":
             return rng.standard_normal(shape)
         return rng.exponential(1.0 / self.params[0], shape)
+
+
+def _normal_truncated_moment(k: int, w: float) -> float:
+    """The integral of x^k phi(x) over (-inf, w]: m_j = -w^(j-1) phi(w) + (j - 1)
+    m_(j-2) from m_0 = Phi(w), m_1 = -phi(w).  Where phi(w) is 0.0 the first
+    term, a zero that changes no bit of m_j, is skipped: w^(j-1) may overflow."""
+    phi = math.exp(-0.5 * w * w) / _SQRT2PI
+    prev2, prev1 = float(ndtr(w)), -phi
+    for j in range(2, k + 1):
+        cur = (j - 1) * prev2 if phi == 0.0 else -(w ** (j - 1)) * phi + (j - 1) * prev2
+        prev2, prev1 = prev1, cur
+    return prev1 if k else prev2
 
 
 def parse_model(name: str) -> NuModel:

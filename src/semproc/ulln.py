@@ -64,7 +64,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fclt import process_deviations
-from .function_classes import (_BLOCK_CELLS, INDICATORS, BVectorClass, HalfLine, grid_values,
+from .function_classes import (_BLOCK_CELLS, INDICATORS, BVectorClass, grid_values, half_line,
                                half_line_net, indicator_net)
 from .measures import NuModel, Sample, draw_sample
 from .quadrature import integrate
@@ -539,8 +539,8 @@ def sup_deviation_net(sample: Sample, net_u: float) -> tuple[float, float]:
     stride = max(1, int(math.floor(u * sample.n)))
     ws = set(float(x) for x in xs_sorted[stride - 1::stride])
     ws.add(float(xs_sorted[-1]))
-    ws.update(g.w for g in half_line_net(u, model))
-    g_net = [HalfLine(w) for w in sorted(ws)]
+    ws.update(g.hi for g in half_line_net(u, model))
+    g_net = [half_line(w) for w in sorted(ws)]
 
     h_vals = grid_values(h_net, sample.n)
     lower = float(np.abs(process_deviations(h_vals, g_net, xs[None, :], model)).max())

@@ -7,7 +7,9 @@ test for interval unions), the values at the grid i/n with a set's
 membership decided on the Fraction i/n (exact_grid_values), a certified
 sup distance between Holder members, the cusp Holder member that
 function_classes keeps only as arrays (CuspMember, with its own lambda) and
-the members of a class's array draw (random_members), the exact rational
+the members of a class's array draw (random_members), the half-line and
+initial-interval g members that function_classes keeps as one LineInterval
+(HalfLine, InitialInterval), the exact rational
 Riemann gap of an interval union, the one-member float gap of any other
 member, the constant
 q as a product pair, scalar evaluators of lambda_n, lambda, the sequential
@@ -129,6 +131,80 @@ def random_members(cls, rng: np.random.Generator, count: int) -> list:
     if isinstance(cls, HolderClass):
         return cusp_members(cls, cls.random_cusps(rng, count))
     return [cls.member(row) for row in cls.random_breakpoints(rng, count).tolist()]
+
+
+class _TwoValued:
+    """The tail shared by the indicator members, where g(X) is 1 with
+    probability m = nu(g) and 0 otherwise."""
+
+    def centered_sq_tail(self, model: NuModel, hs: np.ndarray, T: float) -> np.ndarray:
+        m = self.mean(model)
+        v_in = hs * (1.0 - m)    # value on {g = 1}, probability m
+        v_out = -hs * m          # value on {g = 0}, probability 1 - m
+        out = np.where(np.abs(v_in) >= T, v_in**2 * m, 0.0)
+        out += np.where(np.abs(v_out) >= T, v_out**2 * (1.0 - m), 0.0)
+        return out
+
+
+@dataclass(frozen=True)
+class HalfLine(_TwoValued):
+    """g = 1 on (-inf, w], with its nu-integrals case by case over the other
+    member's type: the scalar reference of function_classes.LineInterval."""
+
+    w: float
+
+    def __call__(self, x):
+        out = (np.asarray(x, dtype=float) <= self.w).astype(float)
+        return out if out.shape else float(out)
+
+    def mean(self, model: NuModel) -> float:
+        return float(model.cdf(self.w))
+
+    def pair_mean(self, other, model: NuModel) -> float:
+        if isinstance(other, HalfLine):
+            return float(model.cdf(min(self.w, other.w)))
+        if isinstance(other, InitialInterval):
+            lo = min(self.w, other.w)
+            return max(0.0, float(model.cdf(lo)) - float(model.cdf(0.0))) if lo >= 0 else 0.0
+        if isinstance(other, BoundedPolynomial):
+            return other.truncated_mean(model, self.w)
+        raise TypeError(type(other))
+
+    def second_moment(self, model: NuModel) -> float:
+        return self.mean(model)
+
+
+@dataclass(frozen=True)
+class InitialInterval(_TwoValued):
+    """g = 1 on [0, w]; the scalar reference of function_classes.LineInterval
+    with lo = 0."""
+
+    w: float
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = ((x >= 0.0) & (x <= self.w)).astype(float)
+        return out if out.shape else float(out)
+
+    def mean(self, model: NuModel) -> float:
+        if self.w < 0:
+            return 0.0
+        return float(model.cdf(self.w)) - float(model.cdf(0.0))
+
+    def pair_mean(self, other, model: NuModel) -> float:
+        if isinstance(other, (HalfLine, InitialInterval)):
+            lo = min(self.w, other.w)
+            if lo < 0:
+                return 0.0
+            return float(model.cdf(lo)) - float(model.cdf(0.0))
+        if isinstance(other, BoundedPolynomial):
+            if self.w < 0:  # [0, w] is empty
+                return 0.0
+            return other.truncated_mean(model, self.w) - other.truncated_mean(model, 0.0)
+        raise TypeError(type(other))
+
+    def second_moment(self, model: NuModel) -> float:
+        return self.mean(model)
 
 
 def observed_riemann_gap_exact(member: IntervalUnion, n: int) -> Fraction:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate as sciint
 from scipy import stats
 
-from semproc.function_classes import HalfLine, InitialInterval
+from semproc.function_classes import LineInterval
 from semproc.intervals import IntervalUnion
 from semproc.quadrature import integrate
 
@@ -68,13 +68,11 @@ def evaluator(member):
 
 
 def _jumps(member):
-    """The points where a G or an h member jumps: w for a half-line, 0 and w
-    for an initial interval, the float endpoints of a set member, none for a
+    """The points where a G or an h member jumps: the finite ends of an
+    interval of the line, the float endpoints of a set member, none for a
     polynomial or a continuous h."""
-    if isinstance(member, HalfLine):
-        return (member.w,)
-    if isinstance(member, InitialInterval):
-        return (0.0, member.w)
+    if isinstance(member, LineInterval):
+        return tuple(x for x in (member.lo, member.hi) if np.isfinite(x))
     if isinstance(member, IntervalUnion):
         return tuple(float(x) for pair in member.bounds for x in pair)
     return ()

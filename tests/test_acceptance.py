@@ -23,10 +23,10 @@ from semproc.fclt import (
 )
 from semproc.function_classes import (
     BVectorClass,
-    HalfLine,
     HolderClass,
     b_infinity_witness,
     cusp_riemann_gap_rows,
+    half_line,
     indicator,
     set_riemann_gap_rows,
 )
@@ -167,8 +167,8 @@ def test_criterion_07_kernel_correctness():
     for trial in range(100):
         h1 = indicator(float(rng.random()))
         h2 = indicator(float(rng.random()))
-        g1 = HalfLine(float(rng.random()))
-        g2 = HalfLine(float(rng.random()))
+        g1 = half_line(float(rng.random()))
+        g2 = half_line(float(rng.random()))
         q1, q2 = (h1, g1), (h2, g2)
         worst = max(worst, abs(cov_kernel(q1, q2, UNIFORM)
                                - cov_kernel_quadrature(q1, q2, UNIFORM)))

@@ -392,6 +392,40 @@ class TestMainEntry:
         assert code == 2
         assert capsys.readouterr().err == message + "\n"
 
+    def test_normal_moment_at_a_far_half_line_exit_0(self, tmp_path, capsys):
+        # x^3 against (-inf, 1e200]: phi(w) is 0.0 there, while w^2 overflows
+        entries = [{"h": {"type": "indicator", "t": 0.5},
+                    "g": {"type": "poly", "coeffs": [0, 0, 0, 1]}},
+                   {"h": {"type": "indicator", "t": 0.5},
+                    "g": {"type": "half-line", "w": 1e200}}]
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(entries))
+        code = main(["fclt", "--q-set", "custom-file", "--q-file", str(path),
+                     "--model", "standard-normal", "--run-modulus", "false",
+                     "--run-lindeberg", "false"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("model,coeffs,message", [
+        ("exponential(1e-200)", [0, 0, 1],
+         "error: the order-2 moment of exponential(1e-200) is past the float range\n"),
+        ("exponential(1e200)", [0, 0, 1],
+         "error: the order-2 moment of exponential(1e+200) is past the float range\n"),
+        ("standard-normal", [0] * 400 + [1],
+         "error: the order-302 moment of standard-normal is past the float range\n"),
+    ], ids=["exponential-tiny-rate", "exponential-huge-rate", "normal-degree-400"])
+    def test_moments_past_the_float_range_exit_2(self, tmp_path, capsys, model, coeffs,
+                                                  message):
+        entries = [{"h": {"type": "indicator", "t": 0.5},
+                    "g": {"type": "poly", "coeffs": coeffs}}]
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(entries))
+        code = main(["fclt", "--q-set", "custom-file", "--q-file", str(path),
+                     "--model", model, "--run-modulus", "false", "--run-lindeberg", "false",
+                     "--n", "50", "--replicates", "100"])
+        assert code == 2
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("exc", [QuadratureError("no convergence", 0.5)],
                              ids=["quadrature"])
     def test_internal_error_exit_3(self, monkeypatch, capsys, exc):

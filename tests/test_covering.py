@@ -15,7 +15,7 @@ from semproc.covering import (
 )
 from semproc.function_classes import (
     BVectorClass,
-    HalfLine,
+    half_line,
     indicator,
     lambda_sq_matrix,
 )
@@ -37,7 +37,7 @@ def d2_lambda(h1, h2):
 
 def d2_nu(g1, g2, model):
     """L2(nu) distance from the closed-form g moments."""
-    sq = g1.second_moment(model) - 2.0 * g1.pair_mean(g2, model) + g2.second_moment(model)
+    sq = g1.pair_mean(g1, model) - 2.0 * g1.pair_mean(g2, model) + g2.pair_mean(g2, model)
     return math.sqrt(max(sq, 0.0))
 
 
@@ -49,7 +49,7 @@ def _metric(kind, model):
 
 
 def _triples(rng, side):
-    member = indicator if side == "h" else HalfLine
+    member = indicator if side == "h" else half_line
     return (member(float(t)) for t in rng.random(3))
 
 
@@ -57,7 +57,7 @@ class TestPseudoMetrics:
     def test_identity_is_zero(self):
         model = parse_model("uniform01")
         h = indicator(0.6)
-        g = HalfLine(0.4)
+        g = half_line(0.4)
         assert d2_lambda(h, h) == 0.0
         assert d2_nu(g, g, model) == 0.0
 
@@ -276,7 +276,7 @@ class TestCompositeMetricProductBound:
         # with the composite d((h, g), (h', g')) = d2_lambda(h, h') + d2_nu(g, g')
         model = parse_model("uniform01")
         h_net = [indicator(t) for t in (0.25, 0.5, 0.75, 1.0)]
-        g_net = [HalfLine(w) for w in (0.2, 0.5, 0.8)]
+        g_net = [half_line(w) for w in (0.2, 0.5, 0.8)]
         d_h = np.sqrt(np.maximum(lambda_sq_matrix(h_net), 0.0))
         d_g = np.array([[d2_nu(a, b, model) for b in g_net] for a in g_net])
         k = len(h_net) * len(g_net)  # F-net member (h_a, g_b) is row a * len(g_net) + b

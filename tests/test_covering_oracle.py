@@ -26,7 +26,7 @@ from semproc.covering import (
     check_covering_lemmas,
     exact_covering_number,
 )
-from semproc.function_classes import HalfLine, indicator
+from semproc.function_classes import half_line, indicator
 from semproc.measures import draw_sample, parse_model
 
 from member_oracles import exact_grid_values
@@ -105,7 +105,7 @@ def fine_net_rows(model, n, seeds):
     out = [h]
     for seed in seeds:
         xs = draw_sample(model, n, seed).xs()
-        g = np.stack([HalfLine(float(model.ppf((i + 1) / (k + 1))))(xs) for i in range(k)])
+        g = np.stack([half_line(float(model.ppf((i + 1) / (k + 1))))(xs) for i in range(k)])
         out += [(h[:, None, :] * g[None, :, :]).reshape(-1, n), g]
     return out
 

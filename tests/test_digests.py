@@ -62,7 +62,7 @@ import pytest
 
 from semproc.cli import numeric_bytes, run_experiment
 from semproc.fclt import lindeberg_check
-from semproc.function_classes import HalfLine, InitialInterval, indicator
+from semproc.function_classes import LineInterval, half_line, indicator
 from semproc.measures import draw_sample, parse_model
 from semproc.piecewise import PiecewiseLinear
 
@@ -269,7 +269,7 @@ _LINDEBERG_H = {
     "indicator": indicator(0.45),
     "holder-pl": PiecewiseLinear((0.0, 0.5, 1.0), (0.2, -0.2, 0.3)),
 }
-_LINDEBERG_G = {"half-line": HalfLine(0.3), "initial-interval": InitialInterval(0.6)}
+_LINDEBERG_G = {"half-line": half_line(0.3), "initial-interval": LineInterval(0.0, 0.6)}
 LINDEBERG_PINS = {
     ("indicator", "half-line", "uniform01"):
         "759f1df2f901aa2f91a807f5c2daff44075335c73f06b323b8d56fa6d0cb3fc5",

@@ -30,10 +30,10 @@ from semproc.function_classes import (
     INDICATORS,
     BoundedPolynomial,
     BVectorClass,
-    HalfLine,
     HolderClass,
-    InitialInterval,
+    LineInterval,
     grid_values,
+    half_line,
     indicator,
 )
 from semproc.intervals import IntervalUnion
@@ -73,9 +73,9 @@ class TestCenterQ:
         assert hs.sum() == 5.0
         want = 0.0
         for hv in hs:
-            mean = expect(UNIFORM, lambda xs, hv=hv: hv * g(xs), points=(g.w,))
+            mean = expect(UNIFORM, lambda xs, hv=hv: hv * g(xs), points=(g.hi,))
             want += expect(UNIFORM, lambda xs, hv=hv: (hv * g(xs) - mean) ** 2,
-                           points=(g.w,)) / n
+                           points=(g.hi,)) / n
         assert vn == pytest.approx(want, abs=1e-10)
 
     def test_x_free_q_centers_to_zero(self):
@@ -85,11 +85,11 @@ class TestCenterQ:
 
 
 def _all_builder_qs():
-    """Products over {indicator, pl Holder, cusp Holder} x {HalfLine,
-    InitialInterval, BoundedPolynomial}, s*x and a constant."""
+    """Products over {indicator, pl Holder, cusp Holder} x {half-line,
+    initial interval, polynomial}, s*x and a constant."""
     hs = [indicator(0.45), HolderClass(1.0, 1.0, 1.0).build_net(0.8)[7],
           *random_members(HolderClass(1.0, 1.0, 0.5), np.random.default_rng(3), 1)]
-    gs = [HalfLine(0.3), InitialInterval(0.6), BoundedPolynomial((0.2, -0.5, 0.25))]
+    gs = [half_line(0.3), LineInterval(0.0, 0.6), BoundedPolynomial((0.2, -0.5, 0.25))]
     return [(h, g) for h in hs for g in gs] + [make_sx_q(), make_constant_q(-1.3)]
 
 
@@ -121,7 +121,7 @@ class TestEvalZn:
 
     def test_single_point_hand_value(self):
         # q = 1_(-inf, 0.5](x) at n = 1: Z_1 = 1{X_1 <= 0.5} - 0.5
-        q = (indicator(1.0), HalfLine(0.5))
+        q = (indicator(1.0), half_line(0.5))
         Z = replicate_Z_values([q], 1, 60, 4, UNIFORM)
         assert set(Z[:, 0].tolist()) == {-0.5, 0.5}
 
@@ -156,7 +156,7 @@ class TestEvalZn:
         n, R = 100, 4000
         Z = replicate_Z_values([(h, g)], n, R, 11, UNIFORM)
         hs = exact_grid_values(h, n)
-        target = float(np.mean(hs**2 * g.second_moment(UNIFORM) - (hs * g.mean(UNIFORM)) ** 2))
+        target = float(np.mean(hs**2 * g.pair_mean(g, UNIFORM) - (hs * g.mean(UNIFORM)) ** 2))
         var = float(np.var(Z[:, 0], ddof=1))
         mc_err = 3 * target * math.sqrt(2.0 / (R - 1))  # chi-square scale
         assert abs(var - target) <= mc_err
@@ -180,7 +180,7 @@ class TestCovKernel:
         # [0, w] is empty for w < 0, so g1 g2 is identically 0: nu(g1 g2) and
         # the kernel are 0, in both call orders, as the quadrature oracle finds
         model = parse_model(model_name)
-        g1, g2 = InitialInterval(-0.5), BoundedPolynomial(coeffs)
+        g1, g2 = LineInterval(0.0, -0.5), BoundedPolynomial(coeffs)
         assert g1.pair_mean(g2, model) == 0.0
         assert g2.pair_mean(g1, model) == 0.0
         assert expect(model, lambda xs: g1(xs) * g2(xs), points=(-0.5, 0.0)) == 0.0
@@ -192,7 +192,7 @@ class TestCovKernel:
     def test_product_vs_generic_random_pairs(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
-            q1 = (indicator(float(rng.random())), HalfLine(float(rng.random())))
+            q1 = (indicator(float(rng.random())), half_line(float(rng.random())))
             q2 = (indicator(float(rng.random())),
                   BoundedPolynomial(tuple(rng.random(3) - 0.5)))
             a = cov_kernel(q1, q2, UNIFORM)
@@ -486,7 +486,7 @@ class TestModulus:
 def _d_g_by_pair_means(g_pool, model) -> np.ndarray:
     """sqrt(nu((g1 - g2)^2)) = sqrt(nu(g1^2) - 2 nu(g1 g2) + nu(g2^2)) from the
     members' second moments and pair means: the form the closed form replaced."""
-    seconds = np.array([g.second_moment(model) for g in g_pool])
+    seconds = np.array([g.pair_mean(g, model) for g in g_pool])
     cross = np.array([[g1.pair_mean(g2, model) for g2 in g_pool] for g1 in g_pool])
     return np.sqrt(np.maximum(seconds[:, None] - 2 * cross + seconds[None, :], 0.0))
 

@@ -9,11 +9,11 @@ import pytest
 from semproc.function_classes import (
     BoundedPolynomial,
     BVectorClass,
-    HalfLine,
     HolderClass,
     NetTooLargeError,
     b_infinity_witness,
     cusp_riemann_gap_rows,
+    half_line,
     half_line_net,
     indicator,
     indicator_net,
@@ -255,7 +255,7 @@ class TestGClass:
         hi = min(hi, 60.0)
         for _ in range(5):
             # a half-line at a random quantile, a degree-2 polynomial in [-0.5, 0.5]^3
-            g1 = HalfLine(float(model.ppf(min(rng.random(), 1 - 1e-12))))
+            g1 = half_line(float(model.ppf(min(rng.random(), 1 - 1e-12))))
             g2 = BoundedPolynomial(tuple((2 * rng.random(3) - 1) * 0.5))
             for a, b in ((g1, g2), (g2, g2), (g1, g1)):
                 oracle, _ = sciint.quad(
@@ -273,12 +273,12 @@ class TestGClass:
         model = parse_model(model_name)
         count = math.ceil(1.0 / mesh)
         ws = sorted({float(model.ppf(min((k + 1) * mesh, 1.0 - 1e-12))) for k in range(count)})
-        assert [g.w for g in half_line_net(mesh, model)] == ws
+        assert [g.hi for g in half_line_net(mesh, model)] == ws
         for size in (1, 2, 5, 24):
             idx = np.linspace(0, len(ws) - 1, size).round().astype(int) if len(ws) > size \
                 else range(len(ws))
             want = [ws[i] for i in sorted(set(idx))]
-            assert [g.w for g in half_line_net(mesh, model, size)] == want
+            assert [g.hi for g in half_line_net(mesh, model, size)] == want
 
     def test_half_line_net_coverage(self):
         model = parse_model("standard-normal")
@@ -287,7 +287,7 @@ class TestGClass:
         for _ in range(80):
             w = float(model.ppf(rng.random() * 0.998 + 0.001))
             F = float(model.cdf(w))
-            best = min(math.sqrt(abs(F - float(model.cdf(m.w)))) for m in net)
+            best = min(math.sqrt(abs(F - float(model.cdf(m.hi)))) for m in net)
             assert best <= 0.3
 
 

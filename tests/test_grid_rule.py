@@ -21,8 +21,8 @@ from semproc import covering, fclt, ulln
 from semproc.fclt import lindeberg_check
 from semproc.function_classes import (
     BVectorClass,
-    HalfLine,
     grid_values,
+    half_line,
     indicator,
     indicator_net,
 )
@@ -85,7 +85,7 @@ def test_sandwich_net_against_the_fraction_oracle(n):
 @pytest.mark.parametrize("by_h", [False, True])
 def test_replicate_columns_read_the_exact_rows(by_h):
     hs = [h for h, _ in SMALL.values()]
-    gs = [HalfLine(0.4), HalfLine(0.8)]
+    gs = [half_line(0.4), half_line(0.8)]
     n, R, seed = 10, 40, 3
     got = fclt._replicate_Z(hs, gs, range(len(hs) * len(gs)), n, R, seed, UNIFORM, by_h)
     want = one_shot_Z(hs, gs, n, R, np.random.default_rng(seed), UNIFORM, by_h)
@@ -97,7 +97,7 @@ def test_lindeberg_variance_counts_the_exact_points(name):
     # V_n = lambda_n(h) F(w) (1 - F(w)) for a 0/1 h: 0.105 for indicator(0.6),
     # where the float rule read 0.126
     h, count = SMALL[name]
-    g = HalfLine(0.3)
+    g = half_line(0.3)
     vn = lindeberg_check((h, g), UNIFORM, [10], [0.1])["rows"][0]["variance_n"]
     hs = exact_grid_values(h, 10)
     assert vn == float(np.mean(hs**2 * 0.3 - (hs * 0.3) ** 2))
@@ -115,7 +115,7 @@ def test_net_sandwich_reads_the_exact_rows(monkeypatch, n):
     # each h is a grid prefix i <= p: P_n(hg) - lambda_n(h) nu(g) is
     # (#{i <= p : X_i <= w} - p F(w)) / n, from integer counts
     xs = sample.xs()
-    best = max(abs(int(np.sum(xs[:p] <= g.w)) - p * float(UNIFORM.cdf(g.w))) / n
+    best = max(abs(int(np.sum(xs[:p] <= g.hi)) - p * float(UNIFORM.cdf(g.hi))) / n
                for p in want.sum(axis=1).astype(int).tolist() for g in g_list)
     assert lower == pytest.approx(best, rel=1e-12)
     assert upper == lower + 0.4

@@ -2,6 +2,7 @@
 B-empirical measure."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,26 @@ from scipy import integrate as sciint
 from semproc.intervals import IntervalUnion
 from semproc.measures import NuModel, Sample, draw_sample, parse_model
 from semproc.quadrature import QuadratureError, integrate
+from semproc.special import ndtr
 
 from member_oracles import contains, eval_b_empirical, eval_lambda, eval_lambda_n, eval_semp
 from quad_oracle import law
 
 FULL = IntervalUnion.from_pairs([(0, 1)])
+
+
+def _plain_normal_truncated_moment(k: int, w: float) -> float:
+    """The standard-normal truncated moment by its recurrence m_j =
+    -w^(j-1) phi(w) + (j - 1) m_(j-2), the first term taken at every j,
+    even where phi(w) is 0.0 (w^(j-1) then may overflow)."""
+    phi = math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
+    m0 = float(ndtr(w))
+    if k == 0:
+        return m0
+    prev2, prev1 = m0, -phi
+    for j in range(2, k + 1):
+        prev2, prev1 = prev1, -(w ** (j - 1)) * phi + (j - 1) * prev2
+    return prev1
 
 
 class TestLambdaN:
@@ -208,6 +224,61 @@ class TestModelMoments:
                 ) if w > lo else (0.0, 0.0)
                 assert model.truncated_moment(k, w) == pytest.approx(oracle, abs=1e-8)
 
+    def test_normal_truncated_moments_keep_the_plain_bits(self):
+        # signs of zero included: where phi(w) is 0.0 the skipped term is a
+        # zero that changes no bit
+        model = parse_model("standard-normal")
+        far = ran = 0
+        for w in (0.0, 0.5, 1.0, 5.0, 10.0, 37.0, 38.5, 39.0, 40.0, 100.0, 1e3, 1e10,
+                  1e38, 1e100, 1e154, 1e200):
+            for x in (w, -w):
+                for k in range(10):
+                    try:
+                        want = _plain_normal_truncated_moment(k, x)
+                    except OverflowError:
+                        continue
+                    got = model.truncated_moment(k, x)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (k, x)
+                    ran += 1
+                    far += math.exp(-0.5 * x * x) == 0.0
+        assert ran > 250 and far > 100
+
+    def test_normal_truncated_moments_past_the_float_range_of_w_powers(self):
+        model = parse_model("standard-normal")
+        assert np.float64(model.truncated_moment(3, 1e200)).tobytes() \
+            == np.float64(-0.0).tobytes()  # 2 m_1 with m_1 = -phi(w) = -0.0
+        assert model.truncated_moment(4, 1e200) == 3.0
+        assert model.truncated_moment(5, -1e200) == 0.0
+
+    @pytest.mark.parametrize("name,label", [("exponential(1e-200)", "exponential(1e-200)"),
+                                            ("exponential(1e200)", "exponential(1e+200)")])
+    def test_exponential_moments_past_the_float_range_raise(self, name, label):
+        model = parse_model(name)
+        message = f"the order-2 moment of {re.escape(label)} is past the float range"
+        with pytest.raises(ValueError, match=message):
+            model.moment(2)
+        with pytest.raises(ValueError, match=message):
+            model.truncated_moment(2, 1.0)
+        assert model.moment(0) == 1.0 and model.truncated_moment(2, 0.0) == 0.0
+
+    def test_normal_moments_past_the_float_range_raise(self):
+        model = parse_model("standard-normal")
+        for k in (302, 400):
+            with pytest.raises(ValueError, match=f"the order-{k} moment of standard-normal"):
+                model.moment(k)
+        assert model.moment(401) == 0.0
+        with pytest.raises(ValueError, match="the order-400 moment of standard-normal"):
+            model.truncated_moment(400, 30.0)
+
+    def test_moments_keep_the_plain_bits_inside_the_float_range(self):
+        normal = parse_model("standard-normal")
+        for k in range(0, 301, 2):
+            assert normal.moment(k) == float(math.prod(range(k - 1, 0, -2)))
+        for rate in (2.0, 0.5, 1e-3, 1e3):
+            model = NuModel("exponential", (rate,))
+            for k in range(40):
+                assert model.moment(k) == math.factorial(k) / rate**k
+
     def test_cdf_ppf_inverse(self):
         for name in ("uniform01", "standard-normal", "exponential(1.5)"):
             model = parse_model(name)
@@ -234,13 +305,13 @@ class TestEIdentity:
 class TestHalfLineMoments:
     @pytest.mark.parametrize("model_name", ["uniform01", "standard-normal", "exponential(2)"])
     def test_closed_forms_against_quad(self, model_name):
-        from semproc.function_classes import HalfLine
+        from semproc.function_classes import half_line
 
         from quad_oracle import expect
 
         model = parse_model(model_name)
         for w in (-0.5, 0.3, 1.7):
-            g = HalfLine(w)
+            g = half_line(w)
             want = expect(model, g, points=(w,))
             assert g.mean(model) == pytest.approx(want, abs=1e-9)
-            assert g.second_moment(model) == pytest.approx(want, abs=1e-9)
+            assert g.pair_mean(g, model) == pytest.approx(want, abs=1e-9)

@@ -106,8 +106,8 @@ def _holder_members():
     rng = np.random.default_rng(11)
     cusp = [random_members(HolderClass(1.0, 1.0, beta), rng, 1)[0] for beta in (0.5, 1.0)]
     cusp += random_members(HolderClass(2.0, 0.5, 0.7), rng, 2)
-    pl = HolderClass(1.0, 1.0, 1.0).net_sample(0.5, 4, rng)
-    pl += HolderClass(1.0, 0.5, 1.0).net_sample(0.4, 3, rng)   # another knot grid
+    pl = HolderClass(1.0, 1.0, 1.0).build_net(0.5, 4, rng)
+    pl += HolderClass(1.0, 0.5, 1.0).build_net(0.4, 3, rng)   # another knot grid
     return cusp, pl
 
 
@@ -231,7 +231,7 @@ class TestObservedGapMatchesReference:
     def _members(self):
         rng = np.random.default_rng(21)
         out = [random_members(HolderClass(1.0, 1.0, beta), rng, 1)[0] for beta in (0.5, 1.0)]
-        out += HolderClass(1.0, 1.0, 1.0).net_sample(0.5, 3, rng)
+        out += HolderClass(1.0, 1.0, 1.0).build_net(0.5, 3, rng)
         out += [random_members(cls, rng, 1)[0] for cls in SET_CLASSES + [BVectorClass(2, "odd")]]
         out += [cls.member([Fraction(1, 3)] * cls.n_breakpoints) for cls in SET_CLASSES]
         out += [indicator(t) for t in (0.05, 1 / 3, 0.5, 0.999, 1.0)]

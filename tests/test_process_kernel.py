@@ -26,9 +26,9 @@ from semproc.fclt import (
 from semproc.function_classes import (
     INDICATORS,
     BoundedPolynomial,
-    HalfLine,
     HolderClass,
-    InitialInterval,
+    LineInterval,
+    half_line,
 )
 from semproc.measures import grid_points, parse_model
 from semproc.seeds import derive_seed
@@ -102,7 +102,7 @@ def test_hand_sized_layout(by_h):
     model = parse_model("exponential(2)")
     n = 5
     h_vals = np.stack([grid_points(n), (np.arange(n) % 2).astype(float)])
-    g_list = [HalfLine(0.3), InitialInterval(0.8), BoundedPolynomial((0.5, -1.0))]
+    g_list = [half_line(0.3), LineInterval(0.0, 0.8), BoundedPolynomial((0.5, -1.0))]
     rows = model.draw(np.random.default_rng(4), (4, n))
     got = process_deviations(h_vals, g_list, rows, model, by_h)
     assert got.shape == (4, 6)
@@ -119,7 +119,7 @@ def test_net_sandwich_reads_the_kernel_on_its_one_sample():
     model = parse_model("standard-normal")
     n = 50
     h_vals = np.stack([(grid_points(n) <= t).astype(float) for t in (0.2, 0.5, 1.0)])
-    g_list = [HalfLine(w) for w in (-0.5, 0.0, 0.7)]
+    g_list = [half_line(w) for w in (-0.5, 0.0, 0.7)]
     rows = model.draw(np.random.default_rng(9), (3, n))
     tall = process_deviations(h_vals, g_list, rows, model)
     for r in range(3):

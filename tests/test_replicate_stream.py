@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from semproc.fclt import kiefer_cell, replicate_Z_values
-from semproc.function_classes import HalfLine, InitialInterval, indicator
+from semproc.function_classes import LineInterval, half_line, indicator
 from semproc.measures import parse_model
 from semproc.seeds import derive_seed
 
@@ -75,8 +75,8 @@ def test_indicator_products_equal_the_one_shot_bytes(name):
     model = parse_model(name)
     # repeated and reordered members: the columns of a sub-product
     q_list = [(indicator(s), g) for s in (0.3, 1.0)
-              for g in (HalfLine(0.4), InitialInterval(0.8))][::-1]
-    q_list += [q_list[1], (indicator(0.3), HalfLine(0.4))]
+              for g in (half_line(0.4), LineInterval(0.0, 0.8))][::-1]
+    q_list += [q_list[1], (indicator(0.3), half_line(0.4))]
     for n in NS:
         for R in ROWS:
             got = replicate_Z_values(q_list, n, R, 6, model)

@@ -73,6 +73,31 @@ def test_j0_layer_counts_every_replicate():
     assert calls["ulln.gc_experiment"] == 1
 
 
+def test_modulus_net_is_one_build_net_call():
+    # the default q set builds no Holder net of its own, so the one
+    # build_net call of a default-q-set fclt run is the modulus pool's,
+    # a named layer of the fclt-modulus workload
+    code = textwrap.dedent(f"""
+        import json, sys
+        sys.path.insert(0, {str(PERFBENCH)!r})
+        import tracing
+        from semproc.cli import run_experiment
+        spans = tracing.SpanRecorder()
+        spans.install()
+        run_experiment("fclt", {{"n": 60, "replicates": 20, "modulus_replicates": 2,
+                                 "alpha_list": [0.3, 0.8], "net_u": 0.6,
+                                 "run_lindeberg": False}})
+        print(json.dumps(spans.layer_metrics()["function_classes.HolderClass.build_net"]))
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    layer = json.loads(out.stdout)
+    assert layer["calls"] == 1 and layer["members"] > 0
+
+
 # A tiny fclt (the Holder modulus, and the holder-product q set, which builds
 # a Holder net), one run-DP statistic and a tiny covering run: between them
 # they reach every work counter and every PEAK_LAYERS function
