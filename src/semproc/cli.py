@@ -5,12 +5,14 @@ Each experiment is declared once, in EXPERIMENTS: its config keys, each a
 default (a key's type is its default's type) beside the value rules it must
 pass, its runner, which returns the results and the ledger of named checks,
 and its plot-data series.  read_keys is the one reader of outside input
-(configs, h_class descriptors, q files), each read against a key table; a
-runner checks only what needs work first (a Holder net's size, a q file) or
-reads two keys at once (ulln.net_u against the class, fclt.q_file against
-the q set).  run_experiment derives a report's
-"pass" from the ledger.  selftest runs the five other experiments at small
-configs through the same registry.
+(config files, --set values and --key-name flags, h_class descriptors, q
+files), each read against a key table, and _read_json its one JSON parser: a
+flag's text is read as a --set value is (JSON, or else the text itself), a
+list flag's as comma-separated JSON items, a str flag's as given.  A runner
+checks only what needs work first (a Holder net's size, a q file) or reads
+two keys at once (ulln.net_u against the class, fclt.q_file against the q
+set).  run_experiment derives a report's "pass" from the ledger.  selftest
+runs the five other experiments at small configs through the same registry.
 
 Reproducibility is the product: a report embeds the exact config and the root
 seed, every random stream is derived from the root seed through
@@ -146,16 +148,24 @@ def read_tagged(raw, tag: str, kinds: dict, where: str, path: str = ""):
         raise ConfigError(f"{where} key {path}: {exc}" if path else f"{where}: {exc}") from None
 
 
-def _read_json(read, source, where: str):
-    """read(source), json.load or json.loads of outside input; an integer of
-    more digits than Python converts (a ValueError that is no
-    JSONDecodeError) is a ConfigError naming where it came from."""
+def _read_json(text: str, where: str):
+    """The JSON value of text, outside input; an integer of more digits than
+    Python converts (a ValueError that is no JSONDecodeError) is a
+    ConfigError naming where it came from."""
     try:
-        return read(source)
+        return json.loads(text)
     except json.JSONDecodeError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+
+
+def _raw_value(text: str, where: str):
+    """A --set or flag value for read_keys to type: its JSON, else text."""
+    try:
+        return _read_json(text, where)
+    except json.JSONDecodeError:
+        return text
 
 
 def parse_config(experiment: str, raw: dict) -> dict:
@@ -237,7 +247,7 @@ def _load_q_file(path: str) -> list:
     """The (h, g) pairs of a q file: a JSON list of {"h": ..., "g": ...},
     each part an object tagged by its "type" and read against Q_PARTS."""
     with open(path) as fh:
-        entries = _read_json(json.load, fh, f"q file {path}")
+        entries = _read_json(fh.read(), f"q file {path}")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("q file must hold a nonempty JSON list")
     pairs = []
@@ -636,7 +646,7 @@ def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        data = _read_json(json.load, fh, f"--config {path}")
+        data = _read_json(fh.read(), f"--config {path}")
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return data
@@ -654,24 +664,7 @@ def _parse_override(text: str):
     key, _, value = text.partition("=")
     if not _:
         raise ConfigError(f"override {text!r} must look like key=value")
-    try:
-        return key, _read_json(json.loads, value, f"--set {key}")
-    except json.JSONDecodeError:
-        return key, value
-
-
-def _flag_type(default) -> Callable[[str], Any]:
-    """How a --key-name flag parses its text: lists are comma separated and
-    typed by the default's elements, dicts and bools are JSON."""
-    if isinstance(default, list):
-        elem = type(default[0])
-
-        def comma_list(text: str) -> list:
-            return [elem(v) for v in text.split(",")]
-        return comma_list
-    if isinstance(default, (dict, bool)):
-        return json.loads
-    return type(default)
+    return key, _raw_value(value, f"--set {key}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -691,7 +684,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for key, (default, *rules) in exp.keys.items():
             rule = "; must be " + " and ".join(text for text, _ in rules) if rules else ""
             p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
-                           type=_flag_type(default), help=f"sets {key} (default {default!r}{rule})")
+                           help=f"sets {key} (default {default!r}{rule})")
 
     args = parser.parse_args(argv)
     try:
@@ -699,9 +692,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for item in args.set:
             key, value = _parse_override(item)
             raw[key] = value
-        for key in EXPERIMENTS[args.experiment].keys:
-            if getattr(args, key) is not None:
-                raw[key] = getattr(args, key)
+        for key, (default, *_) in EXPERIMENTS[args.experiment].keys.items():
+            text, where = getattr(args, key), "--" + key.replace("_", "-")
+            if text is not None and isinstance(default, list):  # comma-separated JSON items
+                items = _raw_value(f"[{text}]", where)
+                raw[key] = text if isinstance(items, str) else items
+            elif text is not None:  # a str key takes its text as given
+                raw[key] = text if isinstance(default, str) else _raw_value(text, where)
         _check_output("--out", args.out)  # before the run, which a bad path would waste
         _check_output("--plot-prefix", args.plot_prefix)
         report = run_experiment(args.experiment, raw)

@@ -7,11 +7,12 @@ by its h class alone.
 
 Every h class exposes seeded random members as arrays, and its closed-form
 Riemann gap bound: a set class's sorted breakpoints, one row per member,
-from one generator draw (BVectorClass.random_breakpoints; member(row) is the
-IntervalUnion of a row); a Holder class's cusp arrays (a, coeffs, centers,
-cusps), the per-member generator calls in turn and the arithmetic on the
-whole arrays (HolderClass.random_cusps).  Their Riemann gaps are read
-straight from those arrays (set_riemann_gap_rows, cusp_riemann_gap_rows).
+from one generator draw (BVectorClass.random_breakpoints; a row's
+IntervalUnion is the test oracle member_oracles.set_member); a Holder
+class's cusp arrays (a, coeffs, centers, cusps), the per-member generator
+calls in turn and the arithmetic on the whole arrays
+(HolderClass.random_cusps).  Their Riemann gaps are read straight from
+those arrays (set_riemann_gap_rows, cusp_riemann_gap_rows).
 A set class BVectorClass also owns its grid-cut rule: cut_masks(k) lists
 the subsets of k ordered points it cuts out (at most j runs, one more
 through the anchored interval), which the shatter counts and the
@@ -54,13 +55,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .intervals import IntervalUnion
 from .measures import NuModel, grid_points
-from .piecewise import PiecewiseLinear, prod_integral
+from .piecewise import PiecewiseLinear, prod_integral, simpson_cells
 
 __all__ = [
     "NetTooLargeError",
@@ -284,9 +285,8 @@ def lambda_sq_matrix(members: Sequence) -> np.ndarray:
     with float t, or of piecewise-linear members on one shared knot vector;
     TypeError for any other family.  For indicators an entry is |t_i - t_j|,
     the one rounding of the exact symmetric-difference measure; for
-    piecewise-linear members, the per-cell Simpson sum of
-    piecewise.diff_sq_integral, bit for bit, with each member evaluated once
-    instead of once per pair."""
+    piecewise-linear members, piecewise.diff_sq_integral's simpson_cells sum,
+    bit for bit, with each member evaluated once instead of once per pair."""
     ends = [_indicator_end(h) for h in members]
     if ends and None not in ends:
         ts = np.array(ends)
@@ -307,8 +307,7 @@ def lambda_sq_matrix(members: Sequence) -> np.ndarray:
     for lo in range(0, k, rows):
         d = at_knots[lo:lo + rows, None, :] - at_knots[None, :, :]
         dm = at_mid[lo:lo + rows, None, :] - at_mid[None, :, :]
-        sq[lo:lo + rows] = np.sum(w / 6.0 * (d[..., :-1] ** 2 + 4.0 * dm**2 + d[..., 1:] ** 2),
-                                  axis=2)
+        sq[lo:lo + rows] = simpson_cells(w, d**2, dm**2)
     return sq
 
 
@@ -355,15 +354,6 @@ class BVectorClass:
         runs = np.bitwise_count(m & ~(m << 1))  # bits that start a run
         return m[runs <= self.j + (m & 1) * self.anchored]
 
-    def member(self, breakpoints: Sequence[Union[float, Fraction]]) -> IntervalUnion:
-        t = list(breakpoints)
-        if len(t) != self.n_breakpoints:
-            raise ValueError(f"expected {self.n_breakpoints} breakpoints")
-        if t != sorted(t):
-            raise ValueError("breakpoints must be nondecreasing")
-        ends = [0] + t if self.anchored else t  # (0, t0] is the anchored interval
-        return IntervalUnion.from_pairs(zip(ends[::2], ends[1::2]))
-
     def random_breakpoints(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """The sorted breakpoints of count random members, one row each, from
         one rng.random((count, n_breakpoints)) draw: the stream of count
@@ -394,12 +384,12 @@ def indicator(t: float) -> IntervalUnion:
 
 
 def _line_net_count(mesh: float) -> int:
-    """ceil(1 / mesh), the size of an indicator or half-line net, within
-    _LINE_NET_CAP; a mesh of 0 or one whose 1 / mesh is past the float range
-    is too fine for any net."""
+    """ceil(1 / mesh), the size of an indicator or half-line net, at least 1
+    (an infinite mesh) and within _LINE_NET_CAP; a mesh of 0 or one whose
+    1 / mesh is past the float range is too fine for any net."""
     if mesh == 0 or not math.isfinite(1.0 / mesh):
         raise NetTooLargeError(math.inf, _LINE_NET_CAP)
-    count = math.ceil(1.0 / mesh)
+    count = max(1, math.ceil(1.0 / mesh))
     if count > _LINE_NET_CAP:
         raise NetTooLargeError(math.log10(count), _LINE_NET_CAP)
     return count

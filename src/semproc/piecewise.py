@@ -44,22 +44,24 @@ def merged_knots(p: PiecewiseLinear, q: PiecewiseLinear) -> np.ndarray:
     return np.union1d(np.asarray(p.knots), np.asarray(q.knots))
 
 
+def simpson_cells(w: np.ndarray, ends: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """Simpson's rule per cell, summed over the last axis: the sum of
+    w/6 (f0 + 4 f_mid + f1) over cells of widths w, given an integrand's
+    values at the knots (ends) and at the cell midpoints (mids); exact for
+    an integrand quadratic on each cell."""
+    return np.sum(w / 6.0 * (ends[..., :-1] + 4.0 * mids + ends[..., 1:]), axis=-1)
+
+
 def diff_sq_integral(p: PiecewiseLinear, q: PiecewiseLinear) -> float:
     """Exact integral of (p - q)^2; the integrand is quadratic per merged cell,
     so Simpson's rule on each cell is exact."""
     k = merged_knots(p, q)
-    d = p(k) - q(k)
     mid = 0.5 * (k[1:] + k[:-1])
-    dm = p(mid) - q(mid)
-    w = k[1:] - k[:-1]
-    return float(np.sum(w / 6.0 * (d[:-1] ** 2 + 4.0 * dm**2 + d[1:] ** 2)))
+    return float(simpson_cells(k[1:] - k[:-1], (p(k) - q(k)) ** 2, (p(mid) - q(mid)) ** 2))
 
 
 def prod_integral(p: PiecewiseLinear, q: PiecewiseLinear) -> float:
     """Exact integral of p*q (quadratic per merged cell)."""
     k = merged_knots(p, q)
-    a = p(k) * q(k)
     mid = 0.5 * (k[1:] + k[:-1])
-    am = p(mid) * q(mid)
-    w = k[1:] - k[:-1]
-    return float(np.sum(w / 6.0 * (a[:-1] + 4.0 * am + a[1:])))
+    return float(simpson_cells(k[1:] - k[:-1], p(k) * q(k), p(mid) * q(mid)))

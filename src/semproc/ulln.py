@@ -536,7 +536,8 @@ def sup_deviation_net(sample: Sample, net_u: float) -> tuple[float, float]:
     h_net = indicator_net(u - 1.0 / sample.n)
     xs = sample.xs()
     xs_sorted = np.sort(xs)
-    stride = max(1, int(math.floor(u * sample.n)))
+    # a stride past n selects only the last point, which the net holds anyway
+    stride = max(1, int(math.floor(min(u, 1.0) * sample.n)))
     ws = set(float(x) for x in xs_sorted[stride - 1::stride])
     ws.add(float(xs_sorted[-1]))
     ws.update(g.hi for g in half_line_net(u, model))

@@ -7,7 +7,8 @@ test for interval unions), the values at the grid i/n with a set's
 membership decided on the Fraction i/n (exact_grid_values), a certified
 sup distance between Holder members, the cusp Holder member that
 function_classes keeps only as arrays (CuspMember, with its own lambda) and
-the members of a class's array draw (random_members), the half-line and
+the members of a class's array draw (random_members, a set member from
+its breakpoints by set_member), the half-line and
 initial-interval g members that function_classes keeps as one LineInterval
 (HalfLine, InitialInterval), the exact rational
 Riemann gap of an interval union, the one-member float gap of any other
@@ -27,7 +28,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from semproc.function_classes import BoundedPolynomial, HolderClass, indicator
+from semproc.function_classes import BoundedPolynomial, BVectorClass, HolderClass, indicator
 from semproc.intervals import IntervalUnion
 from semproc.measures import NuModel, Sample
 from semproc.piecewise import PiecewiseLinear
@@ -124,13 +125,26 @@ def cusp_members(cls: HolderClass, arrays) -> list:
             for a_i, c, x, k in zip(a, coeffs, centers, cusps)]
 
 
+def set_member(cls: BVectorClass, breakpoints: Sequence[Union[float, Fraction]]) -> IntervalUnion:
+    """The member of a set class with these sorted breakpoints, a row of
+    BVectorClass.random_breakpoints: (0, t0] and then (t1, t2], ... when
+    the class is anchored, (t0, t1], ... otherwise."""
+    t = list(breakpoints)
+    if len(t) != cls.n_breakpoints:
+        raise ValueError(f"expected {cls.n_breakpoints} breakpoints")
+    if t != sorted(t):
+        raise ValueError("breakpoints must be nondecreasing")
+    ends = [0] + t if cls.anchored else t  # (0, t0] is the anchored interval
+    return IntervalUnion.from_pairs(zip(ends[::2], ends[1::2]))
+
+
 def random_members(cls, rng: np.random.Generator, count: int) -> list:
     """count random members of an h class from its array draw: CuspMembers
-    from HolderClass.random_cusps, set members cls.member(row) from the rows
+    from HolderClass.random_cusps, set members set_member(cls, row) from the rows
     of BVectorClass.random_breakpoints."""
     if isinstance(cls, HolderClass):
         return cusp_members(cls, cls.random_cusps(rng, count))
-    return [cls.member(row) for row in cls.random_breakpoints(rng, count).tolist()]
+    return [set_member(cls, row) for row in cls.random_breakpoints(rng, count).tolist()]
 
 
 class _TwoValued:

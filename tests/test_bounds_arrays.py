@@ -26,7 +26,7 @@ from semproc.function_classes import (
     set_riemann_gap_rows,
 )
 
-from member_oracles import CuspMember, cusp_members, scalar_riemann_gap
+from member_oracles import CuspMember, cusp_members, scalar_riemann_gap, set_member
 
 SET_CLASSES = {
     "B1": INDICATORS, "B2": BVectorClass(1, "even"), "B3": BVectorClass(1, "odd"),
@@ -40,7 +40,7 @@ BETAS = (0.3, 0.5, 0.7, 1.0)
 
 
 def assert_set_gaps(t: np.ndarray, cls: BVectorClass, n_list):
-    members = [cls.member(row) for row in t.tolist()]
+    members = [set_member(cls, row) for row in t.tolist()]
     for n, got in zip(n_list, set_riemann_gap_rows(t, n_list)):
         assert [g.hex() for g in got] == [m.riemann_gap(n).hex() for m in members]
 

@@ -625,6 +625,27 @@ class TestRunawayValues:
         assert out.returncode in (0, 1), out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("h_class", ['{"class": "indicators"}', '{"class": "holder"}'])
+    def test_huge_fclt_net_u_keeps_one_g_member(self, tmp_path, h_class):
+        # net_u**2 overflows to an infinite mesh: each line net keeps one member
+        out = tmp_path / "f.json"
+        assert main(["fclt", "--h-class", h_class, "--net-u", "1e200", "--n", "20",
+                     "--replicates", "5", "--run-lindeberg", "false",
+                     "--out", str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["results"]["modulus"]["g_pool"] == 1
+
+    def test_huge_ulln_net_u_keeps_the_sandwich_of_net_u_3(self, tmp_path):
+        # a stride of u * n past n selects the last sample point alone
+        def lower(net_u: str) -> float:
+            out = tmp_path / f"u{net_u}.json"
+            assert main(["ulln", "--n-schedule", "1000", "--replicates", "1",
+                         "--net-u", net_u, "--out", str(out)]) == 0
+            rows = [e["observed"] for e in json.loads(out.read_text())["ledger"]
+                    if e["name"].startswith("net sandwich")]
+            return rows[0]["lower"]
+
+        assert lower("1e306").hex() == lower("3").hex()
+
     def test_greedy_net_rejects_what_never_ends_its_sweep(self):
         code = textwrap.dedent("""
             import math

@@ -297,3 +297,55 @@ def test_huge_integer_in_q_file_names_the_file(tmp_path, capsys):
                     f'"g": {{"type": "half-line", "w": 0.5}}}}]')
     assert main(["fclt", "--q-set", "custom-file", "--q-file", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: q file {path}: Exceeds the limit")
+
+
+def test_huge_integer_in_a_flag_names_the_flag(capsys):
+    assert main(["ulln", "--n-schedule", f"20,{_HUGE}"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --n-schedule: Exceeds the limit")
+
+
+# A flag's text reaches read_keys as a --set value does; a list flag's text
+# is its comma-separated items, so its --set twin brackets them when they are
+# JSON.  Per non-str key: text that is not JSON, and JSON of another type.
+_WRONG_JSON = {int: "1.5", float: "true", bool: "1", dict: "[1]"}
+
+
+def _wrong_flag_values():
+    for exp, spec in EXPERIMENTS.items():
+        for key, (default, *_) in spec.keys.items():
+            if isinstance(default, str):
+                continue
+            listed = isinstance(default, list)
+            wrong = _WRONG_JSON[type(default[0]) if listed else type(default)]
+            yield exp, key, "maybe", "maybe"
+            yield exp, key, wrong, f"[{wrong}]" if listed else wrong
+
+
+@pytest.mark.parametrize("exp,key,flag_text,set_text", list(_wrong_flag_values()))
+def test_wrong_flag_value_is_its_set_config_error(capsys, exp, key, flag_text, set_text):
+    assert main([exp, "--" + key.replace("_", "-"), flag_text]) == 2
+    flag_err = capsys.readouterr().err
+    assert main([exp, "--set", f"{key}={set_text}"]) == 2
+    assert flag_err.splitlines()[0] == capsys.readouterr().err.splitlines()[0]
+    assert flag_err.startswith(f"config error: config key {exp}.{key} ")
+    assert "usage:" not in flag_err
+
+
+@pytest.mark.parametrize("exp,argv,given", [
+    ("ulln", ["--n-schedule", "100,1000"], {"n_schedule": [100, 1000]}),
+    ("fclt", ["--alpha-list", "0.1,0.4"], {"alpha_list": [0.1, 0.4]}),
+    ("fclt", ["--run-modulus", "false"], {"run_modulus": False}),
+    ("fclt", ["--h-class", '{"class": "indicators"}'], {"h_class": {"class": "indicators"}}),
+    ("fclt", ["--q-set", "kiefer-grid"], {"q_set": "kiefer-grid"}),
+    ("fclt", ["--q-file", "2024"], {"q_file": "2024"}),
+    ("ulln", ["--net-u", "0.2"], {"net_u": 0.2}),
+    ("ulln", ["--j", "1", "--centering", "lambda"], {"j": 1, "centering": "lambda"}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_flag_examples_read_as_their_values(monkeypatch, exp, argv, given):
+    seen = []  # the raw config main hands on, read here without a run
+    monkeypatch.setattr("semproc.cli.run_experiment",
+                        lambda e, raw: seen.append(raw) or {"pass": True})
+    assert main([exp, *argv]) == 0
+    cfg = parse_config(exp, seen[0])
+    assert {k: (cfg[k], type(cfg[k])) for k in given} == {
+        k: (v, type(v)) for k, v in given.items()}

@@ -67,17 +67,20 @@ def test_unused_import_is_caught():
     assert _unused_imports(source) == ["math", "sqrt"]
 
 
-def _reads(tree: ast.AST, name: str, strings: bool = False) -> bool:
+def _reads(tree: ast.AST, name: str, strings: bool = False, bare: bool = True) -> bool:
     """Whether tree reads name outside the def or class that defines it: as
-    a name or an attribute, or, when strings is set, as a string constant
-    that is the name or starts with it and a dot (perfbench names the layers
-    it traces by string, such as "HolderClass.build_net")."""
+    an attribute, as a bare name unless bare is unset (a method is read
+    through an attribute alone: a bare name of its spelling is a local or a
+    parameter), or, when strings is set, as a string constant that is the
+    name or starts with it and a dot (perfbench names the layers it traces
+    by string, such as "HolderClass.build_net")."""
     stack = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
             continue
-        if isinstance(node, ast.Name) and node.id == name and not isinstance(node.ctx, ast.Store):
+        if (bare and isinstance(node, ast.Name) and node.id == name
+                and not isinstance(node.ctx, ast.Store)):
             return True
         if isinstance(node, ast.Attribute) and node.attr == name:
             return True
@@ -151,22 +154,25 @@ def _public_methods(tree: ast.Module) -> list:
 
 
 def test_every_public_method_is_read():
-    # read by name outside its own def, or named "Class.method" by perfbench
+    # read as an attribute outside its own def, or named "Class.method" by perfbench
     src, bench = _trees("src/semproc"), _trees("perfbench")
     unread = [f"{path.stem}.{cls}.{name}"
               for path, tree in zip(sorted((ROOT / "src/semproc").rglob("*.py")), src)
               for cls, name in _public_methods(tree)
-              if not (any(_reads(t, name) for t in src + bench)
+              if not (any(_reads(t, name, bare=False) for t in src + bench)
                       or any(_reads(t, f"{cls}.{name}", strings=True) for t in bench))]
     assert unread == sorted(UNREAD_METHODS)
 
 
 def test_unread_public_method_is_caught():
+    # a parameter that shares the method's name reads a bare name, not the method
     tree = ast.parse("class Box:\n    def used(self):\n        return 1\n"
                      "    def unused(self):\n        return self.unused()\n"
-                     "    def _hidden(self):\n        return 2\nBox().used()\n")
+                     "    def _hidden(self):\n        return 2\nBox().used()\n"
+                     "def gap(unused):\n    return unused\n")
     assert _public_methods(tree) == [("Box", "used"), ("Box", "unused")]
-    assert [m for _, m in _public_methods(tree) if not _reads(tree, m)] == ["unused"]
+    assert [m for _, m in _public_methods(tree) if not _reads(tree, m, bare=False)] == ["unused"]
+    assert _reads(tree, "unused")
     assert _reads(ast.parse("LAYERS = ['Box.unused']"), "Box.unused", strings=True)
 
 

@@ -29,6 +29,7 @@ from member_oracles import (
     holder_sup_distance,
     observed_riemann_gap_exact,
     random_members,
+    set_member,
 )
 from quad_oracle import law
 
@@ -40,7 +41,7 @@ class TestRiemannGapBounds:
         assert BVectorClass(1, "even").riemann_gap_bound(40) == pytest.approx(0.1)
 
     def test_observed_floor_example(self):
-        m = BVectorClass(0, "odd").member([0.25])
+        m = set_member(BVectorClass(0, "odd"), [0.25])
         assert observed_riemann_gap(m, 10) == pytest.approx(0.05, abs=1e-15)
 
     @pytest.mark.parametrize("cls", [
@@ -185,14 +186,20 @@ class TestBVectorClasses:
         for m in random_members(cls, rng, 50):
             assert len(m.bounds) <= cls.j
 
+    def test_set_member_checks_its_breakpoints(self):
+        with pytest.raises(ValueError, match="expected 3 breakpoints"):
+            set_member(BVectorClass(1, "odd"), [0.2, 0.4])
+        with pytest.raises(ValueError, match="nondecreasing"):
+            set_member(BVectorClass(1, "even"), [0.4, 0.2])
+
     def test_degenerate_breakpoints_normalized(self):
         # the empty (0.5, 0.5] interval is dropped
-        m = BVectorClass(1, "odd").member([0.3, 0.5, 0.5])
+        m = set_member(BVectorClass(1, "odd"), [0.3, 0.5, 0.5])
         assert len(m.bounds) == 1
         assert float(m.lebesgue()) == pytest.approx(0.3)
 
     def test_indicator_membership_example(self):
-        m = BVectorClass(1, "odd").member([0.2, 0.4, 0.6])
+        m = set_member(BVectorClass(1, "odd"), [0.2, 0.4, 0.6])
         # B = (0, 0.2] u (0.4, 0.6]
         assert eval_member(m, 0.5) == 1.0
         assert eval_member(m, 0.3) == 0.0
@@ -215,7 +222,7 @@ class TestBVectorClasses:
 
     def test_indicator_is_the_b1_member(self):
         for t in (0.25, 0.3, 1.0):
-            assert indicator(t) == BVectorClass(0, "odd").member([t])
+            assert indicator(t) == set_member(BVectorClass(0, "odd"), [t])
 
     @pytest.mark.parametrize("mesh", [0.04, 0.3, 1 / 3, 0.7, 1.0, 2.0])
     def test_indicator_net_mesh(self, mesh):
@@ -225,6 +232,11 @@ class TestBVectorClasses:
         assert all(b - a <= mesh + 1e-15 for a, b in zip([0.0] + ends, ends))
         with pytest.raises(NetTooLargeError):
             indicator_net(1e-7)
+
+    def test_line_nets_at_an_infinite_mesh_hold_one_member(self):
+        # fclt's mesh net_u**2 overflows to inf from net_u of about 1.34e154
+        assert indicator_net(math.inf) == [indicator(1.0)]
+        assert len(half_line_net(math.inf, parse_model("uniform01"))) == 1
 
     @pytest.mark.parametrize("mesh", [0.0, 1e-320, 1e-200 * 1e-200])
     def test_line_nets_too_fine_for_a_float_count(self, mesh):

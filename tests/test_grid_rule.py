@@ -30,7 +30,7 @@ from semproc.intervals import IntervalUnion
 from semproc.measures import NuModel, Sample, draw_sample, parse_model
 from semproc.ulln import sup_deviation_bruteforce, sup_deviation_exact_BW, sup_deviation_net
 
-from member_oracles import exact_grid_values, one_shot_Z
+from member_oracles import exact_grid_values, one_shot_Z, set_member
 from test_covering_oracle import gram_l1
 
 UNIFORM = parse_model("uniform01")
@@ -39,7 +39,7 @@ UNIFORM = parse_model("uniform01")
 SMALL = {
     "indicator(0.3)": (indicator(0.3), 2),
     "indicator(0.6)": (indicator(0.6), 5),
-    "B(2) member (0.1, 0.3]": (BVectorClass(1, "even").member([0.1, 0.3]), 1),
+    "B(2) member (0.1, 0.3]": (set_member(BVectorClass(1, "even"), [0.1, 0.3]), 1),
 }
 
 

@@ -23,7 +23,7 @@ from semproc.function_classes import (
 )
 from semproc.intervals import IntervalUnion
 
-from member_oracles import random_members
+from member_oracles import random_members, set_member
 
 N_LIST = (1, 7, 10, 100, 1000, 4096)
 
@@ -92,7 +92,7 @@ def test_random_b_members(j, parity):
         pairs = [(0, t[0])] if parity == "odd" else []
         rest = t[1:] if parity == "odd" else t
         pairs += [(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
-        assert_matches_reference(cls.member(t), pairs)
+        assert_matches_reference(set_member(cls, t), pairs)
 
 
 def test_fraction_endpoints():

@@ -30,7 +30,7 @@ from semproc.function_classes import (
 from semproc.intervals import IntervalUnion
 from semproc.piecewise import PiecewiseLinear, diff_sq_integral, prod_integral
 
-from member_oracles import CuspMember, contains, random_members
+from member_oracles import CuspMember, contains, random_members, set_member
 from quad_oracle import lambda_prod_quadrature
 
 
@@ -233,7 +233,7 @@ class TestObservedGapMatchesReference:
         out = [random_members(HolderClass(1.0, 1.0, beta), rng, 1)[0] for beta in (0.5, 1.0)]
         out += HolderClass(1.0, 1.0, 1.0).build_net(0.5, 3, rng)
         out += [random_members(cls, rng, 1)[0] for cls in SET_CLASSES + [BVectorClass(2, "odd")]]
-        out += [cls.member([Fraction(1, 3)] * cls.n_breakpoints) for cls in SET_CLASSES]
+        out += [set_member(cls, [Fraction(1, 3)] * cls.n_breakpoints) for cls in SET_CLASSES]
         out += [indicator(t) for t in (0.05, 1 / 3, 0.5, 0.999, 1.0)]
         out += [b_infinity_witness(k) for k in (1, 3, 7)]
         out += [IntervalUnion.from_pairs([(Fraction(1, 7), Fraction(2, 7)), (0.5, 0.9)])]
@@ -247,7 +247,7 @@ class TestObservedGapMatchesReference:
 
 class TestProtocol:
     def test_exact_lambdas(self):
-        m = BVectorClass(1, "odd").member([0.25, 0.5, 0.75])
+        m = set_member(BVectorClass(1, "odd"), [0.25, 0.5, 0.75])
         assert m.lambda_exact() == Fraction(1, 2)
         assert m.on_grid(10).tolist() == [1, 1, 0, 0, 0, 1, 1, 0, 0, 0]
         assert m.lambda_n(8) == Fraction(4, 8)

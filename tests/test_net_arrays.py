@@ -21,6 +21,8 @@ from semproc.intervals import IntervalUnion
 from semproc.piecewise import PiecewiseLinear, diff_sq_integral
 from semproc.seeds import derive_seed
 
+from member_oracles import set_member
+
 
 def recursive_net(cls: HolderClass, u: float, max_members: int = 200_000):
     """Reference enumeration: depth-first over (anchor, step_1, ..., step_m),
@@ -193,9 +195,9 @@ class TestLambdaSqMatrix:
         assert bits_equal(lambda_sq_matrix(net), exact)
 
     @pytest.mark.parametrize("family", [
-        [indicator(0.2), BVectorClass(1, "even").member([0.1, 0.4]), indicator(0.7)],
-        [indicator(0.5), BVectorClass(1, "odd").member([0.2, 0.5, 0.9]), indicator(1.0)],
-        [indicator(0.25), BVectorClass(0, "odd").member([Fraction(1, 3)])],
+        [indicator(0.2), set_member(BVectorClass(1, "even"), [0.1, 0.4]), indicator(0.7)],
+        [indicator(0.5), set_member(BVectorClass(1, "odd"), [0.2, 0.5, 0.9]), indicator(1.0)],
+        [indicator(0.25), set_member(BVectorClass(0, "odd"), [Fraction(1, 3)])],
         HolderClass(1.0, 1.0, 1.0).build_net(0.8)[:3]
         + [PiecewiseLinear((0.0, 0.3, 1.0), (0.1, -0.2, 0.4))],
         [indicator(0.5), PiecewiseLinear((0.0, 1.0), (0.0, 1.0))],
